@@ -1,11 +1,13 @@
 """
-Shared minimization drivers: an L-BFGS warmup followed by a damped-Newton
-polish with sparse direct solves.  The polish is what pushes the stiff
-high-derivative problems (quartic-operator conditioning ~ h^-2n) from the
-1e-2 gradient plateau of plain quasi-Newton down to the 1e-8..1e-9 floor
-set by finite-difference roundoff.
+Shared minimization drivers.  Damped Newton with sparse direct solves is
+the primary solver wherever W'' exists: on the stiff high-derivative
+problems (quartic-operator conditioning ~ h^-2n) it reaches the 1e-8..1e-9
+floor set by finite-difference roundoff in a handful of steps, where plain
+quasi-Newton plateaus near 1e-2.  L-BFGS remains for potentials without a
+second derivative.
 """
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -45,8 +47,8 @@ def lbfgs(
     """
     info = SolveInfo()
 
-    def callback(xk):
-        if divergence_floor is not None and fun(xk) < divergence_floor:
+    def callback(intermediate_result):
+        if intermediate_result.fun < divergence_floor:
             info.diverged = True
             raise StopIteration
 
@@ -59,8 +61,8 @@ def lbfgs(
         options=dict(maxiter=maxiter, ftol=1e-16, gtol=gtol, maxcor=25),
     )
     info.iterations = int(res.nit)
-    info.energy = float(fun(res.x))
-    info.gradient_norm = float(np.abs(grad(res.x)).max())
+    info.energy = float(res.fun)
+    info.gradient_norm = float(np.abs(res.jac).max())
     info.message = str(res.message)
     return np.asarray(res.x, dtype=float), info
 
@@ -73,32 +75,44 @@ def damped_newton(
     maxiter: int = 100,
     gtol: float = 1e-8,
     stagnation_rtol: float = 1e-14,
+    divergence_floor: Optional[float] = None,
+    q: Optional[np.ndarray] = None,
 ):
     """Damped Newton with sparse LU solves and Armijo backtracking.
 
     Indefinite Hessians (the concave term, or W'' < 0 between the wells)
-    are handled by Levenberg-style diagonal damping, increased until the
-    step is a descent direction.  Stops on the gradient sup-norm, on
-    energy stagnation (FD-roundoff floor), or after maxiter steps.
+    are handled by Levenberg-style diagonal damping tau, increased until
+    the step is a descent direction.  With a constraint vector q the step
+    solves the bordered saddle system [[H + tau I, q], [q^T, 0]], so
+    q . x stays at its initial value (grad must then return the gradient
+    projected onto q . d = 0).  Stops on the gradient sup-norm, on energy
+    stagnation (FD-roundoff floor), on an energy below divergence_floor
+    (flagged diverged, the expected supercritical outcome), or after
+    maxiter steps; a stop short of gtol says why in info.message.  Each
+    accepted step appends its energy, gradient sup-norm, tau, step length
+    and elapsed time to info.history.
     """
     x = np.asarray(x0, dtype=float).copy()
     info = SolveInfo()
-    e_prev = fun(x)
-    info.energy = e_prev
     m = len(x)
     eye = sp.identity(m, format="csc")
+    border = None if q is None else sp.csc_matrix(np.reshape(q, (-1, 1)))
+    energy = fun(x)
+    g = grad(x)
+    start = time.perf_counter()
     for it in range(maxiter):
-        g = grad(x)
         info.gradient_norm = float(np.abs(g).max())
         if info.gradient_norm < gtol:
-            info.converged = True
             break
-        H = hess(x).tocsc()
+        H = hess(x)
         tau = 0.0
-        d = None
         for _ in range(30):
+            K = H + tau * eye
+            if border is not None:
+                K = sp.bmat([[K, border], [border.T, None]])
             try:
-                d = spla.splu(H + tau * eye).solve(-g)
+                d = spla.splu(K.tocsc()).solve(np.pad(-g, (0, K.shape[0] - m)))
+                d = d[:m]
             except RuntimeError:
                 d = None
             if d is not None and np.all(np.isfinite(d)) and g @ d < 0:
@@ -108,28 +122,38 @@ def damped_newton(
             info.message = "no descent direction found"
             break
         step = 1.0
-        e0 = fun(x)
         slope = g @ d
-        accepted = False
         for _ in range(45):
             x_try = x + step * d
-            if fun(x_try) <= e0 + 1e-4 * step * slope:
-                accepted = True
+            e_try = fun(x_try)
+            if e_try <= energy + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             info.message = "line search failed"
             break
-        x = x_try
-        info.newton_iterations = it + 1
-        e_new = fun(x)
-        info.energy = e_new
-        if abs(e_prev - e_new) < stagnation_rtol * max(1.0, abs(e_new)):
+        x, e_prev, energy = x_try, energy, e_try
+        g = grad(x)
+        info.iterations = info.newton_iterations = it + 1
+        info.history.append(
+            dict(
+                energy=float(energy),
+                gradient_norm=float(np.abs(g).max()),
+                tau=tau,
+                step=step,
+                elapsed_s=time.perf_counter() - start,
+            )
+        )
+        if divergence_floor is not None and energy < divergence_floor:
+            info.diverged = True
+            info.message = "supercritical divergence"
+            break
+        if abs(e_prev - energy) < stagnation_rtol * max(1.0, abs(energy)):
             info.message = "energy stagnation (roundoff floor)"
             break
-        e_prev = e_new
-    info.gradient_norm = float(np.abs(grad(x)).max())
-    info.energy = float(fun(x))
-    if info.gradient_norm < gtol:
-        info.converged = True
+    else:
+        info.message = "iteration limit"
+    info.gradient_norm = float(np.abs(g).max())
+    info.energy = float(energy)
+    info.converged = info.gradient_norm < gtol and not info.diverged
     return x, info

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ._solvers import damped_newton, lbfgs
 from .energy import EnergyBreakdown, EnergyParams, evaluate, gradient
@@ -157,62 +156,6 @@ class MinimizeEnergyResult:
     message: str = ""
 
 
-def _kkt_newton(fun, gfun, hess, q, z, maxiter=60, gtol=1e-8):
-    """Damped Newton restricted to {v : q . v = const} via the bordered
-    saddle system [[H + tau I, q^T], [q, 0]]; the extra unknown is the
-    constraint multiplier and the step satisfies q . d = 0 exactly."""
-    m = len(z)
-    qcol = sp.csr_matrix(q.reshape(-1, 1))
-    energy = fun(z)
-    iterations = 0
-    gnorm = np.inf
-    for _ in range(maxiter):
-        g = gfun(z)
-        gnorm = float(np.abs(g).max())
-        if gnorm < gtol:
-            break
-        H = hess(z)
-        tau = 0.0
-        d = None
-        for _ in range(30):
-            K = sp.bmat(
-                [[H + tau * sp.eye(m), qcol], [qcol.T, None]], format="csc"
-            )
-            try:
-                sol = spla.splu(K).solve(np.concatenate([-g, [0.0]]))
-            except RuntimeError:
-                tau = max(1e-8, 10.0 * tau)
-                continue
-            d = sol[:m]
-            if float(g @ d) < 0 and np.all(np.isfinite(d)):
-                break
-            tau = max(1e-8, 10.0 * tau)
-            d = None
-        if d is None:
-            break
-        step, slope = 1.0, float(g @ d)
-        accepted = False
-        for _ in range(45):
-            trial = z + step * d
-            e_trial = fun(trial)
-            if e_trial <= energy + 1e-4 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        if abs(energy - e_trial) <= 1e-14 * max(1.0, abs(energy)):
-            z, energy = trial, e_trial
-            iterations += 1
-            gnorm = float(np.abs(gfun(z)).max())
-            break
-        z, energy = trial, e_trial
-        iterations += 1
-    else:
-        gnorm = float(np.abs(gfun(z)).max())
-    return z, iterations, gnorm, energy
-
-
 def minimize_energy(
     n: int,
     eps: float,
@@ -225,15 +168,17 @@ def minimize_energy(
     divergence_floor: Optional[float] = None,
     accuracy_order: int = 4,
 ) -> MinimizeEnergyResult:
-    """Quasi-Newton minimization of the energy from a given initialization.
+    """Minimize the energy from a given initialization by damped Newton
+    (Levenberg shift, Armijo backtracking) on the sparse Hessian, or by
+    L-BFGS for a potential without W''; maxiter caps the solver's steps.
 
     The optional mass constraint fixes int_I u = mass: the initialization
-    is shifted to the prescribed value and gradients are projected onto
-    the zero-weighted-mean subspace, so every quasi-Newton step preserves
-    the constraint; the Newton polish solves the bordered saddle system
-    for the same reason.  Energies falling below the divergence floor
-    abort the run with the "supercritical divergence" record; in the
-    supercritical regime that is the expected outcome, not an error.
+    is shifted to the prescribed value, gradients are projected onto the
+    zero-weighted-mean subspace and Newton solves the bordered saddle
+    system, so every step preserves the constraint.  Energies falling
+    below the divergence floor abort the run with the "supercritical
+    divergence" record; in the supercritical regime that is the expected
+    outcome, not an error.
     """
     params = EnergyParams(n, eps, lam, accuracy_order)
     grid = init.grid
@@ -276,23 +221,15 @@ def minimize_energy(
         )
         return 8.0 * np.finfo(float).eps * scale
 
-    polish = w.eval_second_derivative is not None
-    warmup = min(400, maxiter) if polish else maxiter
-    z, info = lbfgs(
-        fun, gfun, u0, maxiter=warmup, gtol=gtol,
-        divergence_floor=divergence_floor,
-    )
-    iters = info.iterations
-    gnorm = info.gradient_norm
-    diverged = info.diverged
-    message = "supercritical divergence" if diverged else ""
-
-    if not diverged and polish:
-        d_low = diff_operator(grid, n - 1, accuracy_order)
-        d_high = diff_operator(grid, n, accuracy_order)
+    if w.eval_second_derivative is None:
+        z, info = lbfgs(
+            fun, gfun, u0, maxiter=maxiter, gtol=gtol,
+            divergence_floor=divergence_floor,
+        )
+    else:
         Qd = sp.diags(q)
-        K_low = 2.0 * (d_low.matrix.T @ Qd @ d_low.matrix)
-        K_high = 2.0 * (d_high.matrix.T @ Qd @ d_high.matrix)
+        K_low = 2.0 * (dl.matrix.T @ Qd @ dl.matrix)
+        K_high = 2.0 * (dh.matrix.T @ Qd @ dh.matrix)
 
         def hess(v):
             H = sp.diags(
@@ -304,30 +241,22 @@ def minimize_energy(
                 + eps ** (2 * n - 1) * K_high
             )
 
-        if mass is None:
-            z, ninfo = damped_newton(fun, gfun, hess, z, maxiter=60, gtol=gtol)
-            iters += ninfo.newton_iterations
-            gnorm = ninfo.gradient_norm
-            energy = ninfo.energy
-        else:
-            z, nit, gnorm, energy = _kkt_newton(
-                fun, gfun, hess, q, z, maxiter=60, gtol=gtol
-            )
-            iters += nit
-        if divergence_floor is not None and energy < divergence_floor:
-            diverged = True
-            message = "supercritical divergence"
+        z, info = damped_newton(
+            fun, gfun, hess, u0, maxiter=maxiter, gtol=gtol,
+            divergence_floor=divergence_floor,
+            q=None if mass is None else q,
+        )
 
     final = Field(grid, z)
     tol = max(gtol, gradient_floor(z))
     return MinimizeEnergyResult(
         field=final,
         breakdown=evaluate(final, params, w),
-        converged=bool(gnorm < tol and not diverged),
-        diverged=bool(diverged),
-        iterations=int(iters),
-        gradient_norm=float(gnorm),
-        message=message,
+        converged=bool(info.gradient_norm < tol and not info.diverged),
+        diverged=bool(info.diverged),
+        iterations=int(info.iterations),
+        gradient_norm=float(info.gradient_norm),
+        message="supercritical divergence" if info.diverged else info.message,
     )
 
 
@@ -335,8 +264,10 @@ def count_jump_clusters(
     f: Field, eps: float, profile_T: float, threshold: float = 0.0
 ) -> int:
     """Number of phase jumps of a field: sign changes of (f - threshold)
-    with changes closer than 4 * eps * T merged into one cluster, since a
-    transition layer of width O(eps) may wiggle through zero repeatedly."""
+    with changes closer than 2 * eps * T, the width of one pasted profile
+    window, merged into one cluster, since a transition layer may wiggle
+    through zero repeatedly.  build_recovery requires 2 * eps * T < delta0,
+    so distinct jumps are never merged."""
     s = np.sign(f.values - threshold)
     x = f.grid.nodes()
     nz = s != 0
@@ -344,7 +275,7 @@ def count_jump_clusters(
     flips = xs[1:][ss[1:] != ss[:-1]]
     if len(flips) == 0:
         return 0
-    merge_width = 4.0 * eps * profile_T
+    merge_width = 2.0 * eps * profile_T
     clusters = 1
     last = flips[0]
     for pos in flips[1:]:

@@ -29,8 +29,8 @@ class DoubleWell:
         coercivity_L: constant L > 0 with W(t) >= L*(t-1)^2 for t > 0 and
             W(t) >= L*(t+1)^2 for t < 0.
         name: identifier used in configs and reports.
-        eval_second_derivative: W''(t), optional; enables Newton polishing
-            in the minimizers.
+        eval_second_derivative: W''(t), optional; enables the damped-Newton
+            solver in the minimizers.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]

@@ -80,11 +80,11 @@ class ProfileProblem:
 
 @dataclass
 class MinimizeOptions:
-    """Stopping and warmup knobs for the profile minimizer."""
+    """Stopping knobs for the profile minimizer: maxiter caps L-BFGS (used
+    only for potentials without W''), newton_maxiter caps damped Newton."""
 
     gtol: float = 1e-8
     maxiter: int = 10_000
-    warmup_maxiter: int = 400
     newton_maxiter: int = 100
     divergence_floor: Optional[float] = None
 
@@ -168,9 +168,9 @@ def minimize_profile(
     """Minimize the truncated profile energy with clamped well tails.
 
     The outermost `clamp_band` points on each side are fixed to -1 / +1;
-    minimization runs over the free interior values with an L-BFGS warmup
-    and a damped-Newton polish (when W'' is available).  With init = None
-    a multi-start over `default_starts` keeps the best energy.
+    minimization runs over the free interior values by damped Newton, or
+    by L-BFGS when W'' is not available.  With init = None a multi-start
+    over `default_starts` keeps the best energy.
     """
     opts = opts or MinimizeOptions()
     energy, grad, hess = _profile_machinery(problem)
@@ -219,59 +219,41 @@ def minimize_profile(
             v[free] = z
             return grad(v)[free]
 
-        z, info = lbfgs(
-            fun,
-            gfun,
-            u[free],
-            maxiter=opts.warmup_maxiter,
-            gtol=opts.gtol,
-            divergence_floor=opts.divergence_floor,
-        )
-        u[free] = z
-        iters = info.iterations
-        gnorm = info.gradient_norm
-        diverged = info.diverged
-        if not diverged and hess is not None:
+        if hess is None:
+            z, info = lbfgs(
+                fun, gfun, u[free], maxiter=opts.maxiter, gtol=opts.gtol,
+                divergence_floor=opts.divergence_floor,
+            )
+        else:
             def hfun(z):
                 v = u.copy()
                 v[free] = z
                 return hess(v)[free, :][:, free]
 
-            z, ninfo = damped_newton(
-                fun,
-                gfun,
-                hfun,
-                u[free],
-                maxiter=opts.newton_maxiter,
-                gtol=opts.gtol,
+            z, info = damped_newton(
+                fun, gfun, hfun, u[free], maxiter=opts.newton_maxiter,
+                gtol=opts.gtol, divergence_floor=opts.divergence_floor,
             )
-            u[free] = z
-            iters += ninfo.newton_iterations
-            gnorm = ninfo.gradient_norm
-        elif not diverged:
-            z, info2 = lbfgs(
-                fun, gfun, u[free],
-                maxiter=opts.maxiter, gtol=opts.gtol,
-            )
-            u[free] = z
-            iters += info2.iterations
-            gnorm = info2.gradient_norm
-        e = energy(u)
+        u[free] = z
+        e = info.energy
+        gnorm = info.gradient_norm
         floor_hit = (
             opts.divergence_floor is not None and e < opts.divergence_floor
-        ) or diverged
+        ) or info.diverged
         noise = gradient_floor(u)
-        tol = max(opts.gtol, noise)
+        converged = gnorm < max(opts.gtol, noise) and not floor_hit
         diagnosis = ""
         if floor_hit:
             diagnosis = "supercritical or T too small"
         elif gnorm >= opts.gtol and gnorm < noise:
             diagnosis = f"converged to the roundoff gradient floor {noise:.1e}"
+        elif not converged:
+            diagnosis = info.message
         return ProfileResult(
             minimizer=Field(problem.grid, u),
             energy_estimate=float(e),
-            converged=bool(gnorm < tol and not floor_hit),
-            iterations=int(iters),
+            converged=bool(converged),
+            iterations=int(info.iterations),
             gradient_norm_final=float(gnorm),
             diagnosis=diagnosis,
         )

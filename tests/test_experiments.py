@@ -31,6 +31,19 @@ def short_profile(quartic):
 
 
 @pytest.fixture(scope="module")
+def two_jump_profile(quartic):
+    """The T = 5 profile of the two-jump sweep, unpasted."""
+    res = minimize_profile(ProfileProblem(2, 0.0, 5.0, 2001, quartic))
+    assert res.converged
+    return res
+
+
+def two_jump_recovery(profile, eps):
+    jf = JumpFunction(-4.0, 4.0, (-4.0 / 3.0, 4.0 / 3.0), -1.0)
+    return build_recovery(jf, profile.minimizer, eps)
+
+
+@pytest.fixture(scope="module")
 def sweep_cfg(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweeps")
     return SweepConfig(
@@ -69,6 +82,14 @@ class TestMinimizeEnergy:
         assert res.converged
         q = quadrature_weights(g, "trapezoid")
         assert q @ res.field.values == pytest.approx(0.8, abs=1e-9)
+        assert res.iterations <= 20
+
+    def test_newton_first_from_recovery(self, quartic, two_jump_profile):
+        # Newton from the recovery needs a few steps, not a quasi-Newton phase
+        rec = two_jump_recovery(two_jump_profile, 1.0 / 16.0)
+        res = minimize_energy(2, 1.0 / 16.0, 0.0, rec, quartic)
+        assert res.converged
+        assert res.iterations <= 5
 
     def test_supercritical_divergence_detected(self, quartic):
         g = Grid(0.0, 1.0, 257)
@@ -107,11 +128,20 @@ class TestCountJumpClusters:
         assert count_jump_clusters(f, 0.05, 5.0) == 2
 
     def test_wiggles_within_layer_merged(self):
-        # three crossings packed inside one 4*eps*T window count once
+        # three crossings packed inside one 2*eps*T window count once
         g = Grid(-1.0, 1.0, 2001)
         vals = np.where(np.abs(g.nodes()) < 0.05, np.sin(60 * np.pi * g.nodes()), np.sign(g.nodes()))
         f = Field(g, np.where(vals == 0.0, 1e-12, vals))
         assert count_jump_clusters(f, 0.1, 1.0) == 1
+
+    def test_two_jump_minimizer_keeps_both_jumps(self, quartic, two_jump_profile):
+        # at eps = 1/4 the layers sit about 2.95 apart, less than 4*eps*T = 5
+        # but more than the window width 2*eps*T = 2.5
+        eps = 0.25
+        rec = two_jump_recovery(two_jump_profile, eps)
+        res = minimize_energy(2, eps, 0.0, rec, quartic)
+        assert res.converged
+        assert count_jump_clusters(res.field, eps, 5.0) == 2
 
     def test_constant_has_no_jumps(self):
         f = Field(Grid(0.0, 1.0, 101), np.full(101, -1.0))

@@ -35,6 +35,12 @@ class TestProfileMinimization:
             profile_constant_2, rel=5e-3
         )
 
+    def test_newton_first_iteration_count(self, quartic):
+        # damped Newton from the default starts, without a quasi-Newton phase
+        res = minimize_profile(ProfileProblem(2, 0.0, 5.0, 2001, quartic))
+        assert res.converged
+        assert res.iterations <= 30
+
     def test_tails_are_clamped_to_wells(self, quartic):
         prob = ProfileProblem(2, 0.0, 5.0, 801, quartic)
         res = minimize_profile(prob)
