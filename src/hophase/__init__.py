@@ -48,7 +48,14 @@ from .hermite import (
     solve_eta,
     solve_zeta,
 )
-from .energy import EnergyBreakdown, EnergyParams, evaluate, evaluate_rescaled, gradient
+from .energy import (
+    DiscreteEnergy,
+    EnergyBreakdown,
+    EnergyParams,
+    evaluate,
+    evaluate_rescaled,
+    gradient,
+)
 from .ensembles import make_ensemble, random_field
 from .critical import (
     LambdaEstimate,
@@ -113,8 +120,8 @@ __all__ = [
     "coefficient_matrix_exact", "binomial_matrix", "determinant_exact",
     "coupling_energy_upper_bound",
     # energy
-    "EnergyParams", "EnergyBreakdown", "evaluate", "evaluate_rescaled",
-    "gradient",
+    "DiscreteEnergy", "EnergyParams", "EnergyBreakdown", "evaluate",
+    "evaluate_rescaled", "gradient",
     # ensembles
     "random_field", "make_ensemble",
     # critical

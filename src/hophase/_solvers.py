@@ -76,27 +76,28 @@ def damped_newton(
     gtol: float = 1e-8,
     stagnation_rtol: float = 1e-14,
     divergence_floor: Optional[float] = None,
-    q: Optional[np.ndarray] = None,
 ):
     """Damped Newton with sparse LU solves and Armijo backtracking.
 
-    Indefinite Hessians (the concave term, or W'' < 0 between the wells)
-    are handled by Levenberg-style diagonal damping tau, increased until
-    the step is a descent direction.  With a constraint vector q the step
-    solves the bordered saddle system [[H + tau I, q], [q^T, 0]], so
-    q . x stays at its initial value (grad must then return the gradient
-    projected onto q . d = 0).  Stops on the gradient sup-norm, on energy
-    stagnation (FD-roundoff floor), on an energy below divergence_floor
-    (flagged diverged, the expected supercritical outcome), or after
-    maxiter steps; a stop short of gtol says why in info.message.  Each
-    accepted step appends its energy, gradient sup-norm, tau, step length
-    and elapsed time to info.history.
+    hess(x) returns the m x m Hessian, or a bordered matrix of size m + k
+    whose leading m x m block is the Hessian.  The step solves it with
+    the right-hand side -g padded by k zeros and keeps the first m
+    entries.  Two borders are in use: [[H, q], [q^T, 0]] holds q . x at
+    its initial value (grad must then return the gradient projected onto
+    q . d = 0), and [[H0, U], [V^T, -I]] solves with H0 + U V^T, a
+    low-rank update kept out of the sparse factorization.  Indefinite
+    Hessians (the concave term, or W'' < 0 between the wells) are handled
+    by Levenberg-style damping tau on the leading block only, increased
+    until the step is a descent direction.  Stops on the gradient
+    sup-norm, on energy stagnation (FD-roundoff floor), on an energy below
+    divergence_floor (flagged diverged, the expected supercritical
+    outcome), or after maxiter steps; a stop short of gtol says why in
+    info.message.  Each accepted step appends its energy, gradient
+    sup-norm, tau, step length and elapsed time to info.history.
     """
     x = np.asarray(x0, dtype=float).copy()
     info = SolveInfo()
     m = len(x)
-    eye = sp.identity(m, format="csc")
-    border = None if q is None else sp.csc_matrix(np.reshape(q, (-1, 1)))
     energy = fun(x)
     g = grad(x)
     start = time.perf_counter()
@@ -105,14 +106,14 @@ def damped_newton(
         if info.gradient_norm < gtol:
             break
         H = hess(x)
+        size = H.shape[0]
+        shift = sp.identity(size, format="csc")
+        shift.data[m:] = 0.0  # tau damps the Hessian block, not the border
+        rhs = np.pad(-g, (0, size - m))
         tau = 0.0
         for _ in range(30):
-            K = H + tau * eye
-            if border is not None:
-                K = sp.bmat([[K, border], [border.T, None]])
             try:
-                d = spla.splu(K.tocsc()).solve(np.pad(-g, (0, K.shape[0] - m)))
-                d = d[:m]
+                d = spla.splu((H + tau * shift).tocsc()).solve(rhs)[:m]
             except RuntimeError:
                 d = None
             if d is not None and np.all(np.isfinite(d)) and g @ d < 0:

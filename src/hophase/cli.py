@@ -135,6 +135,8 @@ def _cmd_profile(args) -> int:
             "converged_lam": est.result_lam.converged,
             "gradient_norm_0": est.result_0.gradient_norm_final,
             "gradient_norm_lam": est.result_lam.gradient_norm_final,
+            "gradient_floor_0": est.result_0.gradient_floor,
+            "gradient_floor_lam": est.result_lam.gradient_floor,
             "truncation_T": args.T,
             "num_points": args.points,
         },
@@ -273,6 +275,7 @@ def _cmd_minimize(args) -> int:
         "diverged": res.diverged,
         "iterations": res.iterations,
         "gradient_norm": res.gradient_norm,
+        "gradient_floor": res.gradient_floor,
         "message": res.message,
         "num_points": res.field.grid.num_points,
         "minimizer_csv_path": _write_field(res.field, args.out, "minimizer"),

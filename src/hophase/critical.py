@@ -20,11 +20,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.optimize import minimize as scipy_minimize
 
+from ._solvers import damped_newton
+from .energy import DiscreteEnergy
 from .ensembles import random_field
-from .grids import Field, Grid, diff_operator, quadrature_weights
+from .grids import Field, Grid
 from .potentials import DoubleWell
 
 __all__ = [
@@ -53,19 +54,6 @@ class QuotientResult:
     argmin_field: Field
 
 
-def _quotient_parts(u: Field, n: int, w: DoubleWell, accuracy_order: int, rule: str):
-    q = quadrature_weights(u.grid, rule)
-    d_low = diff_operator(u.grid, n - 1, accuracy_order)
-    d_high = diff_operator(u.grid, n, accuracy_order)
-    L = u.grid.length
-    # sums of nonnegative terms: quadratic-form evaluations can go negative
-    # by roundoff near the degenerate corner u ~ const in a well
-    pot = L ** (-(2 * n - 2)) * float(q @ np.asarray(w.eval(u.values), dtype=float))
-    high = L**2 * float(q @ d_high(u.values) ** 2)
-    den = float(q @ d_low(u.values) ** 2)
-    return pot, high, den
-
-
 def quotient(
     u: Field,
     n: int,
@@ -76,7 +64,11 @@ def quotient(
     """Q[u] on the field's own interval; raises on degenerate denominator."""
     if n < 2:
         raise ValueError("quotient requires n >= 2")
-    pot, high, den = _quotient_parts(u, n, w, accuracy_order, rule)
+    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order, rule).terms(
+        u.values, w
+    )
+    L = u.grid.length
+    pot, high = L ** (-(2 * n - 2)) * pot, L**2 * high
     if den <= DENOMINATOR_FLOOR:
         raise ValueError(
             "quotient undefined: int (u^(n-1))^2 = "
@@ -96,12 +88,9 @@ def subdivided_quotient(
     """Truncated real-line form: unit-length normalization regardless of
     the actual interval, matching the subdivision of a long interval into
     unit pieces (each contributing with |I_i| = 1 weights)."""
-    q = quadrature_weights(u.grid, rule)
-    d_low = diff_operator(u.grid, n - 1, accuracy_order)
-    d_high = diff_operator(u.grid, n, accuracy_order)
-    pot = float(q @ np.asarray(w.eval(u.values), dtype=float))
-    high = float(q @ d_high(u.values) ** 2)
-    den = float(q @ d_low(u.values) ** 2)
+    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order, rule).terms(
+        u.values, w
+    )
     if den <= DENOMINATOR_FLOOR:
         raise ValueError("quotient undefined: degenerate denominator")
     return (pot + high) / den
@@ -197,81 +186,42 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     return best_val, best_c, nodes
 
 
-def _newton_polish_quotient(u, n, w, grid, accuracy_order, iters=60, gtol=1e-10):
-    """Damped Newton on the quotient with the rank-2 quotient-rule
-    correction applied via Sherman-Morrison-Woodbury, keeping the solves
-    sparse."""
-    q = quadrature_weights(grid, "trapezoid")
-    d_low = diff_operator(grid, n - 1, accuracy_order)
-    d_high = diff_operator(grid, n, accuracy_order)
-    Qd = sp.diags(q)
-    K_high = 2.0 * (d_high.matrix.T @ Qd @ d_high.matrix)
-    K_low = 2.0 * (d_low.matrix.T @ Qd @ d_low.matrix)
-    Wpp = w.eval_second_derivative
+def _quotient_val_grad(kernel: DiscreteEnergy, w: DoubleWell):
+    """Q[v] = (int W + int (v^(n))^2) / int (v^(n-1))^2 on the unit
+    interval and its gradient (grad N - Q grad D) / D; (inf, 0) on a
+    degenerate denominator."""
 
-    def parts(v):
-        N = float(q @ np.asarray(w.eval(v), dtype=float)) + float(
-            q @ (d_high.matrix @ v) ** 2
-        )
-        D = float(q @ (d_low.matrix @ v) ** 2)
-        return N, D
+    def val_grad(v):
+        pot, D, high = kernel.terms(v, w)
+        if D <= DENOMINATOR_FLOOR:
+            return np.inf, np.zeros_like(v)
+        Q = (pot + high) / D
+        return Q, kernel.grad(v, w, (1.0, -Q, 1.0)) / D
 
-    def val(v):
-        N, D = parts(v)
-        return N / D if D > DENOMINATOR_FLOOR else np.inf
+    return val_grad
 
-    def grad(v):
-        N, D = parts(v)
-        Q = N / D
-        gN = np.asarray(w.eval_derivative(v), dtype=float) * q + K_high @ v
-        gD = K_low @ v
-        return (gN - Q * gD) / D
 
-    m = len(u)
-    eye = sp.identity(m, format="csc")
-    e_prev = val(u)
-    for _ in range(iters):
-        g = grad(u)
-        if np.abs(g).max() < gtol:
-            break
-        N, D = parts(u)
-        Q = N / D
-        H0 = (sp.diags(np.asarray(Wpp(u), dtype=float) * q) + K_high - Q * K_low) / D
-        gD_scaled = (K_low @ u) / D
-        U = np.column_stack([-g, -gD_scaled])
-        V = np.column_stack([gD_scaled, g])
-        tau = 0.0
-        d = None
-        for _ in range(30):
-            try:
-                lu = spla.splu((H0 + tau * eye).tocsc())
-                rhs_sol = lu.solve(-g)
-                Usol = lu.solve(U)
-                core = np.eye(2) + V.T @ Usol
-                d = rhs_sol - Usol @ np.linalg.solve(core, V.T @ rhs_sol)
-            except (RuntimeError, np.linalg.LinAlgError):
-                d = None
-            if d is not None and np.all(np.isfinite(d)) and g @ d < 0:
-                break
-            tau = max(1e-8, 10.0 * tau)
-        else:
-            break
-        step, e0 = 1.0, val(u)
-        ok = False
-        for _ in range(45):
-            u_try = u + step * d
-            if val(u_try) <= e0 + 1e-4 * step * (g @ d):
-                ok = True
-                break
-            step *= 0.5
-        if not ok:
-            break
-        u = u_try
-        e_new = val(u)
-        if abs(e_prev - e_new) < 1e-15 * max(1.0, abs(e_new)):
-            break
-        e_prev = e_new
-    return u, val(u), float(np.abs(grad(u)).max())
+def _newton_polish_quotient(u, kernel: DiscreteEnergy, w: DoubleWell):
+    """Damped Newton on the quotient.  Its Hessian is the sparse
+    H0 = (N'' - Q D'') / D plus the rank-2 quotient-rule term U V^T with
+    U = [-g, -D'/D] and V = [D'/D, g]; the driver solves the bordered
+    system [[H0, U], [V^T, -I]], which keeps the factorization sparse."""
+    val_grad = _quotient_val_grad(kernel, w)
+
+    def hess(v):
+        pot, D, high = kernel.terms(v, w)
+        Q = (pot + high) / D
+        g = kernel.grad(v, w, (1.0, -Q, 1.0)) / D
+        gD = (kernel.K_low @ v) / D
+        H0 = kernel.hess(v, w, (1.0, -Q, 1.0)) / D
+        U = sp.csc_matrix(np.column_stack([-g, -gD]))
+        V = sp.csc_matrix(np.column_stack([gD, g]))
+        return sp.bmat([[H0, U], [V.T, -sp.identity(2)]], format="csc")
+
+    return damped_newton(
+        lambda v: val_grad(v)[0], lambda v: val_grad(v)[1], hess, u,
+        maxiter=60, gtol=1e-10, stagnation_rtol=1e-15,
+    )
 
 
 def estimate_lambda_n(
@@ -292,24 +242,8 @@ def estimate_lambda_n(
     opts = opts or LambdaOptions()
     grid = Grid(0.0, 1.0, opts.num_points)
     x = grid.nodes()
-    q = quadrature_weights(grid, "trapezoid")
-    d_low = diff_operator(grid, n - 1, opts.accuracy_order)
-    d_high = diff_operator(grid, n, opts.accuracy_order)
-
-    def val_grad(v):
-        dl = d_low.matrix @ v
-        dh = d_high.matrix @ v
-        D = float(q @ dl**2)
-        if D <= DENOMINATOR_FLOOR:
-            return np.inf, np.zeros_like(v)
-        N = float(q @ np.asarray(w.eval(v), dtype=float)) + float(q @ dh**2)
-        Q = N / D
-        g = (
-            np.asarray(w.eval_derivative(v), dtype=float) * q
-            + 2.0 * (d_high.matrix.T @ (q * dh))
-            - Q * 2.0 * (d_low.matrix.T @ (q * dl))
-        ) / D
-        return Q, g
+    kernel = DiscreteEnergy(grid, n, opts.accuracy_order)
+    val_grad = _quotient_val_grad(kernel, w)
 
     rng = np.random.default_rng(opts.seed)
     starts: List[np.ndarray] = []
@@ -348,11 +282,11 @@ def estimate_lambda_n(
             method="L-BFGS-B",
             options=dict(maxiter=opts.maxiter, ftol=1e-16, gtol=1e-13, maxcor=25),
         )
-        vend, _ = val_grad(res.x)
-        dl = d_low.matrix @ res.x
-        if float(q @ dl**2) <= 100 * DENOMINATOR_FLOOR:
+        pot, den, high = kernel.terms(res.x, w)
+        if den <= 100 * DENOMINATOR_FLOOR:
             per_start.append(np.inf)
             continue
+        vend = (pot + high) / den
         per_start.append(float(vend))
         candidates.append((float(vend), res.x))
 
@@ -363,14 +297,15 @@ def estimate_lambda_n(
         )
     candidates.sort(key=lambda t: t[0])
     best_val, best_u = candidates[0]
-    gnorm = np.nan
+    polish_messages, polish_steps = [], []
     if opts.newton_polish and w.eval_second_derivative is not None:
         for v0, u0 in candidates[:3]:
-            u_ref, v_ref, gn = _newton_polish_quotient(
-                u0.copy(), n, w, grid, opts.accuracy_order
-            )
-            if v_ref < best_val:
-                best_val, best_u, gnorm = v_ref, u_ref, gn
+            u_ref, info = _newton_polish_quotient(u0, kernel, w)
+            polish_messages.append(info.message)
+            polish_steps.append(info.newton_iterations)
+            if info.energy < best_val:
+                best_val, best_u = info.energy, u_ref
+    gnorm = float(np.abs(val_grad(best_u)[1]).max())
     return LambdaEstimate(
         value=float(best_val),
         witness=Field(grid, best_u),
@@ -379,7 +314,9 @@ def estimate_lambda_n(
         diagnostics={
             "num_points": opts.num_points,
             "poly_stage_value": float(poly_val),
-            "final_gradient_norm": float(gnorm),
+            "final_gradient_norm": gnorm,
+            "polish_messages": polish_messages,
+            "polish_steps": polish_steps,
             "num_starts": len(starts),
         },
     )

@@ -7,24 +7,127 @@ The order-n singularly perturbed free energy on an interval,
 evaluated by quadrature of finite-difference stencils, together with its
 rescaled form (substituting v(x) = u(eps x) on the stretched interval) and
 the exact gradient of the discrete energy.
+
+Every functional of the package (this energy, the unscaled profile energy
+and the interpolation quotient) is a weighted sum of the same three
+integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2; `DiscreteEnergy` is
+their one discretization, with gradient, Hessian and roundoff floor.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
 
 from .grids import Field, Grid, diff_operator, quadrature_weights
 from .potentials import DoubleWell
 
 __all__ = [
+    "DiscreteEnergy",
     "EnergyParams",
     "EnergyBreakdown",
     "evaluate",
     "evaluate_rescaled",
     "gradient",
 ]
+
+
+class DiscreteEnergy:
+    """Quadrature of finite-difference stencils for the three integrals
+
+        terms(u) = (int W(u), int (u^(n-1))^2, int (u^(n))^2)
+
+    on one grid, and for coefficients c = (c_pot, c_low, c_high) the
+    functional c_pot int W + c_low int (u^(n-1))^2 + c_high int (u^(n))^2
+    with its exact gradient and Hessian.  D_0 is the identity, so n = 1 is
+    allowed.  The quadratic forms K = 2 D^T diag(q) D are built on first
+    use and kept for the life of the instance: a solver holds one kernel
+    for its whole run.
+    """
+
+    def __init__(self, grid: Grid, n: int, accuracy_order: int = 4,
+                 rule: str = "trapezoid"):
+        self.q = quadrature_weights(grid, rule)
+        self.d_high = diff_operator(grid, n, accuracy_order).matrix
+        self.d_low = (
+            sp.identity(grid.num_points, format="csr")
+            if n == 1
+            else diff_operator(grid, n - 1, accuracy_order).matrix
+        )
+
+    @cached_property
+    def K_low(self) -> sp.csr_matrix:
+        return 2.0 * (self.d_low.T @ sp.diags(self.q) @ self.d_low)
+
+    @cached_property
+    def K_high(self) -> sp.csr_matrix:
+        return 2.0 * (self.d_high.T @ sp.diags(self.q) @ self.d_high)
+
+    def _potential(self, u, w: DoubleWell) -> float:
+        return float(self.q @ np.asarray(w.eval(u), dtype=float))
+
+    def _square(self, d, u) -> float:
+        return float(self.q @ (d @ u) ** 2)
+
+    def terms(self, u: np.ndarray, w: DoubleWell):
+        """(int W(u), int (u^(n-1))^2, int (u^(n))^2) by quadrature; the
+        squares are summed directly, so they never go negative by roundoff
+        the way a quadratic form u^T K u can near u ~ const."""
+        return (
+            self._potential(u, w),
+            self._square(self.d_low, u),
+            self._square(self.d_high, u),
+        )
+
+    def energy(self, u: np.ndarray, w: DoubleWell, c) -> float:
+        """c_pot int W + c_high int (u^(n))^2 + c_low int (u^(n-1))^2."""
+        c_pot, c_low, c_high = c
+        e = c_pot * self._potential(u, w) + c_high * self._square(self.d_high, u)
+        if c_low != 0.0:
+            e += c_low * self._square(self.d_low, u)
+        return e
+
+    def grad(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
+        """Exact gradient of `energy` with respect to the samples."""
+        c_pot, c_low, c_high = c
+        g = c_pot * np.asarray(w.eval_derivative(u), dtype=float) * self.q + (
+            c_high * (self.K_high @ u)
+        )
+        if c_low != 0.0:
+            g += c_low * (self.K_low @ u)
+        return g
+
+    def hess(self, u: np.ndarray, w: DoubleWell, c) -> sp.spmatrix:
+        """Sparse Hessian; requires W''."""
+        c_pot, c_low, c_high = c
+        H = sp.diags(
+            c_pot * np.asarray(w.eval_second_derivative(u), dtype=float) * self.q
+        )
+        H = H + c_high * self.K_high
+        if c_low != 0.0:
+            H = H + c_low * self.K_low
+        return H
+
+    def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
+        """Roundoff scale of the assembled gradient: the largest row of sums
+        of absolute terms, times 8 machine epsilon.  The stencil weights
+        grow like h^(-2n) through the quadratic forms, so this is the
+        resolution-dependent accuracy limit of `grad` itself."""
+        c_pot, c_low, c_high = c
+        au = np.abs(u)
+
+        def rowsum(d):
+            return float(np.max(2.0 * (abs(d.T) @ (self.q * (abs(d) @ au)))))
+
+        scale = abs(c_high) * rowsum(self.d_high)
+        if c_low != 0.0:
+            scale += abs(c_low) * rowsum(self.d_low)
+        wprime = np.abs(np.asarray(w.eval_derivative(u), dtype=float))
+        scale += abs(c_pot) * float(np.max(wprime * self.q))
+        return 8.0 * np.finfo(float).eps * scale
 
 
 @dataclass(frozen=True)
@@ -64,20 +167,15 @@ class EnergyBreakdown:
         )
 
 
-def _terms(u: Field, p: EnergyParams, w: DoubleWell):
-    q = quadrature_weights(u.grid, p.rule)
-    d_low = diff_operator(u.grid, p.n - 1, p.accuracy_order) if p.n >= 2 else None
-    d_high = diff_operator(u.grid, p.n, p.accuracy_order)
-    return q, d_low, d_high
-
-
 def evaluate(u: Field, p: EnergyParams, w: DoubleWell) -> EnergyBreakdown:
     """Quadrature evaluation of the three energy terms on u's grid."""
-    q, d_low, d_high = _terms(u, p, w)
+    pot, low, high = DiscreteEnergy(u.grid, p.n, p.accuracy_order, p.rule).terms(
+        u.values, w
+    )
     eps = p.epsilon
-    pot = float(q @ np.asarray(w.eval(u.values), dtype=float)) / eps
-    concave = -p.lam * eps ** (2 * p.n - 3) * float(q @ d_low(u.values) ** 2)
-    highest = eps ** (2 * p.n - 1) * float(q @ d_high(u.values) ** 2)
+    pot = pot / eps
+    concave = -p.lam * eps ** (2 * p.n - 3) * low
+    highest = eps ** (2 * p.n - 1) * high
     return EnergyBreakdown(
         potential_term=pot,
         concave_term=concave,
@@ -111,13 +209,10 @@ def evaluate_rescaled(
         spline = CubicSpline(g.nodes(), u.values, bc_type="not-a-knot")
         vals = spline(np.clip(eps * xs, g.a, g.b))
     v = Field(stretched, vals)
-    q = quadrature_weights(stretched, p.rule)
-    d_low = diff_operator(stretched, p.n - 1, p.accuracy_order)
-    d_high = diff_operator(stretched, p.n, p.accuracy_order)
-    pot = float(q @ np.asarray(w.eval(v.values), dtype=float))
-    concave = -p.lam * float(q @ d_low(v.values) ** 2)
-    highest = float(q @ d_high(v.values) ** 2)
-    return pot + concave + highest
+    pot, low, high = DiscreteEnergy(
+        stretched, p.n, p.accuracy_order, p.rule
+    ).terms(v.values, w)
+    return pot - p.lam * low + high
 
 
 def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
@@ -129,14 +224,10 @@ def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
     the adjoint of the quadrature-of-stencils composition, so directional
     derivatives match central differences of `evaluate` to roundoff.
     """
-    q, d_low, d_high = _terms(u, p, w)
-    eps = p.epsilon
+    k = DiscreteEnergy(u.grid, p.n, p.accuracy_order, p.rule)
+    q, eps = k.q, p.epsilon
     g = np.asarray(w.eval_derivative(u.values), dtype=float) * q / eps
-    g -= (
-        2.0
-        * p.lam
-        * eps ** (2 * p.n - 3)
-        * (d_low.matrix.T @ (q * d_low(u.values)))
-    )
-    g += 2.0 * eps ** (2 * p.n - 1) * (d_high.matrix.T @ (q * d_high(u.values)))
+    d_low, d_high, v = k.d_low, k.d_high, u.values
+    g -= 2.0 * p.lam * eps ** (2 * p.n - 3) * (d_low.T @ (q * (d_low @ v)))
+    g += 2.0 * eps ** (2 * p.n - 1) * (d_high.T @ (q * (d_high @ v)))
     return Field(u.grid, g)

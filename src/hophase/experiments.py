@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._solvers import damped_newton, lbfgs
-from .energy import EnergyBreakdown, EnergyParams, evaluate, gradient
-from .grids import Field, Grid, diff_operator, quadrature_weights
+from .energy import DiscreteEnergy, EnergyBreakdown, EnergyParams, evaluate
+from .grids import Field, Grid
 from .potentials import DoubleWell, get_potential
 from .profiles import (
     JumpFunction,
@@ -145,7 +145,10 @@ class RunRecord:
 
 @dataclass
 class MinimizeEnergyResult:
-    """Minimizer field, its energy breakdown, and run diagnostics."""
+    """Minimizer field, its energy breakdown, and run diagnostics:
+    converged means gradient_norm < max(gtol, gradient_floor), the
+    roundoff floor of the assembled gradient at the minimizer, and no
+    divergence."""
 
     field: Field
     breakdown: EnergyBreakdown
@@ -153,6 +156,7 @@ class MinimizeEnergyResult:
     diverged: bool
     iterations: int
     gradient_norm: float
+    gradient_floor: float
     message: str = ""
 
 
@@ -181,45 +185,22 @@ def minimize_energy(
     outcome, not an error.
     """
     params = EnergyParams(n, eps, lam, accuracy_order)
-    grid = init.grid
-    q = quadrature_weights(grid, params.rule)
+    kernel = DiscreteEnergy(init.grid, n, accuracy_order, params.rule)
+    c = (1.0 / eps, -lam * eps ** (2 * n - 3), eps ** (2 * n - 1))
+    q = kernel.q
 
     u0 = init.values.copy()
     if mass is not None:
         u0 = u0 + (mass - float(q @ u0)) / float(q.sum())
 
     def fun(v):
-        return evaluate(Field(grid, v), params, w).total
+        return kernel.energy(v, w, c)
 
     def gfun(v):
-        g = gradient(Field(grid, v), params, w).values
+        g = kernel.grad(v, w, c)
         if mass is not None:
             g = g - (float(q @ g) / float(q @ q)) * q
         return g
-
-    dl = diff_operator(grid, n - 1, accuracy_order)
-    dh = diff_operator(grid, n, accuracy_order)
-
-    def gradient_floor(v):
-        # roundoff scale of the assembled gradient (largest row of sums of
-        # absolute terms): the accuracy limit of gfun itself, which grows
-        # like eps_machine / h^(2n) through the stencil quadratic forms
-        av = np.abs(v)
-        scale = (
-            eps ** (2 * n - 1)
-            * 2.0
-            * float(np.max(abs(dh.matrix.T) @ (q * (abs(dh.matrix) @ av))))
-        )
-        scale += (
-            abs(lam)
-            * eps ** (2 * n - 3)
-            * 2.0
-            * float(np.max(abs(dl.matrix.T) @ (q * (abs(dl.matrix) @ av))))
-        )
-        scale += float(
-            np.max(np.abs(np.asarray(w.eval_derivative(v), float)) * q) / eps
-        )
-        return 8.0 * np.finfo(float).eps * scale
 
     if w.eval_second_derivative is None:
         z, info = lbfgs(
@@ -227,35 +208,29 @@ def minimize_energy(
             divergence_floor=divergence_floor,
         )
     else:
-        Qd = sp.diags(q)
-        K_low = 2.0 * (dl.matrix.T @ Qd @ dl.matrix)
-        K_high = 2.0 * (dh.matrix.T @ Qd @ dh.matrix)
+        border = None if mass is None else sp.csc_matrix(q[:, None])
 
         def hess(v):
-            H = sp.diags(
-                np.asarray(w.eval_second_derivative(v), dtype=float) * q / eps
-            )
-            return (
-                H
-                - lam * eps ** (2 * n - 3) * K_low
-                + eps ** (2 * n - 1) * K_high
-            )
+            H = kernel.hess(v, w, c)
+            if border is None:
+                return H
+            return sp.bmat([[H, border], [border.T, None]])
 
         z, info = damped_newton(
             fun, gfun, hess, u0, maxiter=maxiter, gtol=gtol,
             divergence_floor=divergence_floor,
-            q=None if mass is None else q,
         )
 
-    final = Field(grid, z)
-    tol = max(gtol, gradient_floor(z))
+    final = Field(init.grid, z)
+    floor = kernel.gradient_floor(z, w, c)
     return MinimizeEnergyResult(
         field=final,
         breakdown=evaluate(final, params, w),
-        converged=bool(info.gradient_norm < tol and not info.diverged),
+        converged=bool(info.gradient_norm < max(gtol, floor) and not info.diverged),
         diverged=bool(info.diverged),
         iterations=int(info.iterations),
         gradient_norm=float(info.gradient_norm),
+        gradient_floor=float(floor),
         message="supercritical divergence" if info.diverged else info.message,
     )
 
@@ -461,15 +436,11 @@ def supercritical_probe(
             candidates.append((k, A, np.clip(A * base, -1.0, 1.0)))
 
     # lambda-independent parts: E(lam) = base - lam * concave_weight
-    q = quadrature_weights(grid, "trapezoid")
-    d_low = diff_operator(grid, n - 1, accuracy_order)
-    d_high = diff_operator(grid, n, accuracy_order)
+    kernel = DiscreteEnergy(grid, n, accuracy_order)
     parts = []
     for k, A, vals in candidates:
-        pot = float(q @ np.asarray(w.eval(vals), dtype=float)) / eps
-        high = eps ** (2 * n - 1) * float(q @ d_high(vals) ** 2)
-        conc = eps ** (2 * n - 3) * float(q @ d_low(vals) ** 2)
-        parts.append((pot + high, conc))
+        pot, low, high = kernel.terms(vals, w)
+        parts.append((pot / eps + eps ** (2 * n - 1) * high, eps ** (2 * n - 3) * low))
 
     best_energies, best_ks, best_As = [], [], []
     free_energies, free_div, signs = [], [], []

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
 
 from ._solvers import damped_newton, lbfgs
 from .critical import estimate_lambda_n
-from .grids import Field, Grid, diff_operator, quadrature_weights
+from .energy import DiscreteEnergy
+from .grids import Field, Grid
 from .hermite import eval_poly, solve_zeta
 from .potentials import DoubleWell
 
@@ -91,13 +91,16 @@ class MinimizeOptions:
 
 @dataclass
 class ProfileResult:
-    """Minimizer, its energy, and convergence diagnostics."""
+    """Minimizer, its energy, and convergence diagnostics: converged means
+    gradient_norm_final < max(gtol, gradient_floor), the roundoff floor of
+    the assembled gradient at the minimizer, and no divergence."""
 
     minimizer: Field
     energy_estimate: float
     converged: bool
     iterations: int
     gradient_norm_final: float
+    gradient_floor: float
     diagnosis: str = ""
 
 
@@ -121,45 +124,6 @@ def default_starts(problem: ProfileProblem) -> List[Tuple[str, np.ndarray]]:
     return starts
 
 
-def _profile_machinery(problem: ProfileProblem):
-    grid = problem.grid
-    w = problem.potential
-    n, lam = problem.n, problem.lam
-    q = quadrature_weights(grid, "trapezoid")
-    d_high = diff_operator(grid, n, problem.accuracy_order)
-    d_low = (
-        diff_operator(grid, n - 1, problem.accuracy_order) if n >= 2 else None
-    )
-    Qd = sp.diags(q)
-    K_high = 2.0 * (d_high.matrix.T @ Qd @ d_high.matrix)
-    K_low = (
-        2.0 * (d_low.matrix.T @ Qd @ d_low.matrix) if d_low is not None else None
-    )
-
-    def energy(u):
-        e = float(q @ np.asarray(w.eval(u), dtype=float)) + float(
-            q @ (d_high.matrix @ u) ** 2
-        )
-        if K_low is not None and lam != 0.0:
-            e -= lam * float(q @ (d_low.matrix @ u) ** 2)
-        return e
-
-    def grad(u):
-        g = np.asarray(w.eval_derivative(u), dtype=float) * q + K_high @ u
-        if K_low is not None and lam != 0.0:
-            g -= lam * (K_low @ u)
-        return g
-
-    def hess(u):
-        H = sp.diags(np.asarray(w.eval_second_derivative(u), dtype=float) * q)
-        H = H + K_high
-        if K_low is not None and lam != 0.0:
-            H = H - lam * K_low
-        return H
-
-    return energy, grad, hess if w.eval_second_derivative is not None else None
-
-
 def minimize_profile(
     problem: ProfileProblem,
     opts: Optional[MinimizeOptions] = None,
@@ -173,36 +137,12 @@ def minimize_profile(
     over `default_starts` keeps the best energy.
     """
     opts = opts or MinimizeOptions()
-    energy, grad, hess = _profile_machinery(problem)
+    w = problem.potential
+    kernel = DiscreteEnergy(problem.grid, problem.n, problem.accuracy_order)
+    c = (1.0, -problem.lam, 1.0)
     band = problem.clamp_band
     npts = problem.num_points
     free = np.arange(band, npts - band)
-
-    grid = problem.grid
-    q = quadrature_weights(grid, "trapezoid")
-    d_high = diff_operator(grid, problem.n, problem.accuracy_order)
-    d_low = (
-        diff_operator(grid, problem.n - 1, problem.accuracy_order)
-        if problem.n >= 2
-        else None
-    )
-
-    def gradient_floor(u: np.ndarray) -> float:
-        """Roundoff scale of the assembled gradient: the largest row of
-        sums of absolute terms, times machine epsilon.  The stencil/h^n
-        weights grow like h^(-2n) through the quadratic form, so this is
-        the resolution-dependent accuracy limit of the gradient itself."""
-        au = np.abs(u)
-        scale = float(
-            np.max(2.0 * (abs(d_high.matrix.T) @ (q * (abs(d_high.matrix) @ au))))
-        )
-        if d_low is not None and problem.lam != 0.0:
-            scale += abs(problem.lam) * float(
-                np.max(2.0 * (abs(d_low.matrix.T) @ (q * (abs(d_low.matrix) @ au))))
-            )
-        wprime = np.abs(np.asarray(problem.potential.eval_derivative(u), float))
-        scale += float(np.max(wprime * q))
-        return 8.0 * np.finfo(float).eps * scale
 
     def run_single(u0_vals: np.ndarray) -> ProfileResult:
         u = np.asarray(u0_vals, dtype=float).copy()
@@ -212,14 +152,14 @@ def minimize_profile(
         def fun(z):
             v = u.copy()
             v[free] = z
-            return energy(v)
+            return kernel.energy(v, w, c)
 
         def gfun(z):
             v = u.copy()
             v[free] = z
-            return grad(v)[free]
+            return kernel.grad(v, w, c)[free]
 
-        if hess is None:
+        if w.eval_second_derivative is None:
             z, info = lbfgs(
                 fun, gfun, u[free], maxiter=opts.maxiter, gtol=opts.gtol,
                 divergence_floor=opts.divergence_floor,
@@ -228,7 +168,7 @@ def minimize_profile(
             def hfun(z):
                 v = u.copy()
                 v[free] = z
-                return hess(v)[free, :][:, free]
+                return kernel.hess(v, w, c)[free, :][:, free]
 
             z, info = damped_newton(
                 fun, gfun, hfun, u[free], maxiter=opts.newton_maxiter,
@@ -240,7 +180,7 @@ def minimize_profile(
         floor_hit = (
             opts.divergence_floor is not None and e < opts.divergence_floor
         ) or info.diverged
-        noise = gradient_floor(u)
+        noise = kernel.gradient_floor(u, w, c)
         converged = gnorm < max(opts.gtol, noise) and not floor_hit
         diagnosis = ""
         if floor_hit:
@@ -255,6 +195,7 @@ def minimize_profile(
             converged=bool(converged),
             iterations=int(info.iterations),
             gradient_norm_final=float(gnorm),
+            gradient_floor=float(noise),
             diagnosis=diagnosis,
         )
 

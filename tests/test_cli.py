@@ -52,6 +52,7 @@ class TestProfile:
         assert payload["C_hat_lam"] == payload["C_hat_0"]
         assert payload["sandwich_ok"] is True
         assert payload["diagnostics"]["converged_lam"] is True
+        assert payload["diagnostics"]["gradient_floor_lam"] > 0.0
         f = field_from_csv((tmp_path / "profile_n1_lam.csv").read_text())
         assert f.grid.num_points == 801
         assert (tmp_path / "profile_n1.json").exists()
@@ -147,6 +148,7 @@ class TestMinimize:
         assert rc == 0
         assert payload["converged"] is True
         assert payload["diverged"] is False
+        assert payload["gradient_floor"] > 0.0
         assert 0.0 < payload["energy"]["total"] < 4.0
         f = field_from_csv((tmp_path / "minimizer.csv").read_text())
         assert f.grid.num_points == payload["num_points"]

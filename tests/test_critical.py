@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from hophase import (
+    DiscreteEnergy,
+    EnergyParams,
     Field,
     Grid,
     LambdaOptions,
     estimate_lambda_n,
+    gradient,
     quotient,
     subdivided_quotient,
     verify_subcritical,
@@ -93,6 +96,26 @@ class TestLambdaEstimate:
         assert lambda_hat_2.n == 2
         assert lambda_hat_2.diagnostics["num_points"] == 501
         assert min(lambda_hat_2.per_start) >= lambda_hat_2.value - 1e-12
+        d = lambda_hat_2.diagnostics
+        assert np.isfinite(d["final_gradient_norm"])
+        assert len(d["polish_messages"]) == len(d["polish_steps"]) == 3
+
+    def test_final_gradient_norm_without_polish(self, quartic):
+        opts = LambdaOptions(
+            num_points=101, n_random_starts=0, poly_starts=0, maxiter=100,
+            newton_polish=False,
+        )
+        est = estimate_lambda_n(2, quartic, opts)
+        d = est.diagnostics
+        assert d["polish_messages"] == d["polish_steps"] == []
+        # grad Q = grad(N - Q D) / D, with the energy module's gradient at
+        # eps = 1 and lam = Q as the reference
+        u, Q = est.witness, est.value
+        k = DiscreteEnergy(u.grid, 2)
+        D = k.terms(u.values, quartic)[1]
+        ref = gradient(u, EnergyParams(2, 1.0, Q), quartic).values / D
+        floor = k.gradient_floor(u.values, quartic, (1.0, -Q, 1.0)) / D
+        assert abs(d["final_gradient_norm"] - np.abs(ref).max()) <= floor
 
     def test_higher_order_constant_is_much_smaller(self, quartic):
         opts = LambdaOptions(num_points=301, n_random_starts=2, poly_starts=4)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hophase import (
+    DiscreteEnergy,
     EnergyParams,
     Field,
     Grid,
@@ -12,6 +14,7 @@ from hophase import (
     gradient,
     make_ensemble,
 )
+from hophase.grids import MAX_DERIVATIVE_ORDER
 
 
 class TestEvaluate:
@@ -135,3 +138,55 @@ class TestGradient:
         u = Field(g, -np.ones(101))
         gu = gradient(u, EnergyParams(2, 0.1, 1.0), quartic).values
         assert np.abs(gu).max() < 1e-9
+
+
+class TestDiscreteEnergy:
+    """The one discretization kernel, on a coarse grid for every order the
+    stencils support."""
+
+    GRID = Grid(0.0, 1.0, 41)
+
+    def field(self, seed):
+        rng = np.random.default_rng(seed)
+        x = self.GRID.nodes()
+        return np.tanh((x - 0.5) / 0.2) + 0.1 * rng.standard_normal(len(x))
+
+    @pytest.mark.parametrize("n", range(2, MAX_DERIVATIVE_ORDER + 1))
+    def test_matches_energy_module(self, quartic, n):
+        u = Field(self.GRID, self.field(n))
+        p = EnergyParams(n, 0.3, 0.02)
+        c = (1.0 / p.epsilon, -p.lam * p.epsilon ** (2 * n - 3),
+             p.epsilon ** (2 * n - 1))
+        k = DiscreteEnergy(self.GRID, n)
+        floor = k.gradient_floor(u.values, quartic, c)
+        assert floor > 0.0
+        assert np.abs(
+            k.grad(u.values, quartic, c) - gradient(u, p, quartic).values
+        ).max() <= floor
+        assert k.energy(u.values, quartic, c) == pytest.approx(
+            evaluate(u, p, quartic).total, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_hessian_matches_central_difference_of_grad(self, quartic, n):
+        k = DiscreteEnergy(self.GRID, n)
+        u = self.field(n)
+        v = np.random.default_rng(100 + n).standard_normal(len(u))
+        t = 1e-4
+        # one integral at a time, so each part is checked on its own scale
+        for c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+            hv = k.hess(u, quartic, c) @ v
+            diff = k.grad(u + t * v, quartic, c) - k.grad(u - t * v, quartic, c)
+            assert np.abs(hv - diff / (2 * t)).max() <= 1e-6 * np.abs(hv).max()
+
+    def test_order_one_uses_the_identity_below(self, quartic):
+        k = DiscreteEnergy(self.GRID, 1)
+        u = self.field(1)
+        assert (k.d_low != sp.identity(len(u))).nnz == 0
+        assert k.terms(u, quartic)[1] == k.q @ u**2
+        # the gradient is the derivative of the energy, with the low term on
+        c = (1.0, -0.5, 1.0)
+        v = np.random.default_rng(5).standard_normal(len(u))
+        t = 1e-6
+        diff = k.energy(u + t * v, quartic, c) - k.energy(u - t * v, quartic, c)
+        assert k.grad(u, quartic, c) @ v == pytest.approx(diff / (2 * t), rel=1e-6)

@@ -84,6 +84,19 @@ class TestMinimizeEnergy:
         assert q @ res.field.values == pytest.approx(0.8, abs=1e-9)
         assert res.iterations <= 20
 
+    def test_verdict_uses_the_reported_floor(self, quartic):
+        g = Grid(-2.0, 2.0, 257)
+        init = Field.from_callable(g, lambda x: np.tanh(4.0 * x))
+        for gtol in (1e-7, 1e-12):
+            res = minimize_energy(2, 0.25, 0.0, init, quartic, gtol=gtol)
+            assert res.gradient_floor > 0.0
+            assert res.converged == (
+                res.gradient_norm < max(gtol, res.gradient_floor)
+                and not res.diverged
+            )
+        # at gtol = 1e-12 only the roundoff floor certifies the minimizer
+        assert res.converged and res.gradient_norm >= 1e-12
+
     def test_newton_first_from_recovery(self, quartic, two_jump_profile):
         # Newton from the recovery needs a few steps, not a quasi-Newton phase
         rec = two_jump_recovery(two_jump_profile, 1.0 / 16.0)

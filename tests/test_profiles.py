@@ -41,6 +41,18 @@ class TestProfileMinimization:
         assert res.converged
         assert res.iterations <= 30
 
+    def test_verdict_uses_the_reported_floor(self, quartic):
+        prob = ProfileProblem(2, 0.0, 4.0, 801, quartic)
+        for gtol in (1e-8, 1e-14):
+            res = minimize_profile(prob, MinimizeOptions(gtol=gtol))
+            assert res.gradient_floor > 0.0
+            assert res.converged == (
+                res.gradient_norm_final < max(gtol, res.gradient_floor)
+            )
+        # at gtol = 1e-14 only the roundoff floor certifies the minimizer
+        assert res.converged and res.gradient_norm_final >= 1e-14
+        assert res.diagnosis.startswith("converged to the roundoff gradient floor")
+
     def test_tails_are_clamped_to_wells(self, quartic):
         prob = ProfileProblem(2, 0.0, 5.0, 801, quartic)
         res = minimize_profile(prob)

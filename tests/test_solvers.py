@@ -44,8 +44,13 @@ def test_converges_and_records_history():
 def test_bordered_step_holds_the_constraint():
     q = np.full(M, 1.0 / M)
     proj = lambda g: g - (q @ g) / (q @ q) * q
+    border = sp.csc_matrix(q[:, None])
     x, info = damped_newton(
-        fun, lambda x: proj(grad(x)), hess, X0, gtol=1e-10, q=q
+        fun,
+        lambda x: proj(grad(x)),
+        lambda x: sp.bmat([[hess(x), border], [border.T, None]]),
+        X0,
+        gtol=1e-10,
     )
     assert info.converged
     assert len(info.history) == info.newton_iterations
@@ -53,6 +58,26 @@ def test_bordered_step_holds_the_constraint():
     # unconstrained, the mean drifts to a well
     free, _ = damped_newton(fun, grad, hess, X0, gtol=1e-10)
     assert abs(q @ free - q @ X0) > 1e-3
+
+
+def test_low_rank_border_solves_with_the_update():
+    # f = x.(A + b b^T)x / 2 - r.x: the border [[A, b], [b^T, -1]] solves
+    # with A + b b^T, so one full step from 0 lands on the dense solution
+    A = LAP + 2.0 * sp.identity(M)
+    b = np.cos(np.arange(M))
+    r = np.linspace(1.0, 2.0, M)
+    dense = A.toarray() + np.outer(b, b)
+    border = sp.csc_matrix(b[:, None])
+    x, info = damped_newton(
+        lambda x: 0.5 * x @ (dense @ x) - r @ x,
+        lambda x: dense @ x - r,
+        lambda x: sp.bmat([[A, border], [border.T, -sp.identity(1)]]),
+        np.zeros(M),
+        maxiter=1,
+    )
+    assert info.newton_iterations == 1
+    assert info.history[0]["step"] == 1.0
+    np.testing.assert_allclose(x, np.linalg.solve(dense, r), rtol=1e-12)
 
 
 def test_divergence_floor_stops_newton():
