@@ -1,10 +1,13 @@
 """
-Shared minimization drivers.  Damped Newton with sparse direct solves is
+Shared minimization drivers.  Damped Newton with banded LU solves is
 the primary solver wherever W'' exists: on the stiff high-derivative
 problems (quartic-operator conditioning ~ h^-2n) it reaches the 1e-8..1e-9
 floor set by finite-difference roundoff in a handful of steps, where plain
 quasi-Newton plateaus near 1e-2.  L-BFGS remains for potentials without a
-second derivative.
+second derivative.  Every Hessian here is banded (half-bandwidth
+n + accuracy_order - 1 at most), possibly bordered by a few dense rows
+and columns; BandedSystem factors the band with LAPACK gbsv and
+eliminates the border by a Schur complement.
 """
 
 import time
@@ -13,10 +16,11 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 from scipy.optimize import minimize as scipy_minimize
 
-__all__ = ["SolveInfo", "lbfgs", "damped_newton"]
+__all__ = ["SolveInfo", "BandedSystem", "lbfgs", "damped_newton"]
 
 
 @dataclass
@@ -28,7 +32,59 @@ class SolveInfo:
     diverged: bool = False
     message: str = ""
     energy: float = np.nan
+    factorizations: int = 0
     history: list = field(default_factory=list)
+
+
+class BandedSystem:
+    """The bordered matrix [[A, B], [C, E]] of size m + k, with A the
+    banded m x m leading block, split for repeated shifted solves.
+
+    A is held in the band layout of LAPACK gbsv, ab[lo + up + i - j, j] =
+    A[i, j], below lo zero rows that take the fill-in of row pivoting;
+    lo/up are the lower/upper bandwidths of A's stored entries.  The k
+    border rows and columns (k = 0, 1 or 2 in use) are dense.
+    """
+
+    def __init__(self, H: sp.spmatrix, m: int):
+        csr = H.tocsr(copy=True)
+        csr.sum_duplicates()
+        coo = csr.tocoo()
+        r, c, v = coo.row, coo.col, coo.data
+        k = H.shape[0] - m
+        self.B, self.C, self.E = np.zeros((m, k)), np.zeros((k, m)), np.zeros((k, k))
+        if k:
+            top, left = r < m, c < m
+            for block, sel, r0, c0 in (
+                (self.B, top & ~left, 0, m),
+                (self.C, ~top & left, m, 0),
+                (self.E, ~(top | left), m, m),
+            ):
+                block[r[sel] - r0, c[sel] - c0] = v[sel]
+            lead = top & left
+            r, c, v = r[lead], c[lead], v[lead]
+        offset = c - r
+        self.lo, self.up = -int(offset.min(initial=0)), int(offset.max(initial=0))
+        self.ab = np.zeros((2 * self.lo + self.up + 1, m))
+        self.ab[self.lo + self.up - offset, c] = v
+
+    def solve(self, rhs: np.ndarray, tau: float = 0.0) -> np.ndarray:
+        """The first m entries of the solution of the bordered system with
+        A + tau I in place of A and right-hand side rhs padded by k zeros.
+        Raises LinAlgError when A + tau I or the Schur complement
+        E - C (A + tau I)^-1 B is singular."""
+        ab = self.ab.copy()
+        ab[self.lo + self.up] += tau
+        k = self.E.shape[0]
+        rhs = np.column_stack([rhs, self.B]) if k else rhs
+        _, _, sol, info = dgbsv(self.lo, self.up, ab, rhs, overwrite_ab=True)
+        if info > 0:
+            raise LinAlgError("singular leading block")
+        if not k:
+            return sol
+        y, Z = sol[:, 0], sol[:, 1:]
+        mu = np.linalg.solve(self.E - self.C @ Z, -self.C @ y)
+        return y - Z @ mu
 
 
 def lbfgs(
@@ -77,19 +133,24 @@ def damped_newton(
     stagnation_rtol: float = 1e-14,
     divergence_floor: Optional[float] = None,
 ):
-    """Damped Newton with sparse LU solves and Armijo backtracking.
+    """Damped Newton with banded LU solves and Armijo backtracking.
 
     hess(x) returns the m x m Hessian, or a bordered matrix of size m + k
-    whose leading m x m block is the Hessian.  The step solves it with
-    the right-hand side -g padded by k zeros and keeps the first m
-    entries.  Two borders are in use: [[H, q], [q^T, 0]] holds q . x at
-    its initial value (grad must then return the gradient projected onto
-    q . d = 0), and [[H0, U], [V^T, -I]] solves with H0 + U V^T, a
-    low-rank update kept out of the sparse factorization.  Indefinite
-    Hessians (the concave term, or W'' < 0 between the wells) are handled
-    by Levenberg-style damping tau on the leading block only, increased
-    until the step is a descent direction.  Stops on the gradient
-    sup-norm, on energy stagnation (FD-roundoff floor), on an energy below
+    whose leading m x m block is the Hessian; the leading block must be
+    banded.  The step solves it (see BandedSystem) with the right-hand
+    side -g padded by k zeros and keeps the first m entries.  Two borders
+    are in use: [[H, q], [q^T, 0]] holds q . x at its initial value (grad
+    must then return the gradient projected onto q . d = 0), and
+    [[H0, U], [V^T, -I]] solves with H0 + U V^T, a low-rank update kept
+    out of the band.  Indefinite Hessians (the concave term, or W'' < 0
+    between the wells) are handled by Levenberg-style damping tau on the
+    leading block only, increased from 0 until the step is a descent
+    direction; a singular leading block or Schur complement also raises
+    tau.  The factorization is LU, not Cholesky, because the leading
+    block of a bordered system may be indefinite at a valid step.
+    info.factorizations counts the solves, tau retries included.  Stops
+    on the gradient sup-norm, on energy stagnation (FD-roundoff floor)
+    after a full step or two stagnant steps in a row, on an energy below
     divergence_floor (flagged diverged, the expected supercritical
     outcome), or after maxiter steps; a stop short of gtol says why in
     info.message.  Each accepted step appends its energy, gradient
@@ -100,21 +161,19 @@ def damped_newton(
     m = len(x)
     energy = fun(x)
     g = grad(x)
+    stagnant = 0
     start = time.perf_counter()
     for it in range(maxiter):
         info.gradient_norm = float(np.abs(g).max())
         if info.gradient_norm < gtol:
             break
-        H = hess(x)
-        size = H.shape[0]
-        shift = sp.identity(size, format="csc")
-        shift.data[m:] = 0.0  # tau damps the Hessian block, not the border
-        rhs = np.pad(-g, (0, size - m))
+        system = BandedSystem(hess(x), m)
         tau = 0.0
         for _ in range(30):
+            info.factorizations += 1
             try:
-                d = spla.splu((H + tau * shift).tocsc()).solve(rhs)[:m]
-            except RuntimeError:
+                d = system.solve(-g, tau)
+            except LinAlgError:
                 d = None
             if d is not None and np.all(np.isfinite(d)) and g @ d < 0:
                 break
@@ -149,9 +208,16 @@ def damped_newton(
             info.diverged = True
             info.message = "supercritical divergence"
             break
+        # near the roundoff floor the Armijo test is decided by last-ulp
+        # noise and may halve a good step; one damped stagnant step is
+        # not yet a stop
         if abs(e_prev - energy) < stagnation_rtol * max(1.0, abs(energy)):
-            info.message = "energy stagnation (roundoff floor)"
-            break
+            stagnant += 1
+            if step == 1.0 or stagnant == 2:
+                info.message = "energy stagnation (roundoff floor)"
+                break
+        else:
+            stagnant = 0
     else:
         info.message = "iteration limit"
     info.gradient_norm = float(np.abs(g).max())

@@ -205,7 +205,7 @@ def _newton_polish_quotient(u, kernel: DiscreteEnergy, w: DoubleWell):
     """Damped Newton on the quotient.  Its Hessian is the sparse
     H0 = (N'' - Q D'') / D plus the rank-2 quotient-rule term U V^T with
     U = [-g, -D'/D] and V = [D'/D, g]; the driver solves the bordered
-    system [[H0, U], [V^T, -I]], which keeps the factorization sparse."""
+    system [[H0, U], [V^T, -I]], which keeps the factorization banded."""
     val_grad = _quotient_val_grad(kernel, w)
 
     def hess(v):

@@ -148,7 +148,8 @@ class MinimizeEnergyResult:
     """Minimizer field, its energy breakdown, and run diagnostics:
     converged means gradient_norm < max(gtol, gradient_floor), the
     roundoff floor of the assembled gradient at the minimizer, and no
-    divergence."""
+    divergence.  factorizations counts the banded LU solves of the Newton
+    steps, tau retries included (0 under L-BFGS)."""
 
     field: Field
     breakdown: EnergyBreakdown
@@ -158,6 +159,7 @@ class MinimizeEnergyResult:
     gradient_norm: float
     gradient_floor: float
     message: str = ""
+    factorizations: int = 0
 
 
 def minimize_energy(
@@ -173,7 +175,7 @@ def minimize_energy(
     accuracy_order: int = 4,
 ) -> MinimizeEnergyResult:
     """Minimize the energy from a given initialization by damped Newton
-    (Levenberg shift, Armijo backtracking) on the sparse Hessian, or by
+    (Levenberg shift, Armijo backtracking) on the banded Hessian, or by
     L-BFGS for a potential without W''; maxiter caps the solver's steps.
 
     The optional mass constraint fixes int_I u = mass: the initialization
@@ -232,6 +234,7 @@ def minimize_energy(
         gradient_norm=float(info.gradient_norm),
         gradient_floor=float(floor),
         message="supercritical divergence" if info.diverged else info.message,
+        factorizations=int(info.factorizations),
     )
 
 

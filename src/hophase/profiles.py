@@ -93,7 +93,9 @@ class MinimizeOptions:
 class ProfileResult:
     """Minimizer, its energy, and convergence diagnostics: converged means
     gradient_norm_final < max(gtol, gradient_floor), the roundoff floor of
-    the assembled gradient at the minimizer, and no divergence."""
+    the assembled gradient at the minimizer, and no divergence.
+    factorizations counts the banded LU solves of the Newton steps, tau
+    retries included (0 under L-BFGS)."""
 
     minimizer: Field
     energy_estimate: float
@@ -102,6 +104,7 @@ class ProfileResult:
     gradient_norm_final: float
     gradient_floor: float
     diagnosis: str = ""
+    factorizations: int = 0
 
 
 def hermite_smoothed_step(grid: Grid, n: int) -> np.ndarray:
@@ -142,7 +145,7 @@ def minimize_profile(
     c = (1.0, -problem.lam, 1.0)
     band = problem.clamp_band
     npts = problem.num_points
-    free = np.arange(band, npts - band)
+    free = slice(band, npts - band)
 
     def run_single(u0_vals: np.ndarray) -> ProfileResult:
         u = np.asarray(u0_vals, dtype=float).copy()
@@ -168,7 +171,7 @@ def minimize_profile(
             def hfun(z):
                 v = u.copy()
                 v[free] = z
-                return kernel.hess(v, w, c)[free, :][:, free]
+                return kernel.hess(v, w, c)[free, free]
 
             z, info = damped_newton(
                 fun, gfun, hfun, u[free], maxiter=opts.newton_maxiter,
@@ -197,6 +200,7 @@ def minimize_profile(
             gradient_norm_final=float(gnorm),
             gradient_floor=float(noise),
             diagnosis=diagnosis,
+            factorizations=int(info.factorizations),
         )
 
     if init is not None:

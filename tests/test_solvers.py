@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError
 
-from hophase._solvers import damped_newton, lbfgs
+from hophase import DiscreteEnergy, Grid
+from hophase._solvers import BandedSystem, damped_newton, lbfgs
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -111,3 +113,83 @@ def test_lbfgs_divergence_floor_and_final_values():
     assert not info.diverged
     assert info.energy == fun(x)
     assert info.gradient_norm == np.abs(grad(x)).max()
+
+
+def shifted(dense, m, tau):
+    # tau on the leading m x m block only, as the driver damps it
+    out = dense.copy()
+    out[np.arange(m), np.arange(m)] += tau
+    return out
+
+
+def assert_solves(H, m, rhs, taus=(0.0, 0.3)):
+    system = BandedSystem(H, m)
+    dense = H.toarray()
+    padded = np.pad(rhs, (0, H.shape[0] - m))
+    for tau in taus:
+        expected = np.linalg.solve(shifted(dense, m, tau), padded)[:m]
+        np.testing.assert_allclose(system.solve(rhs, tau), expected, rtol=1e-10)
+    return system
+
+
+def test_banded_step_with_unequal_bandwidths():
+    rng = np.random.default_rng(0)
+    offsets = [-3, -2, -1, 0, 1]
+    diags = [rng.normal(size=M - abs(k)) for k in offsets]
+    diags[3] += 8.0  # diagonally dominant, so the dense solve is accurate
+    H = sp.diags(diags, offsets, format="csr")
+    rhs = rng.normal(size=M)
+    system = assert_solves(H, M, rhs)
+    assert (system.lo, system.up) == (3, 1)
+    # every entry stored twice at half its value: duplicates add up
+    dup = sp.csr_matrix(
+        (np.repeat(H.data, 2) / 2, np.repeat(H.indices, 2), 2 * H.indptr),
+        shape=H.shape,
+    )
+    assert not dup.has_canonical_format
+    assert_solves(dup, M, rhs)
+
+
+def test_singular_leading_block_raises_until_shifted():
+    # the Neumann Laplacian annihilates constants
+    H = LAP - sp.diags(np.r_[1.0, np.zeros(M - 2), 1.0])
+    system = BandedSystem(H, M)
+    with pytest.raises(LinAlgError):
+        system.solve(np.ones(M))
+    assert np.all(np.isfinite(system.solve(np.ones(M), 1e-8)))
+
+
+def test_banded_step_with_the_mass_border():
+    q = np.full(M, 1.0 / M)
+    border = sp.csc_matrix(q[:, None])
+    # hess(X0) is indefinite: W'' < 0 between the wells
+    assert np.linalg.eigvalsh(hess(X0).toarray()).min() < 0
+    H = sp.bmat([[hess(X0), border], [border.T, None]])
+    system = assert_solves(H, M, -grad(X0))
+    assert system.E.shape == (1, 1)
+
+
+def test_banded_step_with_the_rank_two_border():
+    rng = np.random.default_rng(1)
+    H0 = LAP - 0.5 * sp.identity(M)  # eigenvalues on both sides of 0
+    eig = np.linalg.eigvalsh(H0.toarray())
+    assert eig.min() < 0 < eig.max()
+    U = sp.csc_matrix(rng.normal(size=(M, 2)))
+    V = sp.csc_matrix(rng.normal(size=(M, 2)))
+    H = sp.bmat([[H0, U], [V.T, -sp.identity(2)]], format="csc")
+    system = assert_solves(H, M, rng.normal(size=M))
+    assert (system.lo, system.up) == (1, 1)
+    assert system.B.shape == (M, 2) and system.C.shape == (2, M)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_energy_hessian_band(n, quartic):
+    # the kernel's Hessian at N = 2001 keeps half-bandwidth n + 3 at most
+    grid = Grid(-10.0, 10.0, 2001)
+    kernel = DiscreteEnergy(grid, n)
+    H = kernel.hess(np.tanh(grid.nodes()), quartic, (1.0, -0.01, 1.0))
+    # a shift well above the W'' entries keeps the shifted matrix well
+    # conditioned, so the dense solve is an accurate reference
+    tau = 1e-3 * np.abs(H.diagonal()).max()
+    system = assert_solves(H, grid.num_points, np.cos(grid.nodes()), taus=(tau,))
+    assert system.lo <= n + 3 and system.up <= n + 3
