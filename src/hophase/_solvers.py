@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
 from scipy.optimize import minimize as scipy_minimize
@@ -40,44 +39,34 @@ class BandedSystem:
     """The bordered matrix [[A, B], [C, E]] of size m + k, with A the
     banded m x m leading block, split for repeated shifted solves.
 
-    A is held in the band layout of LAPACK gbsv, ab[lo + up + i - j, j] =
-    A[i, j], below lo zero rows that take the fill-in of row pivoting;
-    lo/up are the lower/upper bandwidths of A's stored entries.  The k
-    border rows and columns (k = 0, 1 or 2 in use) are dense.
+    ab holds A in LAPACK band storage, ab[up + i - j, j] = A[i, j], with
+    lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (the layout of
+    scipy.linalg.solve_banded, and of gbsv's input below its lo fill-in
+    rows).  The k border rows and columns (k = 0, 1 or 2 in use) are dense:
+    B is m x k, C is k x m, E is k x k; no border when B is None.
     """
 
-    def __init__(self, H: sp.spmatrix, m: int):
-        csr = H.tocsr(copy=True)
-        csr.sum_duplicates()
-        coo = csr.tocoo()
-        r, c, v = coo.row, coo.col, coo.data
-        k = H.shape[0] - m
-        self.B, self.C, self.E = np.zeros((m, k)), np.zeros((k, m)), np.zeros((k, k))
-        if k:
-            top, left = r < m, c < m
-            for block, sel, r0, c0 in (
-                (self.B, top & ~left, 0, m),
-                (self.C, ~top & left, m, 0),
-                (self.E, ~(top | left), m, m),
-            ):
-                block[r[sel] - r0, c[sel] - c0] = v[sel]
-            lead = top & left
-            r, c, v = r[lead], c[lead], v[lead]
-        offset = c - r
-        self.lo, self.up = -int(offset.min(initial=0)), int(offset.max(initial=0))
-        self.ab = np.zeros((2 * self.lo + self.up + 1, m))
-        self.ab[self.lo + self.up - offset, c] = v
+    def __init__(self, ab: np.ndarray, lo: int, B=None, C=None, E=None):
+        self.ab, self.lo = ab, lo
+        self.up = ab.shape[0] - lo - 1
+        m = ab.shape[1]
+        if B is None:
+            B, C, E = np.zeros((m, 0)), np.zeros((0, m)), np.zeros((0, 0))
+        self.B, self.C, self.E = B, C, E
 
     def solve(self, rhs: np.ndarray, tau: float = 0.0) -> np.ndarray:
         """The first m entries of the solution of the bordered system with
         A + tau I in place of A and right-hand side rhs padded by k zeros.
         Raises LinAlgError when A + tau I or the Schur complement
         E - C (A + tau I)^-1 B is singular."""
-        ab = self.ab.copy()
-        ab[self.lo + self.up] += tau
+        lo, up = self.lo, self.up
+        ab = np.empty((2 * lo + up + 1, self.ab.shape[1]))
+        ab[:lo] = 0.0
+        ab[lo:] = self.ab
+        ab[lo + up] += tau
         k = self.E.shape[0]
         rhs = np.column_stack([rhs, self.B]) if k else rhs
-        _, _, sol, info = dgbsv(self.lo, self.up, ab, rhs, overwrite_ab=True)
+        _, _, sol, info = dgbsv(lo, up, ab, rhs, overwrite_ab=True)
         if info > 0:
             raise LinAlgError("singular leading block")
         if not k:
@@ -126,7 +115,7 @@ def lbfgs(
 def damped_newton(
     fun: Callable[[np.ndarray], float],
     grad: Callable[[np.ndarray], np.ndarray],
-    hess: Callable[[np.ndarray], sp.spmatrix],
+    hess: Callable[[np.ndarray], BandedSystem],
     x0: np.ndarray,
     maxiter: int = 100,
     gtol: float = 1e-8,
@@ -135,40 +124,43 @@ def damped_newton(
 ):
     """Damped Newton with banded LU solves and Armijo backtracking.
 
-    hess(x) returns the m x m Hessian, or a bordered matrix of size m + k
-    whose leading m x m block is the Hessian; the leading block must be
-    banded.  The step solves it (see BandedSystem) with the right-hand
-    side -g padded by k zeros and keeps the first m entries.  Two borders
-    are in use: [[H, q], [q^T, 0]] holds q . x at its initial value (grad
-    must then return the gradient projected onto q . d = 0), and
-    [[H0, U], [V^T, -I]] solves with H0 + U V^T, a low-rank update kept
-    out of the band.  Indefinite Hessians (the concave term, or W'' < 0
-    between the wells) are handled by Levenberg-style damping tau on the
-    leading block only, increased from 0 until the step is a descent
-    direction; a singular leading block or Schur complement also raises
-    tau.  The factorization is LU, not Cholesky, because the leading
-    block of a bordered system may be indefinite at a valid step.
-    info.factorizations counts the solves, tau retries included.  Stops
-    on the gradient sup-norm, on energy stagnation (FD-roundoff floor)
-    after a full step or two stagnant steps in a row, on an energy below
-    divergence_floor (flagged diverged, the expected supercritical
-    outcome), or after maxiter steps; a stop short of gtol says why in
-    info.message.  Each accepted step appends its energy, gradient
-    sup-norm, tau, step length and elapsed time to info.history.
+    hess(x) returns the Newton system as a BandedSystem whose leading
+    m x m block is the Hessian, possibly bordered by k dense rows and
+    columns.  The step solves it with the right-hand side -g padded by k
+    zeros and keeps the first m entries.  Two borders are in use:
+    [[H, q], [q^T, 0]] holds q . x at its initial value (grad must then
+    return the gradient projected onto q . d = 0), and [[H0, U], [V^T, -I]]
+    solves with H0 + U V^T, a low-rank update kept out of the band.  fun
+    is called only by the line search, so it may skip the gradient.
+    Indefinite Hessians (the concave term, or W'' < 0 between the wells)
+    are handled by Levenberg-style damping tau on the leading block only,
+    raised tenfold until the step is a descent direction; a singular
+    leading block or Schur complement also raises tau.  Each step starts
+    that ladder at a tenth of the last accepted tau, or at 0 once that is
+    below 1e-7, so a run through a nonconvex region does not climb the
+    whole ladder on every step.  The factorization is LU, not Cholesky,
+    because the leading block of a bordered system may be indefinite at a
+    valid step.  info.factorizations counts the solves, tau retries
+    included.  Stops on the gradient sup-norm, on energy stagnation
+    (FD-roundoff floor) after a full step or two stagnant steps in a row,
+    on an energy below divergence_floor (flagged diverged, the expected
+    supercritical outcome), or after maxiter steps; a stop short of gtol
+    says why in info.message.  Each accepted step appends its energy,
+    gradient sup-norm, tau, step length and elapsed time to info.history.
     """
     x = np.asarray(x0, dtype=float).copy()
     info = SolveInfo()
-    m = len(x)
     energy = fun(x)
     g = grad(x)
     stagnant = 0
+    tau = 0.0
     start = time.perf_counter()
     for it in range(maxiter):
         info.gradient_norm = float(np.abs(g).max())
         if info.gradient_norm < gtol:
             break
-        system = BandedSystem(hess(x), m)
-        tau = 0.0
+        system = hess(x)
+        tau = tau / 10.0 if tau >= 1e-6 else 0.0
         for _ in range(30):
             info.factorizations += 1
             try:

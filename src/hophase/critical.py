@@ -19,10 +19,9 @@ from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import minimize as scipy_minimize
 
-from ._solvers import damped_newton
+from ._solvers import BandedSystem, damped_newton
 from .energy import DiscreteEnergy
 from .ensembles import random_field
 from .grids import Field, Grid
@@ -103,7 +102,8 @@ def subdivided_quotient(
 
 @dataclass
 class LambdaOptions:
-    """Knobs for `estimate_lambda_n`."""
+    """Knobs for `estimate_lambda_n`; maxiter caps the solver steps per
+    start (Newton steps, or L-BFGS iterations without W'')."""
 
     num_points: int = 501
     seed: int = 0
@@ -111,7 +111,6 @@ class LambdaOptions:
     maxiter: int = 3000
     poly_degree: int = 10
     poly_starts: int = 8
-    newton_polish: bool = True
     accuracy_order: int = 4
 
 
@@ -186,42 +185,42 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     return best_val, best_c, nodes
 
 
-def _quotient_val_grad(kernel: DiscreteEnergy, w: DoubleWell):
+def _quotient_functions(kernel: DiscreteEnergy, w: DoubleWell):
     """Q[v] = (int W + int (v^(n))^2) / int (v^(n-1))^2 on the unit
-    interval and its gradient (grad N - Q grad D) / D; (inf, 0) on a
-    degenerate denominator."""
+    interval, its gradient (grad N - Q grad D) / D and its Newton system:
+    value(v), inf on a degenerate denominator; grad(v), 0 there; and
+    system(v), the bordered [[H0, U], [V^T, -I]] with the banded
+    H0 = (N'' - Q D'') / D and the rank-2 quotient-rule term U V^T,
+    U = [-g, -D'/D] and V = [D'/D, g].  system reuses the parts of the
+    last grad call when it is at the same v, as in the Newton driver."""
+    last = {}
 
-    def val_grad(v):
+    def value(v):
+        pot, D, high = kernel.terms(v, w)
+        return (pot + high) / D if D > DENOMINATOR_FLOOR else np.inf
+
+    def grad(v):
         pot, D, high = kernel.terms(v, w)
         if D <= DENOMINATOR_FLOOR:
-            return np.inf, np.zeros_like(v)
+            return np.zeros_like(v)
         Q = (pot + high) / D
-        return Q, kernel.grad(v, w, (1.0, -Q, 1.0)) / D
+        low = kernel.K_low @ v
+        g = (kernel.grad(v, w, (1.0, 0.0, 1.0)) - Q * low) / D
+        last.update(v=v, Q=Q, D=D, g=g, gD=low / D)
+        return g
 
-    return val_grad
+    def system(v):
+        if last.get("v") is not v:
+            grad(v)
+        Q, D, g, gD = last["Q"], last["D"], last["g"], last["gD"]
+        H0 = kernel.hess(v, w, (1.0, -Q, 1.0))
+        H0 /= D
+        return BandedSystem(
+            H0, kernel.bandwidth, np.column_stack([-g, -gD]), np.vstack([gD, g]),
+            -np.eye(2),
+        )
 
-
-def _newton_polish_quotient(u, kernel: DiscreteEnergy, w: DoubleWell):
-    """Damped Newton on the quotient.  Its Hessian is the sparse
-    H0 = (N'' - Q D'') / D plus the rank-2 quotient-rule term U V^T with
-    U = [-g, -D'/D] and V = [D'/D, g]; the driver solves the bordered
-    system [[H0, U], [V^T, -I]], which keeps the factorization banded."""
-    val_grad = _quotient_val_grad(kernel, w)
-
-    def hess(v):
-        pot, D, high = kernel.terms(v, w)
-        Q = (pot + high) / D
-        g = kernel.grad(v, w, (1.0, -Q, 1.0)) / D
-        gD = (kernel.K_low @ v) / D
-        H0 = kernel.hess(v, w, (1.0, -Q, 1.0)) / D
-        U = sp.csc_matrix(np.column_stack([-g, -gD]))
-        V = sp.csc_matrix(np.column_stack([gD, g]))
-        return sp.bmat([[H0, U], [V.T, -sp.identity(2)]], format="csc")
-
-    return damped_newton(
-        lambda v: val_grad(v)[0], lambda v: val_grad(v)[1], hess, u,
-        maxiter=60, gtol=1e-10, stagnation_rtol=1e-15,
-    )
+    return value, grad, system
 
 
 def estimate_lambda_n(
@@ -234,8 +233,11 @@ def estimate_lambda_n(
     oscillatory sin(k pi x) ansaetze scaled into the well region, random
     trigonometric sums, plus the winner of a polynomial-coefficient
     pre-stage (degree-(n-1) fields make the highest term vanish and are
-    strong competitors for n >= 3).  Every start is refined by L-BFGS and
-    the best few are Newton-polished.
+    strong competitors for n >= 3).  Every start runs damped Newton on the
+    quotient (banded H0 with the rank-2 border, at most opts.maxiter
+    steps), or L-BFGS for a potential without W''.  diagnostics["messages"]
+    and diagnostics["steps"] give each start's stop reason and step count,
+    aligned with per_start.
     """
     if n < 2:
         raise ValueError("estimate_lambda_n requires n >= 2")
@@ -243,7 +245,7 @@ def estimate_lambda_n(
     grid = Grid(0.0, 1.0, opts.num_points)
     x = grid.nodes()
     kernel = DiscreteEnergy(grid, n, opts.accuracy_order)
-    val_grad = _quotient_val_grad(kernel, w)
+    value, grad, system = _quotient_functions(kernel, w)
 
     rng = np.random.default_rng(opts.seed)
     starts: List[np.ndarray] = []
@@ -269,43 +271,47 @@ def estimate_lambda_n(
             starts.append(np.polynomial.polynomial.polyval(x, poly_c))
 
     per_start: List[float] = []
-    candidates: List[Tuple[float, np.ndarray]] = []
+    messages: List[str] = []
+    steps: List[int] = []
+    best_val, best_u = np.inf, None
     for u0 in starts:
-        v0, _ = val_grad(u0)
-        if not np.isfinite(v0):
+        if not np.isfinite(value(u0)):
             per_start.append(np.inf)
+            messages.append("degenerate start")
+            steps.append(0)
             continue
-        res = scipy_minimize(
-            val_grad,
-            u0,
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=opts.maxiter, ftol=1e-16, gtol=1e-13, maxcor=25),
-        )
-        pot, den, high = kernel.terms(res.x, w)
+        if w.eval_second_derivative is not None:
+            u, info = damped_newton(
+                value, grad, system, u0, maxiter=opts.maxiter, gtol=1e-10,
+                stagnation_rtol=1e-15,
+            )
+            messages.append(info.message or "gradient below gtol")
+            steps.append(info.newton_iterations)
+        else:
+            res = scipy_minimize(
+                lambda v: (value(v), grad(v)),
+                u0,
+                jac=True,
+                method="L-BFGS-B",
+                options=dict(maxiter=opts.maxiter, ftol=1e-16, gtol=1e-13, maxcor=25),
+            )
+            u = res.x
+            messages.append(str(res.message))
+            steps.append(int(res.nit))
+        pot, den, high = kernel.terms(u, w)
         if den <= 100 * DENOMINATOR_FLOOR:
             per_start.append(np.inf)
             continue
-        vend = (pot + high) / den
-        per_start.append(float(vend))
-        candidates.append((float(vend), res.x))
+        per_start.append(float((pot + high) / den))
+        if per_start[-1] < best_val:
+            best_val, best_u = per_start[-1], u
 
-    if not candidates:
+    if best_u is None:
         raise RuntimeError(
             "estimate_lambda_n: all starts ended degenerate; diagnostics: "
             f"per_start={per_start}"
         )
-    candidates.sort(key=lambda t: t[0])
-    best_val, best_u = candidates[0]
-    polish_messages, polish_steps = [], []
-    if opts.newton_polish and w.eval_second_derivative is not None:
-        for v0, u0 in candidates[:3]:
-            u_ref, info = _newton_polish_quotient(u0, kernel, w)
-            polish_messages.append(info.message)
-            polish_steps.append(info.newton_iterations)
-            if info.energy < best_val:
-                best_val, best_u = info.energy, u_ref
-    gnorm = float(np.abs(val_grad(best_u)[1]).max())
+    gnorm = float(np.abs(grad(best_u)).max())
     return LambdaEstimate(
         value=float(best_val),
         witness=Field(grid, best_u),
@@ -315,8 +321,8 @@ def estimate_lambda_n(
             "num_points": opts.num_points,
             "poly_stage_value": float(poly_val),
             "final_gradient_norm": gnorm,
-            "polish_messages": polish_messages,
-            "polish_steps": polish_steps,
+            "messages": messages,
+            "steps": steps,
             "num_starts": len(starts),
         },
     )

@@ -43,9 +43,9 @@ class DiscreteEnergy:
     on one grid, and for coefficients c = (c_pot, c_low, c_high) the
     functional c_pot int W + c_low int (u^(n-1))^2 + c_high int (u^(n))^2
     with its exact gradient and Hessian.  D_0 is the identity, so n = 1 is
-    allowed.  The quadratic forms K = 2 D^T diag(q) D are built on first
-    use and kept for the life of the instance: a solver holds one kernel
-    for its whole run.
+    allowed.  The quadratic forms K = 2 D^T diag(q) D, and their band for
+    the Hessian, are built on first use and kept for the life of the
+    instance: a solver holds one kernel for its whole run.
     """
 
     def __init__(self, grid: Grid, n: int, accuracy_order: int = 4,
@@ -65,6 +65,21 @@ class DiscreteEnergy:
     @cached_property
     def K_high(self) -> sp.csr_matrix:
         return 2.0 * (self.d_high.T @ sp.diags(self.q) @ self.d_high)
+
+    @cached_property
+    def _bands(self):
+        """The half-bandwidth b of K_low and K_high and both forms in band
+        storage with lo = up = b (see `to_band`)."""
+        b = max(
+            int(np.abs(K.col - K.row).max())
+            for K in (self.K_low.tocoo(), self.K_high.tocoo())
+        )
+        return b, to_band(self.K_low, b, b), to_band(self.K_high, b, b)
+
+    @property
+    def bandwidth(self) -> int:
+        """Half-bandwidth of the Hessian: its lower and upper bandwidth."""
+        return self._bands[0]
 
     def _potential(self, u, w: DoubleWell) -> float:
         return float(self.q @ np.asarray(w.eval(u), dtype=float))
@@ -100,16 +115,26 @@ class DiscreteEnergy:
             g += c_low * (self.K_low @ u)
         return g
 
-    def hess(self, u: np.ndarray, w: DoubleWell, c) -> sp.spmatrix:
-        """Sparse Hessian; requires W''."""
+    def hess(self, u: np.ndarray, w: DoubleWell, c, free: slice = slice(None)):
+        """The Hessian block H[free, free], for a slice free of unit step,
+        in band storage ab[b + i - j, j] = H[i, j] with b = `bandwidth`;
+        requires W''.  Only the W'' diagonal is computed per call; the
+        K_low/K_high bands are built once per kernel."""
+        b, band_low, band_high = self._bands
         c_pot, c_low, c_high = c
-        H = sp.diags(
-            c_pot * np.asarray(w.eval_second_derivative(u), dtype=float) * self.q
+        ab = c_high * band_high[:, free]
+        ab[b] += (
+            c_pot
+            * np.asarray(w.eval_second_derivative(u[free]), dtype=float)
+            * self.q[free]
         )
-        H = H + c_high * self.K_high
         if c_low != 0.0:
-            H = H + c_low * self.K_low
-        return H
+            ab += c_low * band_low[:, free]
+        # couplings to points outside the block fall outside the matrix
+        for k in range(1, b + 1):
+            ab[b - k, :k] = 0.0
+            ab[b + k, ab.shape[1] - k:] = 0.0
+        return ab
 
     def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """Roundoff scale of the assembled gradient: the largest row of sums
@@ -128,6 +153,19 @@ class DiscreteEnergy:
         wprime = np.abs(np.asarray(w.eval_derivative(u), dtype=float))
         scale += abs(c_pot) * float(np.max(wprime * self.q))
         return 8.0 * np.finfo(float).eps * scale
+
+
+def to_band(A: sp.spmatrix, lo: int, up: int) -> np.ndarray:
+    """A in LAPACK band storage, ab[up + i - j, j] = A[i, j], with lower
+    bandwidth lo and upper bandwidth up; stored duplicates are summed."""
+    coo = A.tocoo(copy=True)
+    coo.sum_duplicates()
+    offset = coo.col - coo.row
+    if offset.size and (offset.min() < -lo or offset.max() > up):
+        raise ValueError("entries outside the band")
+    ab = np.zeros((lo + up + 1, A.shape[1]))
+    ab[up - offset, coo.col] = coo.data
+    return ab
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
-from ._solvers import damped_newton, lbfgs
+from ._solvers import BandedSystem, damped_newton, lbfgs
 from .energy import DiscreteEnergy, EnergyBreakdown, EnergyParams, evaluate
 from .grids import Field, Grid
 from .potentials import DoubleWell, get_potential
@@ -210,13 +209,10 @@ def minimize_energy(
             divergence_floor=divergence_floor,
         )
     else:
-        border = None if mass is None else sp.csc_matrix(q[:, None])
+        border = () if mass is None else (q[:, None], q[None, :], np.zeros((1, 1)))
 
         def hess(v):
-            H = kernel.hess(v, w, c)
-            if border is None:
-                return H
-            return sp.bmat([[H, border], [border.T, None]])
+            return BandedSystem(kernel.hess(v, w, c), kernel.bandwidth, *border)
 
         z, info = damped_newton(
             fun, gfun, hess, u0, maxiter=maxiter, gtol=gtol,

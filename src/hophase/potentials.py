@@ -80,7 +80,7 @@ def _quartic(t):
 
 def _quartic_prime(t):
     t = np.asarray(t, dtype=float)
-    return 4.0 * t**3 - 4.0 * t
+    return 4.0 * t * (t * t - 1.0)
 
 
 def _quartic_second(t):

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._solvers import damped_newton, lbfgs
+from ._solvers import BandedSystem, damped_newton, lbfgs
 from .critical import estimate_lambda_n
 from .energy import DiscreteEnergy
 from .grids import Field, Grid
@@ -171,7 +171,7 @@ def minimize_profile(
             def hfun(z):
                 v = u.copy()
                 v[free] = z
-                return kernel.hess(v, w, c)[free, free]
+                return BandedSystem(kernel.hess(v, w, c, free), kernel.bandwidth)
 
             z, info = damped_newton(
                 fun, gfun, hfun, u[free], maxiter=opts.newton_maxiter,

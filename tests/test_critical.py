@@ -1,5 +1,7 @@
 """Tests for the interpolation quotient and the critical-constant search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -98,16 +100,36 @@ class TestLambdaEstimate:
         assert min(lambda_hat_2.per_start) >= lambda_hat_2.value - 1e-12
         d = lambda_hat_2.diagnostics
         assert np.isfinite(d["final_gradient_norm"])
-        assert len(d["polish_messages"]) == len(d["polish_steps"]) == 3
+        # one stop message and one step count per start; every start that
+        # is not degenerate stops on gtol or on stagnation, below the cap
+        assert (
+            len(d["messages"]) == len(d["steps"])
+            == len(lambda_hat_2.per_start) == d["num_starts"]
+        )
+        for value, message, steps in zip(
+            lambda_hat_2.per_start, d["messages"], d["steps"]
+        ):
+            if np.isfinite(value):
+                assert message in (
+                    "gradient below gtol", "energy stagnation (roundoff floor)"
+                )
+                assert 0 < steps < LambdaOptions().maxiter
+
+    def test_deterministic_starts_reach_the_value(self, quartic, lambda_hat_2):
+        # the polynomial witness and the deterministic starts alone
+        est = estimate_lambda_n(2, quartic, LambdaOptions(n_random_starts=0))
+        assert est.value == pytest.approx(lambda_hat_2.value, rel=1e-9)
 
     def test_final_gradient_norm_without_polish(self, quartic):
+        # without W'' every start runs L-BFGS
+        no_second = dataclasses.replace(quartic, eval_second_derivative=None)
         opts = LambdaOptions(
             num_points=101, n_random_starts=0, poly_starts=0, maxiter=100,
-            newton_polish=False,
         )
-        est = estimate_lambda_n(2, quartic, opts)
+        est = estimate_lambda_n(2, no_second, opts)
         d = est.diagnostics
-        assert d["polish_messages"] == d["polish_steps"] == []
+        assert len(d["messages"]) == len(d["steps"]) == len(est.per_start)
+        assert 0 < max(d["steps"]) <= 100
         # grad Q = grad(N - Q D) / D, with the energy module's gradient at
         # eps = 1 and lam = Q as the reference
         u, Q = est.witness, est.value

@@ -17,6 +17,13 @@ from hophase import (
 from hophase.grids import MAX_DERIVATIVE_ORDER
 
 
+def band_to_dense(ab, lo):
+    """The square matrix held in band storage ab[up + i - j, j] = A[i, j]."""
+    up = ab.shape[0] - lo - 1
+    m = ab.shape[1]
+    return sp.dia_matrix((ab, up - np.arange(ab.shape[0])), shape=(m, m)).toarray()
+
+
 class TestEvaluate:
     def test_well_state_costs_nothing(self, quartic):
         g = Grid(0.0, 1.0, 101)
@@ -175,9 +182,36 @@ class TestDiscreteEnergy:
         t = 1e-4
         # one integral at a time, so each part is checked on its own scale
         for c in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-            hv = k.hess(u, quartic, c) @ v
+            hv = band_to_dense(k.hess(u, quartic, c), k.bandwidth) @ v
             diff = k.grad(u + t * v, quartic, c) - k.grad(u - t * v, quartic, c)
             assert np.abs(hv - diff / (2 * t)).max() <= 1e-6 * np.abs(hv).max()
+
+    @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_hessian_band_matches_dense(self, quartic, n):
+        k = DiscreteEnergy(self.GRID, n)
+        u = self.field(n)
+        c = (0.7, -0.3, 1.1)
+        H = (
+            np.diag(c[0] * k.q * quartic.eval_second_derivative(u))
+            + c[1] * k.K_low.toarray()
+            + c[2] * k.K_high.toarray()
+        )
+        b = k.bandwidth
+        scale = np.abs(H).max()
+        full = k.hess(u, quartic, c)
+        assert full.shape == (2 * b + 1, len(u))
+        np.testing.assert_allclose(
+            band_to_dense(full, b), H, rtol=0, atol=1e-14 * scale
+        )
+        # a free range drops the couplings to the points outside it
+        free = slice(b, len(u) - b)
+        part = k.hess(u, quartic, c, free)
+        assert part.shape == (2 * b + 1, len(u) - 2 * b)
+        np.testing.assert_allclose(
+            band_to_dense(part, b), H[free, free], rtol=0, atol=1e-14 * scale
+        )
+        for j in range(1, b + 1):
+            assert not part[b - j, :j].any() and not part[b + j, -j:].any()
 
     def test_order_one_uses_the_identity_below(self, quartic):
         k = DiscreteEnergy(self.GRID, 1)

@@ -7,6 +7,7 @@ from scipy.linalg import LinAlgError
 
 from hophase import DiscreteEnergy, Grid
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
+from hophase.energy import to_band
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -22,8 +23,26 @@ def grad(x, lam=0.0):
     return x**3 - x + LAP @ x - 2.0 * lam * x
 
 
-def hess(x, lam=0.0):
+def hess_matrix(x, lam=0.0):
     return sp.diags(3.0 * x**2 - 1.0 - 2.0 * lam) + LAP
+
+
+def as_system(H, m=M):
+    """A sparse matrix of size m + k as the driver's BandedSystem: the
+    leading m x m block in band storage (through the kernel's scatter),
+    the k border rows and columns dense."""
+    k = H.shape[0] - m
+    lead = H if k == 0 else sp.csr_matrix(H)[:m, :m]
+    coo = lead.tocoo()
+    offset = coo.col - coo.row
+    lo, up = -int(offset.min(initial=0)), int(offset.max(initial=0))
+    dense = H.toarray()
+    border = (dense[:m, m:], dense[m:, :m], dense[m:, m:]) if k else ()
+    return BandedSystem(to_band(lead, lo, up), lo, *border)
+
+
+def hess(x, lam=0.0):
+    return as_system(hess_matrix(x, lam))
 
 
 X0 = np.linspace(-0.9, 0.7, M)
@@ -50,7 +69,7 @@ def test_bordered_step_holds_the_constraint():
     x, info = damped_newton(
         fun,
         lambda x: proj(grad(x)),
-        lambda x: sp.bmat([[hess(x), border], [border.T, None]]),
+        lambda x: as_system(sp.bmat([[hess_matrix(x), border], [border.T, None]])),
         X0,
         gtol=1e-10,
     )
@@ -73,7 +92,7 @@ def test_low_rank_border_solves_with_the_update():
     x, info = damped_newton(
         lambda x: 0.5 * x @ (dense @ x) - r @ x,
         lambda x: dense @ x - r,
-        lambda x: sp.bmat([[A, border], [border.T, -sp.identity(1)]]),
+        lambda x: as_system(sp.bmat([[A, border], [border.T, -sp.identity(1)]])),
         np.zeros(M),
         maxiter=1,
     )
@@ -123,7 +142,7 @@ def shifted(dense, m, tau):
 
 
 def assert_solves(H, m, rhs, taus=(0.0, 0.3)):
-    system = BandedSystem(H, m)
+    system = as_system(H, m)
     dense = H.toarray()
     padded = np.pad(rhs, (0, H.shape[0] - m))
     for tau in taus:
@@ -147,13 +166,16 @@ def test_banded_step_with_unequal_bandwidths():
         shape=H.shape,
     )
     assert not dup.has_canonical_format
+    np.testing.assert_array_equal(to_band(dup, 3, 1), system.ab)
     assert_solves(dup, M, rhs)
+    with pytest.raises(ValueError, match="outside the band"):
+        to_band(H, 2, 1)
 
 
 def test_singular_leading_block_raises_until_shifted():
     # the Neumann Laplacian annihilates constants
     H = LAP - sp.diags(np.r_[1.0, np.zeros(M - 2), 1.0])
-    system = BandedSystem(H, M)
+    system = as_system(H)
     with pytest.raises(LinAlgError):
         system.solve(np.ones(M))
     assert np.all(np.isfinite(system.solve(np.ones(M), 1e-8)))
@@ -163,8 +185,8 @@ def test_banded_step_with_the_mass_border():
     q = np.full(M, 1.0 / M)
     border = sp.csc_matrix(q[:, None])
     # hess(X0) is indefinite: W'' < 0 between the wells
-    assert np.linalg.eigvalsh(hess(X0).toarray()).min() < 0
-    H = sp.bmat([[hess(X0), border], [border.T, None]])
+    assert np.linalg.eigvalsh(hess_matrix(X0).toarray()).min() < 0
+    H = sp.bmat([[hess_matrix(X0), border], [border.T, None]])
     system = assert_solves(H, M, -grad(X0))
     assert system.E.shape == (1, 1)
 
@@ -184,12 +206,25 @@ def test_banded_step_with_the_rank_two_border():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_energy_hessian_band(n, quartic):
-    # the kernel's Hessian at N = 2001 keeps half-bandwidth n + 3 at most
+    # the kernel's Hessian at N = 2001 comes as a band of half-bandwidth
+    # n + 3 at most, and solves like the assembled sparse Hessian
     grid = Grid(-10.0, 10.0, 2001)
     kernel = DiscreteEnergy(grid, n)
-    H = kernel.hess(np.tanh(grid.nodes()), quartic, (1.0, -0.01, 1.0))
+    u, c = np.tanh(grid.nodes()), (1.0, -0.01, 1.0)
+    ab = kernel.hess(u, quartic, c)
+    b = kernel.bandwidth
+    assert b <= n + 3
+    assert ab.shape == (2 * b + 1, grid.num_points)
+    H = (
+        sp.diags(np.asarray(quartic.eval_second_derivative(u)) * kernel.q)
+        + c[1] * kernel.K_low + c[2] * kernel.K_high
+    ).toarray()
     # a shift well above the W'' entries keeps the shifted matrix well
     # conditioned, so the dense solve is an accurate reference
     tau = 1e-3 * np.abs(H.diagonal()).max()
-    system = assert_solves(H, grid.num_points, np.cos(grid.nodes()), taus=(tau,))
-    assert system.lo <= n + 3 and system.up <= n + 3
+    rhs = np.cos(grid.nodes())
+    np.testing.assert_allclose(
+        BandedSystem(ab, b).solve(rhs, tau),
+        np.linalg.solve(shifted(H, grid.num_points, tau), rhs),
+        rtol=1e-10,
+    )
