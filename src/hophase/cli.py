@@ -189,14 +189,12 @@ def _cmd_check_ineq(args) -> int:
         checker = lambda f: check_gagnir_interval(f, gp, c_probe)
     elif which == "abstr":
         checker = lambda f: check_abstr(f, args.j, args.m, args.q, args.r, args.c_probe)
-    elif which == "lowerbound":
+    else:  # lowerbound; argparse restricts the choices
         lam_hat = args.lambda_hat
         if lam_hat is None:
             lam_hat = estimate_lambda_n(args.n, w).value
         params = EnergyParams(args.n, args.epsilon, args.lam_frac * lam_hat)
         checker = lambda f: check_lower_bound_lemma(f, params, lam_hat, args.delta, w)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown check: {which}")
 
     rep = ensemble_check(checker, which, args.count, args.seed)
     payload = {
@@ -417,8 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # rejected input, reported as argparse does
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -70,11 +70,9 @@ class DiscreteEnergy:
     def _bands(self):
         """The half-bandwidth b of K_low and K_high and both forms in band
         storage with lo = up = b (see `to_band`)."""
-        b = max(
-            int(np.abs(K.col - K.row).max())
-            for K in (self.K_low.tocoo(), self.K_high.tocoo())
-        )
-        return b, to_band(self.K_low, b, b), to_band(self.K_high, b, b)
+        forms = [K.tocsr() for K in (self.K_low, self.K_high)]
+        b = max(int(np.abs(_offsets(K)).max()) for K in forms)
+        return (b, *(to_band(K, b, b) for K in forms))
 
     @property
     def bandwidth(self) -> int:
@@ -155,17 +153,21 @@ class DiscreteEnergy:
         return 8.0 * np.finfo(float).eps * scale
 
 
+def _offsets(A: sp.csr_matrix) -> np.ndarray:
+    """The diagonal offset col - row of every stored entry of a CSR matrix."""
+    return A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+
+
 def to_band(A: sp.spmatrix, lo: int, up: int) -> np.ndarray:
-    """A in LAPACK band storage, ab[up + i - j, j] = A[i, j], with lower
-    bandwidth lo and upper bandwidth up; stored duplicates are summed."""
-    coo = A.tocoo(copy=True)
-    coo.sum_duplicates()
-    offset = coo.col - coo.row
+    """A in LAPACK band storage ab[up + i - j, j] = A[i, j], lower bandwidth
+    lo, upper up; one bincount scatters the CSR entries, summing duplicates."""
+    A = A.tocsr()
+    offset = _offsets(A)
     if offset.size and (offset.min() < -lo or offset.max() > up):
         raise ValueError("entries outside the band")
-    ab = np.zeros((lo + up + 1, A.shape[1]))
-    ab[up - offset, coo.col] = coo.data
-    return ab
+    rows, cols = lo + up + 1, A.shape[1]
+    flat = (up - offset) * cols + A.indices
+    return np.bincount(flat, A.data, rows * cols).reshape(rows, cols)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,16 @@ def stencil_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
     return tuple(rhs)
 
 
+@lru_cache(maxsize=None)
+def _unit_rows(k: int, m: int) -> Tuple[Tuple[float, ...], ...]:
+    """Unit-spacing float weights of the k-th derivative on the m-point
+    windows of shift -(m-1)..0, one row per shift."""
+    return tuple(
+        tuple(float(c) for c in stencil_weights(tuple(range(s, s + m)), k))
+        for s in range(1 - m, 1)
+    )
+
+
 @dataclass(frozen=True)
 class DiffOperator:
     """Sparse k-th derivative operator on a fixed grid.
@@ -141,7 +151,9 @@ _OPERATOR_CACHE: dict = {}
 
 
 def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
-    """Build (or fetch from cache) the k-th derivative operator for a grid."""
+    """Build (or fetch from cache) the k-th derivative operator for a grid.
+    The weights of each window shift are solved in exact rationals once per
+    (k, accuracy_order); a new spacing costs one vectorized gather."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
     if accuracy_order < 2:
@@ -158,31 +170,15 @@ def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
         return hit
 
     n = grid.num_points
-    half = (m - 1) // 2
-    scale = grid.h**k
-    # distinct window starts: clamped to [0, n-m]; precompute one weight row
-    # per offset pattern and broadcast over the interior
+    # row i's window starts at starts[i]; its shift starts[i] - i picks its row
     rows = np.arange(n)
-    starts = np.clip(rows - half, 0, n - m)
-    data = np.empty((n, m))
-    pattern_cache = {}
-    for i in range(n):
-        shift = int(starts[i] - i)
-        wrow = pattern_cache.get(shift)
-        if wrow is None:
-            offs = tuple(range(shift, shift + m))
-            wrow = np.array(
-                [float(c) for c in stencil_weights(offs, k)], dtype=float
-            ) / scale
-            pattern_cache[shift] = wrow
-        data[i] = wrow
-    cols = starts[:, None] + np.arange(m)[None, :]
+    starts = np.clip(rows - (m - 1) // 2, 0, n - m)
+    data = np.array(_unit_rows(k, m))[starts - rows + m - 1] / grid.h**k
+    cols = starts[:, None] + np.arange(m)
     mat = sp.csr_matrix(
-        (data.ravel(), (np.repeat(rows, m), cols.ravel())), shape=(n, n)
+        (data.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n)
     )
-    op = DiffOperator(k=k, accuracy_order=accuracy_order, num_points=n, h=grid.h,
-                      matrix=mat)
-    _OPERATOR_CACHE[key] = op
+    op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, mat)
     return op
 
 

@@ -57,6 +57,14 @@ class TestProfile:
         assert f.grid.num_points == 801
         assert (tmp_path / "profile_n1.json").exists()
 
+    def test_too_few_points_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["profile", "--n", "2", "--points", "101"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hophase: error: profile grid needs at least 400 points\n"
+
 
 class TestLambdaN:
     def test_reduced_estimate_lands_in_band(self, tmp_path, capsys):
@@ -73,6 +81,14 @@ class TestLambdaN:
         assert min(payload["per_start"]) >= payload["lambda_hat"]
         witness = field_from_csv((tmp_path / "lambda_argmin_n2.csv").read_text())
         assert witness.grid.num_points == 301
+
+    def test_derivative_order_beyond_stencils_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["lambda-n", "--n", "7"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hophase: error: derivative order must be in [1, 6]\n"
 
 
 class TestCheckIneq:

@@ -118,6 +118,36 @@ class TestDiffOperator:
             ratio = err(101, acc) / err(201, acc)
             assert ratio > 2 ** (acc - 0.6)
 
+    @pytest.mark.parametrize("acc", (2, 4, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rows_equal_the_rational_stencils(self, k, acc):
+        # row i holds the weights of the m-point window centred on i and
+        # clamped to the grid, float(w) / h**k bit for bit, in column order
+        m = k + acc
+        for num_points in (m, m + 1, 2 * m + 1, 401):
+            g = Grid(-0.3, 2.9, num_points)
+            mat = diff_operator(g, k, acc).matrix
+            np.testing.assert_array_equal(
+                mat.indptr, np.arange(0, num_points * m + 1, m)
+            )
+            for i in range(num_points):
+                start = min(max(i - (m - 1) // 2, 0), num_points - m)
+                window = tuple(range(start - i, start - i + m))
+                row = slice(mat.indptr[i], mat.indptr[i + 1])
+                assert mat.indices[row].tolist() == list(range(start, start + m))
+                expected = [float(w) / g.h**k for w in stencil_weights(window, k)]
+                assert mat.data[row].tolist() == expected
+
+    def test_new_spacing_reuses_the_rational_solve(self):
+        # 50 grids that differ only in spacing each need a new operator, but
+        # the exact weights are solved for the first one only
+        grids = [Grid(0.0, 1.0 + j / 64, 301) for j in range(50)]
+        diff_operator(grids[0], 5, 6)
+        calls = stencil_weights.cache_info()
+        for g in grids[1:]:
+            diff_operator(g, 5, 6)
+        assert stencil_weights.cache_info() == calls
+
     def test_operator_cache_returns_same_object(self):
         g = Grid(0.0, 1.0, 33)
         assert diff_operator(g, 2) is diff_operator(g, 2)

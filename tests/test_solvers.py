@@ -228,3 +228,37 @@ def test_energy_hessian_band(n, quartic):
         np.linalg.solve(shifted(H, grid.num_points, tau), rhs),
         rtol=1e-10,
     )
+
+
+@pytest.mark.parametrize("order", (2, 4, 6))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_energy_bandwidth_is_the_stencil_reach(n, order):
+    # K_high = 2 D_n^T diag(q) D_n couples the two ends of an (n + order)-point
+    # stencil window, and no farther
+    kernel = DiscreteEnergy(Grid(-10.0, 10.0, 2001), n, order)
+    assert kernel.bandwidth == n + order - 1
+
+
+def dense_band(dense, lo, up):
+    """The band of a dense matrix, entry by entry: ab[up + i - j, j] = A[i, j]."""
+    ab = np.zeros((lo + up + 1, dense.shape[1]))
+    for i, j in zip(*np.nonzero(dense)):
+        ab[up + i - j, j] = dense[i, j]
+    return ab
+
+
+@pytest.mark.parametrize("upper_only", (False, True))
+def test_to_band_matches_the_dense_band_in_every_format(upper_only):
+    kernel = DiscreteEnergy(Grid(-2.0, 2.0, 60), 3)
+    b = kernel.bandwidth
+    lo = 0 if upper_only else b
+    K = sp.triu(kernel.K_high, -lo, format="csr")
+    expected = dense_band(K.toarray(), lo, b)
+    # CSR, CSC, and COO with every entry stored twice at half its value
+    coo = K.tocoo()
+    twice = sp.coo_matrix(
+        (np.tile(coo.data / 2, 2), (np.tile(coo.row, 2), np.tile(coo.col, 2))),
+        shape=K.shape,
+    )
+    for A in (K, K.tocsc(), twice):
+        np.testing.assert_array_equal(to_band(A, lo, b), expected)
