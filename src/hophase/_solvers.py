@@ -141,11 +141,16 @@ def damped_newton(
     whole ladder on every step.  The factorization is LU, not Cholesky,
     because the leading block of a bordered system may be indefinite at a
     valid step.  info.factorizations counts the solves, tau retries
-    included.  Stops on the gradient sup-norm, on energy stagnation
-    (FD-roundoff floor) after a full step or two stagnant steps in a row,
-    on an energy below divergence_floor (flagged diverged, the expected
-    supercritical outcome), or after maxiter steps; a stop short of gtol
-    says why in info.message.  Each accepted step appends its energy,
+    included.  Stops on the gradient sup-norm; on energy stagnation
+    (FD-roundoff floor), either after a full step or two stagnant steps in
+    a row that changed the energy by less than
+    stagnation_rtol * max(1, |E|), or before any line-search trial whose
+    predicted decrease -step g.d is below that threshold (at step 1 the
+    Newton decrement), keeping the last accepted iterate; on an energy
+    below divergence_floor (flagged diverged, the expected supercritical
+    outcome); on 45 halvings without Armijo decrease ("line search
+    failed"); or after maxiter steps.  A stop short of gtol says why in
+    info.message.  Each accepted step appends its energy,
     gradient sup-norm, tau, step length and elapsed time to info.history.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -175,7 +180,13 @@ def damped_newton(
             break
         step = 1.0
         slope = g @ d
+        floor = stagnation_rtol * max(1.0, abs(energy))
         for _ in range(45):
+            # a step whose predicted decrease the energy cannot resolve
+            # is decided by roundoff; at step 1 this is the Newton decrement
+            if -step * slope < floor:
+                info.message = "energy stagnation (roundoff floor)"
+                break
             x_try = x + step * d
             e_try = fun(x_try)
             if e_try <= energy + 1e-4 * step * slope:
@@ -183,6 +194,7 @@ def damped_newton(
             step *= 0.5
         else:
             info.message = "line search failed"
+        if info.message:
             break
         x, e_prev, energy = x_try, energy, e_try
         g = grad(x)

@@ -19,9 +19,8 @@ from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
-from ._solvers import BandedSystem, damped_newton
+from ._solvers import BandedSystem, damped_newton, lbfgs
 from .energy import DiscreteEnergy
 from .ensembles import random_field
 from .grids import Field, Grid
@@ -102,8 +101,9 @@ def subdivided_quotient(
 
 @dataclass
 class LambdaOptions:
-    """Knobs for `estimate_lambda_n`; maxiter caps the solver steps per
-    start (Newton steps, or L-BFGS iterations without W'')."""
+    """Knobs for `estimate_lambda_n`; maxiter caps the solver steps of
+    every start, the polynomial-stage starts included (Newton steps, or
+    L-BFGS iterations without W'')."""
 
     num_points: int = 501
     seed: int = 0
@@ -125,39 +125,74 @@ class LambdaEstimate:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
-    """Global search over monomial-coefficient space with Gauss-Legendre
-    integrals (exact for polynomial potentials); cheap and independent of
-    the grid discretization, used to seed the grid refinement."""
-    deg = opts.poly_degree
-    nodes, wts = np.polynomial.legendre.leggauss(2 * deg + 2)
-    nodes = 0.5 * (nodes + 1.0)
-    wts = 0.5 * wts
-    ncoef = deg + 1
+class _PolynomialKernel:
+    """The three integrals of `DiscreteEnergy` for the polynomial
+    p(x) = sum_j c_j x^j on (0,1), as functions of its monomial
+    coefficients c: Gauss-Legendre quadrature with 2d + 2 nodes, exact for
+    a polynomial W.  Provides what `_quotient_functions` reads (terms,
+    grad, hess, K_low, bandwidth); the Hessian is dense, stored as a band
+    with lo = up = d."""
 
-    def basis(k):
-        B = np.zeros((ncoef, len(nodes)))
-        for j in range(k, ncoef):
-            B[j] = factorial(j) // factorial(j - k) * nodes ** (j - k)
-        return B
+    def __init__(self, n: int, degree: int):
+        nodes, wts = np.polynomial.legendre.leggauss(2 * degree + 2)
+        nodes = 0.5 * (nodes + 1.0)
+        self.wts = 0.5 * wts
+        ncoef = degree + 1
 
-    B0, Bn1, Bn = basis(0), basis(n - 1), basis(n)
+        def basis(k):
+            # row j holds the k-th derivative of x^j at the nodes
+            B = np.zeros((ncoef, len(nodes)))
+            for j in range(k, ncoef):
+                B[j] = factorial(j) // factorial(j - k) * nodes ** (j - k)
+            return B
 
-    def value_grad(c):
-        p = c @ B0
-        pn1 = c @ Bn1
-        pn = c @ Bn
-        D = wts @ pn1**2
-        if D <= DENOMINATOR_FLOOR:
-            return np.inf, np.zeros_like(c)
-        N = wts @ np.asarray(w.eval(p), dtype=float) + wts @ pn**2
-        Q = N / D
-        dN = B0 @ (wts * np.asarray(w.eval_derivative(p), dtype=float)) + 2.0 * (
-            Bn @ (wts * pn)
+        self.B0, self.Bn1, self.Bn = basis(0), basis(n - 1), basis(n)
+        self.K_low = 2.0 * (self.Bn1 * self.wts) @ self.Bn1.T
+        self.K_high = 2.0 * (self.Bn * self.wts) @ self.Bn.T
+        self.bandwidth = degree
+        i, j = np.indices((ncoef, ncoef))
+        self._band_index = (degree + i - j, j)
+
+    def terms(self, c: np.ndarray, w: DoubleWell):
+        return (
+            float(self.wts @ np.asarray(w.eval(c @ self.B0), dtype=float)),
+            float(self.wts @ (c @ self.Bn1) ** 2),
+            float(self.wts @ (c @ self.Bn) ** 2),
         )
-        dD = 2.0 * (Bn1 @ (wts * pn1))
-        return Q, (dN - Q * dD) / D
 
+    def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+        c_pot, c_low, c_high = coef
+        wprime = np.asarray(w.eval_derivative(c @ self.B0), dtype=float)
+        return (
+            c_pot * (self.B0 @ (self.wts * wprime))
+            + (c_low * self.K_low + c_high * self.K_high) @ c
+        )
+
+    def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+        c_pot, c_low, c_high = coef
+        w2 = np.asarray(w.eval_second_derivative(c @ self.B0), dtype=float)
+        H = (
+            c_pot * (self.B0 * (self.wts * w2)) @ self.B0.T
+            + c_low * self.K_low
+            + c_high * self.K_high
+        )
+        ab = np.zeros((2 * self.bandwidth + 1, len(c)))
+        ab[self._band_index] = H
+        return ab
+
+
+def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
+    """Global search over the monomial coefficients of a degree
+    opts.poly_degree polynomial on (0,1), with Gauss-Legendre integrals
+    (exact for polynomial potentials): the same quotient minimization as
+    the grid starts (`_minimize_quotient`), run from a ramp (and a
+    quadratic for n >= 3) and opts.poly_starts random coefficient vectors.
+    Cheap and independent of the grid discretization; its winner seeds
+    the grid search.  Returns the best quotient value and its
+    coefficients."""
+    deg = opts.poly_degree
+    functions = _quotient_functions(_PolynomialKernel(n, deg), w)
+    ncoef = deg + 1
     rng = np.random.default_rng(opts.seed)
     starts = []
     ramp = np.zeros(ncoef)
@@ -172,23 +207,18 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
 
     best_val, best_c = np.inf, None
     for c0 in starts:
-        res = scipy_minimize(
-            value_grad,
-            c0,
-            jac=True,
-            method="L-BFGS-B",
-            options=dict(maxiter=2000, ftol=1e-16, gtol=1e-12, maxcor=25),
-        )
-        v = value_grad(res.x)[0]
-        if v < best_val:
-            best_val, best_c = v, res.x
-    return best_val, best_c, nodes
+        c, info = _minimize_quotient(functions, w, c0, opts.maxiter, gtol=1e-12)
+        if info.energy < best_val:
+            best_val, best_c = info.energy, c
+    return best_val, best_c
 
 
-def _quotient_functions(kernel: DiscreteEnergy, w: DoubleWell):
+def _quotient_functions(kernel, w: DoubleWell):
     """Q[v] = (int W + int (v^(n))^2) / int (v^(n-1))^2 on the unit
-    interval, its gradient (grad N - Q grad D) / D and its Newton system:
-    value(v), inf on a degenerate denominator; grad(v), 0 there; and
+    interval, for v the grid samples of a `DiscreteEnergy` kernel or the
+    monomial coefficients of a `_PolynomialKernel`; its gradient
+    (grad N - Q grad D) / D and its Newton system: value(v), inf on a
+    degenerate denominator; grad(v), 0 there; and
     system(v), the bordered [[H0, U], [V^T, -I]] with the banded
     H0 = (N'' - Q D'') / D and the rank-2 quotient-rule term U V^T,
     U = [-g, -D'/D] and V = [D'/D, g].  system reuses the parts of the
@@ -223,6 +253,18 @@ def _quotient_functions(kernel: DiscreteEnergy, w: DoubleWell):
     return value, grad, system
 
 
+def _minimize_quotient(functions, w: DoubleWell, x0, maxiter: int, gtol: float):
+    """Minimize the quotient from x0 with the (value, grad, system) of
+    `_quotient_functions`: damped Newton on the bordered system where W''
+    exists, L-BFGS otherwise; at most maxiter steps."""
+    value, grad, system = functions
+    if w.eval_second_derivative is None:
+        return lbfgs(value, grad, x0, maxiter=maxiter, gtol=gtol)
+    return damped_newton(
+        value, grad, system, x0, maxiter=maxiter, gtol=gtol, stagnation_rtol=1e-15
+    )
+
+
 def estimate_lambda_n(
     n: int, w: DoubleWell, opts: Optional[LambdaOptions] = None
 ) -> LambdaEstimate:
@@ -233,9 +275,10 @@ def estimate_lambda_n(
     oscillatory sin(k pi x) ansaetze scaled into the well region, random
     trigonometric sums, plus the winner of a polynomial-coefficient
     pre-stage (degree-(n-1) fields make the highest term vanish and are
-    strong competitors for n >= 3).  Every start runs damped Newton on the
-    quotient (banded H0 with the rank-2 border, at most opts.maxiter
-    steps), or L-BFGS for a potential without W''.  diagnostics["messages"]
+    strong competitors for n >= 3; the pre-stage runs the same quotient
+    minimization on the coefficients).  Every start runs damped Newton on
+    the quotient (H0 with the rank-2 border, at most opts.maxiter steps),
+    or L-BFGS for a potential without W''.  diagnostics["messages"]
     and diagnostics["steps"] give each start's stop reason and step count,
     aligned with per_start.
     """
@@ -245,7 +288,8 @@ def estimate_lambda_n(
     grid = Grid(0.0, 1.0, opts.num_points)
     x = grid.nodes()
     kernel = DiscreteEnergy(grid, n, opts.accuracy_order)
-    value, grad, system = _quotient_functions(kernel, w)
+    functions = _quotient_functions(kernel, w)
+    value, grad, _ = functions
 
     rng = np.random.default_rng(opts.seed)
     starts: List[np.ndarray] = []
@@ -266,7 +310,7 @@ def estimate_lambda_n(
 
     poly_val = np.inf
     if opts.poly_starts > 0:
-        poly_val, poly_c, _ = _poly_stage(n, w, opts)
+        poly_val, poly_c = _poly_stage(n, w, opts)
         if poly_c is not None:
             starts.append(np.polynomial.polynomial.polyval(x, poly_c))
 
@@ -280,24 +324,9 @@ def estimate_lambda_n(
             messages.append("degenerate start")
             steps.append(0)
             continue
-        if w.eval_second_derivative is not None:
-            u, info = damped_newton(
-                value, grad, system, u0, maxiter=opts.maxiter, gtol=1e-10,
-                stagnation_rtol=1e-15,
-            )
-            messages.append(info.message or "gradient below gtol")
-            steps.append(info.newton_iterations)
-        else:
-            res = scipy_minimize(
-                lambda v: (value(v), grad(v)),
-                u0,
-                jac=True,
-                method="L-BFGS-B",
-                options=dict(maxiter=opts.maxiter, ftol=1e-16, gtol=1e-13, maxcor=25),
-            )
-            u = res.x
-            messages.append(str(res.message))
-            steps.append(int(res.nit))
+        u, info = _minimize_quotient(functions, w, u0, opts.maxiter, gtol=1e-10)
+        messages.append(info.message or "gradient below gtol")
+        steps.append(info.iterations)
         pot, den, high = kernel.terms(u, w)
         if den <= 100 * DENOMINATOR_FLOOR:
             per_start.append(np.inf)

@@ -6,6 +6,7 @@ stencils, quadrature, resampling, and CSV/JSON serialization.
 
 import io
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -147,11 +148,15 @@ class DiffOperator:
         return self.matrix @ values
 
 
-_OPERATOR_CACHE: dict = {}
+#: the most recently used operators, least recently used first; bounded
+#: because random-length grids each leave a single-use operator behind
+_OPERATOR_CACHE: "OrderedDict[tuple, DiffOperator]" = OrderedDict()
+_OPERATOR_CACHE_SIZE = 64
 
 
 def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
-    """Build (or fetch from cache) the k-th derivative operator for a grid.
+    """Build (or fetch from the cache of the 64 most recently used) the
+    k-th derivative operator for a grid.
     The weights of each window shift are solved in exact rationals once per
     (k, accuracy_order); a new spacing costs one vectorized gather."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
@@ -167,6 +172,7 @@ def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
     key = (grid.num_points, grid.h, k, accuracy_order)
     hit = _OPERATOR_CACHE.get(key)
     if hit is not None:
+        _OPERATOR_CACHE.move_to_end(key)
         return hit
 
     n = grid.num_points
@@ -179,6 +185,8 @@ def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
         (data.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n)
     )
     op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, mat)
+    if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
+        _OPERATOR_CACHE.popitem(last=False)
     return op
 
 

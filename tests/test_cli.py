@@ -5,9 +5,14 @@ directory; stdout must be valid JSON and the promised files must appear.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hophase
 from hophase import cli, field_from_csv
 
 
@@ -89,6 +94,22 @@ class TestLambdaN:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "hophase: error: derivative order must be in [1, 6]\n"
+
+
+    def test_module_entry_point_reports_usage_errors(self):
+        # python -m hophase runs the same CLI from a checkout
+        src = Path(hophase.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "hophase", "lambda-n", "--n", "7"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "hophase: error: derivative order must be in [1, 6]\n"
 
 
 class TestCheckIneq:

@@ -139,6 +139,47 @@ class TestLambdaEstimate:
         floor = k.gradient_floor(u.values, quartic, (1.0, -Q, 1.0)) / D
         assert abs(d["final_gradient_norm"] - np.abs(ref).max()) <= floor
 
+    def test_potential_evaluations_are_bounded(self, quartic):
+        # the line search stops where the quotient cannot resolve the step,
+        # instead of halving toward 2^-45 at the end of every start
+        calls = [0]
+
+        def counted(u):
+            calls[0] += 1
+            return quartic.eval(u)
+
+        counted_quartic = dataclasses.replace(quartic, eval=counted)
+        estimate_lambda_n(2, counted_quartic, LambdaOptions(seed=0, maxiter=300))
+        assert calls[0] <= 3500
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_polynomial_stage_value_is_seed_independent(self, quartic, n):
+        # the polynomial stage runs the quotient Newton over the monomial
+        # coefficients, so every seed reaches the same minimum
+        values = [
+            estimate_lambda_n(
+                n, quartic,
+                LambdaOptions(seed=seed, num_points=101, n_random_starts=0),
+            ).diagnostics["poly_stage_value"]
+            for seed in range(4)
+        ]
+        assert max(values) - min(values) <= 1e-12 * min(values)
+        if n == 2:
+            assert max(values) <= 0.0569362484466
+
+    def test_polynomial_stage_without_second_derivative(self, quartic):
+        # without W'' the polynomial stage runs L-BFGS and reaches the
+        # Newton value
+        opts = LambdaOptions(num_points=61, n_random_starts=0, poly_starts=4,
+                             maxiter=300)
+        newton = estimate_lambda_n(2, quartic, opts)
+        no_second = dataclasses.replace(quartic, eval_second_derivative=None)
+        est = estimate_lambda_n(2, no_second, opts)
+        assert np.isfinite(est.value)
+        assert est.diagnostics["poly_stage_value"] == pytest.approx(
+            newton.diagnostics["poly_stage_value"], rel=1e-9
+        )
+
     def test_higher_order_constant_is_much_smaller(self, quartic):
         opts = LambdaOptions(num_points=301, n_random_starts=2, poly_starts=4)
         est3 = estimate_lambda_n(3, quartic, opts)

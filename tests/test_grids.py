@@ -20,6 +20,7 @@ from hophase import (
     resample,
     stencil_weights,
 )
+from hophase import grids
 
 
 class TestGrid:
@@ -152,6 +153,15 @@ class TestDiffOperator:
         g = Grid(0.0, 1.0, 33)
         assert diff_operator(g, 2) is diff_operator(g, 2)
         assert diff_operator(g, 2) is not diff_operator(g, 3)
+
+    def test_operator_cache_keeps_the_most_recently_used(self):
+        recent = Grid(0.0, 1.0, 41)
+        op = diff_operator(recent, 2)
+        for j in range(100):
+            diff_operator(Grid(0.0, 2.0 + j / 128, 41), 2)
+            diff_operator(recent, 2)
+        assert len(grids._OPERATOR_CACHE) <= 64
+        assert diff_operator(recent, 2) is op
 
     def test_invalid_requests_rejected(self):
         g = Grid(0.0, 1.0, 33)

@@ -122,6 +122,37 @@ def test_stall_is_reported():
     assert info.newton_iterations == 1
 
 
+def test_line_search_stops_where_the_energy_cannot_resolve_the_step():
+    # the gradient of this quadratic carries a bias of 1e-9 pointing away
+    # from its minimum, so the gradient sup-norm never falls below 1e-9
+    # and near the minimum the Newton direction is not a descent direction
+    # of the energy; the predicted decrease -g.d ~ 1e-17 is far below the
+    # stagnation threshold, so the run stops there instead of halving the
+    # step toward 2^-45
+    A = LAP + 2.0 * sp.identity(M)
+    calls = dict(fun=0, stalled_at=None)
+
+    def quadratic(x):
+        calls["fun"] += 1
+        return 0.5 * x @ (A @ x)
+
+    def biased_grad(x):
+        g = A @ x + 1e-9 * np.where(x >= 0.0, 1.0, -1.0)
+        if calls["stalled_at"] is None and np.abs(g).max() < 1e-8:
+            calls["stalled_at"] = calls["fun"]
+        return g
+
+    x, info = damped_newton(
+        quadratic, biased_grad, lambda x: as_system(A), X0, gtol=1e-12
+    )
+    assert info.message == "energy stagnation (roundoff floor)"
+    assert not info.converged
+    assert calls["stalled_at"] is not None
+    assert calls["fun"] - calls["stalled_at"] <= 3
+    assert info.energy == quadratic(x)
+    assert len(info.history) == info.newton_iterations
+
+
 def test_lbfgs_divergence_floor_and_final_values():
     x, info = lbfgs(
         lambda x: fun(x, 2.0), lambda x: grad(x, 2.0), X0, divergence_floor=-5.0
