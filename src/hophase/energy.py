@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
 
-from .grids import Field, Grid, diff_operator, quadrature_weights
+from .grids import Field, Grid, diff_operator, quadrature_weights, window_starts
 from .potentials import DoubleWell
 
 __all__ = [
@@ -43,41 +43,49 @@ class DiscreteEnergy:
     on one grid, and for coefficients c = (c_pot, c_low, c_high) the
     functional c_pot int W + c_low int (u^(n-1))^2 + c_high int (u^(n))^2
     with its exact gradient and Hessian.  D_0 is the identity, so n = 1 is
-    allowed.  The quadratic forms K = 2 D^T diag(q) D, and their band for
-    the Hessian, are built on first use and kept for the life of the
-    instance: a solver holds one kernel for its whole run.
+    allowed.  The quadratic forms K = 2 D^T diag(q) D are assembled from
+    the stencil rows on first use, as bands that K_low and K_high view as
+    DIA matrices, and kept for the life of the instance: a solver holds one
+    kernel for its whole run.
     """
 
     def __init__(self, grid: Grid, n: int, accuracy_order: int = 4,
                  rule: str = "trapezoid"):
         self.q = quadrature_weights(grid, rule)
-        self.d_high = diff_operator(grid, n, accuracy_order).matrix
-        self.d_low = (
-            sp.identity(grid.num_points, format="csr")
-            if n == 1
-            else diff_operator(grid, n - 1, accuracy_order).matrix
-        )
+        high = diff_operator(grid, n, accuracy_order)
+        self.d_high = high.matrix
+        if n == 1:
+            self.d_low = sp.identity(grid.num_points, format="csr")
+            low_weights = np.ones((grid.num_points, 1))
+        else:
+            low = diff_operator(grid, n - 1, accuracy_order)
+            self.d_low = low.matrix
+            low_weights = low.weights
+        # the stencil row weights of D_{n-1} and D_n
+        self._weights = (low_weights, high.weights)
 
     @cached_property
-    def K_low(self) -> sp.csr_matrix:
-        return 2.0 * (self.d_low.T @ sp.diags(self.q) @ self.d_low)
+    def K_low(self) -> sp.dia_matrix:
+        return _dia_view(self._bands[1])
 
     @cached_property
-    def K_high(self) -> sp.csr_matrix:
-        return 2.0 * (self.d_high.T @ sp.diags(self.q) @ self.d_high)
+    def K_high(self) -> sp.dia_matrix:
+        return _dia_view(self._bands[2])
 
     @cached_property
     def _bands(self):
-        """The half-bandwidth b of K_low and K_high and both forms in band
-        storage with lo = up = b (see `to_band`)."""
-        forms = [K.tocsr() for K in (self.K_low, self.K_high)]
-        b = max(int(np.abs(_offsets(K)).max()) for K in forms)
-        return (b, *(to_band(K, b, b) for K in forms))
+        """The half-bandwidth b and K_low, K_high in band storage with
+        lo = up = b (see `to_band`), each the row-reversed view of the
+        diagonals `_gram_diagonals` assembles from the stencil rows: bit
+        for bit the bands of the sparse products 2 D^T diag(q) D."""
+        b = self.bandwidth
+        return (b, *(_gram_diagonals(W, self.q, b)[::-1] for W in self._weights))
 
     @property
     def bandwidth(self) -> int:
-        """Half-bandwidth of the Hessian: its lower and upper bandwidth."""
-        return self._bands[0]
+        """Half-bandwidth of the Hessian, its lower and upper bandwidth: the
+        reach m - 1 of the m-point D_n stencil window."""
+        return self._weights[1].shape[1] - 1
 
     def _potential(self, u, w: DoubleWell) -> float:
         return float(self.q @ np.asarray(w.eval(u), dtype=float))
@@ -153,16 +161,60 @@ class DiscreteEnergy:
         return 8.0 * np.finfo(float).eps * scale
 
 
-def _offsets(A: sp.csr_matrix) -> np.ndarray:
-    """The diagonal offset col - row of every stored entry of a CSR matrix."""
-    return A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+def _gram_diagonals(W, q, b) -> np.ndarray:
+    """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
+    the operator D whose row r holds the weights W[r] at columns starts[r]
+    .. starts[r] + m - 1, starts = `window_starts(n, m)` as in
+    `diff_operator`: consecutive in the interior, with at most m - 1
+    clamped rows at each end.  The identity is the case m = 1.
+
+    K[i, j] sums q_r W[r, i - starts[r]] W[r, j - starts[r]] over the rows
+    r in ascending order, the order in which the sparse product
+    (D^T diag(q)) D accumulates it (Bank & Douglas, SMMP), so every entry
+    equals that product's bit for bit: the clamped rows at the left end
+    first, one m x m outer product each; then the interior rows, one slice
+    add per weight pair (a, c), with a descending so that the rows meeting
+    in one entry come in ascending order; then the clamped rows at the
+    right end.  The final factor 2 is exact.
+    """
+    n, m = W.shape
+    starts = window_starts(n, m)
+    dia = np.zeros((2 * b + 1, n))
+    P = W * q[:, None]  # q on the row side, as in D^T diag(q)
+    lo = (m - 1) // 2  # the first row with a centred window
+    hi = lo + n - m + 1  # one past the last
+    A, C = np.indices((m, m))
+
+    def add_row(r):
+        dia[b + C - A, starts[r] + C] += np.outer(P[r], W[r])
+
+    for r in range(lo):
+        add_row(r)
+    # contiguous rows keep the slice adds fast
+    Pt, Wt = np.ascontiguousarray(P[lo:hi].T), np.ascontiguousarray(W[lo:hi].T)
+    first, width = starts[lo], hi - lo
+    for a in range(m - 1, -1, -1):
+        for c in range(m):
+            dia[b + c - a, first + c:first + c + width] += Pt[a] * Wt[c]
+    for r in range(hi, n):
+        add_row(r)
+    dia *= 2.0
+    return dia
+
+
+def _dia_view(band: np.ndarray) -> sp.dia_matrix:
+    """The square matrix held in band storage with lo = up = b, as a DIA
+    matrix on the same memory.  Its diagonals run from offset -b to b, so a
+    product sums each row in ascending column order, as CSR and CSC do."""
+    b, n = band.shape[0] // 2, band.shape[1]
+    return sp.dia_matrix((band[::-1], np.arange(-b, b + 1)), shape=(n, n))
 
 
 def to_band(A: sp.spmatrix, lo: int, up: int) -> np.ndarray:
     """A in LAPACK band storage ab[up + i - j, j] = A[i, j], lower bandwidth
     lo, upper up; one bincount scatters the CSR entries, summing duplicates."""
     A = A.tocsr()
-    offset = _offsets(A)
+    offset = A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     if offset.size and (offset.min() < -lo or offset.max() > up):
         raise ValueError("entries outside the band")
     rows, cols = lo + up + 1, A.shape[1]

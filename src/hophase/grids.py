@@ -10,7 +10,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from typing import Tuple
 
 import numpy as np
@@ -91,32 +91,33 @@ class Field:
 def stencil_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
     """Finite-difference weights for the k-th derivative on integer offsets.
 
-    Solves the Vandermonde moment system exactly over rationals, so the
-    returned weights annihilate polynomials of degree < k and are exact on
-    degree <= len(offsets) - 1.  Divide by h**k for a physical grid.
+    Weight j is the k-th derivative at 0 of the Lagrange basis polynomial
+    of offset j (Fornberg, Math. Comp. 51, 1988),
+
+        w_j = k! [x^k] prod_{i != j} (x - o_i) / prod_{i != j} (o_j - o_i),
+
+    built in integers and returned as exact rationals: the unique solution
+    of the Vandermonde moment system, so the weights annihilate polynomials
+    of degree < k and are exact on degree <= len(offsets) - 1.  Divide by
+    h**k for a physical grid.
     """
     m = len(offsets)
     if k >= m:
         raise ValueError("need at least k+1 stencil points")
-    A = [[Fraction(o) ** i for o in offsets] for i in range(m)]
-    rhs = [Fraction(0)] * m
-    rhs[k] = Fraction(factorial(k))
-    # Gaussian elimination with partial pivoting over Fraction
-    for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(A[r][col]))
-        if A[piv][col] == 0:
+    weights = []
+    for j, o_j in enumerate(offsets):
+        others = offsets[:j] + offsets[j + 1:]
+        den = prod(o_j - o for o in others)
+        if den == 0:
             raise ValueError("degenerate stencil offsets")
-        A[col], A[piv] = A[piv], A[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(m):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return tuple(rhs)
+        # coefficients of prod (x - o) over the other offsets, lowest first
+        poly = [1]
+        for o in others:
+            poly = [0] + poly
+            for d in range(len(poly) - 1):
+                poly[d] -= o * poly[d + 1]
+        weights.append(Fraction(factorial(k) * poly[k], den))
+    return tuple(weights)
 
 
 @lru_cache(maxsize=None)
@@ -136,6 +137,12 @@ class DiffOperator:
     Interior rows use centered stencils of the requested accuracy order;
     near the boundary the stencil window shifts one-sidedly, keeping the
     same polynomial exactness (degree <= k + accuracy_order - 1).
+
+    Row i holds the m = k + accuracy_order weights `weights[i]` (shape
+    (num_points, m)) at columns starts[i] .. starts[i] + m - 1, where
+    starts = `window_starts(num_points, m)`: consecutive in the interior,
+    clamped at each end.  `matrix` is the same operator in CSR form,
+    sharing the weights' memory.
     """
 
     k: int
@@ -143,9 +150,17 @@ class DiffOperator:
     num_points: int
     h: float
     matrix: sp.csr_matrix
+    weights: np.ndarray
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
+
+
+def window_starts(n: int, m: int) -> np.ndarray:
+    """First columns of the m-point stencil windows of rows 0..n-1,
+    clip(i - (m - 1) // 2, 0, n - m): centred on the row, clamped to the
+    grid."""
+    return np.clip(np.arange(n) - (m - 1) // 2, 0, n - m)
 
 
 #: the most recently used operators, least recently used first; bounded
@@ -157,7 +172,7 @@ _OPERATOR_CACHE_SIZE = 64
 def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
     """Build (or fetch from the cache of the 64 most recently used) the
     k-th derivative operator for a grid.
-    The weights of each window shift are solved in exact rationals once per
+    The weights of each window shift are built in exact rationals once per
     (k, accuracy_order); a new spacing costs one vectorized gather."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
@@ -177,14 +192,13 @@ def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
 
     n = grid.num_points
     # row i's window starts at starts[i]; its shift starts[i] - i picks its row
-    rows = np.arange(n)
-    starts = np.clip(rows - (m - 1) // 2, 0, n - m)
-    data = np.array(_unit_rows(k, m))[starts - rows + m - 1] / grid.h**k
+    starts = window_starts(n, m)
+    data = np.array(_unit_rows(k, m))[starts - np.arange(n) + m - 1] / grid.h**k
     cols = starts[:, None] + np.arange(m)
     mat = sp.csr_matrix(
         (data.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n)
     )
-    op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, mat)
+    op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, mat, data)
     if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
         _OPERATOR_CACHE.popitem(last=False)
     return op

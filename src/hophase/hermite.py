@@ -28,6 +28,7 @@ for numerics.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import List, Sequence, Tuple, Union
 
@@ -245,11 +246,20 @@ def eval_poly(p: CouplingPolynomial, x, k: int = 0):
             total += Fraction(_fact(k + i), _fact(i)) * a[k + i] * power
             power *= xf
         return total
-    xv = np.asarray(x, dtype=float)
-    coeffs = np.array(
-        [float(Fraction(_fact(k + i), _fact(i)) * a[k + i]) for i in range(deg - k + 1)]
+    return np.polynomial.polynomial.polyval(
+        np.asarray(x, dtype=float), _float_derivative_coefficients(a, k)
     )
-    return np.polynomial.polynomial.polyval(xv, coeffs)
+
+
+@lru_cache(maxsize=256)
+def _float_derivative_coefficients(a: Tuple[Fraction, ...], k: int) -> np.ndarray:
+    """Float monomial coefficients of the k-th derivative of the polynomial
+    with exact coefficients a (read-only: every caller shares the array)."""
+    coeffs = np.array(
+        [float(Fraction(_fact(k + i), _fact(i)) * a[k + i]) for i in range(len(a) - k)]
+    )
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def endpoint_residuals(p: CouplingPolynomial) -> np.ndarray:

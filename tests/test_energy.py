@@ -14,6 +14,7 @@ from hophase import (
     gradient,
     make_ensemble,
 )
+from hophase.energy import to_band
 from hophase.grids import MAX_DERIVATIVE_ORDER
 
 
@@ -212,6 +213,25 @@ class TestDiscreteEnergy:
         )
         for j in range(1, b + 1):
             assert not part[b - j, :j].any() and not part[b + j, -j:].any()
+
+    @pytest.mark.parametrize("rule", ("trapezoid", "simpson"))
+    @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_bands_are_the_sparse_triple_products(self, n, rule):
+        # the bands assembled from the stencil rows, and the products of the
+        # K views with a vector, equal those of 2 D^T diag(q) D bit for bit
+        m = n + 4
+        for num_points in (m, m + 1, 2 * m + 1, 501, 16385):
+            if rule == "simpson" and num_points % 2 == 0:
+                continue
+            k = DiscreteEnergy(Grid(-1.3, 2.1, num_points), n, rule=rule)
+            b, *bands = k._bands
+            u = np.random.default_rng(num_points).standard_normal(num_points)
+            for d, band, K in zip(
+                (k.d_low, k.d_high), bands, (k.K_low, k.K_high)
+            ):
+                product = 2.0 * (d.T @ sp.diags(k.q) @ d)
+                np.testing.assert_array_equal(band, to_band(product, b, b))
+                np.testing.assert_array_equal(K @ u, product @ u)
 
     def test_order_one_uses_the_identity_below(self, quartic):
         k = DiscreteEnergy(self.GRID, 1)

@@ -56,6 +56,30 @@ class TestField:
             Field(Grid(0.0, 1.0, 11), vals)
 
 
+def eliminated_weights(offsets, k):
+    """The weights by Gaussian elimination of the Vandermonde moment system
+    sum_j w_j o_j^i = k! [i == k], i < m, with partial pivoting in exact
+    rationals: the reference for the Lagrange-product construction."""
+    m = len(offsets)
+    A = [[Fraction(o) ** i for o in offsets] for i in range(m)]
+    rhs = [Fraction(0)] * m
+    rhs[k] = Fraction(factorial(k))
+    for col in range(m):
+        piv = max(range(col, m), key=lambda r: abs(A[r][col]))
+        assert A[piv][col] != 0
+        A[col], A[piv] = A[piv], A[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        inv = 1 / A[col][col]
+        A[col] = [x * inv for x in A[col]]
+        rhs[col] = rhs[col] * inv
+        for r in range(m):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+                rhs[r] = rhs[r] - f * rhs[col]
+    return tuple(rhs)
+
+
 class TestStencilWeights:
     def test_centered_first_derivative(self):
         assert stencil_weights((-1, 0, 1), 1) == (
@@ -91,6 +115,27 @@ class TestStencilWeights:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             stencil_weights((-1, 0, 1), 3)
+
+    @pytest.mark.parametrize("acc", (2, 4, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_window_shift_matches_the_elimination(self, k, acc):
+        m = k + acc
+        for s in range(1 - m, 1):
+            offsets = tuple(range(s, s + m))
+            assert stencil_weights(offsets, k) == eliminated_weights(offsets, k)
+
+    def test_irregular_offsets_match_the_elimination(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m = int(rng.integers(2, 10))
+            k = int(rng.integers(1, m))
+            offsets = tuple(int(o) for o in rng.choice(range(-12, 13), m, False))
+            assert stencil_weights(offsets, k) == eliminated_weights(offsets, k)
+
+    def test_repeated_offsets_rejected(self):
+        for offsets in ((0, 1, 1), (-2, 0, 3, -2)):
+            with pytest.raises(ValueError, match="degenerate stencil offsets"):
+                stencil_weights(offsets, 1)
 
 
 class TestDiffOperator:
