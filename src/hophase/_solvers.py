@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dgesv
 from scipy.optimize import minimize as scipy_minimize
 
 __all__ = ["SolveInfo", "BandedSystem", "lbfgs", "damped_newton"]
@@ -24,6 +24,10 @@ __all__ = ["SolveInfo", "BandedSystem", "lbfgs", "damped_newton"]
 
 @dataclass
 class SolveInfo:
+    """What a solve did and why it stopped.  factorizations counts the
+    LAPACK factorizations of the Newton steps actually done: a tau retry
+    that changes no diagonal entry reuses the last solve and adds none."""
+
     iterations: int = 0
     newton_iterations: int = 0
     gradient_norm: float = np.inf
@@ -53,27 +57,60 @@ class BandedSystem:
         if B is None:
             B, C, E = np.zeros((m, 0)), np.zeros((0, m)), np.zeros((0, 0))
         self.B, self.C, self.E = B, C, E
+        # LAPACK factorizations done, and the (shifted diagonal, rhs,
+        # solution or LinAlgError) of the last one
+        self.factorizations = 0
+        self._last = None
 
     def solve(self, rhs: np.ndarray, tau: float = 0.0) -> np.ndarray:
         """The first m entries of the solution of the bordered system with
         A + tau I in place of A and right-hand side rhs padded by k zeros.
         Raises LinAlgError when A + tau I or the Schur complement
-        E - C (A + tau I)^-1 B is singular."""
+        E - C (A + tau I)^-1 B is singular.  A call whose shifted diagonal
+        and rhs equal the last call's, as for a tau below half an ulp of
+        every diagonal entry, returns that call's solution (the same array)
+        or raises its error again without factoring."""
+        diag = self.ab[self.up] + tau
+        last = self._last
+        if last is None or not (
+            np.array_equal(diag, last[0]) and np.array_equal(rhs, last[1])
+        ):
+            self.factorizations += 1
+            try:
+                out = self._factor_and_solve(diag, rhs)
+            except LinAlgError as err:
+                out = err
+            last = self._last = (diag, rhs.copy(), out)
+        if isinstance(last[2], LinAlgError):
+            raise last[2].with_traceback(None)
+        return last[2]
+
+    def _factor_and_solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """One gbsv on A with diag on its diagonal for rhs and the border
+        columns, each distinct vector once, then the k x k Schur step.  The
+        work arrays are column-major, LAPACK's order, so f2py copies
+        neither."""
         lo, up = self.lo, self.up
-        ab = np.empty((2 * lo + up + 1, self.ab.shape[1]))
+        m, k = self.ab.shape[1], self.E.shape[0]
+        ab = np.empty((2 * lo + up + 1, m), order="F")
         ab[:lo] = 0.0
         ab[lo:] = self.ab
-        ab[lo + up] += tau
-        k = self.E.shape[0]
-        rhs = np.column_stack([rhs, self.B]) if k else rhs
-        _, _, sol, info = dgbsv(lo, up, ab, rhs, overwrite_ab=True)
+        ab[lo + up] = diag
+        # the quotient border repeats the right-hand side as its first column
+        first = 0 if k and np.array_equal(rhs, self.B[:, 0]) else 1
+        cols = np.empty((m, first + k), order="F")
+        cols[:, first:] = self.B
+        cols[:, 0] = rhs
+        _, _, sol, info = dgbsv(lo, up, ab, cols, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise LinAlgError("singular leading block")
+        y, Z = sol[:, 0], sol[:, first:]
         if not k:
-            return sol
-        y, Z = sol[:, 0], sol[:, 1:]
-        mu = np.linalg.solve(self.E - self.C @ Z, -self.C @ y)
-        return y - Z @ mu
+            return y
+        _, _, mu, info = dgesv(self.E - self.C @ Z, (-self.C @ y)[:, None])
+        if info > 0:
+            raise LinAlgError("singular Schur complement")
+        return y - Z @ mu[:, 0]
 
 
 def lbfgs(
@@ -140,10 +177,13 @@ def damped_newton(
     below 1e-7, so a run through a nonconvex region does not climb the
     whole ladder on every step.  The factorization is LU, not Cholesky,
     because the leading block of a bordered system may be indefinite at a
-    valid step.  info.factorizations counts the solves, tau retries
-    included.  Stops on the gradient sup-norm; on energy stagnation
-    (FD-roundoff floor), either after a full step or two stagnant steps in
-    a row that changed the energy by less than
+    valid step.  A retry whose tau changes no diagonal entry (one below
+    half an ulp of each, as the first rungs are on stiff Hessians) reuses
+    the last solve of the step (`BandedSystem.solve`), so
+    info.factorizations counts the LAPACK factorizations actually done,
+    tau retries included.  Stops on the gradient sup-norm; on energy
+    stagnation (FD-roundoff floor), either after a full step or two
+    stagnant steps in a row that changed the energy by less than
     stagnation_rtol * max(1, |E|), or before any line-search trial whose
     predicted decrease -step g.d is below that threshold (at step 1 the
     Newton decrement), keeping the last accepted iterate; on an energy
@@ -165,11 +205,11 @@ def damped_newton(
         if info.gradient_norm < gtol:
             break
         system = hess(x)
+        rhs, done = -g, system.factorizations
         tau = tau / 10.0 if tau >= 1e-6 else 0.0
         for _ in range(30):
-            info.factorizations += 1
             try:
-                d = system.solve(-g, tau)
+                d = system.solve(rhs, tau)
             except LinAlgError:
                 d = None
             if d is not None and np.all(np.isfinite(d)) and g @ d < 0:
@@ -177,6 +217,8 @@ def damped_newton(
             tau = max(1e-8, 10.0 * tau)
         else:
             info.message = "no descent direction found"
+        info.factorizations += system.factorizations - done
+        if info.message:
             break
         step = 1.0
         slope = g @ d

@@ -221,16 +221,22 @@ def _quotient_functions(kernel, w: DoubleWell):
     degenerate denominator; grad(v), 0 there; and
     system(v), the bordered [[H0, U], [V^T, -I]] with the banded
     H0 = (N'' - Q D'') / D and the rank-2 quotient-rule term U V^T,
-    U = [-g, -D'/D] and V = [D'/D, g].  system reuses the parts of the
-    last grad call when it is at the same v, as in the Newton driver."""
-    last = {}
+    U = [-g, -D'/D] and V = [D'/D, g].  grad reuses the terms of the last
+    value call, and system the parts of the last grad call, when it is at
+    the same v (the same array object), as in the Newton driver."""
+    last, seen = {}, {}
+
+    def terms(v):
+        if seen.get("v") is not v:
+            seen.update(v=v, terms=kernel.terms(v, w))
+        return seen["terms"]
 
     def value(v):
-        pot, D, high = kernel.terms(v, w)
+        pot, D, high = terms(v)
         return (pot + high) / D if D > DENOMINATOR_FLOOR else np.inf
 
     def grad(v):
-        pot, D, high = kernel.terms(v, w)
+        pot, D, high = terms(v)
         if D <= DENOMINATOR_FLOOR:
             return np.zeros_like(v)
         Q = (pot + high) / D

@@ -55,18 +55,30 @@ class DiscreteEnergy:
         high = diff_operator(grid, n, accuracy_order)
         self.d_high = high.matrix
         if n == 1:
+            low = None
             self.d_low = sp.identity(grid.num_points, format="csr")
             low_weights = np.ones((grid.num_points, 1))
         else:
             low = diff_operator(grid, n - 1, accuracy_order)
             self.d_low = low.matrix
             low_weights = low.weights
-        # the stencil row weights of D_{n-1} and D_n
+        # the operators D_{n-1} (None for the identity) and D_n, and their
+        # stencil row weights
+        self._operators = (low, high)
         self._weights = (low_weights, high.weights)
 
     @cached_property
     def K_low(self) -> sp.dia_matrix:
-        return _dia_view(self._bands[1])
+        """K_low on the diagonals within the reach of D_{n-1}, the inner
+        rows of its band; the rows outside are 0."""
+        return _dia_view(self._bands[1][self._low_rows])
+
+    @property
+    def _low_rows(self) -> slice:
+        """The band rows b - r .. b + r of K_low, r the reach of the D_{n-1}
+        stencil window: b - 1 for n >= 2, 0 for the identity at n = 1."""
+        b, r = self.bandwidth, self._weights[0].shape[1] - 1
+        return slice(b - r, b + r + 1)
 
     @cached_property
     def K_high(self) -> sp.dia_matrix:
@@ -135,11 +147,14 @@ class DiscreteEnergy:
             * self.q[free]
         )
         if c_low != 0.0:
-            ab += c_low * band_low[:, free]
-        # couplings to points outside the block fall outside the matrix
-        for k in range(1, b + 1):
-            ab[b - k, :k] = 0.0
-            ab[b + k, ab.shape[1] - k:] = 0.0
+            rows = self._low_rows
+            ab[rows] += c_low * band_low[rows, free]
+        # couplings to points outside a proper block fall outside the
+        # matrix; for the whole range those entries are 0 already
+        if free.indices(len(self.q)) != (0, len(self.q), 1):
+            for k in range(1, b + 1):
+                ab[b - k, :k] = 0.0
+                ab[b + k, ab.shape[1] - k:] = 0.0
         return ab
 
     def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
@@ -317,9 +332,9 @@ def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
     derivatives match central differences of `evaluate` to roundoff.
     """
     k = DiscreteEnergy(u.grid, p.n, p.accuracy_order, p.rule)
-    q, eps = k.q, p.epsilon
-    g = np.asarray(w.eval_derivative(u.values), dtype=float) * q / eps
-    d_low, d_high, v = k.d_low, k.d_high, u.values
-    g -= 2.0 * p.lam * eps ** (2 * p.n - 3) * (d_low.T @ (q * (d_low @ v)))
-    g += 2.0 * eps ** (2 * p.n - 1) * (d_high.T @ (q * (d_high @ v)))
+    q, eps, v = k.q, p.epsilon, u.values
+    low, high = k._operators
+    g = np.asarray(w.eval_derivative(v), dtype=float) * q / eps
+    g -= 2.0 * p.lam * eps ** (2 * p.n - 3) * (low.transpose @ (q * low(v)))
+    g += 2.0 * eps ** (2 * p.n - 1) * (high.transpose @ (q * high(v)))
     return Field(u.grid, g)

@@ -147,8 +147,9 @@ class MinimizeEnergyResult:
     """Minimizer field, its energy breakdown, and run diagnostics:
     converged means gradient_norm < max(gtol, gradient_floor), the
     roundoff floor of the assembled gradient at the minimizer, and no
-    divergence.  factorizations counts the banded LU solves of the Newton
-    steps, tau retries included (0 under L-BFGS)."""
+    divergence.  factorizations counts the LAPACK factorizations of the
+    Newton steps, tau retries that change the shifted matrix included
+    (0 under L-BFGS)."""
 
     field: Field
     breakdown: EnergyBreakdown

@@ -9,7 +9,7 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, prod
 from typing import Tuple
 
@@ -142,7 +142,8 @@ class DiffOperator:
     (num_points, m)) at columns starts[i] .. starts[i] + m - 1, where
     starts = `window_starts(num_points, m)`: consecutive in the interior,
     clamped at each end.  `matrix` is the same operator in CSR form,
-    sharing the weights' memory.
+    sharing the weights' memory, and `transpose` its transpose in CSC form,
+    built on first use and sharing the same arrays.
     """
 
     k: int
@@ -154,6 +155,10 @@ class DiffOperator:
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ values
+
+    @cached_property
+    def transpose(self) -> sp.csc_matrix:
+        return self.matrix.T
 
 
 def window_starts(n: int, m: int) -> np.ndarray:

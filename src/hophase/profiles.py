@@ -94,8 +94,8 @@ class ProfileResult:
     """Minimizer, its energy, and convergence diagnostics: converged means
     gradient_norm_final < max(gtol, gradient_floor), the roundoff floor of
     the assembled gradient at the minimizer, and no divergence.
-    factorizations counts the banded LU solves of the Newton steps, tau
-    retries included (0 under L-BFGS)."""
+    factorizations counts the LAPACK factorizations of the Newton steps,
+    tau retries that change the shifted matrix included (0 under L-BFGS)."""
 
     minimizer: Field
     energy_estimate: float

@@ -208,3 +208,48 @@ class TestVerifySubcritical:
     def test_order_three_band(self, quartic):
         rep = verify_subcritical(3, 4e-4, 100, quartic, seed=1)
         assert rep.passed
+
+
+class TestQuotientNewton:
+    def kernel_and_functions(self, quartic):
+        from hophase.critical import _quotient_functions
+
+        kernel = DiscreteEnergy(Grid(0.0, 1.0, 201), 2)
+        return kernel, _quotient_functions(kernel, quartic)
+
+    def test_one_two_column_solve_per_factorization(self, quartic, monkeypatch):
+        # the border U = [-g, -gD] repeats the right-hand side -g, which is
+        # solved once
+        from hophase import _solvers
+        from hophase.critical import _minimize_quotient
+
+        dgbsv, calls = _solvers.dgbsv, []
+
+        def gbsv(lo, up, ab, b, **kwargs):
+            calls.append(b.shape[1])
+            return dgbsv(lo, up, ab, b, **kwargs)
+
+        monkeypatch.setattr(_solvers, "dgbsv", gbsv)
+        kernel, functions = self.kernel_and_functions(quartic)
+        x = np.linspace(0.0, 1.0, 201)
+        u0 = np.tanh((x - 0.5) / 0.12)
+        _, info = _minimize_quotient(functions, quartic, u0, 50, gtol=1e-10)
+        assert info.newton_iterations > 0
+        assert calls and set(calls) == {2}
+        assert info.factorizations == len(calls)
+
+    def test_grad_reuses_the_terms_of_value_at_the_same_array(self, quartic):
+        kernel, (value, grad, _) = self.kernel_and_functions(quartic)
+        terms, count = kernel.terms, []
+
+        def counted(*args):
+            count.append(1)
+            return terms(*args)
+
+        kernel.terms = counted
+        v = np.sin(3.0 * np.linspace(0.0, 1.0, 201))
+        value(v)
+        g = grad(v)
+        assert len(count) == 1
+        np.testing.assert_array_equal(grad(v.copy()), g)
+        assert len(count) == 2

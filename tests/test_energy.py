@@ -148,6 +148,24 @@ class TestGradient:
         assert np.abs(gu).max() < 1e-9
 
 
+    @pytest.mark.parametrize("num_points", (501, 4097, 16385))
+    def test_equals_the_sparse_adjoint_products(self, quartic, num_points):
+        # the transposes come from the operator cache, and are the same
+        # arrays as d.T, so the gradient keeps its bits
+        g = Grid(0.0, 1.0, num_points)
+        u = make_ensemble(g, 1, seed=num_points)[0]
+        p = EnergyParams(3, 0.05, 0.01)
+        k = DiscreteEnergy(g, p.n)
+        q, eps, v = k.q, p.epsilon, u.values
+        expected = np.asarray(quartic.eval_derivative(v), dtype=float) * q / eps
+        expected -= 2.0 * p.lam * eps ** 3 * (k.d_low.T @ (q * (k.d_low @ v)))
+        expected += 2.0 * eps ** 5 * (k.d_high.T @ (q * (k.d_high @ v)))
+        np.testing.assert_array_equal(gradient(u, p, quartic).values, expected)
+        for op in k._operators:
+            assert op.transpose is op.transpose
+            assert np.shares_memory(op.transpose.data, op.matrix.data)
+
+
 class TestDiscreteEnergy:
     """The one discretization kernel, on a coarse grid for every order the
     stencils support."""
@@ -232,6 +250,31 @@ class TestDiscreteEnergy:
                 product = 2.0 * (d.T @ sp.diags(k.q) @ d)
                 np.testing.assert_array_equal(band, to_band(product, b, b))
                 np.testing.assert_array_equal(K @ u, product @ u)
+
+    @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_low_form_keeps_to_the_reach_of_its_stencil(self, quartic, n):
+        # D_{n-1} reaches one point less far than D_n (not at all for the
+        # identity at n = 1), so K_low's outer band rows are 0 and its view
+        # and the Hessian leave them out, with the same bits as the whole band
+        k = DiscreteEnergy(self.GRID, n)
+        b, band_low, band_high = k._bands
+        r = b - 1 if n > 1 else 0
+        np.testing.assert_array_equal(k.K_low.offsets, np.arange(-r, r + 1))
+        assert not band_low[: b - r].any() and not band_low[b + r + 1:].any()
+        u = self.field(n)
+        size = len(u)
+        offsets = np.arange(-b, b + 1)
+        whole = sp.dia_matrix((band_low[::-1], offsets), shape=(size, size))
+        np.testing.assert_array_equal(k.K_low @ u, whole @ u)
+        c = (0.7, -0.3, 1.1)
+        for free in (slice(None), slice(b, size - b)):
+            ab = c[2] * band_high[:, free]
+            ab[b] += c[0] * quartic.eval_second_derivative(u[free]) * k.q[free]
+            ab += c[1] * band_low[:, free]
+            for j in range(1, b + 1):
+                ab[b - j, :j] = 0.0
+                ab[b + j, ab.shape[1] - j:] = 0.0
+            np.testing.assert_array_equal(k.hess(u, quartic, c, free), ab)
 
     def test_order_one_uses_the_identity_below(self, quartic):
         k = DiscreteEnergy(self.GRID, 1)

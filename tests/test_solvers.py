@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbsv
 
-from hophase import DiscreteEnergy, Grid
+from hophase import DiscreteEnergy, Grid, _solvers
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
 from hophase.energy import to_band
 
@@ -293,3 +294,128 @@ def test_to_band_matches_the_dense_band_in_every_format(upper_only):
     )
     for A in (K, K.tocsc(), twice):
         np.testing.assert_array_equal(to_band(A, lo, b), expected)
+
+
+def plain_solve(system, rhs, tau):
+    """The bordered solve without the repeated-work savings: a C-ordered
+    band buffer, column_stack([rhs, B]) for gbsv and np.linalg.solve for
+    the Schur step."""
+    lo, up = system.lo, system.up
+    ab = np.empty((2 * lo + up + 1, system.ab.shape[1]))
+    ab[:lo] = 0.0
+    ab[lo:] = system.ab
+    ab[lo + up] += tau
+    k = system.E.shape[0]
+    cols = np.column_stack([rhs, system.B]) if k else rhs
+    _, _, sol, info = dgbsv(lo, up, ab, cols, overwrite_ab=True)
+    assert info == 0
+    if not k:
+        return sol
+    y, Z = sol[:, 0], sol[:, 1:]
+    mu = np.linalg.solve(system.E - system.C @ Z, -system.C @ y)
+    return y - Z @ mu
+
+
+def counted_gbsv(monkeypatch):
+    """Record the number of right-hand sides of every gbsv call."""
+    calls = []
+
+    def gbsv(lo, up, ab, b, **kwargs):
+        calls.append(1 if b.ndim == 1 else b.shape[1])
+        return dgbsv(lo, up, ab, b, **kwargs)
+
+    monkeypatch.setattr(_solvers, "dgbsv", gbsv)
+    return calls
+
+
+@pytest.mark.parametrize("n", (2, 3))
+def test_solve_matches_the_plain_solve(n, quartic):
+    grid = Grid(-10.0, 10.0, 501)
+    kernel = DiscreteEnergy(grid, n)
+    u = np.tanh(grid.nodes())
+    ab, b = kernel.hess(u, quartic, (1.0, -0.01, 1.0)), kernel.bandwidth
+    rhs = np.cos(grid.nodes())
+    q = kernel.q
+    g, gD = np.sin(grid.nodes()), kernel.K_low @ u
+    systems = [
+        # no border: the same gbsv call, so the same bits
+        (BandedSystem(ab, b), 0.0),
+        # the mass border, and the quotient's rank-2 border with and without
+        # the right-hand side as its first column: the Schur step runs on
+        # scipy's LAPACK, not numpy's
+        (BandedSystem(ab, b, q[:, None], q[None, :], np.zeros((1, 1))), 1e-15),
+    ]
+    for first in (-g, rhs):
+        B = np.column_stack([first, -gD])
+        systems.append((BandedSystem(ab, b, B, B[:, ::-1].T, -np.eye(2)), 1e-15))
+    for system, rtol in systems:
+        for tau in (0.0, 1e-3, 10.0):
+            for r in (rhs, -g):
+                got, expected = system.solve(r, tau), plain_solve(system, r, tau)
+                if rtol:
+                    np.testing.assert_allclose(got, expected, rtol=rtol)
+                else:
+                    np.testing.assert_array_equal(got, expected)
+
+
+def test_a_tau_that_changes_no_diagonal_entry_is_not_factored(monkeypatch):
+    calls = counted_gbsv(monkeypatch)
+    # every diagonal entry is 1e12 or more, so a shift of 1e-8 rounds away
+    H = 1e12 * (LAP + sp.identity(M))
+    system = as_system(H)
+    rhs = np.cos(np.arange(M))
+    d = system.solve(rhs)
+    assert system.solve(rhs, 1e-8) is d
+    assert system.solve(rhs.copy(), 1e-6) is d
+    assert len(calls) == system.factorizations == 1
+    # a shift that does change the diagonal is factored
+    assert not np.array_equal(system.solve(rhs, 1e3), d)
+    assert len(calls) == system.factorizations == 2
+    # and so is another right-hand side at the same shift
+    system.solve(rhs + 1.0, 1e3)
+    assert len(calls) == system.factorizations == 3
+
+
+def test_a_singular_block_raises_again_without_factoring(monkeypatch):
+    calls = counted_gbsv(monkeypatch)
+    # the Neumann Laplacian annihilates constants; 1e-8 is far below half an
+    # ulp of its diagonal at this scale
+    system = as_system(1e10 * (LAP - sp.diags(np.r_[1.0, np.zeros(M - 2), 1.0])))
+    for tau in (0.0, 1e-8, 1e-7):
+        with pytest.raises(LinAlgError):
+            system.solve(np.ones(M), tau)
+    assert len(calls) == system.factorizations == 1
+    assert np.all(np.isfinite(system.solve(np.ones(M), 1e3)))
+    assert len(calls) == 2
+
+
+def test_factorizations_count_the_gbsv_calls_and_skip_no_op_shifts(monkeypatch):
+    # a stiff nonconvex problem: the ladder climbs tau = 1e-8, 1e-7, ...,
+    # and the rungs far below an ulp of the 1e12-sized diagonal leave the
+    # shifted matrix unchanged
+    scale = 1e12
+    args = (
+        lambda x: scale * fun(x),
+        lambda x: scale * grad(x),
+        lambda x: as_system(scale * hess_matrix(x)),
+        X0,
+    )
+    calls = counted_gbsv(monkeypatch)
+    x, info = damped_newton(*args, gtol=1e-2)
+    assert info.factorizations == len(calls)
+
+    # the same run with every rung factored takes the same steps
+    solve = BandedSystem.solve
+
+    def refactor(self, rhs, tau=0.0):
+        self._last = None
+        return solve(self, rhs, tau)
+
+    monkeypatch.setattr(BandedSystem, "solve", refactor)
+    x_all, info_all = damped_newton(*args, gtol=1e-2)
+    np.testing.assert_array_equal(x, x_all)
+    assert info.message == info_all.message
+    assert info.energy == info_all.energy
+    assert [h["tau"] for h in info.history] == [h["tau"] for h in info_all.history]
+    assert info_all.factorizations == len(calls) - info.factorizations
+    assert info.factorizations < info_all.factorizations
