@@ -7,7 +7,7 @@ witness CSVs, sweep tables) are also written into DIR.
     hophase profile       --n 2 --lambda 0.017 [--T 10 --points 2001]
     hophase lambda-n      --n 2 [--starts 16 --seed 0 --points 501]
     hophase check-ineq    --which intlem [--count 500 --seed 0 ...]
-    hophase minimize      --config cfg.json
+    hophase minimize      --config cfg.json [--seed S]
     hophase gamma-sweep   --config cfg.json [--threads 4]
     hophase supercritical --config cfg.json
 
@@ -232,23 +232,28 @@ def _cmd_minimize(args) -> int:
     w = get_potential(cfg.get("potential", "quartic"))
     a, b = cfg.get("interval", (-4.0, 4.0))
     num_points = int(cfg.get("num_points", round((b - a) / (eps / 32)) + 1))
-    grid = Grid(a, b, num_points)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    accuracy_order = cfg.get("accuracy_order", 4)
+    seed = args.seed if args.seed is not None else cfg.get("seed")
 
     init_spec = cfg.get("init", "recovery")
+    if seed is not None and init_spec != "random":
+        raise ValueError(
+            f"a seed acts only with init 'random', not with {init_spec!r}"
+        )
     if init_spec == "recovery":
         from .profiles import JumpFunction
 
         jump_fn = JumpFunction(
             a, b, tuple(cfg.get("jumps", (0.0,))), cfg.get("left_value", -1.0)
         )
-        prob = ProfileProblem(
-            n, lam, cfg.get("profile_T", 5.0), cfg.get("profile_points", 2001), w
-        )
-        prof = minimize_profile(prob)
-        init = build_recovery(jump_fn, prof.minimizer, eps)
+        T, points = cfg.get("profile_T", 5.0), cfg.get("profile_points", 2001)
+        prof = minimize_profile(ProfileProblem(n, lam, T, points, w, accuracy_order))
+        # the recovery's grid is the configured one: num_points over the interval
+        ppe = (num_points - 1) * eps / (b - a)
+        init = build_recovery(jump_fn, prof.minimizer, eps, ppe)
     elif init_spec == "random":
-        init = random_field(grid, np.random.default_rng(seed), "fourier")
+        rng = np.random.default_rng(int(seed or 0))
+        init = random_field(Grid(a, b, num_points), rng, "fourier")
     else:
         init = field_from_csv(Path(init_spec).read_text())
 
@@ -262,7 +267,7 @@ def _cmd_minimize(args) -> int:
         gtol=cfg.get("gtol", 1e-7),
         maxiter=cfg.get("maxiter", 2000),
         divergence_floor=cfg.get("divergence_floor"),
-        accuracy_order=cfg.get("accuracy_order", 4),
+        accuracy_order=accuracy_order,
     )
     payload = {
         "n": n,
@@ -284,9 +289,8 @@ def _cmd_minimize(args) -> int:
 
 _SWEEP_KEYS = {
     "n", "lam", "potential", "interval", "jumps", "left_value",
-    "eps_schedule", "points_per_eps_width", "mass_constraint", "seed",
-    "output_dir", "profile_T", "profile_points", "lambda_hat",
-    "accuracy_order",
+    "eps_schedule", "points_per_eps_width", "mass_constraint", "output_dir",
+    "profile_T", "profile_points", "lambda_hat", "accuracy_order",
 }
 
 
@@ -295,8 +299,6 @@ def _cmd_gamma_sweep(args) -> int:
     for key in ("interval", "jumps", "eps_schedule"):
         if key in cfg:
             cfg[key] = tuple(cfg[key])
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     if args.out is not None:
         cfg["output_dir"] = args.out
     record = gamma_sweep(SweepConfig(**cfg), threads=args.threads)
@@ -339,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
     p = sub.add_parser("hermite", help="solve one coupling-polynomial system")
     p.add_argument("--n", type=int, required=True)
@@ -364,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--potential", default="quartic")
     p.add_argument("--starts", type=int, default=16)
     p.add_argument("--points", type=int, default=501)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_lambda_n)
-    p.set_defaults(seed=0)
 
     p = sub.add_parser("check-ineq", help="run one inequality check over an ensemble")
     p.add_argument(
@@ -392,11 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam-frac", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--epsilon", type=float, default=0.25)
+    p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=_cmd_check_ineq, seed=0)
+    p.set_defaults(func=_cmd_check_ineq)
 
     p = sub.add_parser("minimize", help="minimize one energy from a JSON config")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=None, help="seed of the random init")
     common(p)
     p.set_defaults(func=_cmd_minimize)
 

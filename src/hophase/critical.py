@@ -28,6 +28,7 @@ from .potentials import DoubleWell
 
 __all__ = [
     "DENOMINATOR_FLOOR",
+    "DegenerateQuotient",
     "QuotientResult",
     "LambdaOptions",
     "LambdaEstimate",
@@ -52,6 +53,28 @@ class QuotientResult:
     argmin_field: Field
 
 
+class DegenerateQuotient(ValueError):
+    """The field's int (u^(n-1))^2 is at or below DENOMINATOR_FLOOR."""
+
+
+def _quotient_terms(
+    u: Field, n: int, w: DoubleWell, accuracy_order: int, rule: str, length: float
+) -> Tuple[float, float, float]:
+    """(potential, denominator, high) of Q[u] with the |I|-weights of an
+    interval of the given length."""
+    if n < 2:
+        raise ValueError("quotient requires n >= 2")
+    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order, rule).terms(
+        u.values, w
+    )
+    if den <= DENOMINATOR_FLOOR:
+        raise DegenerateQuotient(
+            "quotient undefined: int (u^(n-1))^2 = "
+            f"{den:.3e} <= {DENOMINATOR_FLOOR:.0e}"
+        )
+    return length ** (-(2 * n - 2)) * pot, den, length**2 * high
+
+
 def quotient(
     u: Field,
     n: int,
@@ -59,19 +82,8 @@ def quotient(
     accuracy_order: int = 4,
     rule: str = "trapezoid",
 ) -> QuotientResult:
-    """Q[u] on the field's own interval; raises on degenerate denominator."""
-    if n < 2:
-        raise ValueError("quotient requires n >= 2")
-    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order, rule).terms(
-        u.values, w
-    )
-    L = u.grid.length
-    pot, high = L ** (-(2 * n - 2)) * pot, L**2 * high
-    if den <= DENOMINATOR_FLOOR:
-        raise ValueError(
-            "quotient undefined: int (u^(n-1))^2 = "
-            f"{den:.3e} <= {DENOMINATOR_FLOOR:.0e}"
-        )
+    """Q[u] on the field's own interval; raises `DegenerateQuotient` if degenerate."""
+    pot, den, high = _quotient_terms(u, n, w, accuracy_order, rule, u.grid.length)
     return QuotientResult(
         value=(pot + high) / den,
         numerator_parts=(pot, high),
@@ -86,11 +98,7 @@ def subdivided_quotient(
     """Truncated real-line form: unit-length normalization regardless of
     the actual interval, matching the subdivision of a long interval into
     unit pieces (each contributing with |I_i| = 1 weights)."""
-    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order, rule).terms(
-        u.values, w
-    )
-    if den <= DENOMINATOR_FLOOR:
-        raise ValueError("quotient undefined: degenerate denominator")
+    pot, den, high = _quotient_terms(u, n, w, accuracy_order, rule, 1.0)
     return (pot + high) / den
 
 
@@ -401,7 +409,8 @@ def verify_subcritical(
     The ensemble lives on (0,1); when include_subdivision is set, every
     fourth field is drawn on a longer interval (0,K) and checked in the
     unit-normalized real-line form (the subdivision into unit intervals).
-    Fields with degenerate denominator are skipped, not failed.  Witness
+    Fields with degenerate denominator are skipped, not failed; any other
+    rejected input (n < 2, a grid too small for the stencil) raises.  Witness
     fields (e.g. the argmin from `estimate_lambda_n`) can be appended via
     extra_fields; with lam > lambda_hat_n the witness violates by
     construction.
@@ -431,7 +440,7 @@ def verify_subcritical(
                 qv = subdivided_quotient(f, n, w)
             else:
                 qv = quotient(f, n, w).value
-        except ValueError:
+        except DegenerateQuotient:
             skipped += 1
             continue
         if qv < min_q:

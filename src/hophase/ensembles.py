@@ -18,6 +18,7 @@ Here t = (x - a)/(b - a) is the normalized coordinate of the field's grid.
 Identical seeds give identical ensembles.
 """
 
+from functools import cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -29,14 +30,10 @@ __all__ = ["random_field", "make_ensemble", "DEFAULT_KINDS"]
 
 DEFAULT_KINDS: Tuple[str, ...] = ("fourier", "tanh_ramp", "hermite_step")
 
-_STEP_POLY = None
 
-
+@cache
 def _step_poly():
-    global _STEP_POLY
-    if _STEP_POLY is None:
-        _STEP_POLY = solve_zeta((-1.0, 0.0, 0.0, 0.0))
-    return _STEP_POLY
+    return solve_zeta((-1.0, 0.0, 0.0, 0.0))
 
 
 def random_field(grid: Grid, rng: np.random.Generator, kind: str) -> Field:

@@ -58,7 +58,6 @@ class SweepConfig:
     eps_schedule: Tuple[float, ...] = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
     points_per_eps_width: int = 32
     mass_constraint: Optional[float] = None
-    seed: int = 0
     output_dir: Optional[str] = None
     profile_T: float = 5.0
     profile_points: int = 2001

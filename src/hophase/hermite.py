@@ -29,7 +29,7 @@ for numerics.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -104,10 +104,6 @@ class CouplingPolynomial:
         return eval_poly(self, x, k)
 
 
-def _fact(i: int) -> int:
-    return factorial(i)
-
-
 def coefficient_matrix_exact(n: int) -> List[List[int]]:
     """Exact integer 2n x 2n system matrix for the zeta conditions.
 
@@ -121,9 +117,9 @@ def coefficient_matrix_exact(n: int) -> List[List[int]]:
     size = 2 * n
     M = [[0] * size for _ in range(size)]
     for k in range(n):
-        M[k][k] = _fact(k)
+        M[k][k] = factorial(k)
         for j in range(k, size):
-            M[n + k][j] = _fact(j) // _fact(j - k)
+            M[n + k][j] = perm(j, k)
     return M
 
 
@@ -243,7 +239,7 @@ def eval_poly(p: CouplingPolynomial, x, k: int = 0):
         total = Fraction(0)
         power = Fraction(1)
         for i in range(deg - k + 1):
-            total += Fraction(_fact(k + i), _fact(i)) * a[k + i] * power
+            total += perm(k + i, k) * a[k + i] * power
             power *= xf
         return total
     return np.polynomial.polynomial.polyval(
@@ -255,9 +251,7 @@ def eval_poly(p: CouplingPolynomial, x, k: int = 0):
 def _float_derivative_coefficients(a: Tuple[Fraction, ...], k: int) -> np.ndarray:
     """Float monomial coefficients of the k-th derivative of the polynomial
     with exact coefficients a (read-only: every caller shares the array)."""
-    coeffs = np.array(
-        [float(Fraction(_fact(k + i), _fact(i)) * a[k + i]) for i in range(len(a) - k)]
-    )
+    coeffs = np.array([float(perm(k + i, k) * a[k + i]) for i in range(len(a) - k)])
     coeffs.flags.writeable = False
     return coeffs
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import EnergyParams, evaluate
 from .ensembles import DEFAULT_KINDS, random_field
-from .grids import Field, Grid, diff_operator, quadrature_weights
+from .grids import Field, Grid, derivative, quadrature_weights
 from .potentials import DoubleWell
 
 __all__ = [
@@ -108,10 +108,6 @@ def intlem_constant(q: float) -> float:
     return 8.0 * (q + 1.0) ** (1.0 / q)
 
 
-def _deriv_field(u: Field, k: int, accuracy_order: int = 4) -> Field:
-    return Field(u.grid, diff_operator(u.grid, k, accuracy_order)(u.values))
-
-
 def check_intlem(u: Field, p: float, q: float, r: float) -> CheckReport:
     """First-derivative interpolation with the explicit constant:
 
@@ -120,9 +116,9 @@ def check_intlem(u: Field, p: float, q: float, r: float) -> CheckReport:
     """
     L = u.grid.length
     C = intlem_constant(q)
-    lhs = lp_norm(_deriv_field(u, 1), p)
+    lhs = lp_norm(derivative(u, 1), p)
     rhs = C * (
-        L ** (1.0 + 1.0 / p - 1.0 / r) * lp_norm(_deriv_field(u, 2), r)
+        L ** (1.0 + 1.0 / p - 1.0 / r) * lp_norm(derivative(u, 2), r)
         + L ** (-1.0 + 1.0 / p - 1.0 / q) * lp_norm(u, q)
     )
     return _report(lhs, rhs, f"field on ({u.grid.a:.3g},{u.grid.b:.3g})", C=C)
@@ -140,10 +136,10 @@ def check_nirineq(u: Field, n: int, sigma: float, c_probe: float) -> CheckReport
     if not 0 < sigma <= L:
         raise ValueError(f"sigma must satisfy 0 < sigma <= |I| = {L:.4g}")
     qw = quadrature_weights(u.grid, "trapezoid")
-    lo = float(qw @ _deriv_field(u, n - 1).values ** 2)
+    lo = float(qw @ derivative(u, n - 1).values ** 2)
     lhs = c_probe * lo
     rhs = sigma ** (-(2 * n - 2)) * float(qw @ u.values**2) + sigma**2 * float(
-        qw @ _deriv_field(u, n).values ** 2
+        qw @ derivative(u, n).values ** 2
     )
     empirical = rhs / lo if lo > 0 else np.inf
     return _report(
@@ -165,8 +161,8 @@ def check_gagnir_interval(
     reported; with C_probe = None the check passes whenever the required
     constant is finite.
     """
-    lhs = lp_norm(_deriv_field(u, gp.j), gp.p) if gp.j >= 1 else lp_norm(u, gp.p)
-    high = lp_norm(_deriv_field(u, gp.m), gp.r)
+    lhs = lp_norm(derivative(u, gp.j), gp.p) if gp.j >= 1 else lp_norm(u, gp.p)
+    high = lp_norm(derivative(u, gp.m), gp.r)
     low = lp_norm(u, gp.q)
     bracket = high**gp.theta * low ** (1.0 - gp.theta) + low
     required = lhs / bracket if bracket > 0 else (0.0 if lhs == 0 else np.inf)
@@ -191,8 +187,8 @@ def check_abstr(
     minimal passing constant (lhs - ||u^(m)||_r)/||u||_q is reported."""
     if not 0 <= j < m:
         raise ValueError("need 0 <= j < m")
-    lhs = lp_norm(_deriv_field(u, j), r) if j >= 1 else lp_norm(u, r)
-    high = lp_norm(_deriv_field(u, m), r)
+    lhs = lp_norm(derivative(u, j), r) if j >= 1 else lp_norm(u, r)
+    high = lp_norm(derivative(u, m), r)
     low = lp_norm(u, q)
     rhs = high + C_probe * low
     minimal = max(0.0, (lhs - high) / low) if low > 0 else 0.0

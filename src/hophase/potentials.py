@@ -5,7 +5,7 @@ coercivity away from the wells with an explicit constant L.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -38,8 +38,6 @@ class DoubleWell:
     coercivity_L: float
     name: str = "custom"
     eval_second_derivative: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    wells: Tuple[float, float] = (-1.0, 1.0)
 
     def __call__(self, t):
         return self.eval(t)

@@ -95,7 +95,10 @@ class ProfileResult:
     gradient_norm_final < max(gtol, gradient_floor), the roundoff floor of
     the assembled gradient at the minimizer, and no divergence.
     factorizations counts the LAPACK factorizations of the Newton steps,
-    tau retries that change the shifted matrix included (0 under L-BFGS)."""
+    tau retries that change the shifted matrix included (0 under L-BFGS).
+    After a multistart (`minimize_profile` with init = None), iterations
+    and factorizations are those of the winning start only; the other
+    starts' work is not counted."""
 
     minimizer: Field
     energy_estimate: float
@@ -330,7 +333,7 @@ def build_recovery(
     u: JumpFunction,
     profile: Field,
     eps: float,
-    points_per_eps: int = 32,
+    points_per_eps: float = 32,
 ) -> Field:
     """Paste the rescaled profile into eps-windows around each jump.
 

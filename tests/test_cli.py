@@ -210,6 +210,51 @@ class TestMinimize:
         with pytest.raises(SystemExit, match="unknown config keys"):
             cli.main(["minimize", "--config", str(path)])
 
+    def test_recovery_init_is_built_on_the_configured_grid(self, tmp_path, capsys):
+        cfg = {
+            "epsilon": 0.25,
+            "jumps": [0.0],
+            "profile_T": 4.0,
+            "profile_points": 801,
+            "num_points": 513,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc, payload = run(capsys, ["minimize", "--config", str(path)])
+        assert rc == 0
+        assert payload["num_points"] == 513
+        assert payload["converged"] is True
+
+    @pytest.mark.parametrize(
+        "cfg, argv",
+        [({}, ["--seed", "3"]), ({"seed": 3}, []), ({"init": "x.csv", "seed": 3}, [])],
+    )
+    def test_seed_without_random_init_is_a_usage_error(
+        self, tmp_path, capsys, cfg, argv
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epsilon": 0.25, **cfg}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["minimize", "--config", str(path), *argv])
+        assert exit_info.value.code == 2
+        assert "a seed acts only with init 'random'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hermite", "--n", "2", "--y", "1,0"],
+        ["profile", "--n", "2"],
+        ["supercritical", "--config", "cfg.json"],
+        ["gamma-sweep", "--config", "cfg.json"],
+    ],
+)
+def test_seed_is_rejected_where_nothing_is_random(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--seed", "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
 
 class TestGammaSweep:
     def test_sweep_writes_artifacts(self, tmp_path, capsys):
@@ -237,6 +282,12 @@ class TestGammaSweep:
         assert (tmp_path / f"{stem}.json").exists()
         csv_text = (tmp_path / f"{stem}.csv").read_text()
         assert csv_text.startswith("epsilon,E_min,E_recovery")
+
+    def test_seed_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"eps_schedule": [0.25], "seed": 1}))
+        with pytest.raises(SystemExit, match=r"unknown config keys: \['seed'\]"):
+            cli.main(["gamma-sweep", "--config", str(path)])
 
 
 class TestSupercritical:

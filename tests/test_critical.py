@@ -77,6 +77,16 @@ class TestQuotient:
                 quotient(u, 2, quartic).value, rel=1e-12
             )
 
+    def test_subdivided_requires_order_two(self, quartic):
+        u = Field.from_callable(Grid(0.0, 2.0, 201), lambda x: x)
+        with pytest.raises(ValueError, match="n >= 2"):
+            subdivided_quotient(u, 1, quartic)
+
+    def test_subdivided_is_quotient_with_unit_weights_bit_for_bit(self, quartic):
+        for u in make_ensemble(Grid(0.0, 3.0, 241), 4, seed=8):
+            pot, den, high = DiscreteEnergy(u.grid, 2).terms(u.values, quartic)
+            assert subdivided_quotient(u, 2, quartic) == (pot + high) / den
+
 
 class TestLambdaEstimate:
     def test_value_in_frozen_band(self, lambda_hat_2):
@@ -207,6 +217,21 @@ class TestVerifySubcritical:
 
     def test_order_three_band(self, quartic):
         rep = verify_subcritical(3, 4e-4, 100, quartic, seed=1)
+        assert rep.passed
+
+    def test_order_below_two_raises(self, quartic):
+        with pytest.raises(ValueError, match="n >= 2"):
+            verify_subcritical(1, 0.0, 8, quartic)
+
+    def test_grid_too_small_for_the_stencil_raises(self, quartic):
+        with pytest.raises(ValueError, match="too small"):
+            verify_subcritical(2, 0.0, 8, quartic, num_points=5)
+
+    def test_degenerate_field_is_skipped(self, quartic):
+        constant = Field(Grid(0.0, 1.0, 101), np.full(101, 0.3))
+        rep = verify_subcritical(2, 0.0, 8, quartic, extra_fields=(constant,))
+        assert rep.num_skipped == 1
+        assert rep.num_checked == 8
         assert rep.passed
 
 

@@ -180,6 +180,11 @@ class TestSweepConfig:
         )
         assert other.config_hash() != h
 
+    def test_seed_is_not_a_setting(self):
+        # a sweep draws no random number
+        with pytest.raises(TypeError):
+            SweepConfig(seed=1)
+
     def test_schedule_must_decrease(self):
         with pytest.raises(ValueError, match="decreasing"):
             SweepConfig(eps_schedule=(0.125, 0.25))

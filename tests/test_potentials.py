@@ -31,6 +31,11 @@ class TestQuartic:
         assert best >= quartic.coercivity_L
         assert best < quartic.coercivity_L * 1.001
 
+    def test_wells_are_not_a_setting(self, quartic):
+        # every check, clamp and recovery uses the wells at -1 and +1
+        with pytest.raises(TypeError):
+            DoubleWell(quartic.eval, quartic.eval_derivative, 1.0, wells=(-2.0, 2.0))
+
     def test_lookup_by_name(self):
         assert get_potential("quartic").name == "quartic"
         with pytest.raises(KeyError):
