@@ -3,12 +3,12 @@
 lambda_n is the largest coefficient for which the concave middle term is
 dominated by the potential + highest-derivative terms on every interval.
 It equals the infimum of a scale-invariant quotient Q[u]; this script
-estimates it by multistart minimization, demonstrates the scale invariance
-that makes a single interval sufficient, and stress-tests subcriticality
-over a random ensemble.
+estimates it by a polynomial-coefficient search refined on a grid,
+demonstrates the scale invariance that makes a single interval
+sufficient, and stress-tests subcriticality over a random ensemble.
 
 This demo runs a reduced-budget estimate for speed; the CLI default
-(`hophase lambda-n --n 2`) uses more starts and a finer grid.
+(`hophase lambda-n --n 2`) uses more polynomial starts and a finer grid.
 """
 
 import numpy as np
@@ -28,9 +28,9 @@ def main():
     w = make_quartic()
 
     print("== reduced-budget estimate of lambda_2 ==")
-    opts = LambdaOptions(num_points=301, seed=0, n_random_starts=4)
+    opts = LambdaOptions(num_points=301, seed=0, poly_starts=4)
     est = estimate_lambda_n(2, w, opts)
-    print(f"  lambda_hat_2 ~= {est.value:.6f}  (4 starts, 301 points)")
+    print(f"  lambda_hat_2 ~= {est.value:.6f}  (4 polynomial starts, 301 points)")
     print(f"  polynomial-ansatz stage alone: {est.diagnostics['poly_stage_value']:.6f}")
 
     print("\n== the quotient is invariant under interval rescaling ==")

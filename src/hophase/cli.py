@@ -5,7 +5,7 @@ witness CSVs, sweep tables) are also written into DIR.
 
     hophase hermite       --n 3 --y "0.5,0,0" [--kind zeta|eta]
     hophase profile       --n 2 --lambda 0.017 [--T 10 --points 2001]
-    hophase lambda-n      --n 2 [--starts 16 --seed 0 --points 501]
+    hophase lambda-n      --n 2 [--seed 0 --points 501]
     hophase check-ineq    --which intlem [--count 500 --seed 0 ...]
     hophase minimize      --config cfg.json [--seed S]
     hophase gamma-sweep   --config cfg.json [--threads 4]
@@ -153,10 +153,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_lambda_n(args) -> int:
     w = get_potential(args.potential)
-    opts = LambdaOptions(
-        num_points=args.points, seed=args.seed, n_random_starts=args.starts
+    est = estimate_lambda_n(
+        args.n, w, LambdaOptions(num_points=args.points, seed=args.seed)
     )
-    est = estimate_lambda_n(args.n, w, opts)
     payload = {
         "n": args.n,
         "lambda_hat": est.value,
@@ -170,13 +169,34 @@ def _cmd_lambda_n(args) -> int:
     return 0
 
 
+#: check-ineq options that only some --which read: (type, default, those
+#: --which).  They parse with default None, so a given one is told from an
+#: omitted one.
+_CHECK_INEQ_ONLY = {
+    "n": (int, 2, ("nirineq", "lowerbound")),
+    "potential": (str, "quartic", ("lowerbound",)),
+    "epsilon": (float, 0.25, ("lowerbound",)),
+    "delta": (float, 0.1, ("lowerbound",)),
+    "lam_frac": (float, 0.3, ("lowerbound",)),
+    "lambda_hat": (float, None, ("lowerbound",)),  # None: estimated
+}
+
+
 def _cmd_check_ineq(args) -> int:
-    w = get_potential(args.potential)
     which = args.which
+    opt = {}
+    for key, (_, default, readers) in _CHECK_INEQ_ONLY.items():
+        value = getattr(args, key)
+        if value is not None and which not in readers:
+            raise ValueError(
+                f"--{key.replace('_', '-')} acts only with --which "
+                f"{' or '.join(readers)}, not with {which}"
+            )
+        opt[key] = default if value is None else value
     if which == "intlem":
         checker = lambda f: check_intlem(f, args.p, args.q, args.r)
     elif which == "nirineq":
-        def checker(f, n=args.n, frac=args.sigma_frac, c=args.c_probe):
+        def checker(f, n=opt["n"], frac=args.sigma_frac, c=args.c_probe):
             return check_nirineq(f, n, frac * f.grid.length, c)
     elif which == "gagnir":
         theta = args.theta
@@ -190,11 +210,12 @@ def _cmd_check_ineq(args) -> int:
     elif which == "abstr":
         checker = lambda f: check_abstr(f, args.j, args.m, args.q, args.r, args.c_probe)
     else:  # lowerbound; argparse restricts the choices
-        lam_hat = args.lambda_hat
+        w = get_potential(opt["potential"])
+        lam_hat = opt["lambda_hat"]
         if lam_hat is None:
-            lam_hat = estimate_lambda_n(args.n, w).value
-        params = EnergyParams(args.n, args.epsilon, args.lam_frac * lam_hat)
-        checker = lambda f: check_lower_bound_lemma(f, params, lam_hat, args.delta, w)
+            lam_hat = estimate_lambda_n(opt["n"], w).value
+        params = EnergyParams(opt["n"], opt["epsilon"], opt["lam_frac"] * lam_hat)
+        checker = lambda f: check_lower_bound_lemma(f, params, lam_hat, opt["delta"], w)
 
     rep = ensemble_check(checker, which, args.count, args.seed)
     payload = {
@@ -222,6 +243,10 @@ _MINIMIZE_KEYS = {
     "jumps", "left_value", "mass", "gtol", "maxiter", "divergence_floor",
     "profile_T", "profile_points", "seed", "accuracy_order",
 }
+#: minimize keys that only the recovery init reads, and the grid keys that
+#: a CSV init (which carries its own grid) does not read
+_RECOVERY_KEYS = {"jumps", "left_value", "profile_T", "profile_points"}
+_GRID_KEYS = {"interval", "num_points"}
 
 
 def _cmd_minimize(args) -> int:
@@ -240,6 +265,11 @@ def _cmd_minimize(args) -> int:
         raise ValueError(
             f"a seed acts only with init 'random', not with {init_spec!r}"
         )
+    unread = set(cfg) & {"recovery": set(), "random": _RECOVERY_KEYS}.get(
+        init_spec, _RECOVERY_KEYS | _GRID_KEYS
+    )
+    if unread:
+        raise ValueError(f"init {init_spec!r} does not read {sorted(unread)}")
     if init_spec == "recovery":
         from .profiles import JumpFunction
 
@@ -363,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lambda-n", help="estimate the critical constant lambda_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--potential", default="quartic")
-    p.add_argument("--starts", type=int, default=16)
     p.add_argument("--points", type=int, default=501)
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -376,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("intlem", "nirineq", "gagnir", "abstr", "lowerbound"),
     )
     p.add_argument("--count", type=int, default=500)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--potential", default="quartic")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--r", type=float, default=2.0)
@@ -389,10 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-frac", type=float, default=1.0,
                    help="sigma as a fraction of each interval length")
     p.add_argument("--c-probe", type=float, default=0.25)
-    p.add_argument("--lambda-hat", type=float, default=None)
-    p.add_argument("--lam-frac", type=float, default=0.3)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--epsilon", type=float, default=0.25)
+    for key, (type_, default, readers) in _CHECK_INEQ_ONLY.items():
+        note = f"{' and '.join(readers)} only (default {default or 'estimated'})"
+        p.add_argument(f"--{key.replace('_', '-')}", type=type_, help=note)
     p.add_argument("--seed", type=int, default=0)
     common(p)
     p.set_defaults(func=_cmd_check_ineq)

@@ -110,12 +110,11 @@ def subdivided_quotient(
 @dataclass
 class LambdaOptions:
     """Knobs for `estimate_lambda_n`; maxiter caps the solver steps of
-    every start, the polynomial-stage starts included (Newton steps, or
+    every polynomial-stage start and of the grid run (Newton steps, or
     L-BFGS iterations without W'')."""
 
     num_points: int = 501
     seed: int = 0
-    n_random_starts: int = 16
     maxiter: int = 3000
     poly_degree: int = 10
     poly_starts: int = 8
@@ -124,7 +123,8 @@ class LambdaOptions:
 
 @dataclass
 class LambdaEstimate:
-    """Best quotient found, its witness field, and per-start diagnostics."""
+    """Best quotient found, its witness field, and per-start diagnostics
+    of the polynomial stage."""
 
     value: float
     witness: Field
@@ -192,20 +192,19 @@ class _PolynomialKernel:
 def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     """Global search over the monomial coefficients of a degree
     opts.poly_degree polynomial on (0,1), with Gauss-Legendre integrals
-    (exact for polynomial potentials): the same quotient minimization as
-    the grid starts (`_minimize_quotient`), run from a ramp (and a
-    quadratic for n >= 3) and opts.poly_starts random coefficient vectors.
-    Cheap and independent of the grid discretization; its winner seeds
-    the grid search.  Returns the best quotient value and its
-    coefficients."""
+    (exact for polynomial potentials): `_minimize_quotient` from a ramp
+    (and a quadratic for n >= 3) and opts.poly_starts random coefficient
+    vectors.  A degenerate start (the ramp for n >= 3) is not solved.
+    Returns the best coefficients (None if every start is degenerate) and
+    each start's (value, stop reason, step count) in start order."""
     deg = opts.poly_degree
     functions = _quotient_functions(_PolynomialKernel(n, deg), w)
+    value = functions[0]
     ncoef = deg + 1
     rng = np.random.default_rng(opts.seed)
-    starts = []
     ramp = np.zeros(ncoef)
     ramp[0], ramp[1] = -1.0, 2.0
-    starts.append(ramp)
+    starts = [ramp]
     if n >= 3:
         quad = np.zeros(ncoef)
         quad[0], quad[1], quad[2] = 1.0, -8.0, 8.0
@@ -213,12 +212,17 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     for _ in range(opts.poly_starts):
         starts.append(rng.normal(0.0, 1.0, ncoef) / (1.0 + np.arange(ncoef)))
 
-    best_val, best_c = np.inf, None
+    runs, best_val, best_c = [], np.inf, None
     for c0 in starts:
+        if not np.isfinite(value(c0)):
+            runs.append((np.inf, "degenerate start", 0))
+            continue
         c, info = _minimize_quotient(functions, w, c0, opts.maxiter, gtol=1e-12)
+        message = info.message or "gradient below gtol"
+        runs.append((float(info.energy), message, info.iterations))
         if info.energy < best_val:
             best_val, best_c = info.energy, c
-    return best_val, best_c
+    return best_c, runs
 
 
 def _quotient_functions(kernel, w: DoubleWell):
@@ -282,91 +286,56 @@ def _minimize_quotient(functions, w: DoubleWell, x0, maxiter: int, gtol: float):
 def estimate_lambda_n(
     n: int, w: DoubleWell, opts: Optional[LambdaOptions] = None
 ) -> LambdaEstimate:
-    """Upper bound lambda_hat_n = min Q over a multi-start minimization on
-    (0,1).
+    """Upper bound lambda_hat_n = min Q on (0,1), found in two steps.
 
-    Start families: tanh ramps at several widths and amplitudes,
-    oscillatory sin(k pi x) ansaetze scaled into the well region, random
-    trigonometric sums, plus the winner of a polynomial-coefficient
-    pre-stage (degree-(n-1) fields make the highest term vanish and are
-    strong competitors for n >= 3; the pre-stage runs the same quotient
-    minimization on the coefficients).  Every start runs damped Newton on
-    the quotient (H0 with the rank-2 border, at most opts.maxiter steps),
-    or L-BFGS for a potential without W''.  diagnostics["messages"]
-    and diagnostics["steps"] give each start's stop reason and step count,
-    aligned with per_start.
+    The polynomial stage (`_poly_stage`) picks the basin; degree-(n-1)
+    fields make the highest term vanish and are strong competitors for
+    n >= 3.  One grid run from its winner, sampled on opts.num_points
+    nodes, gives value and witness: damped Newton on the quotient (H0
+    with the rank-2 border), or L-BFGS for a potential without W'', at
+    most opts.maxiter steps.  per_start, diagnostics["messages"] and
+    diagnostics["steps"] give each polynomial start's value, stop reason
+    and step count in start order (inf, "degenerate start" and 0 for a
+    start that is not solved), and diagnostics["poly_stage_value"] is
+    min(per_start); diagnostics["grid_message"] and ["grid_steps"] give
+    the grid run's.
     """
     if n < 2:
         raise ValueError("estimate_lambda_n requires n >= 2")
     opts = opts or LambdaOptions()
     grid = Grid(0.0, 1.0, opts.num_points)
-    x = grid.nodes()
     kernel = DiscreteEnergy(grid, n, opts.accuracy_order)
     functions = _quotient_functions(kernel, w)
-    value, grad, _ = functions
 
-    rng = np.random.default_rng(opts.seed)
-    starts: List[np.ndarray] = []
-    for width in (0.05, 0.12, 0.25):
-        for amp in (0.8, 1.0, 1.4):
-            starts.append(amp * np.tanh((x - 0.5) / width))
-    for k in (1, 2, 3):
-        for amp in (0.9, 1.3):
-            starts.append(amp * np.sin(k * np.pi * x))
-    for amp in (0.6, 1.0, 1.5):
-        starts.append(amp * (2 * x - 1))
-    if n >= 3:
-        starts.append(2 * (2 * x - 1) ** 2 - 1)
-    for _ in range(opts.n_random_starts):
-        K = int(rng.integers(3, 8))
-        c = rng.normal(0.0, 1.0, K + 1) / (1.0 + np.arange(K + 1)) ** 1.5
-        starts.append(sum(ck * np.cos(k * np.pi * x) for k, ck in enumerate(c)))
-
-    poly_val = np.inf
-    if opts.poly_starts > 0:
-        poly_val, poly_c = _poly_stage(n, w, opts)
-        if poly_c is not None:
-            starts.append(np.polynomial.polynomial.polyval(x, poly_c))
-
-    per_start: List[float] = []
-    messages: List[str] = []
-    steps: List[int] = []
-    best_val, best_u = np.inf, None
-    for u0 in starts:
-        if not np.isfinite(value(u0)):
-            per_start.append(np.inf)
-            messages.append("degenerate start")
-            steps.append(0)
-            continue
-        u, info = _minimize_quotient(functions, w, u0, opts.maxiter, gtol=1e-10)
-        messages.append(info.message or "gradient below gtol")
-        steps.append(info.iterations)
-        pot, den, high = kernel.terms(u, w)
-        if den <= 100 * DENOMINATOR_FLOOR:
-            per_start.append(np.inf)
-            continue
-        per_start.append(float((pot + high) / den))
-        if per_start[-1] < best_val:
-            best_val, best_u = per_start[-1], u
-
-    if best_u is None:
+    poly_c, runs = _poly_stage(n, w, opts)
+    per_start, messages, steps = (list(r) for r in zip(*runs))
+    if poly_c is None:
         raise RuntimeError(
-            "estimate_lambda_n: all starts ended degenerate; diagnostics: "
+            "estimate_lambda_n: every polynomial start is degenerate; "
             f"per_start={per_start}"
         )
-    gnorm = float(np.abs(grad(best_u)).max())
+    u0 = np.polynomial.polynomial.polyval(grid.nodes(), poly_c)
+    u, info = _minimize_quotient(functions, w, u0, opts.maxiter, gtol=1e-10)
+    pot, den, high = kernel.terms(u, w)
+    if den <= 100 * DENOMINATOR_FLOOR:
+        raise RuntimeError(
+            "estimate_lambda_n: the grid run ended degenerate; "
+            f"per_start={per_start}"
+        )
     return LambdaEstimate(
-        value=float(best_val),
-        witness=Field(grid, best_u),
+        value=float((pot + high) / den),
+        witness=Field(grid, u),
         n=n,
         per_start=per_start,
         diagnostics={
             "num_points": opts.num_points,
-            "poly_stage_value": float(poly_val),
-            "final_gradient_norm": gnorm,
+            "poly_stage_value": float(min(per_start)),
+            "final_gradient_norm": float(np.abs(functions[1](u)).max()),
             "messages": messages,
             "steps": steps,
-            "num_starts": len(starts),
+            "num_starts": len(per_start),
+            "grid_message": info.message or "gradient below gtol",
+            "grid_steps": info.iterations,
         },
     )
 

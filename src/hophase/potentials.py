@@ -106,13 +106,13 @@ BUILTIN_POTENTIALS = {"quartic": make_quartic}
 
 
 def get_potential(name: str) -> DoubleWell:
-    """Look up a built-in potential by name."""
-    try:
-        return BUILTIN_POTENTIALS[name]()
-    except KeyError:
-        raise KeyError(
+    """Look up a built-in potential by name; an unknown name is a
+    ValueError, which the CLI reports as a usage error."""
+    if name not in BUILTIN_POTENTIALS:
+        raise ValueError(
             f"unknown potential {name!r}; available: {sorted(BUILTIN_POTENTIALS)}"
-        ) from None
+        )
+    return BUILTIN_POTENTIALS[name]()
 
 
 def validate_assumptions(

@@ -10,10 +10,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hophase
-from hophase import cli, field_from_csv
+from hophase import Field, Grid, cli, field_from_csv, field_to_csv
 
 
 def run(capsys, argv):
@@ -76,14 +77,18 @@ class TestLambdaN:
         rc, payload = run(
             capsys,
             [
-                "lambda-n", "--n", "2", "--starts", "2",
+                "lambda-n", "--n", "2",
                 "--points", "301", "--out", str(tmp_path),
             ],
         )
         assert rc == 0
         assert 0.050 < payload["lambda_hat"] < 0.060
         assert payload["diagnostics"]["num_points"] == 301
-        assert min(payload["per_start"]) >= payload["lambda_hat"]
+        d = payload["diagnostics"]
+        assert min(payload["per_start"]) == d["poly_stage_value"]
+        assert d["grid_message"] in (
+            "gradient below gtol", "energy stagnation (roundoff floor)"
+        )
         witness = field_from_csv((tmp_path / "lambda_argmin_n2.csv").read_text())
         assert witness.grid.num_points == 301
 
@@ -95,6 +100,12 @@ class TestLambdaN:
         assert captured.out == ""
         assert captured.err == "hophase: error: derivative order must be in [1, 6]\n"
 
+
+    def test_starts_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["lambda-n", "--n", "2", "--starts", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --starts 2" in capsys.readouterr().err
 
     def test_module_entry_point_reports_usage_errors(self):
         # python -m hophase runs the same CLI from a checkout
@@ -110,6 +121,25 @@ class TestLambdaN:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "hophase: error: derivative order must be in [1, 6]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda-n", "--n", "2"],
+        ["check-ineq", "--which", "lowerbound", "--count", "5"],
+        ["profile", "--n", "2"],
+    ],
+)
+def test_unknown_potential_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--potential", "nope"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "hophase: error: unknown potential 'nope'; available: ['quartic']\n"
+    )
 
 
 class TestCheckIneq:
@@ -155,6 +185,41 @@ class TestCheckIneq:
         )
         assert rc == 0
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize(
+        "which, option",
+        [
+            ("intlem", ["--potential", "nope"]),
+            ("intlem", ["--epsilon", "0.5"]),
+            ("gagnir", ["--delta", "0.2"]),
+            ("abstr", ["--lam-frac", "0.1"]),
+            ("nirineq", ["--lambda-hat", "0.05"]),
+            ("nirineq", ["--potential", "quartic"]),
+            ("intlem", ["--n", "3"]),
+            ("gagnir", ["--n", "2"]),
+        ],
+    )
+    def test_option_the_check_does_not_read_is_a_usage_error(
+        self, capsys, which, option
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["check-ineq", "--which", which, "--count", "5", *option])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hophase: error: {option[0]} acts only with")
+
+    def test_nirineq_reads_n(self, capsys):
+        rc, a = run(capsys, ["check-ineq", "--which", "nirineq", "--count", "10"])
+        _, b = run(
+            capsys, ["check-ineq", "--which", "nirineq", "--count", "10", "--n", "3"]
+        )
+        _, c = run(
+            capsys, ["check-ineq", "--which", "nirineq", "--count", "10", "--n", "2"]
+        )
+        assert rc == 0
+        assert a == c
+        assert a["worst_ratio"] != b["worst_ratio"]
 
     def test_seed_changes_witness(self, capsys):
         _, a = run(capsys, ["check-ineq", "--which", "intlem", "--count", "15"])
@@ -224,6 +289,40 @@ class TestMinimize:
         assert rc == 0
         assert payload["num_points"] == 513
         assert payload["converged"] is True
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("jumps", [0.5]), ("left_value", 1.0), ("profile_T", 9.0),
+         ("profile_points", 801)],
+    )
+    def test_recovery_keys_with_random_init_are_a_usage_error(
+        self, tmp_path, capsys, key, value
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epsilon": 0.25, "init": "random", key: value}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["minimize", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"hophase: error: init 'random' does not read ['{key}']\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value", [("interval", [0.0, 2.0]), ("num_points", 257), ("jumps", [0.0])]
+    )
+    def test_grid_and_recovery_keys_with_csv_init_are_a_usage_error(
+        self, tmp_path, capsys, key, value
+    ):
+        csv = tmp_path / "init.csv"
+        csv.write_text(field_to_csv(Field.from_callable(Grid(-1.0, 1.0, 65), np.tanh)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epsilon": 0.25, "init": str(csv), key: value}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["minimize", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"hophase: error: init {str(csv)!r} does not read ['{key}']\n"
+        )
 
     @pytest.mark.parametrize(
         "cfg, argv",

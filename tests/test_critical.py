@@ -17,6 +17,7 @@ from hophase import (
     subdivided_quotient,
     verify_subcritical,
 )
+from hophase import critical
 from hophase.ensembles import make_ensemble
 
 
@@ -100,18 +101,22 @@ class TestLambdaEstimate:
         assert r.value == pytest.approx(lambda_hat_2.value, rel=1e-9)
 
     def test_grid_refinement_stability(self, quartic, lambda_hat_2):
-        opts = LambdaOptions(num_points=301, n_random_starts=4, poly_starts=4)
+        opts = LambdaOptions(num_points=301, poly_starts=4)
         coarse = estimate_lambda_n(2, quartic, opts)
         assert abs(coarse.value - lambda_hat_2.value) < 1e-3
 
     def test_diagnostics_and_per_start(self, lambda_hat_2):
         assert lambda_hat_2.n == 2
         assert lambda_hat_2.diagnostics["num_points"] == 501
-        assert min(lambda_hat_2.per_start) >= lambda_hat_2.value - 1e-12
         d = lambda_hat_2.diagnostics
+        assert min(lambda_hat_2.per_start) == d["poly_stage_value"]
         assert np.isfinite(d["final_gradient_norm"])
-        # one stop message and one step count per start; every start that
-        # is not degenerate stops on gtol or on stagnation, below the cap
+        stops = ("gradient below gtol", "energy stagnation (roundoff floor)")
+        assert d["grid_message"] in stops
+        assert 0 < d["grid_steps"] < LambdaOptions().maxiter
+        # one stop message and one step count per polynomial start; every
+        # start that is not degenerate stops on gtol or on stagnation,
+        # below the cap
         assert (
             len(d["messages"]) == len(d["steps"])
             == len(lambda_hat_2.per_start) == d["num_starts"]
@@ -120,21 +125,72 @@ class TestLambdaEstimate:
             lambda_hat_2.per_start, d["messages"], d["steps"]
         ):
             if np.isfinite(value):
-                assert message in (
-                    "gradient below gtol", "energy stagnation (roundoff floor)"
-                )
+                assert message in stops
                 assert 0 < steps < LambdaOptions().maxiter
 
     def test_deterministic_starts_reach_the_value(self, quartic, lambda_hat_2):
-        # the polynomial witness and the deterministic starts alone
-        est = estimate_lambda_n(2, quartic, LambdaOptions(n_random_starts=0))
+        # the polynomial stage's ramp start alone
+        est = estimate_lambda_n(2, quartic, LambdaOptions(poly_starts=0))
+        assert est.per_start == [est.diagnostics["poly_stage_value"]]
         assert est.value == pytest.approx(lambda_hat_2.value, rel=1e-9)
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 7), (3, 0), (3, 7)])
+    def test_value_is_one_grid_run_from_the_polynomial_winner(
+        self, quartic, monkeypatch, n, seed
+    ):
+        opts = LambdaOptions(seed=seed, maxiter=300)
+        grid = Grid(0.0, 1.0, opts.num_points)
+        kernel = DiscreteEnergy(grid, n, opts.accuracy_order)
+        c, _ = critical._poly_stage(n, quartic, opts)
+        u, _ = critical._minimize_quotient(
+            critical._quotient_functions(kernel, quartic),
+            quartic,
+            np.polynomial.polynomial.polyval(grid.nodes(), c),
+            opts.maxiter,
+            gtol=1e-10,
+        )
+        pot, den, high = kernel.terms(u, quartic)
+
+        sizes = []
+        minimize = critical._minimize_quotient
+
+        def counted(functions, w, x0, maxiter, gtol):
+            sizes.append(len(x0))
+            return minimize(functions, w, x0, maxiter, gtol)
+
+        monkeypatch.setattr(critical, "_minimize_quotient", counted)
+        est = estimate_lambda_n(n, quartic, opts)
+        # the polynomial starts run on coefficients, then one grid run
+        assert sizes.count(opts.num_points) == 1
+        assert sizes[-1] == opts.num_points
+        assert est.value == (pot + high) / den
+        assert np.array_equal(est.witness.values, u)
+        assert est.diagnostics["num_starts"] == len(est.per_start)
+
+    def test_degenerate_polynomial_start_is_not_solved(self, quartic):
+        # at n = 3 the ramp -1 + 2x has u'' = 0, so its quotient is
+        # undefined; without random starts the quadratic alone goes on
+        opts = LambdaOptions(num_points=101, poly_starts=0, maxiter=300)
+        est = estimate_lambda_n(3, quartic, opts)
+        d = est.diagnostics
+        assert est.per_start[0] == np.inf
+        assert d["messages"][0] == "degenerate start"
+        assert d["steps"][0] == 0
+        assert len(est.per_start) == d["num_starts"] == 2
+        assert d["steps"][1] > 0
+        assert d["poly_stage_value"] == est.per_start[1] < np.inf
+        assert 0 < est.value < 2e-3
+
+    def test_random_grid_starts_are_gone(self):
+        with pytest.raises(TypeError):
+            LambdaOptions(n_random_starts=4)
+        assert len(dataclasses.fields(LambdaOptions)) == 6
 
     def test_final_gradient_norm_without_polish(self, quartic):
         # without W'' every start runs L-BFGS
         no_second = dataclasses.replace(quartic, eval_second_derivative=None)
         opts = LambdaOptions(
-            num_points=101, n_random_starts=0, poly_starts=0, maxiter=100,
+            num_points=101, poly_starts=0, maxiter=100,
         )
         est = estimate_lambda_n(2, no_second, opts)
         d = est.diagnostics
@@ -169,7 +225,7 @@ class TestLambdaEstimate:
         values = [
             estimate_lambda_n(
                 n, quartic,
-                LambdaOptions(seed=seed, num_points=101, n_random_starts=0),
+                LambdaOptions(seed=seed, num_points=101),
             ).diagnostics["poly_stage_value"]
             for seed in range(4)
         ]
@@ -180,8 +236,7 @@ class TestLambdaEstimate:
     def test_polynomial_stage_without_second_derivative(self, quartic):
         # without W'' the polynomial stage runs L-BFGS and reaches the
         # Newton value
-        opts = LambdaOptions(num_points=61, n_random_starts=0, poly_starts=4,
-                             maxiter=300)
+        opts = LambdaOptions(num_points=61, poly_starts=4, maxiter=300)
         newton = estimate_lambda_n(2, quartic, opts)
         no_second = dataclasses.replace(quartic, eval_second_derivative=None)
         est = estimate_lambda_n(2, no_second, opts)
@@ -191,7 +246,7 @@ class TestLambdaEstimate:
         )
 
     def test_higher_order_constant_is_much_smaller(self, quartic):
-        opts = LambdaOptions(num_points=301, n_random_starts=2, poly_starts=4)
+        opts = LambdaOptions(num_points=301, poly_starts=4)
         est3 = estimate_lambda_n(3, quartic, opts)
         assert est3.value < 2e-3
 

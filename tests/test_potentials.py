@@ -38,7 +38,7 @@ class TestQuartic:
 
     def test_lookup_by_name(self):
         assert get_potential("quartic").name == "quartic"
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown potential 'sextic'"):
             get_potential("sextic")
 
 
