@@ -161,12 +161,15 @@ class DiscreteEnergy:
         """Roundoff scale of the assembled gradient: the largest row of sums
         of absolute terms, times 8 machine epsilon.  The stencil weights
         grow like h^(-2n) through the quadratic forms, so this is the
-        resolution-dependent accuracy limit of `grad` itself."""
+        resolution-dependent accuracy limit of `grad` itself.  |D| is built
+        on D's own `indices`/`indptr`, and |D|^T is its CSC view, so a call
+        copies no sparse structure."""
         c_pot, c_low, c_high = c
         au = np.abs(u)
 
         def rowsum(d):
-            return float(np.max(2.0 * (abs(d.T) @ (self.q * (abs(d) @ au)))))
+            ad = sp.csr_matrix((np.abs(d.data), d.indices, d.indptr), shape=d.shape)
+            return float(np.max(2.0 * (ad.T @ (self.q * (ad @ au)))))
 
         scale = abs(c_high) * rowsum(self.d_high)
         if c_low != 0.0:

@@ -121,13 +121,15 @@ def stencil_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
-def _unit_rows(k: int, m: int) -> Tuple[Tuple[float, ...], ...]:
+def _unit_rows(k: int, m: int) -> np.ndarray:
     """Unit-spacing float weights of the k-th derivative on the m-point
-    windows of shift -(m-1)..0, one row per shift."""
-    return tuple(
-        tuple(float(c) for c in stencil_weights(tuple(range(s, s + m)), k))
+    windows of shift -(m-1)..0, one row per shift (read-only)."""
+    rows = np.array([
+        [float(c) for c in stencil_weights(tuple(range(s, s + m)), k)]
         for s in range(1 - m, 1)
-    )
+    ])
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,10 @@ class DiffOperator:
     (num_points, m)) at columns starts[i] .. starts[i] + m - 1, where
     starts = `window_starts(num_points, m)`: consecutive in the interior,
     clamped at each end.  `matrix` is the same operator in CSR form,
-    sharing the weights' memory, and `transpose` its transpose in CSC form,
-    built on first use and sharing the same arrays.
+    sharing the weights' memory; its read-only `indices`/`indptr` are
+    shared by every operator with the same (num_points, m).  `transpose`
+    is its transpose in CSC form, built on first use and sharing the same
+    arrays.
     """
 
     k: int
@@ -174,11 +178,23 @@ _OPERATOR_CACHE: "OrderedDict[tuple, DiffOperator]" = OrderedDict()
 _OPERATOR_CACHE_SIZE = 64
 
 
+@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _csr_structure(n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only CSR `indices` and `indptr` of an n-row operator with
+    m-point windows, shared by every spacing and derivative order."""
+    dtype = np.int32 if n * m <= np.iinfo(np.int32).max else np.int64
+    indices = (window_starts(n, m)[:, None] + np.arange(m)).astype(dtype).ravel()
+    indptr = np.arange(0, n * m + 1, m, dtype=dtype)
+    indices.flags.writeable = indptr.flags.writeable = False
+    return indices, indptr
+
+
 def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
     """Build (or fetch from the cache of the 64 most recently used) the
     k-th derivative operator for a grid.
     The weights of each window shift are built in exact rationals once per
-    (k, accuracy_order); a new spacing costs one vectorized gather."""
+    (k, accuracy_order), and the CSR structure once per (num_points, m); a
+    new spacing costs one broadcast of the m scaled rows."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
     if accuracy_order < 2:
@@ -196,13 +212,17 @@ def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
         return hit
 
     n = grid.num_points
-    # row i's window starts at starts[i]; its shift starts[i] - i picks its row
-    starts = window_starts(n, m)
-    data = np.array(_unit_rows(k, m))[starts - np.arange(n) + m - 1] / grid.h**k
-    cols = starts[:, None] + np.arange(m)
-    mat = sp.csr_matrix(
-        (data.ravel(), cols.ravel(), np.arange(0, n * m + 1, m)), shape=(n, n)
-    )
+    # row s holds the window of shift s - (m - 1); row i of the operator
+    # takes shift -i in the clamped left rows, -lo in the interior and
+    # n - m - i in the clamped right rows
+    rows = _unit_rows(k, m) / grid.h**k
+    lo = (m - 1) // 2
+    hi = lo + n - m + 1
+    data = np.empty((n, m))
+    data[:lo] = rows[m - 1:m - 1 - lo:-1]
+    data[lo:hi] = rows[m - 1 - lo]
+    data[hi:] = rows[m - 2 - lo::-1]
+    mat = sp.csr_matrix((data.ravel(), *_csr_structure(n, m)), shape=(n, n))
     op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, mat, data)
     if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
         _OPERATOR_CACHE.popitem(last=False)
@@ -262,7 +282,11 @@ def field_to_csv(f: Field) -> str:
 
 
 def field_from_csv(text: str) -> Field:
-    """Inverse of `field_to_csv` (bit-exact round trip on uniform grids)."""
+    """Inverse of `field_to_csv` (bit-exact round trip on uniform grids).
+
+    The x column must be the uniform grid from its first to its last value:
+    a row whose x is more than 4 ulps of max(|a|, |b|) off
+    linspace(a, b, N) is a `ValueError`."""
     lines = [ln for ln in text.strip().splitlines() if ln]
     if lines and lines[0].lower().startswith("x,"):
         lines = lines[1:]
@@ -271,7 +295,17 @@ def field_from_csv(text: str) -> Field:
         sx, sv = ln.split(",")
         xs.append(float(sx))
         vs.append(float(sv))
+    if len(xs) < 2:
+        raise ValueError(f"CSV has {len(xs)} data rows; a grid needs at least 2")
     grid = Grid(xs[0], xs[-1], len(xs))
+    off = np.abs(np.array(xs) - grid.nodes())
+    bad = np.flatnonzero(off > 4 * np.spacing(max(abs(grid.a), abs(grid.b))))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"CSV data row {i + 1} has x = {xs[i]!r}, {off[i]:.3g} off the "
+            f"uniform grid of {grid.num_points} points on [{grid.a!r}, {grid.b!r}]"
+        )
     return Field(grid, np.array(vs))
 
 

@@ -325,6 +325,23 @@ class TestMinimize:
         )
 
     @pytest.mark.parametrize(
+        "text, message",
+        [("x,value\n0,0\n0.1,1\n1,2\n", "CSV data row 2 has x = 0.1"),
+         ("x,value\n", "CSV has 0 data rows")],
+    )
+    def test_off_grid_or_empty_csv_init_is_a_usage_error(
+        self, tmp_path, capsys, text, message
+    ):
+        csv = tmp_path / "init.csv"
+        csv.write_text(text)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epsilon": 0.25, "init": str(csv)}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["minimize", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith(f"hophase: error: {message}")
+
+    @pytest.mark.parametrize(
         "cfg, argv",
         [({}, ["--seed", "3"]), ({"seed": 3}, []), ({"init": "x.csv", "seed": 3}, [])],
     )

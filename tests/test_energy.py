@@ -287,3 +287,28 @@ class TestDiscreteEnergy:
         t = 1e-6
         diff = k.energy(u + t * v, quartic, c) - k.energy(u - t * v, quartic, c)
         assert k.grad(u, quartic, c) @ v == pytest.approx(diff / (2 * t), rel=1e-6)
+
+    @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_gradient_floor_equals_the_absolute_value_products(self, quartic, n):
+        # |D| on D's own structure gives the bits of the sparse copies
+        # abs(D.T) @ (q * (abs(D) @ |u|)), the identity D_0 at n = 1 included
+        for num_points in (41, 501):
+            k = DiscreteEnergy(Grid(-2.0, 3.0 + n / 101, num_points), n)
+            rng = np.random.default_rng(200 + n)
+            x = np.linspace(-3.0, 3.0, num_points)
+            u = np.tanh(x) + 0.1 * rng.standard_normal(num_points)
+            au = np.abs(u)
+
+            def rowsum(d):
+                return float(np.max(2.0 * (abs(d.T) @ (k.q * (abs(d) @ au)))))
+
+            for c in ((1.3, -0.7, 0.9), (2.0, 0.0, -1.1)):
+                scale = abs(c[2]) * rowsum(k.d_high)
+                if c[1] != 0.0:
+                    scale += abs(c[1]) * rowsum(k.d_low)
+                scale += abs(c[0]) * float(
+                    np.max(np.abs(quartic.eval_derivative(u)) * k.q)
+                )
+                assert k.gradient_floor(u, quartic, c) == (
+                    8.0 * np.finfo(float).eps * scale
+                )

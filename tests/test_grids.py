@@ -168,11 +168,16 @@ class TestDiffOperator:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_rows_equal_the_rational_stencils(self, k, acc):
         # row i holds the weights of the m-point window centred on i and
-        # clamped to the grid, float(w) / h**k bit for bit, in column order
+        # clamped to the grid, float(w) / h**k bit for bit, in column order;
+        # no other test builds these spacings, so each operator is a cache
+        # miss, and the zero centre weight of k = 1, acc = 2 stays stored
         m = k + acc
-        for num_points in (m, m + 1, 2 * m + 1, 401):
-            g = Grid(-0.3, 2.9, num_points)
-            mat = diff_operator(g, k, acc).matrix
+        for num_points in (m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 401):
+            g = Grid(-0.3, 2.9 + (7 * k + acc) / 1009, num_points)
+            assert (num_points, g.h, k, acc) not in grids._OPERATOR_CACHE
+            op = diff_operator(g, k, acc)
+            mat = op.matrix
+            assert np.shares_memory(op.weights, mat.data)
             np.testing.assert_array_equal(
                 mat.indptr, np.arange(0, num_points * m + 1, m)
             )
@@ -182,7 +187,25 @@ class TestDiffOperator:
                 row = slice(mat.indptr[i], mat.indptr[i + 1])
                 assert mat.indices[row].tolist() == list(range(start, start + m))
                 expected = [float(w) / g.h**k for w in stencil_weights(window, k)]
-                assert mat.data[row].tolist() == expected
+                assert mat.data[row].tobytes() == np.array(expected).tobytes()
+
+    def test_operators_of_one_size_share_a_read_only_structure(self):
+        # the same (num_points, m) for a new spacing and for another (k, acc)
+        ops = [
+            diff_operator(Grid(0.0, 1.0 + j / 97, 201), k, acc)
+            for j, (k, acc) in enumerate([(2, 4), (2, 4), (4, 2)])
+        ]
+        first = ops[0].matrix
+        assert first.indices.dtype == first.indptr.dtype == np.int32
+        for op in ops[1:]:
+            assert np.shares_memory(op.matrix.indices, first.indices)
+            assert np.shares_memory(op.matrix.indptr, first.indptr)
+        for arr in (first.indices, first.indptr):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        other = diff_operator(Grid(0.0, 1.0, 201), 3, 4).matrix
+        assert not np.shares_memory(other.indices, first.indices)
 
     def test_new_spacing_reuses_the_rational_solve(self):
         # 50 grids that differ only in spacing each need a new operator, but
@@ -277,6 +300,20 @@ class TestSerialization:
         f = field_from_csv(text)
         assert f.grid == Grid(0.0, 1.0, 3)
         np.testing.assert_array_equal(f.values, [1.5, 2.5, 3.5])
+
+    def test_csv_off_grid_x_rejected(self):
+        # x = 0.1 is not on linspace(0, 1, 3); the grid is not regridded
+        with pytest.raises(ValueError, match="row 2 has x = 0.1"):
+            field_from_csv("x,value\n0,0\n0.1,1\n1,2\n")
+        with pytest.raises(ValueError, match="0 data rows"):
+            field_from_csv("x,value\n")
+
+    def test_csv_decimal_grid_within_ulps_accepted(self):
+        # "0.3" parses to 0.3, linspace(0, 1, 11)[3] is 0.30000000000000004
+        text = "".join(f"{j / 10},{j}\n" for j in range(11))
+        f = field_from_csv(text)
+        assert f.grid == Grid(0.0, 1.0, 11)
+        np.testing.assert_array_equal(f.values, np.arange(11.0))
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(8)
