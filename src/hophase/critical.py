@@ -359,7 +359,9 @@ class SubcriticalReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        """No violation, and at least one field was checked (every field
+        skipped as degenerate is no evidence)."""
+        return self.num_checked > 0 and not self.violations
 
 
 def verify_subcritical(
@@ -382,10 +384,15 @@ def verify_subcritical(
     rejected input (n < 2, a grid too small for the stencil) raises.  Witness
     fields (e.g. the argmin from `estimate_lambda_n`) can be appended via
     extra_fields; with lam > lambda_hat_n the witness violates by
-    construction.
+    construction.  An empty check would pass vacuously, so ensemble_size
+    must be >= 0 and at least one field (random or extra) is required.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
+    if ensemble_size < 0:
+        raise ValueError(f"ensemble_size must be >= 0, got {ensemble_size}")
+    if ensemble_size == 0 and not extra_fields:
+        raise ValueError("nothing to check: ensemble_size is 0 and no extra_fields")
     rng = np.random.default_rng(seed)
     unit = Grid(0.0, 1.0, num_points)
     kinds = ("fourier", "tanh_ramp", "hermite_step")

@@ -15,7 +15,10 @@ Distribution (all draws from one `numpy.random.Generator`):
                  by A ~ U[0.8, 1.2].
 
 Here t = (x - a)/(b - a) is the normalized coordinate of the field's grid.
-Identical seeds give identical ensembles.
+Identical seeds give bit-identical ensembles.  The Fourier modes are summed
+in order from k = 0, so the fields carry the same bits as the per-term sum
+of these formulas, and the sign s is drawn as (-1, +1)[integers(0, 2)],
+which consumes the generator exactly as `choice([-1, 1])` does.
 """
 
 from functools import cache
@@ -24,7 +27,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .grids import Field, Grid
-from .hermite import eval_poly, solve_zeta
+from .hermite import solve_zeta
 
 __all__ = ["random_field", "make_ensemble", "DEFAULT_KINDS"]
 
@@ -32,8 +35,12 @@ DEFAULT_KINDS: Tuple[str, ...] = ("fourier", "tanh_ramp", "hermite_step")
 
 
 @cache
-def _step_poly():
-    return solve_zeta((-1.0, 0.0, 0.0, 0.0))
+def _step_coefficients() -> np.ndarray:
+    """Float monomial coefficients of the n = 4 coupling polynomial from
+    the -1 well to the +1 well (read-only)."""
+    coeffs = solve_zeta((-1.0, 0.0, 0.0, 0.0)).coefficients
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def random_field(grid: Grid, rng: np.random.Generator, kind: str) -> Field:
@@ -44,21 +51,26 @@ def random_field(grid: Grid, rng: np.random.Generator, kind: str) -> Field:
         gamma = rng.uniform(1.0, 2.5)
         c = rng.normal(0.0, 1.0, K + 1) / (1.0 + np.arange(K + 1)) ** gamma
         amp = rng.uniform(0.3, 2.0)
-        vals = amp * sum(ck * np.cos(k * np.pi * t) for k, ck in enumerate(c))
+        # row k is c_k cos(k pi t); the rows are added in order from 0
+        modes = np.multiply.outer(np.arange(K + 1) * np.pi, t)
+        np.cos(modes, out=modes)
+        modes *= c[:, None]
+        vals = amp * np.add.reduce(modes, axis=0, initial=0.0)
     elif kind == "tanh_ramp":
         center = rng.uniform(0.2, 0.8)
         width = rng.uniform(0.02, 0.3)
-        amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
+        amp = rng.uniform(0.5, 1.5) * (-1.0, 1.0)[rng.integers(0, 2)]
         vals = amp * np.tanh((t - center) / width)
     elif kind == "hermite_step":
         center = rng.uniform(0.35, 0.65)
         halfwidth = rng.uniform(0.1, 0.3)
         amp = rng.uniform(0.8, 1.2)
-        s = np.clip((t - center + halfwidth) / (2 * halfwidth), 0.0, 1.0)
-        vals = amp * np.asarray(eval_poly(_step_poly(), s, 0), dtype=float)
+        s = (t - center + halfwidth) / (2 * halfwidth)
+        s = np.minimum(np.maximum(s, 0.0), 1.0)
+        vals = amp * np.polynomial.polynomial.polyval(s, _step_coefficients())
     else:
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    return Field(grid, np.asarray(vals, dtype=float))
+    return Field(grid, vals)
 
 
 def make_ensemble(
@@ -68,5 +80,9 @@ def make_ensemble(
     kinds: Sequence[str] = DEFAULT_KINDS,
 ) -> List[Field]:
     """Reproducible list of `count` random fields, cycling over the kinds."""
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not kinds:
+        raise ValueError("kinds must name at least one ensemble kind")
     rng = np.random.default_rng(seed)
     return [random_field(grid, rng, kinds[i % len(kinds)]) for i in range(count)]

@@ -4,6 +4,7 @@ fields, finite-difference derivative operators with one-sided boundary
 stencils, quadrature, resampling, and CSV/JSON serialization.
 """
 
+import copy
 import io
 import json
 from collections import OrderedDict
@@ -178,10 +179,9 @@ _OPERATOR_CACHE: "OrderedDict[tuple, DiffOperator]" = OrderedDict()
 _OPERATOR_CACHE_SIZE = 64
 
 
-@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
 def _csr_structure(n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The read-only CSR `indices` and `indptr` of an n-row operator with
-    m-point windows, shared by every spacing and derivative order."""
+    m-point windows."""
     dtype = np.int32 if n * m <= np.iinfo(np.int32).max else np.int64
     indices = (window_starts(n, m)[:, None] + np.arange(m)).astype(dtype).ravel()
     indptr = np.arange(0, n * m + 1, m, dtype=dtype)
@@ -189,12 +189,24 @@ def _csr_structure(n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
     return indices, indptr
 
 
+@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _csr_shell(n: int, m: int) -> sp.csr_matrix:
+    """An n x n CSR matrix on `_csr_structure(n, m)` whose data is a
+    zero-stride placeholder.  Each new spacing shallow-copies it and sets
+    its own data, so scipy's constructor runs once per (n, m), and every
+    spacing and derivative order shares the shell's structure arrays."""
+    return sp.csr_matrix(
+        (np.broadcast_to(0.0, (n * m,)), *_csr_structure(n, m)), shape=(n, n)
+    )
+
+
 def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
     """Build (or fetch from the cache of the 64 most recently used) the
     k-th derivative operator for a grid.
     The weights of each window shift are built in exact rationals once per
     (k, accuracy_order), and the CSR structure once per (num_points, m); a
-    new spacing costs one broadcast of the m scaled rows."""
+    new spacing costs one broadcast of the m scaled rows and a shallow copy
+    of the CSR matrix."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
     if accuracy_order < 2:
@@ -222,7 +234,8 @@ def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
     data[:lo] = rows[m - 1:m - 1 - lo:-1]
     data[lo:hi] = rows[m - 1 - lo]
     data[hi:] = rows[m - 2 - lo::-1]
-    mat = sp.csr_matrix((data.ravel(), *_csr_structure(n, m)), shape=(n, n))
+    mat = copy.copy(_csr_shell(n, m))
+    mat.data = data.ravel()
     op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, mat, data)
     if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
         _OPERATOR_CACHE.popitem(last=False)

@@ -247,7 +247,10 @@ def ensemble_check(
     keep_reports: bool = False,
 ) -> EnsembleCheckReport:
     """Run a per-field checker over `count` random fields on random
-    intervals and reduce to the worst case (by lhs/rhs ratio)."""
+    intervals and reduce to the worst case (by lhs/rhs ratio).  An empty
+    ensemble would pass vacuously, so count must be >= 1."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
     worst_ratio, worst_idx, worst_field = -np.inf, -1, None
     num_failed = 0

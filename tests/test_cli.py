@@ -155,6 +155,15 @@ class TestCheckIneq:
         assert (tmp_path / "witness_intlem.csv").exists()
         assert (tmp_path / "check_intlem.json").exists()
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_empty_ensemble_is_a_usage_error(self, count, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["check-ineq", "--which", "intlem", "--count", count])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hophase: error: count must be >= 1, got {count}\n"
+
     def test_gagnir_theta_derived_from_balance(self, capsys):
         # --c-probe 0 asks for the smallest admissible constant instead of
         # testing a fixed probe, so the run passes iff it stays finite

@@ -289,6 +289,19 @@ class TestVerifySubcritical:
         assert rep.num_checked == 8
         assert rep.passed
 
+    def test_only_degenerate_fields_do_not_pass(self, quartic):
+        constant = Field(Grid(0.0, 1.0, 101), np.full(101, 0.3))
+        rep = verify_subcritical(2, 0.0, 0, quartic, extra_fields=(constant,))
+        assert rep.num_checked == 0 and rep.num_skipped == 1
+        assert rep.violations == []
+        assert not rep.passed
+
+    def test_empty_ensemble_rejected(self, quartic):
+        with pytest.raises(ValueError, match="ensemble_size must be >= 0"):
+            verify_subcritical(2, 0.0, -5, quartic)
+        with pytest.raises(ValueError, match="nothing to check"):
+            verify_subcritical(2, 0.0, 0, quartic)
+
 
 class TestQuotientNewton:
     def kernel_and_functions(self, quartic):

@@ -5,6 +5,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hophase import (
     Field,
@@ -206,6 +207,37 @@ class TestDiffOperator:
                 arr[0] = 1
         other = diff_operator(Grid(0.0, 1.0, 201), 3, 4).matrix
         assert not np.shares_memory(other.indices, first.indices)
+
+    @pytest.mark.parametrize("num_points, k, acc", [(401, 2, 4), (4097, 1, 2), (13, 6, 6)])
+    def test_miss_matches_a_freshly_constructed_csr_matrix(self, num_points, k, acc):
+        g = Grid(0.0, 2.7, num_points)
+        grids._OPERATOR_CACHE.pop((num_points, g.h, k, acc), None)
+        mat = diff_operator(g, k, acc).matrix
+        m = k + acc
+        fresh = sp.csr_matrix(
+            (mat.data.copy(), *grids._csr_structure(num_points, m)),
+            shape=(num_points, num_points),
+        )
+        assert type(mat) is type(fresh)
+        assert mat.shape == fresh.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(mat, name), getattr(fresh, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_misses_of_one_size_own_their_data_and_the_shell_none(self):
+        a = diff_operator(Grid(0.0, 1.25, 301), 2)
+        b = diff_operator(Grid(0.0, 3.5, 301), 2)
+        assert not np.shares_memory(a.matrix.data, b.matrix.data)
+        assert np.shares_memory(a.matrix.indices, b.matrix.indices)
+        shell = grids._csr_shell(301, 6)
+        assert shell.data.shape == (301 * 6,)
+        assert shell.data.strides == (0,)
+        assert not np.shares_memory(shell.data, a.matrix.data)
+        for op in (a, b):
+            assert op.matrix.data.strides == (8,)
+            assert np.shares_memory(op.weights, op.matrix.data)
+            assert np.shares_memory(op.transpose.data, op.matrix.data)
 
     def test_new_spacing_reuses_the_rational_solve(self):
         # 50 grids that differ only in spacing each need a new operator, but

@@ -216,3 +216,8 @@ class TestEnsembleCheck:
         )
         assert "10/10" in rep.summary()
         assert rep.passed
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_empty_ensemble_rejected(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            ensemble_check(lambda f: check_intlem(f, 2.0, 2.0, 2.0), "intlem", count, 0)
