@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._solvers import BandedSystem, damped_newton, lbfgs
+from ._solvers import BandedSystem, damped_newton
 from .energy import DiscreteEnergy
 from .ensembles import random_field
 from .grids import Field, Grid
@@ -109,9 +109,8 @@ def subdivided_quotient(
 
 @dataclass
 class LambdaOptions:
-    """Knobs for `estimate_lambda_n`; maxiter caps the solver steps of
-    every polynomial-stage start and of the grid run (Newton steps, or
-    L-BFGS iterations without W'')."""
+    """Knobs for `estimate_lambda_n`; maxiter caps the Newton steps of
+    every polynomial-stage start and of the grid run."""
 
     num_points: int = 501
     seed: int = 0
@@ -178,7 +177,7 @@ class _PolynomialKernel:
 
     def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         c_pot, c_low, c_high = coef
-        w2 = np.asarray(w.eval_second_derivative(c @ self.B0), dtype=float)
+        w2 = np.asarray(w.second_derivative(c @ self.B0), dtype=float)
         H = (
             c_pot * (self.B0 * (self.wts * w2)) @ self.B0.T
             + c_low * self.K_low
@@ -217,7 +216,7 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
         if not np.isfinite(value(c0)):
             runs.append((np.inf, "degenerate start", 0))
             continue
-        c, info = _minimize_quotient(functions, w, c0, opts.maxiter, gtol=1e-12)
+        c, info = _minimize_quotient(functions, c0, opts.maxiter, gtol=1e-12)
         message = info.message or "gradient below gtol"
         runs.append((float(info.energy), message, info.iterations))
         if info.energy < best_val:
@@ -271,13 +270,11 @@ def _quotient_functions(kernel, w: DoubleWell):
     return value, grad, system
 
 
-def _minimize_quotient(functions, w: DoubleWell, x0, maxiter: int, gtol: float):
+def _minimize_quotient(functions, x0, maxiter: int, gtol: float):
     """Minimize the quotient from x0 with the (value, grad, system) of
-    `_quotient_functions`: damped Newton on the bordered system where W''
-    exists, L-BFGS otherwise; at most maxiter steps."""
+    `_quotient_functions`: damped Newton on the bordered system, at most
+    maxiter steps."""
     value, grad, system = functions
-    if w.eval_second_derivative is None:
-        return lbfgs(value, grad, x0, maxiter=maxiter, gtol=gtol)
     return damped_newton(
         value, grad, system, x0, maxiter=maxiter, gtol=gtol, stagnation_rtol=1e-15
     )
@@ -292,13 +289,12 @@ def estimate_lambda_n(
     fields make the highest term vanish and are strong competitors for
     n >= 3.  One grid run from its winner, sampled on opts.num_points
     nodes, gives value and witness: damped Newton on the quotient (H0
-    with the rank-2 border), or L-BFGS for a potential without W'', at
-    most opts.maxiter steps.  per_start, diagnostics["messages"] and
-    diagnostics["steps"] give each polynomial start's value, stop reason
-    and step count in start order (inf, "degenerate start" and 0 for a
-    start that is not solved), and diagnostics["poly_stage_value"] is
-    min(per_start); diagnostics["grid_message"] and ["grid_steps"] give
-    the grid run's.
+    with the rank-2 border), at most opts.maxiter steps.  per_start,
+    diagnostics["messages"] and diagnostics["steps"] give each polynomial
+    start's value, stop reason and step count in start order (inf,
+    "degenerate start" and 0 for a start that is not solved), and
+    diagnostics["poly_stage_value"] is min(per_start);
+    diagnostics["grid_message"] and ["grid_steps"] give the grid run's.
     """
     if n < 2:
         raise ValueError("estimate_lambda_n requires n >= 2")
@@ -315,7 +311,7 @@ def estimate_lambda_n(
             f"per_start={per_start}"
         )
     u0 = np.polynomial.polynomial.polyval(grid.nodes(), poly_c)
-    u, info = _minimize_quotient(functions, w, u0, opts.maxiter, gtol=1e-10)
+    u, info = _minimize_quotient(functions, u0, opts.maxiter, gtol=1e-10)
     pot, den, high = kernel.terms(u, w)
     if den <= 100 * DENOMINATOR_FLOOR:
         raise RuntimeError(

@@ -135,15 +135,15 @@ class DiscreteEnergy:
 
     def hess(self, u: np.ndarray, w: DoubleWell, c, free: slice = slice(None)):
         """The Hessian block H[free, free], for a slice free of unit step,
-        in band storage ab[b + i - j, j] = H[i, j] with b = `bandwidth`;
-        requires W''.  Only the W'' diagonal is computed per call; the
-        K_low/K_high bands are built once per kernel."""
+        in band storage ab[b + i - j, j] = H[i, j] with b = `bandwidth`.
+        Only the W'' diagonal (`DoubleWell.second_derivative`) is computed
+        per call; the K_low/K_high bands are built once per kernel."""
         b, band_low, band_high = self._bands
         c_pot, c_low, c_high = c
         ab = c_high * band_high[:, free]
         ab[b] += (
             c_pot
-            * np.asarray(w.eval_second_derivative(u[free]), dtype=float)
+            * np.asarray(w.second_derivative(u[free]), dtype=float)
             * self.q[free]
         )
         if c_low != 0.0:

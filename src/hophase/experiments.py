@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._solvers import BandedSystem, damped_newton, lbfgs
+from ._solvers import BandedSystem, damped_newton
 from .energy import DiscreteEnergy, EnergyBreakdown, EnergyParams, evaluate
 from .grids import Field, Grid
 from .potentials import DoubleWell, get_potential
@@ -147,8 +147,7 @@ class MinimizeEnergyResult:
     converged means gradient_norm < max(gtol, gradient_floor), the
     roundoff floor of the assembled gradient at the minimizer, and no
     divergence.  factorizations counts the LAPACK factorizations of the
-    Newton steps, tau retries that change the shifted matrix included
-    (0 under L-BFGS)."""
+    Newton steps, tau retries that change the shifted matrix included."""
 
     field: Field
     breakdown: EnergyBreakdown
@@ -174,8 +173,8 @@ def minimize_energy(
     accuracy_order: int = 4,
 ) -> MinimizeEnergyResult:
     """Minimize the energy from a given initialization by damped Newton
-    (Levenberg shift, Armijo backtracking) on the banded Hessian, or by
-    L-BFGS for a potential without W''; maxiter caps the solver's steps.
+    (Levenberg shift, Armijo backtracking) on the banded Hessian; maxiter
+    caps the Newton steps.
 
     The optional mass constraint fixes int_I u = mass: the initialization
     is shifted to the prescribed value, gradients are projected onto the
@@ -203,21 +202,15 @@ def minimize_energy(
             g = g - (float(q @ g) / float(q @ q)) * q
         return g
 
-    if w.eval_second_derivative is None:
-        z, info = lbfgs(
-            fun, gfun, u0, maxiter=maxiter, gtol=gtol,
-            divergence_floor=divergence_floor,
-        )
-    else:
-        border = () if mass is None else (q[:, None], q[None, :], np.zeros((1, 1)))
+    border = () if mass is None else (q[:, None], q[None, :], np.zeros((1, 1)))
 
-        def hess(v):
-            return BandedSystem(kernel.hess(v, w, c), kernel.bandwidth, *border)
+    def hess(v):
+        return BandedSystem(kernel.hess(v, w, c), kernel.bandwidth, *border)
 
-        z, info = damped_newton(
-            fun, gfun, hess, u0, maxiter=maxiter, gtol=gtol,
-            divergence_floor=divergence_floor,
-        )
+    z, info = damped_newton(
+        fun, gfun, hess, u0, maxiter=maxiter, gtol=gtol,
+        divergence_floor=divergence_floor,
+    )
 
     final = Field(init.grid, z)
     floor = kernel.gradient_floor(z, w, c)

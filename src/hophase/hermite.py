@@ -223,22 +223,19 @@ def solve_eta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
 def eval_poly(p: CouplingPolynomial, x, k: int = 0):
     """k-th derivative of the polynomial at x.
 
-    Uses p^(k)(x) = sum_i ((k+i)!/i!) a_{k+i} x^i.  For float x the sum is
-    evaluated in float; for exact endpoint checks pass a Fraction (or int)
-    and the arithmetic stays exact, returning a Fraction.
+    Uses p^(k)(x) = sum_i ((k+i)!/i!) a_{k+i} x^i.  Float x gives floats
+    shaped like x; for exact endpoint checks pass a Fraction (or int) and
+    the arithmetic stays exact, returning a Fraction (0 beyond the degree).
     """
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     a = p.exact_coefficients
-    deg = len(a) - 1
-    if k > deg:
-        return 0.0 if not isinstance(x, (Fraction, int)) else Fraction(0)
     exact = isinstance(x, (Fraction, int)) and not isinstance(x, bool)
     if exact:
         xf = Fraction(x)
         total = Fraction(0)
         power = Fraction(1)
-        for i in range(deg - k + 1):
+        for i in range(len(a) - k):
             total += perm(k + i, k) * a[k + i] * power
             power *= xf
         return total
@@ -250,8 +247,11 @@ def eval_poly(p: CouplingPolynomial, x, k: int = 0):
 @lru_cache(maxsize=256)
 def _float_derivative_coefficients(a: Tuple[Fraction, ...], k: int) -> np.ndarray:
     """Float monomial coefficients of the k-th derivative of the polynomial
-    with exact coefficients a (read-only: every caller shares the array)."""
-    coeffs = np.array([float(perm(k + i, k) * a[k + i]) for i in range(len(a) - k)])
+    with exact coefficients a, [0.0] beyond the degree (read-only: every
+    caller shares the array)."""
+    coeffs = np.array(
+        [float(perm(k + i, k) * a[k + i]) for i in range(len(a) - k)] or [0.0]
+    )
     coeffs.flags.writeable = False
     return coeffs
 

@@ -29,8 +29,8 @@ class DoubleWell:
         coercivity_L: constant L > 0 with W(t) >= L*(t-1)^2 for t > 0 and
             W(t) >= L*(t+1)^2 for t < 0.
         name: identifier used in configs and reports.
-        eval_second_derivative: W''(t), optional; enables the damped-Newton
-            solver in the minimizers.
+        eval_second_derivative: W''(t), optional; `second_derivative`
+            differentiates W' when it is not given.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -41,6 +41,17 @@ class DoubleWell:
 
     def __call__(self, t):
         return self.eval(t)
+
+    def second_derivative(self, t):
+        """W''(t): eval_second_derivative when given, else the central
+        difference of the exact W' with step eps^(1/3) max(1, |t|) (Nocedal
+        & Wright, Numerical Optimization, sec. 8.1)."""
+        if self.eval_second_derivative is not None:
+            return self.eval_second_derivative(t)
+        t = np.asarray(t, dtype=float)
+        h = np.finfo(float).eps ** (1 / 3) * np.maximum(1.0, np.abs(t))
+        hi, lo = t + h, t - h
+        return np.subtract(self.eval_derivative(hi), self.eval_derivative(lo)) / (hi - lo)
 
 
 @dataclass
@@ -125,6 +136,7 @@ def validate_assumptions(
       wells:          W(-1) = W(+1) = 0 and W(t) > 0 elsewhere
       coercivity:     W(t) >= L*(t-1)^2 for t > 0, W(t) >= L*(t+1)^2 for t < 0
       derivative:     W' matches a central difference of W to rel. 1e-6
+      second_derivative:  likewise W'' against W' (a derived W'' passes)
 
     Failures are reported, not raised; each result carries the worst
     offending sample point and its margin.
@@ -180,20 +192,23 @@ def validate_assumptions(
     )
 
     step = 1e-5
-    deriv_fd = (w.eval(t + step) - w.eval(t - step)) / (2 * step)
-    deriv = np.asarray(w.eval_derivative(t), dtype=float)
-    scale = np.maximum(np.abs(deriv), 1.0)
-    rel = np.abs(deriv - deriv_fd) / scale
-    m = int(np.argmax(rel))
-    report.results.append(
-        AssumptionResult(
-            name="derivative",
-            passed=bool(rel[m] < 1e-6),
-            worst_point=float(t[m]),
-            worst_margin=float(rel[m]),
-            detail="max rel. deviation from central difference",
+    for name, f, df in (
+        ("derivative", w.eval, w.eval_derivative),
+        ("second_derivative", w.eval_derivative, w.second_derivative),
+    ):
+        fd = (f(t + step) - f(t - step)) / (2 * step)
+        exact = np.asarray(df(t), dtype=float)
+        rel = np.abs(exact - fd) / np.maximum(np.abs(exact), 1.0)
+        m = int(np.argmax(rel))
+        report.results.append(
+            AssumptionResult(
+                name=name,
+                passed=bool(rel[m] < 1e-6),
+                worst_point=float(t[m]),
+                worst_margin=float(rel[m]),
+                detail="max rel. deviation from central difference",
+            )
         )
-    )
     return report
 
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from ._solvers import BandedSystem, damped_newton, lbfgs
+from ._solvers import BandedSystem, damped_newton
 from .critical import estimate_lambda_n
 from .energy import DiscreteEnergy
 from .grids import Field, Grid
@@ -80,11 +80,10 @@ class ProfileProblem:
 
 @dataclass
 class MinimizeOptions:
-    """Stopping knobs for the profile minimizer: maxiter caps L-BFGS (used
-    only for potentials without W''), newton_maxiter caps damped Newton."""
+    """Stopping knobs for the profile minimizer: newton_maxiter caps the
+    damped-Newton steps of each start."""
 
     gtol: float = 1e-8
-    maxiter: int = 10_000
     newton_maxiter: int = 100
     divergence_floor: Optional[float] = None
 
@@ -95,7 +94,7 @@ class ProfileResult:
     gradient_norm_final < max(gtol, gradient_floor), the roundoff floor of
     the assembled gradient at the minimizer, and no divergence.
     factorizations counts the LAPACK factorizations of the Newton steps,
-    tau retries that change the shifted matrix included (0 under L-BFGS).
+    tau retries that change the shifted matrix included.
     After a multistart (`minimize_profile` with init = None), iterations
     and factorizations are those of the winning start only; the other
     starts' work is not counted."""
@@ -138,9 +137,9 @@ def minimize_profile(
     """Minimize the truncated profile energy with clamped well tails.
 
     The outermost `clamp_band` points on each side are fixed to -1 / +1;
-    minimization runs over the free interior values by damped Newton, or
-    by L-BFGS when W'' is not available.  With init = None a multi-start
-    over `default_starts` keeps the best energy.
+    minimization runs over the free interior values by damped Newton.
+    With init = None a multi-start over `default_starts` keeps the best
+    energy.
     """
     opts = opts or MinimizeOptions()
     w = problem.potential
@@ -165,21 +164,15 @@ def minimize_profile(
             v[free] = z
             return kernel.grad(v, w, c)[free]
 
-        if w.eval_second_derivative is None:
-            z, info = lbfgs(
-                fun, gfun, u[free], maxiter=opts.maxiter, gtol=opts.gtol,
-                divergence_floor=opts.divergence_floor,
-            )
-        else:
-            def hfun(z):
-                v = u.copy()
-                v[free] = z
-                return BandedSystem(kernel.hess(v, w, c, free), kernel.bandwidth)
+        def hfun(z):
+            v = u.copy()
+            v[free] = z
+            return BandedSystem(kernel.hess(v, w, c, free), kernel.bandwidth)
 
-            z, info = damped_newton(
-                fun, gfun, hfun, u[free], maxiter=opts.newton_maxiter,
-                gtol=opts.gtol, divergence_floor=opts.divergence_floor,
-            )
+        z, info = damped_newton(
+            fun, gfun, hfun, u[free], maxiter=opts.newton_maxiter,
+            gtol=opts.gtol, divergence_floor=opts.divergence_floor,
+        )
         u[free] = z
         e = info.energy
         gnorm = info.gradient_norm

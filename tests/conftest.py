@@ -1,5 +1,8 @@
 """Shared fixtures; the expensive session-wide constants are computed once."""
 
+import dataclasses
+import sys
+
 import pytest
 
 import hophase as hp
@@ -8,6 +11,26 @@ import hophase as hp
 @pytest.fixture(scope="session")
 def quartic():
     return hp.make_quartic()
+
+
+@pytest.fixture(scope="session")
+def derived_quartic(quartic):
+    """The quartic without its closed-form W'', which the minimizers then
+    take from `DoubleWell.second_derivative`."""
+    return dataclasses.replace(quartic, eval_second_derivative=None)
+
+
+@pytest.fixture
+def no_lbfgs(monkeypatch):
+    """Make every hophase binding of `lbfgs` raise, so a test using this
+    fails if any minimizer calls L-BFGS."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a minimizer called L-BFGS")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hophase") and hasattr(mod, "lbfgs"):
+            monkeypatch.setattr(mod, "lbfgs", refuse)
 
 
 @pytest.fixture(scope="session")

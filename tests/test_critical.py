@@ -144,7 +144,6 @@ class TestLambdaEstimate:
         c, _ = critical._poly_stage(n, quartic, opts)
         u, _ = critical._minimize_quotient(
             critical._quotient_functions(kernel, quartic),
-            quartic,
             np.polynomial.polynomial.polyval(grid.nodes(), c),
             opts.maxiter,
             gtol=1e-10,
@@ -154,9 +153,9 @@ class TestLambdaEstimate:
         sizes = []
         minimize = critical._minimize_quotient
 
-        def counted(functions, w, x0, maxiter, gtol):
+        def counted(functions, x0, maxiter, gtol):
             sizes.append(len(x0))
-            return minimize(functions, w, x0, maxiter, gtol)
+            return minimize(functions, x0, maxiter, gtol)
 
         monkeypatch.setattr(critical, "_minimize_quotient", counted)
         est = estimate_lambda_n(n, quartic, opts)
@@ -187,7 +186,8 @@ class TestLambdaEstimate:
         assert len(dataclasses.fields(LambdaOptions)) == 6
 
     def test_final_gradient_norm_without_polish(self, quartic):
-        # without W'' every start runs L-BFGS
+        # without W'' every start runs Newton on the W'' that
+        # DoubleWell.second_derivative derives from W'
         no_second = dataclasses.replace(quartic, eval_second_derivative=None)
         opts = LambdaOptions(
             num_points=101, poly_starts=0, maxiter=100,
@@ -234,8 +234,8 @@ class TestLambdaEstimate:
             assert max(values) <= 0.0569362484466
 
     def test_polynomial_stage_without_second_derivative(self, quartic):
-        # without W'' the polynomial stage runs L-BFGS and reaches the
-        # Newton value
+        # without W'' the polynomial stage runs Newton on a derived W''
+        # and reaches the value of the closed-form W''
         opts = LambdaOptions(num_points=61, poly_starts=4, maxiter=300)
         newton = estimate_lambda_n(2, quartic, opts)
         no_second = dataclasses.replace(quartic, eval_second_derivative=None)
@@ -244,6 +244,19 @@ class TestLambdaEstimate:
         assert est.diagnostics["poly_stage_value"] == pytest.approx(
             newton.diagnostics["poly_stage_value"], rel=1e-9
         )
+
+    def test_derived_second_derivative_matches_the_quartic(
+        self, quartic, derived_quartic, no_lbfgs
+    ):
+        # without W'' every start and the grid run take Newton steps on the
+        # W'' derived from W', and end where the closed-form W'' does
+        opts = LambdaOptions(num_points=101)
+        ref = estimate_lambda_n(2, quartic, opts)
+        est = estimate_lambda_n(2, derived_quartic, opts)
+        assert est.diagnostics["grid_message"] in (
+            "gradient below gtol", "energy stagnation (roundoff floor)"
+        )
+        assert est.value == pytest.approx(ref.value, rel=1e-10)
 
     def test_higher_order_constant_is_much_smaller(self, quartic):
         opts = LambdaOptions(num_points=301, poly_starts=4)
@@ -326,7 +339,7 @@ class TestQuotientNewton:
         kernel, functions = self.kernel_and_functions(quartic)
         x = np.linspace(0.0, 1.0, 201)
         u0 = np.tanh((x - 0.5) / 0.12)
-        _, info = _minimize_quotient(functions, quartic, u0, 50, gtol=1e-10)
+        _, info = _minimize_quotient(functions, u0, 50, gtol=1e-10)
         assert info.newton_iterations > 0
         assert calls and set(calls) == {2}
         assert info.factorizations == len(calls)

@@ -104,6 +104,18 @@ class TestMinimizeEnergy:
         assert res.converged
         assert res.iterations <= 5
 
+    @pytest.mark.parametrize("eps", [0.25, 1.0 / 16.0])
+    def test_derived_second_derivative_matches_the_quartic(
+        self, quartic, derived_quartic, two_jump_profile, no_lbfgs, eps
+    ):
+        # without W'' damped Newton runs on the W'' derived from W'
+        rec = two_jump_recovery(two_jump_profile, eps)
+        ref = minimize_energy(2, eps, 0.0, rec, quartic)
+        res = minimize_energy(2, eps, 0.0, rec, derived_quartic)
+        assert res.converged and not res.diverged
+        assert res.factorizations > 0
+        assert res.breakdown.total == pytest.approx(ref.breakdown.total, rel=1e-10)
+
     def test_supercritical_divergence_detected(self, quartic):
         g = Grid(0.0, 1.0, 257)
         init = Field.from_callable(

@@ -149,6 +149,18 @@ class TestEvalPoly:
         p = solve_zeta((0.0, 0.0))
         assert eval_poly(p, Fraction(1, 2), 4) == 0
         assert eval_poly(p, 0.5, 4) == 0.0
+        # an array x gives zeros shaped like x
+        p = solve_zeta((0.5, 0))
+        x = np.linspace(0.0, 1.0, 5)
+        for k in (4, 7):
+            for out in (eval_poly(p, x, k), p(x, k)):
+                assert isinstance(out, np.ndarray)
+                assert out.shape == x.shape
+                assert not out.any()
+        grid = np.zeros((2, 3))
+        assert eval_poly(p, grid, 4).shape == (2, 3)
+        exact = eval_poly(p, Fraction(1, 3), 4)
+        assert isinstance(exact, Fraction) and exact == 0
 
     def test_float_evaluation_tracks_exact(self):
         p = solve_zeta(tuple(np.linspace(-0.4, 0.4, 5)))

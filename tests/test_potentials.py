@@ -1,5 +1,7 @@
 """Tests for double-well potentials and their assumption validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,23 @@ class TestQuartic:
         np.testing.assert_allclose(
             quartic.eval_second_derivative(t), 12 * t**2 - 4
         )
+        # a supplied W'' is what second_derivative returns
+        assert np.array_equal(quartic.second_derivative(t), 12 * t**2 - 4)
+
+    def test_derived_second_derivative_matches_closed_form(self, derived_quartic):
+        # central difference of W' with step eps^(1/3) max(1, |t|), relative
+        # to max(|W''|, 1) as in validate_assumptions
+        t = np.linspace(-3.0, 3.0, 20_001)
+        exact = 12 * t**2 - 4
+        derived = derived_quartic.second_derivative(t)
+        assert np.max(np.abs(derived - exact) / np.maximum(np.abs(exact), 1.0)) < 1e-8
+
+    def test_replaced_derivative_is_differentiated(self, derived_quartic):
+        # the derived W'' follows the W' the potential carries now, so a
+        # dataclasses.replace of W' is not shadowed by the old one
+        w = dataclasses.replace(derived_quartic, eval_derivative=np.sin)
+        t = np.linspace(-3.0, 3.0, 101)
+        np.testing.assert_allclose(w.second_derivative(t), np.cos(t), atol=1e-9)
 
     def test_even_symmetry(self, quartic):
         rng = np.random.default_rng(0)
@@ -105,3 +124,17 @@ class TestValidation:
         )
         report = validate_assumptions(w)
         assert not report["derivative"].passed
+
+    def test_second_derivative_is_checked_against_the_derivative(
+        self, quartic, derived_quartic
+    ):
+        assert validate_assumptions(quartic)["second_derivative"].passed
+        assert validate_assumptions(derived_quartic)["second_derivative"].passed
+        wrong = dataclasses.replace(
+            quartic, eval_second_derivative=lambda t: 12.0 * t**2  # missing -4
+        )
+        report = validate_assumptions(wrong)
+        assert not report["second_derivative"].passed
+        assert report["second_derivative"].worst_margin > 1.0
+        assert report["derivative"].passed
+        assert not report.all_passed

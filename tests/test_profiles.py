@@ -1,5 +1,7 @@
 """Tests for optimal-profile minimization and recovery sequences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,25 @@ from hophase.profiles import default_starts
 
 
 class TestProfileMinimization:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_derived_second_derivative_matches_the_quartic(
+        self, quartic, derived_quartic, no_lbfgs, n
+    ):
+        # without W'' the minimizer runs damped Newton on the W'' derived
+        # from W' and reaches the profile of the closed-form W''
+        ref = minimize_profile(ProfileProblem(n, 0.0, 10.0, 2001, quartic))
+        res = minimize_profile(ProfileProblem(n, 0.0, 10.0, 2001, derived_quartic))
+        assert res.converged
+        assert res.factorizations > 0
+        assert res.energy_estimate == pytest.approx(ref.energy_estimate, rel=1e-10)
+
+    def test_lbfgs_iteration_cap_is_gone(self):
+        with pytest.raises(TypeError):
+            MinimizeOptions(maxiter=100)
+        assert [f.name for f in dataclasses.fields(MinimizeOptions)] == [
+            "gtol", "newton_maxiter", "divergence_floor"
+        ]
+
     def test_order_one_matches_classical_constant(self, quartic):
         # n = 1, lam = 0 is the classical sharp-interface problem whose
         # minimum is 2 int_{-1}^{1} sqrt(W) = 2 int (1-t^2) dt = 8/3
