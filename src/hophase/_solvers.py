@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv, dgesv
-from scipy.optimize import minimize as scipy_minimize
 
 __all__ = ["SolveInfo", "BandedSystem", "lbfgs", "damped_newton"]
 
@@ -125,8 +124,11 @@ def lbfgs(
 
     When the energy drops below the floor the run is aborted (the iterate
     is kept) and flagged diverged; this is the expected outcome in the
-    supercritical regime, not an error.
+    supercritical regime, not an error.  No minimizer calls it, so
+    scipy.optimize is imported here and not with the package.
     """
+    from scipy.optimize import minimize as scipy_minimize
+
     info = SolveInfo()
 
     def callback(intermediate_result):

@@ -391,12 +391,13 @@ def verify_subcritical(
         raise ValueError("nothing to check: ensemble_size is 0 and no extra_fields")
     rng = np.random.default_rng(seed)
     unit = Grid(0.0, 1.0, num_points)
+    # one grid object per interval, so each computes its unit_nodes once
+    long_grids = {K: Grid(0.0, float(K), (num_points - 1) * K + 1) for K in (2, 3)}
     kinds = ("fourier", "tanh_ramp", "hermite_step")
     fields: List[Tuple[Field, bool]] = []
     for i in range(ensemble_size):
         if include_subdivision and i % 4 == 3:
-            K = int(rng.integers(2, 4))
-            g = Grid(0.0, float(K), (num_points - 1) * K + 1)
+            g = long_grids[int(rng.integers(2, 4))]
             fields.append((random_field(g, rng, kinds[i % 3]), True))
         else:
             fields.append((random_field(unit, rng, kinds[i % 3]), False))

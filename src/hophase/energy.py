@@ -20,9 +20,10 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import CubicSpline
 
-from .grids import Field, Grid, diff_operator, quadrature_weights, window_starts
+from .grids import (
+    Field, Grid, NotAKnotSpline, diff_operator, quadrature_weights, window_starts,
+)
 from .potentials import DoubleWell
 
 __all__ = [
@@ -303,9 +304,10 @@ def evaluate_rescaled(
         int_{I/eps}  W(v) - lam (v^(n-1))^2 + (v^(n))^2  dx.
 
     v is built on a refined stretched grid (refine * (N-1) + 1 points) by
-    cubic interpolation, so agreement with `evaluate` is a genuine
-    two-discretization cross-check rather than an identical computation;
-    the gap shrinks at the quadrature/interpolation order.
+    the not-a-knot cubic spline of u (`grids.NotAKnotSpline`), so
+    agreement with `evaluate` is a genuine two-discretization cross-check
+    rather than an identical computation; the gap shrinks at the
+    quadrature/interpolation order.
     """
     if refine < 1:
         raise ValueError("refine must be >= 1")
@@ -316,8 +318,7 @@ def evaluate_rescaled(
     if refine == 1:
         vals = u.values.copy()
     else:
-        spline = CubicSpline(g.nodes(), u.values, bc_type="not-a-knot")
-        vals = spline(np.clip(eps * xs, g.a, g.b))
+        vals = NotAKnotSpline(u)(np.clip(eps * xs, g.a, g.b))
     v = Field(stretched, vals)
     pot, low, high = DiscreteEnergy(
         stretched, p.n, p.accuracy_order, p.rule

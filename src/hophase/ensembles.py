@@ -14,7 +14,8 @@ Distribution (all draws from one `numpy.random.Generator`):
                  junctions); c ~ U[0.35, 0.65], d ~ U[0.1, 0.3], scaled
                  by A ~ U[0.8, 1.2].
 
-Here t = (x - a)/(b - a) is the normalized coordinate of the field's grid.
+Here t = (x - a)/(b - a) is the normalized coordinate of the field's grid
+(`Grid.unit_nodes`, computed once per grid).
 Identical seeds give bit-identical ensembles.  The Fourier modes are summed
 in order from k = 0, so the fields carry the same bits as the per-term sum
 of these formulas, and the sign s is drawn as (-1, +1)[integers(0, 2)],
@@ -45,7 +46,7 @@ def _step_coefficients() -> np.ndarray:
 
 def random_field(grid: Grid, rng: np.random.Generator, kind: str) -> Field:
     """Draw one random field of the given kind on the grid."""
-    t = (grid.nodes() - grid.a) / grid.length
+    t = grid.unit_nodes
     if kind == "fourier":
         K = int(rng.integers(3, 11))
         gamma = rng.uniform(1.0, 2.5)

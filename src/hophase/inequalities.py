@@ -19,7 +19,7 @@ import numpy as np
 
 from .energy import EnergyParams, evaluate
 from .ensembles import DEFAULT_KINDS, random_field
-from .grids import Field, Grid, derivative, quadrature_weights
+from .grids import MAX_DERIVATIVE_ORDER, Field, Grid, derivative, quadrature_weights
 from .potentials import DoubleWell
 
 __all__ = [
@@ -129,9 +129,11 @@ def check_nirineq(u: Field, n: int, sigma: float, c_probe: float) -> CheckReport
 
         c_probe int (u^(n-1))^2 <= sigma^(-(2n-2)) int u^2 + sigma^2 int (u^(n))^2,
 
-    for 0 < sigma <= |I|.  The empirical admissible constant rhs/lhs is
-    reported alongside.
+    for 0 < sigma <= |I| and 2 <= n <= MAX_DERIVATIVE_ORDER.  The empirical
+    admissible constant rhs/lhs is reported alongside.
     """
+    if not 2 <= n <= MAX_DERIVATIVE_ORDER:
+        raise ValueError(f"nirineq needs 2 <= n <= {MAX_DERIVATIVE_ORDER}, got n = {n}")
     L = u.grid.length
     if not 0 < sigma <= L:
         raise ValueError(f"sigma must satisfy 0 < sigma <= |I| = {L:.4g}")

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._solvers import BandedSystem, damped_newton
 from .critical import estimate_lambda_n
 from .energy import DiscreteEnergy
-from .grids import Field, Grid
+from .grids import Field, Grid, NotAKnotSpline
 from .hermite import eval_poly, solve_zeta
 from .potentials import DoubleWell
 
@@ -332,6 +331,8 @@ def build_recovery(
 
     Around an up-jump (-1 to +1 at s_i) the field is f((x - s_i)/eps);
     around a down-jump it is f(-(x - s_i)/eps); elsewhere it equals u.
+    f is the not-a-knot cubic spline of the profile samples
+    (`grids.NotAKnotSpline`), evaluated on each window's points only.
     With left_value = -1 the up-jumps are exactly the odd-indexed ones.
     Requires eps * T < delta0 / 2 so the pasted windows neither overlap
     each other nor stick out of the interval.
@@ -352,12 +353,12 @@ def build_recovery(
     grid = Grid(u.a, u.b, num_points)
     x = grid.nodes()
     vals = u.evaluate(x)
-    spline = CubicSpline(g.nodes(), profile.values, bc_type="not-a-knot")
+    spline = NotAKnotSpline(profile)
     sign_before = u.left_value
     for s in u.jumps:
         z = (x - s) / eps
         window = np.abs(z) <= T
-        arg = z if sign_before < 0 else -z
-        vals = np.where(window, spline(np.clip(arg, -T, T)), vals)
+        arg = z[window] if sign_before < 0 else -z[window]
+        vals[window] = spline(np.clip(arg, g.a, g.b))
         sign_before = -sign_before
     return Field(grid, vals)

@@ -23,6 +23,17 @@ def run(capsys, argv):
     return rc, json.loads(out)
 
 
+def run_fresh(args):
+    """Run the interpreter with args in a fresh process that imports
+    hophase from the same checkout."""
+    src = Path(hophase.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
 class TestHermite:
     def test_zeta_solution(self, tmp_path, capsys):
         rc, payload = run(
@@ -109,18 +120,22 @@ class TestLambdaN:
 
     def test_module_entry_point_reports_usage_errors(self):
         # python -m hophase runs the same CLI from a checkout
-        src = Path(hophase.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(src), env.get("PYTHONPATH")])
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "hophase", "lambda-n", "--n", "7"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_fresh(["-m", "hophase", "lambda-n", "--n", "7"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "hophase: error: derivative order must be in [1, 6]\n"
+
+
+def test_import_loads_neither_scipy_interpolate_nor_optimize():
+    # every CLI command starts a fresh interpreter and pays for what
+    # `import hophase` loads; no computation needs these two at import
+    proc = run_fresh([
+        "-c",
+        "import sys, hophase; "
+        "print(sorted({'scipy.interpolate', 'scipy.optimize'} & set(sys.modules)))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize(
@@ -229,6 +244,15 @@ class TestCheckIneq:
         assert rc == 0
         assert a == c
         assert a["worst_ratio"] != b["worst_ratio"]
+
+    @pytest.mark.parametrize("n", ["1", "7"])
+    def test_nirineq_order_outside_stencil_range_is_a_usage_error(self, n, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["check-ineq", "--which", "nirineq", "--n", n, "--count", "5"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hophase: error: nirineq needs 2 <= n <= 6, got n = {n}\n"
 
     def test_seed_changes_witness(self, capsys):
         _, a = run(capsys, ["check-ineq", "--which", "intlem", "--count", "15"])

@@ -22,6 +22,7 @@ from hophase import (
     stencil_weights,
 )
 from hophase import grids
+from hophase.grids import NotAKnotSpline
 
 
 class TestGrid:
@@ -298,6 +299,49 @@ class TestQuadrature:
             return abs(integrate(Field.from_callable(g, np.sin)) - 2.0)
 
         assert err(101) / err(201) == pytest.approx(4.0, rel=0.05)
+
+
+class TestNotAKnotSpline:
+    @staticmethod
+    def _points(g):
+        x = g.nodes()
+        return np.concatenate([x, (x[:-1] + x[1:]) / 2, [g.a, g.b]])
+
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (-10.0, 10.0)])
+    @pytest.mark.parametrize("num_points", [2, 3, 4, 5, 17, 801, 2001])
+    def test_matches_scipy_not_a_knot(self, interval, num_points):
+        from scipy.interpolate import CubicSpline
+
+        g = Grid(*interval, num_points)
+        x, pts = g.nodes(), self._points(g)
+        t = (x - g.a) / g.length
+        smooth = 2.0 + np.tanh((t - 0.4) / 0.15) + 0.3 * np.sin(5 * np.pi * t)
+        noise = np.random.default_rng(num_points).standard_normal(num_points)
+        for y, scale in ((smooth, None), (noise, np.abs(noise).max())):
+            got = NotAKnotSpline(Field(g, y))(pts)
+            want = CubicSpline(x, y, bc_type="not-a-knot")(pts)
+            if scale is None:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            else:
+                # a spline through white noise is ill-conditioned in N: at
+                # N = 2001 both differ from the exact rational spline by
+                # about 3e-13 of max |y|
+                np.testing.assert_allclose(got, want, rtol=0, atol=2e-12 * scale)
+
+    @pytest.mark.parametrize("num_points, degree", [(2, 1), (3, 2), (4, 3), (9, 3)])
+    def test_reproduces_polynomials_of_the_grid_degree(self, num_points, degree):
+        g = Grid(-1.0, 2.0, num_points)
+        coeffs = np.arange(1.0, degree + 2.0)
+        spline = NotAKnotSpline(Field.from_callable(g, lambda x: np.polyval(coeffs, x)))
+        pts = self._points(g)
+        np.testing.assert_allclose(spline(pts), np.polyval(coeffs, pts), rtol=1e-13)
+
+    def test_point_outside_interval_rejected(self):
+        g = Grid(-1.0, 2.0, 11)
+        spline = NotAKnotSpline(Field.from_callable(g, np.cos))
+        for x in (np.nextafter(-1.0, -2.0), np.nextafter(2.0, 3.0)):
+            with pytest.raises(ValueError, match="outside its interval"):
+                spline(np.array([0.0, x]))
 
 
 class TestResample:

@@ -110,6 +110,11 @@ class TestNirIneq:
         with pytest.raises(ValueError, match="sigma"):
             check_nirineq(linear_unit, 2, 0.0, c_probe=0.1)
 
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_order_outside_stencil_range_rejected(self, linear_unit, n):
+        with pytest.raises(ValueError, match=f"2 <= n <= 6, got n = {n}$"):
+            check_nirineq(linear_unit, n, 1.0, c_probe=0.1)
+
     def test_full_interval_sigma_over_ensemble(self):
         rep = ensemble_check(
             lambda f: check_nirineq(f, 2, f.grid.length, c_probe=0.25),
