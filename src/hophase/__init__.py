@@ -70,7 +70,6 @@ from .critical import (
 from .profiles import (
     ConstantsEstimate,
     JumpFunction,
-    MinimizeOptions,
     ProfileProblem,
     ProfileResult,
     build_recovery,
@@ -129,7 +128,7 @@ __all__ = [
     "LambdaEstimate", "estimate_lambda_n", "SubcriticalReport",
     "verify_subcritical",
     # profiles
-    "ProfileProblem", "ProfileResult", "MinimizeOptions", "minimize_profile",
+    "ProfileProblem", "ProfileResult", "minimize_profile",
     "hermite_smoothed_step", "ConstantsEstimate", "estimate_constants",
     "JumpFunction", "build_recovery",
     # inequalities

@@ -10,18 +10,21 @@ u -> u(./sigma), so the quotient
     Q[u] = (|I|^(-(2n-2)) int W(u) + |I|^2 int (u^(n))^2) / int (u^(n-1))^2
 
 is scale invariant and lambda_n = inf Q.  The estimator minimizes Q over
-fields on the normalized interval (0,1); any candidate bounds lambda_n
-from above, so the reported lambda_hat_n is an upper bound.
+fields on the normalized interval (0,1) in two stages.  The polynomial
+stage integrates each candidate polynomial exactly (Gauss-Legendre, for a
+quartic W), so its value Q[p] bounds lambda_n from above.  The grid stage
+that follows evaluates Q by finite-difference quadrature of a sampled
+field, which is no such bound: the reported lambda_hat_n may lie on
+either side of lambda_n.
 """
 
 from dataclasses import dataclass, field as dc_field
-from math import factorial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._solvers import BandedSystem, damped_newton
-from .energy import DiscreteEnergy
+from .energy import DiscreteEnergy, _PolynomialKernel
 from .ensembles import random_field
 from .grids import Field, Grid
 from .potentials import DoubleWell
@@ -58,15 +61,13 @@ class DegenerateQuotient(ValueError):
 
 
 def _quotient_terms(
-    u: Field, n: int, w: DoubleWell, accuracy_order: int, rule: str, length: float
+    u: Field, n: int, w: DoubleWell, accuracy_order: int, length: float
 ) -> Tuple[float, float, float]:
     """(potential, denominator, high) of Q[u] with the |I|-weights of an
     interval of the given length."""
     if n < 2:
         raise ValueError("quotient requires n >= 2")
-    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order, rule).terms(
-        u.values, w
-    )
+    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order).terms(u.values, w)
     if den <= DENOMINATOR_FLOOR:
         raise DegenerateQuotient(
             "quotient undefined: int (u^(n-1))^2 = "
@@ -76,14 +77,10 @@ def _quotient_terms(
 
 
 def quotient(
-    u: Field,
-    n: int,
-    w: DoubleWell,
-    accuracy_order: int = 4,
-    rule: str = "trapezoid",
+    u: Field, n: int, w: DoubleWell, accuracy_order: int = 4
 ) -> QuotientResult:
     """Q[u] on the field's own interval; raises `DegenerateQuotient` if degenerate."""
-    pot, den, high = _quotient_terms(u, n, w, accuracy_order, rule, u.grid.length)
+    pot, den, high = _quotient_terms(u, n, w, accuracy_order, u.grid.length)
     return QuotientResult(
         value=(pot + high) / den,
         numerator_parts=(pot, high),
@@ -93,12 +90,12 @@ def quotient(
 
 
 def subdivided_quotient(
-    u: Field, n: int, w: DoubleWell, accuracy_order: int = 4, rule: str = "trapezoid"
+    u: Field, n: int, w: DoubleWell, accuracy_order: int = 4
 ) -> float:
     """Truncated real-line form: unit-length normalization regardless of
     the actual interval, matching the subdivision of a long interval into
     unit pieces (each contributing with |I_i| = 1 weights)."""
-    pot, den, high = _quotient_terms(u, n, w, accuracy_order, rule, 1.0)
+    pot, den, high = _quotient_terms(u, n, w, accuracy_order, 1.0)
     return (pot + high) / den
 
 
@@ -132,66 +129,10 @@ class LambdaEstimate:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-class _PolynomialKernel:
-    """The three integrals of `DiscreteEnergy` for the polynomial
-    p(x) = sum_j c_j x^j on (0,1), as functions of its monomial
-    coefficients c: Gauss-Legendre quadrature with 2d + 2 nodes, exact for
-    a polynomial W.  Provides what `_quotient_functions` reads (terms,
-    grad, hess, K_low, bandwidth); the Hessian is dense, stored as a band
-    with lo = up = d."""
-
-    def __init__(self, n: int, degree: int):
-        nodes, wts = np.polynomial.legendre.leggauss(2 * degree + 2)
-        nodes = 0.5 * (nodes + 1.0)
-        self.wts = 0.5 * wts
-        ncoef = degree + 1
-
-        def basis(k):
-            # row j holds the k-th derivative of x^j at the nodes
-            B = np.zeros((ncoef, len(nodes)))
-            for j in range(k, ncoef):
-                B[j] = factorial(j) // factorial(j - k) * nodes ** (j - k)
-            return B
-
-        self.B0, self.Bn1, self.Bn = basis(0), basis(n - 1), basis(n)
-        self.K_low = 2.0 * (self.Bn1 * self.wts) @ self.Bn1.T
-        self.K_high = 2.0 * (self.Bn * self.wts) @ self.Bn.T
-        self.bandwidth = degree
-        i, j = np.indices((ncoef, ncoef))
-        self._band_index = (degree + i - j, j)
-
-    def terms(self, c: np.ndarray, w: DoubleWell):
-        return (
-            float(self.wts @ np.asarray(w.eval(c @ self.B0), dtype=float)),
-            float(self.wts @ (c @ self.Bn1) ** 2),
-            float(self.wts @ (c @ self.Bn) ** 2),
-        )
-
-    def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
-        c_pot, c_low, c_high = coef
-        wprime = np.asarray(w.eval_derivative(c @ self.B0), dtype=float)
-        return (
-            c_pot * (self.B0 @ (self.wts * wprime))
-            + (c_low * self.K_low + c_high * self.K_high) @ c
-        )
-
-    def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
-        c_pot, c_low, c_high = coef
-        w2 = np.asarray(w.second_derivative(c @ self.B0), dtype=float)
-        H = (
-            c_pot * (self.B0 * (self.wts * w2)) @ self.B0.T
-            + c_low * self.K_low
-            + c_high * self.K_high
-        )
-        ab = np.zeros((2 * self.bandwidth + 1, len(c)))
-        ab[self._band_index] = H
-        return ab
-
-
 def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     """Global search over the monomial coefficients of a degree
     opts.poly_degree polynomial on (0,1), with Gauss-Legendre integrals
-    (exact for polynomial potentials): `_minimize_quotient` from a ramp
+    (exact for a quartic W): `_minimize_quotient` from a ramp
     (and a quadratic for n >= 3) and opts.poly_starts random coefficient
     vectors.  A degenerate start (the ramp for n >= 3) is not solved.
     Returns the best coefficients (None if every start is degenerate) and
@@ -283,7 +224,7 @@ def _minimize_quotient(functions, x0, maxiter: int, gtol: float):
 def estimate_lambda_n(
     n: int, w: DoubleWell, opts: Optional[LambdaOptions] = None
 ) -> LambdaEstimate:
-    """Upper bound lambda_hat_n = min Q on (0,1), found in two steps.
+    """The estimate lambda_hat_n = min Q on (0,1), found in two steps.
 
     The polynomial stage (`_poly_stage`) picks the basin; degree-(n-1)
     fields make the highest term vanish and are strong competitors for
@@ -293,7 +234,8 @@ def estimate_lambda_n(
     diagnostics["messages"] and diagnostics["steps"] give each polynomial
     start's value, stop reason and step count in start order (inf,
     "degenerate start" and 0 for a start that is not solved), and
-    diagnostics["poly_stage_value"] is min(per_start);
+    diagnostics["poly_stage_value"] is min(per_start), an upper bound on
+    lambda_n (see the module docstring);
     diagnostics["grid_message"] and ["grid_steps"] give the grid run's.
     """
     if n < 2:

@@ -8,19 +8,24 @@ evaluated by quadrature of finite-difference stencils, together with its
 rescaled form (substituting v(x) = u(eps x) on the stretched interval) and
 the exact gradient of the discrete energy.
 
-Every functional of the package (this energy, the unscaled profile energy
-and the interpolation quotient) is a weighted sum of the same three
-integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2; `DiscreteEnergy` is
-their one discretization, with gradient, Hessian and roundoff floor.
+Every functional of the package (this energy, the unscaled profile energy,
+the interpolation quotient and the coupling bound) is a weighted sum of the
+same three integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2.
+`DiscreteEnergy` is their one discretization on a grid, with gradient,
+Hessian, roundoff floor and the damped-Newton front end of every energy
+minimizer; `_PolynomialKernel` is the same three integrals for a
+polynomial, integrated exactly by Gauss-Legendre quadrature.
 """
 
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
 
+from ._solvers import BandedSystem, damped_newton
 from .grids import (
     Field, Grid, NotAKnotSpline, diff_operator, quadrature_weights, window_starts,
 )
@@ -50,9 +55,8 @@ class DiscreteEnergy:
     kernel for its whole run.
     """
 
-    def __init__(self, grid: Grid, n: int, accuracy_order: int = 4,
-                 rule: str = "trapezoid"):
-        self.q = quadrature_weights(grid, rule)
+    def __init__(self, grid: Grid, n: int, accuracy_order: int = 4):
+        self.q = quadrature_weights(grid)
         high = diff_operator(grid, n, accuracy_order)
         self.d_high = high.matrix
         if n == 1:
@@ -179,6 +183,106 @@ class DiscreteEnergy:
         scale += abs(c_pot) * float(np.max(wprime * self.q))
         return 8.0 * np.finfo(float).eps * scale
 
+    def minimize(self, u0: np.ndarray, w: DoubleWell, c, gtol: float,
+                 maxiter: int, free: slice = slice(None), hold_mass: bool = False,
+                 divergence_floor=None):
+        """Minimize `energy` over the samples u[free], a slice of unit step,
+        the others held at their values in u0, by damped Newton
+        (`_solvers.damped_newton`) on the Hessian block `hess(..., free)`,
+        at most maxiter steps.  With hold_mass the mass q[free] . u[free]
+        stays at its value in u0: the gradient is projected onto
+        q[free] . d = 0 and each step solves the bordered system
+        [[H, q], [q^T, 0]].  An energy below divergence_floor stops the
+        run, flagged diverged.
+
+        Returns the minimizer (all samples), the solver's `SolveInfo`, the
+        roundoff floor `gradient_floor` at the minimizer, and the verdict
+        converged: a final gradient sup-norm below max(gtol, floor), and
+        no divergence."""
+        u = np.array(u0, dtype=float)
+        q = self.q[free]
+
+        def full(z):
+            v = u.copy()
+            v[free] = z
+            return v
+
+        def grad(z):
+            g = self.grad(full(z), w, c)[free]
+            if hold_mass:
+                g = g - (float(q @ g) / float(q @ q)) * q
+            return g
+
+        border = (q[:, None], q[None, :], np.zeros((1, 1))) if hold_mass else ()
+
+        def system(z):
+            return BandedSystem(self.hess(full(z), w, c, free), self.bandwidth, *border)
+
+        z, info = damped_newton(
+            lambda z: self.energy(full(z), w, c), grad, system, u[free],
+            maxiter=maxiter, gtol=gtol, divergence_floor=divergence_floor,
+        )
+        u[free] = z
+        floor = self.gradient_floor(u, w, c)
+        converged = info.gradient_norm < max(gtol, floor) and not info.diverged
+        return u, info, floor, bool(converged)
+
+
+class _PolynomialKernel:
+    """The three integrals of `DiscreteEnergy` for the polynomial
+    p(x) = sum_j c_j x^j on (0,1), as functions of its monomial
+    coefficients c: Gauss-Legendre quadrature with 2d + 2 nodes, exact up
+    to degree 4d + 3, so exact for a quartic W (roundoff aside).  Provides
+    what `critical._quotient_functions` reads (terms, grad, hess, K_low,
+    bandwidth); the Hessian is dense, stored as a band with lo = up = d."""
+
+    def __init__(self, n: int, degree: int):
+        nodes, wts = np.polynomial.legendre.leggauss(2 * degree + 2)
+        nodes = 0.5 * (nodes + 1.0)
+        self.wts = 0.5 * wts
+        ncoef = degree + 1
+
+        def basis(k):
+            # row j holds the k-th derivative of x^j at the nodes
+            B = np.zeros((ncoef, len(nodes)))
+            for j in range(k, ncoef):
+                B[j] = factorial(j) // factorial(j - k) * nodes ** (j - k)
+            return B
+
+        self.B0, self.Bn1, self.Bn = basis(0), basis(n - 1), basis(n)
+        self.K_low = 2.0 * (self.Bn1 * self.wts) @ self.Bn1.T
+        self.K_high = 2.0 * (self.Bn * self.wts) @ self.Bn.T
+        self.bandwidth = degree
+        i, j = np.indices((ncoef, ncoef))
+        self._band_index = (degree + i - j, j)
+
+    def terms(self, c: np.ndarray, w: DoubleWell):
+        return (
+            float(self.wts @ np.asarray(w.eval(c @ self.B0), dtype=float)),
+            float(self.wts @ (c @ self.Bn1) ** 2),
+            float(self.wts @ (c @ self.Bn) ** 2),
+        )
+
+    def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+        c_pot, c_low, c_high = coef
+        wprime = np.asarray(w.eval_derivative(c @ self.B0), dtype=float)
+        return (
+            c_pot * (self.B0 @ (self.wts * wprime))
+            + (c_low * self.K_low + c_high * self.K_high) @ c
+        )
+
+    def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+        c_pot, c_low, c_high = coef
+        w2 = np.asarray(w.second_derivative(c @ self.B0), dtype=float)
+        H = (
+            c_pot * (self.B0 * (self.wts * w2)) @ self.B0.T
+            + c_low * self.K_low
+            + c_high * self.K_high
+        )
+        ab = np.zeros((2 * self.bandwidth + 1, len(c)))
+        ab[self._band_index] = H
+        return ab
+
 
 def _gram_diagonals(W, q, b) -> np.ndarray:
     """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
@@ -249,7 +353,6 @@ class EnergyParams:
     epsilon: float
     lam: float = 0.0
     accuracy_order: int = 4
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if self.n < 2:
@@ -280,9 +383,7 @@ class EnergyBreakdown:
 
 def evaluate(u: Field, p: EnergyParams, w: DoubleWell) -> EnergyBreakdown:
     """Quadrature evaluation of the three energy terms on u's grid."""
-    pot, low, high = DiscreteEnergy(u.grid, p.n, p.accuracy_order, p.rule).terms(
-        u.values, w
-    )
+    pot, low, high = DiscreteEnergy(u.grid, p.n, p.accuracy_order).terms(u.values, w)
     eps = p.epsilon
     pot = pot / eps
     concave = -p.lam * eps ** (2 * p.n - 3) * low
@@ -295,34 +396,23 @@ def evaluate(u: Field, p: EnergyParams, w: DoubleWell) -> EnergyBreakdown:
     )
 
 
-def evaluate_rescaled(
-    u: Field, p: EnergyParams, w: DoubleWell, refine: int = 2
-) -> float:
+def evaluate_rescaled(u: Field, p: EnergyParams, w: DoubleWell) -> float:
     """Energy via the substitution v(x) = u(eps x) on the stretched interval
     I/eps, where the functional loses its eps-weights:
 
         int_{I/eps}  W(v) - lam (v^(n-1))^2 + (v^(n))^2  dx.
 
-    v is built on a refined stretched grid (refine * (N-1) + 1 points) by
-    the not-a-knot cubic spline of u (`grids.NotAKnotSpline`), so
-    agreement with `evaluate` is a genuine two-discretization cross-check
-    rather than an identical computation; the gap shrinks at the
-    quadrature/interpolation order.
+    v is sampled on a stretched grid with twice u's intervals
+    (2 (N-1) + 1 points) from the not-a-knot cubic spline of u
+    (`grids.NotAKnotSpline`), so agreement with `evaluate` is a genuine
+    two-discretization cross-check rather than an identical computation;
+    the gap shrinks at the quadrature/interpolation order.
     """
-    if refine < 1:
-        raise ValueError("refine must be >= 1")
     eps = p.epsilon
     g = u.grid
-    stretched = Grid(g.a / eps, g.b / eps, refine * (g.num_points - 1) + 1)
-    xs = stretched.nodes()
-    if refine == 1:
-        vals = u.values.copy()
-    else:
-        vals = NotAKnotSpline(u)(np.clip(eps * xs, g.a, g.b))
-    v = Field(stretched, vals)
-    pot, low, high = DiscreteEnergy(
-        stretched, p.n, p.accuracy_order, p.rule
-    ).terms(v.values, w)
+    stretched = Grid(g.a / eps, g.b / eps, 2 * (g.num_points - 1) + 1)
+    v = NotAKnotSpline(u)(np.clip(eps * stretched.nodes(), g.a, g.b))
+    pot, low, high = DiscreteEnergy(stretched, p.n, p.accuracy_order).terms(v, w)
     return pot - p.lam * low + high
 
 
@@ -335,7 +425,7 @@ def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
     the adjoint of the quadrature-of-stencils composition, so directional
     derivatives match central differences of `evaluate` to roundoff.
     """
-    k = DiscreteEnergy(u.grid, p.n, p.accuracy_order, p.rule)
+    k = DiscreteEnergy(u.grid, p.n, p.accuracy_order)
     q, eps, v = k.q, p.epsilon, u.values
     low, high = k._operators
     g = np.asarray(w.eval_derivative(v), dtype=float) * q / eps

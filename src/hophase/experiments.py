@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._solvers import BandedSystem, damped_newton
 from .energy import DiscreteEnergy, EnergyBreakdown, EnergyParams, evaluate
 from .grids import Field, Grid
 from .potentials import DoubleWell, get_potential
@@ -173,8 +172,8 @@ def minimize_energy(
     accuracy_order: int = 4,
 ) -> MinimizeEnergyResult:
     """Minimize the energy from a given initialization by damped Newton
-    (Levenberg shift, Armijo backtracking) on the banded Hessian; maxiter
-    caps the Newton steps.
+    (`DiscreteEnergy.minimize`: Levenberg shift, Armijo backtracking) on the
+    banded Hessian; maxiter caps the Newton steps.
 
     The optional mass constraint fixes int_I u = mass: the initialization
     is shifted to the prescribed value, gradients are projected onto the
@@ -185,44 +184,26 @@ def minimize_energy(
     outcome, not an error.
     """
     params = EnergyParams(n, eps, lam, accuracy_order)
-    kernel = DiscreteEnergy(init.grid, n, accuracy_order, params.rule)
+    kernel = DiscreteEnergy(init.grid, n, accuracy_order)
     c = (1.0 / eps, -lam * eps ** (2 * n - 3), eps ** (2 * n - 1))
-    q = kernel.q
-
-    u0 = init.values.copy()
+    u0 = init.values
     if mass is not None:
+        q = kernel.q
         u0 = u0 + (mass - float(q @ u0)) / float(q.sum())
-
-    def fun(v):
-        return kernel.energy(v, w, c)
-
-    def gfun(v):
-        g = kernel.grad(v, w, c)
-        if mass is not None:
-            g = g - (float(q @ g) / float(q @ q)) * q
-        return g
-
-    border = () if mass is None else (q[:, None], q[None, :], np.zeros((1, 1)))
-
-    def hess(v):
-        return BandedSystem(kernel.hess(v, w, c), kernel.bandwidth, *border)
-
-    z, info = damped_newton(
-        fun, gfun, hess, u0, maxiter=maxiter, gtol=gtol,
+    z, info, floor, converged = kernel.minimize(
+        u0, w, c, gtol, maxiter, hold_mass=mass is not None,
         divergence_floor=divergence_floor,
     )
-
     final = Field(init.grid, z)
-    floor = kernel.gradient_floor(z, w, c)
     return MinimizeEnergyResult(
         field=final,
         breakdown=evaluate(final, params, w),
-        converged=bool(info.gradient_norm < max(gtol, floor) and not info.diverged),
+        converged=converged,
         diverged=bool(info.diverged),
         iterations=int(info.iterations),
         gradient_norm=float(info.gradient_norm),
         gradient_floor=float(floor),
-        message="supercritical divergence" if info.diverged else info.message,
+        message=info.message,
         factorizations=int(info.factorizations),
     )
 

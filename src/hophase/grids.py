@@ -257,29 +257,17 @@ def derivative(f: Field, k: int, accuracy_order: int = 4) -> Field:
     return Field(f.grid, op(f.values))
 
 
-def quadrature_weights(grid: Grid, rule: str = "trapezoid") -> np.ndarray:
-    """Composite quadrature weights on the grid nodes.
-
-    trapezoid: any num_points.  simpson: requires odd num_points.
-    """
-    n, h = grid.num_points, grid.h
-    if rule == "trapezoid":
-        q = np.full(n, h)
-        q[0] = q[-1] = h / 2
-        return q
-    if rule == "simpson":
-        if n % 2 == 0:
-            raise ValueError("Simpson quadrature requires an odd number of points")
-        q = np.full(n, 2 * h / 3)
-        q[1::2] = 4 * h / 3
-        q[0] = q[-1] = h / 3
-        return q
-    raise ValueError(f"unknown quadrature rule {rule!r}")
+def quadrature_weights(grid: Grid) -> np.ndarray:
+    """Composite trapezoid weights on the grid nodes."""
+    q = np.full(grid.num_points, grid.h)
+    q[0] = q[-1] = grid.h / 2
+    return q
 
 
-def integrate(f: Field, rule: str = "trapezoid") -> float:
-    """Composite quadrature of the sampled values over the grid interval."""
-    return float(quadrature_weights(f.grid, rule) @ f.values)
+def integrate(f: Field) -> float:
+    """Composite trapezoid quadrature of the sampled values over the grid
+    interval."""
+    return float(quadrature_weights(f.grid) @ f.values)
 
 
 class NotAKnotSpline:

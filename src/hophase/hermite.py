@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .grids import Grid, quadrature_weights
+from .energy import _PolynomialKernel
 from .potentials import DoubleWell
 
 __all__ = [
@@ -279,9 +279,7 @@ def coupling_energy_upper_bound(
     y: Union[BoundaryData, Sequence[float]],
     lam: float,
     w: DoubleWell,
-    grid_points: int = 401,
     kind: str = "zeta",
-    rule: str = "trapezoid",
 ) -> float:
     """Upper bound for the endpoint coupling energy by testing with the
     Hermite polynomial:
@@ -289,23 +287,15 @@ def coupling_energy_upper_bound(
         int_0^1 W(p) - lam (p^(n-1))^2 + (p^(n))^2 dx.
 
     Any admissible polynomial bounds the coupling infimum from above; the
-    bound is continuous in y because the coefficients are.  For the well
-    data (y = e_1 for zeta, y = -e_1 for eta) the polynomial is the
-    constant well value and the energy is exactly zero.
+    bound is continuous in y because the coefficients are.  The three
+    integrals come from `energy._PolynomialKernel` at degree 2n - 1, Gauss
+    quadrature on 4n nodes, exact up to degree 8n - 1 and so for a quartic
+    W (roundoff aside).  For the well data (y = e_1 for zeta, y = -e_1 for
+    eta) the polynomial is the constant well value and the energy is
+    exactly zero.
     """
     if not isinstance(y, BoundaryData):
         y = BoundaryData(tuple(y))
     p = solve_zeta(y) if kind == "zeta" else solve_eta(y)
-    n = y.n
-    # constant-well shortcut: exactly zero energy for all lam
-    if all(c == 0 for c in p.exact_coefficients[1:]) and float(
-        w.eval(np.array(float(p.exact_coefficients[0])))
-    ) == 0.0:
-        return 0.0
-    grid = Grid(0.0, 1.0, grid_points)
-    x = grid.nodes()
-    q = quadrature_weights(grid, rule)
-    pot = q @ np.asarray(w.eval(eval_poly(p, x, 0)), dtype=float)
-    dn1 = eval_poly(p, x, n - 1)
-    dn = eval_poly(p, x, n)
-    return float(pot - lam * (q @ dn1**2) + q @ dn**2)
+    pot, low, high = _PolynomialKernel(y.n, 2 * y.n - 1).terms(p.coefficients, w)
+    return pot - lam * low + high

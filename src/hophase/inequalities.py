@@ -93,13 +93,13 @@ def _report(lhs: float, rhs: float, witness: str, **extra) -> CheckReport:
     )
 
 
-def lp_norm(f: Field, p: float, rule: str = "trapezoid") -> float:
+def lp_norm(f: Field, p: float) -> float:
     """L^p norm by |.|^p quadrature; p = inf gives the max norm."""
     if np.isinf(p):
         return float(np.abs(f.values).max())
     if p < 1:
         raise ValueError("p must be >= 1")
-    q = quadrature_weights(f.grid, rule)
+    q = quadrature_weights(f.grid)
     return float((q @ np.abs(f.values) ** p) ** (1.0 / p))
 
 
@@ -137,7 +137,7 @@ def check_nirineq(u: Field, n: int, sigma: float, c_probe: float) -> CheckReport
     L = u.grid.length
     if not 0 < sigma <= L:
         raise ValueError(f"sigma must satisfy 0 < sigma <= |I| = {L:.4g}")
-    qw = quadrature_weights(u.grid, "trapezoid")
+    qw = quadrature_weights(u.grid)
     lo = float(qw @ derivative(u, n - 1).values ** 2)
     lhs = c_probe * lo
     rhs = sigma ** (-(2 * n - 2)) * float(qw @ u.values**2) + sigma**2 * float(
@@ -207,7 +207,7 @@ def check_lower_bound_lemma(
     if p.lam < 0 or p.lam > 0.5 * lam_hat:
         raise ValueError("precondition: 0 <= lam <= 0.5 * lam_hat")
     e_lam = evaluate(u, p, w).total
-    p0 = EnergyParams(p.n, p.epsilon, 0.0, p.accuracy_order, p.rule)
+    p0 = EnergyParams(p.n, p.epsilon, 0.0, p.accuracy_order)
     e_0 = evaluate(u, p0, w).total
     factor = 1.0 - p.lam / lam_hat - delta
     return _report(factor * e_0, e_lam, f"eps={p.epsilon:.4g}", factor=factor)

@@ -17,12 +17,11 @@ piecewise +-1 function; their energy approaches (number of jumps) times
 the profile constant.
 """
 
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ._solvers import BandedSystem, damped_newton
 from .critical import estimate_lambda_n
 from .energy import DiscreteEnergy
 from .grids import Field, Grid, NotAKnotSpline
@@ -32,7 +31,6 @@ from .potentials import DoubleWell
 __all__ = [
     "ProfileProblem",
     "ProfileResult",
-    "MinimizeOptions",
     "ConstantsEstimate",
     "JumpFunction",
     "minimize_profile",
@@ -77,26 +75,20 @@ class ProfileProblem:
         return self.n + self.accuracy_order
 
 
-@dataclass
-class MinimizeOptions:
-    """Stopping knobs for the profile minimizer: newton_maxiter caps the
-    damped-Newton steps of each start."""
-
-    gtol: float = 1e-8
-    newton_maxiter: int = 100
-    divergence_floor: Optional[float] = None
+#: gradient tolerance and damped-Newton step cap of each profile run
+PROFILE_GTOL = 1e-8
+PROFILE_MAXITER = 100
 
 
 @dataclass
 class ProfileResult:
     """Minimizer, its energy, and convergence diagnostics: converged means
-    gradient_norm_final < max(gtol, gradient_floor), the roundoff floor of
-    the assembled gradient at the minimizer, and no divergence.
-    factorizations counts the LAPACK factorizations of the Newton steps,
-    tau retries that change the shifted matrix included.
-    After a multistart (`minimize_profile` with init = None), iterations
-    and factorizations are those of the winning start only; the other
-    starts' work is not counted."""
+    gradient_norm_final < max(PROFILE_GTOL, gradient_floor), the roundoff
+    floor of the assembled gradient at the minimizer.  factorizations
+    counts the LAPACK factorizations of the Newton steps, tau retries that
+    change the shifted matrix included.  After a multistart
+    (`minimize_profile` with init = None), iterations and factorizations
+    sum over every start; the other fields are the winning start's."""
 
     minimizer: Field
     energy_estimate: float
@@ -130,17 +122,15 @@ def default_starts(problem: ProfileProblem) -> List[Tuple[str, np.ndarray]]:
 
 def minimize_profile(
     problem: ProfileProblem,
-    opts: Optional[MinimizeOptions] = None,
     init: Optional[Union[Field, np.ndarray]] = None,
 ) -> ProfileResult:
     """Minimize the truncated profile energy with clamped well tails.
 
     The outermost `clamp_band` points on each side are fixed to -1 / +1;
-    minimization runs over the free interior values by damped Newton.
-    With init = None a multi-start over `default_starts` keeps the best
-    energy.
+    `DiscreteEnergy.minimize` runs damped Newton over the free interior
+    values.  With init = None a multi-start over `default_starts` keeps
+    the best energy.
     """
-    opts = opts or MinimizeOptions()
     w = problem.potential
     kernel = DiscreteEnergy(problem.grid, problem.n, problem.accuracy_order)
     c = (1.0, -problem.lam, 1.0)
@@ -149,51 +139,25 @@ def minimize_profile(
     free = slice(band, npts - band)
 
     def run_single(u0_vals: np.ndarray) -> ProfileResult:
-        u = np.asarray(u0_vals, dtype=float).copy()
+        u = np.array(u0_vals, dtype=float)
         u[:band] = -1.0
         u[-band:] = 1.0
-
-        def fun(z):
-            v = u.copy()
-            v[free] = z
-            return kernel.energy(v, w, c)
-
-        def gfun(z):
-            v = u.copy()
-            v[free] = z
-            return kernel.grad(v, w, c)[free]
-
-        def hfun(z):
-            v = u.copy()
-            v[free] = z
-            return BandedSystem(kernel.hess(v, w, c, free), kernel.bandwidth)
-
-        z, info = damped_newton(
-            fun, gfun, hfun, u[free], maxiter=opts.newton_maxiter,
-            gtol=opts.gtol, divergence_floor=opts.divergence_floor,
+        u, info, floor, converged = kernel.minimize(
+            u, w, c, PROFILE_GTOL, PROFILE_MAXITER, free=free
         )
-        u[free] = z
-        e = info.energy
         gnorm = info.gradient_norm
-        floor_hit = (
-            opts.divergence_floor is not None and e < opts.divergence_floor
-        ) or info.diverged
-        noise = kernel.gradient_floor(u, w, c)
-        converged = gnorm < max(opts.gtol, noise) and not floor_hit
         diagnosis = ""
-        if floor_hit:
-            diagnosis = "supercritical or T too small"
-        elif gnorm >= opts.gtol and gnorm < noise:
-            diagnosis = f"converged to the roundoff gradient floor {noise:.1e}"
+        if PROFILE_GTOL <= gnorm < floor:
+            diagnosis = f"converged to the roundoff gradient floor {floor:.1e}"
         elif not converged:
             diagnosis = info.message
         return ProfileResult(
             minimizer=Field(problem.grid, u),
-            energy_estimate=float(e),
-            converged=bool(converged),
+            energy_estimate=float(info.energy),
+            converged=converged,
             iterations=int(info.iterations),
             gradient_norm_final=float(gnorm),
-            gradient_floor=float(noise),
+            gradient_floor=float(floor),
             diagnosis=diagnosis,
             factorizations=int(info.factorizations),
         )
@@ -204,12 +168,13 @@ def minimize_profile(
             raise ValueError("init length does not match the profile grid")
         return run_single(vals)
 
-    best: Optional[ProfileResult] = None
-    for _, u0 in default_starts(problem):
-        r = run_single(u0)
-        if best is None or r.energy_estimate < best.energy_estimate:
-            best = r
-    return best
+    runs = [run_single(u0) for _, u0 in default_starts(problem)]
+    best = min(runs, key=lambda r: r.energy_estimate)
+    return replace(
+        best,
+        iterations=sum(r.iterations for r in runs),
+        factorizations=sum(r.factorizations for r in runs),
+    )
 
 
 @dataclass
@@ -238,7 +203,6 @@ def estimate_constants(
     num_points: int = 2001,
     lambda_hat: Optional[float] = None,
     slack: float = 0.02,
-    opts: Optional[MinimizeOptions] = None,
 ) -> ConstantsEstimate:
     """Estimate C_hat at lam = 0 and at lam from multi-start profile runs
     and check the sandwich bounds within the given slack.
@@ -255,14 +219,14 @@ def estimate_constants(
             f"lam = {lam} is not subcritical (lambda_hat = {lambda_hat:.4g})"
         )
     prob0 = ProfileProblem(n, 0.0, truncation_T, num_points, w)
-    r0 = minimize_profile(prob0, opts)
+    r0 = minimize_profile(prob0)
     if lam == 0.0:
         r1 = r0
     else:
         prob1 = ProfileProblem(n, lam, truncation_T, num_points, w)
-        r1 = minimize_profile(prob1, opts, init=r0.minimizer)
+        r1 = minimize_profile(prob1, init=r0.minimizer)
         # multi-start competitor in case the lam run prefers another basin
-        r1b = minimize_profile(prob1, opts)
+        r1b = minimize_profile(prob1)
         if r1b.energy_estimate < r1.energy_estimate:
             r1 = r1b
     c0, c1 = r0.energy_estimate, r1.energy_estimate

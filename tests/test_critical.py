@@ -33,13 +33,9 @@ class TestQuotient:
 
     def test_linear_field_length_two(self, quartic):
         # u = x on (0,2): int_0^2 (x^2-1)^2 = 46/15; with the length
-        # weights |I|^(-2) and |I|^2 the quotient is (46/60)/2 = 23/60.
-        # Simpson integrates the quartic to near machine accuracy, while
-        # trapezoid carries its h^2 boundary term here.
+        # weights |I|^(-2) and |I|^2 the quotient is (46/60)/2 = 23/60,
+        # up to the trapezoid rule's h^2 error term
         u = Field.from_callable(Grid(0.0, 2.0, 201), lambda x: x)
-        assert quotient(u, 2, quartic, rule="simpson").value == pytest.approx(
-            23.0 / 60.0, rel=1e-8
-        )
         assert quotient(u, 2, quartic).value == pytest.approx(
             23.0 / 60.0, rel=1e-3
         )

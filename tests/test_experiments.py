@@ -80,7 +80,7 @@ class TestMinimizeEnergy:
         init = Field.from_callable(g, lambda x: np.tanh(4.0 * x))
         res = minimize_energy(2, 0.25, 0.0, init, quartic, mass=0.8)
         assert res.converged
-        q = quadrature_weights(g, "trapezoid")
+        q = quadrature_weights(g)
         assert q @ res.field.values == pytest.approx(0.8, abs=1e-9)
         assert res.iterations <= 20
 

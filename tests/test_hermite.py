@@ -1,7 +1,7 @@
 """Tests for the exact two-point coupling polynomials."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 import numpy as np
 import pytest
@@ -180,7 +180,7 @@ class TestEnergyBound:
     def test_quadrature_matches_exact_polynomial_integral(self, quartic):
         # oracle: for p(x) = -1 + 6x^2 - 4x^3 integrate W(p) and (p'')^2
         # over [0,1] exactly in rationals, independently of the library's
-        # grid quadrature
+        # Gauss quadrature
         p = [Fraction(-1), Fraction(0), Fraction(6), Fraction(-4)]
         p2m1 = _poly_mul(p, p)
         p2m1[0] -= 1
@@ -190,24 +190,31 @@ class TestEnergyBound:
         assert high_exact == 48
         oracle = float(pot_exact + high_exact)
 
-        got = coupling_energy_upper_bound((-1.0, 0.0), 0.0, quartic, grid_points=801)
-        assert got == pytest.approx(oracle, rel=1e-5)
+        got = coupling_energy_upper_bound((-1.0, 0.0), 0.0, quartic)
+        assert got == pytest.approx(oracle, rel=1e-11)
 
-    def test_simpson_rule_is_closer_than_trapezoid(self, quartic):
-        p = [Fraction(-1), Fraction(0), Fraction(6), Fraction(-4)]
-        p2m1 = _poly_mul(p, p)
+    @pytest.mark.parametrize("kind", ["zeta", "eta"])
+    @pytest.mark.parametrize("n", range(2, MAX_N + 1))
+    def test_bound_is_the_exact_integral(self, quartic, n, kind):
+        # oracle: the three integrals of the exact rational polynomial,
+        # W(p) = (p^2 - 1)^2, integrated over [0, 1] in rationals
+        y = tuple(0.7 * (-0.5) ** k for k in range(n))
+        p = (solve_zeta if kind == "zeta" else solve_eta)(y)
+        a = list(p.exact_coefficients)
+
+        def deriv(c, k):
+            return [perm(j, k) * c[j] for j in range(k, len(c))]
+
+        p2m1 = _poly_mul(a, a)
         p2m1[0] -= 1
-        oracle = float(_poly_int01(_poly_mul(p2m1, p2m1)) + 48)
-        err_trap = abs(
-            coupling_energy_upper_bound((-1.0, 0.0), 0.0, quartic, 401) - oracle
+        pot = _poly_int01(_poly_mul(p2m1, p2m1))
+        low, high = (
+            _poly_int01(_poly_mul(d, d)) for d in (deriv(a, n - 1), deriv(a, n))
         )
-        err_simp = abs(
-            coupling_energy_upper_bound(
-                (-1.0, 0.0), 0.0, quartic, 401, rule="simpson"
-            )
-            - oracle
-        )
-        assert err_simp < err_trap / 100
+        lam = Fraction(0.3)
+        oracle = float(pot - lam * low + high)
+        got = coupling_energy_upper_bound(y, 0.3, quartic, kind=kind)
+        assert got == pytest.approx(oracle, rel=1e-11)
 
     def test_bound_decreases_in_lam(self, quartic):
         vals = [

@@ -1,23 +1,30 @@
 """Tests for optimal-profile minimization and recovery sequences."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from hophase import (
+    DiscreteEnergy,
     EnergyParams,
     Field,
     Grid,
     JumpFunction,
-    MinimizeOptions,
     ProfileProblem,
     build_recovery,
     estimate_constants,
     evaluate,
     minimize_profile,
 )
-from hophase.profiles import default_starts
+from hophase.profiles import PROFILE_GTOL, default_starts
+
+
+def clamped_start(prob, u0):
+    """u0 with the problem's clamp bands set to the wells, and the free
+    slice between them."""
+    b = prob.clamp_band
+    u = np.array(u0, dtype=float)
+    u[:b], u[-b:] = -1.0, 1.0
+    return u, slice(b, prob.num_points - b)
 
 
 class TestProfileMinimization:
@@ -32,13 +39,6 @@ class TestProfileMinimization:
         assert res.converged
         assert res.factorizations > 0
         assert res.energy_estimate == pytest.approx(ref.energy_estimate, rel=1e-10)
-
-    def test_lbfgs_iteration_cap_is_gone(self):
-        with pytest.raises(TypeError):
-            MinimizeOptions(maxiter=100)
-        assert [f.name for f in dataclasses.fields(MinimizeOptions)] == [
-            "gtol", "newton_maxiter", "divergence_floor"
-        ]
 
     def test_order_one_matches_classical_constant(self, quartic):
         # n = 1, lam = 0 is the classical sharp-interface problem whose
@@ -70,24 +70,44 @@ class TestProfileMinimization:
         # run before the roundoff-noise phase, where the count would
         # depend on the platform's last bits
         prob = ProfileProblem(3, 2e-4, 10.0, 2001, quartic)
-        u0 = 0.3 * np.tanh(prob.grid.nodes())
-        res = minimize_profile(prob, MinimizeOptions(gtol=1e-3), init=u0)
-        assert res.converged
-        assert res.iterations <= 16
-        assert res.factorizations <= 50
-        assert res.factorizations < 46
+        u0, free = clamped_start(prob, 0.3 * np.tanh(prob.grid.nodes()))
+        kernel = DiscreteEnergy(prob.grid, 3)
+        _, info, _, converged = kernel.minimize(
+            u0, quartic, (1.0, -2e-4, 1.0), 1e-3, 100, free=free
+        )
+        assert converged
+        assert info.iterations <= 16
+        assert info.factorizations <= 50
+        assert info.factorizations < 46
 
     def test_verdict_uses_the_reported_floor(self, quartic):
         prob = ProfileProblem(2, 0.0, 4.0, 801, quartic)
+        u0, free = clamped_start(prob, np.tanh(prob.grid.nodes()))
+        kernel = DiscreteEnergy(prob.grid, 2)
         for gtol in (1e-8, 1e-14):
-            res = minimize_profile(prob, MinimizeOptions(gtol=gtol))
-            assert res.gradient_floor > 0.0
-            assert res.converged == (
-                res.gradient_norm_final < max(gtol, res.gradient_floor)
+            _, info, floor, converged = kernel.minimize(
+                u0, quartic, (1.0, 0.0, 1.0), gtol, 100, free=free
             )
+            assert floor > 0.0
+            assert converged == (info.gradient_norm < max(gtol, floor))
         # at gtol = 1e-14 only the roundoff floor certifies the minimizer
-        assert res.converged and res.gradient_norm_final >= 1e-14
+        assert converged and info.gradient_norm >= 1e-14
+        # at the profiles' own gtol, this problem ends between gtol and the
+        # floor, and the result says so
+        res = minimize_profile(ProfileProblem(3, 2e-4, 10.0, 2001, quartic))
+        assert PROFILE_GTOL <= res.gradient_norm_final < res.gradient_floor
+        assert res.converged
         assert res.diagnosis.startswith("converged to the roundoff gradient floor")
+
+    def test_multistart_counts_every_start(self, quartic):
+        prob = ProfileProblem(2, 0.0, 5.0, 2001, quartic)
+        res = minimize_profile(prob)
+        runs = [minimize_profile(prob, init=u0) for _, u0 in default_starts(prob)]
+        assert res.factorizations == sum(r.factorizations for r in runs)
+        assert res.iterations == sum(r.iterations for r in runs)
+        best = min(runs, key=lambda r: r.energy_estimate)
+        assert res.energy_estimate == best.energy_estimate
+        assert res.factorizations > best.factorizations
 
     def test_tails_are_clamped_to_wells(self, quartic):
         prob = ProfileProblem(2, 0.0, 5.0, 801, quartic)
