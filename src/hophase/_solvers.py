@@ -5,9 +5,9 @@ the stiff high-derivative problems (quartic-operator conditioning ~ h^-2n)
 it reaches the 1e-8..1e-9 floor set by finite-difference roundoff in a
 handful of steps, where plain quasi-Newton plateaus near 1e-2; no
 minimizer calls `lbfgs`.  Every Hessian here is banded (half-bandwidth
-n + accuracy_order - 1 at most), possibly bordered by a few dense rows
-and columns; BandedSystem factors the band with LAPACK gbsv and
-eliminates the border by a Schur complement.
+n + 3 at most), possibly bordered by a few dense rows and columns;
+BandedSystem factors the band with LAPACK gbsv and eliminates the border
+by a Schur complement.
 """
 
 import time

@@ -86,12 +86,12 @@ def _write_field(f: Field, out: Optional[str], stem: str) -> Optional[str]:
 def _load_config(path: str, allowed: set) -> dict:
     cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
-        raise SystemExit("config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     if "lambda" in cfg:
         cfg["lam"] = cfg.pop("lambda")
     unknown = set(cfg) - allowed
     if unknown:
-        raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
@@ -241,7 +241,7 @@ def _cmd_check_ineq(args) -> int:
 _MINIMIZE_KEYS = {
     "n", "epsilon", "lam", "potential", "interval", "num_points", "init",
     "jumps", "left_value", "mass", "gtol", "maxiter", "divergence_floor",
-    "profile_T", "profile_points", "seed", "accuracy_order",
+    "profile_T", "profile_points", "seed",
 }
 #: minimize keys that only the recovery init reads, and the grid keys that
 #: a CSV init (which carries its own grid) does not read
@@ -257,7 +257,6 @@ def _cmd_minimize(args) -> int:
     w = get_potential(cfg.get("potential", "quartic"))
     a, b = cfg.get("interval", (-4.0, 4.0))
     num_points = int(cfg.get("num_points", round((b - a) / (eps / 32)) + 1))
-    accuracy_order = cfg.get("accuracy_order", 4)
     seed = args.seed if args.seed is not None else cfg.get("seed")
 
     init_spec = cfg.get("init", "recovery")
@@ -277,7 +276,7 @@ def _cmd_minimize(args) -> int:
             a, b, tuple(cfg.get("jumps", (0.0,))), cfg.get("left_value", -1.0)
         )
         T, points = cfg.get("profile_T", 5.0), cfg.get("profile_points", 2001)
-        prof = minimize_profile(ProfileProblem(n, lam, T, points, w, accuracy_order))
+        prof = minimize_profile(ProfileProblem(n, lam, T, points, w))
         # the recovery's grid is the configured one: num_points over the interval
         ppe = (num_points - 1) * eps / (b - a)
         init = build_recovery(jump_fn, prof.minimizer, eps, ppe)
@@ -297,7 +296,6 @@ def _cmd_minimize(args) -> int:
         gtol=cfg.get("gtol", 1e-7),
         maxiter=cfg.get("maxiter", 2000),
         divergence_floor=cfg.get("divergence_floor"),
-        accuracy_order=accuracy_order,
     )
     payload = {
         "n": n,
@@ -320,7 +318,7 @@ def _cmd_minimize(args) -> int:
 _SWEEP_KEYS = {
     "n", "lam", "potential", "interval", "jumps", "left_value",
     "eps_schedule", "points_per_eps_width", "mass_constraint", "output_dir",
-    "profile_T", "profile_points", "lambda_hat", "accuracy_order",
+    "profile_T", "profile_points", "lambda_hat",
 }
 
 
@@ -339,7 +337,6 @@ def _cmd_gamma_sweep(args) -> int:
 _SUPER_KEYS = {
     "n", "lambda_grid", "epsilon", "potential", "interval",
     "points_per_eps_width", "k_max", "amplitudes", "free_minimization",
-    "accuracy_order",
 }
 
 
@@ -355,7 +352,6 @@ def _cmd_supercritical(args) -> int:
         k_max=int(cfg.get("k_max", 64)),
         amplitudes=tuple(cfg.get("amplitudes", (0.6, 0.9, 1.0, 1.2, 1.5))),
         free_minimization=bool(cfg.get("free_minimization", True)),
-        accuracy_order=int(cfg.get("accuracy_order", 4)),
     )
     _emit(asdict(rep), args.out, f"supercritical_n{rep.n}")
     return 0

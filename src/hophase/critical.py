@@ -31,6 +31,7 @@ from .potentials import DoubleWell
 
 __all__ = [
     "DENOMINATOR_FLOOR",
+    "POLY_DEGREE",
     "DegenerateQuotient",
     "QuotientResult",
     "LambdaOptions",
@@ -44,6 +45,8 @@ __all__ = [
 
 #: fields with int (u^(n-1))^2 at or below this are rejected as degenerate
 DENOMINATOR_FLOOR = 1e-12
+#: degree of the polynomials of the polynomial stage of `estimate_lambda_n`
+POLY_DEGREE = 10
 
 
 @dataclass(frozen=True)
@@ -61,13 +64,13 @@ class DegenerateQuotient(ValueError):
 
 
 def _quotient_terms(
-    u: Field, n: int, w: DoubleWell, accuracy_order: int, length: float
+    u: Field, n: int, w: DoubleWell, length: float
 ) -> Tuple[float, float, float]:
     """(potential, denominator, high) of Q[u] with the |I|-weights of an
     interval of the given length."""
     if n < 2:
         raise ValueError("quotient requires n >= 2")
-    pot, den, high = DiscreteEnergy(u.grid, n, accuracy_order).terms(u.values, w)
+    pot, den, high = DiscreteEnergy(u.grid, n).terms(u.values, w)
     if den <= DENOMINATOR_FLOOR:
         raise DegenerateQuotient(
             "quotient undefined: int (u^(n-1))^2 = "
@@ -76,11 +79,9 @@ def _quotient_terms(
     return length ** (-(2 * n - 2)) * pot, den, length**2 * high
 
 
-def quotient(
-    u: Field, n: int, w: DoubleWell, accuracy_order: int = 4
-) -> QuotientResult:
+def quotient(u: Field, n: int, w: DoubleWell) -> QuotientResult:
     """Q[u] on the field's own interval; raises `DegenerateQuotient` if degenerate."""
-    pot, den, high = _quotient_terms(u, n, w, accuracy_order, u.grid.length)
+    pot, den, high = _quotient_terms(u, n, w, u.grid.length)
     return QuotientResult(
         value=(pot + high) / den,
         numerator_parts=(pot, high),
@@ -89,13 +90,11 @@ def quotient(
     )
 
 
-def subdivided_quotient(
-    u: Field, n: int, w: DoubleWell, accuracy_order: int = 4
-) -> float:
+def subdivided_quotient(u: Field, n: int, w: DoubleWell) -> float:
     """Truncated real-line form: unit-length normalization regardless of
     the actual interval, matching the subdivision of a long interval into
     unit pieces (each contributing with |I_i| = 1 weights)."""
-    pot, den, high = _quotient_terms(u, n, w, accuracy_order, 1.0)
+    pot, den, high = _quotient_terms(u, n, w, 1.0)
     return (pot + high) / den
 
 
@@ -106,15 +105,14 @@ def subdivided_quotient(
 
 @dataclass
 class LambdaOptions:
-    """Knobs for `estimate_lambda_n`; maxiter caps the Newton steps of
-    every polynomial-stage start and of the grid run."""
+    """Knobs for `estimate_lambda_n`: the grid run's num_points, the seed
+    and number poly_starts of the random polynomial starts, and maxiter,
+    the Newton step cap of every polynomial-stage start and the grid run."""
 
     num_points: int = 501
     seed: int = 0
     maxiter: int = 3000
-    poly_degree: int = 10
     poly_starts: int = 8
-    accuracy_order: int = 4
 
 
 @dataclass
@@ -131,16 +129,15 @@ class LambdaEstimate:
 
 def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     """Global search over the monomial coefficients of a degree
-    opts.poly_degree polynomial on (0,1), with Gauss-Legendre integrals
+    POLY_DEGREE polynomial on (0,1), with Gauss-Legendre integrals
     (exact for a quartic W): `_minimize_quotient` from a ramp
     (and a quadratic for n >= 3) and opts.poly_starts random coefficient
     vectors.  A degenerate start (the ramp for n >= 3) is not solved.
     Returns the best coefficients (None if every start is degenerate) and
     each start's (value, stop reason, step count) in start order."""
-    deg = opts.poly_degree
-    functions = _quotient_functions(_PolynomialKernel(n, deg), w)
+    functions = _quotient_functions(_PolynomialKernel(n, POLY_DEGREE), w)
     value = functions[0]
-    ncoef = deg + 1
+    ncoef = POLY_DEGREE + 1
     rng = np.random.default_rng(opts.seed)
     ramp = np.zeros(ncoef)
     ramp[0], ramp[1] = -1.0, 2.0
@@ -242,7 +239,7 @@ def estimate_lambda_n(
         raise ValueError("estimate_lambda_n requires n >= 2")
     opts = opts or LambdaOptions()
     grid = Grid(0.0, 1.0, opts.num_points)
-    kernel = DiscreteEnergy(grid, n, opts.accuracy_order)
+    kernel = DiscreteEnergy(grid, n)
     functions = _quotient_functions(kernel, w)
 
     poly_c, runs = _poly_stage(n, w, opts)
@@ -310,14 +307,13 @@ def verify_subcritical(
     seed: int = 0,
     num_points: int = 401,
     extra_fields: Sequence[Field] = (),
-    include_subdivision: bool = True,
 ) -> SubcriticalReport:
     """Evaluate the quotient over a seeded random ensemble and report any
     Q[u] < lam.
 
-    The ensemble lives on (0,1); when include_subdivision is set, every
-    fourth field is drawn on a longer interval (0,K) and checked in the
-    unit-normalized real-line form (the subdivision into unit intervals).
+    The ensemble lives on (0,1), except every fourth field, which is drawn
+    on a longer interval (0,K) and checked in the unit-normalized
+    real-line form (the subdivision into unit intervals).
     Fields with degenerate denominator are skipped, not failed; any other
     rejected input (n < 2, a grid too small for the stencil) raises.  Witness
     fields (e.g. the argmin from `estimate_lambda_n`) can be appended via
@@ -338,7 +334,7 @@ def verify_subcritical(
     kinds = ("fourier", "tanh_ramp", "hermite_step")
     fields: List[Tuple[Field, bool]] = []
     for i in range(ensemble_size):
-        if include_subdivision and i % 4 == 3:
+        if i % 4 == 3:
             g = long_grids[int(rng.integers(2, 4))]
             fields.append((random_field(g, rng, kinds[i % 3]), True))
         else:

@@ -27,7 +27,8 @@ import scipy.sparse as sp
 
 from ._solvers import BandedSystem, damped_newton
 from .grids import (
-    Field, Grid, NotAKnotSpline, diff_operator, quadrature_weights, window_starts,
+    MAX_DERIVATIVE_ORDER, Field, Grid, NotAKnotSpline, diff_operator,
+    quadrature_weights, window_starts,
 )
 from .potentials import DoubleWell
 
@@ -42,7 +43,8 @@ __all__ = [
 
 
 class DiscreteEnergy:
-    """Quadrature of finite-difference stencils for the three integrals
+    """Quadrature of finite-difference stencils of accuracy
+    `grids.ACCURACY_ORDER` for the three integrals
 
         terms(u) = (int W(u), int (u^(n-1))^2, int (u^(n))^2)
 
@@ -55,16 +57,18 @@ class DiscreteEnergy:
     kernel for its whole run.
     """
 
-    def __init__(self, grid: Grid, n: int, accuracy_order: int = 4):
+    def __init__(self, grid: Grid, n: int):
+        if not 1 <= n <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {n}")
         self.q = quadrature_weights(grid)
-        high = diff_operator(grid, n, accuracy_order)
+        high = diff_operator(grid, n)
         self.d_high = high.matrix
         if n == 1:
             low = None
             self.d_low = sp.identity(grid.num_points, format="csr")
             low_weights = np.ones((grid.num_points, 1))
         else:
-            low = diff_operator(grid, n - 1, accuracy_order)
+            low = diff_operator(grid, n - 1)
             self.d_low = low.matrix
             low_weights = low.weights
         # the operators D_{n-1} (None for the identity) and D_n, and their
@@ -352,7 +356,6 @@ class EnergyParams:
     n: int
     epsilon: float
     lam: float = 0.0
-    accuracy_order: int = 4
 
     def __post_init__(self):
         if self.n < 2:
@@ -383,7 +386,7 @@ class EnergyBreakdown:
 
 def evaluate(u: Field, p: EnergyParams, w: DoubleWell) -> EnergyBreakdown:
     """Quadrature evaluation of the three energy terms on u's grid."""
-    pot, low, high = DiscreteEnergy(u.grid, p.n, p.accuracy_order).terms(u.values, w)
+    pot, low, high = DiscreteEnergy(u.grid, p.n).terms(u.values, w)
     eps = p.epsilon
     pot = pot / eps
     concave = -p.lam * eps ** (2 * p.n - 3) * low
@@ -412,7 +415,7 @@ def evaluate_rescaled(u: Field, p: EnergyParams, w: DoubleWell) -> float:
     g = u.grid
     stretched = Grid(g.a / eps, g.b / eps, 2 * (g.num_points - 1) + 1)
     v = NotAKnotSpline(u)(np.clip(eps * stretched.nodes(), g.a, g.b))
-    pot, low, high = DiscreteEnergy(stretched, p.n, p.accuracy_order).terms(v, w)
+    pot, low, high = DiscreteEnergy(stretched, p.n).terms(v, w)
     return pot - p.lam * low + high
 
 
@@ -425,7 +428,7 @@ def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
     the adjoint of the quadrature-of-stencils composition, so directional
     derivatives match central differences of `evaluate` to roundoff.
     """
-    k = DiscreteEnergy(u.grid, p.n, p.accuracy_order)
+    k = DiscreteEnergy(u.grid, p.n)
     q, eps, v = k.q, p.epsilon, u.values
     low, high = k._operators
     g = np.asarray(w.eval_derivative(v), dtype=float) * q / eps

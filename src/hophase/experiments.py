@@ -61,7 +61,6 @@ class SweepConfig:
     profile_T: float = 5.0
     profile_points: int = 2001
     lambda_hat: Optional[float] = None
-    accuracy_order: int = 4
 
     def __post_init__(self):
         eps = self.eps_schedule
@@ -169,7 +168,6 @@ def minimize_energy(
     gtol: float = 1e-7,
     maxiter: int = 2000,
     divergence_floor: Optional[float] = None,
-    accuracy_order: int = 4,
 ) -> MinimizeEnergyResult:
     """Minimize the energy from a given initialization by damped Newton
     (`DiscreteEnergy.minimize`: Levenberg shift, Armijo backtracking) on the
@@ -183,8 +181,8 @@ def minimize_energy(
     divergence" record; in the supercritical regime that is the expected
     outcome, not an error.
     """
-    params = EnergyParams(n, eps, lam, accuracy_order)
-    kernel = DiscreteEnergy(init.grid, n, accuracy_order)
+    params = EnergyParams(n, eps, lam)
+    kernel = DiscreteEnergy(init.grid, n)
     c = (1.0 / eps, -lam * eps ** (2 * n - 3), eps ** (2 * n - 1))
     u0 = init.values
     if mass is not None:
@@ -243,7 +241,7 @@ def _run_one_eps(cfg, jump_fn, profile_field, w, eps, floor):
         )
     except ValueError as exc:
         return EpsRow(eps, np.nan, np.nan, -1, False, f"recovery failed: {exc}")
-    params = EnergyParams(n, eps, lam, cfg.accuracy_order)
+    params = EnergyParams(n, eps, lam)
     e_rec = evaluate(rec, params, w).total
     res = minimize_energy(
         n,
@@ -253,7 +251,6 @@ def _run_one_eps(cfg, jump_fn, profile_field, w, eps, floor):
         w,
         mass=cfg.mass_constraint,
         divergence_floor=floor,
-        accuracy_order=cfg.accuracy_order,
     )
     e_min = res.breakdown.total
     if res.diverged:
@@ -290,9 +287,7 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
             f"sweep requires lam <= 0.5 * lambda_hat = {0.5 * cfg.lambda_hat:.4g}"
         )
     jump_fn = cfg.jump_function()
-    prob = ProfileProblem(
-        cfg.n, cfg.lam, cfg.profile_T, cfg.profile_points, w, cfg.accuracy_order
-    )
+    prob = ProfileProblem(cfg.n, cfg.lam, cfg.profile_T, cfg.profile_points, w)
     prof = minimize_profile(prob)
     c_hat = prof.energy_estimate
     notes = []
@@ -307,9 +302,7 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
         rec0 = build_recovery(
             jump_fn, prof.minimizer, eps0, points_per_eps=cfg.points_per_eps_width
         )
-        e_rec0 = evaluate(
-            rec0, EnergyParams(cfg.n, eps0, cfg.lam, cfg.accuracy_order), w
-        ).total
+        e_rec0 = evaluate(rec0, EnergyParams(cfg.n, eps0, cfg.lam), w).total
         floor = -1e3 * max(abs(e_rec0), 1e-6)
     except ValueError:
         floor = -1e3
@@ -382,7 +375,6 @@ def supercritical_probe(
     k_max: int = 64,
     amplitudes: Sequence[float] = (0.6, 0.9, 1.0, 1.2, 1.5),
     free_minimization: bool = True,
-    accuracy_order: int = 4,
 ) -> SupercriticalReport:
     """Scan a lambda grid with the fixed oscillatory ansatz family
 
@@ -409,7 +401,7 @@ def supercritical_probe(
             candidates.append((k, A, np.clip(A * base, -1.0, 1.0)))
 
     # lambda-independent parts: E(lam) = base - lam * concave_weight
-    kernel = DiscreteEnergy(grid, n, accuracy_order)
+    kernel = DiscreteEnergy(grid, n)
     parts = []
     for k, A, vals in candidates:
         pot, low, high = kernel.terms(vals, w)
@@ -434,7 +426,6 @@ def supercritical_probe(
                 w,
                 divergence_floor=floor,
                 maxiter=600,
-                accuracy_order=accuracy_order,
             )
             free_energies.append(float(res.breakdown.total))
             free_div.append(bool(res.diverged))

@@ -23,6 +23,7 @@ __all__ = [
     "Field",
     "DiffOperator",
     "MAX_DERIVATIVE_ORDER",
+    "ACCURACY_ORDER",
     "stencil_weights",
     "diff_operator",
     "derivative",
@@ -38,6 +39,8 @@ __all__ = [
 
 #: highest derivative order with prebuilt stencil support
 MAX_DERIVATIVE_ORDER = 6
+#: accuracy order of the stencils of every energy, quotient and profile
+ACCURACY_ORDER = 4
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,9 @@ def _csr_shell(n: int, m: int) -> sp.csr_matrix:
     )
 
 
-def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
+def diff_operator(
+    grid: Grid, k: int, accuracy_order: int = ACCURACY_ORDER
+) -> DiffOperator:
     """Build (or fetch from the cache of the 64 most recently used) the
     k-th derivative operator for a grid.
     The weights of each window shift are built in exact rationals once per
@@ -251,7 +256,7 @@ def diff_operator(grid: Grid, k: int, accuracy_order: int = 4) -> DiffOperator:
     return op
 
 
-def derivative(f: Field, k: int, accuracy_order: int = 4) -> Field:
+def derivative(f: Field, k: int, accuracy_order: int = ACCURACY_ORDER) -> Field:
     """Discrete k-th derivative of a field on its own grid."""
     op = diff_operator(f.grid, k, accuracy_order)
     return Field(f.grid, op(f.values))

@@ -294,6 +294,8 @@ def coupling_energy_upper_bound(
     eta) the polynomial is the constant well value and the energy is
     exactly zero.
     """
+    if kind not in ("zeta", "eta"):
+        raise ValueError(f"unknown kind {kind!r}")
     if not isinstance(y, BoundaryData):
         y = BoundaryData(tuple(y))
     p = solve_zeta(y) if kind == "zeta" else solve_eta(y)

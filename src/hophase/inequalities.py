@@ -38,6 +38,9 @@ __all__ = [
 
 #: multiplicative tolerance of the pass rule lhs <= rhs * (1 + PASS_RTOL)
 PASS_RTOL = 1e-8
+#: grid size and interval-length range of the fields of `ensemble_check`
+ENSEMBLE_POINTS = 401
+ENSEMBLE_LENGTHS = (0.3, 4.0)
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ def check_lower_bound_lemma(
     if p.lam < 0 or p.lam > 0.5 * lam_hat:
         raise ValueError("precondition: 0 <= lam <= 0.5 * lam_hat")
     e_lam = evaluate(u, p, w).total
-    p0 = EnergyParams(p.n, p.epsilon, 0.0, p.accuracy_order)
+    p0 = EnergyParams(p.n, p.epsilon, 0.0)
     e_0 = evaluate(u, p0, w).total
     factor = 1.0 - p.lam / lam_hat - delta
     return _report(factor * e_0, e_lam, f"eps={p.epsilon:.4g}", factor=factor)
@@ -244,13 +247,12 @@ def ensemble_check(
     which: str,
     count: int,
     seed: int,
-    num_points: int = 401,
-    length_range=(0.3, 4.0),
     keep_reports: bool = False,
 ) -> EnsembleCheckReport:
-    """Run a per-field checker over `count` random fields on random
-    intervals and reduce to the worst case (by lhs/rhs ratio).  An empty
-    ensemble would pass vacuously, so count must be >= 1."""
+    """Run a per-field checker over `count` random fields, each sampled on
+    ENSEMBLE_POINTS nodes of (0, L) with L uniform in ENSEMBLE_LENGTHS, and
+    reduce to the worst case (by lhs/rhs ratio).  An empty ensemble would
+    pass vacuously, so count must be >= 1."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -259,8 +261,8 @@ def ensemble_check(
     reports: List[CheckReport] = []
     empirical = np.nan
     for i in range(count):
-        L = float(rng.uniform(*length_range))
-        grid = Grid(0.0, L, num_points)
+        L = float(rng.uniform(*ENSEMBLE_LENGTHS))
+        grid = Grid(0.0, L, ENSEMBLE_POINTS)
         f = random_field(grid, rng, DEFAULT_KINDS[i % len(DEFAULT_KINDS)])
         rep = checker(f)
         if keep_reports:

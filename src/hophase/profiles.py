@@ -24,7 +24,7 @@ import numpy as np
 
 from .critical import estimate_lambda_n
 from .energy import DiscreteEnergy
-from .grids import Field, Grid, NotAKnotSpline
+from .grids import ACCURACY_ORDER, Field, Grid, NotAKnotSpline
 from .hermite import eval_poly, solve_zeta
 from .potentials import DoubleWell
 
@@ -55,7 +55,6 @@ class ProfileProblem:
     truncation_T: float
     num_points: int
     potential: DoubleWell
-    accuracy_order: int = 4
 
     def __post_init__(self):
         if self.n < 1:
@@ -72,7 +71,7 @@ class ProfileProblem:
     @property
     def clamp_band(self) -> int:
         # stencil width of the order-n operator
-        return self.n + self.accuracy_order
+        return self.n + ACCURACY_ORDER
 
 
 #: gradient tolerance and damped-Newton step cap of each profile run
@@ -132,7 +131,7 @@ def minimize_profile(
     the best energy.
     """
     w = problem.potential
-    kernel = DiscreteEnergy(problem.grid, problem.n, problem.accuracy_order)
+    kernel = DiscreteEnergy(problem.grid, problem.n)
     c = (1.0, -problem.lam, 1.0)
     band = problem.clamp_band
     npts = problem.num_points

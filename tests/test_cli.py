@@ -82,6 +82,14 @@ class TestProfile:
         assert captured.out == ""
         assert captured.err == "hophase: error: profile grid needs at least 400 points\n"
 
+    def test_derivative_order_beyond_stencils_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["profile", "--n", "7"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n = 7" in captured.err
+
 
 class TestLambdaN:
     def test_reduced_estimate_lands_in_band(self, tmp_path, capsys):
@@ -109,7 +117,7 @@ class TestLambdaN:
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "hophase: error: derivative order must be in [1, 6]\n"
+        assert captured.err == "hophase: error: n must be in [1, 6]; got n = 7\n"
 
 
     def test_starts_option_is_gone(self, capsys):
@@ -123,7 +131,7 @@ class TestLambdaN:
         proc = run_fresh(["-m", "hophase", "lambda-n", "--n", "7"])
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "hophase: error: derivative order must be in [1, 6]\n"
+        assert proc.stderr == "hophase: error: n must be in [1, 6]; got n = 7\n"
 
 
 def test_import_loads_neither_scipy_interpolate_nor_optimize():
@@ -302,11 +310,15 @@ class TestMinimize:
         assert rc == 0
         assert payload["energy"]["total"] >= 0.0
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"epsilon": 0.25, "epsilonn": 1}))
-        with pytest.raises(SystemExit, match="unknown config keys"):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["minimize", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "hophase: error: unknown config keys: ['epsilonn']\n"
+        )
 
     def test_recovery_init_is_built_on_the_configured_grid(self, tmp_path, capsys):
         cfg = {
@@ -405,6 +417,26 @@ def test_seed_is_rejected_where_nothing_is_random(argv, capsys):
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("minimize", {"epsilon": 0.25}),
+        ("gamma-sweep", {"eps_schedule": [0.25]}),
+        ("supercritical", {"lambda_grid": [0.5], "epsilon": 0.0625}),
+    ],
+)
+def test_accuracy_order_is_an_unknown_key(tmp_path, capsys, command, cfg):
+    # every energy uses the stencils of grids.ACCURACY_ORDER
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "accuracy_order": 4}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", str(path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hophase: error: unknown config keys: ['accuracy_order']\n"
+
+
 class TestGammaSweep:
     def test_sweep_writes_artifacts(self, tmp_path, capsys):
         cfg = {
@@ -432,11 +464,15 @@ class TestGammaSweep:
         csv_text = (tmp_path / f"{stem}.csv").read_text()
         assert csv_text.startswith("epsilon,E_min,E_recovery")
 
-    def test_seed_is_an_unknown_key(self, tmp_path):
+    def test_seed_is_an_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"eps_schedule": [0.25], "seed": 1}))
-        with pytest.raises(SystemExit, match=r"unknown config keys: \['seed'\]"):
+        with pytest.raises(SystemExit) as exit_info:
             cli.main(["gamma-sweep", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "hophase: error: unknown config keys: ['seed']\n"
+        )
 
 
 class TestSupercritical:

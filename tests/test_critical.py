@@ -136,7 +136,7 @@ class TestLambdaEstimate:
     ):
         opts = LambdaOptions(seed=seed, maxiter=300)
         grid = Grid(0.0, 1.0, opts.num_points)
-        kernel = DiscreteEnergy(grid, n, opts.accuracy_order)
+        kernel = DiscreteEnergy(grid, n)
         c, _ = critical._poly_stage(n, quartic, opts)
         u, _ = critical._minimize_quotient(
             critical._quotient_functions(kernel, quartic),
@@ -179,7 +179,14 @@ class TestLambdaEstimate:
     def test_random_grid_starts_are_gone(self):
         with pytest.raises(TypeError):
             LambdaOptions(n_random_starts=4)
-        assert len(dataclasses.fields(LambdaOptions)) == 6
+        assert len(dataclasses.fields(LambdaOptions)) == 4
+
+    @pytest.mark.parametrize("option", [{"poly_degree": 10}, {"accuracy_order": 4}])
+    def test_fixed_settings_are_not_options(self, option):
+        # the polynomial degree is critical.POLY_DEGREE and the stencil
+        # accuracy grids.ACCURACY_ORDER
+        with pytest.raises(TypeError):
+            LambdaOptions(**option)
 
     def test_final_gradient_norm_without_polish(self, quartic):
         # without W'' every start runs Newton on the W'' that

@@ -98,6 +98,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             EnergyParams(2, 0.0)
 
+    def test_accuracy_order_is_not_a_param(self):
+        # every energy uses the stencils of grids.ACCURACY_ORDER
+        with pytest.raises(TypeError):
+            EnergyParams(2, 0.1, 0.0, accuracy_order=4)
+
 
 class TestRescaled:
     def test_matches_direct_evaluation(self, quartic):
@@ -170,6 +175,11 @@ class TestDiscreteEnergy:
         rng = np.random.default_rng(seed)
         x = self.GRID.nodes()
         return np.tanh((x - 0.5) / 0.2) + 0.1 * rng.standard_normal(len(x))
+
+    @pytest.mark.parametrize("n", (0, MAX_DERIVATIVE_ORDER + 1))
+    def test_order_outside_the_stencils_names_n(self, n):
+        with pytest.raises(ValueError, match=f"got n = {n}$"):
+            DiscreteEnergy(self.GRID, n)
 
     @pytest.mark.parametrize("n", range(2, MAX_DERIVATIVE_ORDER + 1))
     def test_matches_energy_module(self, quartic, n):

@@ -216,6 +216,11 @@ class TestEnergyBound:
         got = coupling_energy_upper_bound(y, 0.3, quartic, kind=kind)
         assert got == pytest.approx(oracle, rel=1e-11)
 
+    @pytest.mark.parametrize("kind", ["zetaa", "", "ETA"])
+    def test_unknown_kind_is_rejected(self, quartic, kind):
+        with pytest.raises(ValueError, match=f"unknown kind {kind!r}"):
+            coupling_energy_upper_bound((0.3, 0.5), 0.0, quartic, kind=kind)
+
     def test_bound_decreases_in_lam(self, quartic):
         vals = [
             coupling_energy_upper_bound((0.3, 0.5), lam, quartic)

@@ -8,7 +8,8 @@ from scipy.linalg.lapack import dgbsv
 
 from hophase import DiscreteEnergy, Grid, _solvers
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import to_band
+from hophase.energy import _gram_diagonals, to_band
+from hophase.grids import ACCURACY_ORDER, diff_operator, quadrature_weights
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -265,10 +266,18 @@ def test_energy_hessian_band(n, quartic):
 @pytest.mark.parametrize("order", (2, 4, 6))
 @pytest.mark.parametrize("n", range(1, 7))
 def test_energy_bandwidth_is_the_stencil_reach(n, order):
-    # K_high = 2 D_n^T diag(q) D_n couples the two ends of an (n + order)-point
-    # stencil window, and no farther
-    kernel = DiscreteEnergy(Grid(-10.0, 10.0, 2001), n, order)
-    assert kernel.bandwidth == n + order - 1
+    # K = 2 D_n^T diag(q) D_n couples the two ends of an (n + order)-point
+    # stencil window, and no farther: assembled one diagonal wider, its
+    # outermost diagonals are 0 and the next ones are not.  The energy's
+    # band is that reach at the one accuracy it uses.
+    grid = Grid(-10.0, 10.0, 2001)
+    reach = n + order - 1
+    dia = _gram_diagonals(
+        diff_operator(grid, n, order).weights, quadrature_weights(grid), reach + 1
+    )
+    offsets = np.flatnonzero(np.any(dia != 0.0, axis=1)) - (reach + 1)
+    assert (offsets.min(), offsets.max()) == (-reach, reach)
+    assert DiscreteEnergy(grid, n).bandwidth == n + ACCURACY_ORDER - 1
 
 
 def dense_band(dense, lo, up):
