@@ -160,6 +160,7 @@ def damped_newton(
     gtol: float = 1e-8,
     stagnation_rtol: float = 1e-14,
     divergence_floor: Optional[float] = None,
+    line: Optional[Callable[[np.ndarray, np.ndarray], Callable[[float], float]]] = None,
 ):
     """Damped Newton with banded LU solves and Armijo backtracking.
 
@@ -169,8 +170,7 @@ def damped_newton(
     zeros and keeps the first m entries.  Two borders are in use:
     [[H, q], [q^T, 0]] holds q . x at its initial value (grad must then
     return the gradient projected onto q . d = 0), and [[H0, U], [V^T, -I]]
-    solves with H0 + U V^T, a low-rank update kept out of the band.  fun
-    is called only by the line search, so it may skip the gradient.
+    solves with H0 + U V^T, a low-rank update kept out of the band.
     Indefinite Hessians (the concave term, or W'' < 0 between the wells)
     are handled by Levenberg-style damping tau on the leading block only,
     raised tenfold until the step is a descent direction; a singular
@@ -183,17 +183,29 @@ def damped_newton(
     half an ulp of each, as the first rungs are on stiff Hessians) reuses
     the last solve of the step (`BandedSystem.solve`), so
     info.factorizations counts the LAPACK factorizations actually done,
-    tau retries included.  Stops on the gradient sup-norm; on energy
-    stagnation (FD-roundoff floor), either after a full step or two
-    stagnant steps in a row that changed the energy by less than
-    stagnation_rtol * max(1, |E|), or before any line-search trial whose
-    predicted decrease -step g.d is below that threshold (at step 1 the
-    Newton decrement), keeping the last accepted iterate; on an energy
-    below divergence_floor (flagged diverged, the expected supercritical
-    outcome); on 45 halvings without Armijo decrease ("line search
-    failed"); or after maxiter steps.  A stop short of gtol says why in
-    info.message.  Each accepted step appends its energy,
-    gradient sup-norm, tau, step length and elapsed time to info.history.
+    tau retries included.
+
+    The Armijo test reads the energy change dE(t) = E(x + t d) - E(x)
+    along the step d from line(x, d), which returns the function dE of t;
+    a kernel that knows the energy's structure can compute it without
+    differencing two whole energies (`DiscreteEnergy.energy_change`).
+    Without line, the test is fun(x + t d) <= E(x) + 1e-4 t g.d on the
+    energy fun returns, which E then carries.  With line, fun is called
+    only for the first energy and for the reported info.energy at the
+    returned iterate, and the energy E carried between steps, and each
+    info.history energy, is the first energy plus the accepted changes dE.
+
+    Stops on the gradient sup-norm; on energy stagnation (FD-roundoff
+    floor), either after a full step or two stagnant steps in a row that
+    changed the energy by less than stagnation_rtol * max(1, |E|), or
+    before any line-search trial whose predicted decrease -step g.d is
+    below that threshold (at step 1 the Newton decrement), keeping the
+    last accepted iterate; on an energy below divergence_floor (flagged
+    diverged, the expected supercritical outcome); on 45 halvings without
+    Armijo decrease ("line search failed"); or after maxiter steps.  A stop
+    short of gtol says why in info.message.  Each accepted step appends
+    its energy, gradient sup-norm, tau, step length and elapsed time to
+    info.history.
     """
     x = np.asarray(x0, dtype=float).copy()
     info = SolveInfo()
@@ -225,6 +237,7 @@ def damped_newton(
         step = 1.0
         slope = g @ d
         floor = stagnation_rtol * max(1.0, abs(energy))
+        change = None if line is None else line(x, d)
         for _ in range(45):
             # a step whose predicted decrease the energy cannot resolve
             # is decided by roundoff; at step 1 this is the Newton decrement
@@ -232,15 +245,21 @@ def damped_newton(
                 info.message = "energy stagnation (roundoff floor)"
                 break
             x_try = x + step * d
-            e_try = fun(x_try)
-            if e_try <= energy + 1e-4 * step * slope:
+            armijo = 1e-4 * step * slope
+            if change is None:
+                e_try = fun(x_try)
+                de, accept = e_try - energy, e_try <= energy + armijo
+            else:
+                de = change(step)
+                e_try, accept = energy + de, de <= armijo
+            if accept:
                 break
             step *= 0.5
         else:
             info.message = "line search failed"
         if info.message:
             break
-        x, e_prev, energy = x_try, energy, e_try
+        x, energy = x_try, e_try
         g = grad(x)
         info.iterations = info.newton_iterations = it + 1
         info.history.append(
@@ -259,7 +278,7 @@ def damped_newton(
         # near the roundoff floor the Armijo test is decided by last-ulp
         # noise and may halve a good step; one damped stagnant step is
         # not yet a stop
-        if abs(e_prev - energy) < stagnation_rtol * max(1.0, abs(energy)):
+        if abs(de) < stagnation_rtol * max(1.0, abs(energy)):
             stagnant += 1
             if step == 1.0 or stagnant == 2:
                 info.message = "energy stagnation (roundoff floor)"
@@ -269,6 +288,6 @@ def damped_newton(
     else:
         info.message = "iteration limit"
     info.gradient_norm = float(np.abs(g).max())
-    info.energy = float(energy)
+    info.energy = float(energy if line is None else fun(x))
     info.converged = info.gradient_norm < gtol and not info.diverged
     return x, info

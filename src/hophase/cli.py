@@ -11,8 +11,8 @@ witness CSVs, sweep tables) are also written into DIR.
     hophase gamma-sweep   --config cfg.json [--threads 4]
     hophase supercritical --config cfg.json
 
-The three config-driven commands take a JSON file; unknown keys are
-rejected so typos fail loudly.  See the README for the schemas.
+The three config-driven commands take a JSON file; unknown and missing
+keys are rejected so typos fail loudly.  See the README for the schemas.
 """
 
 import argparse
@@ -83,8 +83,26 @@ def _write_field(f: Field, out: Optional[str], stem: str) -> Optional[str]:
     return str(path)
 
 
-def _load_config(path: str, allowed: set) -> dict:
-    cfg = json.loads(Path(path).read_text())
+def _read_text(path: str, what: str) -> str:
+    """The text of the file at path; a file that cannot be read or is not
+    UTF-8 is a ValueError naming what it is and the path."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        reason = exc.strerror
+    except UnicodeDecodeError as exc:
+        reason = str(exc)
+    raise ValueError(f"cannot read {what} {path!r}: {reason}")
+
+
+def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
+    """The JSON object in the config file at path, with "lambda" renamed
+    "lam".  An unreadable file, invalid JSON, a key outside allowed and a
+    missing required key are each a ValueError that names it."""
+    try:
+        cfg = json.loads(_read_text(path, "config"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
     if "lambda" in cfg:
@@ -92,6 +110,9 @@ def _load_config(path: str, allowed: set) -> dict:
     unknown = set(cfg) - allowed
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in cfg]
+    if missing:
+        raise ValueError(f"missing config keys: {missing}")
     return cfg
 
 
@@ -250,7 +271,7 @@ _GRID_KEYS = {"interval", "num_points"}
 
 
 def _cmd_minimize(args) -> int:
-    cfg = _load_config(args.config, _MINIMIZE_KEYS)
+    cfg = _load_config(args.config, _MINIMIZE_KEYS, required=("epsilon",))
     n = int(cfg.get("n", 2))
     eps = float(cfg["epsilon"])
     lam = float(cfg.get("lam", 0.0))
@@ -284,7 +305,7 @@ def _cmd_minimize(args) -> int:
         rng = np.random.default_rng(int(seed or 0))
         init = random_field(Grid(a, b, num_points), rng, "fourier")
     else:
-        init = field_from_csv(Path(init_spec).read_text())
+        init = field_from_csv(_read_text(init_spec, "init"))
 
     res = minimize_energy(
         n,
@@ -341,7 +362,7 @@ _SUPER_KEYS = {
 
 
 def _cmd_supercritical(args) -> int:
-    cfg = _load_config(args.config, _SUPER_KEYS)
+    cfg = _load_config(args.config, _SUPER_KEYS, required=("lambda_grid", "epsilon"))
     rep = supercritical_probe(
         n=int(cfg.get("n", 2)),
         lambda_grid=cfg["lambda_grid"],

@@ -170,8 +170,9 @@ def minimize_energy(
     divergence_floor: Optional[float] = None,
 ) -> MinimizeEnergyResult:
     """Minimize the energy from a given initialization by damped Newton
-    (`DiscreteEnergy.minimize`: Levenberg shift, Armijo backtracking) on the
-    banded Hessian; maxiter caps the Newton steps.
+    (`DiscreteEnergy.minimize`: Levenberg shift, Armijo backtracking on the
+    exact energy change along the step) on the banded Hessian; maxiter
+    caps the Newton steps.
 
     The optional mass constraint fixes int_I u = mass: the initialization
     is shifted to the prescribed value, gradients are projected onto the

@@ -3,9 +3,23 @@
 import dataclasses
 import sys
 
+import numpy as np
 import pytest
 
 import hophase as hp
+
+
+def to_band(A, lo: int, up: int) -> np.ndarray:
+    """The sparse matrix A in LAPACK band storage ab[up + i - j, j] =
+    A[i, j], lower bandwidth lo, upper up (`BandedSystem`'s layout); one
+    bincount scatters the CSR entries, summing duplicates."""
+    A = A.tocsr()
+    offset = A.indices - np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    if offset.size and (offset.min() < -lo or offset.max() > up):
+        raise ValueError("entries outside the band")
+    rows, cols = lo + up + 1, A.shape[1]
+    flat = (up - offset) * cols + A.indices
+    return np.bincount(flat, A.data, rows * cols).reshape(rows, cols)
 
 
 @pytest.fixture(scope="session")

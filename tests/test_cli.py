@@ -437,6 +437,56 @@ def test_accuracy_order_is_an_unknown_key(tmp_path, capsys, command, cfg):
     assert captured.err == "hophase: error: unknown config keys: ['accuracy_order']\n"
 
 
+@pytest.mark.parametrize(
+    "command, cfg, missing",
+    [
+        ("minimize", {"n": 2}, ["epsilon"]),
+        ("supercritical", {"epsilon": 0.0625}, ["lambda_grid"]),
+        ("supercritical", {"n": 2}, ["lambda_grid", "epsilon"]),
+    ],
+)
+def test_missing_config_key_is_a_usage_error(tmp_path, capsys, command, cfg, missing):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", str(path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hophase: error: missing config keys: {missing}\n"
+
+
+@pytest.mark.parametrize("command", ["minimize", "gamma-sweep", "supercritical"])
+def test_unreadable_config_is_a_usage_error(tmp_path, capsys, command):
+    binary, broken = tmp_path / "binary.json", tmp_path / "broken.json"
+    binary.write_bytes(b"\xff\xfe")
+    broken.write_text('{"n": 2,')
+    for path, message in (
+        (tmp_path / "absent.json", "cannot read config {!r}: No such file or directory"),
+        (tmp_path, "cannot read config {!r}: Is a directory"),
+        (binary, "cannot read config {!r}: 'utf-8' codec can't decode byte 0xff"),
+        (broken, "config {!r} is not valid JSON: Expecting property name"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.startswith(
+            "hophase: error: " + message.format(str(path))
+        )
+
+
+def test_unreadable_csv_init_is_a_usage_error(tmp_path, capsys):
+    csv = tmp_path / "absent.csv"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"epsilon": 0.25, "init": str(csv)}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["minimize", "--config", str(path)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err == (
+        f"hophase: error: cannot read init {str(csv)!r}: No such file or directory\n"
+    )
+
+
 class TestGammaSweep:
     def test_sweep_writes_artifacts(self, tmp_path, capsys):
         cfg = {

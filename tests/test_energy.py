@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from hophase import (
     DiscreteEnergy,
+    DoubleWell,
     EnergyParams,
     Field,
     Grid,
@@ -14,8 +15,9 @@ from hophase import (
     gradient,
     make_ensemble,
 )
-from hophase.energy import to_band
 from hophase.grids import MAX_DERIVATIVE_ORDER
+
+from conftest import to_band
 
 
 def band_to_dense(ab, lo):
@@ -315,3 +317,117 @@ class TestDiscreteEnergy:
                 assert k.gradient_floor(u, quartic, c) == (
                     8.0 * np.finfo(float).eps * scale
                 )
+
+
+def cosine_well():
+    """W(t) = 1 + cos(pi t): a double well at +-1 that is no polynomial."""
+    return DoubleWell(
+        eval=lambda t: 1.0 + np.cos(np.pi * np.asarray(t, dtype=float)),
+        eval_derivative=lambda t: -np.pi * np.sin(np.pi * np.asarray(t, dtype=float)),
+        coercivity_L=0.1,
+        name="cosine",
+    )
+
+
+class TestEnergyChange:
+    """phi(t) = E(u + t d) - E(u) along a step d, without differencing
+    two energies."""
+
+    EPS = np.finfo(float).eps
+
+    def energy_roundoff(self, k, v, w, c):
+        """Roundoff scale of one direct `energy` evaluation: the sums of
+        absolute terms, |c_pot| sum q |W| and |c_k| sum q (|D_k| |v|)^2."""
+        scale = abs(c[0]) * float(k.q @ np.abs(w.eval(v)))
+        for ck, D in ((c[1], k.d_low), (c[2], k.d_high)):
+            scale += abs(ck) * float(k.q @ (abs(D) @ np.abs(v)) ** 2)
+        return self.EPS * scale
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    @pytest.mark.parametrize("well", ("quartic", "cosine"))
+    def test_equals_the_difference_of_energies(self, quartic, n, well):
+        w = quartic if well == "quartic" else cosine_well()
+        grid = Grid(-3.0, 3.0, 121)
+        k = DiscreteEnergy(grid, n)
+        rng = np.random.default_rng(40 + n)
+        u = np.tanh(grid.nodes()) + 0.1 * rng.standard_normal(grid.num_points)
+        band = n + 4
+        clamped = slice(band, grid.num_points - band)
+        step = 0.1 * rng.standard_normal(grid.num_points)
+        inside, mass_free = np.zeros_like(step), np.zeros_like(step)
+        inside[clamped] = step[clamped]
+        q = k.q[clamped]
+        # a step of the hold_mass border keeps q[free] . d = 0
+        mass_free[clamped] = step[clamped] - (q @ step[clamped]) / (q @ q) * q
+        assert abs(k.q @ mass_free) < 1e-15
+        # the steps of the whole range, a clamped free slice and the
+        # hold_mass border
+        steps = (step, inside, mass_free)
+        for c in ((0.7, -0.3, 1.1), (2.0, 0.0, -1.1)):
+            for d in steps:
+                phi = k.energy_change(u, d, w, c)
+                for t in (1.0, 0.5, 1e-3):
+                    direct = k.energy(u + t * d, w, c) - k.energy(u, w, c)
+                    tol = 16.0 * (
+                        self.energy_roundoff(k, u, w, c)
+                        + self.energy_roundoff(k, u + t * d, w, c)
+                    )
+                    assert abs(phi(t) - direct) <= tol
+                assert phi(0.0) == 0.0
+
+    def test_error_shrinks_with_the_step(self, quartic):
+        # the same discrete energy in exact rationals, on 101 points at
+        # n = 3: phi's error stays within eps (t S + F), S the absolute
+        # sums of its t-terms and F the pointwise roundoff of W(u + t d) -
+        # W(u), far below the cancellation floor of a direct difference
+        from fractions import Fraction
+
+        grid = Grid(-5.0, 5.0, 101)
+        k = DiscreteEnergy(grid, 3)
+        c = (1.0, -0.05, 1.0)
+        x = grid.nodes()
+        rng = np.random.default_rng(3)
+        u = np.tanh(x) + 1e-3 * rng.standard_normal(len(x))
+        free = slice(7, len(x) - 7)
+        d = np.zeros_like(u)
+        d[free] = 1e-3 * np.exp(-x[free] ** 2) * rng.standard_normal(len(x) - 14)
+        q = [Fraction(v) for v in k.q]
+        forms = [
+            (Fraction(ck), [
+                [(Fraction(D.data[j]), D.indices[j])
+                 for j in range(D.indptr[r], D.indptr[r + 1])]
+                for r in range(D.shape[0])
+            ])
+            for ck, D in ((c[1], k.d_low), (c[2], k.d_high))
+        ]
+
+        def exact(v):
+            e = Fraction(c[0]) * sum(
+                qi * (vi - 1) ** 2 * (vi + 1) ** 2 for qi, vi in zip(q, v)
+            )
+            for ck, rows in forms:
+                e += ck * sum(
+                    qi * sum(a * v[j] for a, j in row) ** 2
+                    for qi, row in zip(q, rows)
+                )
+            return e
+
+        uq, dq = [Fraction(v) for v in u], [Fraction(v) for v in d]
+        e0 = exact(uq)
+        S = abs(c[0]) * float(k.q @ np.abs(quartic.eval_derivative(u) * d))
+        cancellation = 0.0
+        for ck, D in ((c[1], k.d_low), (c[2], k.d_high)):
+            A = abs(D)
+            Au, Ad = A @ np.abs(u), A @ np.abs(d)
+            S += abs(ck) * float(k.q @ (Ad * (2.0 * Au + Ad)))
+            cancellation += abs(ck) * float(k.q @ (np.abs(D @ u) * Au))
+        F = abs(c[0]) * float(
+            k.q @ (2.0 * quartic.eval(u) + np.abs(u * quartic.eval_derivative(u)))
+        )
+        phi = k.energy_change(u, d, quartic, c)
+        for t in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0):
+            moved = [a + Fraction(t) * b for a, b in zip(uq, dq)]
+            err = abs(phi(t) - float(exact(moved) - e0))
+            assert err <= 16.0 * self.EPS * (t * S + F)
+        # at small steps that bound lies far below the direct difference's
+        assert 16.0 * (1e-6 * S + F) < 0.1 * cancellation

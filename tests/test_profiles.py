@@ -99,6 +99,28 @@ class TestProfileMinimization:
         assert res.converged
         assert res.diagnosis.startswith("converged to the roundoff gradient floor")
 
+    @pytest.mark.parametrize("n, lam", [(2, 0.01), (3, 2e-4)])
+    def test_two_direct_energies_per_start(self, quartic, monkeypatch, n, lam):
+        # the line search reads DiscreteEnergy.energy_change, so each start
+        # evaluates the energy directly at its first iterate and at the
+        # minimizer it reports, and nowhere else
+        calls = []
+        energy = DiscreteEnergy.energy
+
+        def counted(self, *args):
+            calls.append(args)
+            return energy(self, *args)
+
+        monkeypatch.setattr(DiscreteEnergy, "energy", counted)
+        prob = ProfileProblem(n, lam, 10.0, 2001, quartic)
+        res = minimize_profile(prob)
+        assert res.converged
+        assert 0 < len(calls) <= 2 * len(default_starts(prob))
+        kernel = DiscreteEnergy(prob.grid, n)
+        assert res.energy_estimate == energy(
+            kernel, res.minimizer.values, quartic, (1.0, -lam, 1.0)
+        )
+
     def test_multistart_counts_every_start(self, quartic):
         prob = ProfileProblem(2, 0.0, 5.0, 2001, quartic)
         res = minimize_profile(prob)

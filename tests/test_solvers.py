@@ -8,8 +8,10 @@ from scipy.linalg.lapack import dgbsv
 
 from hophase import DiscreteEnergy, Grid, _solvers
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import _gram_diagonals, to_band
+from hophase.energy import _gram_diagonals
 from hophase.grids import ACCURACY_ORDER, diff_operator, quadrature_weights
+
+from conftest import to_band
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -153,6 +155,39 @@ def test_line_search_stops_where_the_energy_cannot_resolve_the_step():
     assert calls["fun"] - calls["stalled_at"] <= 3
     assert info.energy == quadratic(x)
     assert len(info.history) == info.newton_iterations
+
+
+def test_line_search_reads_the_energy_change_along_the_step():
+    # given line, fun gives the first and the reported energy only, and the
+    # history energies are the first one plus the accepted changes
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fun(x)
+
+    def line(x, d):
+        # fun(x + t d) - fun(x) factored so that nothing cancels
+        Lx, dLd = LAP @ x, d @ (LAP @ d)
+
+        def change(t):
+            y = x + t * d
+            well = 0.25 * np.sum(t * d * (2.0 * x + t * d) * (y**2 + x**2 - 2.0))
+            return well + t * (d @ Lx) + 0.5 * t * t * dLd
+
+        return change
+
+    x, info = damped_newton(counted, grad, hess, X0, gtol=1e-10, line=line)
+    assert info.converged
+    assert len(calls) == 2
+    assert info.energy == fun(x)
+    plain, plain_info = damped_newton(fun, grad, hess, X0, gtol=1e-10)
+    np.testing.assert_allclose(x, plain, rtol=0, atol=1e-10)
+    # without line the energy carried is fun's own value at each iterate
+    assert plain_info.history[-1]["energy"] == plain_info.energy == fun(plain)
+    energies = [h["energy"] for h in info.history]
+    assert all(e2 <= e1 for e1, e2 in zip(energies, energies[1:]))
+    assert energies[-1] == pytest.approx(info.energy, rel=0, abs=1e-13)
 
 
 def test_lbfgs_divergence_floor_and_final_values():
