@@ -156,11 +156,12 @@ def damped_newton(
     grad: Callable[[np.ndarray], np.ndarray],
     hess: Callable[[np.ndarray], BandedSystem],
     x0: np.ndarray,
+    *,
+    line: Callable[[np.ndarray, np.ndarray], Callable[[float], float]],
     maxiter: int = 100,
     gtol: float = 1e-8,
     stagnation_rtol: float = 1e-14,
     divergence_floor: Optional[float] = None,
-    line: Optional[Callable[[np.ndarray, np.ndarray], Callable[[float], float]]] = None,
 ):
     """Damped Newton with banded LU solves and Armijo backtracking.
 
@@ -185,15 +186,14 @@ def damped_newton(
     info.factorizations counts the LAPACK factorizations actually done,
     tau retries included.
 
-    The Armijo test reads the energy change dE(t) = E(x + t d) - E(x)
-    along the step d from line(x, d), which returns the function dE of t;
-    a kernel that knows the energy's structure can compute it without
-    differencing two whole energies (`DiscreteEnergy.energy_change`).
-    Without line, the test is fun(x + t d) <= E(x) + 1e-4 t g.d on the
-    energy fun returns, which E then carries.  With line, fun is called
-    only for the first energy and for the reported info.energy at the
-    returned iterate, and the energy E carried between steps, and each
-    info.history energy, is the first energy plus the accepted changes dE.
+    The Armijo test dE(t) <= 1e-4 t g.d reads the energy change
+    dE(t) = E(x + t d) - E(x) along the step d from line(x, d), which
+    returns the function dE of t; a kernel that knows the energy's
+    structure can compute it without differencing two whole energies
+    (`DiscreteEnergy.energy_change`).  fun is called only for the first
+    energy and for the reported info.energy at the returned iterate; the
+    energy E carried between steps, and each info.history energy, is the
+    first energy plus the accepted changes dE.
 
     Stops on the gradient sup-norm; on energy stagnation (FD-roundoff
     floor), either after a full step or two stagnant steps in a row that
@@ -237,29 +237,22 @@ def damped_newton(
         step = 1.0
         slope = g @ d
         floor = stagnation_rtol * max(1.0, abs(energy))
-        change = None if line is None else line(x, d)
+        change = line(x, d)
         for _ in range(45):
             # a step whose predicted decrease the energy cannot resolve
             # is decided by roundoff; at step 1 this is the Newton decrement
             if -step * slope < floor:
                 info.message = "energy stagnation (roundoff floor)"
                 break
-            x_try = x + step * d
-            armijo = 1e-4 * step * slope
-            if change is None:
-                e_try = fun(x_try)
-                de, accept = e_try - energy, e_try <= energy + armijo
-            else:
-                de = change(step)
-                e_try, accept = energy + de, de <= armijo
-            if accept:
+            de = change(step)
+            if de <= 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             info.message = "line search failed"
         if info.message:
             break
-        x, energy = x_try, e_try
+        x, energy = x + step * d, energy + de
         g = grad(x)
         info.iterations = info.newton_iterations = it + 1
         info.history.append(
@@ -288,6 +281,6 @@ def damped_newton(
     else:
         info.message = "iteration limit"
     info.gradient_norm = float(np.abs(g).max())
-    info.energy = float(energy if line is None else fun(x))
+    info.energy = float(fun(x))
     info.converged = info.gradient_norm < gtol and not info.diverged
     return x, info

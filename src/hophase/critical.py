@@ -10,12 +10,12 @@ u -> u(./sigma), so the quotient
     Q[u] = (|I|^(-(2n-2)) int W(u) + |I|^2 int (u^(n))^2) / int (u^(n-1))^2
 
 is scale invariant and lambda_n = inf Q.  The estimator minimizes Q over
-fields on the normalized interval (0,1) in two stages.  The polynomial
-stage integrates each candidate polynomial exactly (Gauss-Legendre, for a
-quartic W), so its value Q[p] bounds lambda_n from above.  The grid stage
-that follows evaluates Q by finite-difference quadrature of a sampled
-field, which is no such bound: the reported lambda_hat_n may lie on
-either side of lambda_n.
+polynomials on the normalized interval (0,1), integrating each candidate
+exactly (Gauss-Legendre, for a quartic W), so the minimum it finds is
+Q[p] of an actual function and bounds lambda_n from above.  The reported
+lambda_hat_n is Q of the winning polynomial sampled on a grid, the
+finite-difference quotient of that witness field, which is no such bound:
+it may lie on either side of lambda_n.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -32,6 +32,7 @@ from .potentials import DoubleWell
 __all__ = [
     "DENOMINATOR_FLOOR",
     "POLY_DEGREE",
+    "POLY_STARTS",
     "DegenerateQuotient",
     "QuotientResult",
     "LambdaOptions",
@@ -47,6 +48,8 @@ __all__ = [
 DENOMINATOR_FLOOR = 1e-12
 #: degree of the polynomials of the polynomial stage of `estimate_lambda_n`
 POLY_DEGREE = 10
+#: number of random coefficient starts of that stage
+POLY_STARTS = 8
 
 
 @dataclass(frozen=True)
@@ -105,14 +108,13 @@ def subdivided_quotient(u: Field, n: int, w: DoubleWell) -> float:
 
 @dataclass
 class LambdaOptions:
-    """Knobs for `estimate_lambda_n`: the grid run's num_points, the seed
-    and number poly_starts of the random polynomial starts, and maxiter,
-    the Newton step cap of every polynomial-stage start and the grid run."""
+    """Knobs for `estimate_lambda_n`: num_points, the nodes on which the
+    witness is sampled; the seed of the random polynomial starts; and
+    maxiter, the Newton step cap of every polynomial start."""
 
     num_points: int = 501
     seed: int = 0
     maxiter: int = 3000
-    poly_starts: int = 8
 
 
 @dataclass
@@ -131,7 +133,7 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     """Global search over the monomial coefficients of a degree
     POLY_DEGREE polynomial on (0,1), with Gauss-Legendre integrals
     (exact for a quartic W): `_minimize_quotient` from a ramp
-    (and a quadratic for n >= 3) and opts.poly_starts random coefficient
+    (and a quadratic for n >= 3) and POLY_STARTS random coefficient
     vectors.  A degenerate start (the ramp for n >= 3) is not solved.
     Returns the best coefficients (None if every start is degenerate) and
     each start's (value, stop reason, step count) in start order."""
@@ -146,7 +148,7 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
         quad = np.zeros(ncoef)
         quad[0], quad[1], quad[2] = 1.0, -8.0, 8.0
         starts.append(quad)
-    for _ in range(opts.poly_starts):
+    for _ in range(POLY_STARTS):
         starts.append(rng.normal(0.0, 1.0, ncoef) / (1.0 + np.arange(ncoef)))
 
     runs, best_val, best_c = [], np.inf, None
@@ -163,21 +165,20 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
 
 
 def _quotient_functions(kernel, w: DoubleWell):
-    """Q[v] = (int W + int (v^(n))^2) / int (v^(n-1))^2 on the unit
-    interval, for v the grid samples of a `DiscreteEnergy` kernel or the
-    monomial coefficients of a `_PolynomialKernel`; its gradient
-    (grad N - Q grad D) / D and its Newton system: value(v), inf on a
-    degenerate denominator; grad(v), 0 there; and
-    system(v), the bordered [[H0, U], [V^T, -I]] with the banded
-    H0 = (N'' - Q D'') / D and the rank-2 quotient-rule term U V^T,
-    U = [-g, -D'/D] and V = [D'/D, g].  grad reuses the terms of the last
-    value call, and system the parts of the last grad call, when it is at
-    the same v (the same array object), as in the Newton driver."""
+    """Q[c] = (int W + int (p^(n))^2) / int (p^(n-1))^2 for the polynomial
+    p on (0,1) with the monomial coefficients c of a `_PolynomialKernel`;
+    its gradient (grad N - Q grad D) / D and its Newton system: value(c),
+    inf on a degenerate denominator; grad(c), 0 there; and system(c), the
+    bordered [[H0, U], [V^T, -I]] with H0 = (N'' - Q D'') / D and the
+    rank-2 quotient-rule term U V^T, U = [-g, -D'/D] and V = [D'/D, g].
+    grad reuses the terms of the last value call at equal coefficients, as
+    at the trial point the line search accepts, and system the parts of
+    the last grad call at the same array object, as in the Newton driver."""
     last, seen = {}, {}
 
     def terms(v):
-        if seen.get("v") is not v:
-            seen.update(v=v, terms=kernel.terms(v, w))
+        if "v" not in seen or not np.array_equal(seen["v"], v):
+            seen.update(v=v.copy(), terms=kernel.terms(v, w))
         return seen["terms"]
 
     def value(v):
@@ -211,36 +212,41 @@ def _quotient_functions(kernel, w: DoubleWell):
 def _minimize_quotient(functions, x0, maxiter: int, gtol: float):
     """Minimize the quotient from x0 with the (value, grad, system) of
     `_quotient_functions`: damped Newton on the bordered system, at most
-    maxiter steps."""
+    maxiter steps, its line search on value(x + t d) - value(x)."""
     value, grad, system = functions
+
+    def line(x, d):
+        q0 = value(x)
+        return lambda t: value(x + t * d) - q0
+
     return damped_newton(
-        value, grad, system, x0, maxiter=maxiter, gtol=gtol, stagnation_rtol=1e-15
+        value, grad, system, x0, maxiter=maxiter, gtol=gtol,
+        stagnation_rtol=1e-15, line=line,
     )
 
 
 def estimate_lambda_n(
     n: int, w: DoubleWell, opts: Optional[LambdaOptions] = None
 ) -> LambdaEstimate:
-    """The estimate lambda_hat_n = min Q on (0,1), found in two steps.
+    """The estimate lambda_hat_n = min Q on (0,1).
 
-    The polynomial stage (`_poly_stage`) picks the basin; degree-(n-1)
-    fields make the highest term vanish and are strong competitors for
-    n >= 3.  One grid run from its winner, sampled on opts.num_points
-    nodes, gives value and witness: damped Newton on the quotient (H0
-    with the rank-2 border), at most opts.maxiter steps.  per_start,
-    diagnostics["messages"] and diagnostics["steps"] give each polynomial
-    start's value, stop reason and step count in start order (inf,
-    "degenerate start" and 0 for a start that is not solved), and
+    The polynomial stage (`_poly_stage`) minimizes Q over polynomials;
+    degree-(n-1) fields make the highest term vanish and are strong
+    competitors for n >= 3.  The witness is its winner sampled on
+    opts.num_points nodes, and value is quotient(witness, n, w).value.
+    per_start, diagnostics["messages"] and diagnostics["steps"] give each
+    polynomial start's value, stop reason and step count in start order
+    (inf, "degenerate start" and 0 for a start that is not solved), and
     diagnostics["poly_stage_value"] is min(per_start), an upper bound on
-    lambda_n (see the module docstring);
-    diagnostics["grid_message"] and ["grid_steps"] give the grid run's.
+    lambda_n (see the module docstring).
     """
     if n < 2:
         raise ValueError("estimate_lambda_n requires n >= 2")
     opts = opts or LambdaOptions()
     grid = Grid(0.0, 1.0, opts.num_points)
-    kernel = DiscreteEnergy(grid, n)
-    functions = _quotient_functions(kernel, w)
+    # the witness's kernel rejects an n or a grid its stencils cannot
+    # serve before any polynomial work
+    DiscreteEnergy(grid, n)
 
     poly_c, runs = _poly_stage(n, w, opts)
     per_start, messages, steps = (list(r) for r in zip(*runs))
@@ -249,28 +255,18 @@ def estimate_lambda_n(
             "estimate_lambda_n: every polynomial start is degenerate; "
             f"per_start={per_start}"
         )
-    u0 = np.polynomial.polynomial.polyval(grid.nodes(), poly_c)
-    u, info = _minimize_quotient(functions, u0, opts.maxiter, gtol=1e-10)
-    pot, den, high = kernel.terms(u, w)
-    if den <= 100 * DENOMINATOR_FLOOR:
-        raise RuntimeError(
-            "estimate_lambda_n: the grid run ended degenerate; "
-            f"per_start={per_start}"
-        )
+    witness = Field(grid, np.polynomial.polynomial.polyval(grid.nodes(), poly_c))
     return LambdaEstimate(
-        value=float((pot + high) / den),
-        witness=Field(grid, u),
+        value=quotient(witness, n, w).value,
+        witness=witness,
         n=n,
         per_start=per_start,
         diagnostics={
             "num_points": opts.num_points,
             "poly_stage_value": float(min(per_start)),
-            "final_gradient_norm": float(np.abs(functions[1](u)).max()),
             "messages": messages,
             "steps": steps,
             "num_starts": len(per_start),
-            "grid_message": info.message or "gradient below gtol",
-            "grid_steps": info.iterations,
         },
     )
 

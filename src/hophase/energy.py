@@ -240,8 +240,9 @@ class DiscreteEnergy:
 
         Returns the minimizer (all samples), the solver's `SolveInfo`, the
         roundoff floor `gradient_floor` at the minimizer, and the verdict
-        converged: a final gradient sup-norm below max(gtol, floor), and
-        no divergence."""
+        converged: a final gradient sup-norm below max(gtol, floor), no
+        divergence, and no stop on a failed line search or on no descent
+        direction, which end short of a minimizer whatever the gradient."""
         u = np.array(u0, dtype=float)
         q = self.q[free]
 
@@ -273,7 +274,10 @@ class DiscreteEnergy:
         )
         u[free] = z
         floor = self.gradient_floor(u, w, c)
-        converged = info.gradient_norm < max(gtol, floor) and not info.diverged
+        failed = info.message in ("line search failed", "no descent direction found")
+        converged = info.gradient_norm < max(gtol, floor) and not (
+            info.diverged or failed
+        )
         return u, info, floor, bool(converged)
 
 

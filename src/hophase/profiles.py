@@ -83,7 +83,8 @@ PROFILE_MAXITER = 100
 class ProfileResult:
     """Minimizer, its energy, and convergence diagnostics: converged means
     gradient_norm_final < max(PROFILE_GTOL, gradient_floor), the roundoff
-    floor of the assembled gradient at the minimizer.  factorizations
+    floor of the assembled gradient at the minimizer, and no stop on a
+    failed line search (`DiscreteEnergy.minimize`).  factorizations
     counts the LAPACK factorizations of the Newton steps, tau retries that
     change the shifted matrix included.  After a multistart
     (`minimize_profile` with init = None), iterations and factorizations
@@ -146,10 +147,10 @@ def minimize_profile(
         )
         gnorm = info.gradient_norm
         diagnosis = ""
-        if PROFILE_GTOL <= gnorm < floor:
-            diagnosis = f"converged to the roundoff gradient floor {floor:.1e}"
-        elif not converged:
+        if not converged:
             diagnosis = info.message
+        elif gnorm >= PROFILE_GTOL:
+            diagnosis = f"converged to the roundoff gradient floor {floor:.1e}"
         return ProfileResult(
             minimizer=Field(problem.grid, u),
             energy_estimate=float(info.energy),

@@ -22,6 +22,17 @@ def to_band(A, lo: int, up: int) -> np.ndarray:
     return np.bincount(flat, A.data, rows * cols).reshape(rows, cols)
 
 
+def differenced(fun):
+    """The line of `damped_newton` for an energy given only as fun: the
+    change t -> fun(x + t d) - fun(x) along the step d, fun(x) taken once."""
+
+    def line(x, d):
+        e0 = fun(x)
+        return lambda t: fun(x + t * d) - e0
+
+    return line
+
+
 @pytest.fixture(scope="session")
 def quartic():
     return hp.make_quartic()

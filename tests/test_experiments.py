@@ -232,6 +232,25 @@ class TestGammaSweep:
         for row in sweep_record.rows:
             assert row.e_recovery == pytest.approx(target, rel=1e-3)
 
+    def test_roundoff_deviation_is_not_an_inversion(self, lambda_hat_2):
+        # the two-jump sweep of acceptance test 07 repeats one discrete
+        # problem for every eps <= 1/16: its recovery deviations agree to
+        # about 3e-12 and are no evidence against monotone convergence
+        lam_hat = lambda_hat_2.value
+        cfg = SweepConfig(
+            n=2,
+            lam=0.3 * lam_hat,
+            jumps=(-4.0 / 3.0, 4.0 / 3.0),
+            eps_schedule=(0.25, 0.125, 0.0625, 0.03125, 0.015625),
+            points_per_eps_width=32,
+            lambda_hat=lam_hat,
+        )
+        rec = gamma_sweep(cfg)
+        devs = [abs(r.e_recovery - 2.0 * rec.c_hat_lam) for r in rec.rows]
+        assert max(devs) - min(devs) < 1e-11
+        assert any(d2 > d1 for d1, d2 in zip(devs, devs[1:]))
+        assert not [note for note in rec.notes if "not monotone" in note]
+
     def test_persistence_roundtrip(self, sweep_record, sweep_cfg):
         import pathlib
 

@@ -99,6 +99,16 @@ class TestProfileMinimization:
         assert res.converged
         assert res.diagnosis.startswith("converged to the roundoff gradient floor")
 
+    def test_failed_line_search_is_never_converged(self, quartic):
+        # from tanh(x/0.5) the n = 4 run stops on a failed line search at
+        # E ~ 896, with a gradient far below the roundoff floor of its
+        # h^-8-sized stencil terms: a stop short of a minimizer all the same
+        prob = ProfileProblem(4, 0.0, 10.0, 2001, quartic)
+        res = minimize_profile(prob, init=np.tanh(prob.grid.nodes() / 0.5))
+        assert res.diagnosis == "line search failed"
+        assert res.gradient_norm_final < res.gradient_floor
+        assert not res.converged
+
     @pytest.mark.parametrize("n, lam", [(2, 0.01), (3, 2e-4)])
     def test_two_direct_energies_per_start(self, quartic, monkeypatch, n, lam):
         # the line search reads DiscreteEnergy.energy_change, so each start

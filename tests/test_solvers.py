@@ -11,7 +11,7 @@ from hophase._solvers import BandedSystem, damped_newton, lbfgs
 from hophase.energy import _gram_diagonals
 from hophase.grids import ACCURACY_ORDER, diff_operator, quadrature_weights
 
-from conftest import to_band
+from conftest import differenced, to_band
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -53,7 +53,7 @@ X0 = np.linspace(-0.9, 0.7, M)
 
 
 def test_converges_and_records_history():
-    x, info = damped_newton(fun, grad, hess, X0, gtol=1e-10)
+    x, info = damped_newton(fun, grad, hess, X0, line=differenced(fun), gtol=1e-10)
     assert info.converged
     assert info.iterations == info.newton_iterations
     assert len(info.history) == info.newton_iterations
@@ -75,13 +75,14 @@ def test_bordered_step_holds_the_constraint():
         lambda x: proj(grad(x)),
         lambda x: as_system(sp.bmat([[hess_matrix(x), border], [border.T, None]])),
         X0,
+        line=differenced(fun),
         gtol=1e-10,
     )
     assert info.converged
     assert len(info.history) == info.newton_iterations
     assert q @ x == pytest.approx(q @ X0, abs=1e-13)
     # unconstrained, the mean drifts to a well
-    free, _ = damped_newton(fun, grad, hess, X0, gtol=1e-10)
+    free, _ = damped_newton(fun, grad, hess, X0, line=differenced(fun), gtol=1e-10)
     assert abs(q @ free - q @ X0) > 1e-3
 
 
@@ -93,11 +94,13 @@ def test_low_rank_border_solves_with_the_update():
     r = np.linspace(1.0, 2.0, M)
     dense = A.toarray() + np.outer(b, b)
     border = sp.csc_matrix(b[:, None])
+    energy = lambda x: 0.5 * x @ (dense @ x) - r @ x
     x, info = damped_newton(
-        lambda x: 0.5 * x @ (dense @ x) - r @ x,
+        energy,
         lambda x: dense @ x - r,
         lambda x: as_system(sp.bmat([[A, border], [border.T, -sp.identity(1)]])),
         np.zeros(M),
+        line=differenced(energy),
         maxiter=1,
     )
     assert info.newton_iterations == 1
@@ -108,9 +111,10 @@ def test_low_rank_border_solves_with_the_update():
 def test_divergence_floor_stops_newton():
     # lam = 2 makes the quadratic part concave: the energy is bounded below
     # by the quartic only, far beneath the floor
+    energy = lambda x: fun(x, 2.0)
     x, info = damped_newton(
-        lambda x: fun(x, 2.0), lambda x: grad(x, 2.0), lambda x: hess(x, 2.0),
-        X0, divergence_floor=-5.0,
+        energy, lambda x: grad(x, 2.0), lambda x: hess(x, 2.0),
+        X0, line=differenced(energy), divergence_floor=-5.0,
     )
     assert info.diverged
     assert not info.converged
@@ -120,7 +124,9 @@ def test_divergence_floor_stops_newton():
 
 
 def test_stall_is_reported():
-    x, info = damped_newton(fun, grad, hess, X0, maxiter=1, gtol=1e-14)
+    x, info = damped_newton(
+        fun, grad, hess, X0, line=differenced(fun), maxiter=1, gtol=1e-14
+    )
     assert not info.converged
     assert info.message == "iteration limit"
     assert info.newton_iterations == 1
@@ -147,7 +153,8 @@ def test_line_search_stops_where_the_energy_cannot_resolve_the_step():
         return g
 
     x, info = damped_newton(
-        quadratic, biased_grad, lambda x: as_system(A), X0, gtol=1e-12
+        quadratic, biased_grad, lambda x: as_system(A), X0,
+        line=differenced(quadratic), gtol=1e-12,
     )
     assert info.message == "energy stagnation (roundoff floor)"
     assert not info.converged
@@ -181,13 +188,17 @@ def test_line_search_reads_the_energy_change_along_the_step():
     assert info.converged
     assert len(calls) == 2
     assert info.energy == fun(x)
-    plain, plain_info = damped_newton(fun, grad, hess, X0, gtol=1e-10)
+    plain, _ = damped_newton(fun, grad, hess, X0, line=differenced(fun), gtol=1e-10)
     np.testing.assert_allclose(x, plain, rtol=0, atol=1e-10)
-    # without line the energy carried is fun's own value at each iterate
-    assert plain_info.history[-1]["energy"] == plain_info.energy == fun(plain)
     energies = [h["energy"] for h in info.history]
     assert all(e2 <= e1 for e1, e2 in zip(energies, energies[1:]))
     assert energies[-1] == pytest.approx(info.energy, rel=0, abs=1e-13)
+
+
+def test_line_is_required():
+    # the Armijo test has one form, on the change line(x, d) returns
+    with pytest.raises(TypeError, match="line"):
+        damped_newton(fun, grad, hess, X0)
 
 
 def test_lbfgs_divergence_floor_and_final_values():
@@ -444,8 +455,9 @@ def test_factorizations_count_the_gbsv_calls_and_skip_no_op_shifts(monkeypatch):
         lambda x: as_system(scale * hess_matrix(x)),
         X0,
     )
+    line = differenced(args[0])
     calls = counted_gbsv(monkeypatch)
-    x, info = damped_newton(*args, gtol=1e-2)
+    x, info = damped_newton(*args, line=line, gtol=1e-2)
     assert info.factorizations == len(calls)
 
     # the same run with every rung factored takes the same steps
@@ -456,7 +468,7 @@ def test_factorizations_count_the_gbsv_calls_and_skip_no_op_shifts(monkeypatch):
         return solve(self, rhs, tau)
 
     monkeypatch.setattr(BandedSystem, "solve", refactor)
-    x_all, info_all = damped_newton(*args, gtol=1e-2)
+    x_all, info_all = damped_newton(*args, line=line, gtol=1e-2)
     np.testing.assert_array_equal(x, x_all)
     assert info.message == info_all.message
     assert info.energy == info_all.energy
