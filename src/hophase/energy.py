@@ -28,8 +28,8 @@ import scipy.sparse as sp
 
 from ._solvers import BandedSystem, damped_newton
 from .grids import (
-    MAX_DERIVATIVE_ORDER, Field, Grid, NotAKnotSpline, diff_operator,
-    quadrature_weights, window_starts,
+    MAX_DERIVATIVE_ORDER, Field, Grid, NotAKnotSpline, apply_stencil,
+    apply_stencil_transpose, diff_operator, quadrature_weights, window_starts,
 )
 from .potentials import DoubleWell
 
@@ -52,31 +52,25 @@ class DiscreteEnergy:
     on one grid, and for coefficients c = (c_pot, c_low, c_high) the
     functional c_pot int W + c_low int (u^(n-1))^2 + c_high int (u^(n))^2
     with its exact gradient and Hessian, and its change along a step
-    (`energy_change`), which the line search of `minimize` reads.  D_0 is
-    the identity, so n = 1 is allowed.  The quadratic forms
-    K = 2 D^T diag(q) D are assembled from the stencil rows on first use,
-    as bands that K_low and K_high view as DIA matrices, and kept for the
-    life of the instance: a solver holds one kernel for its whole run.
+    (`energy_change`), which the line search of `minimize` reads.  D_{n-1}
+    and D_n are applied as stencils (`grids.apply_stencil`); D_0 is the
+    identity, the 1-tap stencil of weight 1, so n = 1 is allowed.  The
+    quadratic forms K = 2 D^T diag(q) D are assembled from the stencil
+    rows on first use, as bands that K_low and K_high view as DIA
+    matrices, and kept for the life of the instance: a solver holds one
+    kernel for its whole run.
     """
 
     def __init__(self, grid: Grid, n: int):
         if not 1 <= n <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {n}")
         self.q = quadrature_weights(grid)
-        high = diff_operator(grid, n)
-        self.d_high = high.matrix
         if n == 1:
-            low = None
-            self.d_low = sp.identity(grid.num_points, format="csr")
-            low_weights = np.ones((grid.num_points, 1))
+            low = np.ones((grid.num_points, 1))
         else:
-            low = diff_operator(grid, n - 1)
-            self.d_low = low.matrix
-            low_weights = low.weights
-        # the operators D_{n-1} (None for the identity) and D_n, and their
-        # stencil row weights
-        self._operators = (low, high)
-        self._weights = (low_weights, high.weights)
+            low = diff_operator(grid, n - 1).weights
+        # the stencil weights of D_{n-1} and D_n
+        self._weights = (low, diff_operator(grid, n).weights)
 
     @cached_property
     def K_low(self) -> sp.dia_matrix:
@@ -114,25 +108,27 @@ class DiscreteEnergy:
     def _potential(self, u, w: DoubleWell) -> float:
         return float(self.q @ np.asarray(w.eval(u), dtype=float))
 
-    def _square(self, d, u) -> float:
-        return float(self.q @ (d @ u) ** 2)
+    def _square(self, weights, u) -> float:
+        return float(self.q @ apply_stencil(weights, u) ** 2)
 
     def terms(self, u: np.ndarray, w: DoubleWell):
         """(int W(u), int (u^(n-1))^2, int (u^(n))^2) by quadrature; the
         squares are summed directly, so they never go negative by roundoff
         the way a quadratic form u^T K u can near u ~ const."""
+        low, high = self._weights
         return (
             self._potential(u, w),
-            self._square(self.d_low, u),
-            self._square(self.d_high, u),
+            self._square(low, u),
+            self._square(high, u),
         )
 
     def energy(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """c_pot int W + c_high int (u^(n))^2 + c_low int (u^(n-1))^2."""
         c_pot, c_low, c_high = c
-        e = c_pot * self._potential(u, w) + c_high * self._square(self.d_high, u)
+        low, high = self._weights
+        e = c_pot * self._potential(u, w) + c_high * self._square(high, u)
         if c_low != 0.0:
-            e += c_low * self._square(self.d_low, u)
+            e += c_low * self._square(low, u)
         return e
 
     def energy_change(self, u: np.ndarray, d: np.ndarray, w: DoubleWell, c):
@@ -153,14 +149,15 @@ class DiscreteEnergy:
         works."""
         c_pot, c_low, c_high = c
         w0 = np.asarray(w.eval(u), dtype=float)
-        terms = [(c_high, self.d_high)]
+        low, high = self._weights
+        terms = [(c_high, high)]
         if c_low != 0.0:
-            terms.append((c_low, self.d_low))
+            terms.append((c_low, low))
         # phi's quadratic part is t (slope + t curvature)
         slope = curvature = 0.0
-        for ck, D in terms:
-            Dd = D @ d
-            slope += 2.0 * ck * float(self.q @ (Dd * (D @ u)))
+        for ck, weights in terms:
+            Dd = apply_stencil(weights, d)
+            slope += 2.0 * ck * float(self.q @ (Dd * apply_stencil(weights, u)))
             curvature += ck * float(self.q @ Dd**2)
 
         def phi(t: float) -> float:
@@ -207,19 +204,22 @@ class DiscreteEnergy:
         """Roundoff scale of the assembled gradient: the largest row of sums
         of absolute terms, times 8 machine epsilon.  The stencil weights
         grow like h^(-2n) through the quadratic forms, so this is the
-        resolution-dependent accuracy limit of `grad` itself.  |D| is built
-        on D's own `indices`/`indptr`, and |D|^T is its CSC view, so a call
-        copies no sparse structure."""
+        resolution-dependent accuracy limit of `grad` itself.  |D| is the
+        stencil of D's absolute weights, applied with D's own kernel pair
+        (`grids.apply_stencil` and its transpose)."""
         c_pot, c_low, c_high = c
         au = np.abs(u)
+        low, high = self._weights
 
-        def rowsum(d):
-            ad = sp.csr_matrix((np.abs(d.data), d.indices, d.indptr), shape=d.shape)
-            return float(np.max(2.0 * (ad.T @ (self.q * (ad @ au)))))
+        def rowsum(weights):
+            a = np.abs(weights)
+            return float(np.max(
+                2.0 * apply_stencil_transpose(a, self.q * apply_stencil(a, au))
+            ))
 
-        scale = abs(c_high) * rowsum(self.d_high)
+        scale = abs(c_high) * rowsum(high)
         if c_low != 0.0:
-            scale += abs(c_low) * rowsum(self.d_low)
+            scale += abs(c_low) * rowsum(low)
         wprime = np.abs(np.asarray(w.eval_derivative(u), dtype=float))
         scale += abs(c_pot) * float(np.max(wprime * self.q))
         return 8.0 * np.finfo(float).eps * scale
@@ -345,13 +345,14 @@ def _gram_diagonals(W, q, b) -> np.ndarray:
     clamped rows at each end.  The identity is the case m = 1.
 
     K[i, j] sums q_r W[r, i - starts[r]] W[r, j - starts[r]] over the rows
-    r in ascending order, the order in which the sparse product
-    (D^T diag(q)) D accumulates it (Bank & Douglas, SMMP), so every entry
-    equals that product's bit for bit: the clamped rows at the left end
-    first, one m x m outer product each; then the interior rows, one slice
-    add per weight pair (a, c), with a descending so that the rows meeting
-    in one entry come in ascending order; then the clamped rows at the
-    right end.  The final factor 2 is exact.
+    r in ascending order, the order in which `grids.apply_stencil_transpose`
+    sums a column of D^T and the sparse product (D^T diag(q)) D accumulates
+    it (Bank & Douglas, SMMP), so every entry equals that product's bit for
+    bit: the clamped rows at the left end first, one m x m outer product
+    each; then the interior rows, one slice add per weight pair (a, c), with
+    a descending so that the rows meeting in one entry come in ascending
+    order; then the clamped rows at the right end.  The final factor 2 is
+    exact.
     """
     n, m = W.shape
     starts = window_starts(n, m)
@@ -381,7 +382,8 @@ def _gram_diagonals(W, q, b) -> np.ndarray:
 def _dia_view(band: np.ndarray) -> sp.dia_matrix:
     """The square matrix held in band storage with lo = up = b, as a DIA
     matrix on the same memory.  Its diagonals run from offset -b to b, so a
-    product sums each row in ascending column order, as CSR and CSC do."""
+    product sums each row in ascending column order, as
+    `grids.apply_stencil` and `grids.apply_stencil_transpose` do."""
     b, n = band.shape[0] // 2, band.shape[1]
     return sp.dia_matrix((band[::-1], np.arange(-b, b + 1)), shape=(n, n))
 
@@ -467,8 +469,12 @@ def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
     """
     k = DiscreteEnergy(u.grid, p.n)
     q, eps, v = k.q, p.epsilon, u.values
-    low, high = k._operators
+    low, high = k._weights
+
+    def form(weights):  # D^T Q D v
+        return apply_stencil_transpose(weights, q * apply_stencil(weights, v))
+
     g = np.asarray(w.eval_derivative(v), dtype=float) * q / eps
-    g -= 2.0 * p.lam * eps ** (2 * p.n - 3) * (low.transpose @ (q * low(v)))
-    g += 2.0 * eps ** (2 * p.n - 1) * (high.transpose @ (q * high(v)))
+    g -= 2.0 * p.lam * eps ** (2 * p.n - 3) * form(low)
+    g += 2.0 * eps ** (2 * p.n - 1) * form(high)
     return Field(u.grid, g)

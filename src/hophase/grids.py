@@ -4,7 +4,6 @@ fields, finite-difference derivative operators with one-sided boundary
 stencils, quadrature, resampling, and CSV/JSON serialization.
 """
 
-import copy
 import io
 import json
 from collections import OrderedDict
@@ -15,13 +14,14 @@ from math import factorial, prod
 from typing import Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 __all__ = [
     "Grid",
     "Field",
     "DiffOperator",
+    "apply_stencil",
+    "apply_stencil_transpose",
     "MAX_DERIVATIVE_ORDER",
     "ACCURACY_ORDER",
     "stencil_weights",
@@ -147,35 +147,28 @@ def _unit_rows(k: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffOperator:
-    """Sparse k-th derivative operator on a fixed grid.
+    """k-th derivative operator on a fixed grid, held as a stencil.
 
     Interior rows use centered stencils of the requested accuracy order;
     near the boundary the stencil window shifts one-sidedly, keeping the
     same polynomial exactness (degree <= k + accuracy_order - 1).
 
     Row i holds the m = k + accuracy_order weights `weights[i]` (shape
-    (num_points, m)) at columns starts[i] .. starts[i] + m - 1, where
-    starts = `window_starts(num_points, m)`: consecutive in the interior,
-    clamped at each end.  `matrix` is the same operator in CSR form,
-    sharing the weights' memory; its read-only `indices`/`indptr` are
-    shared by every operator with the same (num_points, m).  `transpose`
-    is its transpose in CSC form, built on first use and sharing the same
-    arrays.
+    (num_points, m), read-only) at columns starts[i] .. starts[i] + m - 1,
+    where starts = `window_starts(num_points, m)`: consecutive in the
+    interior, clamped at each end.  The weights are the operator; calling
+    it applies them with `apply_stencil`, and `apply_stencil_transpose`
+    applies its transpose.
     """
 
     k: int
     accuracy_order: int
     num_points: int
     h: float
-    matrix: sp.csr_matrix
     weights: np.ndarray
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
-
-    @cached_property
-    def transpose(self) -> sp.csc_matrix:
-        return self.matrix.T
+        return apply_stencil(self.weights, values)
 
 
 def window_starts(n: int, m: int) -> np.ndarray:
@@ -191,25 +184,112 @@ _OPERATOR_CACHE: "OrderedDict[tuple, DiffOperator]" = OrderedDict()
 _OPERATOR_CACHE_SIZE = 64
 
 
-def _csr_structure(n: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The read-only CSR `indices` and `indptr` of an n-row operator with
-    m-point windows."""
-    dtype = np.int32 if n * m <= np.iinfo(np.int32).max else np.int64
-    indices = (window_starts(n, m)[:, None] + np.arange(m)).astype(dtype).ravel()
-    indptr = np.arange(0, n * m + 1, m, dtype=dtype)
-    indices.flags.writeable = indptr.flags.writeable = False
-    return indices, indptr
+#: the longest kernel whose `np.correlate` sums run over the taps strictly
+#: left to right; numpy hands longer kernels to BLAS, which sums in another
+#: order
+_SEQUENTIAL_TAPS = 11
+
+
+def _correlate(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """np.correlate(x, taps, "valid"): out[i] = sum_j taps[j] x[i + j],
+    summed over j in ascending order, also past `_SEQUENTIAL_TAPS` taps."""
+    m = len(taps)
+    if m <= _SEQUENTIAL_TAPS:
+        return np.correlate(x, taps, "valid")
+    size, head = len(x) - m + 1, _SEQUENTIAL_TAPS
+    out = np.correlate(x[:size + head - 1], taps[:head], "valid")
+    for j in range(head, m):
+        out += taps[j] * x[j:j + size]
+    return out
 
 
 @lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _csr_shell(n: int, m: int) -> sp.csr_matrix:
-    """An n x n CSR matrix on `_csr_structure(n, m)` whose data is a
-    zero-stride placeholder.  Each new spacing shallow-copies it and sets
-    its own data, so scipy's constructor runs once per (n, m), and every
-    spacing and derivative order shares the shell's structure arrays."""
-    return sp.csr_matrix(
-        (np.broadcast_to(0.0, (n * m,)), *_csr_structure(n, m)), shape=(n, n)
-    )
+def _clamped_rows(n: int, m: int):
+    """The index plan of `apply_stencil` for an (n, m) stencil D,
+    read-only: the m - 1 clamped rows, those at the left end first, as the
+    flat indices into the weights of their entries (taps) and the columns
+    those entries meet (cols), both of shape (m - 1, m)."""
+    lo = (m - 1) // 2
+    rows = np.r_[0:lo, lo + n - m + 1:n]
+    taps = rows[:, None] * m + np.arange(m)
+    cols = window_starts(n, m)[rows][:, None] + np.arange(m)
+    taps.flags.writeable = cols.flags.writeable = False
+    return taps, cols
+
+
+def apply_stencil(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """D u for the operator D whose row i holds weights[i] (shape (n, m)) at
+    columns `window_starts(n, m)[i]` onwards, as in `DiffOperator`.
+
+    Every row is summed over its columns in ascending order, the order of a
+    CSR matrix-vector product, so the result equals that product bit for
+    bit: the interior rows, whose weights are all weights[(m - 1) // 2],
+    by one `np.correlate`, and the m - 1 clamped rows by one running sum
+    (`np.add.accumulate`) along their stacked products (`_clamped_rows`).
+    """
+    n, m = weights.shape
+    lo = (m - 1) // 2  # the first row with a centred window
+    taps, cols = _clamped_rows(n, m)
+    ends = weights.take(taps)
+    ends *= u.take(cols)
+    np.add.accumulate(ends, axis=1, out=ends)
+    return np.concatenate((ends[:lo, -1], _correlate(u, weights[lo]), ends[lo:, -1]))
+
+
+@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _transpose_ends(n: int, m: int):
+    """The index plan of `apply_stencil_transpose` for an (n, m) stencil
+    D, read-only: the columns it sums without `_correlate` (cols, shape
+    (blocks, columns)), in blocks of consecutive columns; for each block
+    the rows of D that reach it (rows, shape (blocks, rows)), the flat
+    index into the weights of each entry D[row, col] (taps, shape (blocks,
+    rows, columns)), and 1.0 where the row reaches the column, 0.0 where it
+    does not (reach).  From n = 2m + 1 on there
+    are two blocks, the first and the last m columns, and the columns
+    between them meet interior rows only; below that one block holds every
+    column."""
+    starts = window_starts(n, m)
+    if n >= 2 * m + 1:
+        lo = (m - 1) // 2
+        # the rows that reach the first m columns, and the last m
+        size = max(lo + m, 2 * m - 1 - lo)
+        rows = np.stack([np.arange(size), np.arange(n - size, n)])
+        cols = np.stack([np.arange(m), np.arange(n - m, n)])
+    else:
+        rows, cols = np.arange(n)[None], np.arange(n)[None]
+    tap = cols[:, None, :] - starts[rows][:, :, None]
+    inside = (tap >= 0) & (tap < m)
+    taps = np.where(inside, rows[:, :, None] * m + tap, 0)
+    plan = (rows, taps, inside.astype(float), cols)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
+def apply_stencil_transpose(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """D^T v for the stencil operator D of `apply_stencil`.
+
+    Column j of D is summed over its rows in ascending order, the order of
+    the CSC product D.T @ v (and of `energy._gram_diagonals`), so the
+    result equals that product bit for bit.  The columns m .. n - m - 1
+    take all m taps from interior rows, so one `np.convolve` of those rows
+    gives them (`_correlate` with the reversed interior taps).  The first
+    and last m columns also meet the clamped rows; each is one running sum
+    down its column of the dense block of D times v, with the rows that do
+    not reach the column entering as 0 (`_transpose_ends`).
+    """
+    n, m = weights.shape
+    rows, taps, reach, cols = _transpose_ends(n, m)
+    out = np.empty(n)
+    if n >= 2 * m + 1:
+        lo = (m - 1) // 2
+        out[m:n - m] = _correlate(v[lo + 1:lo + n - m], weights[lo, ::-1])
+    block = weights.take(taps)
+    block *= reach
+    block *= v.take(rows)[:, :, None]
+    np.add.accumulate(block, axis=1, out=block)
+    out[cols] = block[:, -1]
+    return out
 
 
 def diff_operator(
@@ -218,9 +298,8 @@ def diff_operator(
     """Build (or fetch from the cache of the 64 most recently used) the
     k-th derivative operator for a grid.
     The weights of each window shift are built in exact rationals once per
-    (k, accuracy_order), and the CSR structure once per (num_points, m); a
-    new spacing costs one broadcast of the m scaled rows and a shallow copy
-    of the CSR matrix."""
+    (k, accuracy_order); a new spacing costs one broadcast of the m scaled
+    rows."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
     if accuracy_order < 2:
@@ -248,9 +327,8 @@ def diff_operator(
     data[:lo] = rows[m - 1:m - 1 - lo:-1]
     data[lo:hi] = rows[m - 1 - lo]
     data[hi:] = rows[m - 2 - lo::-1]
-    mat = copy.copy(_csr_shell(n, m))
-    mat.data = data.ravel()
-    op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, mat, data)
+    data.flags.writeable = False
+    op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, data)
     if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
         _OPERATOR_CACHE.popitem(last=False)
     return op

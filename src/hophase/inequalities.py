@@ -97,11 +97,12 @@ def _report(lhs: float, rhs: float, witness: str, **extra) -> CheckReport:
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """L^p norm by |.|^p quadrature; p = inf gives the max norm."""
-    if np.isinf(p):
+    """L^p norm by |.|^p quadrature; p = inf gives the max norm.  Any other
+    p that is not >= 1, NaN and -inf included, is a ValueError."""
+    if p == np.inf:
         return float(np.abs(f.values).max())
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not p >= 1:
+        raise ValueError(f"norm exponent p must be >= 1, got {p}")
     q = quadrature_weights(f.grid)
     return float((q @ np.abs(f.values) ** p) ** (1.0 / p))
 

@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hophase as hp
+from hophase.grids import window_starts
 
 
 def to_band(A, lo: int, up: int) -> np.ndarray:
@@ -20,6 +22,18 @@ def to_band(A, lo: int, up: int) -> np.ndarray:
     rows, cols = lo + up + 1, A.shape[1]
     flat = (up - offset) * cols + A.indices
     return np.bincount(flat, A.data, rows * cols).reshape(rows, cols)
+
+
+def stencil_csr(weights) -> sp.csr_matrix:
+    """The reference CSR matrix of the stencil operator whose row i holds
+    weights[i] (shape (n, m)) at columns window_starts(n, m)[i] onwards:
+    its products D @ u and D.T @ v are what `grids.apply_stencil` and
+    `grids.apply_stencil_transpose` must equal bit for bit."""
+    n, m = weights.shape
+    cols = (window_starts(n, m)[:, None] + np.arange(m)).ravel()
+    return sp.csr_matrix(
+        (weights.ravel().copy(), cols, np.arange(0, n * m + 1, m)), shape=(n, n)
+    )
 
 
 def differenced(fun):

@@ -195,6 +195,17 @@ class TestCheckIneq:
         assert captured.out == ""
         assert captured.err == f"hophase: error: count must be >= 1, got {count}\n"
 
+    @pytest.mark.parametrize("option", ["--p", "--q", "--r"])
+    def test_nan_exponent_is_a_usage_error(self, option, capsys):
+        # a NaN exponent once ran every check to a verdict on checks never
+        # made: all failed, worst index -1
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["check-ineq", "--which", "intlem", "--count", "5", option, "nan"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hophase: error: norm exponent p must be >= 1, got nan\n"
+
     def test_gagnir_theta_derived_from_balance(self, capsys):
         # --c-probe 0 asks for the smallest admissible constant instead of
         # testing a fixed probe, so the run passes iff it stays finite

@@ -5,7 +5,6 @@ from math import factorial
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hophase import (
     Field,
@@ -22,7 +21,9 @@ from hophase import (
     stencil_weights,
 )
 from hophase import grids
-from hophase.grids import NotAKnotSpline
+from hophase.grids import NotAKnotSpline, apply_stencil, apply_stencil_transpose
+
+from conftest import stencil_csr
 
 
 class TestGrid:
@@ -178,67 +179,100 @@ class TestDiffOperator:
             g = Grid(-0.3, 2.9 + (7 * k + acc) / 1009, num_points)
             assert (num_points, g.h, k, acc) not in grids._OPERATOR_CACHE
             op = diff_operator(g, k, acc)
-            mat = op.matrix
-            assert np.shares_memory(op.weights, mat.data)
-            np.testing.assert_array_equal(
-                mat.indptr, np.arange(0, num_points * m + 1, m)
-            )
+            assert op.weights.shape == (num_points, m)
+            starts = grids.window_starts(num_points, m)
             for i in range(num_points):
                 start = min(max(i - (m - 1) // 2, 0), num_points - m)
+                assert starts[i] == start
                 window = tuple(range(start - i, start - i + m))
-                row = slice(mat.indptr[i], mat.indptr[i + 1])
-                assert mat.indices[row].tolist() == list(range(start, start + m))
                 expected = [float(w) / g.h**k for w in stencil_weights(window, k)]
-                assert mat.data[row].tobytes() == np.array(expected).tobytes()
+                assert op.weights[i].tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("acc", (2, 4, 6))
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_applications_equal_the_csr_products(self, k, acc):
+        # D u and D^T v equal, bit for bit, the products of the CSR matrix
+        # built from the weights, on grids where the clamped rows at the two
+        # ends meet, touch and lie apart, and for the 12-tap stencil of
+        # k = 6, acc = 6; the samples span 20 decades, so a sum taken in
+        # any other order shows
+        m = k + acc
+        for num_points in (m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 401, 4097):
+            op = diff_operator(Grid(-1.1, 0.7 + k / 13, num_points), k, acc)
+            D = stencil_csr(op.weights)
+            rng = np.random.default_rng(1000 * m + num_points)
+            u, v = rng.standard_normal((2, num_points)) * 10.0 ** rng.uniform(
+                -10.0, 10.0, (2, num_points)
+            )
+            assert np.array_equal(op(u), D @ u)
+            assert np.array_equal(apply_stencil(op.weights, u), D @ u)
+            assert np.array_equal(apply_stencil_transpose(op.weights, v), D.T @ v)
+            A = abs(D)
+            absolute = np.abs(op.weights)
+            assert np.array_equal(apply_stencil(absolute, u), A @ u)
+            assert np.array_equal(apply_stencil_transpose(absolute, v), A.T @ v)
+
+    @pytest.mark.parametrize("num_points", (2, 3, 4, 401))
+    def test_one_tap_stencil_is_the_identity(self, num_points):
+        u = np.random.default_rng(num_points).standard_normal(num_points)
+        ones = np.ones((num_points, 1))
+        assert apply_stencil(ones, u).tobytes() == u.tobytes()
+        assert apply_stencil_transpose(ones, u).tobytes() == u.tobytes()
 
     def test_operators_of_one_size_share_a_read_only_structure(self):
-        # the same (num_points, m) for a new spacing and for another (k, acc)
+        # the index plans of the clamped rows and of the transpose's end
+        # columns are built once per (num_points, m), and serve a new
+        # spacing and another (k, acc) of the same width alike
         ops = [
-            diff_operator(Grid(0.0, 1.0 + j / 97, 201), k, acc)
+            diff_operator(Grid(0.0, 1.0 + j / 97, 203), k, acc)
             for j, (k, acc) in enumerate([(2, 4), (2, 4), (4, 2)])
         ]
-        first = ops[0].matrix
-        assert first.indices.dtype == first.indptr.dtype == np.int32
+        v = np.linspace(-1.0, 1.0, 203)
+        plans = (grids._clamped_rows, grids._transpose_ends)
+        apply_stencil(ops[0].weights, v)
+        apply_stencil_transpose(ops[0].weights, v)
+        before = [plan.cache_info() for plan in plans]
         for op in ops[1:]:
-            assert np.shares_memory(op.matrix.indices, first.indices)
-            assert np.shares_memory(op.matrix.indptr, first.indptr)
-        for arr in (first.indices, first.indptr):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 1
-        other = diff_operator(Grid(0.0, 1.0, 201), 3, 4).matrix
-        assert not np.shares_memory(other.indices, first.indices)
+            apply_stencil(op.weights, v)
+            apply_stencil_transpose(op.weights, v)
+        for plan, info in zip(plans, before):
+            after = plan.cache_info()
+            assert (after.hits, after.misses) == (info.hits + 2, info.misses)
+            for arr in plan(203, 6):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1
+            assert plan(203, 7) is not plan(203, 6)
 
     @pytest.mark.parametrize("num_points, k, acc", [(401, 2, 4), (4097, 1, 2), (13, 6, 6)])
     def test_miss_matches_a_freshly_constructed_csr_matrix(self, num_points, k, acc):
+        # a cache miss applies as the CSR matrix built here from the
+        # rational stencils, not from the operator's own weights
         g = Grid(0.0, 2.7, num_points)
         grids._OPERATOR_CACHE.pop((num_points, g.h, k, acc), None)
-        mat = diff_operator(g, k, acc).matrix
+        op = diff_operator(g, k, acc)
         m = k + acc
-        fresh = sp.csr_matrix(
-            (mat.data.copy(), *grids._csr_structure(num_points, m)),
-            shape=(num_points, num_points),
-        )
-        assert type(mat) is type(fresh)
-        assert mat.shape == fresh.shape
-        for name in ("data", "indices", "indptr"):
-            got, want = getattr(mat, name), getattr(fresh, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        windows = [
+            tuple(range(s - i, s - i + m))
+            for i, s in enumerate(grids.window_starts(num_points, m))
+        ]
+        fresh = stencil_csr(np.array([
+            [float(w) / g.h**k for w in stencil_weights(window, k)]
+            for window in windows
+        ]))
+        u = np.cos(7.0 * g.nodes()) * np.exp(g.nodes())
+        assert np.array_equal(op(u), fresh @ u)
+        assert np.array_equal(apply_stencil_transpose(op.weights, u), fresh.T @ u)
 
-    def test_misses_of_one_size_own_their_data_and_the_shell_none(self):
+    def test_misses_of_one_size_own_their_weights(self):
         a = diff_operator(Grid(0.0, 1.25, 301), 2)
         b = diff_operator(Grid(0.0, 3.5, 301), 2)
-        assert not np.shares_memory(a.matrix.data, b.matrix.data)
-        assert np.shares_memory(a.matrix.indices, b.matrix.indices)
-        shell = grids._csr_shell(301, 6)
-        assert shell.data.shape == (301 * 6,)
-        assert shell.data.strides == (0,)
-        assert not np.shares_memory(shell.data, a.matrix.data)
+        assert not np.shares_memory(a.weights, b.weights)
         for op in (a, b):
-            assert op.matrix.data.strides == (8,)
-            assert np.shares_memory(op.weights, op.matrix.data)
-            assert np.shares_memory(op.transpose.data, op.matrix.data)
+            assert op.weights.flags.c_contiguous
+            assert not op.weights.flags.writeable
+            with pytest.raises(ValueError):
+                op.weights[0, 0] = 1.0
 
     def test_new_spacing_reuses_the_rational_solve(self):
         # 50 grids that differ only in spacing each need a new operator, but

@@ -42,6 +42,13 @@ class TestNorms:
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
 
+    @pytest.mark.parametrize("p", (np.nan, -np.inf))
+    def test_p_without_order_rejected(self, p):
+        # NaN compares false with everything, so "p < 1" let it through
+        f = Field.from_callable(Grid(0.0, 1.0, 101), lambda x: x)
+        with pytest.raises(ValueError, match=f"exponent p must be >= 1, got {p}$"):
+            lp_norm(f, p)
+
 
 class TestGNParams:
     def test_balance_enforced(self):
