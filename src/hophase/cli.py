@@ -191,22 +191,34 @@ def _cmd_lambda_n(args) -> int:
 
 
 #: check-ineq options that only some --which read: (type, default, those
-#: --which).  They parse with default None, so a given one is told from an
-#: omitted one.
+#: --which, help).  They parse with default None, so a given one is told
+#: from an omitted one; a None default is computed by the check.
 _CHECK_INEQ_ONLY = {
-    "n": (int, 2, ("nirineq", "lowerbound")),
-    "potential": (str, "quartic", ("lowerbound",)),
-    "epsilon": (float, 0.25, ("lowerbound",)),
-    "delta": (float, 0.1, ("lowerbound",)),
-    "lam_frac": (float, 0.3, ("lowerbound",)),
-    "lambda_hat": (float, None, ("lowerbound",)),  # None: estimated
+    "p": (float, 2.0, ("intlem", "gagnir"), "norm exponent"),
+    "q": (float, 2.0, ("intlem", "gagnir", "abstr"), "norm exponent"),
+    "r": (float, 2.0, ("intlem", "gagnir", "abstr"), "norm exponent"),
+    "j": (int, 1, ("gagnir", "abstr"), "lower derivative order"),
+    "m": (int, 2, ("gagnir", "abstr"), "higher derivative order"),
+    "theta": (float, None, ("gagnir",),
+              "interpolation weight (from the balance relation when omitted)"),
+    "sigma_frac": (float, 1.0, ("nirineq",),
+                   "sigma as a fraction of each interval length"),
+    "c_probe": (float, 0.25, ("nirineq", "gagnir", "abstr"),
+                "probe constant; 0 asks gagnir for the smallest admissible one"),
+    "n": (int, 2, ("nirineq", "lowerbound"), "energy order"),
+    "potential": (str, "quartic", ("lowerbound",), "double-well potential"),
+    "epsilon": (float, 0.25, ("lowerbound",), "interface width"),
+    "delta": (float, 0.1, ("lowerbound",), "lemma slack"),
+    "lam_frac": (float, 0.3, ("lowerbound",), "lambda as a fraction of lambda-hat"),
+    "lambda_hat": (float, None, ("lowerbound",),
+                   "critical coupling (estimated when omitted)"),
 }
 
 
 def _cmd_check_ineq(args) -> int:
     which = args.which
     opt = {}
-    for key, (_, default, readers) in _CHECK_INEQ_ONLY.items():
+    for key, (_, default, readers, _) in _CHECK_INEQ_ONLY.items():
         value = getattr(args, key)
         if value is not None and which not in readers:
             raise ValueError(
@@ -214,22 +226,25 @@ def _cmd_check_ineq(args) -> int:
                 f"{' or '.join(readers)}, not with {which}"
             )
         opt[key] = default if value is None else value
+    if not np.isfinite(opt["c_probe"]):
+        raise ValueError(f"--c-probe must be finite, got {opt['c_probe']}")
     if which == "intlem":
-        checker = lambda f: check_intlem(f, args.p, args.q, args.r)
+        checker = lambda f: check_intlem(f, opt["p"], opt["q"], opt["r"])
     elif which == "nirineq":
-        def checker(f, n=opt["n"], frac=args.sigma_frac, c=args.c_probe):
+        def checker(f, n=opt["n"], frac=opt["sigma_frac"], c=opt["c_probe"]):
             return check_nirineq(f, n, frac * f.grid.length, c)
     elif which == "gagnir":
-        theta = args.theta
+        p, q, r, j, m = (opt[key] for key in "pqrjm")
+        theta = opt["theta"]
         if theta is None:  # solve the dimension-balance relation for theta
-            theta = (args.j + 1.0 / args.q - 1.0 / args.p) / (
-                args.m + 1.0 / args.q - 1.0 / args.r
-            )
-        gp = GNParams(args.p, args.q, args.r, args.j, args.m, theta)
-        c_probe = args.c_probe if args.c_probe > 0 else None
+            theta = (j + 1.0 / q - 1.0 / p) / (m + 1.0 / q - 1.0 / r)
+        gp = GNParams(p, q, r, j, m, theta)
+        c_probe = opt["c_probe"] if opt["c_probe"] > 0 else None
         checker = lambda f: check_gagnir_interval(f, gp, c_probe)
     elif which == "abstr":
-        checker = lambda f: check_abstr(f, args.j, args.m, args.q, args.r, args.c_probe)
+        checker = lambda f: check_abstr(
+            f, opt["j"], opt["m"], opt["q"], opt["r"], opt["c_probe"]
+        )
     else:  # lowerbound; argparse restricts the choices
         w = get_potential(opt["potential"])
         lam_hat = opt["lambda_hat"]
@@ -422,19 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("intlem", "nirineq", "gagnir", "abstr", "lowerbound"),
     )
     p.add_argument("--count", type=int, default=500)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--r", type=float, default=2.0)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--theta", type=float, default=None,
-                   help="interpolation weight; derived from the balance "
-                   "relation when omitted")
-    p.add_argument("--sigma-frac", type=float, default=1.0,
-                   help="sigma as a fraction of each interval length")
-    p.add_argument("--c-probe", type=float, default=0.25)
-    for key, (type_, default, readers) in _CHECK_INEQ_ONLY.items():
-        note = f"{' and '.join(readers)} only (default {default or 'estimated'})"
+    for key, (type_, default, readers, text) in _CHECK_INEQ_ONLY.items():
+        note = f"{text}; {', '.join(readers)} only"
+        if default is not None:
+            note += f" (default {default})"
         p.add_argument(f"--{key.replace('_', '-')}", type=type_, help=note)
     p.add_argument("--seed", type=int, default=0)
     common(p)

@@ -53,24 +53,21 @@ class DiscreteEnergy:
     functional c_pot int W + c_low int (u^(n-1))^2 + c_high int (u^(n))^2
     with its exact gradient and Hessian, and its change along a step
     (`energy_change`), which the line search of `minimize` reads.  D_{n-1}
-    and D_n are applied as stencils (`grids.apply_stencil`); D_0 is the
-    identity, the 1-tap stencil of weight 1, so n = 1 is allowed.  The
-    quadratic forms K = 2 D^T diag(q) D are assembled from the stencil
-    rows on first use, as bands that K_low and K_high view as DIA
-    matrices, and kept for the life of the instance: a solver holds one
-    kernel for its whole run.
+    and D_n are held as their (m, m) stencil windows (`grids.DiffOperator`)
+    and applied with `grids.apply_stencil`; D_0 is the identity, the 1-tap
+    window of weight 1, so n = 1 is allowed.  The quadratic forms
+    K = 2 D^T diag(q) D are assembled from the windows on first use, as
+    bands that K_low and K_high view as DIA matrices, and kept for the
+    life of the instance: a solver holds one kernel for its whole run.
     """
 
     def __init__(self, grid: Grid, n: int):
         if not 1 <= n <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {n}")
         self.q = quadrature_weights(grid)
-        if n == 1:
-            low = np.ones((grid.num_points, 1))
-        else:
-            low = diff_operator(grid, n - 1).weights
-        # the stencil weights of D_{n-1} and D_n
-        self._weights = (low, diff_operator(grid, n).weights)
+        low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1).windows
+        # the stencil windows of D_{n-1} and D_n
+        self._windows = (low, diff_operator(grid, n).windows)
 
     @cached_property
     def K_low(self) -> sp.dia_matrix:
@@ -82,7 +79,7 @@ class DiscreteEnergy:
     def _low_rows(self) -> slice:
         """The band rows b - r .. b + r of K_low, r the reach of the D_{n-1}
         stencil window: b - 1 for n >= 2, 0 for the identity at n = 1."""
-        b, r = self.bandwidth, self._weights[0].shape[1] - 1
+        b, r = self.bandwidth, len(self._windows[0]) - 1
         return slice(b - r, b + r + 1)
 
     @cached_property
@@ -94,28 +91,28 @@ class DiscreteEnergy:
         """The half-bandwidth b and K_low, K_high in band storage with
         lo = up = b (`BandedSystem`'s layout ab[b + i - j, j] = K[i, j]),
         each the row-reversed view of the diagonals `_gram_diagonals`
-        assembles from the stencil rows: bit for bit the bands of the
+        assembles from the stencil windows: bit for bit the bands of the
         sparse products 2 D^T diag(q) D."""
         b = self.bandwidth
-        return (b, *(_gram_diagonals(W, self.q, b)[::-1] for W in self._weights))
+        return (b, *(_gram_diagonals(W, self.q, b)[::-1] for W in self._windows))
 
     @property
     def bandwidth(self) -> int:
         """Half-bandwidth of the Hessian, its lower and upper bandwidth: the
         reach m - 1 of the m-point D_n stencil window."""
-        return self._weights[1].shape[1] - 1
+        return len(self._windows[1]) - 1
 
     def _potential(self, u, w: DoubleWell) -> float:
         return float(self.q @ np.asarray(w.eval(u), dtype=float))
 
-    def _square(self, weights, u) -> float:
-        return float(self.q @ apply_stencil(weights, u) ** 2)
+    def _square(self, windows, u) -> float:
+        return float(self.q @ apply_stencil(windows, u) ** 2)
 
     def terms(self, u: np.ndarray, w: DoubleWell):
         """(int W(u), int (u^(n-1))^2, int (u^(n))^2) by quadrature; the
         squares are summed directly, so they never go negative by roundoff
         the way a quadratic form u^T K u can near u ~ const."""
-        low, high = self._weights
+        low, high = self._windows
         return (
             self._potential(u, w),
             self._square(low, u),
@@ -125,7 +122,7 @@ class DiscreteEnergy:
     def energy(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """c_pot int W + c_high int (u^(n))^2 + c_low int (u^(n-1))^2."""
         c_pot, c_low, c_high = c
-        low, high = self._weights
+        low, high = self._windows
         e = c_pot * self._potential(u, w) + c_high * self._square(high, u)
         if c_low != 0.0:
             e += c_low * self._square(low, u)
@@ -149,15 +146,15 @@ class DiscreteEnergy:
         works."""
         c_pot, c_low, c_high = c
         w0 = np.asarray(w.eval(u), dtype=float)
-        low, high = self._weights
+        low, high = self._windows
         terms = [(c_high, high)]
         if c_low != 0.0:
             terms.append((c_low, low))
         # phi's quadratic part is t (slope + t curvature)
         slope = curvature = 0.0
-        for ck, weights in terms:
-            Dd = apply_stencil(weights, d)
-            slope += 2.0 * ck * float(self.q @ (Dd * apply_stencil(weights, u)))
+        for ck, windows in terms:
+            Dd = apply_stencil(windows, d)
+            slope += 2.0 * ck * float(self.q @ (Dd * apply_stencil(windows, u)))
             curvature += ck * float(self.q @ Dd**2)
 
         def phi(t: float) -> float:
@@ -205,14 +202,14 @@ class DiscreteEnergy:
         of absolute terms, times 8 machine epsilon.  The stencil weights
         grow like h^(-2n) through the quadratic forms, so this is the
         resolution-dependent accuracy limit of `grad` itself.  |D| is the
-        stencil of D's absolute weights, applied with D's own kernel pair
+        stencil of D's absolute windows, applied with D's own kernel pair
         (`grids.apply_stencil` and its transpose)."""
         c_pot, c_low, c_high = c
         au = np.abs(u)
-        low, high = self._weights
+        low, high = self._windows
 
-        def rowsum(weights):
-            a = np.abs(weights)
+        def rowsum(windows):
+            a = np.abs(windows)
             return float(np.max(
                 2.0 * apply_stencil_transpose(a, self.q * apply_stencil(a, au))
             ))
@@ -337,42 +334,43 @@ class _PolynomialKernel:
         return ab
 
 
-def _gram_diagonals(W, q, b) -> np.ndarray:
+def _gram_diagonals(windows, q, b) -> np.ndarray:
     """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
-    the operator D whose row r holds the weights W[r] at columns starts[r]
-    .. starts[r] + m - 1, starts = `window_starts(n, m)` as in
-    `diff_operator`: consecutive in the interior, with at most m - 1
-    clamped rows at each end.  The identity is the case m = 1.
+    the stencil operator D with the (m, m) `windows` of `grids.DiffOperator`
+    on the n = len(q) points: row r takes the window row starts[r] - r + m - 1
+    at columns starts[r] .. starts[r] + m - 1, starts = `window_starts(n, m)`,
+    consecutive in the interior, with at most m - 1 clamped rows at each
+    end.  The identity is the case m = 1.
 
-    K[i, j] sums q_r W[r, i - starts[r]] W[r, j - starts[r]] over the rows
-    r in ascending order, the order in which `grids.apply_stencil_transpose`
-    sums a column of D^T and the sparse product (D^T diag(q)) D accumulates
-    it (Bank & Douglas, SMMP), so every entry equals that product's bit for
-    bit: the clamped rows at the left end first, one m x m outer product
-    each; then the interior rows, one slice add per weight pair (a, c), with
-    a descending so that the rows meeting in one entry come in ascending
-    order; then the clamped rows at the right end.  The final factor 2 is
-    exact.
+    K[i, j] sums q_r D[r, i] D[r, j] over the rows r in ascending order, the
+    order in which `grids.apply_stencil_transpose` sums a column of D^T and
+    the sparse product (D^T diag(q)) D accumulates it (Bank & Douglas,
+    SMMP), so every entry equals that product's bit for bit: the clamped
+    rows at the left end first, one m x m outer product each; then the
+    interior rows, which all take the one interior window w, one slice add
+    (q w[a]) w[c] per weight pair (a, c), with a descending so that the
+    rows meeting in one entry come in ascending order; then the clamped
+    rows at the right end.  The final factor 2 is exact.
     """
-    n, m = W.shape
+    n, m = len(q), len(windows)
     starts = window_starts(n, m)
     dia = np.zeros((2 * b + 1, n))
-    P = W * q[:, None]  # q on the row side, as in D^T diag(q)
     lo = (m - 1) // 2  # the first row with a centred window
     hi = lo + n - m + 1  # one past the last
     A, C = np.indices((m, m))
 
     def add_row(r):
-        dia[b + C - A, starts[r] + C] += np.outer(P[r], W[r])
+        w = windows[starts[r] - r + m - 1]
+        # q on the row side, as in D^T diag(q)
+        dia[b + C - A, starts[r] + C] += np.outer(w * q[r], w)
 
     for r in range(lo):
         add_row(r)
-    # contiguous rows keep the slice adds fast
-    Pt, Wt = np.ascontiguousarray(P[lo:hi].T), np.ascontiguousarray(W[lo:hi].T)
-    first, width = starts[lo], hi - lo
+    w, inner = windows[m - 1 - lo], q[lo:hi]
     for a in range(m - 1, -1, -1):
+        p = inner * w[a]
         for c in range(m):
-            dia[b + c - a, first + c:first + c + width] += Pt[a] * Wt[c]
+            dia[b + c - a, c:c + hi - lo] += p * w[c]
     for r in range(hi, n):
         add_row(r)
     dia *= 2.0
@@ -469,10 +467,10 @@ def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
     """
     k = DiscreteEnergy(u.grid, p.n)
     q, eps, v = k.q, p.epsilon, u.values
-    low, high = k._weights
+    low, high = k._windows
 
-    def form(weights):  # D^T Q D v
-        return apply_stencil_transpose(weights, q * apply_stencil(weights, v))
+    def form(windows):  # D^T Q D v
+        return apply_stencil_transpose(windows, q * apply_stencil(windows, v))
 
     g = np.asarray(w.eval_derivative(v), dtype=float) * q / eps
     g -= 2.0 * p.lam * eps ** (2 * p.n - 3) * form(low)

@@ -6,7 +6,6 @@ stencils, quadrature, resampling, and CSV/JSON serialization.
 
 import io
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -147,28 +146,30 @@ def _unit_rows(k: int, m: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiffOperator:
-    """k-th derivative operator on a fixed grid, held as a stencil.
+    """k-th derivative operator on a fixed grid, held as its stencil windows.
 
     Interior rows use centered stencils of the requested accuracy order;
     near the boundary the stencil window shifts one-sidedly, keeping the
     same polynomial exactness (degree <= k + accuracy_order - 1).
 
-    Row i holds the m = k + accuracy_order weights `weights[i]` (shape
-    (num_points, m), read-only) at columns starts[i] .. starts[i] + m - 1,
-    where starts = `window_starts(num_points, m)`: consecutive in the
-    interior, clamped at each end.  The weights are the operator; calling
-    it applies them with `apply_stencil`, and `apply_stencil_transpose`
-    applies its transpose.
+    `windows` (shape (m, m), m = k + accuracy_order, read-only) holds the
+    weights of every window shift: row s is the window of offsets
+    s - (m - 1) .. s.  Row i of the operator takes the window row
+    starts[i] - i + m - 1 at columns starts[i] .. starts[i] + m - 1, where
+    starts = `window_starts(num_points, m)`: consecutive in the interior,
+    clamped at each end.  The windows are the operator; calling it applies
+    them with `apply_stencil`, and `apply_stencil_transpose` applies its
+    transpose.
     """
 
     k: int
     accuracy_order: int
     num_points: int
     h: float
-    weights: np.ndarray
+    windows: np.ndarray
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        return apply_stencil(self.weights, values)
+        return apply_stencil(self.windows, values)
 
 
 def window_starts(n: int, m: int) -> np.ndarray:
@@ -178,10 +179,16 @@ def window_starts(n: int, m: int) -> np.ndarray:
     return np.clip(np.arange(n) - (m - 1) // 2, 0, n - m)
 
 
-#: the most recently used operators, least recently used first; bounded
-#: because random-length grids each leave a single-use operator behind
-_OPERATOR_CACHE: "OrderedDict[tuple, DiffOperator]" = OrderedDict()
-_OPERATOR_CACHE_SIZE = 64
+def stencil_matrix(windows: np.ndarray, n: int) -> np.ndarray:
+    """The dense n x n matrix of the stencil operator with the (m, m)
+    `windows` of `DiffOperator`: row i holds the window row
+    starts[i] - i + m - 1 at columns starts[i] onwards,
+    starts = `window_starts(n, m)`, and zeros elsewhere."""
+    m = len(windows)
+    rows, starts = np.arange(n), window_starts(n, m)
+    D = np.zeros((n, n), windows.dtype)
+    D[rows[:, None], starts[:, None] + np.arange(m)] = windows[starts - rows + m - 1]
+    return D
 
 
 #: the longest kernel whose `np.correlate` sums run over the taps strictly
@@ -203,88 +210,91 @@ def _correlate(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _clamped_rows(n: int, m: int):
-    """The index plan of `apply_stencil` for an (n, m) stencil D,
-    read-only: the m - 1 clamped rows, those at the left end first, as the
-    flat indices into the weights of their entries (taps) and the columns
-    those entries meet (cols), both of shape (m - 1, m)."""
-    lo = (m - 1) // 2
-    rows = np.r_[0:lo, lo + n - m + 1:n]
-    taps = rows[:, None] * m + np.arange(m)
-    cols = window_starts(n, m)[rows][:, None] + np.arange(m)
-    taps.flags.writeable = cols.flags.writeable = False
-    return taps, cols
+@lru_cache(maxsize=None)
+def _end_plan(m: int):
+    """The index plans of `apply_stencil` and `apply_stencil_transpose` for
+    m-point windows, read-only.  Rows and columns at the right end are
+    counted from that end, by negative indices, so one plan serves every
+    n >= m (the transpose's, every n >= 2m + 1).  Both are read off the
+    (2m + 1)-point D whose entries are 1 + their flat index into the
+    windows, 0 off the windows (`stencil_matrix`).
+
+    The first, (taps, cols): for the m - 1 clamped rows of D, those at the
+    left end first, the flat indices into the windows of their entries and
+    the columns those entries meet, both of shape (m - 1, m).
+
+    The second, (rows, taps, reach, cols): the first and the last m columns
+    of D (cols, shape (2, m)); for each block the rows of D that reach it
+    (rows, shape (2, size)), the flat index into the windows of each entry
+    D[row, col] (taps, shape (2, size, m)), and 1.0 where the row reaches
+    the column, 0.0 where it does not (reach).  The columns between the
+    two blocks meet interior rows only.
+    """
+    lo = (m - 1) // 2  # the first row with a centred window
+    hi = lo + m + 2  # the first clamped row at the right end
+    index = stencil_matrix(np.arange(1, m * m + 1).reshape(m, m), 2 * m + 1)
+    clamped = (
+        np.concatenate((index[:lo, :m], index[hi:, -m:])) - 1,
+        np.repeat([np.arange(m), np.arange(-m, 0)], [lo, m - 1 - lo], axis=0),
+    )
+    # the rows that reach the first m columns, and the last m
+    size = max(lo + m, 2 * m - 1 - lo)
+    block = np.stack([index[:size, :m], index[-size:, -m:]])
+    ends = (
+        np.stack([np.arange(size), np.arange(-size, 0)]),
+        np.maximum(block - 1, 0),
+        (block > 0).astype(float),
+        np.stack([np.arange(m), np.arange(-m, 0)]),
+    )
+    for arr in clamped + ends:
+        arr.flags.writeable = False
+    return clamped, ends
 
 
-def apply_stencil(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """D u for the operator D whose row i holds weights[i] (shape (n, m)) at
-    columns `window_starts(n, m)[i]` onwards, as in `DiffOperator`.
+def apply_stencil(windows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """D u for the stencil operator D with the (m, m) `windows` of
+    `DiffOperator`, on len(u) points.
 
     Every row is summed over its columns in ascending order, the order of a
     CSR matrix-vector product, so the result equals that product bit for
-    bit: the interior rows, whose weights are all weights[(m - 1) // 2],
+    bit: the interior rows, which all take the window row m - 1 - (m - 1) // 2,
     by one `np.correlate`, and the m - 1 clamped rows by one running sum
-    (`np.add.accumulate`) along their stacked products (`_clamped_rows`).
+    (`np.add.accumulate`) along their stacked products (`_end_plan`).
     """
-    n, m = weights.shape
+    m = len(windows)
     lo = (m - 1) // 2  # the first row with a centred window
-    taps, cols = _clamped_rows(n, m)
-    ends = weights.take(taps)
+    (taps, cols), _ = _end_plan(m)
+    ends = windows.take(taps)
     ends *= u.take(cols)
     np.add.accumulate(ends, axis=1, out=ends)
-    return np.concatenate((ends[:lo, -1], _correlate(u, weights[lo]), ends[lo:, -1]))
+    inner = _correlate(u, windows[m - 1 - lo])
+    return np.concatenate((ends[:lo, -1], inner, ends[lo:, -1]))
 
 
-@lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _transpose_ends(n: int, m: int):
-    """The index plan of `apply_stencil_transpose` for an (n, m) stencil
-    D, read-only: the columns it sums without `_correlate` (cols, shape
-    (blocks, columns)), in blocks of consecutive columns; for each block
-    the rows of D that reach it (rows, shape (blocks, rows)), the flat
-    index into the weights of each entry D[row, col] (taps, shape (blocks,
-    rows, columns)), and 1.0 where the row reaches the column, 0.0 where it
-    does not (reach).  From n = 2m + 1 on there
-    are two blocks, the first and the last m columns, and the columns
-    between them meet interior rows only; below that one block holds every
-    column."""
-    starts = window_starts(n, m)
-    if n >= 2 * m + 1:
-        lo = (m - 1) // 2
-        # the rows that reach the first m columns, and the last m
-        size = max(lo + m, 2 * m - 1 - lo)
-        rows = np.stack([np.arange(size), np.arange(n - size, n)])
-        cols = np.stack([np.arange(m), np.arange(n - m, n)])
-    else:
-        rows, cols = np.arange(n)[None], np.arange(n)[None]
-    tap = cols[:, None, :] - starts[rows][:, :, None]
-    inside = (tap >= 0) & (tap < m)
-    taps = np.where(inside, rows[:, :, None] * m + tap, 0)
-    plan = (rows, taps, inside.astype(float), cols)
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
-
-
-def apply_stencil_transpose(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """D^T v for the stencil operator D of `apply_stencil`.
+def apply_stencil_transpose(windows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """D^T v for the stencil operator D of `apply_stencil`, on len(v) points.
 
     Column j of D is summed over its rows in ascending order, the order of
     the CSC product D.T @ v (and of `energy._gram_diagonals`), so the
-    result equals that product bit for bit.  The columns m .. n - m - 1
-    take all m taps from interior rows, so one `np.convolve` of those rows
-    gives them (`_correlate` with the reversed interior taps).  The first
-    and last m columns also meet the clamped rows; each is one running sum
-    down its column of the dense block of D times v, with the rows that do
-    not reach the column entering as 0 (`_transpose_ends`).
+    result equals that product bit for bit.  Below n = 2m + 1 that is one
+    running sum down the dense D (`stencil_matrix`) times v.  From there on
+    the columns m .. n - m - 1 take all m taps from interior rows, so one
+    `np.convolve` of those rows gives them (`_correlate` with the reversed
+    interior window).  The first and last m columns also meet the clamped
+    rows; each is one running sum down its column of the dense block of D
+    times v, with the rows that do not reach the column entering as 0
+    (`_end_plan`).
     """
-    n, m = weights.shape
-    rows, taps, reach, cols = _transpose_ends(n, m)
+    n, m = len(v), len(windows)
+    if n < 2 * m + 1:
+        D = stencil_matrix(windows, n)
+        D *= v[:, None]
+        return np.add.accumulate(D, axis=0, out=D)[-1]
+    lo = (m - 1) // 2
+    _, (rows, taps, reach, cols) = _end_plan(m)
     out = np.empty(n)
-    if n >= 2 * m + 1:
-        lo = (m - 1) // 2
-        out[m:n - m] = _correlate(v[lo + 1:lo + n - m], weights[lo, ::-1])
-    block = weights.take(taps)
+    out[m:-m] = _correlate(v[lo + 1:lo - m], windows[m - 1 - lo, ::-1])
+    block = windows.take(taps)
     block *= reach
     block *= v.take(rows)[:, :, None]
     np.add.accumulate(block, axis=1, out=block)
@@ -295,11 +305,9 @@ def apply_stencil_transpose(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
 def diff_operator(
     grid: Grid, k: int, accuracy_order: int = ACCURACY_ORDER
 ) -> DiffOperator:
-    """Build (or fetch from the cache of the 64 most recently used) the
-    k-th derivative operator for a grid.
-    The weights of each window shift are built in exact rationals once per
-    (k, accuracy_order); a new spacing costs one broadcast of the m scaled
-    rows."""
+    """The k-th derivative operator for a grid.  The weights of each
+    window shift are built in exact rationals once per (k, accuracy_order);
+    a new grid costs one division of the m x m unit windows by h**k."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
     if accuracy_order < 2:
@@ -310,28 +318,9 @@ def diff_operator(
             f"grid with {grid.num_points} points too small for the order-{k} "
             f"stencil; need at least {m} points"
         )
-    key = (grid.num_points, grid.h, k, accuracy_order)
-    hit = _OPERATOR_CACHE.get(key)
-    if hit is not None:
-        _OPERATOR_CACHE.move_to_end(key)
-        return hit
-
-    n = grid.num_points
-    # row s holds the window of shift s - (m - 1); row i of the operator
-    # takes shift -i in the clamped left rows, -lo in the interior and
-    # n - m - i in the clamped right rows
-    rows = _unit_rows(k, m) / grid.h**k
-    lo = (m - 1) // 2
-    hi = lo + n - m + 1
-    data = np.empty((n, m))
-    data[:lo] = rows[m - 1:m - 1 - lo:-1]
-    data[lo:hi] = rows[m - 1 - lo]
-    data[hi:] = rows[m - 2 - lo::-1]
-    data.flags.writeable = False
-    op = _OPERATOR_CACHE[key] = DiffOperator(k, accuracy_order, n, grid.h, data)
-    if len(_OPERATOR_CACHE) > _OPERATOR_CACHE_SIZE:
-        _OPERATOR_CACHE.popitem(last=False)
-    return op
+    windows = _unit_rows(k, m) / grid.h**k
+    windows.flags.writeable = False
+    return DiffOperator(k, accuracy_order, grid.num_points, grid.h, windows)
 
 
 def derivative(f: Field, k: int, accuracy_order: int = ACCURACY_ORDER) -> Field:

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import hophase as hp
-from hophase.grids import window_starts
+from hophase.grids import stencil_weights, window_starts
 
 
 def to_band(A, lo: int, up: int) -> np.ndarray:
@@ -24,16 +24,25 @@ def to_band(A, lo: int, up: int) -> np.ndarray:
     return np.bincount(flat, A.data, rows * cols).reshape(rows, cols)
 
 
-def stencil_csr(weights) -> sp.csr_matrix:
-    """The reference CSR matrix of the stencil operator whose row i holds
-    weights[i] (shape (n, m)) at columns window_starts(n, m)[i] onwards:
-    its products D @ u and D.T @ v are what `grids.apply_stencil` and
-    `grids.apply_stencil_transpose` must equal bit for bit."""
-    n, m = weights.shape
-    cols = (window_starts(n, m)[:, None] + np.arange(m)).ravel()
-    return sp.csr_matrix(
-        (weights.ravel().copy(), cols, np.arange(0, n * m + 1, m)), shape=(n, n)
-    )
+def stencil_csr(grid, k: int, m: int) -> sp.csr_matrix:
+    """The reference CSR matrix of the k-th derivative on the grid with
+    m-point windows, built from the exact rational weights and not from
+    any array of the code: row i holds float(w) / h**k for the weights w of
+    `stencil_weights` on the window offsets s - i .. s - i + m - 1 at
+    columns s .. s + m - 1, s = window_starts(n, m)[i].  k = 0, m = 1 is
+    the identity.  Its products D @ u and D.T @ v are what
+    `grids.apply_stencil` and `grids.apply_stencil_transpose` must equal
+    bit for bit."""
+    n = grid.num_points
+    starts = window_starts(n, m)
+    shifts = starts - np.arange(n)
+    rows = {
+        s: [float(w) / grid.h**k for w in stencil_weights(tuple(range(s, s + m)), k)]
+        for s in set(shifts.tolist())
+    }
+    data = np.array([rows[s] for s in shifts.tolist()])
+    cols = (starts[:, None] + np.arange(m)).ravel()
+    return sp.csr_matrix((data.ravel(), cols, np.arange(0, n * m + 1, m)), shape=(n, n))
 
 
 def differenced(fun):

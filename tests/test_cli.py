@@ -248,6 +248,15 @@ class TestCheckIneq:
             ("nirineq", ["--potential", "quartic"]),
             ("intlem", ["--n", "3"]),
             ("gagnir", ["--n", "2"]),
+            # the exponents and probe once passed silently where unread
+            ("nirineq", ["--p", "-5"]),
+            ("nirineq", ["--q", "nan"]),
+            ("nirineq", ["--r", "2"]),
+            ("intlem", ["--j", "1"]),
+            ("lowerbound", ["--m", "2"]),
+            ("abstr", ["--theta", "0.5"]),
+            ("gagnir", ["--sigma-frac", "0.5"]),
+            ("intlem", ["--c-probe", "0.25"]),
         ],
     )
     def test_option_the_check_does_not_read_is_a_usage_error(
@@ -259,6 +268,36 @@ class TestCheckIneq:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"hophase: error: {option[0]} acts only with")
+
+    @pytest.mark.parametrize("which", ["nirineq", "gagnir", "abstr"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_probe_is_a_usage_error(self, capsys, which, value):
+        # a NaN probe once gave nirineq a verdict of 3 of 3 failed at
+        # ensemble index -1, and gagnir a pass as if no probe were asked for
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["check-ineq", "--which", which, "--count", "3", "--c-probe", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hophase: error: --c-probe must be finite, got {value}\n"
+
+    @pytest.mark.parametrize(
+        "which, defaults",
+        [
+            ("intlem", ["--p", "2", "--q", "2", "--r", "2"]),
+            ("nirineq", ["--sigma-frac", "1", "--c-probe", "0.25", "--n", "2"]),
+            ("gagnir", ["--p", "2", "--q", "2", "--r", "2", "--j", "1", "--m", "2",
+                        "--c-probe", "0.25"]),
+            ("abstr", ["--q", "2", "--r", "2", "--j", "1", "--m", "2",
+                       "--c-probe", "0.25"]),
+        ],
+    )
+    def test_omitted_options_take_their_defaults(self, capsys, which, defaults):
+        base = ["check-ineq", "--which", which, "--count", "5"]
+        rc, omitted = run(capsys, base)
+        _, given = run(capsys, base + defaults)
+        assert rc == 0
+        assert omitted == given
 
     def test_nirineq_reads_n(self, capsys):
         rc, a = run(capsys, ["check-ineq", "--which", "nirineq", "--count", "10"])

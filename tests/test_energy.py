@@ -15,15 +15,18 @@ from hophase import (
     gradient,
     make_ensemble,
 )
-from hophase.grids import MAX_DERIVATIVE_ORDER
+from hophase.grids import ACCURACY_ORDER, MAX_DERIVATIVE_ORDER
 
 from conftest import stencil_csr, to_band
 
 
-def operators(k):
-    """D_{n-1} and D_n of a `DiscreteEnergy` as reference CSR matrices built
-    from its stencil weights (the identity at n = 1)."""
-    return tuple(stencil_csr(W) for W in k._weights)
+def operators(grid, n):
+    """D_{n-1} and D_n of the order-n `DiscreteEnergy` on the grid, as
+    reference CSR matrices built from the rational stencils (the identity
+    at n = 1)."""
+    m = n + ACCURACY_ORDER
+    low = stencil_csr(grid, 0, 1) if n == 1 else stencil_csr(grid, n - 1, m - 1)
+    return low, stencil_csr(grid, n, m)
 
 
 def band_to_dense(ab, lo):
@@ -164,7 +167,7 @@ class TestGradient:
         p = EnergyParams(3, 0.05, 0.01)
         k = DiscreteEnergy(g, p.n)
         q, eps, v = k.q, p.epsilon, u.values
-        d_low, d_high = operators(k)
+        d_low, d_high = operators(g, p.n)
         expected = np.asarray(quartic.eval_derivative(v), dtype=float) * q / eps
         expected -= 2.0 * p.lam * eps ** 3 * (d_low.T @ (q * (d_low @ v)))
         expected += 2.0 * eps ** 5 * (d_high.T @ (q * (d_high @ v)))
@@ -250,10 +253,11 @@ class TestDiscreteEnergy:
         # K views with a vector, equal those of 2 D^T diag(q) D bit for bit
         m = n + 4
         for num_points in (m, m + 1, 2 * m + 1, 501, 16385):
-            k = DiscreteEnergy(Grid(-1.3, 2.1, num_points), n)
+            grid = Grid(-1.3, 2.1, num_points)
+            k = DiscreteEnergy(grid, n)
             b, *bands = k._bands
             u = np.random.default_rng(num_points).standard_normal(num_points)
-            for d, band, K in zip(operators(k), bands, (k.K_low, k.K_high)):
+            for d, band, K in zip(operators(grid, n), bands, (k.K_low, k.K_high)):
                 product = 2.0 * (d.T @ sp.diags(k.q) @ d)
                 np.testing.assert_array_equal(band, to_band(product, b, b))
                 np.testing.assert_array_equal(K @ u, product @ u)
@@ -286,7 +290,7 @@ class TestDiscreteEnergy:
     def test_order_one_uses_the_identity_below(self, quartic):
         k = DiscreteEnergy(self.GRID, 1)
         u = self.field(1)
-        assert (operators(k)[0] != sp.identity(len(u))).nnz == 0
+        assert (operators(self.GRID, 1)[0] != sp.identity(len(u))).nnz == 0
         assert k.terms(u, quartic)[1] == k.q @ u**2
         # the gradient is the derivative of the energy, with the low term on
         c = (1.0, -0.5, 1.0)
@@ -301,7 +305,8 @@ class TestDiscreteEnergy:
         # sparse products abs(D.T) @ (q * (abs(D) @ |u|)), the identity D_0
         # at n = 1 included
         for num_points in (41, 501):
-            k = DiscreteEnergy(Grid(-2.0, 3.0 + n / 101, num_points), n)
+            grid = Grid(-2.0, 3.0 + n / 101, num_points)
+            k = DiscreteEnergy(grid, n)
             rng = np.random.default_rng(200 + n)
             x = np.linspace(-3.0, 3.0, num_points)
             u = np.tanh(x) + 0.1 * rng.standard_normal(num_points)
@@ -310,7 +315,7 @@ class TestDiscreteEnergy:
             def rowsum(d):
                 return float(np.max(2.0 * (abs(d.T) @ (k.q * (abs(d) @ au)))))
 
-            d_low, d_high = operators(k)
+            d_low, d_high = operators(grid, n)
             for c in ((1.3, -0.7, 0.9), (2.0, 0.0, -1.1)):
                 scale = abs(c[2]) * rowsum(d_high)
                 if c[1] != 0.0:
@@ -339,11 +344,12 @@ class TestEnergyChange:
 
     EPS = np.finfo(float).eps
 
-    def energy_roundoff(self, k, v, w, c):
+    def energy_roundoff(self, k, ops, v, w, c):
         """Roundoff scale of one direct `energy` evaluation: the sums of
-        absolute terms, |c_pot| sum q |W| and |c_k| sum q (|D_k| |v|)^2."""
+        absolute terms, |c_pot| sum q |W| and |c_k| sum q (|D_k| |v|)^2,
+        for ops = `operators` of the kernel k."""
         scale = abs(c[0]) * float(k.q @ np.abs(w.eval(v)))
-        for ck, D in zip(c[1:], operators(k)):
+        for ck, D in zip(c[1:], ops):
             scale += abs(ck) * float(k.q @ (abs(D) @ np.abs(v)) ** 2)
         return self.EPS * scale
 
@@ -352,7 +358,7 @@ class TestEnergyChange:
     def test_equals_the_difference_of_energies(self, quartic, n, well):
         w = quartic if well == "quartic" else cosine_well()
         grid = Grid(-3.0, 3.0, 121)
-        k = DiscreteEnergy(grid, n)
+        k, ops = DiscreteEnergy(grid, n), operators(grid, n)
         rng = np.random.default_rng(40 + n)
         u = np.tanh(grid.nodes()) + 0.1 * rng.standard_normal(grid.num_points)
         band = n + 4
@@ -373,8 +379,8 @@ class TestEnergyChange:
                 for t in (1.0, 0.5, 1e-3):
                     direct = k.energy(u + t * d, w, c) - k.energy(u, w, c)
                     tol = 16.0 * (
-                        self.energy_roundoff(k, u, w, c)
-                        + self.energy_roundoff(k, u + t * d, w, c)
+                        self.energy_roundoff(k, ops, u, w, c)
+                        + self.energy_roundoff(k, ops, u + t * d, w, c)
                     )
                     assert abs(phi(t) - direct) <= tol
                 assert phi(0.0) == 0.0
@@ -402,7 +408,7 @@ class TestEnergyChange:
                  for j in range(D.indptr[r], D.indptr[r + 1])]
                 for r in range(D.shape[0])
             ])
-            for ck, D in zip(c[1:], operators(k))
+            for ck, D in zip(c[1:], operators(grid, 3))
         ]
 
         def exact(v):
@@ -420,7 +426,7 @@ class TestEnergyChange:
         e0 = exact(uq)
         S = abs(c[0]) * float(k.q @ np.abs(quartic.eval_derivative(u) * d))
         cancellation = 0.0
-        for ck, D in zip(c[1:], operators(k)):
+        for ck, D in zip(c[1:], operators(grid, 3)):
             A = abs(D)
             Au, Ad = A @ np.abs(u), A @ np.abs(d)
             S += abs(ck) * float(k.q @ (Ad * (2.0 * Au + Ad)))

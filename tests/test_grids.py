@@ -170,109 +170,102 @@ class TestDiffOperator:
     @pytest.mark.parametrize("acc", (2, 4, 6))
     @pytest.mark.parametrize("k", range(1, 7))
     def test_rows_equal_the_rational_stencils(self, k, acc):
-        # row i holds the weights of the m-point window centred on i and
-        # clamped to the grid, float(w) / h**k bit for bit, in column order;
-        # no other test builds these spacings, so each operator is a cache
-        # miss, and the zero centre weight of k = 1, acc = 2 stays stored
+        # row i of the operator takes the window row starts[i] - i + m - 1,
+        # the weights of the m-point window centred on i and clamped to the
+        # grid, float(w) / h**k bit for bit, in column order; the zero
+        # centre weight of k = 1, acc = 2 stays stored
         m = k + acc
         for num_points in (m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 401):
             g = Grid(-0.3, 2.9 + (7 * k + acc) / 1009, num_points)
-            assert (num_points, g.h, k, acc) not in grids._OPERATOR_CACHE
             op = diff_operator(g, k, acc)
-            assert op.weights.shape == (num_points, m)
+            assert op.windows.shape == (m, m)
             starts = grids.window_starts(num_points, m)
             for i in range(num_points):
                 start = min(max(i - (m - 1) // 2, 0), num_points - m)
                 assert starts[i] == start
                 window = tuple(range(start - i, start - i + m))
                 expected = [float(w) / g.h**k for w in stencil_weights(window, k)]
-                assert op.weights[i].tobytes() == np.array(expected).tobytes()
+                row = op.windows[start - i + m - 1]
+                assert row.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("acc", (2, 4, 6))
     @pytest.mark.parametrize("k", range(1, 7))
     def test_applications_equal_the_csr_products(self, k, acc):
         # D u and D^T v equal, bit for bit, the products of the CSR matrix
-        # built from the weights, on grids where the clamped rows at the two
-        # ends meet, touch and lie apart, and for the 12-tap stencil of
-        # k = 6, acc = 6; the samples span 20 decades, so a sum taken in
-        # any other order shows
+        # built from the rational stencils, on grids where the clamped rows
+        # at the two ends meet, touch and lie apart, and for the 12-tap
+        # stencil of k = 6, acc = 6; the samples span 20 decades, so a sum
+        # taken in any other order shows
         m = k + acc
-        for num_points in (m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 401, 4097):
-            op = diff_operator(Grid(-1.1, 0.7 + k / 13, num_points), k, acc)
-            D = stencil_csr(op.weights)
+        for num_points in (m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 2, 401, 4097):
+            g = Grid(-1.1, 0.7 + k / 13, num_points)
+            op = diff_operator(g, k, acc)
+            D = stencil_csr(g, k, m)
             rng = np.random.default_rng(1000 * m + num_points)
             u, v = rng.standard_normal((2, num_points)) * 10.0 ** rng.uniform(
                 -10.0, 10.0, (2, num_points)
             )
             assert np.array_equal(op(u), D @ u)
-            assert np.array_equal(apply_stencil(op.weights, u), D @ u)
-            assert np.array_equal(apply_stencil_transpose(op.weights, v), D.T @ v)
+            assert np.array_equal(apply_stencil(op.windows, u), D @ u)
+            assert np.array_equal(apply_stencil_transpose(op.windows, v), D.T @ v)
             A = abs(D)
-            absolute = np.abs(op.weights)
+            absolute = np.abs(op.windows)
             assert np.array_equal(apply_stencil(absolute, u), A @ u)
             assert np.array_equal(apply_stencil_transpose(absolute, v), A.T @ v)
 
     @pytest.mark.parametrize("num_points", (2, 3, 4, 401))
     def test_one_tap_stencil_is_the_identity(self, num_points):
         u = np.random.default_rng(num_points).standard_normal(num_points)
-        ones = np.ones((num_points, 1))
+        ones = np.ones((1, 1))
         assert apply_stencil(ones, u).tobytes() == u.tobytes()
         assert apply_stencil_transpose(ones, u).tobytes() == u.tobytes()
 
-    def test_operators_of_one_size_share_a_read_only_structure(self):
+    def test_index_plans_are_read_only_and_one_per_width(self):
         # the index plans of the clamped rows and of the transpose's end
-        # columns are built once per (num_points, m), and serve a new
-        # spacing and another (k, acc) of the same width alike
+        # columns depend on the window width m alone, so a new size, a new
+        # spacing and another (k, acc) of the same width reuse them
         ops = [
-            diff_operator(Grid(0.0, 1.0 + j / 97, 203), k, acc)
-            for j, (k, acc) in enumerate([(2, 4), (2, 4), (4, 2)])
+            diff_operator(Grid(0.0, 1.0 + j / 97, num_points), k, acc)
+            for j, (num_points, k, acc) in enumerate(
+                [(203, 2, 4), (4097, 2, 4), (61, 4, 2)]
+            )
         ]
-        v = np.linspace(-1.0, 1.0, 203)
-        plans = (grids._clamped_rows, grids._transpose_ends)
-        apply_stencil(ops[0].weights, v)
-        apply_stencil_transpose(ops[0].weights, v)
-        before = [plan.cache_info() for plan in plans]
+        apply_stencil_transpose(ops[0].windows, np.linspace(-1.0, 1.0, 203))
+        before = grids._end_plan.cache_info()
         for op in ops[1:]:
-            apply_stencil(op.weights, v)
-            apply_stencil_transpose(op.weights, v)
-        for plan, info in zip(plans, before):
-            after = plan.cache_info()
-            assert (after.hits, after.misses) == (info.hits + 2, info.misses)
-            for arr in plan(203, 6):
-                assert not arr.flags.writeable
-                with pytest.raises(ValueError):
-                    arr.flat[0] = 1
-            assert plan(203, 7) is not plan(203, 6)
+            v = np.linspace(-1.0, 1.0, op.num_points)
+            apply_stencil(op.windows, v)
+            apply_stencil_transpose(op.windows, v)
+        after = grids._end_plan.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 4, before.misses)
+        clamped, ends = grids._end_plan(6)
+        for arr in clamped + ends:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
 
     @pytest.mark.parametrize("num_points, k, acc", [(401, 2, 4), (4097, 1, 2), (13, 6, 6)])
     def test_miss_matches_a_freshly_constructed_csr_matrix(self, num_points, k, acc):
-        # a cache miss applies as the CSR matrix built here from the
-        # rational stencils, not from the operator's own weights
+        # an operator for a grid not seen before applies as the CSR matrix
+        # built from the rational stencils, on smooth samples
         g = Grid(0.0, 2.7, num_points)
-        grids._OPERATOR_CACHE.pop((num_points, g.h, k, acc), None)
         op = diff_operator(g, k, acc)
-        m = k + acc
-        windows = [
-            tuple(range(s - i, s - i + m))
-            for i, s in enumerate(grids.window_starts(num_points, m))
-        ]
-        fresh = stencil_csr(np.array([
-            [float(w) / g.h**k for w in stencil_weights(window, k)]
-            for window in windows
-        ]))
+        fresh = stencil_csr(g, k, k + acc)
         u = np.cos(7.0 * g.nodes()) * np.exp(g.nodes())
         assert np.array_equal(op(u), fresh @ u)
-        assert np.array_equal(apply_stencil_transpose(op.weights, u), fresh.T @ u)
+        assert np.array_equal(apply_stencil_transpose(op.windows, u), fresh.T @ u)
 
     def test_misses_of_one_size_own_their_weights(self):
+        # operators of one size and two spacings own their windows, which
+        # are contiguous and read-only
         a = diff_operator(Grid(0.0, 1.25, 301), 2)
         b = diff_operator(Grid(0.0, 3.5, 301), 2)
-        assert not np.shares_memory(a.weights, b.weights)
+        assert not np.shares_memory(a.windows, b.windows)
         for op in (a, b):
-            assert op.weights.flags.c_contiguous
-            assert not op.weights.flags.writeable
+            assert op.windows.flags.c_contiguous
+            assert not op.windows.flags.writeable
             with pytest.raises(ValueError):
-                op.weights[0, 0] = 1.0
+                op.windows[0, 0] = 1.0
 
     def test_new_spacing_reuses_the_rational_solve(self):
         # 50 grids that differ only in spacing each need a new operator, but
@@ -283,20 +276,6 @@ class TestDiffOperator:
         for g in grids[1:]:
             diff_operator(g, 5, 6)
         assert stencil_weights.cache_info() == calls
-
-    def test_operator_cache_returns_same_object(self):
-        g = Grid(0.0, 1.0, 33)
-        assert diff_operator(g, 2) is diff_operator(g, 2)
-        assert diff_operator(g, 2) is not diff_operator(g, 3)
-
-    def test_operator_cache_keeps_the_most_recently_used(self):
-        recent = Grid(0.0, 1.0, 41)
-        op = diff_operator(recent, 2)
-        for j in range(100):
-            diff_operator(Grid(0.0, 2.0 + j / 128, 41), 2)
-            diff_operator(recent, 2)
-        assert len(grids._OPERATOR_CACHE) <= 64
-        assert diff_operator(recent, 2) is op
 
     def test_invalid_requests_rejected(self):
         g = Grid(0.0, 1.0, 33)

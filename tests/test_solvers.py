@@ -319,7 +319,7 @@ def test_energy_bandwidth_is_the_stencil_reach(n, order):
     grid = Grid(-10.0, 10.0, 2001)
     reach = n + order - 1
     dia = _gram_diagonals(
-        diff_operator(grid, n, order).weights, quadrature_weights(grid), reach + 1
+        diff_operator(grid, n, order).windows, quadrature_weights(grid), reach + 1
     )
     offsets = np.flatnonzero(np.any(dia != 0.0, axis=1)) - (reach + 1)
     assert (offsets.min(), offsets.max()) == (-reach, reach)
