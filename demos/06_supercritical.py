@@ -1,11 +1,14 @@
-"""Above the critical coupling the uniform phases destabilize.
+"""For large enough lambda the concave term wins over the layers.
 
-For lambda beyond lambda_n the concave term wins: clipped high-frequency
-oscillations drive the energy negative (and, under free minimization,
-unboundedly so).  This script scans a lambda grid with a fixed family of
-clipped sine candidates -- on that fixed set the minimal energy is exactly
-non-increasing in lambda -- then lets a free minimization run from the best
-candidate, showing divergence once lambda is supercritical.
+Clipped high-frequency oscillations drive the energy negative once lambda
+is large: at n = 2 the probe's first negative energy is at lambda about
+1.75-1.85 (eps = 1/8 to 1/64), far above lambda_hat_2 = 0.0569, so the
+lambda below which the paper proves the sharp-interface limit is not where
+this instability sets in.  This script scans a lambda grid with a fixed
+family of clipped sine candidates -- on that fixed set the minimal energy
+is exactly non-increasing in lambda -- then runs a free minimization from
+an oscillation at lambda = 0.02 and at lambda = 4, where the energy falls
+below the divergence floor.
 """
 
 import numpy as np

@@ -8,7 +8,7 @@ witness CSVs, sweep tables) are also written into DIR.
     hophase lambda-n      --n 2 [--seed 0 --points 501]
     hophase check-ineq    --which intlem [--count 500 --seed 0 ...]
     hophase minimize      --config cfg.json [--seed S]
-    hophase gamma-sweep   --config cfg.json [--threads 4]
+    hophase gamma-sweep   --config cfg.json
     hophase supercritical --config cfg.json
 
 The three config-driven commands take a JSON file; unknown and missing
@@ -365,7 +365,7 @@ def _cmd_gamma_sweep(args) -> int:
             cfg[key] = tuple(cfg[key])
     if args.out is not None:
         cfg["output_dir"] = args.out
-    record = gamma_sweep(SweepConfig(**cfg), threads=args.threads)
+    record = gamma_sweep(SweepConfig(**cfg))
     print(record.to_json())
     return 0
 
@@ -454,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gamma-sweep", help="sharp-interface sweep from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=1)
     common(p)
     p.set_defaults(func=_cmd_gamma_sweep)
 

@@ -343,10 +343,9 @@ def _gram_diagonals(windows, q, b) -> np.ndarray:
     end.  The identity is the case m = 1.
 
     K[i, j] sums q_r D[r, i] D[r, j] over the rows r in ascending order, the
-    order in which `grids.apply_stencil_transpose` sums a column of D^T and
-    the sparse product (D^T diag(q)) D accumulates it (Bank & Douglas,
-    SMMP), so every entry equals that product's bit for bit: the clamped
-    rows at the left end first, one m x m outer product each; then the
+    order in which the sparse product (D^T diag(q)) D accumulates it (Bank
+    & Douglas, SMMP), so every entry equals that product's bit for bit: the
+    clamped rows at the left end first, one m x m outer product each; then the
     interior rows, which all take the one interior window w, one slice add
     (q w[a]) w[c] per weight pair (a, c), with a descending so that the
     rows meeting in one entry come in ascending order; then the clamped
@@ -380,8 +379,7 @@ def _gram_diagonals(windows, q, b) -> np.ndarray:
 def _dia_view(band: np.ndarray) -> sp.dia_matrix:
     """The square matrix held in band storage with lo = up = b, as a DIA
     matrix on the same memory.  Its diagonals run from offset -b to b, so a
-    product sums each row in ascending column order, as
-    `grids.apply_stencil` and `grids.apply_stencil_transpose` do."""
+    product sums each row in ascending column order."""
     b, n = band.shape[0] // 2, band.shape[1]
     return sp.dia_matrix((band[::-1], np.arange(-b, b + 1)), shape=(n, n))
 

@@ -64,8 +64,16 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = self.eps_schedule
+        if not eps:
+            raise ValueError("eps schedule must not be empty")
+        if not all(e > 0 for e in eps):
+            raise ValueError(f"eps schedule must be positive, got {list(eps)}")
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("eps schedule must be strictly decreasing")
+        if self.points_per_eps_width < 1:
+            raise ValueError(
+                f"points_per_eps_width must be >= 1, got {self.points_per_eps_width}"
+            )
         length = self.interval[1] - self.interval[0]
         if self.mass_constraint is not None and not (
             -length < self.mass_constraint < length
@@ -281,6 +289,8 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     from it, count the thresholded minimizer's jump clusters.  Per-epsilon
     failures are recorded in the row notes and the sweep continues.  When
     cfg.output_dir is set the record is persisted as JSON + CSV.
+    threads > 1 runs the rows on a thread pool.  The CLI does not offer it
+    (no faster on 2 cores); perfbench passes threads=1.
     """
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     w = get_potential(cfg.potential)
@@ -296,6 +306,11 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     if not prof.converged:
         notes.append(
             f"profile gradient norm {prof.gradient_norm_final:.2e} above tol"
+        )
+    if c_hat <= 0:
+        notes.append(
+            f"c_hat_lam = {c_hat:.4g} <= 0: a layer costs no positive energy "
+            f"at lam = {cfg.lam:g}"
         )
 
     # divergence floor: -10^3 in units of the first (largest-eps) recovery energy

@@ -179,126 +179,37 @@ def window_starts(n: int, m: int) -> np.ndarray:
     return np.clip(np.arange(n) - (m - 1) // 2, 0, n - m)
 
 
-def stencil_matrix(windows: np.ndarray, n: int) -> np.ndarray:
-    """The dense n x n matrix of the stencil operator with the (m, m)
-    `windows` of `DiffOperator`: row i holds the window row
-    starts[i] - i + m - 1 at columns starts[i] onwards,
-    starts = `window_starts(n, m)`, and zeros elsewhere."""
-    m = len(windows)
-    rows, starts = np.arange(n), window_starts(n, m)
-    D = np.zeros((n, n), windows.dtype)
-    D[rows[:, None], starts[:, None] + np.arange(m)] = windows[starts - rows + m - 1]
-    return D
-
-
-#: the longest kernel whose `np.correlate` sums run over the taps strictly
-#: left to right; numpy hands longer kernels to BLAS, which sums in another
-#: order
-_SEQUENTIAL_TAPS = 11
-
-
-def _correlate(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """np.correlate(x, taps, "valid"): out[i] = sum_j taps[j] x[i + j],
-    summed over j in ascending order, also past `_SEQUENTIAL_TAPS` taps."""
-    m = len(taps)
-    if m <= _SEQUENTIAL_TAPS:
-        return np.correlate(x, taps, "valid")
-    size, head = len(x) - m + 1, _SEQUENTIAL_TAPS
-    out = np.correlate(x[:size + head - 1], taps[:head], "valid")
-    for j in range(head, m):
-        out += taps[j] * x[j:j + size]
-    return out
-
-
-@lru_cache(maxsize=None)
-def _end_plan(m: int):
-    """The index plans of `apply_stencil` and `apply_stencil_transpose` for
-    m-point windows, read-only.  Rows and columns at the right end are
-    counted from that end, by negative indices, so one plan serves every
-    n >= m (the transpose's, every n >= 2m + 1).  Both are read off the
-    (2m + 1)-point D whose entries are 1 + their flat index into the
-    windows, 0 off the windows (`stencil_matrix`).
-
-    The first, (taps, cols): for the m - 1 clamped rows of D, those at the
-    left end first, the flat indices into the windows of their entries and
-    the columns those entries meet, both of shape (m - 1, m).
-
-    The second, (rows, taps, reach, cols): the first and the last m columns
-    of D (cols, shape (2, m)); for each block the rows of D that reach it
-    (rows, shape (2, size)), the flat index into the windows of each entry
-    D[row, col] (taps, shape (2, size, m)), and 1.0 where the row reaches
-    the column, 0.0 where it does not (reach).  The columns between the
-    two blocks meet interior rows only.
-    """
-    lo = (m - 1) // 2  # the first row with a centred window
-    hi = lo + m + 2  # the first clamped row at the right end
-    index = stencil_matrix(np.arange(1, m * m + 1).reshape(m, m), 2 * m + 1)
-    clamped = (
-        np.concatenate((index[:lo, :m], index[hi:, -m:])) - 1,
-        np.repeat([np.arange(m), np.arange(-m, 0)], [lo, m - 1 - lo], axis=0),
-    )
-    # the rows that reach the first m columns, and the last m
-    size = max(lo + m, 2 * m - 1 - lo)
-    block = np.stack([index[:size, :m], index[-size:, -m:]])
-    ends = (
-        np.stack([np.arange(size), np.arange(-size, 0)]),
-        np.maximum(block - 1, 0),
-        (block > 0).astype(float),
-        np.stack([np.arange(m), np.arange(-m, 0)]),
-    )
-    for arr in clamped + ends:
-        arr.flags.writeable = False
-    return clamped, ends
-
-
 def apply_stencil(windows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """D u for the stencil operator D with the (m, m) `windows` of
-    `DiffOperator`, on len(u) points.
-
-    Every row is summed over its columns in ascending order, the order of a
-    CSR matrix-vector product, so the result equals that product bit for
-    bit: the interior rows, which all take the window row m - 1 - (m - 1) // 2,
-    by one `np.correlate`, and the m - 1 clamped rows by one running sum
-    (`np.add.accumulate`) along their stacked products (`_end_plan`).
+    `DiffOperator`, on len(u) points: one `np.correlate` over the rows
+    lo .. hi - 1, lo = (m - 1) // 2 and hi = n - (m - 1 - lo), which all
+    take the centred window row m - 1 - lo, between the products of the
+    clamped end rows with the first and the last m samples.  An entry is
+    an inner product of m terms, within m eps (|D| |u|) of the exact D u
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1).
     """
-    m = len(windows)
-    lo = (m - 1) // 2  # the first row with a centred window
-    (taps, cols), _ = _end_plan(m)
-    ends = windows.take(taps)
-    ends *= u.take(cols)
-    np.add.accumulate(ends, axis=1, out=ends)
-    inner = _correlate(u, windows[m - 1 - lo])
-    return np.concatenate((ends[:lo, -1], inner, ends[lo:, -1]))
+    n, m = len(u), len(windows)
+    lo = (m - 1) // 2
+    return np.concatenate((
+        windows[m - lo:][::-1] @ u[:m],
+        np.correlate(u, windows[m - 1 - lo], "valid"),
+        windows[:m - 1 - lo][::-1] @ u[n - m:],
+    ))
 
 
 def apply_stencil_transpose(windows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """D^T v for the stencil operator D of `apply_stencil`, on len(v) points.
-
-    Column j of D is summed over its rows in ascending order, the order of
-    the CSC product D.T @ v (and of `energy._gram_diagonals`), so the
-    result equals that product bit for bit.  Below n = 2m + 1 that is one
-    running sum down the dense D (`stencil_matrix`) times v.  From there on
-    the columns m .. n - m - 1 take all m taps from interior rows, so one
-    `np.convolve` of those rows gives them (`_correlate` with the reversed
-    interior window).  The first and last m columns also meet the clamped
-    rows; each is one running sum down its column of the dense block of D
-    times v, with the rows that do not reach the column entering as 0
-    (`_end_plan`).
+    """D^T v for the stencil operator D of `apply_stencil`, on len(v) points:
+    `np.convolve` of the interior rows' v with the centred window, exactly
+    n long in full mode, plus the products of the clamped end rows on the
+    first and the last m columns.  An entry sums at most 2m - 1 terms,
+    within (2m - 1) eps (|D|^T |v|) of the exact D^T v.
     """
     n, m = len(v), len(windows)
-    if n < 2 * m + 1:
-        D = stencil_matrix(windows, n)
-        D *= v[:, None]
-        return np.add.accumulate(D, axis=0, out=D)[-1]
     lo = (m - 1) // 2
-    _, (rows, taps, reach, cols) = _end_plan(m)
-    out = np.empty(n)
-    out[m:-m] = _correlate(v[lo + 1:lo - m], windows[m - 1 - lo, ::-1])
-    block = windows.take(taps)
-    block *= reach
-    block *= v.take(rows)[:, :, None]
-    np.add.accumulate(block, axis=1, out=block)
-    out[cols] = block[:, -1]
+    hi = n - (m - 1 - lo)
+    out = np.convolve(v[lo:hi], windows[m - 1 - lo])
+    out[:m] += v[:lo] @ windows[m - lo:][::-1]
+    out[n - m:] += v[hi:] @ windows[:m - 1 - lo][::-1]
     return out
 
 

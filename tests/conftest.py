@@ -30,9 +30,9 @@ def stencil_csr(grid, k: int, m: int) -> sp.csr_matrix:
     any array of the code: row i holds float(w) / h**k for the weights w of
     `stencil_weights` on the window offsets s - i .. s - i + m - 1 at
     columns s .. s + m - 1, s = window_starts(n, m)[i].  k = 0, m = 1 is
-    the identity.  Its products D @ u and D.T @ v are what
-    `grids.apply_stencil` and `grids.apply_stencil_transpose` must equal
-    bit for bit."""
+    the identity.  The exact rational products of its entries are what
+    `grids.apply_stencil` and `grids.apply_stencil_transpose` must meet
+    within the roundoff bound of an inner product."""
     n = grid.num_points
     starts = window_starts(n, m)
     shifts = starts - np.arange(n)

@@ -572,6 +572,26 @@ class TestGammaSweep:
         csv_text = (tmp_path / f"{stem}.csv").read_text()
         assert csv_text.startswith("epsilon,E_min,E_recovery")
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"eps_schedule": []}, "eps schedule must not be empty"),
+            ({"eps_schedule": [0.25, -0.125]}, "eps schedule must be positive"),
+            ({"points_per_eps_width": 0}, "points_per_eps_width must be >= 1"),
+        ],
+    )
+    def test_malformed_schedule_is_a_usage_error(
+        self, tmp_path, capsys, setting, message
+    ):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(setting))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["gamma-sweep", "--config", str(path)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hophase: error: {message}")
+
     def test_seed_is_an_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps({"eps_schedule": [0.25], "seed": 1}))

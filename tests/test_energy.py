@@ -160,18 +160,26 @@ class TestGradient:
 
     @pytest.mark.parametrize("num_points", (501, 4097, 16385))
     def test_equals_the_sparse_adjoint_products(self, quartic, num_points):
-        # the stencil kernel pair sums as the CSR and CSC products do, so
-        # the gradient has their bits
+        # the gradient equals W'(u) q / eps plus the forms D^T Q D u of the
+        # reference CSR matrices to roundoff: the kernel pair and the sparse
+        # products sum in different orders, each within about 3m/2 eps of
+        # the exact form on the sums of absolute terms |D|^T Q |D| |u|, so
+        # the two gradients agree within (3m + 4) eps of those sums
         g = Grid(0.0, 1.0, num_points)
         u = make_ensemble(g, 1, seed=num_points)[0]
         p = EnergyParams(3, 0.05, 0.01)
         k = DiscreteEnergy(g, p.n)
         q, eps, v = k.q, p.epsilon, u.values
         d_low, d_high = operators(g, p.n)
-        expected = np.asarray(quartic.eval_derivative(v), dtype=float) * q / eps
-        expected -= 2.0 * p.lam * eps ** 3 * (d_low.T @ (q * (d_low @ v)))
+        potential = np.asarray(quartic.eval_derivative(v), dtype=float) * q / eps
+        expected = potential - 2.0 * p.lam * eps ** 3 * (d_low.T @ (q * (d_low @ v)))
         expected += 2.0 * eps ** 5 * (d_high.T @ (q * (d_high @ v)))
-        np.testing.assert_array_equal(gradient(u, p, quartic).values, expected)
+        scale = np.abs(potential)
+        for c, d in ((2.0 * abs(p.lam) * eps ** 3, d_low), (2.0 * eps ** 5, d_high)):
+            scale += c * (abs(d.T) @ (q * (abs(d) @ np.abs(v))))
+        m = p.n + ACCURACY_ORDER
+        err = np.abs(gradient(u, p, quartic).values - expected)
+        assert np.all(err <= (3 * m + 4) * np.finfo(float).eps * scale)
 
 
 class TestDiscreteEnergy:
@@ -301,9 +309,11 @@ class TestDiscreteEnergy:
 
     @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
     def test_gradient_floor_equals_the_absolute_value_products(self, quartic, n):
-        # |D| as the stencil of D's absolute weights gives the bits of the
-        # sparse products abs(D.T) @ (q * (abs(D) @ |u|)), the identity D_0
-        # at n = 1 included
+        # |D| as the stencil of D's absolute weights gives the sparse
+        # products abs(D.T) @ (q * (abs(D) @ |u|)), the identity D_0 at
+        # n = 1 included; every term is non-negative, so the two summation
+        # orders agree within a relative (3m + 4) eps
+        m = n + ACCURACY_ORDER
         for num_points in (41, 501):
             grid = Grid(-2.0, 3.0 + n / 101, num_points)
             k = DiscreteEnergy(grid, n)
@@ -323,8 +333,9 @@ class TestDiscreteEnergy:
                 scale += abs(c[0]) * float(
                     np.max(np.abs(quartic.eval_derivative(u)) * k.q)
                 )
-                assert k.gradient_floor(u, quartic, c) == (
-                    8.0 * np.finfo(float).eps * scale
+                assert k.gradient_floor(u, quartic, c) == pytest.approx(
+                    8.0 * np.finfo(float).eps * scale,
+                    rel=(3 * m + 4) * np.finfo(float).eps, abs=0.0,
                 )
 
 

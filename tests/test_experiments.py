@@ -311,6 +311,21 @@ class TestGammaSweep:
         assert abs(row.e_recovery) < 1e-10
         assert row.e_min <= row.e_recovery + 1e-12
 
+    def test_non_positive_profile_constant_is_noted(self):
+        # far above the critical coupling the lam-profile energy is negative;
+        # the rows still converge, and the record says what they are worth
+        cfg = SweepConfig(
+            n=2,
+            lam=1.6,
+            eps_schedule=(0.25,),
+            points_per_eps_width=16,
+            profile_T=4.0,
+            profile_points=801,
+        )
+        rec = gamma_sweep(cfg)
+        assert rec.c_hat_lam < 0.0
+        assert any(note.startswith("c_hat_lam = -0.29") for note in rec.notes)
+
     def test_rejects_lambda_above_half_critical(self, sweep_cfg):
         cfg = SweepConfig(
             lam=0.04,

@@ -141,6 +141,20 @@ class TestStencilWeights:
                 stencil_weights(offsets, 1)
 
 
+def assert_within_inner_product_bound(got, D, x, bound):
+    """Each entry of got is within bound (|D| |x|) of the exact product
+    D x of the CSR matrix D, both sides in exact rationals."""
+    xs = [Fraction(t) for t in x.tolist()]
+    assert got.shape == (D.shape[0],)
+    for i, value in enumerate(got.tolist()):
+        row = slice(D.indptr[i], D.indptr[i + 1])
+        terms = [
+            Fraction(w) * xs[j]
+            for w, j in zip(D.data[row].tolist(), D.indices[row].tolist())
+        ]
+        assert abs(Fraction(value) - sum(terms)) <= bound * sum(map(abs, terms)), i
+
+
 class TestDiffOperator:
     def test_exact_on_polynomials_including_boundary_rows(self):
         # order-k stencils of accuracy a are exact for degree <= k + a - 1;
@@ -190,14 +204,17 @@ class TestDiffOperator:
 
     @pytest.mark.parametrize("acc", (2, 4, 6))
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_applications_equal_the_csr_products(self, k, acc):
-        # D u and D^T v equal, bit for bit, the products of the CSR matrix
-        # built from the rational stencils, on grids where the clamped rows
-        # at the two ends meet, touch and lie apart, and for the 12-tap
-        # stencil of k = 6, acc = 6; the samples span 20 decades, so a sum
-        # taken in any other order shows
+    def test_applications_are_within_the_inner_product_bound(self, k, acc):
+        # an entry of D u is an inner product of m terms and one of D^T v
+        # sums at most 2m - 1, so each is within m eps (|D| |u|), and
+        # (2m - 1) eps (|D|^T |v|), of the exact rational product of the
+        # float windows (Higham, Accuracy and Stability of Numerical
+        # Algorithms, sec. 3.1), for D and for |D|; on every grid where the
+        # clamped rows at the two ends overlap, meet, touch and lie apart,
+        # with samples spanning 20 decades
         m = k + acc
-        for num_points in (m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 2 * m + 2, 401, 4097):
+        eps = Fraction(np.finfo(float).eps)
+        for num_points in (*range(m, 2 * m + 3), 401):
             g = Grid(-1.1, 0.7 + k / 13, num_points)
             op = diff_operator(g, k, acc)
             D = stencil_csr(g, k, m)
@@ -205,13 +222,12 @@ class TestDiffOperator:
             u, v = rng.standard_normal((2, num_points)) * 10.0 ** rng.uniform(
                 -10.0, 10.0, (2, num_points)
             )
-            assert np.array_equal(op(u), D @ u)
-            assert np.array_equal(apply_stencil(op.windows, u), D @ u)
-            assert np.array_equal(apply_stencil_transpose(op.windows, v), D.T @ v)
-            A = abs(D)
-            absolute = np.abs(op.windows)
-            assert np.array_equal(apply_stencil(absolute, u), A @ u)
-            assert np.array_equal(apply_stencil_transpose(absolute, v), A.T @ v)
+            for windows, A in ((op.windows, D), (np.abs(op.windows), abs(D))):
+                Du = apply_stencil(windows, u)
+                assert_within_inner_product_bound(Du, A, u, m * eps)
+                DTv = apply_stencil_transpose(windows, v)
+                assert_within_inner_product_bound(DTv, A.T.tocsr(), v, (2 * m - 1) * eps)
+            assert np.array_equal(op(u), apply_stencil(op.windows, u))
 
     @pytest.mark.parametrize("num_points", (2, 3, 4, 401))
     def test_one_tap_stencil_is_the_identity(self, num_points):
@@ -219,41 +235,6 @@ class TestDiffOperator:
         ones = np.ones((1, 1))
         assert apply_stencil(ones, u).tobytes() == u.tobytes()
         assert apply_stencil_transpose(ones, u).tobytes() == u.tobytes()
-
-    def test_index_plans_are_read_only_and_one_per_width(self):
-        # the index plans of the clamped rows and of the transpose's end
-        # columns depend on the window width m alone, so a new size, a new
-        # spacing and another (k, acc) of the same width reuse them
-        ops = [
-            diff_operator(Grid(0.0, 1.0 + j / 97, num_points), k, acc)
-            for j, (num_points, k, acc) in enumerate(
-                [(203, 2, 4), (4097, 2, 4), (61, 4, 2)]
-            )
-        ]
-        apply_stencil_transpose(ops[0].windows, np.linspace(-1.0, 1.0, 203))
-        before = grids._end_plan.cache_info()
-        for op in ops[1:]:
-            v = np.linspace(-1.0, 1.0, op.num_points)
-            apply_stencil(op.windows, v)
-            apply_stencil_transpose(op.windows, v)
-        after = grids._end_plan.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 4, before.misses)
-        clamped, ends = grids._end_plan(6)
-        for arr in clamped + ends:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1
-
-    @pytest.mark.parametrize("num_points, k, acc", [(401, 2, 4), (4097, 1, 2), (13, 6, 6)])
-    def test_miss_matches_a_freshly_constructed_csr_matrix(self, num_points, k, acc):
-        # an operator for a grid not seen before applies as the CSR matrix
-        # built from the rational stencils, on smooth samples
-        g = Grid(0.0, 2.7, num_points)
-        op = diff_operator(g, k, acc)
-        fresh = stencil_csr(g, k, k + acc)
-        u = np.cos(7.0 * g.nodes()) * np.exp(g.nodes())
-        assert np.array_equal(op(u), fresh @ u)
-        assert np.array_equal(apply_stencil_transpose(op.windows, u), fresh.T @ u)
 
     def test_misses_of_one_size_own_their_weights(self):
         # operators of one size and two spacings own their windows, which
