@@ -289,6 +289,8 @@ def _cmd_minimize(args) -> int:
     cfg = _load_config(args.config, _MINIMIZE_KEYS, required=("epsilon",))
     n = int(cfg.get("n", 2))
     eps = float(cfg["epsilon"])
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {eps}")
     lam = float(cfg.get("lam", 0.0))
     w = get_potential(cfg.get("potential", "quartic"))
     a, b = cfg.get("interval", (-4.0, 4.0))

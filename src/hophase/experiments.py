@@ -14,7 +14,6 @@ import hashlib
 import io
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -115,18 +114,7 @@ class RunRecord:
     notes: List[str] = dc_field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "rows": [asdict(r) for r in self.rows],
-                "lambda_hat": self.lambda_hat,
-                "c_hat_lam": self.c_hat_lam,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-                "notes": self.notes,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     def rows_csv(self) -> str:
         buf = io.StringIO()
@@ -241,57 +229,20 @@ def count_jump_clusters(
     return clusters
 
 
-def _run_one_eps(cfg, jump_fn, profile_field, w, eps, floor):
-    n, lam = cfg.n, cfg.lam
-    T = cfg.profile_T
-    notes = []
-    try:
-        rec = build_recovery(
-            jump_fn, profile_field, eps, points_per_eps=cfg.points_per_eps_width
-        )
-    except ValueError as exc:
-        return EpsRow(eps, np.nan, np.nan, -1, False, f"recovery failed: {exc}")
-    params = EnergyParams(n, eps, lam)
-    e_rec = evaluate(rec, params, w).total
-    res = minimize_energy(
-        n,
-        eps,
-        lam,
-        rec,
-        w,
-        mass=cfg.mass_constraint,
-        divergence_floor=floor,
-    )
-    e_min = res.breakdown.total
-    if res.diverged:
-        notes.append("supercritical divergence")
-    if e_min > e_rec + 1e-9 * max(1.0, abs(e_rec)):
-        notes.append("min energy above recovery energy")
-    jumps = count_jump_clusters(res.field, eps, T)
-    if jumps != jump_fn.jump_count:
-        notes.append(
-            f"jump clusters {jumps} != configured {jump_fn.jump_count}"
-        )
-    return EpsRow(
-        epsilon=eps,
-        e_min=float(e_min),
-        e_recovery=float(e_rec),
-        jumps_detected=int(jumps),
-        converged=bool(res.converged and not res.diverged),
-        notes="; ".join(notes),
-    )
-
-
 def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     """Run the full epsilon schedule for one jump configuration.
 
-    For each epsilon: build the recovery sequence, evaluate it, minimize
-    from it, count the thresholded minimizer's jump clusters.  Per-epsilon
-    failures are recorded in the row notes and the sweep continues.  When
-    cfg.output_dir is set the record is persisted as JSON + CSV.
-    threads > 1 runs the rows on a thread pool.  The CLI does not offer it
-    (no faster on 2 cores); perfbench passes threads=1.
+    For each epsilon, in one serial pass: build the recovery sequence,
+    evaluate it, minimize from it, count the thresholded minimizer's jump
+    clusters.  Per-epsilon failures are recorded in the row notes and the
+    sweep continues.  The divergence floor of every minimization is -10^3
+    in units of the first (largest-eps) recovery energy, or -10^3 when that
+    recovery fails.  When cfg.output_dir is set the record is persisted as
+    JSON + CSV.  The rows always run serially; threads is kept only for
+    callers that pass threads=1, and any other value is a ValueError.
     """
+    if threads != 1:
+        raise ValueError(f"sweep rows run serially: threads must be 1, got {threads}")
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     w = get_potential(cfg.potential)
     if cfg.lambda_hat is not None and cfg.lam > 0.5 * cfg.lambda_hat:
@@ -313,30 +264,37 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
             f"at lam = {cfg.lam:g}"
         )
 
-    # divergence floor: -10^3 in units of the first (largest-eps) recovery energy
-    eps0 = cfg.eps_schedule[0]
-    try:
-        rec0 = build_recovery(
-            jump_fn, prof.minimizer, eps0, points_per_eps=cfg.points_per_eps_width
-        )
-        e_rec0 = evaluate(rec0, EnergyParams(cfg.n, eps0, cfg.lam), w).total
-        floor = -1e3 * max(abs(e_rec0), 1e-6)
-    except ValueError:
-        floor = -1e3
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(
-                pool.map(
-                    lambda e: _run_one_eps(cfg, jump_fn, prof.minimizer, w, e, floor),
-                    cfg.eps_schedule,
-                )
+    rows, floor = [], -1e3
+    for i, eps in enumerate(cfg.eps_schedule):
+        try:
+            rec = build_recovery(
+                jump_fn, prof.minimizer, eps, points_per_eps=cfg.points_per_eps_width
             )
-    else:
-        rows = [
-            _run_one_eps(cfg, jump_fn, prof.minimizer, w, e, floor)
-            for e in cfg.eps_schedule
-        ]
+        except ValueError as exc:
+            note = f"recovery failed: {exc}"
+            rows.append(EpsRow(eps, np.nan, np.nan, -1, False, note))
+            continue
+        e_rec = evaluate(rec, EnergyParams(cfg.n, eps, cfg.lam), w).total
+        if i == 0:
+            floor = -1e3 * max(abs(e_rec), 1e-6)
+        res = minimize_energy(
+            cfg.n, eps, cfg.lam, rec, w, cfg.mass_constraint, divergence_floor=floor
+        )
+        e_min = res.breakdown.total
+        jumps = count_jump_clusters(res.field, eps, cfg.profile_T)
+        row_notes = []
+        if res.diverged:
+            row_notes.append("supercritical divergence")
+        if e_min > e_rec + 1e-9 * max(1.0, abs(e_rec)):
+            row_notes.append("min energy above recovery energy")
+        if jumps != jump_fn.jump_count:
+            row_notes.append(
+                f"jump clusters {jumps} != configured {jump_fn.jump_count}"
+            )
+        rows.append(
+            EpsRow(eps, float(e_min), float(e_rec), int(jumps), bool(res.converged),
+                   "; ".join(row_notes))
+        )
 
     target = jump_fn.jump_count * c_hat
     devs = [
@@ -404,8 +362,22 @@ def supercritical_probe(
     the largest lambda.  On the fixed candidate set the minimum energy is
     non-increasing in lambda exactly, because each candidate's energy is.
     Optionally each per-lambda winner seeds a free minimization with a
-    divergence floor.
+    divergence floor.  An empty lambda_grid or amplitudes, a non-positive
+    or non-finite eps, and points_per_eps_width or k_max below 1 are each
+    a ValueError that names the setting.
     """
+    if len(lambda_grid) == 0:
+        raise ValueError("lambda_grid must not be empty")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {eps}")
+    if points_per_eps_width < 1:
+        raise ValueError(
+            f"points_per_eps_width must be >= 1, got {points_per_eps_width}"
+        )
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    if len(amplitudes) == 0:
+        raise ValueError("amplitudes must not be empty")
     a, b = interval
     L = b - a
     num_points = int(round(L / (eps / points_per_eps_width))) + 1

@@ -105,12 +105,12 @@ class CouplingPolynomial:
 
 
 def coefficient_matrix_exact(n: int) -> List[List[int]]:
-    """Exact integer 2n x 2n system matrix for the zeta conditions.
+    """Exact integer 2n x 2n system matrix of both coupling polynomials.
 
-    Row ordering: p^(k)(0) = y_k for k = 0..n-1, then p^(k)(1) for
-    k = 0..n-1.  Column j holds the coefficient of a_j.  The x = 0 block is
-    diagonal with (k)!, the x = 1 rows are k-th derivative evaluations
-    j!/(j-k)! for j >= k.
+    Row ordering: p^(k)(0) for k = 0..n-1, then p^(k)(1) for k = 0..n-1.
+    Column j holds the coefficient of a_j.  The x = 0 block is diagonal
+    with (k)!, the x = 1 rows are k-th derivative evaluations j!/(j-k)!
+    for j >= k.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"n must be in [2, {MAX_N}]")
@@ -179,8 +179,10 @@ def _solve_exact(
     return tuple(A[r][m] for r in range(m))
 
 
-def solve_zeta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
-    """Coupling polynomial carrying data y at x = 0 into the +1 well at x = 1.
+def _solve(y: Union[BoundaryData, Sequence[float]], kind: str) -> CouplingPolynomial:
+    """Exact solve of the coefficient_matrix_exact(n) system: the data y
+    fill the x = 0 rows for zeta and the x = 1 rows for eta, the well
+    value (+1 for zeta, -1 for eta) with zero derivatives the others.
 
     The float values in y are promoted to exact rationals (floats are
     rationals), so the returned polynomial satisfies all 2n conditions
@@ -189,35 +191,21 @@ def solve_zeta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
     if not isinstance(y, BoundaryData):
         y = BoundaryData(tuple(y))
     n = y.n
-    M = coefficient_matrix_exact(n)
-    rhs = [Fraction(v) for v in y.y]
-    rhs += [Fraction(1)] + [Fraction(0)] * (n - 1)
-    coeffs = _solve_exact(M, rhs)
-    return CouplingPolynomial(exact_coefficients=coeffs, kind="zeta", data=y)
+    data = [Fraction(v) for v in y.y]
+    well = [Fraction(1 if kind == "zeta" else -1)] + [Fraction(0)] * (n - 1)
+    rhs = data + well if kind == "zeta" else well + data
+    coeffs = _solve_exact(coefficient_matrix_exact(n), rhs)
+    return CouplingPolynomial(exact_coefficients=coeffs, kind=kind, data=y)
+
+
+def solve_zeta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
+    """Coupling polynomial carrying data y at x = 0 into the +1 well at x = 1."""
+    return _solve(y, "zeta")
 
 
 def solve_eta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
-    """Mirrored coupling: -1 well at x = 0, data y at x = 1.
-
-    Built by reflection of a zeta solve: with y~_k = (-1)^(k+1) y_k,
-    q(x) = -p(1-x) maps the zeta conditions of p onto the eta conditions.
-    """
-    if not isinstance(y, BoundaryData):
-        y = BoundaryData(tuple(y))
-    n = y.n
-    reflected = BoundaryData(tuple((-1.0) ** (k + 1) * y.y[k] for k in range(n)))
-    p = solve_zeta(reflected)
-    # q(x) = -p(1-x); expand exactly in the monomial basis
-    a = p.exact_coefficients
-    size = 2 * n
-    q = [Fraction(0)] * size
-    for j in range(size):
-        if a[j] == 0:
-            continue
-        # (1-x)^j = sum_i binom(j,i) (-1)^i x^i
-        for i in range(j + 1):
-            q[i] -= a[j] * comb(j, i) * (-1) ** i
-    return CouplingPolynomial(exact_coefficients=tuple(q), kind="eta", data=y)
+    """Mirrored coupling: -1 well at x = 0, data y at x = 1."""
+    return _solve(y, "eta")
 
 
 def eval_poly(p: CouplingPolynomial, x, k: int = 0):

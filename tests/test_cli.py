@@ -444,6 +444,17 @@ class TestMinimize:
         assert exit_info.value.code == 2
         assert capsys.readouterr().err.startswith(f"hophase: error: {message}")
 
+    @pytest.mark.parametrize("eps", [0, -0.25])
+    def test_non_positive_epsilon_is_a_usage_error(self, tmp_path, capsys, eps):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epsilon": eps}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["minimize", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            f"hophase: error: epsilon must be positive and finite, got {float(eps)}\n"
+        )
+
     @pytest.mark.parametrize(
         "cfg, argv",
         [({}, ["--seed", "3"]), ({"seed": 3}, []), ({"init": "x.csv", "seed": 3}, [])],
@@ -622,3 +633,27 @@ class TestSupercritical:
         assert payload["onset_lambda"] is not None
         assert payload["best_energies"][-1] < 0.0
         assert (tmp_path / "supercritical_n2.json").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"lambda_grid": []}, "lambda_grid must not be empty"),
+            ({"epsilon": 0}, "epsilon must be positive and finite, got 0"),
+            ({"epsilon": -0.0625}, "epsilon must be positive and finite, got -0.0625"),
+            ({"points_per_eps_width": 0}, "points_per_eps_width must be >= 1, got 0"),
+            ({"k_max": 0}, "k_max must be >= 1, got 0"),
+            ({"amplitudes": []}, "amplitudes must not be empty"),
+        ],
+    )
+    def test_malformed_config_is_a_usage_error(
+        self, tmp_path, capsys, setting, message
+    ):
+        cfg = {"lambda_grid": [0.5], "epsilon": 0.0625, **setting}
+        path = tmp_path / "super.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["supercritical", "--config", str(path)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hophase: error: {message}")

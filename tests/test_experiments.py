@@ -1,5 +1,6 @@
 """Tests for energy minimization, sweep bookkeeping and the oscillation probe."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from hophase import (
     quadrature_weights,
     supercritical_probe,
 )
+from hophase import experiments
 
 
 @pytest.fixture(scope="module")
@@ -280,21 +282,50 @@ class TestGammaSweep:
         assert again.rows[0].e_min == sweep_record.rows[0].e_min
         assert again.rows[0].e_recovery == sweep_record.rows[0].e_recovery
 
-    def test_threads_match_serial(self, sweep_cfg, sweep_record):
+    def test_threads_other_than_one_are_rejected(self, sweep_cfg):
+        with pytest.raises(ValueError, match="serially"):
+            gamma_sweep(sweep_cfg, threads=2)
+
+    def test_one_recovery_per_eps_and_one_floor(self, sweep_cfg, monkeypatch):
+        built, floors = [], []
+
+        def counting_build(*args, **kwargs):
+            built.append(args[2])
+            return build_recovery(*args, **kwargs)
+
+        def recording_minimize(*args, divergence_floor=None, **kwargs):
+            floors.append(divergence_floor)
+            return minimize_energy(*args, divergence_floor=divergence_floor, **kwargs)
+
+        monkeypatch.setattr(experiments, "build_recovery", counting_build)
+        monkeypatch.setattr(experiments, "minimize_energy", recording_minimize)
+        rec = gamma_sweep(dataclasses.replace(sweep_cfg, output_dir=None))
+        assert built == list(sweep_cfg.eps_schedule)
+        # -10^3 in units of the first (largest-eps) recovery energy
+        assert floors == [-1e3 * abs(rec.rows[0].e_recovery)] * len(rec.rows)
+
+    def test_failed_first_recovery_keeps_the_later_rows(self, monkeypatch):
+        floors = []
+
+        def recording_minimize(*args, divergence_floor=None, **kwargs):
+            floors.append(divergence_floor)
+            return minimize_energy(*args, divergence_floor=divergence_floor, **kwargs)
+
+        monkeypatch.setattr(experiments, "minimize_energy", recording_minimize)
+        # eps * T = 1 >= delta0 / 2 at eps = 1/4, but not at eps = 1/20
         cfg = SweepConfig(
-            n=sweep_cfg.n,
-            lam=sweep_cfg.lam,
-            interval=sweep_cfg.interval,
-            jumps=sweep_cfg.jumps,
-            eps_schedule=sweep_cfg.eps_schedule,
-            points_per_eps_width=sweep_cfg.points_per_eps_width,
-            profile_T=sweep_cfg.profile_T,
-            profile_points=sweep_cfg.profile_points,
+            interval=(-1.0, 1.0),
+            jumps=(0.0,),
+            eps_schedule=(0.25, 0.05),
+            points_per_eps_width=16,
+            profile_T=4.0,
+            profile_points=801,
         )
-        threaded = gamma_sweep(cfg, threads=2)
-        assert [r.e_min for r in threaded.rows] == [
-            r.e_min for r in sweep_record.rows
-        ]
+        first, second = gamma_sweep(cfg).rows
+        assert first.notes.startswith("recovery failed")
+        assert not first.converged and np.isnan(first.e_min)
+        assert second.converged and second.jumps_detected == 1, second.notes
+        assert floors == [-1e3]
 
     def test_no_jump_configuration_costs_nothing(self):
         cfg = SweepConfig(

@@ -125,13 +125,20 @@ class TestEta:
             assert endpoint_residuals(solve_eta(y)).max() == 0.0
 
     def test_reflection_of_zeta(self):
-        # with y~_k = (-1)^(k+1) y_k, eta(x) = -zeta_{y~}(1 - x) pointwise
-        y = (0.3, -0.7, 0.2)
-        eta = solve_eta(y)
-        reflected = tuple((-1.0) ** (k + 1) * v for k, v in enumerate(y))
-        zeta = solve_zeta(reflected)
-        for xq in (Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)):
-            assert eval_poly(eta, xq) == -eval_poly(zeta, 1 - xq)
+        # eta is solved directly; the reflection eta(x) = -zeta_{y~}(1 - x),
+        # y~_k = (-1)^(k+1) y_k, is its reference, exactly, for every
+        # derivative order and every n
+        rng = np.random.default_rng(29)
+        points = (Fraction(0), Fraction(1, 3), Fraction(2, 7), Fraction(9, 10), 1)
+        for n in range(2, MAX_N + 1):
+            y = tuple(rng.uniform(-2.0, 2.0, n))
+            eta = solve_eta(y)
+            zeta = solve_zeta(tuple((-1.0) ** (k + 1) * v for k, v in enumerate(y)))
+            for k in range(2 * n):
+                for xq in points:
+                    assert eval_poly(eta, xq, k) == -((-1) ** k) * eval_poly(
+                        zeta, 1 - xq, k
+                    )
 
 
 class TestEvalPoly:
