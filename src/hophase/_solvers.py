@@ -4,10 +4,9 @@ solver of every minimizer (W'' from `DoubleWell.second_derivative`): on
 the stiff high-derivative problems (quartic-operator conditioning ~ h^-2n)
 it reaches the 1e-8..1e-9 floor set by finite-difference roundoff in a
 handful of steps, where plain quasi-Newton plateaus near 1e-2; no
-minimizer calls `lbfgs`.  Every Hessian here is banded (half-bandwidth
-n + 3 at most), possibly bordered by a few dense rows and columns;
-BandedSystem factors the band with LAPACK gbsv and eliminates the border
-by a Schur complement.
+minimizer calls `lbfgs`.  Every Newton system here is a band, possibly
+bordered by one constraint row; BandedSystem factors the band with LAPACK
+gbsv and eliminates the constraint by a scalar Schur step.
 """
 
 import time
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv, dgesv
+from scipy.linalg.lapack import dgbsv
 
 __all__ = ["SolveInfo", "BandedSystem", "lbfgs", "damped_newton"]
 
@@ -39,36 +38,32 @@ class SolveInfo:
 
 
 class BandedSystem:
-    """The bordered matrix [[A, B], [C, E]] of size m + k, with A the
-    banded m x m leading block, split for repeated shifted solves.
+    """The matrix [[A, c], [c^T, 0]] of size m + 1, or A alone when c is
+    None, with A the banded m x m leading block, split for repeated
+    shifted solves.
 
     ab holds A in LAPACK band storage, ab[up + i - j, j] = A[i, j], with
     lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (the layout of
     scipy.linalg.solve_banded, and of gbsv's input below its lo fill-in
-    rows).  The k border rows and columns (k = 0, 1 or 2 in use) are dense:
-    B is m x k, C is k x m, E is k x k; no border when B is None.
+    rows).  c is a dense m-vector, the one constraint row.
     """
 
-    def __init__(self, ab: np.ndarray, lo: int, B=None, C=None, E=None):
-        self.ab, self.lo = ab, lo
+    def __init__(self, ab: np.ndarray, lo: int, c: Optional[np.ndarray] = None):
+        self.ab, self.lo, self.c = ab, lo, c
         self.up = ab.shape[0] - lo - 1
-        m = ab.shape[1]
-        if B is None:
-            B, C, E = np.zeros((m, 0)), np.zeros((0, m)), np.zeros((0, 0))
-        self.B, self.C, self.E = B, C, E
         # LAPACK factorizations done, and the (shifted diagonal, rhs,
         # solution or LinAlgError) of the last one
         self.factorizations = 0
         self._last = None
 
     def solve(self, rhs: np.ndarray, tau: float = 0.0) -> np.ndarray:
-        """The first m entries of the solution of the bordered system with
-        A + tau I in place of A and right-hand side rhs padded by k zeros.
-        Raises LinAlgError when A + tau I or the Schur complement
-        E - C (A + tau I)^-1 B is singular.  A call whose shifted diagonal
-        and rhs equal the last call's, as for a tau below half an ulp of
-        every diagonal entry, returns that call's solution (the same array)
-        or raises its error again without factoring."""
+        """The first m entries of the solution of the system with A + tau I
+        in place of A and right-hand side rhs, padded by a zero under a
+        constraint.  Raises LinAlgError when A + tau I is singular, or
+        c^T (A + tau I)^-1 c is 0.  A call whose shifted diagonal and rhs
+        equal the last call's, as for a tau below half an ulp of every
+        diagonal entry, returns that call's solution (the same array) or
+        raises its error again without factoring."""
         diag = self.ab[self.up] + tau
         last = self._last
         if last is None or not (
@@ -85,31 +80,31 @@ class BandedSystem:
         return last[2]
 
     def _factor_and_solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """One gbsv on A with diag on its diagonal for rhs and the border
-        columns, each distinct vector once, then the k x k Schur step.  The
-        work arrays are column-major, LAPACK's order, so f2py copies
-        neither."""
-        lo, up = self.lo, self.up
-        m, k = self.ab.shape[1], self.E.shape[0]
+        """One gbsv on A with diag on its diagonal for rhs, and c under a
+        constraint, then the Schur step y - z (c^T y) / (c^T z) for the
+        solutions y and z.  The work arrays are column-major, LAPACK's
+        order, so f2py copies neither."""
+        lo, up, c = self.lo, self.up, self.c
+        m = self.ab.shape[1]
         ab = np.empty((2 * lo + up + 1, m), order="F")
         ab[:lo] = 0.0
         ab[lo:] = self.ab
         ab[lo + up] = diag
-        # the quotient border repeats the right-hand side as its first column
-        first = 0 if k and np.array_equal(rhs, self.B[:, 0]) else 1
-        cols = np.empty((m, first + k), order="F")
-        cols[:, first:] = self.B
+        cols = np.empty((m, 1 if c is None else 2), order="F")
         cols[:, 0] = rhs
+        if c is not None:
+            cols[:, 1] = c
         _, _, sol, info = dgbsv(lo, up, ab, cols, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise LinAlgError("singular leading block")
-        y, Z = sol[:, 0], sol[:, first:]
-        if not k:
+        y = sol[:, 0]
+        if c is None:
             return y
-        _, _, mu, info = dgesv(self.E - self.C @ Z, (-self.C @ y)[:, None])
-        if info > 0:
+        z = sol[:, 1]
+        cz = c @ z
+        if cz == 0.0:
             raise LinAlgError("singular Schur complement")
-        return y - Z @ mu[:, 0]
+        return y - z * ((c @ y) / cz)
 
 
 def lbfgs(
@@ -166,19 +161,16 @@ def damped_newton(
     """Damped Newton with banded LU solves and Armijo backtracking.
 
     hess(x) returns the Newton system as a BandedSystem whose leading
-    m x m block is the Hessian, possibly bordered by k dense rows and
-    columns.  The step solves it with the right-hand side -g padded by k
-    zeros and keeps the first m entries.  Two borders are in use:
-    [[H, q], [q^T, 0]] holds q . x at its initial value (grad must then
-    return the gradient projected onto q . d = 0), and [[H0, U], [V^T, -I]]
-    solves with H0 + U V^T, a low-rank update kept out of the band.
-    Indefinite Hessians (the concave term, or W'' < 0 between the wells)
-    are handled by Levenberg-style damping tau on the leading block only,
-    raised tenfold until the step is a descent direction; a singular
-    leading block or Schur complement also raises tau.  Each step starts
-    that ladder at a tenth of the last accepted tau, or at 0 once that is
-    below 1e-7, so a run through a nonconvex region does not climb the
-    whole ladder on every step.  The factorization is LU, not Cholesky,
+    m x m block is the Hessian H.  The step solves it with the right-hand
+    side -g; a constraint row q, the border [[H, q], [q^T, 0]], holds
+    q . x at its initial value (grad must then return the gradient
+    projected onto q . d = 0).  Indefinite Hessians (the concave term, or
+    W'' < 0 between the wells) are handled by Levenberg-style damping tau
+    on the leading block only, raised tenfold until the step is a descent
+    direction; a singular leading block or Schur complement also raises
+    tau.  Each step starts that ladder at a tenth of the last accepted tau,
+    or at 0 once that is below 1e-7, so a run through a nonconvex region
+    does not climb the whole ladder on every step.  The factorization is LU, not Cholesky,
     because the leading block of a bordered system may be indefinite at a
     valid step.  A retry whose tau changes no diagonal entry (one below
     half an ulp of each, as the first rungs are on stiff Hessians) reuses

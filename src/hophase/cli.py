@@ -95,10 +95,20 @@ def _read_text(path: str, what: str) -> str:
     raise ValueError(f"cannot read {what} {path!r}: {reason}")
 
 
+#: the list-valued config keys, with the number of entries each must have
+#: (None: any number)
+_LIST_KEYS = {
+    "interval": 2, "jumps": None, "eps_schedule": None, "lambda_grid": None,
+    "amplitudes": None,
+}
+
+
 def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
     """The JSON object in the config file at path, with "lambda" renamed
-    "lam".  An unreadable file, invalid JSON, a key outside allowed and a
-    missing required key are each a ValueError that names it."""
+    "lam" and each list-valued key (`_LIST_KEYS`) as a tuple.  An
+    unreadable file, invalid JSON, a key outside allowed, a missing
+    required key and a list-valued key that is not an array of numbers of
+    its length are each a ValueError that names it."""
     try:
         cfg = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
@@ -113,6 +123,15 @@ def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
     missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
+    for key in [key for key in _LIST_KEYS if key in cfg]:
+        value, length = cfg[key], _LIST_KEYS[key]
+        if not isinstance(value, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+        ):
+            raise ValueError(f"{key} must be a JSON array of numbers, got {value!r}")
+        if length is not None and len(value) != length:
+            raise ValueError(f"{key} must have {length} entries, got {len(value)}")
+        cfg[key] = tuple(value)
     return cfg
 
 
@@ -311,7 +330,7 @@ def _cmd_minimize(args) -> int:
         from .profiles import JumpFunction
 
         jump_fn = JumpFunction(
-            a, b, tuple(cfg.get("jumps", (0.0,))), cfg.get("left_value", -1.0)
+            a, b, cfg.get("jumps", (0.0,)), cfg.get("left_value", -1.0)
         )
         T, points = cfg.get("profile_T", 5.0), cfg.get("profile_points", 2001)
         prof = minimize_profile(ProfileProblem(n, lam, T, points, w))
@@ -362,9 +381,6 @@ _SWEEP_KEYS = {
 
 def _cmd_gamma_sweep(args) -> int:
     cfg = _load_config(args.config, _SWEEP_KEYS)
-    for key in ("interval", "jumps", "eps_schedule"):
-        if key in cfg:
-            cfg[key] = tuple(cfg[key])
     if args.out is not None:
         cfg["output_dir"] = args.out
     record = gamma_sweep(SweepConfig(**cfg))
@@ -385,10 +401,10 @@ def _cmd_supercritical(args) -> int:
         lambda_grid=cfg["lambda_grid"],
         eps=float(cfg["epsilon"]),
         w=get_potential(cfg.get("potential", "quartic")),
-        interval=tuple(cfg.get("interval", (0.0, 1.0))),
+        interval=cfg.get("interval", (0.0, 1.0)),
         points_per_eps_width=int(cfg.get("points_per_eps_width", 32)),
         k_max=int(cfg.get("k_max", 64)),
-        amplitudes=tuple(cfg.get("amplitudes", (0.6, 0.9, 1.0, 1.2, 1.5))),
+        amplitudes=cfg.get("amplitudes", (0.6, 0.9, 1.0, 1.2, 1.5)),
         free_minimization=bool(cfg.get("free_minimization", True)),
     )
     _emit(asdict(rep), args.out, f"supercritical_n{rep.n}")

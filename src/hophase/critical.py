@@ -167,10 +167,9 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
 def _quotient_functions(kernel, w: DoubleWell):
     """Q[c] = (int W + int (p^(n))^2) / int (p^(n-1))^2 for the polynomial
     p on (0,1) with the monomial coefficients c of a `_PolynomialKernel`;
-    its gradient (grad N - Q grad D) / D and its Newton system: value(c),
-    inf on a degenerate denominator; grad(c), 0 there; and system(c), the
-    bordered [[H0, U], [V^T, -I]] with H0 = (N'' - Q D'') / D and the
-    rank-2 quotient-rule term U V^T, U = [-g, -D'/D] and V = [D'/D, g].
+    its gradient g = (N' - Q D') / D and its Newton system: value(c), inf on
+    a degenerate denominator; grad(c), 0 there; and system(c), the dense
+    Hessian (N'' - Q D'') / D - g (D'/D)^T - (D'/D) g^T as a full band.
     grad reuses the terms of the last value call at equal coefficients, as
     at the trial point the line search accepts, and system the parts of
     the last grad call at the same array object, as in the Newton driver."""
@@ -199,19 +198,19 @@ def _quotient_functions(kernel, w: DoubleWell):
         if last.get("v") is not v:
             grad(v)
         Q, D, g, gD = last["Q"], last["D"], last["g"], last["gD"]
-        H0 = kernel.hess(v, w, (1.0, -Q, 1.0))
-        H0 /= D
-        return BandedSystem(
-            H0, kernel.bandwidth, np.column_stack([-g, -gD]), np.vstack([gD, g]),
-            -np.eye(2),
-        )
+        H = kernel.hess(v, w, (1.0, -Q, 1.0)) / D - np.outer(g, gD) - np.outer(gD, g)
+        m = len(v)
+        i, j = np.indices(H.shape)
+        ab = np.zeros((2 * m - 1, m))
+        ab[m - 1 + i - j, j] = H
+        return BandedSystem(ab, m - 1)
 
     return value, grad, system
 
 
 def _minimize_quotient(functions, x0, maxiter: int, gtol: float):
     """Minimize the quotient from x0 with the (value, grad, system) of
-    `_quotient_functions`: damped Newton on the bordered system, at most
+    `_quotient_functions`: damped Newton on the dense Hessian, at most
     maxiter steps, its line search on value(x + t d) - value(x)."""
     value, grad, system = functions
 

@@ -123,10 +123,10 @@ class DiscreteEnergy:
         """c_pot int W + c_high int (u^(n))^2 + c_low int (u^(n-1))^2."""
         c_pot, c_low, c_high = c
         low, high = self._windows
-        e = c_pot * self._potential(u, w) + c_high * self._square(high, u)
-        if c_low != 0.0:
-            e += c_low * self._square(low, u)
-        return e
+        return (
+            c_pot * self._potential(u, w) + c_high * self._square(high, u)
+            + c_low * self._square(low, u)
+        )
 
     def energy_change(self, u: np.ndarray, d: np.ndarray, w: DoubleWell, c):
         """The change phi(t) = energy(u + t d) - energy(u) along a step d,
@@ -147,12 +147,9 @@ class DiscreteEnergy:
         c_pot, c_low, c_high = c
         w0 = np.asarray(w.eval(u), dtype=float)
         low, high = self._windows
-        terms = [(c_high, high)]
-        if c_low != 0.0:
-            terms.append((c_low, low))
         # phi's quadratic part is t (slope + t curvature)
         slope = curvature = 0.0
-        for ck, windows in terms:
+        for ck, windows in ((c_high, high), (c_low, low)):
             Dd = apply_stencil(windows, d)
             slope += 2.0 * ck * float(self.q @ (Dd * apply_stencil(windows, u)))
             curvature += ck * float(self.q @ Dd**2)
@@ -166,12 +163,10 @@ class DiscreteEnergy:
     def grad(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
         """Exact gradient of `energy` with respect to the samples."""
         c_pot, c_low, c_high = c
-        g = c_pot * np.asarray(w.eval_derivative(u), dtype=float) * self.q + (
-            c_high * (self.K_high @ u)
+        return (
+            c_pot * np.asarray(w.eval_derivative(u), dtype=float) * self.q
+            + c_high * (self.K_high @ u) + c_low * (self.K_low @ u)
         )
-        if c_low != 0.0:
-            g += c_low * (self.K_low @ u)
-        return g
 
     def hess(self, u: np.ndarray, w: DoubleWell, c, free: slice = slice(None)):
         """The Hessian block H[free, free], for a slice free of unit step,
@@ -186,9 +181,8 @@ class DiscreteEnergy:
             * np.asarray(w.second_derivative(u[free]), dtype=float)
             * self.q[free]
         )
-        if c_low != 0.0:
-            rows = self._low_rows
-            ab[rows] += c_low * band_low[rows, free]
+        rows = self._low_rows
+        ab[rows] += c_low * band_low[rows, free]
         # couplings to points outside a proper block fall outside the
         # matrix; for the whole range those entries are 0 already
         if free.indices(len(self.q)) != (0, len(self.q), 1):
@@ -214,9 +208,7 @@ class DiscreteEnergy:
                 2.0 * apply_stencil_transpose(a, self.q * apply_stencil(a, au))
             ))
 
-        scale = abs(c_high) * rowsum(high)
-        if c_low != 0.0:
-            scale += abs(c_low) * rowsum(low)
+        scale = abs(c_high) * rowsum(high) + abs(c_low) * rowsum(low)
         wprime = np.abs(np.asarray(w.eval_derivative(u), dtype=float))
         scale += abs(c_pot) * float(np.max(wprime * self.q))
         return 8.0 * np.finfo(float).eps * scale
@@ -254,10 +246,10 @@ class DiscreteEnergy:
                 g = g - (float(q @ g) / float(q @ q)) * q
             return g
 
-        border = (q[:, None], q[None, :], np.zeros((1, 1))) if hold_mass else ()
-
         def system(z):
-            return BandedSystem(self.hess(full(z), w, c, free), self.bandwidth, *border)
+            return BandedSystem(
+                self.hess(full(z), w, c, free), self.bandwidth, q if hold_mass else None
+            )
 
         def line(z, dz):
             d = np.zeros_like(u)
@@ -283,8 +275,8 @@ class _PolynomialKernel:
     p(x) = sum_j c_j x^j on (0,1), as functions of its monomial
     coefficients c: Gauss-Legendre quadrature with 2d + 2 nodes, exact up
     to degree 4d + 3, so exact for a quartic W (roundoff aside).  Provides
-    what `critical._quotient_functions` reads (terms, grad, hess, K_low,
-    bandwidth); the Hessian is dense, stored as a band with lo = up = d."""
+    what `critical._quotient_functions` reads (terms, grad, the dense
+    hess, K_low)."""
 
     def __init__(self, n: int, degree: int):
         nodes, wts = np.polynomial.legendre.leggauss(2 * degree + 2)
@@ -302,9 +294,6 @@ class _PolynomialKernel:
         self.B0, self.Bn1, self.Bn = basis(0), basis(n - 1), basis(n)
         self.K_low = 2.0 * (self.Bn1 * self.wts) @ self.Bn1.T
         self.K_high = 2.0 * (self.Bn * self.wts) @ self.Bn.T
-        self.bandwidth = degree
-        i, j = np.indices((ncoef, ncoef))
-        self._band_index = (degree + i - j, j)
 
     def terms(self, c: np.ndarray, w: DoubleWell):
         return (
@@ -324,14 +313,11 @@ class _PolynomialKernel:
     def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         c_pot, c_low, c_high = coef
         w2 = np.asarray(w.second_derivative(c @ self.B0), dtype=float)
-        H = (
+        return (
             c_pot * (self.B0 * (self.wts * w2)) @ self.B0.T
             + c_low * self.K_low
             + c_high * self.K_high
         )
-        ab = np.zeros((2 * self.bandwidth + 1, len(c)))
-        ab[self._band_index] = H
-        return ab
 
 
 def _gram_diagonals(windows, q, b) -> np.ndarray:

@@ -657,3 +657,42 @@ class TestSupercritical:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"hophase: error: {message}")
+
+
+_ARRAY = "must be a JSON array of numbers"
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("gamma-sweep", {"eps_schedule": 0.25}, f"eps_schedule {_ARRAY}, got 0.25"),
+        ("gamma-sweep", {"eps_schedule": "ab"}, f"eps_schedule {_ARRAY}, got 'ab'"),
+        ("gamma-sweep", {"jumps": 0.5}, f"jumps {_ARRAY}, got 0.5"),
+        ("gamma-sweep", {"interval": 4}, f"interval {_ARRAY}, got 4"),
+        ("minimize", {"jumps": 0.5}, f"jumps {_ARRAY}, got 0.5"),
+        ("minimize", {"interval": 4}, f"interval {_ARRAY}, got 4"),
+        ("minimize", {"interval": [-4, 0, 4]}, "interval must have 2 entries, got 3"),
+        ("supercritical", {"lambda_grid": 0.5}, f"lambda_grid {_ARRAY}, got 0.5"),
+        ("supercritical", {"lambda_grid": "ab"}, f"lambda_grid {_ARRAY}, got 'ab'"),
+        ("supercritical", {"lambda_grid": [True]}, f"lambda_grid {_ARRAY}, got [True]"),
+        ("supercritical", {"amplitudes": 1.0}, f"amplitudes {_ARRAY}, got 1.0"),
+        ("supercritical", {"interval": 1.0}, f"interval {_ARRAY}, got 1.0"),
+    ],
+)
+def test_list_valued_key_of_another_type_is_a_usage_error(
+    tmp_path, capsys, command, setting, message
+):
+    # each command checks its list-valued keys before any work
+    required = {
+        "gamma-sweep": {},
+        "minimize": {"epsilon": 0.25},
+        "supercritical": {"lambda_grid": [0.5], "epsilon": 0.0625},
+    }[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**required, **setting}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", str(path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hophase: error: {message}\n"

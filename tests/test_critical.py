@@ -317,9 +317,28 @@ class TestQuotientNewton:
         k = np.arange(critical.POLY_DEGREE + 1)
         return np.cos(3.0 * k) / (1.0 + k)
 
-    def test_one_two_column_solve_per_factorization(self, quartic, monkeypatch):
-        # the border U = [-g, -gD] repeats the right-hand side -g, which is
-        # solved once
+    def test_newton_matrix_is_the_derivative_of_the_gradient(self, quartic):
+        # the dense quotient Hessian, read back from its full band, against
+        # central differences of the quotient gradient
+        _, (_, grad, system) = self.kernel_and_functions(quartic)
+        rng = np.random.default_rng(5)
+        m, h = critical.POLY_DEGREE + 1, 1e-5
+        vectors = [self.coefficients()] + [
+            rng.normal(0.0, 1.0, m) / (1.0 + np.arange(m)) for _ in range(2)
+        ]
+        for v in vectors:
+            s = system(v)
+            assert (s.lo, s.up, s.c) == (m - 1, m - 1, None)
+            i, j = np.indices((m, m))
+            H = s.ab[m - 1 + i - j, j]
+            fd = np.column_stack([
+                (grad(v + h * e) - grad(v - h * e)) / (2.0 * h) for e in np.eye(m)
+            ])
+            np.testing.assert_allclose(H, fd, rtol=1e-6)
+
+    def test_one_gbsv_per_factorization(self, quartic, monkeypatch):
+        # the quotient's dense Hessian is solved for the right-hand side
+        # alone, the mass-bordered Hessian for it and the constraint row
         from hophase import _solvers
         from hophase.critical import _minimize_quotient
 
@@ -333,6 +352,17 @@ class TestQuotientNewton:
         kernel, functions = self.kernel_and_functions(quartic)
         _, info = _minimize_quotient(functions, self.coefficients(), 50, gtol=1e-12)
         assert info.newton_iterations > 0
+        assert calls and set(calls) == {1}
+        assert info.factorizations == len(calls)
+
+        calls.clear()
+        grid, eps = Grid(-2.0, 2.0, 257), 0.25
+        x = grid.nodes()
+        _, info, _, converged = DiscreteEnergy(grid, 2).minimize(
+            np.tanh(x / eps) + 0.1 * np.sin(3.0 * x), quartic,
+            (1.0 / eps, -0.01 * eps, eps**3), 1e-7, 50, hold_mass=True,
+        )
+        assert converged and info.newton_iterations > 0
         assert calls and set(calls) == {2}
         assert info.factorizations == len(calls)
 

@@ -31,18 +31,14 @@ def hess_matrix(x, lam=0.0):
     return sp.diags(3.0 * x**2 - 1.0 - 2.0 * lam) + LAP
 
 
-def as_system(H, m=M):
-    """A sparse matrix of size m + k as the driver's BandedSystem: the
-    leading m x m block in band storage (through the kernel's scatter),
-    the k border rows and columns dense."""
-    k = H.shape[0] - m
-    lead = H if k == 0 else sp.csr_matrix(H)[:m, :m]
-    coo = lead.tocoo()
+def as_system(H, c=None):
+    """The sparse matrix H as the BandedSystem of damped_newton: H in band
+    storage (through the kernel's scatter), with the constraint row c if
+    given."""
+    coo = H.tocoo()
     offset = coo.col - coo.row
     lo, up = -int(offset.min(initial=0)), int(offset.max(initial=0))
-    dense = H.toarray()
-    border = (dense[:m, m:], dense[m:, :m], dense[m:, m:]) if k else ()
-    return BandedSystem(to_band(lead, lo, up), lo, *border)
+    return BandedSystem(to_band(H, lo, up), lo, c)
 
 
 def hess(x, lam=0.0):
@@ -69,11 +65,10 @@ def test_converges_and_records_history():
 def test_bordered_step_holds_the_constraint():
     q = np.full(M, 1.0 / M)
     proj = lambda g: g - (q @ g) / (q @ q) * q
-    border = sp.csc_matrix(q[:, None])
     x, info = damped_newton(
         fun,
         lambda x: proj(grad(x)),
-        lambda x: as_system(sp.bmat([[hess_matrix(x), border], [border.T, None]])),
+        lambda x: as_system(hess_matrix(x), q),
         X0,
         line=differenced(fun),
         gtol=1e-10,
@@ -84,28 +79,6 @@ def test_bordered_step_holds_the_constraint():
     # unconstrained, the mean drifts to a well
     free, _ = damped_newton(fun, grad, hess, X0, line=differenced(fun), gtol=1e-10)
     assert abs(q @ free - q @ X0) > 1e-3
-
-
-def test_low_rank_border_solves_with_the_update():
-    # f = x.(A + b b^T)x / 2 - r.x: the border [[A, b], [b^T, -1]] solves
-    # with A + b b^T, so one full step from 0 lands on the dense solution
-    A = LAP + 2.0 * sp.identity(M)
-    b = np.cos(np.arange(M))
-    r = np.linspace(1.0, 2.0, M)
-    dense = A.toarray() + np.outer(b, b)
-    border = sp.csc_matrix(b[:, None])
-    energy = lambda x: 0.5 * x @ (dense @ x) - r @ x
-    x, info = damped_newton(
-        energy,
-        lambda x: dense @ x - r,
-        lambda x: as_system(sp.bmat([[A, border], [border.T, -sp.identity(1)]])),
-        np.zeros(M),
-        line=differenced(energy),
-        maxiter=1,
-    )
-    assert info.newton_iterations == 1
-    assert info.history[0]["step"] == 1.0
-    np.testing.assert_allclose(x, np.linalg.solve(dense, r), rtol=1e-12)
 
 
 def test_divergence_floor_stops_newton():
@@ -220,13 +193,22 @@ def shifted(dense, m, tau):
     return out
 
 
-def assert_solves(H, m, rhs, taus=(0.0, 0.3)):
-    system = as_system(H, m)
-    dense = H.toarray()
-    padded = np.pad(rhs, (0, H.shape[0] - m))
+def bordered(A, c):
+    """The dense matrix [[A, c], [c^T, 0]]."""
+    return np.block([[A, c[:, None]], [c[None, :], np.zeros((1, 1))]])
+
+
+def assert_solves(H, rhs, c=None, taus=(0.0, 0.3)):
+    system = as_system(H, c)
+    dense = H.toarray() if c is None else bordered(H.toarray(), c)
+    padded = np.pad(rhs, (0, dense.shape[0] - len(rhs)))
     for tau in taus:
-        expected = np.linalg.solve(shifted(dense, m, tau), padded)[:m]
-        np.testing.assert_allclose(system.solve(rhs, tau), expected, rtol=1e-10)
+        expected = np.linalg.solve(shifted(dense, len(rhs), tau), padded)[:len(rhs)]
+        d = system.solve(rhs, tau)
+        np.testing.assert_allclose(d, expected, rtol=1e-10)
+        if c is not None:
+            # the step keeps c . x: c . d vanishes to roundoff
+            assert abs(c @ d) <= 1e-14 * np.abs(c) @ np.abs(d)
     return system
 
 
@@ -237,7 +219,7 @@ def test_banded_step_with_unequal_bandwidths():
     diags[3] += 8.0  # diagonally dominant, so the dense solve is accurate
     H = sp.diags(diags, offsets, format="csr")
     rhs = rng.normal(size=M)
-    system = assert_solves(H, M, rhs)
+    system = assert_solves(H, rhs)
     assert (system.lo, system.up) == (3, 1)
     # every entry stored twice at half its value: duplicates add up
     dup = sp.csr_matrix(
@@ -246,7 +228,7 @@ def test_banded_step_with_unequal_bandwidths():
     )
     assert not dup.has_canonical_format
     np.testing.assert_array_equal(to_band(dup, 3, 1), system.ab)
-    assert_solves(dup, M, rhs)
+    assert_solves(dup, rhs)
     with pytest.raises(ValueError, match="outside the band"):
         to_band(H, 2, 1)
 
@@ -262,25 +244,21 @@ def test_singular_leading_block_raises_until_shifted():
 
 def test_banded_step_with_the_mass_border():
     q = np.full(M, 1.0 / M)
-    border = sp.csc_matrix(q[:, None])
     # hess(X0) is indefinite: W'' < 0 between the wells
     assert np.linalg.eigvalsh(hess_matrix(X0).toarray()).min() < 0
-    H = sp.bmat([[hess_matrix(X0), border], [border.T, None]])
-    system = assert_solves(H, M, -grad(X0))
-    assert system.E.shape == (1, 1)
+    system = assert_solves(hess_matrix(X0), -grad(X0), q)
+    assert system.c is q
 
 
-def test_banded_step_with_the_rank_two_border():
-    rng = np.random.default_rng(1)
-    H0 = LAP - 0.5 * sp.identity(M)  # eigenvalues on both sides of 0
-    eig = np.linalg.eigvalsh(H0.toarray())
-    assert eig.min() < 0 < eig.max()
-    U = sp.csc_matrix(rng.normal(size=(M, 2)))
-    V = sp.csc_matrix(rng.normal(size=(M, 2)))
-    H = sp.bmat([[H0, U], [V.T, -sp.identity(2)]], format="csc")
-    system = assert_solves(H, M, rng.normal(size=M))
-    assert (system.lo, system.up) == (1, 1)
-    assert system.B.shape == (M, 2) and system.C.shape == (2, M)
+def test_a_constraint_with_a_vanishing_schur_complement_raises():
+    # c^T A^-1 c = 1 - 1 + 0 = 0 for A = diag(1, -1, 2, ...) and c = e_0 + e_1
+    A = sp.diags(np.r_[1.0, -1.0, np.full(M - 2, 2.0)])
+    c = np.r_[1.0, 1.0, np.zeros(M - 2)]
+    system = as_system(A, c)
+    with pytest.raises(LinAlgError, match="Schur"):
+        system.solve(np.ones(M))
+    # the shifted block has c^T (A + tau I)^-1 c != 0
+    assert np.all(np.isfinite(system.solve(np.ones(M), 0.5)))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -353,22 +331,21 @@ def test_to_band_matches_the_dense_band_in_every_format(upper_only):
 
 def plain_solve(system, rhs, tau):
     """The bordered solve without the repeated-work savings: a C-ordered
-    band buffer, column_stack([rhs, B]) for gbsv and np.linalg.solve for
-    the Schur step."""
-    lo, up = system.lo, system.up
+    band buffer, column_stack([rhs, c]) for gbsv and np.linalg.solve for
+    the 1 x 1 Schur step."""
+    lo, up, c = system.lo, system.up, system.c
     ab = np.empty((2 * lo + up + 1, system.ab.shape[1]))
     ab[:lo] = 0.0
     ab[lo:] = system.ab
     ab[lo + up] += tau
-    k = system.E.shape[0]
-    cols = np.column_stack([rhs, system.B]) if k else rhs
+    cols = rhs if c is None else np.column_stack([rhs, c])
     _, _, sol, info = dgbsv(lo, up, ab, cols, overwrite_ab=True)
     assert info == 0
-    if not k:
+    if c is None:
         return sol
-    y, Z = sol[:, 0], sol[:, 1:]
-    mu = np.linalg.solve(system.E - system.C @ Z, -system.C @ y)
-    return y - Z @ mu
+    y, z = sol[:, 0], sol[:, 1:]
+    mu = np.linalg.solve(-c[None, :] @ z, -c[None, :] @ y)
+    return y - z @ mu
 
 
 def counted_gbsv(monkeypatch):
@@ -389,20 +366,14 @@ def test_solve_matches_the_plain_solve(n, quartic):
     kernel = DiscreteEnergy(grid, n)
     u = np.tanh(grid.nodes())
     ab, b = kernel.hess(u, quartic, (1.0, -0.01, 1.0)), kernel.bandwidth
-    rhs = np.cos(grid.nodes())
-    q = kernel.q
-    g, gD = np.sin(grid.nodes()), kernel.K_low @ u
+    rhs, g = np.cos(grid.nodes()), np.sin(grid.nodes())
     systems = [
         # no border: the same gbsv call, so the same bits
         (BandedSystem(ab, b), 0.0),
-        # the mass border, and the quotient's rank-2 border with and without
-        # the right-hand side as its first column: the Schur step runs on
-        # scipy's LAPACK, not numpy's
-        (BandedSystem(ab, b, q[:, None], q[None, :], np.zeros((1, 1))), 1e-15),
+        # the mass border: the Schur step is a scalar division, not
+        # numpy's LAPACK solve
+        (BandedSystem(ab, b, kernel.q), 1e-15),
     ]
-    for first in (-g, rhs):
-        B = np.column_stack([first, -gD])
-        systems.append((BandedSystem(ab, b, B, B[:, ::-1].T, -np.eye(2)), 1e-15))
     for system, rtol in systems:
         for tau in (0.0, 1e-3, 10.0):
             for r in (rhs, -g):
