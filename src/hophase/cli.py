@@ -3,22 +3,24 @@ Command-line front end.  Every subcommand prints a JSON summary to
 stdout; with --out DIR the summary and any field artifacts (minimizer or
 witness CSVs, sweep tables) are also written into DIR.
 
-    hophase hermite       --n 3 --y "0.5,0,0" [--kind zeta|eta]
-    hophase profile       --n 2 --lambda 0.017 [--T 10 --points 2001]
-    hophase lambda-n      --n 2 [--seed 0 --points 501]
+    hophase hermite       --y "0.5,0,0" [--kind zeta|eta]
+    hophase profile       --n 2 --lambda 0.017 [--T T --points N --slack S]
+    hophase lambda-n      --n 2 [--seed S --points N]
     hophase check-ineq    --which intlem [--count 500 --seed 0 ...]
     hophase minimize      --config cfg.json [--seed S]
     hophase gamma-sweep   --config cfg.json
     hophase supercritical --config cfg.json
 
 The three config-driven commands take a JSON file; unknown and missing
-keys are rejected so typos fail loudly.  See the README for the schemas.
+keys and values of another JSON type are rejected so typos fail loudly.
+An option or key left out takes the library's default.  See the README
+for the schemas.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Optional
 
@@ -44,7 +46,9 @@ from .inequalities import (
     ensemble_check,
 )
 from .potentials import get_potential
-from .profiles import ProfileProblem, build_recovery, estimate_constants, minimize_profile
+from .profiles import (
+    JumpFunction, ProfileProblem, build_recovery, estimate_constants, minimize_profile,
+)
 from .ensembles import random_field
 
 __all__ = ["main"]
@@ -73,8 +77,8 @@ def _emit(payload: dict, out: Optional[str], stem: str) -> None:
         (d / f"{stem}.json").write_text(text + "\n")
 
 
-def _write_field(f: Field, out: Optional[str], stem: str) -> Optional[str]:
-    if out is None:
+def _write_field(f: Optional[Field], out: Optional[str], stem: str) -> Optional[str]:
+    if out is None or f is None:
         return None
     d = Path(out)
     d.mkdir(parents=True, exist_ok=True)
@@ -95,20 +99,56 @@ def _read_text(path: str, what: str) -> str:
     raise ValueError(f"cannot read {what} {path!r}: {reason}")
 
 
-#: the list-valued config keys, with the number of entries each must have
-#: (None: any number)
-_LIST_KEYS = {
-    "interval": 2, "jumps": None, "eps_schedule": None, "lambda_grid": None,
-    "amplitudes": None,
+def _given(source: dict, keys) -> dict:
+    """The entries of source under keys: what the user gave, passed on so
+    that the API's own defaults fill in the rest."""
+    return {key: source[key] for key in keys if key in source}
+
+
+#: the JSON type of every config key: "integer", "number", "string",
+#: "boolean", "array" (of numbers) or "pair" (an array of two numbers), and
+#: "?" where null is allowed because the API default is None
+_CONFIG_TYPES = {
+    "n": "integer", "epsilon": "number", "lam": "number", "potential": "string",
+    "interval": "pair", "num_points": "integer", "init": "string",
+    "jumps": "array", "left_value": "number", "mass": "number?",
+    "gtol": "number", "maxiter": "integer", "divergence_floor": "number?",
+    "profile_T": "number", "profile_points": "integer", "seed": "integer",
+    "eps_schedule": "array", "points_per_eps_width": "integer",
+    "mass_constraint": "number?", "output_dir": "string?",
+    "lambda_hat": "number?", "lambda_grid": "array", "k_max": "integer",
+    "amplitudes": "array", "free_minimization": "boolean",
 }
+
+
+def _typed(key: str, value):
+    """value as config key is passed on: a number as a float, an array as a
+    tuple of floats.  A value of another JSON type than `_CONFIG_TYPES`
+    gives the key is a ValueError that names the key."""
+    kind = _CONFIG_TYPES[key]
+    if value is None and kind.endswith("?"):
+        return None
+    base = kind.rstrip("?")
+    number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+    if base in ("array", "pair"):
+        if not (isinstance(value, list) and all(map(number, value))):
+            raise ValueError(f"{key} must be a JSON array of numbers, got {value!r}")
+        if base == "pair" and len(value) != 2:
+            raise ValueError(f"{key} must have 2 entries, got {len(value)}")
+        return tuple(map(float, value))
+    expected = dict(integer=int, number=(int, float), string=str, boolean=bool)[base]
+    # a JSON true is a Python int, but no integer or number
+    if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
+        what = kind.replace("?", " or null")
+        raise ValueError(f"{key} must be a JSON {what}, got {value!r}")
+    return float(value) if base == "number" else value
 
 
 def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
     """The JSON object in the config file at path, with "lambda" renamed
-    "lam" and each list-valued key (`_LIST_KEYS`) as a tuple.  An
-    unreadable file, invalid JSON, a key outside allowed, a missing
-    required key and a list-valued key that is not an array of numbers of
-    its length are each a ValueError that names it."""
+    "lam" and each value read by `_typed`.  An unreadable file, invalid
+    JSON, a key outside allowed, a missing required key and a value of
+    another JSON type are each a ValueError that names it."""
     try:
         cfg = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
@@ -123,16 +163,7 @@ def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
     missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
-    for key in [key for key in _LIST_KEYS if key in cfg]:
-        value, length = cfg[key], _LIST_KEYS[key]
-        if not isinstance(value, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-        ):
-            raise ValueError(f"{key} must be a JSON array of numbers, got {value!r}")
-        if length is not None and len(value) != length:
-            raise ValueError(f"{key} must have {length} entries, got {len(value)}")
-        cfg[key] = tuple(value)
-    return cfg
+    return {key: _typed(key, value) for key, value in cfg.items()}
 
 
 def _cmd_hermite(args) -> int:
@@ -154,14 +185,10 @@ def _cmd_hermite(args) -> int:
 def _cmd_profile(args) -> int:
     w = get_potential(args.potential)
     est = estimate_constants(
-        args.n,
-        args.lam,
-        w,
-        truncation_T=args.T,
-        num_points=args.points,
-        lambda_hat=args.lambda_hat,
-        slack=args.slack,
+        args.n, args.lam, w,
+        **_given(vars(args), ("truncation_T", "num_points", "lambda_hat", "slack")),
     )
+    grid = est.result_0.minimizer.grid  # (-truncation_T, truncation_T)
     payload = {
         "n": args.n,
         "lambda": args.lam,
@@ -177,8 +204,8 @@ def _cmd_profile(args) -> int:
             "gradient_norm_lam": est.result_lam.gradient_norm_final,
             "gradient_floor_0": est.result_0.gradient_floor,
             "gradient_floor_lam": est.result_lam.gradient_floor,
-            "truncation_T": args.T,
-            "num_points": args.points,
+            "truncation_T": grid.b,
+            "num_points": grid.num_points,
         },
         "minimizer_csv_path": _write_field(
             est.result_lam.minimizer, args.out, f"profile_n{args.n}_lam"
@@ -194,14 +221,12 @@ def _cmd_profile(args) -> int:
 def _cmd_lambda_n(args) -> int:
     w = get_potential(args.potential)
     est = estimate_lambda_n(
-        args.n, w, LambdaOptions(num_points=args.points, seed=args.seed)
+        args.n, w, LambdaOptions(**_given(vars(args), ("num_points", "seed")))
     )
     payload = {
         "n": args.n,
         "lambda_hat": est.value,
-        "argmin_csv_path": _write_field(
-            est.witness, args.out, f"lambda_argmin_n{args.n}"
-        ),
+        "argmin_csv_path": _write_field(est.witness, args.out, f"lambda_argmin_n{args.n}"),
         "per_start": est.per_start,
         "diagnostics": est.diagnostics,
     }
@@ -283,11 +308,7 @@ def _cmd_check_ineq(args) -> int:
         "worst_index": rep.worst_index,
         "witness_description": rep.witness_description,
         "empirical_constant": rep.empirical_constant,
-        "witness_csv_path": (
-            _write_field(rep.witness, args.out, f"witness_{which}")
-            if rep.witness is not None
-            else None
-        ),
+        "witness_csv_path": _write_field(rep.witness, args.out, f"witness_{which}"),
     }
     _emit(payload, args.out, f"check_{which}")
     return 0
@@ -306,53 +327,39 @@ _GRID_KEYS = {"interval", "num_points"}
 
 def _cmd_minimize(args) -> int:
     cfg = _load_config(args.config, _MINIMIZE_KEYS, required=("epsilon",))
-    n = int(cfg.get("n", 2))
-    eps = float(cfg["epsilon"])
+    n, eps, lam = cfg.get("n", 2), cfg["epsilon"], cfg.get("lam", 0.0)
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
-    lam = float(cfg.get("lam", 0.0))
     w = get_potential(cfg.get("potential", "quartic"))
     a, b = cfg.get("interval", (-4.0, 4.0))
-    num_points = int(cfg.get("num_points", round((b - a) / (eps / 32)) + 1))
+    num_points = cfg.get("num_points", round((b - a) / (eps / 32)) + 1)
     seed = args.seed if args.seed is not None else cfg.get("seed")
 
     init_spec = cfg.get("init", "recovery")
     if seed is not None and init_spec != "random":
-        raise ValueError(
-            f"a seed acts only with init 'random', not with {init_spec!r}"
-        )
+        raise ValueError(f"a seed acts only with init 'random', not with {init_spec!r}")
     unread = set(cfg) & {"recovery": set(), "random": _RECOVERY_KEYS}.get(
         init_spec, _RECOVERY_KEYS | _GRID_KEYS
     )
     if unread:
         raise ValueError(f"init {init_spec!r} does not read {sorted(unread)}")
     if init_spec == "recovery":
-        from .profiles import JumpFunction
-
-        jump_fn = JumpFunction(
-            a, b, cfg.get("jumps", (0.0,)), cfg.get("left_value", -1.0)
-        )
+        jumps, left = cfg.get("jumps", (0.0,)), cfg.get("left_value", -1.0)
+        jump_fn = JumpFunction(a, b, jumps, left)
         T, points = cfg.get("profile_T", 5.0), cfg.get("profile_points", 2001)
         prof = minimize_profile(ProfileProblem(n, lam, T, points, w))
         # the recovery's grid is the configured one: num_points over the interval
         ppe = (num_points - 1) * eps / (b - a)
         init = build_recovery(jump_fn, prof.minimizer, eps, ppe)
     elif init_spec == "random":
-        rng = np.random.default_rng(int(seed or 0))
+        rng = np.random.default_rng(seed or 0)
         init = random_field(Grid(a, b, num_points), rng, "fourier")
     else:
         init = field_from_csv(_read_text(init_spec, "init"))
 
     res = minimize_energy(
-        n,
-        eps,
-        lam,
-        init,
-        w,
-        mass=cfg.get("mass"),
-        gtol=cfg.get("gtol", 1e-7),
-        maxiter=cfg.get("maxiter", 2000),
-        divergence_floor=cfg.get("divergence_floor"),
+        n, eps, lam, init, w,
+        **_given(cfg, ("mass", "gtol", "maxiter", "divergence_floor")),
     )
     payload = {
         "n": n,
@@ -372,11 +379,7 @@ def _cmd_minimize(args) -> int:
     return 0
 
 
-_SWEEP_KEYS = {
-    "n", "lam", "potential", "interval", "jumps", "left_value",
-    "eps_schedule", "points_per_eps_width", "mass_constraint", "output_dir",
-    "profile_T", "profile_points", "lambda_hat",
-}
+_SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
 
 
 def _cmd_gamma_sweep(args) -> int:
@@ -388,24 +391,19 @@ def _cmd_gamma_sweep(args) -> int:
     return 0
 
 
-_SUPER_KEYS = {
-    "n", "lambda_grid", "epsilon", "potential", "interval",
-    "points_per_eps_width", "k_max", "amplitudes", "free_minimization",
-}
+#: the supercritical keys that supercritical_probe takes as they are
+_PROBE_KEYS = (
+    "interval", "points_per_eps_width", "k_max", "amplitudes", "free_minimization",
+)
+_SUPER_KEYS = {"n", "lambda_grid", "epsilon", "potential", *_PROBE_KEYS}
 
 
 def _cmd_supercritical(args) -> int:
     cfg = _load_config(args.config, _SUPER_KEYS, required=("lambda_grid", "epsilon"))
     rep = supercritical_probe(
-        n=int(cfg.get("n", 2)),
-        lambda_grid=cfg["lambda_grid"],
-        eps=float(cfg["epsilon"]),
-        w=get_potential(cfg.get("potential", "quartic")),
-        interval=cfg.get("interval", (0.0, 1.0)),
-        points_per_eps_width=int(cfg.get("points_per_eps_width", 32)),
-        k_max=int(cfg.get("k_max", 64)),
-        amplitudes=cfg.get("amplitudes", (0.6, 0.9, 1.0, 1.2, 1.5)),
-        free_minimization=bool(cfg.get("free_minimization", True)),
+        cfg.get("n", 2), cfg["lambda_grid"], cfg["epsilon"],
+        get_potential(cfg.get("potential", "quartic")),
+        **_given(cfg, _PROBE_KEYS),
     )
     _emit(asdict(rep), args.out, f"supercritical_n{rep.n}")
     return 0
@@ -423,28 +421,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
 
     p = sub.add_parser("hermite", help="solve one coupling-polynomial system")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--y", required=True, help="comma-separated boundary data y_0..y_{n-1}")
     p.add_argument("--kind", choices=("zeta", "eta"), default="zeta")
     common(p)
     p.set_defaults(func=_cmd_hermite)
 
+    # default SUPPRESS: an option not given stays out of args; the API default applies
     p = sub.add_parser("profile", help="optimal-profile constants at lambda = 0 and lambda")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--potential", default="quartic")
-    p.add_argument("--T", type=float, default=10.0, help="truncation half-width")
-    p.add_argument("--points", type=int, default=2001)
-    p.add_argument("--slack", type=float, default=0.02)
-    p.add_argument("--lambda-hat", type=float, default=None)
+    p.add_argument("--T", dest="truncation_T", type=float, default=argparse.SUPPRESS,
+                   help="truncation half-width")
+    p.add_argument("--points", dest="num_points", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--slack", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--lambda-hat", type=float, default=argparse.SUPPRESS)
     common(p)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser("lambda-n", help="estimate the critical constant lambda_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--potential", default="quartic")
-    p.add_argument("--points", type=int, default=501)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--points", dest="num_points", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common(p)
     p.set_defaults(func=_cmd_lambda_n)
 

@@ -208,10 +208,14 @@ def estimate_constants(
     and check the sandwich bounds within the given slack.
 
     lam must sit strictly below lambda_hat (subcritical); lambda_hat is
-    estimated on demand when not supplied and lam > 0.
+    estimated on demand when not supplied and lam > 0.  A negative or
+    non-finite slack, under which the sandwich verdict means nothing, is a
+    ValueError.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
+    if not (np.isfinite(slack) and slack >= 0):
+        raise ValueError(f"slack must be finite and >= 0, got {slack}")
     if lambda_hat is None:
         lambda_hat = estimate_lambda_n(n, w).value if lam > 0 else np.inf
     if lam > 0 and lam >= lambda_hat:

@@ -4,6 +4,7 @@ Each subcommand is driven through ``hophase.cli.main`` with an artifact
 directory; stdout must be valid JSON and the promised files must appear.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from hophase import (
     cli,
     field_from_csv,
     field_to_csv,
+    LambdaOptions,
     make_quartic,
     quotient,
 )
@@ -46,7 +48,7 @@ class TestHermite:
     def test_zeta_solution(self, tmp_path, capsys):
         rc, payload = run(
             capsys,
-            ["hermite", "--n", "3", "--y", "0.5,0,0", "--out", str(tmp_path)],
+            ["hermite", "--y", "0.5,0,0", "--out", str(tmp_path)],
         )
         assert rc == 0
         assert payload["n"] == 3
@@ -56,8 +58,15 @@ class TestHermite:
         saved = json.loads((tmp_path / "hermite_zeta_n3.json").read_text())
         assert saved == payload
 
+    def test_n_option_is_gone(self, capsys):
+        # n is the number of boundary values; a separate --n was never read
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["hermite", "--n", "3", "--y", "1,2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+
     def test_eta_known_cubic(self, capsys):
-        rc, payload = run(capsys, ["hermite", "--n", "2", "--y", "1,0", "--kind", "eta"])
+        rc, payload = run(capsys, ["hermite", "--y", "1,0", "--kind", "eta"])
         assert rc == 0
         assert payload["coefficients"] == [-1.0, 0.0, 6.0, -4.0]
         assert payload["exact_coefficients"] == ["-1", "0", "6", "-4"]
@@ -89,6 +98,17 @@ class TestProfile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "hophase: error: profile grid needs at least 400 points\n"
+
+    @pytest.mark.parametrize("slack", ["-1", "nan"])
+    def test_negative_or_non_finite_slack_is_a_usage_error(self, capsys, slack):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["profile", "--n", "2", "--slack", slack])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"hophase: error: slack must be finite and >= 0, got {float(slack)}\n"
+        )
 
     def test_derivative_order_beyond_stencils_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -473,7 +493,7 @@ class TestMinimize:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["hermite", "--n", "2", "--y", "1,0"],
+        ["hermite", "--y", "1,0"],
         ["profile", "--n", "2"],
         ["supercritical", "--config", "cfg.json"],
         ["gamma-sweep", "--config", "cfg.json"],
@@ -683,6 +703,12 @@ def test_list_valued_key_of_another_type_is_a_usage_error(
     tmp_path, capsys, command, setting, message
 ):
     # each command checks its list-valued keys before any work
+    assert config_error(tmp_path, capsys, command, setting) == message
+
+
+def config_error(tmp_path, capsys, command, setting):
+    """The one error line of command run on a config of its required keys
+    updated by setting, after checking that it exits 2 and prints nothing."""
     required = {
         "gamma-sweep": {},
         "minimize": {"epsilon": 0.25},
@@ -695,4 +721,117 @@ def test_list_valued_key_of_another_type_is_a_usage_error(
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"hophase: error: {message}\n"
+    prefix = "hophase: error: "
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    return captured.err[len(prefix):-1]
+
+
+_INT, _NUM = "must be a JSON integer", "must be a JSON number"
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        ("minimize", {"epsilon": [0.25]}, f"epsilon {_NUM}, got [0.25]"),
+        ("minimize", {"mass": "x"}, f"mass {_NUM} or null, got 'x'"),
+        ("minimize", {"n": 2.5}, f"n {_INT}, got 2.5"),
+        ("minimize", {"n": 2.0}, f"n {_INT}, got 2.0"),
+        ("minimize", {"maxiter": 1.5}, f"maxiter {_INT}, got 1.5"),
+        ("minimize", {"init": "random", "seed": 1.5}, f"seed {_INT}, got 1.5"),
+        ("minimize", {"gtol": None}, f"gtol {_NUM}, got None"),
+        ("minimize", {"lambda": True}, f"lam {_NUM}, got True"),
+        ("minimize", {"potential": 4}, "potential must be a JSON string, got 4"),
+        ("gamma-sweep", {"n": "2"}, f"n {_INT}, got '2'"),
+        ("gamma-sweep", {"points_per_eps_width": "16"},
+         f"points_per_eps_width {_INT}, got '16'"),
+        ("gamma-sweep", {"output_dir": 3},
+         "output_dir must be a JSON string or null, got 3"),
+        ("gamma-sweep", {"profile_points": True}, f"profile_points {_INT}, got True"),
+        ("supercritical", {"k_max": 2.5}, f"k_max {_INT}, got 2.5"),
+        ("supercritical", {"free_minimization": "no"},
+         "free_minimization must be a JSON boolean, got 'no'"),
+        ("supercritical", {"free_minimization": 0},
+         "free_minimization must be a JSON boolean, got 0"),
+        ("supercritical", {"epsilon": "0.0625"}, f"epsilon {_NUM}, got '0.0625'"),
+    ],
+)
+def test_scalar_key_of_another_type_is_a_usage_error(
+    tmp_path, capsys, command, setting, message
+):
+    # a value is never cast: int() once ran n = 2.5 as 2, bool() ran "no" as true
+    assert config_error(tmp_path, capsys, command, setting) == message
+
+
+def test_every_config_key_has_a_json_type():
+    keys = cli._MINIMIZE_KEYS | cli._SWEEP_KEYS | cli._SUPER_KEYS
+    assert keys == set(cli._CONFIG_TYPES)
+
+
+class _Called(Exception):
+    """Raised by the stand-in for an API function once it has recorded a call."""
+
+
+def api_call(monkeypatch, tmp_path, api, argv, cfg=None):
+    """The arguments, as bound to api's signature, with which main(argv)
+    calls the API function api; cfg, if given, is the --config object."""
+    signature, calls = inspect.signature(getattr(cli, api)), []
+
+    def record(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        raise _Called
+
+    monkeypatch.setattr(cli, api, record)
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(_Called):
+        cli.main(argv)
+    (arguments,) = calls
+    return arguments, signature
+
+
+_RANDOM_INIT = {"epsilon": 0.25, "init": "random", "num_points": 65}
+_PROBE = {"lambda_grid": [0.5], "epsilon": 0.0625}
+
+
+@pytest.mark.parametrize(
+    "api, argv, cfg, knobs",
+    [
+        ("estimate_constants", ["profile", "--n", "2"], None, {}),
+        ("estimate_constants", ["profile", "--n", "2", "--T", "6", "--slack", "0"],
+         None, {"truncation_T": 6.0, "slack": 0.0}),
+        ("estimate_lambda_n", ["lambda-n", "--n", "2"], None,
+         {"opts": LambdaOptions()}),
+        ("estimate_lambda_n", ["lambda-n", "--n", "2", "--seed", "4"], None,
+         {"opts": LambdaOptions(seed=4)}),
+        ("minimize_energy", ["minimize"], _RANDOM_INIT, {}),
+        ("minimize_energy", ["minimize"], {**_RANDOM_INIT, "maxiter": 7, "mass": None},
+         {"maxiter": 7, "mass": None}),
+        ("supercritical_probe", ["supercritical"], _PROBE, {}),
+        ("supercritical_probe", ["supercritical"],
+         {**_PROBE, "k_max": 3, "interval": [0, 2]},
+         {"k_max": 3, "interval": (0.0, 2.0)}),
+    ],
+)
+def test_api_defaults_fill_what_is_not_given(
+    monkeypatch, tmp_path, api, argv, cfg, knobs
+):
+    # the CLI passes on only the options and keys given, and restates no
+    # default of the API; a null reaches it as None
+    arguments, signature = api_call(monkeypatch, tmp_path, api, argv, cfg)
+    passed = {
+        key: value for key, value in arguments.items()
+        if signature.parameters[key].default is not inspect.Parameter.empty
+    }
+    assert passed == knobs
+
+
+def test_numbers_given_as_json_integers_are_floats(monkeypatch, tmp_path):
+    cfg = {"lambda_grid": [1, 2], "epsilon": 1, "interval": [0, 2]}
+    arguments, _ = api_call(
+        monkeypatch, tmp_path, "supercritical_probe", ["supercritical"], cfg
+    )
+    values = [*arguments["lambda_grid"], arguments["eps"], *arguments["interval"]]
+    assert values == [1.0, 2.0, 1.0, 0.0, 2.0]
+    assert all(type(x) is float for x in values)

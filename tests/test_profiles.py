@@ -209,6 +209,12 @@ class TestConstantsEstimate:
         with pytest.raises(ValueError):
             estimate_constants(2, -0.01, quartic)
 
+    @pytest.mark.parametrize("slack", [-0.01, np.nan, np.inf])
+    def test_negative_or_non_finite_slack_rejected(self, quartic, slack):
+        # under such a slack the sandwich verdict says nothing
+        with pytest.raises(ValueError, match="slack must be finite and >= 0"):
+            estimate_constants(2, 0.0, quartic, slack=slack)
+
 
 class TestJumpFunction:
     def test_evaluate_alternates_between_wells(self):
