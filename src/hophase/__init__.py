@@ -20,26 +20,19 @@ from .potentials import (
     validate_assumptions,
 )
 from .grids import (
-    DiffOperator,
     Field,
     Grid,
     derivative,
     diff_operator,
     field_from_csv,
-    field_from_json,
     field_to_csv,
-    field_to_json,
-    integrate,
     quadrature_weights,
-    resample,
     stencil_weights,
 )
 from .hermite import (
     MAX_N,
     BoundaryData,
     CouplingPolynomial,
-    binomial_matrix,
-    coefficient_matrix,
     coefficient_matrix_exact,
     coupling_energy_upper_bound,
     determinant_exact,
@@ -110,14 +103,12 @@ __all__ = [
     "DoubleWell", "AssumptionResult", "ValidationReport", "make_quartic",
     "get_potential", "validate_assumptions", "BUILTIN_POTENTIALS",
     # grids
-    "Grid", "Field", "DiffOperator", "diff_operator", "derivative",
-    "stencil_weights", "quadrature_weights", "integrate", "resample",
-    "field_to_csv", "field_from_csv", "field_to_json", "field_from_json",
+    "Grid", "Field", "diff_operator", "derivative", "stencil_weights",
+    "quadrature_weights", "field_to_csv", "field_from_csv",
     # hermite
     "MAX_N", "BoundaryData", "CouplingPolynomial", "solve_zeta", "solve_eta",
-    "eval_poly", "endpoint_residuals", "coefficient_matrix",
-    "coefficient_matrix_exact", "binomial_matrix", "determinant_exact",
-    "coupling_energy_upper_bound",
+    "eval_poly", "endpoint_residuals", "coefficient_matrix_exact",
+    "determinant_exact", "coupling_energy_upper_bound",
     # energy
     "DiscreteEnergy", "EnergyParams", "EnergyBreakdown", "evaluate",
     "evaluate_rescaled", "gradient",

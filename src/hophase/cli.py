@@ -121,10 +121,24 @@ _CONFIG_TYPES = {
 }
 
 
+def _finite(key: str, x) -> float:
+    """The JSON number x of config key as a float; an integer past the
+    float range, or a number that reads as an inf or a NaN (1e400,
+    Infinity, NaN), is a ValueError that names the key."""
+    try:
+        f = float(x)
+    except OverflowError:
+        raise ValueError(f"{key} is past the float range") from None
+    if not np.isfinite(f):
+        raise ValueError(f"{key} must be finite, got {f}")
+    return f
+
+
 def _typed(key: str, value):
-    """value as config key is passed on: a number as a float, an array as a
-    tuple of floats.  A value of another JSON type than `_CONFIG_TYPES`
-    gives the key is a ValueError that names the key."""
+    """value as config key is passed on: a number as a finite float, an
+    array as a tuple of them.  A value of another JSON type than
+    `_CONFIG_TYPES` gives the key, or a number that is no finite float, is
+    a ValueError that names the key."""
     kind = _CONFIG_TYPES[key]
     if value is None and kind.endswith("?"):
         return None
@@ -135,31 +149,34 @@ def _typed(key: str, value):
             raise ValueError(f"{key} must be a JSON array of numbers, got {value!r}")
         if base == "pair" and len(value) != 2:
             raise ValueError(f"{key} must have 2 entries, got {len(value)}")
-        return tuple(map(float, value))
+        return tuple(_finite(key, x) for x in value)
     expected = dict(integer=int, number=(int, float), string=str, boolean=bool)[base]
     # a JSON true is a Python int, but no integer or number
     if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
         what = kind.replace("?", " or null")
         raise ValueError(f"{key} must be a JSON {what}, got {value!r}")
-    return float(value) if base == "number" else value
+    return _finite(key, value) if base == "number" else value
 
 
 def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
     """The JSON object in the config file at path, with "lambda" renamed
     "lam" and each value read by `_typed`.  An unreadable file, invalid
-    JSON, a key outside allowed, a missing required key and a value of
-    another JSON type are each a ValueError that names it."""
+    JSON, a key outside allowed (as spelled: "lambda" is allowed where
+    "lam" is), both "lam" and "lambda", a missing required key and a
+    value of another JSON type are each a ValueError that names it."""
     try:
         cfg = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError("config must be a JSON object")
-    if "lambda" in cfg:
-        cfg["lam"] = cfg.pop("lambda")
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - allowed - ({"lambda"} if "lam" in allowed else set())
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    if "lambda" in cfg:
+        if "lam" in cfg:
+            raise ValueError("config gives both 'lam' and 'lambda'; give one")
+        cfg["lam"] = cfg.pop("lambda")
     missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"missing config keys: {missing}")

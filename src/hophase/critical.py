@@ -59,7 +59,6 @@ class QuotientResult:
     value: float
     numerator_parts: Tuple[float, float]
     denominator: float
-    argmin_field: Field
 
 
 class DegenerateQuotient(ValueError):
@@ -89,7 +88,6 @@ def quotient(u: Field, n: int, w: DoubleWell) -> QuotientResult:
         value=(pot + high) / den,
         numerator_parts=(pot, high),
         denominator=den,
-        argmin_field=u,
     )
 
 

@@ -18,7 +18,6 @@ three integrals for a polynomial, integrated exactly by Gauss-Legendre
 quadrature.
 """
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
@@ -53,7 +52,7 @@ class DiscreteEnergy:
     functional c_pot int W + c_low int (u^(n-1))^2 + c_high int (u^(n))^2
     with its exact gradient and Hessian, and its change along a step
     (`energy_change`), which the line search of `minimize` reads.  D_{n-1}
-    and D_n are held as their (m, m) stencil windows (`grids.DiffOperator`)
+    and D_n are held as their (m, m) stencil windows (`grids.diff_operator`)
     and applied with `grids.apply_stencil`; D_0 is the identity, the 1-tap
     window of weight 1, so n = 1 is allowed.  The quadratic forms
     K = 2 D^T diag(q) D are assembled from the windows on first use, as
@@ -65,9 +64,9 @@ class DiscreteEnergy:
         if not 1 <= n <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {n}")
         self.q = quadrature_weights(grid)
-        low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1).windows
+        low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1)
         # the stencil windows of D_{n-1} and D_n
-        self._windows = (low, diff_operator(grid, n).windows)
+        self._windows = (low, diff_operator(grid, n))
 
     @cached_property
     def K_low(self) -> sp.dia_matrix:
@@ -323,7 +322,7 @@ class _PolynomialKernel:
 
 def _gram_diagonals(windows, q, b) -> np.ndarray:
     """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
-    the stencil operator D with the (m, m) `windows` of `grids.DiffOperator`
+    the stencil operator D with the (m, m) `windows` of `grids.diff_operator`
     on the n = len(q) points: row r takes the window row starts[r] - r + m - 1
     at columns starts[r] .. starts[r] + m - 1, starts = `window_starts(n, m)`,
     consecutive in the interior, with at most m - 1 clamped rows at each
@@ -400,16 +399,6 @@ class EnergyBreakdown:
     concave_term: float
     highest_term: float
     total: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "potential_term": self.potential_term,
-                "concave_term": self.concave_term,
-                "highest_term": self.highest_term,
-                "total": self.total,
-            }
-        )
 
 
 def evaluate(u: Field, p: EnergyParams, w: DoubleWell) -> EnergyBreakdown:

@@ -1,11 +1,11 @@
 """
 Uniform-grid discretization of functions on an interval: grids, sampled
 fields, finite-difference derivative operators with one-sided boundary
-stencils, quadrature, resampling, and CSV/JSON serialization.
+stencils held as their stencil windows, trapezoid quadrature, the
+not-a-knot cubic spline, and CSV serialization.
 """
 
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -18,7 +18,6 @@ from scipy.linalg import solve_banded
 __all__ = [
     "Grid",
     "Field",
-    "DiffOperator",
     "apply_stencil",
     "apply_stencil_transpose",
     "MAX_DERIVATIVE_ORDER",
@@ -27,13 +26,9 @@ __all__ = [
     "diff_operator",
     "derivative",
     "quadrature_weights",
-    "integrate",
     "NotAKnotSpline",
-    "resample",
     "field_to_csv",
     "field_from_csv",
-    "field_to_json",
-    "field_from_json",
 ]
 
 #: highest derivative order with prebuilt stencil support
@@ -144,34 +139,6 @@ def _unit_rows(k: int, m: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class DiffOperator:
-    """k-th derivative operator on a fixed grid, held as its stencil windows.
-
-    Interior rows use centered stencils of the requested accuracy order;
-    near the boundary the stencil window shifts one-sidedly, keeping the
-    same polynomial exactness (degree <= k + accuracy_order - 1).
-
-    `windows` (shape (m, m), m = k + accuracy_order, read-only) holds the
-    weights of every window shift: row s is the window of offsets
-    s - (m - 1) .. s.  Row i of the operator takes the window row
-    starts[i] - i + m - 1 at columns starts[i] .. starts[i] + m - 1, where
-    starts = `window_starts(num_points, m)`: consecutive in the interior,
-    clamped at each end.  The windows are the operator; calling it applies
-    them with `apply_stencil`, and `apply_stencil_transpose` applies its
-    transpose.
-    """
-
-    k: int
-    accuracy_order: int
-    num_points: int
-    h: float
-    windows: np.ndarray
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return apply_stencil(self.windows, values)
-
-
 def window_starts(n: int, m: int) -> np.ndarray:
     """First columns of the m-point stencil windows of rows 0..n-1,
     clip(i - (m - 1) // 2, 0, n - m): centred on the row, clamped to the
@@ -181,7 +148,7 @@ def window_starts(n: int, m: int) -> np.ndarray:
 
 def apply_stencil(windows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """D u for the stencil operator D with the (m, m) `windows` of
-    `DiffOperator`, on len(u) points: one `np.correlate` over the rows
+    `diff_operator`, on len(u) points: one `np.correlate` over the rows
     lo .. hi - 1, lo = (m - 1) // 2 and hi = n - (m - 1 - lo), which all
     take the centred window row m - 1 - lo, between the products of the
     clamped end rows with the first and the last m samples.  An entry is
@@ -213,17 +180,24 @@ def apply_stencil_transpose(windows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def diff_operator(
-    grid: Grid, k: int, accuracy_order: int = ACCURACY_ORDER
-) -> DiffOperator:
-    """The k-th derivative operator for a grid.  The weights of each
-    window shift are built in exact rationals once per (k, accuracy_order);
-    a new grid costs one division of the m x m unit windows by h**k."""
+def diff_operator(grid: Grid, k: int) -> np.ndarray:
+    """The k-th derivative operator D for a grid, held as its stencil
+    windows: an (m, m) read-only array, m = k + `ACCURACY_ORDER`.
+
+    Interior rows use centered stencils; near the boundary the stencil
+    window shifts one-sidedly, keeping the same polynomial exactness
+    (degree <= m - 1).  Row s of the windows is the window of offsets
+    s - (m - 1) .. s.  Row i of D takes the window row starts[i] - i + m - 1
+    at columns starts[i] .. starts[i] + m - 1, where
+    starts = `window_starts(grid.num_points, m)`: consecutive in the
+    interior, clamped at each end.  `apply_stencil` applies D and
+    `apply_stencil_transpose` its transpose.
+
+    The weights of each window shift are built in exact rationals once per
+    k; a new grid costs one division of the m x m unit windows by h**k."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
-    if accuracy_order < 2:
-        raise ValueError("accuracy_order must be >= 2")
-    m = k + accuracy_order
+    m = k + ACCURACY_ORDER
     if grid.num_points < m:
         raise ValueError(
             f"grid with {grid.num_points} points too small for the order-{k} "
@@ -231,13 +205,12 @@ def diff_operator(
         )
     windows = _unit_rows(k, m) / grid.h**k
     windows.flags.writeable = False
-    return DiffOperator(k, accuracy_order, grid.num_points, grid.h, windows)
+    return windows
 
 
-def derivative(f: Field, k: int, accuracy_order: int = ACCURACY_ORDER) -> Field:
+def derivative(f: Field, k: int) -> Field:
     """Discrete k-th derivative of a field on its own grid."""
-    op = diff_operator(f.grid, k, accuracy_order)
-    return Field(f.grid, op(f.values))
+    return Field(f.grid, apply_stencil(diff_operator(f.grid, k), f.values))
 
 
 def quadrature_weights(grid: Grid) -> np.ndarray:
@@ -245,12 +218,6 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     q = np.full(grid.num_points, grid.h)
     q[0] = q[-1] = grid.h / 2
     return q
-
-
-def integrate(f: Field) -> float:
-    """Composite trapezoid quadrature of the sampled values over the grid
-    interval."""
-    return float(quadrature_weights(f.grid) @ f.values)
 
 
 class NotAKnotSpline:
@@ -310,15 +277,6 @@ class NotAKnotSpline:
         return c0 + s * (c1 + s * (c2 + s * c3))
 
 
-def resample(f: Field, new_num_points: int) -> Field:
-    """Not-a-knot cubic spline interpolation (`NotAKnotSpline`) onto a new
-    grid over the same interval."""
-    if new_num_points < 2:
-        raise ValueError("new_num_points must be >= 2")
-    new_grid = Grid(f.grid.a, f.grid.b, new_num_points)
-    return Field(new_grid, NotAKnotSpline(f)(new_grid.nodes()))
-
-
 def field_to_csv(f: Field) -> str:
     """Two-column CSV (x, value) with 17 significant digits."""
     buf = io.StringIO()
@@ -354,19 +312,3 @@ def field_from_csv(text: str) -> Field:
             f"uniform grid of {grid.num_points} points on [{grid.a!r}, {grid.b!r}]"
         )
     return Field(grid, np.array(vs))
-
-
-def field_to_json(f: Field) -> str:
-    return json.dumps(
-        {
-            "a": f.grid.a,
-            "b": f.grid.b,
-            "num_points": f.grid.num_points,
-            "values": [float(f"{v:.17g}") for v in f.values],
-        }
-    )
-
-
-def field_from_json(text: str) -> Field:
-    d = json.loads(text)
-    return Field(Grid(d["a"], d["b"], d["num_points"]), np.array(d["values"]))

@@ -29,7 +29,7 @@ for numerics.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import factorial, perm
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,10 +41,8 @@ __all__ = [
     "MAX_N",
     "BoundaryData",
     "CouplingPolynomial",
-    "coefficient_matrix",
     "coefficient_matrix_exact",
     "determinant_exact",
-    "binomial_matrix",
     "solve_zeta",
     "solve_eta",
     "eval_poly",
@@ -53,7 +51,7 @@ __all__ = [
 ]
 
 #: largest supported n; (2n-1)! for n = 8 is 1307674368000 < 2**53, so all
-#: matrix entries remain exactly representable even in the float view
+#: matrix entries are exactly representable as floats
 MAX_N = 8
 
 
@@ -121,21 +119,6 @@ def coefficient_matrix_exact(n: int) -> List[List[int]]:
         for j in range(k, size):
             M[n + k][j] = perm(j, k)
     return M
-
-
-def coefficient_matrix(n: int) -> np.ndarray:
-    """Float view of the exact system matrix."""
-    return np.array(coefficient_matrix_exact(n), dtype=float)
-
-
-def binomial_matrix(n: int) -> np.ndarray:
-    """The n x n matrix D_ij = binom(n+j-1, i-1) (1-based), det(D) = 1."""
-    if not 2 <= n <= MAX_N:
-        raise ValueError(f"n must be in [2, {MAX_N}]")
-    return np.array(
-        [[comb(n + j - 1, i - 1) for j in range(1, n + 1)] for i in range(1, n + 1)],
-        dtype=float,
-    )
 
 
 def determinant_exact(M: Sequence[Sequence[int]]) -> int:

@@ -15,7 +15,6 @@ __all__ = [
     "AssumptionResult",
     "make_quartic",
     "validate_assumptions",
-    "estimate_coercivity",
 ]
 
 
@@ -210,20 +209,3 @@ def validate_assumptions(
             )
         )
     return report
-
-
-def estimate_coercivity(
-    w: DoubleWell, range_radius: float = 3.0, samples: int = 100_000
-) -> float:
-    """Scan inf over both half-lines of W(t)/(t -+ 1)^2, a sampled upper
-    bound for the best admissible L."""
-    t = np.linspace(-range_radius, range_radius, samples)
-    ratios = np.full_like(t, np.inf)
-    pos = t > 1e-12
-    neg = t < -1e-12
-    # samples can land exactly on a well, where the ratio is 0/0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratios[pos] = w.eval(t[pos]) / (t[pos] - 1.0) ** 2
-        ratios[neg] = w.eval(t[neg]) / (t[neg] + 1.0) ** 2
-    ok = np.isfinite(ratios) & (np.abs(np.abs(t) - 1.0) > 1e-9)
-    return float(ratios[ok].min())

@@ -191,9 +191,6 @@ class ConstantsEstimate:
     result_0: ProfileResult = None
     result_lam: ProfileResult = None
 
-    def __iter__(self):
-        return iter((self.c_hat_0, self.c_hat_lam))
-
 
 def estimate_constants(
     n: int,

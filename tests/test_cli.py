@@ -762,6 +762,40 @@ def test_scalar_key_of_another_type_is_a_usage_error(
     assert config_error(tmp_path, capsys, command, setting) == message
 
 
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        # float() of an integer past the float range raises OverflowError
+        ("minimize", {"epsilon": 10**400}, "epsilon is past the float range"),
+        ("minimize", {"jumps": [0.0, -(10**400)]}, "jumps is past the float range"),
+        ("minimize", {"gtol": float("nan")}, "gtol must be finite, got nan"),
+        ("gamma-sweep", {"lambda_hat": float("inf")}, "lambda_hat must be finite, got inf"),
+        ("supercritical", {"lambda_grid": [0.5, float("-inf")]},
+         "lambda_grid must be finite, got -inf"),
+    ],
+)
+def test_number_that_is_no_finite_float_is_a_usage_error(
+    tmp_path, capsys, command, setting, message
+):
+    assert config_error(tmp_path, capsys, command, setting) == message
+
+
+@pytest.mark.parametrize(
+    "command, setting, message",
+    [
+        # the key is reported as written, not as the "lam" it is renamed to
+        ("supercritical", {"lambda": 1}, "unknown config keys: ['lambda']"),
+        # two spellings of one key: neither may silently win
+        ("minimize", {"lam": 0.0, "lambda": 0.01},
+         "config gives both 'lam' and 'lambda'; give one"),
+        ("gamma-sweep", {"lam": 0.0, "lambda": 0.01},
+         "config gives both 'lam' and 'lambda'; give one"),
+    ],
+)
+def test_lambda_key_is_checked_as_written(tmp_path, capsys, command, setting, message):
+    assert config_error(tmp_path, capsys, command, setting) == message
+
+
 def test_every_config_key_has_a_json_type():
     keys = cli._MINIMIZE_KEYS | cli._SWEEP_KEYS | cli._SUPER_KEYS
     assert keys == set(cli._CONFIG_TYPES)

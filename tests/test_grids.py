@@ -1,4 +1,5 @@
-"""Tests for grids, finite-difference operators, quadrature, and field IO."""
+"""Tests for grids, finite-difference operators, quadrature, the spline and
+field IO."""
 
 from fractions import Fraction
 from math import factorial
@@ -12,12 +13,8 @@ from hophase import (
     derivative,
     diff_operator,
     field_from_csv,
-    field_from_json,
     field_to_csv,
-    field_to_json,
-    integrate,
     quadrature_weights,
-    resample,
     stencil_weights,
 )
 from hophase import grids
@@ -155,6 +152,16 @@ def assert_within_inner_product_bound(got, D, x, bound):
         assert abs(Fraction(value) - sum(terms)) <= bound * sum(map(abs, terms)), i
 
 
+def stencil_windows(g, k, acc):
+    """The (m, m) windows of the order-k stencil of accuracy acc on g,
+    m = k + acc: `diff_operator`'s at grids.ACCURACY_ORDER, which builds
+    them as the unit windows over h**k, and built the same way at any
+    other accuracy."""
+    if acc == grids.ACCURACY_ORDER:
+        return diff_operator(g, k)
+    return grids._unit_rows(k, k + acc) / g.h**k
+
+
 class TestDiffOperator:
     def test_exact_on_polynomials_including_boundary_rows(self):
         # order-k stencils of accuracy a are exact for degree <= k + a - 1;
@@ -167,7 +174,7 @@ class TestDiffOperator:
                 coeffs = np.arange(1, deg + 2, dtype=float)
                 poly = np.polynomial.Polynomial(coeffs)
                 exact = poly.deriv(k)(x)
-                got = diff_operator(g, k, acc)(poly(x))
+                got = apply_stencil(stencil_windows(g, k, acc), poly(x))
                 np.testing.assert_allclose(got, exact, rtol=1e-9, atol=1e-8)
 
     def test_convergence_rate_matches_accuracy_order(self):
@@ -175,7 +182,11 @@ class TestDiffOperator:
             g = Grid(0.0, 1.0, num_points)
             f = Field.from_callable(g, lambda x: np.sin(2.0 * x))
             exact = -4.0 * np.sin(2.0 * g.nodes())
-            return np.abs(derivative(f, 2, acc).values - exact).max()
+            if acc == grids.ACCURACY_ORDER:
+                got = derivative(f, 2).values
+            else:
+                got = apply_stencil(stencil_windows(g, 2, acc), f.values)
+            return np.abs(got - exact).max()
 
         for acc in (2, 4):
             ratio = err(101, acc) / err(201, acc)
@@ -191,15 +202,15 @@ class TestDiffOperator:
         m = k + acc
         for num_points in (m, m + 1, 2 * m - 1, 2 * m, 2 * m + 1, 401):
             g = Grid(-0.3, 2.9 + (7 * k + acc) / 1009, num_points)
-            op = diff_operator(g, k, acc)
-            assert op.windows.shape == (m, m)
+            windows = stencil_windows(g, k, acc)
+            assert windows.shape == (m, m)
             starts = grids.window_starts(num_points, m)
             for i in range(num_points):
                 start = min(max(i - (m - 1) // 2, 0), num_points - m)
                 assert starts[i] == start
                 window = tuple(range(start - i, start - i + m))
                 expected = [float(w) / g.h**k for w in stencil_weights(window, k)]
-                row = op.windows[start - i + m - 1]
+                row = windows[start - i + m - 1]
                 assert row.tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("acc", (2, 4, 6))
@@ -216,18 +227,17 @@ class TestDiffOperator:
         eps = Fraction(np.finfo(float).eps)
         for num_points in (*range(m, 2 * m + 3), 401):
             g = Grid(-1.1, 0.7 + k / 13, num_points)
-            op = diff_operator(g, k, acc)
+            op = stencil_windows(g, k, acc)
             D = stencil_csr(g, k, m)
             rng = np.random.default_rng(1000 * m + num_points)
             u, v = rng.standard_normal((2, num_points)) * 10.0 ** rng.uniform(
                 -10.0, 10.0, (2, num_points)
             )
-            for windows, A in ((op.windows, D), (np.abs(op.windows), abs(D))):
+            for windows, A in ((op, D), (np.abs(op), abs(D))):
                 Du = apply_stencil(windows, u)
                 assert_within_inner_product_bound(Du, A, u, m * eps)
                 DTv = apply_stencil_transpose(windows, v)
                 assert_within_inner_product_bound(DTv, A.T.tocsr(), v, (2 * m - 1) * eps)
-            assert np.array_equal(op(u), apply_stencil(op.windows, u))
 
     @pytest.mark.parametrize("num_points", (2, 3, 4, 401))
     def test_one_tap_stencil_is_the_identity(self, num_points):
@@ -241,21 +251,21 @@ class TestDiffOperator:
         # are contiguous and read-only
         a = diff_operator(Grid(0.0, 1.25, 301), 2)
         b = diff_operator(Grid(0.0, 3.5, 301), 2)
-        assert not np.shares_memory(a.windows, b.windows)
+        assert not np.shares_memory(a, b)
         for op in (a, b):
-            assert op.windows.flags.c_contiguous
-            assert not op.windows.flags.writeable
+            assert op.flags.c_contiguous
+            assert not op.flags.writeable
             with pytest.raises(ValueError):
-                op.windows[0, 0] = 1.0
+                op[0, 0] = 1.0
 
     def test_new_spacing_reuses_the_rational_solve(self):
         # 50 grids that differ only in spacing each need a new operator, but
         # the exact weights are solved for the first one only
         grids = [Grid(0.0, 1.0 + j / 64, 301) for j in range(50)]
-        diff_operator(grids[0], 5, 6)
+        diff_operator(grids[0], 5)
         calls = stencil_weights.cache_info()
         for g in grids[1:]:
-            diff_operator(g, 5, 6)
+            diff_operator(g, 5)
         assert stencil_weights.cache_info() == calls
 
     def test_invalid_requests_rejected(self):
@@ -265,7 +275,7 @@ class TestDiffOperator:
         with pytest.raises(ValueError):
             diff_operator(g, 7)
         with pytest.raises(ValueError):
-            diff_operator(Grid(0.0, 1.0, 5), 3, 4)
+            diff_operator(Grid(0.0, 1.0, 6), 3)
 
 
 class TestQuadrature:
@@ -276,7 +286,7 @@ class TestQuadrature:
     def test_trapezoid_improves_second_order(self):
         def err(num_points):
             g = Grid(0.0, np.pi, num_points)
-            return abs(integrate(Field.from_callable(g, np.sin)) - 2.0)
+            return abs(quadrature_weights(g) @ np.sin(g.nodes()) - 2.0)
 
         assert err(101) / err(201) == pytest.approx(4.0, rel=0.05)
 
@@ -324,25 +334,6 @@ class TestNotAKnotSpline:
                 spline(np.array([0.0, x]))
 
 
-class TestResample:
-    def test_linear_functions_exact(self):
-        g = Grid(0.0, 1.0, 17)
-        f = Field.from_callable(g, lambda x: 3.0 * x - 1.0)
-        r = resample(f, 41)
-        np.testing.assert_allclose(r.values, 3.0 * r.grid.nodes() - 1.0)
-
-    def test_refinement_reduces_interpolation_error(self):
-        g = Grid(0.0, np.pi, 21)
-        f = Field.from_callable(g, np.sin)
-        fine = resample(f, 201)
-        assert np.abs(fine.values - np.sin(fine.grid.nodes())).max() < 1e-4
-
-    def test_too_few_target_points_rejected(self):
-        g = Grid(0.0, 1.0, 17)
-        with pytest.raises(ValueError):
-            resample(Field.from_callable(g, np.cos), 1)
-
-
 class TestSerialization:
     def test_csv_round_trip_is_bit_exact(self):
         rng = np.random.default_rng(7)
@@ -370,10 +361,3 @@ class TestSerialization:
         f = field_from_csv(text)
         assert f.grid == Grid(0.0, 1.0, 11)
         np.testing.assert_array_equal(f.values, np.arange(11.0))
-
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(8)
-        f = Field(Grid(0.0, 4.0, 21), rng.standard_normal(21))
-        g = field_from_json(field_to_json(f))
-        assert g.grid == f.grid
-        np.testing.assert_array_equal(g.values, f.values)

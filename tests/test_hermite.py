@@ -1,7 +1,7 @@
 """Tests for the exact two-point coupling polynomials."""
 
 from fractions import Fraction
-from math import factorial, perm
+from math import comb, factorial, perm
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ import pytest
 from hophase import (
     MAX_N,
     BoundaryData,
-    binomial_matrix,
-    coefficient_matrix,
     coefficient_matrix_exact,
     coupling_energy_upper_bound,
     determinant_exact,
@@ -57,13 +55,14 @@ class TestCoefficientMatrix:
     def test_determinant_matches_float_route(self):
         for n in range(2, 6):
             d_exact = determinant_exact(coefficient_matrix_exact(n))
-            d_float = np.linalg.det(coefficient_matrix(n))
+            d_float = np.linalg.det(np.array(coefficient_matrix_exact(n), dtype=float))
             assert d_float == pytest.approx(float(d_exact), rel=1e-9)
 
     def test_binomial_block_is_unimodular(self):
+        # D_ij = binom(n+j-1, i-1) (1-based) has det(D) = 1
         for n in range(2, MAX_N + 1):
-            B = binomial_matrix(n)
-            assert determinant_exact([list(row) for row in B]) == 1
+            D = [[comb(n + j, i) for j in range(n)] for i in range(n)]
+            assert determinant_exact(D) == 1
 
 
 class TestZeta:

@@ -191,8 +191,6 @@ class TestConstantsEstimate:
         assert est.sandwich_ok
         assert est.c_hat_lam <= est.c_hat_0
         assert est.c_hat_lam >= (1 - lam / lambda_hat_2.value) * est.c_hat_0 * 0.98
-        c0, c1 = est  # tuple-unpacking view
-        assert (c0, c1) == (est.c_hat_0, est.c_hat_lam)
 
     def test_supercritical_lam_rejected(self, quartic):
         with pytest.raises(ValueError, match="not subcritical"):
