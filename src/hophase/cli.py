@@ -137,9 +137,9 @@ def _finite(key: str, x) -> float:
 def _typed(key: str, value):
     """value as config key is passed on: a number as a finite float, an
     array as a tuple of them.  A value of another JSON type than
-    `_CONFIG_TYPES` gives the key, or a number that is no finite float, is
-    a ValueError that names the key."""
-    kind = _CONFIG_TYPES[key]
+    `_CONFIG_TYPES` gives the key ("lambda" is "lam"), or a number that is
+    no finite float, is a ValueError that names the key as written."""
+    kind = _CONFIG_TYPES["lam" if key == "lambda" else key]
     if value is None and kind.endswith("?"):
         return None
     base = kind.rstrip("?")
@@ -159,11 +159,12 @@ def _typed(key: str, value):
 
 
 def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
-    """The JSON object in the config file at path, with "lambda" renamed
-    "lam" and each value read by `_typed`.  An unreadable file, invalid
-    JSON, a key outside allowed (as spelled: "lambda" is allowed where
-    "lam" is), both "lam" and "lambda", a missing required key and a
-    value of another JSON type are each a ValueError that names it."""
+    """The JSON object in the config file at path, each value read by
+    `_typed` under its key as written, then "lambda" renamed "lam".  An
+    unreadable file, invalid JSON, a key outside allowed (as spelled:
+    "lambda" is allowed where "lam" is), both "lam" and "lambda", a missing
+    required key and a value of another JSON type are each a ValueError
+    that names it."""
     try:
         cfg = json.loads(_read_text(path, "config"))
     except json.JSONDecodeError as exc:
@@ -173,14 +174,12 @@ def _load_config(path: str, allowed: set, required: tuple = ()) -> dict:
     unknown = set(cfg) - allowed - ({"lambda"} if "lam" in allowed else set())
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "lambda" in cfg:
-        if "lam" in cfg:
-            raise ValueError("config gives both 'lam' and 'lambda'; give one")
-        cfg["lam"] = cfg.pop("lambda")
+    if "lam" in cfg and "lambda" in cfg:
+        raise ValueError("config gives both 'lam' and 'lambda'; give one")
     missing = [key for key in required if key not in cfg]
     if missing:
         raise ValueError(f"missing config keys: {missing}")
-    return {key: _typed(key, value) for key, value in cfg.items()}
+    return {("lam" if k == "lambda" else k): _typed(k, v) for k, v in cfg.items()}
 
 
 def _cmd_hermite(args) -> int:
@@ -344,9 +343,8 @@ _GRID_KEYS = {"interval", "num_points"}
 
 def _cmd_minimize(args) -> int:
     cfg = _load_config(args.config, _MINIMIZE_KEYS, required=("epsilon",))
-    n, eps, lam = cfg.get("n", 2), cfg["epsilon"], cfg.get("lam", 0.0)
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {eps}")
+    params = EnergyParams(cfg.get("n", 2), cfg["epsilon"], cfg.get("lam", 0.0))
+    n, eps, lam = params.n, params.epsilon, params.lam
     w = get_potential(cfg.get("potential", "quartic"))
     a, b = cfg.get("interval", (-4.0, 4.0))
     num_points = cfg.get("num_points", round((b - a) / (eps / 32)) + 1)

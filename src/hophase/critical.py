@@ -25,7 +25,7 @@ import numpy as np
 
 from ._solvers import BandedSystem, damped_newton
 from .energy import DiscreteEnergy, _PolynomialKernel
-from .ensembles import random_field
+from .ensembles import DEFAULT_KINDS, random_field
 from .grids import Field, Grid
 from .potentials import DoubleWell
 
@@ -50,6 +50,8 @@ DENOMINATOR_FLOOR = 1e-12
 POLY_DEGREE = 10
 #: number of random coefficient starts of that stage
 POLY_STARTS = 8
+#: points of the unit-interval grid of `verify_subcritical`'s ensemble
+SUBCRITICAL_POINTS = 401
 
 
 @dataclass(frozen=True)
@@ -298,40 +300,41 @@ def verify_subcritical(
     ensemble_size: int,
     w: DoubleWell,
     seed: int = 0,
-    num_points: int = 401,
     extra_fields: Sequence[Field] = (),
 ) -> SubcriticalReport:
     """Evaluate the quotient over a seeded random ensemble and report any
     Q[u] < lam.
 
-    The ensemble lives on (0,1), except every fourth field, which is drawn
-    on a longer interval (0,K) and checked in the unit-normalized
-    real-line form (the subdivision into unit intervals).
-    Fields with degenerate denominator are skipped, not failed; any other
-    rejected input (n < 2, a grid too small for the stencil) raises.  Witness
-    fields (e.g. the argmin from `estimate_lambda_n`) can be appended via
-    extra_fields; with lam > lambda_hat_n the witness violates by
-    construction.  An empty check would pass vacuously, so ensemble_size
-    must be >= 0 and at least one field (random or extra) is required.
+    The ensemble lives on (0,1) with `SUBCRITICAL_POINTS` points, except
+    every fourth field, which is drawn on a longer interval (0,K) at the
+    same spacing and checked in the unit-normalized real-line form (the
+    subdivision into unit intervals).  Fields with degenerate denominator
+    are skipped, not failed; any other rejected input (n < 2, a lam that
+    is negative or not finite) raises.  Witness fields (e.g. the argmin
+    from `estimate_lambda_n`) can be appended via extra_fields; with
+    lam > lambda_hat_n the witness violates by construction.  An empty
+    check would pass vacuously, so ensemble_size must be >= 0 and at least
+    one field (random or extra) is required.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if ensemble_size < 0:
         raise ValueError(f"ensemble_size must be >= 0, got {ensemble_size}")
     if ensemble_size == 0 and not extra_fields:
         raise ValueError("nothing to check: ensemble_size is 0 and no extra_fields")
     rng = np.random.default_rng(seed)
-    unit = Grid(0.0, 1.0, num_points)
+    unit = Grid(0.0, 1.0, SUBCRITICAL_POINTS)
     # one grid object per interval, so each computes its unit_nodes once
-    long_grids = {K: Grid(0.0, float(K), (num_points - 1) * K + 1) for K in (2, 3)}
-    kinds = ("fourier", "tanh_ramp", "hermite_step")
+    long_grids = {
+        K: Grid(0.0, float(K), (SUBCRITICAL_POINTS - 1) * K + 1) for K in (2, 3)
+    }
     fields: List[Tuple[Field, bool]] = []
     for i in range(ensemble_size):
         if i % 4 == 3:
             g = long_grids[int(rng.integers(2, 4))]
-            fields.append((random_field(g, rng, kinds[i % 3]), True))
+            fields.append((random_field(g, rng, DEFAULT_KINDS[i % 3]), True))
         else:
-            fields.append((random_field(unit, rng, kinds[i % 3]), False))
+            fields.append((random_field(unit, rng, DEFAULT_KINDS[i % 3]), False))
     for f in extra_fields:
         fields.append((f, False))
 

@@ -108,6 +108,11 @@ class DiscreteEnergy:
     def _square(self, windows, u) -> float:
         return float(self.q @ apply_stencil(windows, u) ** 2)
 
+    def _gram(self, windows, v) -> np.ndarray:
+        """D^T (q o D v) for the stencil operator D of the (m, m) windows,
+        by D's own kernel pair (`grids.apply_stencil` and its transpose)."""
+        return apply_stencil_transpose(windows, self.q * apply_stencil(windows, v))
+
     def terms(self, u: np.ndarray, w: DoubleWell):
         """(int W(u), int (u^(n-1))^2, int (u^(n))^2) by quadrature; the
         squares are summed directly, so they never go negative by roundoff
@@ -196,17 +201,13 @@ class DiscreteEnergy:
         of absolute terms, times 8 machine epsilon.  The stencil weights
         grow like h^(-2n) through the quadratic forms, so this is the
         resolution-dependent accuracy limit of `grad` itself.  |D| is the
-        stencil of D's absolute windows, applied with D's own kernel pair
-        (`grids.apply_stencil` and its transpose)."""
+        stencil of D's absolute windows, applied by `_gram`."""
         c_pot, c_low, c_high = c
         au = np.abs(u)
         low, high = self._windows
 
         def rowsum(windows):
-            a = np.abs(windows)
-            return float(np.max(
-                2.0 * apply_stencil_transpose(a, self.q * apply_stencil(a, au))
-            ))
+            return float(np.max(2.0 * self._gram(np.abs(windows), au)))
 
         scale = abs(c_high) * rowsum(high) + abs(c_low) * rowsum(low)
         wprime = np.abs(np.asarray(w.eval_derivative(u), dtype=float))
@@ -378,7 +379,8 @@ def _dia_view(band: np.ndarray) -> sp.dia_matrix:
 
 @dataclass(frozen=True)
 class EnergyParams:
-    """The triple (n, eps, lam); lam may be negative, n >= 2."""
+    """The triple (n, eps, lam): n >= 2, eps positive and finite, lam
+    finite and of either sign."""
 
     n: int
     epsilon: float
@@ -387,8 +389,18 @@ class EnergyParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("energy requires n >= 2")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+
+    @property
+    def weights(self):
+        """The weights (1/eps, -lam eps^(2n-3), eps^(2n-1)) of the three
+        integrals of `DiscreteEnergy.terms` in E: the coefficients c of
+        `DiscreteEnergy.energy` for this energy."""
+        eps, n = self.epsilon, self.n
+        return (1.0 / eps, -self.lam * eps ** (2 * n - 3), eps ** (2 * n - 1))
 
 
 @dataclass(frozen=True)
@@ -401,19 +413,16 @@ class EnergyBreakdown:
     total: float
 
 
+def _breakdown(kernel: DiscreteEnergy, u, p: EnergyParams, w) -> EnergyBreakdown:
+    """The kernel's three integrals at the samples u, each times its
+    weight in `p.weights`, and their sum."""
+    pot, concave, highest = (c * t for c, t in zip(p.weights, kernel.terms(u, w)))
+    return EnergyBreakdown(pot, concave, highest, pot + concave + highest)
+
+
 def evaluate(u: Field, p: EnergyParams, w: DoubleWell) -> EnergyBreakdown:
     """Quadrature evaluation of the three energy terms on u's grid."""
-    pot, low, high = DiscreteEnergy(u.grid, p.n).terms(u.values, w)
-    eps = p.epsilon
-    pot = pot / eps
-    concave = -p.lam * eps ** (2 * p.n - 3) * low
-    highest = eps ** (2 * p.n - 1) * high
-    return EnergyBreakdown(
-        potential_term=pot,
-        concave_term=concave,
-        highest_term=highest,
-        total=pot + concave + highest,
-    )
+    return _breakdown(DiscreteEnergy(u.grid, p.n), u.values, p, w)
 
 
 def evaluate_rescaled(u: Field, p: EnergyParams, w: DoubleWell) -> float:
@@ -439,20 +448,17 @@ def evaluate_rescaled(u: Field, p: EnergyParams, w: DoubleWell) -> float:
 def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
     """Exact gradient of the discrete energy with respect to the samples:
 
-        (1/eps) W'(u) o q  -  2 lam eps^(2n-3) D_{n-1}^T Q D_{n-1} u
-                           +  2 eps^(2n-1)     D_n^T     Q D_n u,
+        c_pot W'(u) o q  +  2 c_low D_{n-1}^T Q D_{n-1} u  +  2 c_high D_n^T Q D_n u
 
-    the adjoint of the quadrature-of-stencils composition, so directional
-    derivatives match central differences of `evaluate` to roundoff.
+    with (c_pot, c_low, c_high) = `p.weights`, the adjoint of the
+    quadrature-of-stencils composition, so directional derivatives match
+    central differences of `evaluate` to roundoff.
     """
     k = DiscreteEnergy(u.grid, p.n)
-    q, eps, v = k.q, p.epsilon, u.values
+    c_pot, c_low, c_high = p.weights
+    v = u.values
     low, high = k._windows
-
-    def form(windows):  # D^T Q D v
-        return apply_stencil_transpose(windows, q * apply_stencil(windows, v))
-
-    g = np.asarray(w.eval_derivative(v), dtype=float) * q / eps
-    g -= 2.0 * p.lam * eps ** (2 * p.n - 3) * form(low)
-    g += 2.0 * eps ** (2 * p.n - 1) * form(high)
+    g = c_pot * np.asarray(w.eval_derivative(v), dtype=float) * k.q
+    g += 2.0 * c_low * k._gram(low, v)
+    g += 2.0 * c_high * k._gram(high, v)
     return Field(u.grid, g)

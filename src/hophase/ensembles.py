@@ -23,7 +23,7 @@ which consumes the generator exactly as `choice([-1, 1])` does.
 """
 
 from functools import cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -74,16 +74,10 @@ def random_field(grid: Grid, rng: np.random.Generator, kind: str) -> Field:
     return Field(grid, vals)
 
 
-def make_ensemble(
-    grid: Grid,
-    count: int,
-    seed: int,
-    kinds: Sequence[str] = DEFAULT_KINDS,
-) -> List[Field]:
-    """Reproducible list of `count` random fields, cycling over the kinds."""
+def make_ensemble(grid: Grid, count: int, seed: int) -> List[Field]:
+    """Reproducible list of `count` random fields, cycling over
+    `DEFAULT_KINDS`."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if not kinds:
-        raise ValueError("kinds must name at least one ensemble kind")
     rng = np.random.default_rng(seed)
-    return [random_field(grid, rng, kinds[i % len(kinds)]) for i in range(count)]
+    return [random_field(grid, rng, DEFAULT_KINDS[i % 3]) for i in range(count)]

@@ -20,7 +20,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .energy import DiscreteEnergy, EnergyBreakdown, EnergyParams, evaluate
+from .energy import (
+    DiscreteEnergy, EnergyBreakdown, EnergyParams, _breakdown, evaluate,
+)
 from .grids import Field, Grid
 from .potentials import DoubleWell, get_potential
 from .profiles import (
@@ -181,19 +183,17 @@ def minimize_energy(
     """
     params = EnergyParams(n, eps, lam)
     kernel = DiscreteEnergy(init.grid, n)
-    c = (1.0 / eps, -lam * eps ** (2 * n - 3), eps ** (2 * n - 1))
     u0 = init.values
     if mass is not None:
         q = kernel.q
         u0 = u0 + (mass - float(q @ u0)) / float(q.sum())
     z, info, floor, converged = kernel.minimize(
-        u0, w, c, gtol, maxiter, hold_mass=mass is not None,
+        u0, w, params.weights, gtol, maxiter, hold_mass=mass is not None,
         divergence_floor=divergence_floor,
     )
-    final = Field(init.grid, z)
     return MinimizeEnergyResult(
-        field=final,
-        breakdown=evaluate(final, params, w),
+        field=Field(init.grid, z),
+        breakdown=_breakdown(kernel, z, params, w),
         converged=converged,
         diverged=bool(info.diverged),
         iterations=int(info.iterations),
@@ -204,15 +204,13 @@ def minimize_energy(
     )
 
 
-def count_jump_clusters(
-    f: Field, eps: float, profile_T: float, threshold: float = 0.0
-) -> int:
-    """Number of phase jumps of a field: sign changes of (f - threshold)
-    with changes closer than 2 * eps * T, the width of one pasted profile
-    window, merged into one cluster, since a transition layer may wiggle
-    through zero repeatedly.  build_recovery requires 2 * eps * T < delta0,
+def count_jump_clusters(f: Field, eps: float, profile_T: float) -> int:
+    """Number of phase jumps of a field: sign changes of f, with changes
+    closer than 2 * eps * T, the width of one pasted profile window, merged
+    into one cluster, since a transition layer may wiggle through zero
+    repeatedly.  build_recovery requires 2 * eps * T < delta0,
     so distinct jumps are never merged."""
-    s = np.sign(f.values - threshold)
+    s = np.sign(f.values)
     x = f.grid.nodes()
     nz = s != 0
     xs, ss = x[nz], s[nz]
@@ -233,8 +231,8 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     """Run the full epsilon schedule for one jump configuration.
 
     For each epsilon, in one serial pass: build the recovery sequence,
-    evaluate it, minimize from it, count the thresholded minimizer's jump
-    clusters.  Per-epsilon failures are recorded in the row notes and the
+    evaluate it, minimize from it, count the minimizer's jump clusters.
+    Per-epsilon failures are recorded in the row notes and the
     sweep continues.  The divergence floor of every minimization is -10^3
     in units of the first (largest-eps) recovery energy, or -10^3 when that
     recovery fails.  When cfg.output_dir is set the record is persisted as
@@ -362,14 +360,14 @@ def supercritical_probe(
     the largest lambda.  On the fixed candidate set the minimum energy is
     non-increasing in lambda exactly, because each candidate's energy is.
     Optionally each per-lambda winner seeds a free minimization with a
-    divergence floor.  An empty lambda_grid or amplitudes, a non-positive
-    or non-finite eps, and points_per_eps_width or k_max below 1 are each
-    a ValueError that names the setting.
+    divergence floor.  An empty lambda_grid or amplitudes, n and eps that
+    `EnergyParams` rejects (n < 2; eps not positive and finite), and
+    points_per_eps_width or k_max below 1 are each a ValueError that names
+    the setting.
     """
     if len(lambda_grid) == 0:
         raise ValueError("lambda_grid must not be empty")
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {eps}")
+    c_pot, c_low, c_high = EnergyParams(n, eps, 1.0).weights
     if points_per_eps_width < 1:
         raise ValueError(
             f"points_per_eps_width must be >= 1, got {points_per_eps_width}"
@@ -391,12 +389,13 @@ def supercritical_probe(
         for A in amplitudes:
             candidates.append((k, A, np.clip(A * base, -1.0, 1.0)))
 
-    # lambda-independent parts: E(lam) = base - lam * concave_weight
+    # lambda-independent parts, from the weights at lam = 1:
+    # E(lam) = base - lam * conc
     kernel = DiscreteEnergy(grid, n)
     parts = []
     for k, A, vals in candidates:
         pot, low, high = kernel.terms(vals, w)
-        parts.append((pot / eps + eps ** (2 * n - 1) * high, eps ** (2 * n - 3) * low))
+        parts.append((c_pot * pot + c_high * high, -c_low * low))
 
     best_energies, best_ks, best_As = [], [], []
     free_energies, free_div, signs = [], [], []

@@ -208,13 +208,15 @@ def check_lower_bound_lemma(
     relating the energy to its lam = 0 part."""
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
+    if not (np.isfinite(lam_hat) and lam_hat > 0):
+        raise ValueError(f"lam_hat must be positive and finite, got {lam_hat}")
     if p.lam < 0 or p.lam > 0.5 * lam_hat:
         raise ValueError("precondition: 0 <= lam <= 0.5 * lam_hat")
-    e_lam = evaluate(u, p, w).total
-    p0 = EnergyParams(p.n, p.epsilon, 0.0)
-    e_0 = evaluate(u, p0, w).total
+    b = evaluate(u, p, w)
+    # E_0[u]: the same weighted terms without the concave one
+    e_0 = b.potential_term + b.highest_term
     factor = 1.0 - p.lam / lam_hat - delta
-    return _report(factor * e_0, e_lam, f"eps={p.epsilon:.4g}", factor=factor)
+    return _report(factor * e_0, b.total, f"eps={p.epsilon:.4g}", factor=factor)
 
 
 @dataclass

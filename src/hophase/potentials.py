@@ -125,10 +125,8 @@ def get_potential(name: str) -> DoubleWell:
     return BUILTIN_POTENTIALS[name]()
 
 
-def validate_assumptions(
-    w: DoubleWell, range_radius: float = 3.0, samples: int = 10_000
-) -> ValidationReport:
-    """Check the three double-well assumptions by dense sampling on [-R, R].
+def validate_assumptions(w: DoubleWell) -> ValidationReport:
+    """Check the three double-well assumptions by dense sampling on [-3, 3].
 
     Checked per sample point:
       nonnegativity:  W(t) >= 0
@@ -140,12 +138,7 @@ def validate_assumptions(
     Failures are reported, not raised; each result carries the worst
     offending sample point and its margin.
     """
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    if range_radius <= 0:
-        raise ValueError("range_radius must be positive")
-
-    t = np.linspace(-range_radius, range_radius, samples)
+    t = np.linspace(-3.0, 3.0, 10_000)
     # include the wells and a point between them exactly
     t = np.union1d(t, [-1.0, 0.0, 1.0])
     Wt = np.asarray(w.eval(t), dtype=float)

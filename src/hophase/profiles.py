@@ -47,7 +47,7 @@ class ProfileProblem:
 
     n = 1 is accepted here (only here) as a calibration mode: with lam = 0
     the minimum is the classical sharp-interface constant
-    2 int_{-1}^{1} sqrt(W).
+    2 int_{-1}^{1} sqrt(W).  lam and truncation_T must be finite.
     """
 
     n: int
@@ -59,8 +59,11 @@ class ProfileProblem:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.truncation_T <= 0:
-            raise ValueError("truncation_T must be positive")
+        if not np.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        T = self.truncation_T
+        if not (np.isfinite(T) and T > 0):
+            raise ValueError(f"truncation_T must be positive and finite, got {T}")
         if self.num_points < 400:
             raise ValueError("profile grid needs at least 400 points")
 
@@ -204,22 +207,23 @@ def estimate_constants(
     """Estimate C_hat at lam = 0 and at lam from multi-start profile runs
     and check the sandwich bounds within the given slack.
 
-    lam must sit strictly below lambda_hat (subcritical); lambda_hat is
-    estimated on demand when not supplied and lam > 0.  A negative or
-    non-finite slack, under which the sandwich verdict means nothing, is a
-    ValueError.
+    lam must be finite, >= 0 and strictly below lambda_hat (subcritical);
+    lambda_hat is estimated on demand when not supplied and lam > 0.  A
+    negative or non-finite slack, under which the sandwich verdict means
+    nothing, is a ValueError, and so is a problem that `ProfileProblem`
+    rejects; both are checked before any solve.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if not (np.isfinite(slack) and slack >= 0):
         raise ValueError(f"slack must be finite and >= 0, got {slack}")
+    prob0 = ProfileProblem(n, 0.0, truncation_T, num_points, w)
     if lambda_hat is None:
         lambda_hat = estimate_lambda_n(n, w).value if lam > 0 else np.inf
     if lam > 0 and lam >= lambda_hat:
         raise ValueError(
             f"lam = {lam} is not subcritical (lambda_hat = {lambda_hat:.4g})"
         )
-    prob0 = ProfileProblem(n, 0.0, truncation_T, num_points, w)
     r0 = minimize_profile(prob0)
     if lam == 0.0:
         r1 = r0

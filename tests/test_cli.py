@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,29 @@ class TestProfile:
         assert captured.err == (
             f"hophase: error: slack must be finite and >= 0, got {float(slack)}\n"
         )
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--lambda", "nan"], "lam must be finite and >= 0, got nan"),
+            (["--lambda", "inf"], "lam must be finite and >= 0, got inf"),
+            (["--T", "inf"], "truncation_T must be positive and finite, got inf"),
+            (["--T", "nan"], "truncation_T must be positive and finite, got nan"),
+        ],
+    )
+    def test_non_finite_lambda_or_truncation_is_a_usage_error(
+        self, capsys, option, message
+    ):
+        # a NaN lambda once printed "C_hat_lam": null with exit 0, and T = inf
+        # warned of invalid values before it failed; a warning raises here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["profile", "--n", "2", "--points", "801", *option])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hophase: error: {message}\n"
 
     def test_derivative_order_beyond_stencils_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -256,6 +280,29 @@ class TestCheckIneq:
         )
         assert rc == 0
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--epsilon", "nan"], "epsilon must be positive and finite, got nan"),
+            (["--epsilon", "inf"], "epsilon must be positive and finite, got inf"),
+            (["--lam-frac", "nan"], "lam must be finite, got nan"),
+            (["--lambda-hat", "0"], "lam_hat must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_non_finite_lowerbound_parameter_is_a_usage_error(
+        self, capsys, option, message
+    ):
+        # a NaN epsilon once failed every check with exit 0, at worst_index -1
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([
+                "check-ineq", "--which", "lowerbound", "--count", "5",
+                "--lambda-hat", "0.0569", *option,
+            ])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hophase: error: {message}\n"
 
     @pytest.mark.parametrize(
         "which, option",
@@ -739,7 +786,9 @@ _INT, _NUM = "must be a JSON integer", "must be a JSON number"
         ("minimize", {"maxiter": 1.5}, f"maxiter {_INT}, got 1.5"),
         ("minimize", {"init": "random", "seed": 1.5}, f"seed {_INT}, got 1.5"),
         ("minimize", {"gtol": None}, f"gtol {_NUM}, got None"),
-        ("minimize", {"lambda": True}, f"lam {_NUM}, got True"),
+        # named as written, not as the "lam" it is passed on as
+        pytest.param("minimize", {"lambda": True}, f"lambda {_NUM}, got True",
+                     id="minimize-lambda-as-written"),
         ("minimize", {"potential": 4}, "potential must be a JSON string, got 4"),
         ("gamma-sweep", {"n": "2"}, f"n {_INT}, got '2'"),
         ("gamma-sweep", {"points_per_eps_width": "16"},

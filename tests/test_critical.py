@@ -280,9 +280,11 @@ class TestVerifySubcritical:
         with pytest.raises(ValueError, match="n >= 2"):
             verify_subcritical(1, 0.0, 8, quartic)
 
-    def test_grid_too_small_for_the_stencil_raises(self, quartic):
-        with pytest.raises(ValueError, match="too small"):
-            verify_subcritical(2, 0.0, 8, quartic, num_points=5)
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_lambda_that_is_not_finite_and_nonnegative_raises(self, quartic, lam):
+        # a NaN lam compares False with every quotient, so it used to pass
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            verify_subcritical(2, lam, 20, quartic)
 
     def test_degenerate_field_is_skipped(self, quartic):
         constant = Field(Grid(0.0, 1.0, 101), np.full(101, 0.3))

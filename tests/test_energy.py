@@ -108,6 +108,23 @@ class TestEvaluate:
             EnergyParams(1, 0.1)
         with pytest.raises(ValueError):
             EnergyParams(2, 0.0)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                EnergyParams(2, eps)
+        for lam in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+                EnergyParams(2, 0.1, lam)
+
+    def test_weights_of_the_three_integrals(self, quartic):
+        # eps = 1/2 makes every weight exact
+        p = EnergyParams(3, 0.5, 0.75)
+        assert p.weights == (2.0, -0.75 * 0.125, 0.5**5)
+        u = Field.from_callable(Grid(0.0, 1.0, 101), lambda x: np.sin(3.0 * x))
+        terms = DiscreteEnergy(u.grid, 3).terms(u.values, quartic)
+        b = evaluate(u, p, quartic)
+        assert (b.potential_term, b.concave_term, b.highest_term) == tuple(
+            c * t for c, t in zip(p.weights, terms)
+        )
 
     def test_accuracy_order_is_not_a_param(self):
         # every energy uses the stencils of grids.ACCURACY_ORDER

@@ -91,7 +91,3 @@ class TestMakeEnsemble:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="count must be >= 0"):
             make_ensemble(Grid(0.0, 1.0, 11), -1, seed=0)
-
-    def test_no_kinds_rejected(self):
-        with pytest.raises(ValueError, match="at least one ensemble kind"):
-            make_ensemble(Grid(0.0, 1.0, 11), 3, seed=0, kinds=())

@@ -77,6 +77,12 @@ class TestMinimizeEnergy:
         assert res.breakdown.total <= e_rec
         assert res.breakdown.total > 0.0
 
+    def test_breakdown_is_the_evaluation_of_the_minimizer(self, quartic):
+        g = Grid(-2.0, 2.0, 257)
+        init = Field.from_callable(g, lambda x: np.tanh(4.0 * x))
+        res = minimize_energy(3, 0.2, 0.01, init, quartic, maxiter=5)
+        assert res.breakdown == evaluate(res.field, EnergyParams(3, 0.2, 0.01), quartic)
+
     def test_mass_constraint_held(self, quartic):
         g = Grid(-2.0, 2.0, 257)
         init = Field.from_callable(g, lambda x: np.tanh(4.0 * x))
@@ -433,6 +439,11 @@ class TestSupercriticalProbe:
         ):
             assert div or free <= best + 1e-9
         assert all(s >= 2 for s in rep.sign_changes)
+
+    def test_order_below_two_is_rejected_up_front(self, quartic):
+        # without the free minimization, n = 1 once ran the candidate scan
+        with pytest.raises(ValueError, match="energy requires n >= 2"):
+            supercritical_probe(1, (0.5,), 1.0 / 16.0, quartic, free_minimization=False)
 
     def test_subcritical_grid_has_no_onset(self, quartic):
         rep = supercritical_probe(

@@ -188,6 +188,12 @@ class TestLowerBound:
             check_lower_bound_lemma(
                 linear_unit, EnergyParams(2, 0.25, 0.05), 0.057, 0.1, quartic
             )
+        # lam_hat = 0 once ended in a ZeroDivisionError
+        for lam_hat in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam_hat must be positive and finite"):
+                check_lower_bound_lemma(
+                    linear_unit, EnergyParams(2, 0.25, 0.0), lam_hat, 0.1, quartic
+                )
 
     def test_ensemble_holds(self, quartic, lambda_hat_2):
         lam_hat = lambda_hat_2.value

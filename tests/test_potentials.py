@@ -75,10 +75,6 @@ class TestValidation:
         with pytest.raises(KeyError):
             report["smoothness"]
 
-    def test_too_few_samples_rejected(self, quartic):
-        with pytest.raises(ValueError):
-            validate_assumptions(quartic, samples=10)
-
     def test_overstated_coercivity_fails(self):
         # same quartic but claiming L = 5: at t = 0, W = 1 < 5 * (0-1)^2
         w = DoubleWell(

@@ -175,6 +175,12 @@ class TestProfileMinimization:
             ProfileProblem(2, 0.0, -1.0, 801, quartic)
         with pytest.raises(ValueError):
             ProfileProblem(2, 0.0, 5.0, 200, quartic)
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
+                ProfileProblem(2, lam, 5.0, 801, quartic)
+        for T in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="truncation_T must be positive and"):
+                ProfileProblem(2, 0.0, T, 801, quartic)
 
 
 class TestConstantsEstimate:
@@ -191,6 +197,23 @@ class TestConstantsEstimate:
         assert est.sandwich_ok
         assert est.c_hat_lam <= est.c_hat_0
         assert est.c_hat_lam >= (1 - lam / lambda_hat_2.value) * est.c_hat_0 * 0.98
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, quartic, lam):
+        # a NaN lam once returned C_hat_lam = NaN
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            estimate_constants(2, lam, quartic, num_points=801)
+
+    def test_bad_problem_is_rejected_before_any_solve(self, quartic, monkeypatch):
+        from hophase import profiles
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before checking the problem")
+
+        monkeypatch.setattr(profiles, "estimate_lambda_n", no_solve)
+        monkeypatch.setattr(profiles, "minimize_profile", no_solve)
+        with pytest.raises(ValueError, match="truncation_T must be positive and"):
+            estimate_constants(2, 0.01, quartic, truncation_T=np.inf)
 
     def test_supercritical_lam_rejected(self, quartic):
         with pytest.raises(ValueError, match="not subcritical"):
