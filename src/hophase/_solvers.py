@@ -9,6 +9,7 @@ bordered by one constraint row; BandedSystem factors the band with LAPACK
 gbsv and eliminates the constraint by a scalar Schur step.
 """
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -42,19 +43,38 @@ class BandedSystem:
     None, with A the banded m x m leading block, split for repeated
     shifted solves.
 
-    ab holds A in LAPACK band storage, ab[up + i - j, j] = A[i, j], with
-    lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (the layout of
-    scipy.linalg.solve_banded, and of gbsv's input below its lo fill-in
-    rows).  c is a dense m-vector, the one constraint row.
+    The constructor takes A in band storage, ab[up + i - j, j] = A[i, j],
+    with lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (the
+    layout of scipy.linalg.solve_banded, and of gbsv's input below its lo
+    fill-in rows).  It keeps that array as band and A's diagonal apart as
+    diag: systems that differ only in their diagonal share one band
+    (`with_diagonal`), whose diagonal row is not read.  `ab` reads A back
+    in band storage.  c is a dense m-vector, the one constraint row.
     """
 
     def __init__(self, ab: np.ndarray, lo: int, c: Optional[np.ndarray] = None):
-        self.ab, self.lo, self.c = ab, lo, c
+        self.lo, self.c = lo, c
         self.up = ab.shape[0] - lo - 1
+        self.band = ab
+        self.diag = ab[self.up]
         # LAPACK factorizations done, and the (shifted diagonal, rhs,
         # solution or LinAlgError) of the last one
         self.factorizations = 0
         self._last = None
+
+    @property
+    def ab(self) -> np.ndarray:
+        """A in the constructor's band storage, as a new array."""
+        ab = self.band.copy()
+        ab[self.up] = self.diag
+        return ab
+
+    def with_diagonal(self, diag: np.ndarray) -> "BandedSystem":
+        """The system with diag in place of A's diagonal: it shares this
+        system's band and constraint row, and has done no factorization."""
+        system = copy.copy(self)
+        system.diag, system.factorizations, system._last = diag, 0, None
+        return system
 
     def solve(self, rhs: np.ndarray, tau: float = 0.0) -> np.ndarray:
         """The first m entries of the solution of the system with A + tau I
@@ -64,7 +84,7 @@ class BandedSystem:
         equal the last call's, as for a tau below half an ulp of every
         diagonal entry, returns that call's solution (the same array) or
         raises its error again without factoring."""
-        diag = self.ab[self.up] + tau
+        diag = self.diag + tau
         last = self._last
         if last is None or not (
             np.array_equal(diag, last[0]) and np.array_equal(rhs, last[1])
@@ -85,10 +105,10 @@ class BandedSystem:
         solutions y and z.  The work arrays are column-major, LAPACK's
         order, so f2py copies neither."""
         lo, up, c = self.lo, self.up, self.c
-        m = self.ab.shape[1]
+        m = self.band.shape[1]
         ab = np.empty((2 * lo + up + 1, m), order="F")
         ab[:lo] = 0.0
-        ab[lo:] = self.ab
+        ab[lo:] = self.band
         ab[lo + up] = diag
         cols = np.empty((m, 1 if c is None else 2), order="F")
         cols[:, 0] = rhs

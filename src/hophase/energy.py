@@ -175,17 +175,22 @@ class DiscreteEnergy:
 
     def hess(self, u: np.ndarray, w: DoubleWell, c, free: slice = slice(None)):
         """The Hessian block H[free, free], for a slice free of unit step,
-        in band storage ab[b + i - j, j] = H[i, j] with b = `bandwidth`.
-        Only the W'' diagonal (`DoubleWell.second_derivative`) is computed
-        per call; the K_low/K_high bands are built once per kernel."""
+        in band storage ab[b + i - j, j] = H[i, j] with b = `bandwidth`:
+        the constant band `_constant_band` with the diagonal `_diagonal`
+        in its row b.  `minimize` factors the same matrix, bit for bit, from
+        one constant band per solve."""
+        ab = self._constant_band(c, free)
+        ab[self.bandwidth] = self._diagonal(u[free], w, c, free)
+        return ab
+
+    def _constant_band(self, c, free: slice) -> np.ndarray:
+        """c_high K_high + c_low K_low on the block [free, free] in band
+        storage, the part of the Hessian that does not depend on u; its
+        diagonal row is replaced by `_diagonal` in every Newton matrix.
+        The K_low/K_high bands are built once per kernel."""
         b, band_low, band_high = self._bands
-        c_pot, c_low, c_high = c
+        _, c_low, c_high = c
         ab = c_high * band_high[:, free]
-        ab[b] += (
-            c_pot
-            * np.asarray(w.second_derivative(u[free]), dtype=float)
-            * self.q[free]
-        )
         rows = self._low_rows
         ab[rows] += c_low * band_low[rows, free]
         # couplings to points outside a proper block fall outside the
@@ -195,6 +200,17 @@ class DiscreteEnergy:
                 ab[b - k, :k] = 0.0
                 ab[b + k, ab.shape[1] - k:] = 0.0
         return ab
+
+    def _diagonal(self, v: np.ndarray, w: DoubleWell, c, free: slice) -> np.ndarray:
+        """The Hessian's diagonal on free at the samples v = u[free], summed
+        as (c_high K_high + c_pot W''(v) q) + c_low K_low: the one entry
+        per point that changes with u (`DoubleWell.second_derivative`)."""
+        b, band_low, band_high = self._bands
+        c_pot, c_low, c_high = c
+        return (
+            c_high * band_high[b, free]
+            + c_pot * np.asarray(w.second_derivative(v), dtype=float) * self.q[free]
+        ) + c_low * band_low[b, free]
 
     def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """Roundoff scale of the assembled gradient: the largest row of sums
@@ -220,10 +236,12 @@ class DiscreteEnergy:
         """Minimize `energy` over the samples u[free], a slice of unit step,
         the others held at their values in u0, by damped Newton
         (`_solvers.damped_newton`) on the Hessian block `hess(..., free)`,
-        at most maxiter steps.  The Armijo test reads `energy_change`
-        along each step, so `energy` is evaluated only at the first and
-        the returned iterate, and info.energy is the direct quadrature of
-        the minimizer.  With hold_mass the mass q[free] . u[free] stays at
+        at most maxiter steps.  The constant band `_constant_band` is built
+        once per solve, and each step's system shares it and differs only
+        in its diagonal (`_diagonal`, `BandedSystem.with_diagonal`).  The
+        Armijo test reads `energy_change` along each step, so `energy` is
+        evaluated only at the first and the returned iterate, and
+        info.energy is the direct quadrature of the minimizer.  With hold_mass the mass q[free] . u[free] stays at
         its value in u0: the gradient is projected onto q[free] . d = 0
         and each step solves the bordered system [[H, q], [q^T, 0]].  An
         energy below divergence_floor stops the run, flagged diverged.
@@ -247,10 +265,12 @@ class DiscreteEnergy:
                 g = g - (float(q @ g) / float(q @ q)) * q
             return g
 
+        base = BandedSystem(
+            self._constant_band(c, free), self.bandwidth, q if hold_mass else None
+        )
+
         def system(z):
-            return BandedSystem(
-                self.hess(full(z), w, c, free), self.bandwidth, q if hold_mass else None
-            )
+            return base.with_diagonal(self._diagonal(z, w, c, free))
 
         def line(z, dz):
             d = np.zeros_like(u)
@@ -324,7 +344,31 @@ class _PolynomialKernel:
 def _gram_diagonals(windows, q, b) -> np.ndarray:
     """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
     the stencil operator D with the (m, m) `windows` of `grids.diff_operator`
-    on the n = len(q) points: row r takes the window row starts[r] - r + m - 1
+    on the n = len(q) points, bit for bit those of `_row_ordered_diagonals`,
+    for q constant but for its first and last entries (the trapezoid
+    `grids.quadrature_weights`).
+
+    Every column at least L = 2m + 2 points from both ends then sums the
+    same products in the same order, so the accumulation runs only on the
+    proxy of q's first and last L entries, whose columns give the first
+    and last L columns of dia, and the columns between are copies of the
+    proxy's column L: one pass over n in place of m^2.
+    """
+    n, m = len(q), len(windows)
+    L = 2 * m + 2
+    if n <= 2 * L:
+        return _row_ordered_diagonals(windows, q, b)
+    proxy = _row_ordered_diagonals(windows, np.concatenate((q[:L], q[-L:])), b)
+    dia = np.empty((2 * b + 1, n))
+    dia[:, :L] = proxy[:, :L]
+    dia[:, L:n - L] = proxy[:, L, None]
+    dia[:, n - L:] = proxy[:, L:]
+    return dia
+
+
+def _row_ordered_diagonals(windows, q, b) -> np.ndarray:
+    """The diagonals of `_gram_diagonals` on any weights q, accumulated over
+    every row: row r of D takes the window row starts[r] - r + m - 1
     at columns starts[r] .. starts[r] + m - 1, starts = `window_starts(n, m)`,
     consecutive in the interior, with at most m - 1 clamped rows at each
     end.  The identity is the case m = 1.

@@ -22,26 +22,16 @@ of these formulas, and the sign s is drawn as (-1, +1)[integers(0, 2)],
 which consumes the generator exactly as `choice([-1, 1])` does.
 """
 
-from functools import cache
 from typing import List, Tuple
 
 import numpy as np
 
 from .grids import Field, Grid
-from .hermite import solve_zeta
+from .hermite import _step_polynomial, eval_poly
 
 __all__ = ["random_field", "make_ensemble", "DEFAULT_KINDS"]
 
 DEFAULT_KINDS: Tuple[str, ...] = ("fourier", "tanh_ramp", "hermite_step")
-
-
-@cache
-def _step_coefficients() -> np.ndarray:
-    """Float monomial coefficients of the n = 4 coupling polynomial from
-    the -1 well to the +1 well (read-only)."""
-    coeffs = solve_zeta((-1.0, 0.0, 0.0, 0.0)).coefficients
-    coeffs.flags.writeable = False
-    return coeffs
 
 
 def random_field(grid: Grid, rng: np.random.Generator, kind: str) -> Field:
@@ -68,7 +58,7 @@ def random_field(grid: Grid, rng: np.random.Generator, kind: str) -> Field:
         amp = rng.uniform(0.8, 1.2)
         s = (t - center + halfwidth) / (2 * halfwidth)
         s = np.minimum(np.maximum(s, 0.0), 1.0)
-        vals = amp * np.polynomial.polynomial.polyval(s, _step_coefficients())
+        vals = amp * eval_poly(_step_polynomial(4), s)
     else:
         raise ValueError(f"unknown ensemble kind {kind!r}")
     return Field(grid, vals)

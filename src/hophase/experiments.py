@@ -64,11 +64,15 @@ class SweepConfig:
     lambda_hat: Optional[float] = None
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ValueError(f"sweep requires n >= 2, got n = {self.n}")
         eps = self.eps_schedule
         if not eps:
             raise ValueError("eps schedule must not be empty")
-        if not all(e > 0 for e in eps):
-            raise ValueError(f"eps schedule must be positive, got {list(eps)}")
+        if not all(np.isfinite(e) and e > 0 for e in eps):
+            raise ValueError(
+                f"eps schedule must be positive and finite, got {list(eps)}"
+            )
         if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
             raise ValueError("eps schedule must be strictly decreasing")
         if self.points_per_eps_width < 1:

@@ -46,6 +46,10 @@ class Grid:
     num_points: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
+            raise ValueError(
+                f"grid endpoints must be finite, got a = {self.a}, b = {self.b}"
+            )
         if not self.b > self.a:
             raise ValueError("grid requires b > a")
         if self.num_points < 2:

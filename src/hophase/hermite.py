@@ -28,7 +28,7 @@ for numerics.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import factorial, perm
 from typing import List, Sequence, Tuple, Union
 
@@ -189,6 +189,14 @@ def solve_zeta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
 def solve_eta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
     """Mirrored coupling: -1 well at x = 0, data y at x = 1."""
     return _solve(y, "eta")
+
+
+@cache
+def _step_polynomial(n: int) -> CouplingPolynomial:
+    """The zeta polynomial from the -1 well, flat to order n - 1, to the +1
+    well: the smoothed step of `profiles.hermite_smoothed_step` and of the
+    ensembles' hermite_step fields, solved once per order (it is frozen)."""
+    return solve_zeta((-1.0,) + (0.0,) * (n - 1))
 
 
 def eval_poly(p: CouplingPolynomial, x, k: int = 0):

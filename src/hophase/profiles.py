@@ -25,7 +25,7 @@ import numpy as np
 from .critical import estimate_lambda_n
 from .energy import DiscreteEnergy
 from .grids import ACCURACY_ORDER, Field, Grid, NotAKnotSpline
-from .hermite import eval_poly, solve_zeta
+from .hermite import _step_polynomial, eval_poly
 from .potentials import DoubleWell
 
 __all__ = [
@@ -106,9 +106,7 @@ class ProfileResult:
 def hermite_smoothed_step(grid: Grid, n: int) -> np.ndarray:
     """A -1 -> +1 step smoothed over [-1/2, 1/2] by the two-point coupling
     polynomial with max(n,2)-fold flat contact at the wells."""
-    nn = max(int(n), 2)
-    data = [-1.0] + [0.0] * (nn - 1)
-    p = solve_zeta(tuple(data))
+    p = _step_polynomial(max(int(n), 2))
     x = grid.nodes()
     s = np.clip(x + 0.5, 0.0, 1.0)
     return np.asarray(eval_poly(p, s, 0), dtype=float)

@@ -656,6 +656,8 @@ class TestGammaSweep:
             ({"eps_schedule": []}, "eps schedule must not be empty"),
             ({"eps_schedule": [0.25, -0.125]}, "eps schedule must be positive"),
             ({"points_per_eps_width": 0}, "points_per_eps_width must be >= 1"),
+            # rejected before the n = 1 profile is solved
+            ({"n": 1, "eps_schedule": [0.25]}, "sweep requires n >= 2, got n = 1"),
         ],
     )
     def test_malformed_schedule_is_a_usage_error(

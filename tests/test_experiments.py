@@ -209,6 +209,17 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="decreasing"):
             SweepConfig(eps_schedule=(0.125, 0.25))
 
+    @pytest.mark.parametrize("n", (0, 1))
+    def test_order_below_two_is_rejected_before_any_solve(self, n):
+        with pytest.raises(ValueError, match=f"sweep requires n >= 2, got n = {n}"):
+            SweepConfig(n=n)
+
+    @pytest.mark.parametrize("bad", (np.inf, np.nan))
+    def test_non_finite_eps_is_rejected(self, bad):
+        # an infinite first eps was a "recovery failed" row, not an error
+        with pytest.raises(ValueError, match="eps schedule must be positive and finite"):
+            SweepConfig(eps_schedule=(bad, 0.125))
+
     def test_mass_must_be_attainable(self):
         with pytest.raises(ValueError, match="mass"):
             SweepConfig(interval=(0.0, 1.0), jumps=(0.5,), mass_constraint=1.5)

@@ -38,6 +38,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize(
+        "a, b", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)]
+    )
+    def test_non_finite_endpoints_rejected(self, a, b):
+        # an infinite endpoint would give h = inf, and a NaN one NaN nodes
+        message = f"endpoints must be finite, got a = {a}, b = {b}"
+        with pytest.raises(ValueError, match=message):
+            Grid(a, b, 11)
+
 
 class TestField:
     def test_from_callable(self):

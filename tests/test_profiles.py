@@ -15,7 +15,8 @@ from hophase import (
     evaluate,
     minimize_profile,
 )
-from hophase.profiles import PROFILE_GTOL, default_starts
+from hophase import hermite
+from hophase.profiles import PROFILE_GTOL, default_starts, hermite_smoothed_step
 
 
 def clamped_start(prob, u0):
@@ -159,6 +160,28 @@ class TestProfileMinimization:
             u0[: prob.clamp_band] = -1.0
             u0[-prob.clamp_band :] = 1.0
             assert res.energy_estimate <= energy_of(u0) + 1e-12
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_smoothed_step_is_solved_once_per_order(self, monkeypatch, n):
+        # the cached polynomial gives the bits of a fresh exact solve, and a
+        # second multistart solves nothing
+        solve = hermite.solve_zeta
+        calls = []
+        monkeypatch.setattr(
+            hermite, "solve_zeta", lambda y: calls.append(y) or solve(y)
+        )
+        hermite._step_polynomial.cache_clear()
+        grid = Grid(-5.0, 5.0, 401)
+        try:
+            first = hermite_smoothed_step(grid, n)
+            np.testing.assert_array_equal(hermite_smoothed_step(grid, n), first)
+        finally:
+            hermite._step_polynomial.cache_clear()
+        nn = max(n, 2)
+        assert calls == [(-1.0,) + (0.0,) * (nn - 1)]
+        fresh = solve([-1.0] + [0.0] * (nn - 1))
+        s = np.clip(grid.nodes() + 0.5, 0.0, 1.0)
+        np.testing.assert_array_equal(first, hermite.eval_poly(fresh, s, 0))
 
     def test_custom_init_descends(self, quartic):
         prob = ProfileProblem(2, 0.0, 4.0, 601, quartic)

@@ -6,10 +6,11 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
 
-from hophase import DiscreteEnergy, Grid, _solvers
+from hophase import DiscreteEnergy, EnergyParams, Grid, ProfileProblem, _solvers, energy
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import _gram_diagonals
-from hophase.grids import ACCURACY_ORDER, _unit_rows, quadrature_weights
+from hophase.energy import _gram_diagonals, _row_ordered_diagonals
+from hophase.grids import ACCURACY_ORDER, _unit_rows, diff_operator, quadrature_weights
+from hophase.profiles import PROFILE_GTOL, PROFILE_MAXITER
 
 from conftest import differenced, to_band
 
@@ -446,3 +447,131 @@ def test_factorizations_count_the_gbsv_calls_and_skip_no_op_shifts(monkeypatch):
     assert [h["tau"] for h in info.history] == [h["tau"] for h in info_all.history]
     assert info_all.factorizations == len(calls) - info.factorizations
     assert info.factorizations < info_all.factorizations
+
+
+def step_systems(monkeypatch, kernel, u, w, c, free, hold_mass, points):
+    """The systems that the Newton steps of `kernel.minimize` factor at the
+    given samples: the driver is replaced by one that builds them."""
+    systems = []
+
+    def driver(fun, grad, hess, x0, **kwargs):
+        systems.extend(hess(p[free]) for p in points)
+        return x0, _solvers.SolveInfo()
+
+    monkeypatch.setattr(energy, "damped_newton", driver)
+    kernel.minimize(u, w, c, 1e-8, 1, free=free, hold_mass=hold_mass)
+    return systems
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
+    # the step's system shares one constant band per solve and carries
+    # its own diagonal; its matrix is hess's, entry for entry, and it
+    # solves as the system built from hess's band, bit for bit
+    grid = Grid(-5.0, 5.0, 401)
+    kernel = DiscreteEnergy(grid, n)
+    b, size = kernel.bandwidth, grid.num_points
+    x = grid.nodes()
+    points = [np.tanh(x), np.tanh(x / 0.3) + 0.1 * np.sin(3.0 * x)]
+    c = (1.0, -0.02, 1.0)
+    band = n + ACCURACY_ORDER
+    cases = [
+        (slice(None), False),
+        (slice(band, size - band), False),  # the profile's clamped slice
+        (slice(None), True),  # the mass border
+    ]
+    rhs = np.cos(x)
+    for free, hold_mass in cases:
+        border = kernel.q[free] if hold_mass else None
+        systems = step_systems(
+            monkeypatch, kernel, points[0], quartic, c, free, hold_mass, points
+        )
+        assert systems[0].band is systems[1].band
+        for u, system in zip(points, systems):
+            ab = kernel.hess(u, quartic, c, free)
+            np.testing.assert_array_equal(system.ab, ab)
+            if hold_mass:
+                np.testing.assert_array_equal(system.c, border)
+            else:
+                assert system.c is None
+            reference = BandedSystem(ab, b, border)
+            for tau in (0.0, 1e-3, 10.0):
+                np.testing.assert_array_equal(
+                    system.solve(rhs[free], tau), reference.solve(rhs[free], tau)
+                )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_gram_diagonals_fill_the_interior_with_the_same_bits(n):
+    # the interior columns copied from the proxy's equal those of the
+    # accumulation over every row, at every size up to past 4L and at the
+    # largest grid of the sweep
+    m = n + ACCURACY_ORDER
+    L = 2 * m + 2
+    for num_points in [*range(m, 4 * L + 3), 16385]:
+        grid = Grid(-1.3, 2.1, num_points)
+        q, b = quadrature_weights(grid), m - 1
+        low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1)
+        for windows in (low, diff_operator(grid, n)):
+            np.testing.assert_array_equal(
+                _gram_diagonals(windows, q, b), _row_ordered_diagonals(windows, q, b)
+            )
+
+
+def minimize_recording(monkeypatch, kernel, u0, w, c, free, hold_mass, rebuild):
+    """kernel.minimize with a driver that records the iterate of every step
+    and, with rebuild, is fed the BandedSystem of the whole `hess` band at
+    every step, as a minimize that rebuilds the Hessian would; returns the
+    minimizer, the driver's SolveInfo and the iterates."""
+    iterates, infos = [], []
+
+    def driver(fun, grad, hess, x0, **kwargs):
+        def system(z):
+            iterates.append(z.copy())
+            if not rebuild:
+                return hess(z)
+            u = u0.copy()
+            u[free] = z
+            border = kernel.q[free] if hold_mass else None
+            return BandedSystem(kernel.hess(u, w, c, free), kernel.bandwidth, border)
+
+        z, info = damped_newton(fun, grad, system, x0, **kwargs)
+        infos.append(info)
+        return z, info
+
+    monkeypatch.setattr(energy, "damped_newton", driver)
+    u, *_ = kernel.minimize(
+        u0, w, c, PROFILE_GTOL, PROFILE_MAXITER, free=free, hold_mass=hold_mass
+    )
+    return u, infos[0], iterates
+
+
+@pytest.mark.parametrize("case", ("profile n = 3", "mass n = 2"))
+def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatch):
+    if case == "profile n = 3":
+        problem = ProfileProblem(3, 0.01, 5.0, 801, quartic)
+        kernel, band = DiscreteEnergy(problem.grid, 3), problem.clamp_band
+        u0 = np.tanh(problem.grid.nodes())
+        u0[:band], u0[-band:] = -1.0, 1.0
+        c, free, hold_mass = (1.0, -0.01, 1.0), slice(band, 801 - band), False
+    else:
+        grid = Grid(-4.0, 4.0, 513)
+        kernel = DiscreteEnergy(grid, 2)
+        u0 = np.tanh(grid.nodes() / 0.3) + 0.25
+        c, free, hold_mass = EnergyParams(2, 0.25, 0.01).weights, slice(None), True
+    args = (monkeypatch, kernel, u0, quartic, c, free, hold_mass)
+    u, info, iterates = minimize_recording(*args, rebuild=False)
+    u_ref, info_ref, iterates_ref = minimize_recording(*args, rebuild=True)
+    assert info.iterations > 1
+    np.testing.assert_array_equal(u, u_ref)
+    assert len(iterates) == len(iterates_ref)
+    for z, z_ref in zip(iterates, iterates_ref):
+        np.testing.assert_array_equal(z, z_ref)
+    assert (info.iterations, info.factorizations, info.message, info.energy) == (
+        info_ref.iterations, info_ref.factorizations, info_ref.message, info_ref.energy,
+    )
+
+    def timeless(history):
+        return [{k: v for k, v in h.items() if k != "elapsed_s"} for h in history]
+
+    assert timeless(info.history) == timeless(info_ref.history)
