@@ -265,6 +265,9 @@ def damped_newton(
         if info.message:
             break
         x, energy = x + step * d, energy + de
+        # the line search's copies of u, d and W(u) are not needed by the
+        # next step's Hessian and factorization
+        del change, d
         g = grad(x)
         info.iterations = info.newton_iterations = it + 1
         info.history.append(

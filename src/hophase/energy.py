@@ -61,7 +61,7 @@ class DiscreteEnergy:
     """
 
     def __init__(self, grid: Grid, n: int):
-        if not 1 <= n <= MAX_DERIVATIVE_ORDER:
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_DERIVATIVE_ORDER):
             raise ValueError(f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {n}")
         self.q = quadrature_weights(grid)
         low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1)
@@ -70,31 +70,24 @@ class DiscreteEnergy:
 
     @cached_property
     def K_low(self) -> sp.dia_matrix:
-        """K_low on the diagonals within the reach of D_{n-1}, the inner
-        rows of its band; the rows outside are 0."""
-        return _dia_view(self._bands[1][self._low_rows])
-
-    @property
-    def _low_rows(self) -> slice:
-        """The band rows b - r .. b + r of K_low, r the reach of the D_{n-1}
-        stencil window: b - 1 for n >= 2, 0 for the identity at n = 1."""
-        b, r = self.bandwidth, len(self._windows[0]) - 1
-        return slice(b - r, b + r + 1)
+        return _dia_view(self._bands[0])
 
     @cached_property
     def K_high(self) -> sp.dia_matrix:
-        return _dia_view(self._bands[2])
+        return _dia_view(self._bands[1])
 
     @cached_property
     def _bands(self):
-        """The half-bandwidth b and K_low, K_high in band storage with
-        lo = up = b (`BandedSystem`'s layout ab[b + i - j, j] = K[i, j]),
-        each the row-reversed view of the diagonals `_gram_diagonals`
-        assembles from the stencil windows: bit for bit the bands of the
-        CSR triple product 2 (D^T diag(q)) D that the tests build from the
-        exact stencil weights (no code here forms that product)."""
-        b = self.bandwidth
-        return (b, *(_gram_diagonals(W, self.q, b)[::-1] for W in self._windows))
+        """K_low and K_high in band storage, each with lo = up = r, the
+        reach of its stencil window (`BandedSystem`'s layout
+        ab[r + i - j, j] = K[i, j]; r = `bandwidth` for K_high, one less for
+        K_low, 0 for the identity at n = 1): the row-reversed diagonals of
+        `_gram_diagonals`, bit for bit the bands of the CSR triple product
+        2 (D^T diag(q)) D that the tests build from the exact stencil
+        weights (no code here forms that product)."""
+        return tuple(
+            _gram_diagonals(W, self.q, len(W) - 1)[::-1] for W in self._windows
+        )
 
     @property
     def bandwidth(self) -> int:
@@ -127,11 +120,8 @@ class DiscreteEnergy:
     def energy(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """c_pot int W + c_high int (u^(n))^2 + c_low int (u^(n-1))^2."""
         c_pot, c_low, c_high = c
-        low, high = self._windows
-        return (
-            c_pot * self._potential(u, w) + c_high * self._square(high, u)
-            + c_low * self._square(low, u)
-        )
+        pot, low, high = self.terms(u, w)
+        return c_pot * pot + c_high * high + c_low * low
 
     def energy_change(self, u: np.ndarray, d: np.ndarray, w: DoubleWell, c):
         """The change phi(t) = energy(u + t d) - energy(u) along a step d,
@@ -188,11 +178,11 @@ class DiscreteEnergy:
         storage, the part of the Hessian that does not depend on u; its
         diagonal row is replaced by `_diagonal` in every Newton matrix.
         The K_low/K_high bands are built once per kernel."""
-        b, band_low, band_high = self._bands
+        band_low, band_high = self._bands
         _, c_low, c_high = c
+        b, r = self.bandwidth, len(band_low) // 2
         ab = c_high * band_high[:, free]
-        rows = self._low_rows
-        ab[rows] += c_low * band_low[rows, free]
+        ab[b - r:b + r + 1] += c_low * band_low[:, free]
         # couplings to points outside a proper block fall outside the
         # matrix; for the whole range those entries are 0 already
         if free.indices(len(self.q)) != (0, len(self.q), 1):
@@ -205,12 +195,12 @@ class DiscreteEnergy:
         """The Hessian's diagonal on free at the samples v = u[free], summed
         as (c_high K_high + c_pot W''(v) q) + c_low K_low: the one entry
         per point that changes with u (`DoubleWell.second_derivative`)."""
-        b, band_low, band_high = self._bands
+        band_low, band_high = self._bands
         c_pot, c_low, c_high = c
         return (
-            c_high * band_high[b, free]
+            c_high * band_high[self.bandwidth, free]
             + c_pot * np.asarray(w.second_derivative(v), dtype=float) * self.q[free]
-        ) + c_low * band_low[b, free]
+        ) + c_low * band_low[len(band_low) // 2, free]
 
     def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """Roundoff scale of the assembled gradient: the largest row of sums
@@ -344,71 +334,44 @@ class _PolynomialKernel:
 def _gram_diagonals(windows, q, b) -> np.ndarray:
     """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
     the stencil operator D with the (m, m) `windows` of `grids.diff_operator`
-    on the n = len(q) points, bit for bit those of `_row_ordered_diagonals`,
-    for q constant but for its first and last entries (the trapezoid
-    `grids.quadrature_weights`).
+    on the N = len(q) points, for b at least the reach m - 1.  Row r of D
+    takes the window row starts[r] - r + m - 1 at the columns
+    starts[r] .. starts[r] + m - 1, starts = `window_starts(N, m)`; the
+    identity is the case m = 1.
 
-    Every column at least L = 2m + 2 points from both ends then sums the
-    same products in the same order, so the accumulation runs only on the
-    proxy of q's first and last L entries, whose columns give the first
-    and last L columns of dia, and the columns between are copies of the
-    proxy's column L: one pass over n in place of m^2.
+    One unbuffered `np.add.at` adds the products (q_r w_a) w_c in index
+    order, so every entry sums its rows in ascending r from 0.0, the order
+    of the CSR product (D^T diag(q)) D (Bank & Douglas, SMMP), and equals
+    that product, which the tests build from the exact stencil weights,
+    bit for bit.  The order matters: the n >= 3 profiles stop on their
+    gradient noise.  The final factor 2 is exact.
+
+    For q constant but for its first and last entries (the trapezoid
+    `grids.quadrature_weights`), every column at least L = 2m + 2 points
+    from both ends sums the same products in the same order, so past
+    N = 2L the accumulation runs only on the proxy of q's first and last L
+    entries, whose columns give the first and last L columns of dia, and
+    the columns between are copies of the proxy's column L.
     """
     n, m = len(q), len(windows)
     L = 2 * m + 2
-    if n <= 2 * L:
-        return _row_ordered_diagonals(windows, q, b)
-    proxy = _row_ordered_diagonals(windows, np.concatenate((q[:L], q[-L:])), b)
-    dia = np.empty((2 * b + 1, n))
-    dia[:, :L] = proxy[:, :L]
-    dia[:, L:n - L] = proxy[:, L, None]
-    dia[:, n - L:] = proxy[:, L:]
-    return dia
-
-
-def _row_ordered_diagonals(windows, q, b) -> np.ndarray:
-    """The diagonals of `_gram_diagonals` on any weights q, accumulated over
-    every row: row r of D takes the window row starts[r] - r + m - 1
-    at columns starts[r] .. starts[r] + m - 1, starts = `window_starts(n, m)`,
-    consecutive in the interior, with at most m - 1 clamped rows at each
-    end.  The identity is the case m = 1.
-
-    K[i, j] sums q_r D[r, i] D[r, j] over the rows r in ascending order, the
-    order in which the CSR product (D^T diag(q)) D accumulates it (Bank &
-    Douglas, SMMP), so every entry equals that product's, which the tests
-    build from the exact stencil weights, bit for bit.  The order matters:
-    the n >= 3 profiles stop on their gradient noise, and applying the same
-    forms as one band c_low K_low + c_high K_high (BLAS dgbmv) moved C_hat
-    at n = 3 by up to 5.2e-6 relative when the gradient used it, and the
-    n = 4 profile energy from 18.5 to 2.2e5 when the line search's energy
-    change did.  The order is: the
-    clamped rows at the left end first, one m x m outer product each; then the
-    interior rows, which all take the one interior window w, one slice add
-    (q w[a]) w[c] per weight pair (a, c), with a descending so that the
-    rows meeting in one entry come in ascending order; then the clamped
-    rows at the right end.  The final factor 2 is exact.
-    """
-    n, m = len(q), len(windows)
+    if n > 2 * L:
+        proxy = _gram_diagonals(windows, np.concatenate((q[:L], q[-L:])), b)
+        dia = np.empty((2 * b + 1, n))
+        dia[:, :L] = proxy[:, :L]
+        dia[:, L:n - L] = proxy[:, L, None]
+        dia[:, n - L:] = proxy[:, L:]
+        return dia
     starts = window_starts(n, m)
+    w = windows[starts - np.arange(n) + m - 1]
+    cols = starts[:, None] + np.arange(m)
+    # q on the row side, as in D^T diag(q); product (r, a, c) adds to
+    # K[i, j] at i = cols[r, a], j = cols[r, c]
+    products = (q[:, None] * w)[:, :, None] * w[:, None, :]
     dia = np.zeros((2 * b + 1, n))
-    lo = (m - 1) // 2  # the first row with a centred window
-    hi = lo + n - m + 1  # one past the last
-    A, C = np.indices((m, m))
-
-    def add_row(r):
-        w = windows[starts[r] - r + m - 1]
-        # q on the row side, as in D^T diag(q)
-        dia[b + C - A, starts[r] + C] += np.outer(w * q[r], w)
-
-    for r in range(lo):
-        add_row(r)
-    w, inner = windows[m - 1 - lo], q[lo:hi]
-    for a in range(m - 1, -1, -1):
-        p = inner * w[a]
-        for c in range(m):
-            dia[b + c - a, c:c + hi - lo] += p * w[c]
-    for r in range(hi, n):
-        add_row(r)
+    np.add.at(
+        dia, (b + cols[:, None, :] - cols[:, :, None], cols[:, None, :]), products
+    )
     dia *= 2.0
     return dia
 

@@ -91,7 +91,10 @@ class SweepConfig:
         )
 
     def config_hash(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, default=str)
+        """The sweep's name: a hash of every field but output_dir, so the
+        same sweep written to two places has one name."""
+        fields = {**asdict(self), "output_dir": None}
+        payload = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

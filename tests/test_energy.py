@@ -10,10 +10,14 @@ from hophase import (
     EnergyParams,
     Field,
     Grid,
+    ProfileProblem,
+    estimate_lambda_n,
     evaluate,
     evaluate_rescaled,
     gradient,
     make_ensemble,
+    minimize_profile,
+    quotient,
 )
 from hophase.grids import ACCURACY_ORDER, MAX_DERIVATIVE_ORDER
 
@@ -215,6 +219,21 @@ class TestDiscreteEnergy:
         with pytest.raises(ValueError, match=f"got n = {n}$"):
             DiscreteEnergy(self.GRID, n)
 
+    @pytest.mark.parametrize(
+        "call",
+        (
+            lambda u, w: estimate_lambda_n(2.5, w),
+            lambda u, w: quotient(u, 2.5, w),
+            lambda u, w: evaluate(u, EnergyParams(2.5, 0.1), w),
+            lambda u, w: minimize_profile(ProfileProblem(2.5, 0.0, 5.0, 401, w)),
+        ),
+        ids=("estimate_lambda_n", "quotient", "evaluate", "minimize_profile"),
+    )
+    def test_non_integer_order_names_n(self, quartic, call):
+        # the range check rejects it before a stencil is built from it
+        with pytest.raises(ValueError, match=r"^n must be in \[1, 6\]; got n = 2\.5$"):
+            call(Field(self.GRID, self.field(0)), quartic)
+
     @pytest.mark.parametrize("n", range(2, MAX_DERIVATIVE_ORDER + 1))
     def test_matches_energy_module(self, quartic, n):
         u = Field(self.GRID, self.field(n))
@@ -274,39 +293,44 @@ class TestDiscreteEnergy:
         "n", range(1, MAX_DERIVATIVE_ORDER + 1), ids=lambda n: f"{n}-trapezoid"
     )
     def test_bands_are_the_sparse_triple_products(self, n):
-        # the bands assembled from the stencil rows, and the products of the
-        # K views with a vector, equal those of 2 D^T diag(q) D bit for bit
+        # the bands assembled from the stencil rows, each at the reach of
+        # its stencil, and the products of the K views with a vector, equal
+        # those of 2 D^T diag(q) D bit for bit
         m = n + 4
         for num_points in (m, m + 1, 2 * m + 1, 501, 16385):
             grid = Grid(-1.3, 2.1, num_points)
             k = DiscreteEnergy(grid, n)
-            b, *bands = k._bands
             u = np.random.default_rng(num_points).standard_normal(num_points)
-            for d, band, K in zip(operators(grid, n), bands, (k.K_low, k.K_high)):
+            for d, band, K in zip(operators(grid, n), k._bands, (k.K_low, k.K_high)):
                 product = 2.0 * (d.T @ sp.diags(k.q) @ d)
-                np.testing.assert_array_equal(band, to_band(product, b, b))
+                r = len(band) // 2
+                np.testing.assert_array_equal(band, to_band(product, r, r))
                 np.testing.assert_array_equal(K @ u, product @ u)
 
     @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
     def test_low_form_keeps_to_the_reach_of_its_stencil(self, quartic, n):
         # D_{n-1} reaches one point less far than D_n (not at all for the
-        # identity at n = 1), so K_low's outer band rows are 0 and its view
-        # and the Hessian leave them out, with the same bits as the whole band
+        # identity at n = 1), so K_low's band has 2 r + 1 rows, and the
+        # Hessian adds it into the rows b - r .. b + r of K_high's with the
+        # same bits as a band padded to K_high's width
         k = DiscreteEnergy(self.GRID, n)
-        b, band_low, band_high = k._bands
+        band_low, band_high = k._bands
+        b = k.bandwidth
         r = b - 1 if n > 1 else 0
+        assert band_low.shape == (2 * r + 1, len(k.q))
+        assert band_high.shape == (2 * b + 1, len(k.q))
         np.testing.assert_array_equal(k.K_low.offsets, np.arange(-r, r + 1))
-        assert not band_low[: b - r].any() and not band_low[b + r + 1:].any()
+        padded = np.zeros_like(band_high)
+        padded[b - r:b + r + 1] = band_low
         u = self.field(n)
         size = len(u)
-        offsets = np.arange(-b, b + 1)
-        whole = sp.dia_matrix((band_low[::-1], offsets), shape=(size, size))
+        whole = sp.dia_matrix((padded[::-1], np.arange(-b, b + 1)), shape=(size, size))
         np.testing.assert_array_equal(k.K_low @ u, whole @ u)
         c = (0.7, -0.3, 1.1)
         for free in (slice(None), slice(b, size - b)):
             ab = c[2] * band_high[:, free]
             ab[b] += c[0] * quartic.eval_second_derivative(u[free]) * k.q[free]
-            ab += c[1] * band_low[:, free]
+            ab += c[1] * padded[:, free]
             for j in range(1, b + 1):
                 ab[b - j, :j] = 0.0
                 ab[b + j, ab.shape[1] - j:] = 0.0

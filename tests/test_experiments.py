@@ -200,6 +200,14 @@ class TestSweepConfig:
         )
         assert other.config_hash() != h
 
+    def test_hash_does_not_depend_on_where_the_record_goes(self):
+        # the same sweep written to two places has one name, the name a run
+        # that writes nothing prints
+        h = SweepConfig(eps_schedule=(0.25,)).config_hash()
+        assert h == "475de14d27aa94b9"
+        for out in ("a", "b"):
+            assert SweepConfig(eps_schedule=(0.25,), output_dir=out).config_hash() == h
+
     def test_seed_is_not_a_setting(self):
         # a sweep draws no random number
         with pytest.raises(TypeError):

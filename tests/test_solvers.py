@@ -8,11 +8,11 @@ from scipy.linalg.lapack import dgbsv
 
 from hophase import DiscreteEnergy, EnergyParams, Grid, ProfileProblem, _solvers, energy
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import _gram_diagonals, _row_ordered_diagonals
+from hophase.energy import _gram_diagonals
 from hophase.grids import ACCURACY_ORDER, _unit_rows, diff_operator, quadrature_weights
 from hophase.profiles import PROFILE_GTOL, PROFILE_MAXITER
 
-from conftest import differenced, to_band
+from conftest import differenced, stencil_csr, to_band
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -503,18 +503,24 @@ def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gram_diagonals_fill_the_interior_with_the_same_bits(n):
-    # the interior columns copied from the proxy's equal those of the
-    # accumulation over every row, at every size up to past 4L and at the
-    # largest grid of the sweep
+    # the diagonals, accumulated on every row up to N = 2L and with the
+    # interior columns copied from the proxy's past it, equal those of the
+    # CSR triple product 2 D^T diag(q) D of the reference stencils bit for
+    # bit, at every size up to past 4L and at the largest grid of the sweep
     m = n + ACCURACY_ORDER
     L = 2 * m + 2
     for num_points in [*range(m, 4 * L + 3), 16385]:
         grid = Grid(-1.3, 2.1, num_points)
-        q, b = quadrature_weights(grid), m - 1
-        low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1)
-        for windows in (low, diff_operator(grid, n)):
+        q = quadrature_weights(grid)
+        low = (
+            (np.ones((1, 1)), stencil_csr(grid, 0, 1)) if n == 1
+            else (diff_operator(grid, n - 1), stencil_csr(grid, n - 1, m - 1))
+        )
+        for windows, d in (low, (diff_operator(grid, n), stencil_csr(grid, n, m))):
+            r = len(windows) - 1
+            product = 2.0 * (d.T @ sp.diags(q) @ d)
             np.testing.assert_array_equal(
-                _gram_diagonals(windows, q, b), _row_ordered_diagonals(windows, q, b)
+                _gram_diagonals(windows, q, r)[::-1], to_band(product, r, r)
             )
 
 
