@@ -22,7 +22,7 @@ def main():
     print("== first-order calibration: exact constant is 8/3 ==")
     res = minimize_profile(ProfileProblem(1, 0.0, 8.0, 1601, w))
     print(f"  estimate {res.energy_estimate:.8f} vs 8/3 = {8 / 3:.8f}")
-    print(f"  converged = {res.converged}, |grad| = {res.gradient_norm_final:.1e}")
+    print(f"  converged = {res.converged}, Newton decrement = {res.newton_decrement:.1e}")
 
     print("\n== second-order profile constant at lambda = 0 ==")
     res2 = minimize_profile(ProfileProblem(2, 0.0, 6.0, 1201, w))

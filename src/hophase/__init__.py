@@ -67,7 +67,6 @@ from .profiles import (
     ProfileResult,
     build_recovery,
     estimate_constants,
-    hermite_smoothed_step,
     minimize_profile,
 )
 from .inequalities import (
@@ -120,7 +119,7 @@ __all__ = [
     "verify_subcritical",
     # profiles
     "ProfileProblem", "ProfileResult", "minimize_profile",
-    "hermite_smoothed_step", "ConstantsEstimate", "estimate_constants",
+    "ConstantsEstimate", "estimate_constants",
     "JumpFunction", "build_recovery",
     # inequalities
     "GNParams", "CheckReport", "EnsembleCheckReport", "lp_norm",

@@ -218,8 +218,8 @@ def _cmd_profile(args) -> int:
             "converged_lam": est.result_lam.converged,
             "gradient_norm_0": est.result_0.gradient_norm_final,
             "gradient_norm_lam": est.result_lam.gradient_norm_final,
-            "gradient_floor_0": est.result_0.gradient_floor,
-            "gradient_floor_lam": est.result_lam.gradient_floor,
+            "newton_decrement_0": est.result_0.newton_decrement,
+            "newton_decrement_lam": est.result_lam.newton_decrement,
             "truncation_T": grid.b,
             "num_points": grid.num_points,
         },

@@ -13,8 +13,9 @@ the interpolation quotient and the coupling bound) is a weighted sum of the
 same three integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2.
 `DiscreteEnergy` is their one discretization on a grid, with gradient,
 Hessian, energy change along a step, roundoff floor and the damped-Newton
-front end of every energy minimizer; `_PolynomialKernel` is the same
-three integrals for a polynomial, integrated exactly by Gauss-Legendre
+front end of `minimize_energy`; `_PolynomialKernel` is the same three
+integrals for a polynomial, and `_SplineKernel` for a transition profile
+in a B-spline space, each integrated exactly by Gauss-Legendre
 quadrature.
 """
 
@@ -24,6 +25,8 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import LinAlgError
 
 from ._solvers import BandedSystem, damped_newton
 from .grids import (
@@ -40,6 +43,18 @@ __all__ = [
     "evaluate_rescaled",
     "gradient",
 ]
+
+
+#: the stops of `_solvers.damped_newton` short of a minimizer, whatever the
+#: gradient
+_FAILED_STOPS = ("line search failed", "no descent direction found")
+
+
+def _require_integer_order(n) -> None:
+    """Raise ValueError unless the derivative order n is an int or a numpy
+    integer: 3.0 and 2.5 are no orders, and stencils are built from n."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"n must be an integer; got n = {n}")
 
 
 class DiscreteEnergy:
@@ -61,7 +76,8 @@ class DiscreteEnergy:
     """
 
     def __init__(self, grid: Grid, n: int):
-        if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_DERIVATIVE_ORDER):
+        _require_integer_order(n)
+        if not 1 <= n <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {n}")
         self.q = quadrature_weights(grid)
         low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1)
@@ -132,7 +148,7 @@ class DiscreteEnergy:
 
         over the two quadratic terms k, without differencing two energies.
         The direct difference cancels to about eps sum q |D u| (|D| |u|),
-        1e-9 to 1e-8 for the n = 3 profiles on 2001 points.  Here the
+        1e-9 to 1e-8 for an n = 3 layer on 2001 points.  Here the
         roundoff of the quadratic part scales with t; the potential part
         is still a pointwise difference and keeps a floor of about
         eps |c_pot| sum q (|W(u)| + |u W'(u)|).  D_k u, D_k d and W(u) are
@@ -163,44 +179,37 @@ class DiscreteEnergy:
             + c_high * (self.K_high @ u) + c_low * (self.K_low @ u)
         )
 
-    def hess(self, u: np.ndarray, w: DoubleWell, c, free: slice = slice(None)):
-        """The Hessian block H[free, free], for a slice free of unit step,
-        in band storage ab[b + i - j, j] = H[i, j] with b = `bandwidth`:
-        the constant band `_constant_band` with the diagonal `_diagonal`
-        in its row b.  `minimize` factors the same matrix, bit for bit, from
-        one constant band per solve."""
-        ab = self._constant_band(c, free)
-        ab[self.bandwidth] = self._diagonal(u[free], w, c, free)
+    def hess(self, u: np.ndarray, w: DoubleWell, c):
+        """The Hessian in band storage ab[b + i - j, j] = H[i, j] with
+        b = `bandwidth`: the constant band `_constant_band` with the
+        diagonal `_diagonal` in its row b.  `minimize` factors the same
+        matrix, bit for bit, from one constant band per solve."""
+        ab = self._constant_band(c)
+        ab[self.bandwidth] = self._diagonal(u, w, c)
         return ab
 
-    def _constant_band(self, c, free: slice) -> np.ndarray:
-        """c_high K_high + c_low K_low on the block [free, free] in band
-        storage, the part of the Hessian that does not depend on u; its
-        diagonal row is replaced by `_diagonal` in every Newton matrix.
-        The K_low/K_high bands are built once per kernel."""
+    def _constant_band(self, c) -> np.ndarray:
+        """c_high K_high + c_low K_low in band storage, the part of the
+        Hessian that does not depend on u; its diagonal row is replaced by
+        `_diagonal` in every Newton matrix.  The K_low/K_high bands are
+        built once per kernel."""
         band_low, band_high = self._bands
         _, c_low, c_high = c
         b, r = self.bandwidth, len(band_low) // 2
-        ab = c_high * band_high[:, free]
-        ab[b - r:b + r + 1] += c_low * band_low[:, free]
-        # couplings to points outside a proper block fall outside the
-        # matrix; for the whole range those entries are 0 already
-        if free.indices(len(self.q)) != (0, len(self.q), 1):
-            for k in range(1, b + 1):
-                ab[b - k, :k] = 0.0
-                ab[b + k, ab.shape[1] - k:] = 0.0
+        ab = c_high * band_high
+        ab[b - r:b + r + 1] += c_low * band_low
         return ab
 
-    def _diagonal(self, v: np.ndarray, w: DoubleWell, c, free: slice) -> np.ndarray:
-        """The Hessian's diagonal on free at the samples v = u[free], summed
-        as (c_high K_high + c_pot W''(v) q) + c_low K_low: the one entry
-        per point that changes with u (`DoubleWell.second_derivative`)."""
+    def _diagonal(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
+        """The Hessian's diagonal at the samples u, summed as
+        (c_high K_high + c_pot W''(u) q) + c_low K_low: the one entry per
+        point that changes with u (`DoubleWell.second_derivative`)."""
         band_low, band_high = self._bands
         c_pot, c_low, c_high = c
         return (
-            c_high * band_high[self.bandwidth, free]
-            + c_pot * np.asarray(w.second_derivative(v), dtype=float) * self.q[free]
-        ) + c_low * band_low[len(band_low) // 2, free]
+            c_high * band_high[self.bandwidth]
+            + c_pot * np.asarray(w.second_derivative(u), dtype=float) * self.q
+        ) + c_low * band_low[len(band_low) // 2]
 
     def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """Roundoff scale of the assembled gradient: the largest row of sums
@@ -221,62 +230,47 @@ class DiscreteEnergy:
         return 8.0 * np.finfo(float).eps * scale
 
     def minimize(self, u0: np.ndarray, w: DoubleWell, c, gtol: float,
-                 maxiter: int, free: slice = slice(None), hold_mass: bool = False,
-                 divergence_floor=None):
-        """Minimize `energy` over the samples u[free], a slice of unit step,
-        the others held at their values in u0, by damped Newton
-        (`_solvers.damped_newton`) on the Hessian block `hess(..., free)`,
-        at most maxiter steps.  The constant band `_constant_band` is built
-        once per solve, and each step's system shares it and differs only
-        in its diagonal (`_diagonal`, `BandedSystem.with_diagonal`).  The
-        Armijo test reads `energy_change` along each step, so `energy` is
-        evaluated only at the first and the returned iterate, and
-        info.energy is the direct quadrature of the minimizer.  With hold_mass the mass q[free] . u[free] stays at
-        its value in u0: the gradient is projected onto q[free] . d = 0
-        and each step solves the bordered system [[H, q], [q^T, 0]].  An
+                 maxiter: int, hold_mass: bool = False, divergence_floor=None):
+        """Minimize `energy` over the samples from u0 by damped Newton
+        (`_solvers.damped_newton`) on `hess`, at most maxiter steps.  The
+        constant band `_constant_band` is built once per solve, and each
+        step's system shares it and differs only in its diagonal
+        (`_diagonal`, `BandedSystem.with_diagonal`).  The Armijo test reads
+        `energy_change` along each step, so `energy` is evaluated only at
+        the first and the returned iterate, and info.energy is the direct
+        quadrature of the minimizer.  With hold_mass the mass q . u stays
+        at its value in u0: the gradient is projected onto q . d = 0 and
+        each step solves the bordered system [[H, q], [q^T, 0]].  An
         energy below divergence_floor stops the run, flagged diverged.
 
-        Returns the minimizer (all samples), the solver's `SolveInfo`, the
-        roundoff floor `gradient_floor` at the minimizer, and the verdict
-        converged: a final gradient sup-norm below max(gtol, floor), no
-        divergence, and no stop on a failed line search or on no descent
-        direction, which end short of a minimizer whatever the gradient."""
-        u = np.array(u0, dtype=float)
-        q = self.q[free]
+        Returns the minimizer, the solver's `SolveInfo`, the roundoff floor
+        `gradient_floor` at the minimizer, and the verdict converged: a
+        final gradient sup-norm below max(gtol, floor), no divergence, and
+        no stop on a failed line search or on no descent direction, which
+        end short of a minimizer whatever the gradient."""
+        q = self.q
 
-        def full(z):
-            v = u.copy()
-            v[free] = z
-            return v
-
-        def grad(z):
-            g = self.grad(full(z), w, c)[free]
+        def grad(u):
+            g = self.grad(u, w, c)
             if hold_mass:
                 g = g - (float(q @ g) / float(q @ q)) * q
             return g
 
         base = BandedSystem(
-            self._constant_band(c, free), self.bandwidth, q if hold_mass else None
+            self._constant_band(c), self.bandwidth, q if hold_mass else None
         )
 
-        def system(z):
-            return base.with_diagonal(self._diagonal(z, w, c, free))
+        def system(u):
+            return base.with_diagonal(self._diagonal(u, w, c))
 
-        def line(z, dz):
-            d = np.zeros_like(u)
-            d[free] = dz
-            return self.energy_change(full(z), d, w, c)
-
-        z, info = damped_newton(
-            lambda z: self.energy(full(z), w, c), grad, system, u[free],
+        u, info = damped_newton(
+            lambda u: self.energy(u, w, c), grad, system, u0,
             maxiter=maxiter, gtol=gtol, divergence_floor=divergence_floor,
-            line=line,
+            line=lambda u, d: self.energy_change(u, d, w, c),
         )
-        u[free] = z
         floor = self.gradient_floor(u, w, c)
-        failed = info.message in ("line search failed", "no descent direction found")
         converged = info.gradient_norm < max(gtol, floor) and not (
-            info.diverged or failed
+            info.diverged or info.message in _FAILED_STOPS
         )
         return u, info, floor, bool(converged)
 
@@ -331,6 +325,304 @@ class _PolynomialKernel:
         )
 
 
+class _SplineKernel:
+    """The three integrals of `DiscreteEnergy` for a transition profile: a
+    B-spline f of degree p = n + 3 on (-T, T), exactly -1 left of -T and
+    +1 right of T, integrated exactly by Gauss-Legendre quadrature.
+
+    The knots are uniform at spacing 2T/E <= h inside, E = ceil(2T/h)
+    elements, and the knot vector is open (p + 1 copies of each end).
+    The first and last n coefficients are fixed to -1 and +1; the other
+    E + p - 2n are free.  This is the space whose knot at +-T has
+    multiplicity p - n + 1 and whose B-splines reaching past +-T are fixed
+    to -+1, with the same free B-splines: f joins the wells C^(n-1) at
+    +-T, as an H^n function must.  Each element has 2p + 1 Gauss nodes,
+    exact to degree 4p + 1, so the energy of a quartic W, of degree 4p in
+    f, is integrated exactly (roundoff aside), and spaces of halved h are
+    nested: the minimum cannot rise.
+
+    The B-spline values and the derivatives of orders n - 1 and n at the
+    nodes are tabulated once per kernel (`_element_tables`).  The gradient
+    adds each element's p + 1 entries with p + 1 slice adds; the Hessian
+    has half-bandwidth p, its constant part c_low K_low + c_high K_high
+    is built once per solve, and each Newton step adds only the W''
+    element matrices (de Boor, A Practical Guide to Splines, ch. IX-X).
+    """
+
+    def __init__(self, n: int, T: float, h: float):
+        p = n + 3
+        E = int(np.ceil(2.0 * T / h))
+        edges = np.linspace(-T, T, E + 1)
+        self.n, self.p, self.num_elements = n, p, E
+        self.knots = np.concatenate((np.full(p, -T), edges, np.full(p, T)))
+        self.size = E + p
+        self.free = slice(n, self.size - n)
+        #: the Greville abscissae, where coefficient i sits
+        self.greville = sliding_window_view(self.knots[1:-1], p).mean(axis=1)
+        # tables[e, k, g, a]: B-spline e + a of element e at its node g,
+        # k = 0, 1, 2 for the value and the derivatives of order n - 1 and n
+        tables, wts = _element_tables(n, E)
+        length = 2.0 * T / E
+        self.tables = tables * (length ** -np.array([0.0, n - 1, n]))[:, None, None]
+        self.wts = np.full((E, len(wts)), 0.5 * length) * wts
+        # c[_window[e]]: the coefficients of element e's B-splines
+        self._window = np.arange(E)[:, None] + np.arange(p + 1)
+        # the free-block band storage index of each element matrix entry
+        # (a, b), at i = e + a - n, j = e + b - n: ab[p + i - j, j] for
+        # BandedSystem; entries of fixed rows or columns go to one dump slot
+        m = self.size - 2 * n
+        e, a, b = np.ogrid[:E, :p + 1, :p + 1]
+        i, j = e + a - n, e + b - n
+        inside = (i >= 0) & (i < m) & (j >= 0) & (j < m)
+        dump = (2 * p + 1) * m
+        self._band_index = np.where(inside, (p + a - b) * m + j, dump).ravel()
+
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """The coefficients with the given values at the Greville abscissae
+        in the free places and the wells in the fixed ones."""
+        c = np.array(values, dtype=float)
+        c[:self.n], c[self.size - self.n:] = -1.0, 1.0
+        return c
+
+    def _values(self, c: np.ndarray) -> np.ndarray:
+        """(f, f^(n-1), f^(n)) at the nodes, as an (E, 3, G) array."""
+        E, p = self.num_elements, self.p
+        B = self.tables.reshape(E, -1, p + 1)
+        return (B @ c[self._window][:, :, None]).reshape(self.tables.shape[:3])
+
+    def sample(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """f at the points x in [-T, T]."""
+        p = self.p
+        spans = np.clip(
+            np.searchsorted(self.knots, x, side="right") - 1, p, self.size - 1
+        )
+        basis = _bspline_derivatives(self.knots, p, spans, x, 0)[0]
+        return np.einsum("ai,ai->i", basis, c[spans - p + np.arange(p + 1)[:, None]])
+
+    def terms(self, c: np.ndarray, w: DoubleWell):
+        """(int W(f), int (f^(n-1))^2, int (f^(n))^2)."""
+        f, low, high = self._values(c).transpose(1, 0, 2)
+        return (
+            float(np.vdot(self.wts, np.asarray(w.eval(f), dtype=float))),
+            float(np.vdot(self.wts, low**2)),
+            float(np.vdot(self.wts, high**2)),
+        )
+
+    def energy(self, c: np.ndarray, w: DoubleWell, coef) -> float:
+        """c_pot int W + c_high int (f^(n))^2 + c_low int (f^(n-1))^2."""
+        c_pot, c_low, c_high = coef
+        pot, low, high = self.terms(c, w)
+        return c_pot * pot + c_high * high + c_low * low
+
+    def energy_change(self, c: np.ndarray, d: np.ndarray, w: DoubleWell, coef):
+        """phi(t) = energy(c + t d) - energy(c), summed as in
+        `DiscreteEnergy.energy_change`: the quadratic part exactly as
+        t (slope + t curvature), the potential part pointwise."""
+        c_pot, c_low, c_high = coef
+        f, low, high = self._values(c).transpose(1, 0, 2)
+        df, dlow, dhigh = self._values(d).transpose(1, 0, 2)
+        w0 = np.asarray(w.eval(f), dtype=float)
+        slope = curvature = 0.0
+        for ck, v, dv in ((c_high, high, dhigh), (c_low, low, dlow)):
+            slope += 2.0 * ck * float(np.vdot(self.wts, dv * v))
+            curvature += ck * float(np.vdot(self.wts, dv**2))
+
+        def phi(t: float) -> float:
+            dw = np.asarray(w.eval(f + t * df), dtype=float) - w0
+            return c_pot * float(np.vdot(self.wts, dw)) + t * (slope + t * curvature)
+
+        return phi
+
+    def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+        """The gradient of `energy` with respect to all coefficients."""
+        c_pot, c_low, c_high = coef
+        v = self._values(c)
+        s = np.empty_like(v)
+        s[:, 0] = c_pot * np.asarray(w.eval_derivative(v[:, 0]), dtype=float)
+        s[:, 1] = 2.0 * c_low * v[:, 1]
+        s[:, 2] = 2.0 * c_high * v[:, 2]
+        s *= self.wts[:, None]
+        E, p = self.num_elements, self.p
+        r = (s.reshape(E, 1, -1) @ self.tables.reshape(E, -1, p + 1))[:, 0]
+        g = np.zeros(self.size)
+        for a in range(p + 1):
+            g[a:a + E] += r[:, a]
+        return g
+
+    def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+        """The Hessian of `energy` on the free coefficients in band storage
+        ab[p + i - j, j] = H[i, j] (`BandedSystem`'s layout): the constant
+        band `_constant_band` plus the W'' band `_curved_band`, as each
+        step of `minimize` adds them."""
+        return self._constant_band(coef) + self._curved_band(c, w, coef)
+
+    def _constant_band(self, coef) -> np.ndarray:
+        """c_low K_low + c_high K_high, the part of the Hessian that does
+        not depend on the coefficients."""
+        _, c_low, c_high = coef
+        s = (2.0 * np.array([c_low, c_high]))[:, None] * self.wts[:, None, :]
+        return self._band(self.tables[:, 1:], s)
+
+    def _curved_band(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+        """c_pot int W''(f) B_a B_b, the part of the Hessian that changes
+        with the coefficients c."""
+        w2 = np.asarray(w.second_derivative(self._values(c)[:, 0]), dtype=float)
+        return self._band(self.tables[:, :1], (coef[0] * self.wts * w2)[:, None])
+
+    def _band(self, tables: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The element matrices sum_g s B_a B_b over each element's nodes g
+        of the (E, k, G, p + 1) tables B with the (E, k, G) weights s,
+        summed over k and added into the free block's band storage by one
+        bincount."""
+        E, p = self.num_elements, self.p
+        B = tables.reshape(E, -1, p + 1)
+        M = (B * s.reshape(E, -1, 1)).transpose(0, 2, 1) @ B
+        m = self.size - 2 * self.n
+        return np.bincount(
+            self._band_index, M.ravel(), (2 * p + 1) * m + 1
+        )[:-1].reshape(2 * p + 1, m)
+
+    def minimize(self, c0: np.ndarray, w: DoubleWell, coef, gtol: float,
+                 maxiter: int, decrement_rtol: float):
+        """Minimize `energy` over the free coefficients from c0 by damped
+        Newton (`_solvers.damped_newton`), at most maxiter steps, the line
+        search reading `energy_change`.
+
+        Returns the minimizer, the solver's `SolveInfo` (factorizations
+        counts the decrement's too), the Newton decrement
+        delta^2 = -g . d of the tau = 0 step d at the minimizer (Boyd &
+        Vandenberghe, Convex Optimization, sec. 9.5.1; inf when that step
+        cannot be solved) and the verdict converged: |delta^2| at most
+        decrement_rtol max(1, |energy|), and no stop on a failed line
+        search or on no descent direction.  The verdict does not read the
+        gradient's sup-norm, which stalls on roundoff above gtol at
+        n >= 3 while delta^2 is far below its tolerance."""
+        c = np.array(c0, dtype=float)
+        free = self.free
+
+        def full(z):
+            v = c.copy()
+            v[free] = z
+            return v
+
+        def grad(z):
+            return self.grad(full(z), w, coef)[free]
+
+        constant = self._constant_band(coef)
+
+        def system(z):
+            curved = self._curved_band(full(z), w, coef)
+            return BandedSystem(constant + curved, self.p)
+
+        def line(z, dz):
+            d = np.zeros_like(c)
+            d[free] = dz
+            return self.energy_change(full(z), d, w, coef)
+
+        z, info = damped_newton(
+            lambda z: self.energy(full(z), w, coef), grad, system, c[free],
+            maxiter=maxiter, gtol=gtol, line=line,
+        )
+        c[free] = z
+        g, last = grad(z), system(z)
+        try:
+            decrement = -float(g @ last.solve(-g))
+        except LinAlgError:
+            decrement = np.inf
+        if not np.isfinite(decrement):
+            decrement = np.inf
+        info.factorizations += last.factorizations
+        tol = decrement_rtol * max(1.0, abs(info.energy))
+        converged = info.message not in _FAILED_STOPS and abs(decrement) <= tol
+        return c, info, decrement, bool(converged)
+
+
+def _element_tables(n: int, E: int):
+    """The B-spline tables of `_SplineKernel` on elements of unit length:
+    tables[e, k, g, a] is B-spline e + a of degree p = n + 3 on the open
+    knot vector 0, ..., 0, 1, ..., E - 1, E, ..., E (p + 1 copies of each
+    end) at Gauss node g of element e, for k = 0, 1, 2 its value and its
+    derivatives of order n - 1 and n; wts are the 2p + 1 Gauss-Legendre
+    weights on (-1, 1).  Only the first and last p - 1 elements meet the
+    repeated end knots, and every element between sees the knots of
+    element p - 1, so its rows are computed once and repeated."""
+    p = n + 3
+    nodes, wts = np.polynomial.legendre.leggauss(2 * p + 1)
+    e = np.arange(E)
+    if E >= 2 * p - 1:
+        reps = np.concatenate((np.arange(p), np.arange(E - p + 1, E)))
+        which = np.minimum(e, p - 1) + np.maximum(e - (E - p), 0)
+    else:
+        reps = which = e
+    knots = np.concatenate((np.zeros(p), np.arange(E + 1.0), np.full(p, float(E))))
+    x = reps[:, None] + 0.5 * (nodes + 1.0)
+    ders = _bspline_derivatives(knots, p, np.repeat(reps + p, len(nodes)), x.ravel(), n)
+    tables = ders[[0, n - 1, n]].reshape(3, p + 1, len(reps), len(nodes))
+    return np.ascontiguousarray(tables.transpose(2, 0, 3, 1)[which]), wts
+
+
+def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
+    """ders[k, a, i]: the k-th derivative, k = 0 .. nd, of the B-spline
+    spans[i] - p + a of degree p on the knots at x[i], for the p + 1
+    B-splines nonzero on the span knots[s] <= x < knots[s + 1], s =
+    spans[i], which must have positive length.  The Cox-de Boor recursion
+    with its derivatives (Piegl & Tiller, The NURBS Book, algorithm A2.3),
+    run over all the points at once.  Of A2.3's table ndu, the B-splines
+    of degree below p - nd are dropped as the recursion passes them, and
+    the knot differences are recomputed from left and right, so sampling
+    (nd = 0) holds three (p + 1)-row arrays."""
+    m = len(x)
+    left, right = np.empty((p + 1, m)), np.empty((p + 1, m))
+
+    def gap(j, r):
+        # ndu[j, r] of A2.3: knots[s + r + 1] - knots[s + 1 - j + r]
+        return right[r + 1] + left[j - r]
+
+    # basis[j][r]: B-spline s - j + r of degree j, for the degrees the
+    # derivatives read
+    N = np.ones((1, m))
+    basis = {0: N}
+    for j in range(1, p + 1):
+        left[j] = x - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - x
+        prev, N = N, np.empty((j + 1, m))
+        saved = 0.0
+        for r in range(j):
+            temp = prev[r] / gap(j, r)
+            N[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        N[j] = saved
+        if j >= p - nd:
+            basis[j] = N
+    ders = np.empty((nd + 1, p + 1, m))
+    ders[0] = N
+    a = np.empty((2, p + 1, m))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nd + 1):
+            d = np.zeros(m)
+            rk, pk = r - k, p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / gap(pk + 1, rk)
+                d = a[s2, 0] * basis[pk][rk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / gap(pk + 1, rk + j)
+                d = d + a[s2, j] * basis[pk][rk + j]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / gap(pk + 1, r)
+                d = d + a[s2, k] * basis[pk][r]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    scale = p
+    for k in range(1, nd + 1):
+        ders[k] *= scale
+        scale *= p - k
+    return ders
+
+
 def _gram_diagonals(windows, q, b) -> np.ndarray:
     """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
     the stencil operator D with the (m, m) `windows` of `grids.diff_operator`
@@ -343,8 +635,8 @@ def _gram_diagonals(windows, q, b) -> np.ndarray:
     order, so every entry sums its rows in ascending r from 0.0, the order
     of the CSR product (D^T diag(q)) D (Bank & Douglas, SMMP), and equals
     that product, which the tests build from the exact stencil weights,
-    bit for bit.  The order matters: the n >= 3 profiles stop on their
-    gradient noise.  The final factor 2 is exact.
+    bit for bit.  The order matters: Newton runs at n >= 3 that stop on
+    their gradient noise follow its last bits.  The final factor 2 is exact.
 
     For q constant but for its first and last entries (the trapezoid
     `grids.quadrature_weights`), every column at least L = 2m + 2 points
@@ -394,6 +686,7 @@ class EnergyParams:
     lam: float = 0.0
 
     def __post_init__(self):
+        _require_integer_order(self.n)
         if self.n < 2:
             raise ValueError("energy requires n >= 2")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):

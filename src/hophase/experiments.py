@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .energy import (
-    DiscreteEnergy, EnergyBreakdown, EnergyParams, _breakdown, evaluate,
+    DiscreteEnergy, EnergyBreakdown, EnergyParams, _breakdown,
+    _require_integer_order, evaluate,
 )
 from .grids import Field, Grid
 from .potentials import DoubleWell, get_potential
@@ -64,6 +65,7 @@ class SweepConfig:
     lambda_hat: Optional[float] = None
 
     def __post_init__(self):
+        _require_integer_order(self.n)
         if self.n < 2:
             raise ValueError(f"sweep requires n >= 2, got n = {self.n}")
         eps = self.eps_schedule
@@ -260,9 +262,7 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     c_hat = prof.energy_estimate
     notes = []
     if not prof.converged:
-        notes.append(
-            f"profile gradient norm {prof.gradient_norm_final:.2e} above tol"
-        )
+        notes.append(f"profile not converged: {prof.diagnosis}")
     if c_hat <= 0:
         notes.append(
             f"c_hat_lam = {c_hat:.4g} <= 0: a layer costs no positive energy "

@@ -194,8 +194,8 @@ def solve_eta(y: Union[BoundaryData, Sequence[float]]) -> CouplingPolynomial:
 @cache
 def _step_polynomial(n: int) -> CouplingPolynomial:
     """The zeta polynomial from the -1 well, flat to order n - 1, to the +1
-    well: the smoothed step of `profiles.hermite_smoothed_step` and of the
-    ensembles' hermite_step fields, solved once per order (it is frozen)."""
+    well: the smoothed step of the ensembles' hermite_step fields, solved
+    once per order (it is frozen)."""
     return solve_zeta((-1.0,) + (0.0,) * (n - 1))
 
 

@@ -6,10 +6,11 @@ The profile constant is the infimum of the unscaled layer energy
     int_R  W(f) - lam (f^(n-1))^2 + (f^(n))^2  dx
 
 over transitions f from -1 to +1 that become exactly constant outside a
-compact set.  On the truncated domain (-T, T) the class membership is
-enforced exactly by clamping the outermost stencil-width band of grid
-points to the well values, so tails contribute nothing and doubling T
-probes truncation error only.
+compact set.  On the truncated domain (-T, T) the profile is a B-spline
+of degree n + 3 that is exactly -1 left of -T and +1 right of T
+(`energy._SplineKernel`): an admissible transition on R, whose energy,
+integrated exactly for the quartic W, bounds the constant from above, so
+doubling T probes truncation error only.
 
 Recovery sequences paste the rescaled profile f((x - s_i)/eps), with
 alternating orientation, into an eps-neighborhood of each jump of a
@@ -17,15 +18,14 @@ piecewise +-1 function; their energy approaches (number of jumps) times
 the profile constant.
 """
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .critical import estimate_lambda_n
-from .energy import DiscreteEnergy
-from .grids import ACCURACY_ORDER, Field, Grid, NotAKnotSpline
-from .hermite import _step_polynomial, eval_poly
+from .energy import _SplineKernel, _require_integer_order
+from .grids import MAX_DERIVATIVE_ORDER, Field, Grid, NotAKnotSpline
 from .potentials import DoubleWell
 
 __all__ = [
@@ -36,18 +36,18 @@ __all__ = [
     "minimize_profile",
     "estimate_constants",
     "build_recovery",
-    "hermite_smoothed_step",
-    "default_starts",
 ]
 
 
 @dataclass(frozen=True)
 class ProfileProblem:
-    """Truncated profile problem on (-T, T).
+    """Truncated profile problem on (-T, T), its minimizer reported on
+    `grid`, num_points samples of (-T, T).
 
     n = 1 is accepted here (only here) as a calibration mode: with lam = 0
     the minimum is the classical sharp-interface constant
-    2 int_{-1}^{1} sqrt(W).  lam and truncation_T must be finite.
+    2 int_{-1}^{1} sqrt(W).  n must be an integer in [1, 6], and lam and
+    truncation_T finite.
     """
 
     n: int
@@ -57,8 +57,11 @@ class ProfileProblem:
     potential: DoubleWell
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _require_integer_order(self.n)
+        if not 1 <= self.n <= MAX_DERIVATIVE_ORDER:
+            raise ValueError(
+                f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {self.n}"
+            )
         if not np.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam}")
         T = self.truncation_T
@@ -71,110 +74,79 @@ class ProfileProblem:
     def grid(self) -> Grid:
         return Grid(-self.truncation_T, self.truncation_T, self.num_points)
 
-    @property
-    def clamp_band(self) -> int:
-        # stencil width of the order-n operator
-        return self.n + ACCURACY_ORDER
-
 
 #: gradient tolerance and damped-Newton step cap of each profile run
 PROFILE_GTOL = 1e-8
 PROFILE_MAXITER = 100
+#: converged needs a Newton decrement at most this times max(1, |energy|)
+PROFILE_DECREMENT_RTOL = 1e-12
+#: largest knot spacing of the profile splines
+PROFILE_H = 0.25
 
 
 @dataclass
 class ProfileResult:
-    """Minimizer, its energy, and convergence diagnostics: converged means
-    gradient_norm_final < max(PROFILE_GTOL, gradient_floor), the roundoff
-    floor of the assembled gradient at the minimizer, and no stop on a
-    failed line search (`DiscreteEnergy.minimize`).  factorizations
-    counts the LAPACK factorizations of the Newton steps, tau retries that
-    change the shifted matrix included.  After a multistart
-    (`minimize_profile` with init = None), iterations and factorizations
-    sum over every start; the other fields are the winning start's."""
+    """Minimizer sampled on the problem's grid, its exact spline energy,
+    and convergence diagnostics: converged means the Newton decrement
+    newton_decrement = -g . d of the undamped Newton step d at the
+    minimizer is at most PROFILE_DECREMENT_RTOL max(1, |energy|), and the
+    run did not stop on a failed line search or on no descent direction
+    (`energy._SplineKernel.minimize`); diagnosis says why a run is not
+    converged.  gradient_norm_final is the gradient's sup-norm over the
+    free spline coefficients.  factorizations counts the LAPACK
+    factorizations of the Newton steps, tau retries that change the
+    shifted matrix and the decrement's included."""
 
     minimizer: Field
     energy_estimate: float
     converged: bool
     iterations: int
     gradient_norm_final: float
-    gradient_floor: float
+    newton_decrement: float
     diagnosis: str = ""
     factorizations: int = 0
-
-
-def hermite_smoothed_step(grid: Grid, n: int) -> np.ndarray:
-    """A -1 -> +1 step smoothed over [-1/2, 1/2] by the two-point coupling
-    polynomial with max(n,2)-fold flat contact at the wells."""
-    p = _step_polynomial(max(int(n), 2))
-    x = grid.nodes()
-    s = np.clip(x + 0.5, 0.0, 1.0)
-    return np.asarray(eval_poly(p, s, 0), dtype=float)
-
-
-def default_starts(problem: ProfileProblem) -> List[Tuple[str, np.ndarray]]:
-    """Multi-start initializations: tanh ramps at several widths plus the
-    Hermite-smoothed step."""
-    x = problem.grid.nodes()
-    starts = [(f"tanh(x/{s})", np.tanh(x / s)) for s in (0.5, 1.0, 2.0)]
-    starts.append(("hermite_step", hermite_smoothed_step(problem.grid, problem.n)))
-    return starts
 
 
 def minimize_profile(
     problem: ProfileProblem,
     init: Optional[Union[Field, np.ndarray]] = None,
 ) -> ProfileResult:
-    """Minimize the truncated profile energy with clamped well tails.
-
-    The outermost `clamp_band` points on each side are fixed to -1 / +1;
-    `DiscreteEnergy.minimize` runs damped Newton over the free interior
-    values.  With init = None a multi-start over `default_starts` keeps
-    the best energy.
+    """Minimize the truncated profile energy over the splines of
+    `energy._SplineKernel` at knot spacing `PROFILE_H`, by damped Newton
+    from one start: tanh, or init (a Field, or samples on the problem's
+    grid), at the Greville abscissae.  The minimizer is the spline sampled
+    on the problem's grid.
     """
-    w = problem.potential
-    kernel = DiscreteEnergy(problem.grid, problem.n)
-    c = (1.0, -problem.lam, 1.0)
-    band = problem.clamp_band
-    npts = problem.num_points
-    free = slice(band, npts - band)
-
-    def run_single(u0_vals: np.ndarray) -> ProfileResult:
-        u = np.array(u0_vals, dtype=float)
-        u[:band] = -1.0
-        u[-band:] = 1.0
-        u, info, floor, converged = kernel.minimize(
-            u, w, c, PROFILE_GTOL, PROFILE_MAXITER, free=free
+    kernel = _SplineKernel(problem.n, problem.truncation_T, PROFILE_H)
+    grid = problem.grid
+    if init is None:
+        start = np.tanh(kernel.greville)
+    else:
+        if isinstance(init, Field):
+            x, vals = init.grid.nodes(), init.values
+        else:
+            x, vals = grid.nodes(), np.asarray(init, dtype=float)
+            if len(vals) != problem.num_points:
+                raise ValueError("init length does not match the profile grid")
+        start = np.interp(kernel.greville, x, vals)
+    c, info, decrement, converged = kernel.minimize(
+        kernel.coefficients(start), problem.potential, (1.0, -problem.lam, 1.0),
+        PROFILE_GTOL, PROFILE_MAXITER, PROFILE_DECREMENT_RTOL,
+    )
+    diagnosis = ""
+    if not converged:
+        diagnosis = "; ".join(
+            filter(None, (info.message, f"Newton decrement {decrement:.1e}"))
         )
-        gnorm = info.gradient_norm
-        diagnosis = ""
-        if not converged:
-            diagnosis = info.message
-        elif gnorm >= PROFILE_GTOL:
-            diagnosis = f"converged to the roundoff gradient floor {floor:.1e}"
-        return ProfileResult(
-            minimizer=Field(problem.grid, u),
-            energy_estimate=float(info.energy),
-            converged=converged,
-            iterations=int(info.iterations),
-            gradient_norm_final=float(gnorm),
-            gradient_floor=float(floor),
-            diagnosis=diagnosis,
-            factorizations=int(info.factorizations),
-        )
-
-    if init is not None:
-        vals = init.values if isinstance(init, Field) else np.asarray(init, float)
-        if len(vals) != npts:
-            raise ValueError("init length does not match the profile grid")
-        return run_single(vals)
-
-    runs = [run_single(u0) for _, u0 in default_starts(problem)]
-    best = min(runs, key=lambda r: r.energy_estimate)
-    return replace(
-        best,
-        iterations=sum(r.iterations for r in runs),
-        factorizations=sum(r.factorizations for r in runs),
+    return ProfileResult(
+        minimizer=Field(grid, kernel.sample(c, grid.nodes())),
+        energy_estimate=float(info.energy),
+        converged=converged,
+        iterations=int(info.iterations),
+        gradient_norm_final=float(info.gradient_norm),
+        newton_decrement=float(decrement),
+        diagnosis=diagnosis,
+        factorizations=int(info.factorizations),
     )
 
 
@@ -202,7 +174,7 @@ def estimate_constants(
     lambda_hat: Optional[float] = None,
     slack: float = 0.02,
 ) -> ConstantsEstimate:
-    """Estimate C_hat at lam = 0 and at lam from multi-start profile runs
+    """Estimate C_hat at lam = 0 and at lam from one profile run each
     and check the sandwich bounds within the given slack.
 
     lam must be finite, >= 0 and strictly below lambda_hat (subcritical);
@@ -226,12 +198,7 @@ def estimate_constants(
     if lam == 0.0:
         r1 = r0
     else:
-        prob1 = ProfileProblem(n, lam, truncation_T, num_points, w)
-        r1 = minimize_profile(prob1, init=r0.minimizer)
-        # multi-start competitor in case the lam run prefers another basin
-        r1b = minimize_profile(prob1)
-        if r1b.energy_estimate < r1.energy_estimate:
-            r1 = r1b
+        r1 = minimize_profile(ProfileProblem(n, lam, truncation_T, num_points, w))
     c0, c1 = r0.energy_estimate, r1.energy_estimate
     lower = (1.0 - lam / lambda_hat) * c0 if np.isfinite(lambda_hat) else 0.0
     ok = (lower - slack * c0) <= c1 <= (c0 + slack * c0)

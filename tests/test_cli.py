@@ -87,7 +87,9 @@ class TestProfile:
         assert payload["C_hat_lam"] == payload["C_hat_0"]
         assert payload["sandwich_ok"] is True
         assert payload["diagnostics"]["converged_lam"] is True
-        assert payload["diagnostics"]["gradient_floor_lam"] > 0.0
+        assert abs(payload["diagnostics"]["newton_decrement_lam"]) <= 1e-12 * max(
+            1.0, payload["C_hat_lam"]
+        )
         f = field_from_csv((tmp_path / "profile_n1_lam.csv").read_text())
         assert f.grid.num_points == 801
         assert (tmp_path / "profile_n1.json").exists()

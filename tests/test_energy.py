@@ -11,6 +11,7 @@ from hophase import (
     Field,
     Grid,
     ProfileProblem,
+    SweepConfig,
     estimate_lambda_n,
     evaluate,
     evaluate_rescaled,
@@ -230,9 +231,28 @@ class TestDiscreteEnergy:
         ids=("estimate_lambda_n", "quotient", "evaluate", "minimize_profile"),
     )
     def test_non_integer_order_names_n(self, quartic, call):
-        # the range check rejects it before a stencil is built from it
-        with pytest.raises(ValueError, match=r"^n must be in \[1, 6\]; got n = 2\.5$"):
+        # the type check rejects it before a stencil is built from it
+        with pytest.raises(ValueError, match=r"^n must be an integer; got n = 2\.5$"):
             call(Field(self.GRID, self.field(0)), quartic)
+
+    @pytest.mark.parametrize("n", (2.5, 3.0))
+    @pytest.mark.parametrize(
+        "make",
+        (
+            lambda n, w: EnergyParams(n, 0.1),
+            lambda n, w: SweepConfig(n=n),
+            lambda n, w: ProfileProblem(n, 0.0, 5.0, 401, w),
+            lambda n, w: DiscreteEnergy(Grid(0.0, 1.0, 41), n),
+        ),
+        ids=("EnergyParams", "SweepConfig", "ProfileProblem", "DiscreteEnergy"),
+    )
+    def test_non_integer_order_is_rejected_where_it_is_written(self, quartic, make, n):
+        # n is a number of derivatives: a float is refused by the object
+        # that holds it, not at the first stencil built from it; a numpy
+        # integer is an integer
+        with pytest.raises(ValueError, match=f"^n must be an integer; got n = {n}$"):
+            make(n, quartic)
+        make(np.int64(3), quartic)
 
     @pytest.mark.parametrize("n", range(2, MAX_DERIVATIVE_ORDER + 1))
     def test_matches_energy_module(self, quartic, n):
@@ -279,15 +299,6 @@ class TestDiscreteEnergy:
         np.testing.assert_allclose(
             band_to_dense(full, b), H, rtol=0, atol=1e-14 * scale
         )
-        # a free range drops the couplings to the points outside it
-        free = slice(b, len(u) - b)
-        part = k.hess(u, quartic, c, free)
-        assert part.shape == (2 * b + 1, len(u) - 2 * b)
-        np.testing.assert_allclose(
-            band_to_dense(part, b), H[free, free], rtol=0, atol=1e-14 * scale
-        )
-        for j in range(1, b + 1):
-            assert not part[b - j, :j].any() and not part[b + j, -j:].any()
 
     @pytest.mark.parametrize(
         "n", range(1, MAX_DERIVATIVE_ORDER + 1), ids=lambda n: f"{n}-trapezoid"
@@ -327,14 +338,10 @@ class TestDiscreteEnergy:
         whole = sp.dia_matrix((padded[::-1], np.arange(-b, b + 1)), shape=(size, size))
         np.testing.assert_array_equal(k.K_low @ u, whole @ u)
         c = (0.7, -0.3, 1.1)
-        for free in (slice(None), slice(b, size - b)):
-            ab = c[2] * band_high[:, free]
-            ab[b] += c[0] * quartic.eval_second_derivative(u[free]) * k.q[free]
-            ab += c[1] * padded[:, free]
-            for j in range(1, b + 1):
-                ab[b - j, :j] = 0.0
-                ab[b + j, ab.shape[1] - j:] = 0.0
-            np.testing.assert_array_equal(k.hess(u, quartic, c, free), ab)
+        ab = c[2] * band_high
+        ab[b] += c[0] * quartic.eval_second_derivative(u) * k.q
+        ab += c[1] * padded
+        np.testing.assert_array_equal(k.hess(u, quartic, c), ab)
 
     def test_order_one_uses_the_identity_below(self, quartic):
         k = DiscreteEnergy(self.GRID, 1)
@@ -419,11 +426,11 @@ class TestEnergyChange:
         inside, mass_free = np.zeros_like(step), np.zeros_like(step)
         inside[clamped] = step[clamped]
         q = k.q[clamped]
-        # a step of the hold_mass border keeps q[free] . d = 0
+        # a step of the hold_mass border keeps q . d = 0
         mass_free[clamped] = step[clamped] - (q @ step[clamped]) / (q @ q) * q
         assert abs(k.q @ mass_free) < 1e-15
-        # the steps of the whole range, a clamped free slice and the
-        # hold_mass border
+        # the steps of the whole range, one that is zero near both ends
+        # and one of the hold_mass border
         steps = (step, inside, mass_free)
         for c in ((0.7, -0.3, 1.1), (2.0, 0.0, -1.1)):
             for d in steps:

@@ -1,10 +1,11 @@
 """Tests for optimal-profile minimization and recovery sequences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hophase import (
-    DiscreteEnergy,
     EnergyParams,
     Field,
     Grid,
@@ -15,17 +16,42 @@ from hophase import (
     evaluate,
     minimize_profile,
 )
-from hophase import hermite
-from hophase.profiles import PROFILE_GTOL, default_starts, hermite_smoothed_step
+from hophase import energy, hermite, profiles
+from hophase.energy import _SplineKernel
+from hophase.profiles import PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H
+
+#: lambda_hat_n of the quartic, the Galerkin values of degree 14
+LAMBDA_HAT = {2: 0.0569362, 3: 8.06882e-4, 4: 5.57671e-6, 5: 2.18416e-8, 6: 5.47825e-11}
 
 
-def clamped_start(prob, u0):
-    """u0 with the problem's clamp bands set to the wells, and the free
-    slice between them."""
-    b = prob.clamp_band
-    u = np.array(u0, dtype=float)
-    u[:b], u[-b:] = -1.0, 1.0
-    return u, slice(b, prob.num_points - b)
+def spline_of(problem):
+    """The kernel of `minimize_profile` for the problem."""
+    return _SplineKernel(problem.n, problem.truncation_T, PROFILE_H)
+
+
+def recorded_solves(monkeypatch):
+    """Replace the kernel's Newton driver by one that records the start,
+    the minimizer and the SolveInfo of every call."""
+    solves = []
+
+    def driver(fun, grad, hess, x0, **kwargs):
+        z, info = newton(fun, grad, hess, x0, **kwargs)
+        solves.append((np.array(x0), z, info))
+        return z, info
+
+    newton = energy.damped_newton
+    monkeypatch.setattr(energy, "damped_newton", driver)
+    return solves
+
+
+def scaled(w, a):
+    """The double well a W."""
+    return dataclasses.replace(
+        w,
+        eval=lambda t: a * w.eval(t),
+        eval_derivative=lambda t: a * w.eval_derivative(t),
+        eval_second_derivative=lambda t: a * w.eval_second_derivative(t),
+    )
 
 
 class TestProfileMinimization:
@@ -58,142 +84,173 @@ class TestProfileMinimization:
         )
 
     def test_newton_first_iteration_count(self, quartic):
-        # damped Newton from the default starts, without a quasi-Newton phase
+        # damped Newton from the tanh start, without a quasi-Newton phase
         res = minimize_profile(ProfileProblem(2, 0.0, 5.0, 2001, quartic))
         assert res.converged
         assert res.iterations <= 30
 
     def test_factorization_count(self, quartic):
-        # from inside the spinodal region three Newton steps need tau = 0.1
-        # and one tau = 0.01; climbing the ladder tau = 0, 1e-8, ..., 0.1
-        # on each of them took 46 banded solves, while starting each step
-        # at a tenth of the last accepted tau takes 25.  gtol stops the
-        # run before the roundoff-noise phase, where the count would
-        # depend on the platform's last bits
+        # from inside the spinodal region several Newton steps need
+        # tau = 1 and the tau ladder down from it; climbing the ladder
+        # tau = 0, 1e-8, ..., 1 on each of them took 78 banded solves,
+        # while starting each step at a tenth of the last accepted tau
+        # takes 38, the Newton decrement's solve included
         prob = ProfileProblem(3, 2e-4, 10.0, 2001, quartic)
-        u0, free = clamped_start(prob, 0.3 * np.tanh(prob.grid.nodes()))
-        kernel = DiscreteEnergy(prob.grid, 3)
-        _, info, _, converged = kernel.minimize(
-            u0, quartic, (1.0, -2e-4, 1.0), 1e-3, 100, free=free
-        )
-        assert converged
-        assert info.iterations <= 16
-        assert info.factorizations <= 50
-        assert info.factorizations < 46
-
-    def test_verdict_uses_the_reported_floor(self, quartic):
-        prob = ProfileProblem(2, 0.0, 4.0, 801, quartic)
-        u0, free = clamped_start(prob, np.tanh(prob.grid.nodes()))
-        kernel = DiscreteEnergy(prob.grid, 2)
-        for gtol in (1e-8, 1e-14):
-            _, info, floor, converged = kernel.minimize(
-                u0, quartic, (1.0, 0.0, 1.0), gtol, 100, free=free
-            )
-            assert floor > 0.0
-            assert converged == (info.gradient_norm < max(gtol, floor))
-        # at gtol = 1e-14 only the roundoff floor certifies the minimizer
-        assert converged and info.gradient_norm >= 1e-14
-        # at the profiles' own gtol, this problem ends between gtol and the
-        # floor, and the result says so
-        res = minimize_profile(ProfileProblem(3, 2e-4, 10.0, 2001, quartic))
-        assert PROFILE_GTOL <= res.gradient_norm_final < res.gradient_floor
+        res = minimize_profile(prob, init=0.3 * np.tanh(prob.grid.nodes()))
         assert res.converged
-        assert res.diagnosis.startswith("converged to the roundoff gradient floor")
+        assert res.iterations <= 25
+        assert res.factorizations <= 45
 
-    def test_failed_line_search_is_never_converged(self, quartic):
-        # from tanh(x/0.5) the n = 4 run stops on a failed line search at
-        # E ~ 896, with a gradient far below the roundoff floor of its
-        # h^-8-sized stencil terms: a stop short of a minimizer all the same
-        prob = ProfileProblem(4, 0.0, 10.0, 2001, quartic)
-        res = minimize_profile(prob, init=np.tanh(prob.grid.nodes() / 0.5))
-        assert res.diagnosis == "line search failed"
-        assert res.gradient_norm_final < res.gradient_floor
+    def test_verdict_uses_the_newton_decrement(self, quartic):
+        # the n = 3 run stops on energy stagnation with a gradient above
+        # PROFILE_GTOL, roundoff of its h^-6-sized stiffness terms, and a
+        # Newton decrement far below its tolerance: converged
+        res = minimize_profile(ProfileProblem(3, 2e-4, 10.0, 2001, quartic))
+        assert res.gradient_norm_final >= PROFILE_GTOL
+        assert 0.0 <= res.newton_decrement <= PROFILE_DECREMENT_RTOL
+        assert res.converged and res.diagnosis == ""
+        # the verdict is the decrement test, also at n = 2
+        res = minimize_profile(ProfileProblem(2, 0.01, 10.0, 2001, quartic))
+        assert res.converged == (
+            abs(res.newton_decrement)
+            <= PROFILE_DECREMENT_RTOL * max(1.0, abs(res.energy_estimate))
+        )
+
+    def test_capped_run_is_not_converged(self, quartic, monkeypatch):
+        # one Newton step from tanh leaves a decrement far above tolerance
+        monkeypatch.setattr(profiles, "PROFILE_MAXITER", 1)
+        res = minimize_profile(ProfileProblem(4, 0.0, 10.0, 2001, quartic))
+        assert res.iterations == 1
+        assert res.newton_decrement > 1e-6
+        assert not res.converged
+        assert res.diagnosis.startswith("iteration limit; Newton decrement")
+
+    def test_failed_line_search_is_never_converged(self, quartic, monkeypatch):
+        # a line search that finds no decrease ends the run short of a
+        # minimizer, whatever the decrement
+        monkeypatch.setattr(
+            _SplineKernel, "energy_change", lambda *args: lambda t: 1.0
+        )
+        res = minimize_profile(ProfileProblem(2, 0.0, 10.0, 2001, quartic))
+        assert res.iterations == 0
+        assert res.diagnosis.startswith("line search failed")
         assert not res.converged
 
     @pytest.mark.parametrize("n, lam", [(2, 0.01), (3, 2e-4)])
     def test_two_direct_energies_per_start(self, quartic, monkeypatch, n, lam):
-        # the line search reads DiscreteEnergy.energy_change, so each start
-        # evaluates the energy directly at its first iterate and at the
-        # minimizer it reports, and nowhere else
+        # the line search reads _SplineKernel.energy_change, so the one
+        # start evaluates the energy directly at its first iterate and at
+        # the minimizer it reports, and nowhere else
         calls = []
-        energy = DiscreteEnergy.energy
+        direct = _SplineKernel.energy
 
-        def counted(self, *args):
-            calls.append(args)
-            return energy(self, *args)
+        def counted(self, c, *args):
+            calls.append(c)
+            return direct(self, c, *args)
 
-        monkeypatch.setattr(DiscreteEnergy, "energy", counted)
+        monkeypatch.setattr(_SplineKernel, "energy", counted)
         prob = ProfileProblem(n, lam, 10.0, 2001, quartic)
         res = minimize_profile(prob)
         assert res.converged
-        assert 0 < len(calls) <= 2 * len(default_starts(prob))
-        kernel = DiscreteEnergy(prob.grid, n)
-        assert res.energy_estimate == energy(
-            kernel, res.minimizer.values, quartic, (1.0, -lam, 1.0)
+        assert len(calls) == 2
+        kernel = spline_of(prob)
+        np.testing.assert_array_equal(
+            kernel.sample(calls[-1], prob.grid.nodes()), res.minimizer.values
+        )
+        assert res.energy_estimate == direct(
+            kernel, calls[-1], quartic, (1.0, -lam, 1.0)
         )
 
-    def test_multistart_counts_every_start(self, quartic):
+    def test_one_start_counts_its_steps(self, quartic, monkeypatch):
+        # one damped-Newton run from tanh at the Greville abscissae; its
+        # steps and factorizations, plus the decrement's one, are the
+        # result's
+        solves = recorded_solves(monkeypatch)
         prob = ProfileProblem(2, 0.0, 5.0, 2001, quartic)
         res = minimize_profile(prob)
-        runs = [minimize_profile(prob, init=u0) for _, u0 in default_starts(prob)]
-        assert res.factorizations == sum(r.factorizations for r in runs)
-        assert res.iterations == sum(r.iterations for r in runs)
-        best = min(runs, key=lambda r: r.energy_estimate)
-        assert res.energy_estimate == best.energy_estimate
-        assert res.factorizations > best.factorizations
+        assert len(solves) == 1
+        x0, _, info = solves[0]
+        kernel = spline_of(prob)
+        np.testing.assert_array_equal(x0, np.tanh(kernel.greville[kernel.free]))
+        assert res.iterations == info.iterations > 0
+        assert res.factorizations == info.factorizations
 
-    def test_tails_are_clamped_to_wells(self, quartic):
-        prob = ProfileProblem(2, 0.0, 5.0, 801, quartic)
-        res = minimize_profile(prob)
-        band = prob.clamp_band
-        assert np.all(res.minimizer.values[:band] == -1.0)
-        assert np.all(res.minimizer.values[-band:] == 1.0)
+    def test_tails_are_clamped_to_wells(self, quartic, monkeypatch):
+        # the first and last n coefficients stay at the wells, so the
+        # profile is -1 and +1 at -T and T and joins the wells C^(n-1):
+        # its derivatives of order 1 .. n - 1 vanish there
+        solves = recorded_solves(monkeypatch)
+        for n in (1, 2, 3, 4):
+            prob = ProfileProblem(n, 0.0, 5.0, 801, quartic)
+            res = minimize_profile(prob)
+            kernel = spline_of(prob)
+            c = kernel.coefficients(np.zeros(kernel.size))
+            c[kernel.free] = solves[-1][1]
+            assert res.minimizer.values[0] == -1.0 and res.minimizer.values[-1] == 1.0
+            np.testing.assert_array_equal(
+                kernel.sample(c, prob.grid.nodes()), res.minimizer.values
+            )
+            ends = np.array([-5.0, 5.0])
+            spans = np.array([kernel.p, kernel.size - 1])
+            ders = energy._bspline_derivatives(kernel.knots, kernel.p, spans, ends, n)
+            window = spans - kernel.p + np.arange(kernel.p + 1)[:, None]
+            at_ends = np.einsum("kai,ai->ki", ders, c[window])
+            np.testing.assert_array_equal(at_ends[0], [-1.0, 1.0])
+            assert np.abs(at_ends[1:n]).max(initial=0.0) <= 1e-9
+            assert np.abs(at_ends[n]).max() > 1e-6
 
     def test_descent_from_every_default_start(self, quartic):
+        # the one default start is tanh at the Greville abscissae
         prob = ProfileProblem(2, 0.0, 5.0, 801, quartic)
-        energy_of = lambda vals: evaluate(
-            Field(prob.grid, vals), EnergyParams(2, 1.0, 0.0), quartic
-        ).total
+        kernel = spline_of(prob)
+        start = kernel.energy(
+            kernel.coefficients(np.tanh(kernel.greville)), quartic, (1.0, 0.0, 1.0)
+        )
         res = minimize_profile(prob)
-        for _, u0 in default_starts(prob):
-            u0 = u0.copy()
-            u0[: prob.clamp_band] = -1.0
-            u0[-prob.clamp_band :] = 1.0
-            assert res.energy_estimate <= energy_of(u0) + 1e-12
+        assert res.energy_estimate < start
 
     @pytest.mark.parametrize("n", (1, 2, 3, 4))
     def test_smoothed_step_is_solved_once_per_order(self, monkeypatch, n):
-        # the cached polynomial gives the bits of a fresh exact solve, and a
-        # second multistart solves nothing
+        # the cached step polynomial of the ensembles' smoothed step gives
+        # the bits of a fresh exact solve, and a second call solves nothing
         solve = hermite.solve_zeta
         calls = []
         monkeypatch.setattr(
             hermite, "solve_zeta", lambda y: calls.append(y) or solve(y)
         )
         hermite._step_polynomial.cache_clear()
-        grid = Grid(-5.0, 5.0, 401)
+        nn = max(n, 2)
+        s = np.linspace(0.0, 1.0, 101)
         try:
-            first = hermite_smoothed_step(grid, n)
-            np.testing.assert_array_equal(hermite_smoothed_step(grid, n), first)
+            first = hermite.eval_poly(hermite._step_polynomial(nn), s, 0)
+            np.testing.assert_array_equal(
+                hermite.eval_poly(hermite._step_polynomial(nn), s, 0), first
+            )
         finally:
             hermite._step_polynomial.cache_clear()
-        nn = max(n, 2)
         assert calls == [(-1.0,) + (0.0,) * (nn - 1)]
         fresh = solve([-1.0] + [0.0] * (nn - 1))
-        s = np.clip(grid.nodes() + 0.5, 0.0, 1.0)
         np.testing.assert_array_equal(first, hermite.eval_poly(fresh, s, 0))
 
     def test_custom_init_descends(self, quartic):
         prob = ProfileProblem(2, 0.0, 4.0, 601, quartic)
         init = np.sign(prob.grid.nodes())
         res = minimize_profile(prob, init=init)
+        assert res.converged
         assert res.energy_estimate < 2.2
+        # a Field on another grid is read at the Greville abscissae too
+        field = Field(Grid(-4.0, 4.0, 1001), np.sign(Grid(-4.0, 4.0, 1001).nodes()))
+        assert minimize_profile(prob, init=field).energy_estimate == pytest.approx(
+            res.energy_estimate, rel=1e-12
+        )
         with pytest.raises(ValueError):
             minimize_profile(prob, init=np.zeros(17))
 
     def test_problem_validation(self, quartic):
         with pytest.raises(ValueError):
             ProfileProblem(0, 0.0, 5.0, 801, quartic)
+        with pytest.raises(ValueError, match=r"n must be in \[1, 6\]; got n = 7"):
+            ProfileProblem(7, 0.0, 5.0, 801, quartic)
         with pytest.raises(ValueError):
             ProfileProblem(2, 0.0, -1.0, 801, quartic)
         with pytest.raises(ValueError):
@@ -204,6 +261,104 @@ class TestProfileMinimization:
         for T in (np.nan, np.inf):
             with pytest.raises(ValueError, match="truncation_T must be positive and"):
                 ProfileProblem(2, 0.0, T, 801, quartic)
+
+
+class TestSplineKernel:
+    """The exactly integrated B-spline space of the profiles."""
+
+    @pytest.mark.parametrize(
+        "n, lam", [(3, 0.0), (3, 1e-4), (2, 0.0), (2, 0.01)]
+    )
+    def test_scaling_law(self, quartic, monkeypatch, n, lam):
+        # W -> a W with T and h scaled by sigma = a^(-1/(2n)) is the same
+        # problem in x / sigma, so the energy is a^((2n-1)/(2n)) times the
+        # energy at lam a^(-1/n); sigma = 1/2 keeps every scaling exact
+        sigma = 0.5
+        a = sigma ** (-2 * n)
+        ref = minimize_profile(ProfileProblem(n, lam * sigma**2, 10.0, 2001, quartic))
+        monkeypatch.setattr(profiles, "PROFILE_H", PROFILE_H * sigma)
+        res = minimize_profile(
+            ProfileProblem(n, lam, 10.0 * sigma, 2001, scaled(quartic, a))
+        )
+        assert ref.converged and res.converged
+        assert res.energy_estimate == pytest.approx(
+            a ** ((2 * n - 1) / (2 * n)) * ref.energy_estimate, rel=1e-13, abs=0.0
+        )
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+    def test_values_do_not_rise_under_refinement(self, quartic, monkeypatch, n):
+        # halving h gives a nested space, so the minimum cannot rise beyond
+        # the convergence tolerance
+        prob = ProfileProblem(n, 0.0, 10.0, 2001, quartic)
+        coarse = minimize_profile(prob)
+        monkeypatch.setattr(profiles, "PROFILE_H", PROFILE_H / 2)
+        fine = minimize_profile(prob)
+        assert coarse.converged and fine.converged
+        assert fine.energy_estimate <= coarse.energy_estimate + (
+            PROFILE_DECREMENT_RTOL * coarse.energy_estimate
+        )
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("frac", (0.0, 0.3))
+    def test_one_start_converges_in_ten_steps(self, quartic, n, frac):
+        res = minimize_profile(
+            ProfileProblem(n, frac * LAMBDA_HAT[n], 10.0, 2001, quartic)
+        )
+        assert res.converged, res.diagnosis
+        assert res.iterations <= 10
+        # below the energy of the best tanh(x/s) on the profile grid
+        params = EnergyParams(n, 1.0, frac * LAMBDA_HAT[n])
+        x = res.minimizer.grid.nodes()
+        best_tanh = min(
+            evaluate(Field(res.minimizer.grid, np.tanh(x / s)), params, quartic).total
+            for s in (0.75, 1.0, 1.5, 2.0)
+        )
+        assert res.energy_estimate < best_tanh
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gradient_and_hessian_are_the_derivatives(self, quartic, n):
+        # central differences of the energy along a random direction, and
+        # of the gradient for the Hessian's band
+        kernel = _SplineKernel(n, 3.0, 0.5)
+        rng = np.random.default_rng(n)
+        c = kernel.coefficients(
+            np.tanh(kernel.greville) + 0.1 * rng.standard_normal(kernel.size)
+        )
+        coef = (1.0, -0.3, 1.0)
+        v = np.zeros(kernel.size)
+        v[kernel.free] = rng.standard_normal(kernel.size - 2 * kernel.n)
+        t = 1e-5
+        g = kernel.grad(c, quartic, coef)
+        de = kernel.energy(c + t * v, quartic, coef) - kernel.energy(
+            c - t * v, quartic, coef
+        )
+        assert g @ v == pytest.approx(de / (2 * t), rel=1e-6)
+        ab, p, m = kernel.hess(c, quartic, coef), kernel.p, kernel.size - 2 * n
+        H = np.zeros((m, m))
+        for k in range(-p, p + 1):
+            H += np.diag(ab[p - k, max(k, 0):m + min(k, 0)], k)
+        dg = kernel.grad(c + t * v, quartic, coef) - kernel.grad(
+            c - t * v, quartic, coef
+        )
+        hv = H @ v[kernel.free]
+        assert np.abs(hv - dg[kernel.free] / (2 * t)).max() <= 1e-6 * np.abs(hv).max()
+
+    @pytest.mark.parametrize("n", (1, 3, 6))
+    def test_quadrature_is_exact_for_the_quartic(self, quartic, n):
+        # 2p + 1 Gauss nodes per element integrate W(f), of degree 4p, as
+        # exactly as 4p nodes do
+        kernel = _SplineKernel(n, 3.0, 0.5)
+        rng = np.random.default_rng(10 + n)
+        c = kernel.coefficients(
+            np.tanh(kernel.greville) + 0.2 * rng.standard_normal(kernel.size)
+        )
+        pot = kernel.terms(c, quartic)[0]
+        nodes, wts = np.polynomial.legendre.leggauss(4 * kernel.p)
+        edges = np.unique(kernel.knots)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes).ravel()
+        ref = float(np.sum((half * wts).ravel() * quartic.eval(kernel.sample(c, x))))
+        assert pot == pytest.approx(ref, rel=1e-13)
 
 
 class TestConstantsEstimate:

@@ -6,11 +6,13 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
 
-from hophase import DiscreteEnergy, EnergyParams, Grid, ProfileProblem, _solvers, energy
+from hophase import DiscreteEnergy, EnergyParams, Grid, _solvers, energy
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import _gram_diagonals
+from hophase.energy import _gram_diagonals, _SplineKernel
 from hophase.grids import ACCURACY_ORDER, _unit_rows, diff_operator, quadrature_weights
-from hophase.profiles import PROFILE_GTOL, PROFILE_MAXITER
+from hophase.profiles import (
+    PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER,
+)
 
 from conftest import differenced, stencil_csr, to_band
 
@@ -449,17 +451,17 @@ def test_factorizations_count_the_gbsv_calls_and_skip_no_op_shifts(monkeypatch):
     assert info.factorizations < info_all.factorizations
 
 
-def step_systems(monkeypatch, kernel, u, w, c, free, hold_mass, points):
+def step_systems(monkeypatch, kernel, u, w, c, hold_mass, points):
     """The systems that the Newton steps of `kernel.minimize` factor at the
     given samples: the driver is replaced by one that builds them."""
     systems = []
 
     def driver(fun, grad, hess, x0, **kwargs):
-        systems.extend(hess(p[free]) for p in points)
+        systems.extend(hess(p) for p in points)
         return x0, _solvers.SolveInfo()
 
     monkeypatch.setattr(energy, "damped_newton", driver)
-    kernel.minimize(u, w, c, 1e-8, 1, free=free, hold_mass=hold_mass)
+    kernel.minimize(u, w, c, 1e-8, 1, hold_mass=hold_mass)
     return systems
 
 
@@ -470,25 +472,19 @@ def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
     # solves as the system built from hess's band, bit for bit
     grid = Grid(-5.0, 5.0, 401)
     kernel = DiscreteEnergy(grid, n)
-    b, size = kernel.bandwidth, grid.num_points
+    b = kernel.bandwidth
     x = grid.nodes()
     points = [np.tanh(x), np.tanh(x / 0.3) + 0.1 * np.sin(3.0 * x)]
     c = (1.0, -0.02, 1.0)
-    band = n + ACCURACY_ORDER
-    cases = [
-        (slice(None), False),
-        (slice(band, size - band), False),  # the profile's clamped slice
-        (slice(None), True),  # the mass border
-    ]
     rhs = np.cos(x)
-    for free, hold_mass in cases:
-        border = kernel.q[free] if hold_mass else None
+    for hold_mass in (False, True):  # without and with the mass border
+        border = kernel.q if hold_mass else None
         systems = step_systems(
-            monkeypatch, kernel, points[0], quartic, c, free, hold_mass, points
+            monkeypatch, kernel, points[0], quartic, c, hold_mass, points
         )
         assert systems[0].band is systems[1].band
         for u, system in zip(points, systems):
-            ab = kernel.hess(u, quartic, c, free)
+            ab = kernel.hess(u, quartic, c)
             np.testing.assert_array_equal(system.ab, ab)
             if hold_mass:
                 np.testing.assert_array_equal(system.c, border)
@@ -497,7 +493,7 @@ def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
             reference = BandedSystem(ab, b, border)
             for tau in (0.0, 1e-3, 10.0):
                 np.testing.assert_array_equal(
-                    system.solve(rhs[free], tau), reference.solve(rhs[free], tau)
+                    system.solve(rhs, tau), reference.solve(rhs, tau)
                 )
 
 
@@ -524,50 +520,63 @@ def test_gram_diagonals_fill_the_interior_with_the_same_bits(n):
             )
 
 
-def minimize_recording(monkeypatch, kernel, u0, w, c, free, hold_mass, rebuild):
-    """kernel.minimize with a driver that records the iterate of every step
-    and, with rebuild, is fed the BandedSystem of the whole `hess` band at
-    every step, as a minimize that rebuilds the Hessian would; returns the
-    minimizer, the driver's SolveInfo and the iterates."""
+def minimize_recording(monkeypatch, minimize, rebuilt):
+    """minimize() with a driver that records the iterate of every step and,
+    given rebuilt, is fed the system rebuilt(z) at every step in place of
+    the one the kernel builds; returns minimize's result, the driver's
+    SolveInfo and the iterates."""
     iterates, infos = [], []
 
     def driver(fun, grad, hess, x0, **kwargs):
         def system(z):
             iterates.append(z.copy())
-            if not rebuild:
-                return hess(z)
-            u = u0.copy()
-            u[free] = z
-            border = kernel.q[free] if hold_mass else None
-            return BandedSystem(kernel.hess(u, w, c, free), kernel.bandwidth, border)
+            return hess(z) if rebuilt is None else rebuilt(z)
 
         z, info = damped_newton(fun, grad, system, x0, **kwargs)
         infos.append(info)
         return z, info
 
     monkeypatch.setattr(energy, "damped_newton", driver)
-    u, *_ = kernel.minimize(
-        u0, w, c, PROFILE_GTOL, PROFILE_MAXITER, free=free, hold_mass=hold_mass
-    )
-    return u, infos[0], iterates
+    out = minimize()
+    return out[0], infos[0], iterates
 
 
 @pytest.mark.parametrize("case", ("profile n = 3", "mass n = 2"))
 def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatch):
+    # the constant part of each Newton matrix is built once per solve: the
+    # profile spline adds each step's W'' band to it, the grid kernel its
+    # diagonal; a driver fed the whole `hess` at every step takes the same
+    # steps, bit for bit
     if case == "profile n = 3":
-        problem = ProfileProblem(3, 0.01, 5.0, 801, quartic)
-        kernel, band = DiscreteEnergy(problem.grid, 3), problem.clamp_band
-        u0 = np.tanh(problem.grid.nodes())
-        u0[:band], u0[-band:] = -1.0, 1.0
-        c, free, hold_mass = (1.0, -0.01, 1.0), slice(band, 801 - band), False
+        kernel = _SplineKernel(3, 5.0, PROFILE_H)
+        c, free = (1.0, -0.01, 1.0), kernel.free
+        u0 = kernel.coefficients(np.tanh(kernel.greville))
+
+        def minimize():
+            return kernel.minimize(
+                u0, quartic, c, PROFILE_GTOL, PROFILE_MAXITER, PROFILE_DECREMENT_RTOL
+            )
+
+        def rebuilt(z):
+            u = u0.copy()
+            u[free] = z
+            return BandedSystem(kernel.hess(u, quartic, c), kernel.p)
     else:
         grid = Grid(-4.0, 4.0, 513)
         kernel = DiscreteEnergy(grid, 2)
         u0 = np.tanh(grid.nodes() / 0.3) + 0.25
-        c, free, hold_mass = EnergyParams(2, 0.25, 0.01).weights, slice(None), True
-    args = (monkeypatch, kernel, u0, quartic, c, free, hold_mass)
-    u, info, iterates = minimize_recording(*args, rebuild=False)
-    u_ref, info_ref, iterates_ref = minimize_recording(*args, rebuild=True)
+        c = EnergyParams(2, 0.25, 0.01).weights
+
+        def minimize():
+            return kernel.minimize(
+                u0, quartic, c, PROFILE_GTOL, PROFILE_MAXITER, hold_mass=True
+            )
+
+        def rebuilt(z):
+            return BandedSystem(kernel.hess(z, quartic, c), kernel.bandwidth, kernel.q)
+
+    u, info, iterates = minimize_recording(monkeypatch, minimize, None)
+    u_ref, info_ref, iterates_ref = minimize_recording(monkeypatch, minimize, rebuilt)
     assert info.iterations > 1
     np.testing.assert_array_equal(u, u_ref)
     assert len(iterates) == len(iterates_ref)
