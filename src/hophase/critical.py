@@ -10,9 +10,10 @@ u -> u(./sigma), so the quotient
     Q[u] = (|I|^(-(2n-2)) int W(u) + |I|^2 int (u^(n))^2) / int (u^(n-1))^2
 
 is scale invariant and lambda_n = inf Q.  The estimator minimizes Q over
-polynomials on the normalized interval (0,1), integrating each candidate
-exactly (Gauss-Legendre, for a quartic W), so the minimum it finds is
-Q[p] of an actual function and bounds lambda_n from above.  The reported
+polynomials on the normalized interval (0,1) in the Bernstein basis (the
+one-element `energy._SplineKernel`), integrating each candidate exactly
+(Gauss-Legendre, for a quartic W), so the minimum it finds is Q[p] of an
+actual function and bounds lambda_n from above.  The reported
 lambda_hat_n is Q of the winning polynomial sampled on a grid, the
 finite-difference quotient of that witness field, which is no such bound:
 it may lie on either side of lambda_n.
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._solvers import BandedSystem, damped_newton
-from .energy import DiscreteEnergy, _PolynomialKernel
+from .energy import DiscreteEnergy, _SplineKernel, bernstein_matrix
 from .ensembles import DEFAULT_KINDS, random_field
 from .grids import Field, Grid
 from .potentials import DoubleWell
@@ -129,30 +130,28 @@ class LambdaEstimate:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
-    """Global search over the monomial coefficients of a degree
-    POLY_DEGREE polynomial on (0,1), with Gauss-Legendre integrals
-    (exact for a quartic W): `_minimize_quotient` from a ramp
-    (and a quadratic for n >= 3) and POLY_STARTS random coefficient
-    vectors.  A degenerate start (the ramp for n >= 3) is not solved.
+def _poly_stage(kernel: _SplineKernel, w: DoubleWell, opts: LambdaOptions):
+    """Global search over the polynomials of the one-element kernel on
+    (0,1), of degree POLY_DEGREE, in their Bernstein coefficients, with
+    Gauss-Legendre integrals (exact for a quartic W): `_minimize_quotient`
+    from a ramp (and a quadratic for n >= 3) and POLY_STARTS random
+    monomial coefficient vectors, each mapped once to Bernstein
+    coefficients.  A degenerate start (the ramp for n >= 3) is not solved.
     Returns the best coefficients (None if every start is degenerate) and
     each start's (value, stop reason, step count) in start order."""
-    functions = _quotient_functions(_PolynomialKernel(n, POLY_DEGREE), w)
+    functions = _quotient_functions(kernel, w)
     value = functions[0]
-    ncoef = POLY_DEGREE + 1
+    ncoef = kernel.size
     rng = np.random.default_rng(opts.seed)
-    ramp = np.zeros(ncoef)
-    ramp[0], ramp[1] = -1.0, 2.0
-    starts = [ramp]
-    if n >= 3:
-        quad = np.zeros(ncoef)
-        quad[0], quad[1], quad[2] = 1.0, -8.0, 8.0
-        starts.append(quad)
-    for _ in range(POLY_STARTS):
-        starts.append(rng.normal(0.0, 1.0, ncoef) / (1.0 + np.arange(ncoef)))
+    ramp, quad = np.zeros((2, ncoef))
+    ramp[:2], quad[:3] = (-1.0, 2.0), (1.0, -8.0, 8.0)
+    starts = [ramp, quad] if kernel.n >= 3 else [ramp]
+    starts += [rng.normal(0.0, 1.0, ncoef) / (1.0 + np.arange(ncoef))
+               for _ in range(POLY_STARTS)]
 
+    to_bernstein = bernstein_matrix(kernel.p).astype(float)
     runs, best_val, best_c = [], np.inf, None
-    for c0 in starts:
+    for c0 in starts @ to_bernstein.T:
         if not np.isfinite(value(c0)):
             runs.append((np.inf, "degenerate start", 0))
             continue
@@ -164,20 +163,26 @@ def _poly_stage(n: int, w: DoubleWell, opts: LambdaOptions):
     return best_c, runs
 
 
-def _quotient_functions(kernel, w: DoubleWell):
-    """Q[c] = (int W + int (p^(n))^2) / int (p^(n-1))^2 for the polynomial
-    p on (0,1) with the monomial coefficients c of a `_PolynomialKernel`;
-    its gradient g = (N' - Q D') / D and its Newton system: value(c), inf on
-    a degenerate denominator; grad(c), 0 there; and system(c), the dense
-    Hessian (N'' - Q D'') / D - g (D'/D)^T - (D'/D) g^T as a full band.
-    grad reuses the terms of the last value call at equal coefficients, as
-    at the trial point the line search accepts, and system the parts of
-    the last grad call at the same array object, as in the Newton driver."""
+def _quotient_functions(kernel: _SplineKernel, w: DoubleWell):
+    """Q[c] = (int W + int (f^(n))^2) / int (f^(n-1))^2 for the polynomial
+    f of a one-element `_SplineKernel` with no fixed coefficients; its
+    gradient g = (N' - Q D') / D, both derivatives from one `grads` pass;
+    and its Newton system: value(c), inf on a degenerate denominator;
+    grad(c), 0 there; and system(c), the dense Hessian
+    (N'' - Q D'') / D - g (D'/D)^T - (D'/D) g^T in the kernel's band, whose
+    half-bandwidth p covers the whole matrix.  grad reuses the terms of
+    the last value call at coefficients of the same bits, as at the trial
+    point the line search accepts, and system the parts of the last grad
+    call at the same array object, as in the Newton driver."""
     last, seen = {}, {}
+    m = kernel.size
+    i, j = np.indices((m, m))
+    dense = (kernel.p + i - j, j)
 
     def terms(v):
-        if "v" not in seen or not np.array_equal(seen["v"], v):
-            seen.update(v=v.copy(), terms=kernel.terms(v, w))
+        # keyed by the bits of v, which fix the terms
+        if seen.get("key") != v.tobytes():
+            seen.update(key=v.tobytes(), terms=kernel.terms(v, w))
         return seen["terms"]
 
     def value(v):
@@ -189,21 +194,19 @@ def _quotient_functions(kernel, w: DoubleWell):
         if D <= DENOMINATOR_FLOOR:
             return np.zeros_like(v)
         Q = (pot + high) / D
-        low = kernel.K_low @ v
-        g = (kernel.grad(v, w, (1.0, 0.0, 1.0)) - Q * low) / D
-        last.update(v=v, Q=Q, D=D, g=g, gD=low / D)
+        dN, dD = kernel.grads(v, w, ((1.0, -Q, 1.0), (0.0, 1.0, 0.0)))
+        g = dN / D
+        last.update(v=v, Q=Q, D=D, g=g, gD=dD / D)
         return g
 
     def system(v):
         if last.get("v") is not v:
             grad(v)
         Q, D, g, gD = last["Q"], last["D"], last["g"], last["gD"]
-        H = kernel.hess(v, w, (1.0, -Q, 1.0)) / D - np.outer(g, gD) - np.outer(gD, g)
-        m = len(v)
-        i, j = np.indices(H.shape)
-        ab = np.zeros((2 * m - 1, m))
-        ab[m - 1 + i - j, j] = H
-        return BandedSystem(ab, m - 1)
+        ab = kernel.hess(v, w, (1.0 / D, -Q / D, 1.0 / D))
+        outer = np.outer(g, gD)
+        ab[dense] -= outer + outer.T
+        return BandedSystem(ab, kernel.p)
 
     return value, grad, system
 
@@ -247,14 +250,15 @@ def estimate_lambda_n(
     # serve before any polynomial work
     DiscreteEnergy(grid, n)
 
-    poly_c, runs = _poly_stage(n, w, opts)
+    kernel = _SplineKernel(n, (0.0, 1.0), 1, POLY_DEGREE, 0)
+    poly_c, runs = _poly_stage(kernel, w, opts)
     per_start, messages, steps = (list(r) for r in zip(*runs))
     if poly_c is None:
         raise RuntimeError(
             "estimate_lambda_n: every polynomial start is degenerate; "
             f"per_start={per_start}"
         )
-    witness = Field(grid, np.polynomial.polynomial.polyval(grid.nodes(), poly_c))
+    witness = Field(grid, kernel.sample(poly_c, grid.nodes()))
     return LambdaEstimate(
         value=quotient(witness, n, w).value,
         witness=witness,

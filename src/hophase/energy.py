@@ -13,15 +13,15 @@ the interpolation quotient and the coupling bound) is a weighted sum of the
 same three integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2.
 `DiscreteEnergy` is their one discretization on a grid, with gradient,
 Hessian, energy change along a step, roundoff floor and the damped-Newton
-front end of `minimize_energy`; `_PolynomialKernel` is the same three
-integrals for a polynomial, and `_SplineKernel` for a transition profile
-in a B-spline space, each integrated exactly by Gauss-Legendre
-quadrature.
+front end of `minimize_energy`; `_SplineKernel` is their one exactly
+integrated kernel, in a B-spline space whose one-element case is the
+polynomials in the Bernstein basis.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import factorial
+from fractions import Fraction
+from functools import cache, cached_property
+from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -275,104 +275,55 @@ class DiscreteEnergy:
         return u, info, floor, bool(converged)
 
 
-class _PolynomialKernel:
-    """The three integrals of `DiscreteEnergy` for the polynomial
-    p(x) = sum_j c_j x^j on (0,1), as functions of its monomial
-    coefficients c: Gauss-Legendre quadrature with 2d + 2 nodes, exact up
-    to degree 4d + 3, so exact for a quartic W (roundoff aside).  Provides
-    what `critical._quotient_functions` reads (terms, grad, the dense
-    hess, K_low)."""
-
-    def __init__(self, n: int, degree: int):
-        nodes, wts = np.polynomial.legendre.leggauss(2 * degree + 2)
-        nodes = 0.5 * (nodes + 1.0)
-        self.wts = 0.5 * wts
-        ncoef = degree + 1
-
-        def basis(k):
-            # row j holds the k-th derivative of x^j at the nodes
-            B = np.zeros((ncoef, len(nodes)))
-            for j in range(k, ncoef):
-                B[j] = factorial(j) // factorial(j - k) * nodes ** (j - k)
-            return B
-
-        self.B0, self.Bn1, self.Bn = basis(0), basis(n - 1), basis(n)
-        self.K_low = 2.0 * (self.Bn1 * self.wts) @ self.Bn1.T
-        self.K_high = 2.0 * (self.Bn * self.wts) @ self.Bn.T
-
-    def terms(self, c: np.ndarray, w: DoubleWell):
-        return (
-            float(self.wts @ np.asarray(w.eval(c @ self.B0), dtype=float)),
-            float(self.wts @ (c @ self.Bn1) ** 2),
-            float(self.wts @ (c @ self.Bn) ** 2),
-        )
-
-    def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
-        c_pot, c_low, c_high = coef
-        wprime = np.asarray(w.eval_derivative(c @ self.B0), dtype=float)
-        return (
-            c_pot * (self.B0 @ (self.wts * wprime))
-            + (c_low * self.K_low + c_high * self.K_high) @ c
-        )
-
-    def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
-        c_pot, c_low, c_high = coef
-        w2 = np.asarray(w.second_derivative(c @ self.B0), dtype=float)
-        return (
-            c_pot * (self.B0 * (self.wts * w2)) @ self.B0.T
-            + c_low * self.K_low
-            + c_high * self.K_high
-        )
-
-
 class _SplineKernel:
-    """The three integrals of `DiscreteEnergy` for a transition profile: a
-    B-spline f of degree p = n + 3 on (-T, T), exactly -1 left of -T and
-    +1 right of T, integrated exactly by Gauss-Legendre quadrature.
-
-    The knots are uniform at spacing 2T/E <= h inside, E = ceil(2T/h)
-    elements, and the knot vector is open (p + 1 copies of each end).
-    The first and last n coefficients are fixed to -1 and +1; the other
-    E + p - 2n are free.  This is the space whose knot at +-T has
-    multiplicity p - n + 1 and whose B-splines reaching past +-T are fixed
-    to -+1, with the same free B-splines: f joins the wells C^(n-1) at
-    +-T, as an H^n function must.  Each element has 2p + 1 Gauss nodes,
-    exact to degree 4p + 1, so the energy of a quartic W, of degree 4p in
-    f, is integrated exactly (roundoff aside), and spaces of halved h are
+    """The three integrals of `DiscreteEnergy` for a B-spline f of degree p
+    on (a, b), integrated exactly by Gauss-Legendre quadrature: an open
+    knot vector (p + 1 copies of each end) with E uniform elements, whose
+    first and last `fixed` coefficients are held at -1 and +1 and the rest
+    free.  One element is the polynomials of degree p in the Bernstein
+    basis, well conditioned where the monomial basis is not (Farouki &
+    Rajan, CAGD 4, 1987; `bernstein_matrix`).  With p = n + 3 and
+    fixed = n (`profiles._profile_kernel`) f joins the wells C^(n-1) at a
+    and b, as an H^n transition must.  Each element has 2p + 1 Gauss
+    nodes, exact to degree 4p + 1, so the energy of a quartic W, of degree
+    4p in f, is exact (roundoff aside), and spaces of halved spacing are
     nested: the minimum cannot rise.
 
-    The B-spline values and the derivatives of orders n - 1 and n at the
-    nodes are tabulated once per kernel (`_element_tables`).  The gradient
-    adds each element's p + 1 entries with p + 1 slice adds; the Hessian
-    has half-bandwidth p, its constant part c_low K_low + c_high K_high
-    is built once per solve, and each Newton step adds only the W''
+    The B-spline values and derivatives of orders n - 1 and n at the nodes
+    are tabulated once per kernel (`_element_tables`), and so are K_low
+    and K_high on the free coefficients (`_bands`).  The gradient adds its
+    element entries with one bincount; the Hessian has half-bandwidth p,
+    the whole matrix at E = 1, and each Newton step adds only the W''
     element matrices (de Boor, A Practical Guide to Splines, ch. IX-X).
     """
 
-    def __init__(self, n: int, T: float, h: float):
-        p = n + 3
-        E = int(np.ceil(2.0 * T / h))
-        edges = np.linspace(-T, T, E + 1)
-        self.n, self.p, self.num_elements = n, p, E
-        self.knots = np.concatenate((np.full(p, -T), edges, np.full(p, T)))
+    def __init__(self, n: int, interval, elements: int, degree: int, fixed: int):
+        (left, right), E, p = interval, elements, degree
+        self.n, self.p, self.num_elements, self.fixed = n, p, E, fixed
+        edges = np.linspace(left, right, E + 1)
+        self.knots = np.concatenate((np.full(p, left), edges, np.full(p, right)))
         self.size = E + p
-        self.free = slice(n, self.size - n)
+        self.free = slice(fixed, self.size - fixed)
         #: the Greville abscissae, where coefficient i sits
         self.greville = sliding_window_view(self.knots[1:-1], p).mean(axis=1)
         # tables[e, k, g, a]: B-spline e + a of element e at its node g,
         # k = 0, 1, 2 for the value and the derivatives of order n - 1 and n
-        tables, wts = _element_tables(n, E)
-        length = 2.0 * T / E
+        tables, wts = _element_tables(n, E, p)
+        length = (right - left) / E
         self.tables = tables * (length ** -np.array([0.0, n - 1, n]))[:, None, None]
         self.wts = np.full((E, len(wts)), 0.5 * length) * wts
         # c[_window[e]]: the coefficients of element e's B-splines
         self._window = np.arange(E)[:, None] + np.arange(p + 1)
-        # the free-block band storage index of each element matrix entry
-        # (a, b), at i = e + a - n, j = e + b - n: ab[p + i - j, j] for
-        # BandedSystem; entries of fixed rows or columns go to one dump slot
-        m = self.size - 2 * n
+        # _scatter[k]: the entry of row k of `grads` that each element entry
+        # (a, e) adds to, in that order, so that a bincount adds each
+        # coefficient's entries in descending e from 0.0
+        self._scatter = self.size * np.arange(3)[:, None] + self._window.T.ravel()
+        # the free-block band storage index ab[p + i - j, j] of each element
+        # matrix entry (a, b), i = e + a - fixed, j = e + b - fixed; entries
+        # of fixed rows or columns go to one dump slot
+        m = self.size - 2 * fixed
         e, a, b = np.ogrid[:E, :p + 1, :p + 1]
-        i, j = e + a - n, e + b - n
+        i, j = e + a - fixed, e + b - fixed
         inside = (i >= 0) & (i < m) & (j >= 0) & (j < m)
         dump = (2 * p + 1) * m
         self._band_index = np.where(inside, (p + a - b) * m + j, dump).ravel()
@@ -381,7 +332,7 @@ class _SplineKernel:
         """The coefficients with the given values at the Greville abscissae
         in the free places and the wells in the fixed ones."""
         c = np.array(values, dtype=float)
-        c[:self.n], c[self.size - self.n:] = -1.0, 1.0
+        c[:self.fixed], c[self.size - self.fixed:] = -1.0, 1.0
         return c
 
     def _values(self, c: np.ndarray) -> np.ndarray:
@@ -391,7 +342,7 @@ class _SplineKernel:
         return (B @ c[self._window][:, :, None]).reshape(self.tables.shape[:3])
 
     def sample(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """f at the points x in [-T, T]."""
+        """f at the points x in [a, b]."""
         p = self.p
         spans = np.clip(
             np.searchsorted(self.knots, x, side="right") - 1, p, self.size - 1
@@ -435,19 +386,24 @@ class _SplineKernel:
 
     def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         """The gradient of `energy` with respect to all coefficients."""
-        c_pot, c_low, c_high = coef
+        return self.grads(c, w, (coef,))[0]
+
+    def grads(self, c: np.ndarray, w: DoubleWell, coefs) -> np.ndarray:
+        """Row k is `grad` for the coefficient triple coefs[k], for up to
+        three triples: every row from one pass over the nodes, and their
+        element entries added by one bincount."""
         v = self._values(c)
         s = np.empty_like(v)
-        s[:, 0] = c_pot * np.asarray(w.eval_derivative(v[:, 0]), dtype=float)
-        s[:, 1] = 2.0 * c_low * v[:, 1]
-        s[:, 2] = 2.0 * c_high * v[:, 2]
-        s *= self.wts[:, None]
-        E, p = self.num_elements, self.p
-        r = (s.reshape(E, 1, -1) @ self.tables.reshape(E, -1, p + 1))[:, 0]
-        g = np.zeros(self.size)
-        for a in range(p + 1):
-            g[a:a + E] += r[:, a]
-        return g
+        s[:, 0] = w.eval_derivative(v[:, 0])
+        np.multiply(v[:, 1:], 2.0, out=s[:, 1:])
+        # s[e, k, j, g] = coefs[k][j] s[e, j, g] wts[e, g]
+        s = np.asarray(coefs, dtype=float)[:, :, None] * s[:, None]
+        s *= self.wts[:, None, None]
+        E, p, k = self.num_elements, self.p, len(coefs)
+        r = s.reshape(E, k, -1) @ self.tables.reshape(E, -1, p + 1)
+        return np.bincount(
+            self._scatter[:k].ravel(), r.transpose(1, 2, 0).ravel(), k * self.size
+        ).reshape(k, self.size)
 
     def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         """The Hessian of `energy` on the free coefficients in band storage
@@ -456,28 +412,31 @@ class _SplineKernel:
         step of `minimize` adds them."""
         return self._constant_band(coef) + self._curved_band(c, w, coef)
 
+    @cached_property
+    def _bands(self):
+        """K_low and K_high, int 2 B_a^(k) B_b^(k), on the free block."""
+        return tuple(self._band(k, 2.0 * self.wts) for k in (1, 2))
+
     def _constant_band(self, coef) -> np.ndarray:
         """c_low K_low + c_high K_high, the part of the Hessian that does
         not depend on the coefficients."""
         _, c_low, c_high = coef
-        s = (2.0 * np.array([c_low, c_high]))[:, None] * self.wts[:, None, :]
-        return self._band(self.tables[:, 1:], s)
+        band_low, band_high = self._bands
+        return c_low * band_low + c_high * band_high
 
     def _curved_band(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         """c_pot int W''(f) B_a B_b, the part of the Hessian that changes
         with the coefficients c."""
         w2 = np.asarray(w.second_derivative(self._values(c)[:, 0]), dtype=float)
-        return self._band(self.tables[:, :1], (coef[0] * self.wts * w2)[:, None])
+        return self._band(0, coef[0] * self.wts * w2)
 
-    def _band(self, tables: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def _band(self, k: int, s: np.ndarray) -> np.ndarray:
         """The element matrices sum_g s B_a B_b over each element's nodes g
-        of the (E, k, G, p + 1) tables B with the (E, k, G) weights s,
-        summed over k and added into the free block's band storage by one
-        bincount."""
-        E, p = self.num_elements, self.p
-        B = tables.reshape(E, -1, p + 1)
-        M = (B * s.reshape(E, -1, 1)).transpose(0, 2, 1) @ B
-        m = self.size - 2 * self.n
+        of the tables B = tables[:, k] with the (E, G) weights s, added
+        into the free block's band storage by one bincount."""
+        p, B = self.p, self.tables[:, k]
+        M = (B * s[:, :, None]).transpose(0, 2, 1) @ B
+        m = self.size - 2 * self.fixed
         return np.bincount(
             self._band_index, M.ravel(), (2 * p + 1) * m + 1
         )[:-1].reshape(2 * p + 1, m)
@@ -537,16 +496,30 @@ class _SplineKernel:
         return c, info, decrement, bool(converged)
 
 
-def _element_tables(n: int, E: int):
+@cache
+def bernstein_matrix(d: int) -> np.ndarray:
+    """The exact (d + 1, d + 1) matrix M[k, j] = C(k, j) / C(d, j), zero
+    for j > k, as Fractions: M a is the Bernstein coefficients on (0, 1),
+    the coefficients of the one-element `_SplineKernel` of degree d on
+    (0, 1), of the polynomial sum_j a_j x^j (x^j = sum_k M[k, j] B_k).
+    Read-only: every caller shares it."""
+    M = np.array([
+        [Fraction(comb(k, j), comb(d, j)) for j in range(d + 1)]
+        for k in range(d + 1)
+    ])
+    M.flags.writeable = False
+    return M
+
+
+def _element_tables(n: int, E: int, p: int):
     """The B-spline tables of `_SplineKernel` on elements of unit length:
-    tables[e, k, g, a] is B-spline e + a of degree p = n + 3 on the open
-    knot vector 0, ..., 0, 1, ..., E - 1, E, ..., E (p + 1 copies of each
-    end) at Gauss node g of element e, for k = 0, 1, 2 its value and its
+    tables[e, k, g, a] is B-spline e + a of degree p on the open knot
+    vector 0, ..., 0, 1, ..., E - 1, E, ..., E (p + 1 copies of each end)
+    at Gauss node g of element e, for k = 0, 1, 2 its value and its
     derivatives of order n - 1 and n; wts are the 2p + 1 Gauss-Legendre
     weights on (-1, 1).  Only the first and last p - 1 elements meet the
     repeated end knots, and every element between sees the knots of
     element p - 1, so its rows are computed once and repeated."""
-    p = n + 3
     nodes, wts = np.polynomial.legendre.leggauss(2 * p + 1)
     e = np.arange(E)
     if E >= 2 * p - 1:
@@ -570,7 +543,7 @@ def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
     run over all the points at once.  Of A2.3's table ndu, the B-splines
     of degree below p - nd are dropped as the recursion passes them, and
     the knot differences are recomputed from left and right, so sampling
-    (nd = 0) holds three (p + 1)-row arrays."""
+    (nd = 0) holds four (p + 1)-row arrays."""
     m = len(x)
     left, right = np.empty((p + 1, m)), np.empty((p + 1, m))
 
@@ -585,13 +558,12 @@ def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
     for j in range(1, p + 1):
         left[j] = x - knots[spans + 1 - j]
         right[j] = knots[spans + j] - x
-        prev, N = N, np.empty((j + 1, m))
-        saved = 0.0
-        for r in range(j):
-            temp = prev[r] / gap(j, r)
-            N[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        N[j] = saved
+        # all r < j at once: temp[r] = N[r] / gap(j, r) of degree j - 1
+        # goes to N[r] through right[r + 1], to N[r + 1] through left[j - r]
+        temp = N / (right[1:j + 1] + left[j:0:-1])
+        N = np.zeros((j + 1, m))
+        N[:j] = right[1:j + 1] * temp
+        N[1:] += left[j:0:-1] * temp
         if j >= p - nd:
             basis[j] = N
     ders = np.empty((nd + 1, p + 1, m))

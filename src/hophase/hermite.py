@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .energy import _PolynomialKernel
+from .energy import _SplineKernel, bernstein_matrix
 from .potentials import DoubleWell
 
 __all__ = [
@@ -254,6 +254,12 @@ def endpoint_residuals(p: CouplingPolynomial) -> np.ndarray:
     return np.array([float(r) for r in res])
 
 
+@cache
+def _window_kernel(n: int) -> _SplineKernel:
+    """The polynomials of degree 2n - 1 on (0, 1), in the Bernstein basis."""
+    return _SplineKernel(n, (0.0, 1.0), 1, 2 * n - 1, 0)
+
+
 def coupling_energy_upper_bound(
     y: Union[BoundaryData, Sequence[float]],
     lam: float,
@@ -267,16 +273,18 @@ def coupling_energy_upper_bound(
 
     Any admissible polynomial bounds the coupling infimum from above; the
     bound is continuous in y because the coefficients are.  The three
-    integrals come from `energy._PolynomialKernel` at degree 2n - 1, Gauss
-    quadrature on 4n nodes, exact up to degree 8n - 1 and so for a quartic
-    W (roundoff aside).  For the well data (y = e_1 for zeta, y = -e_1 for
-    eta) the polynomial is the constant well value and the energy is
-    exactly zero.
-    """
+    integrals come from `_window_kernel`, the Bernstein basis of degree
+    2n - 1, on the exact coefficients mapped exactly and rounded once; its
+    4n - 1 Gauss nodes are exact for a quartic W (roundoff aside).  For
+    the well data (y = e_1 for zeta, y = -e_1 for eta) the polynomial is
+    the constant well value, and the bound is 0.0 without quadrature."""
     if kind not in ("zeta", "eta"):
         raise ValueError(f"unknown kind {kind!r}")
     if not isinstance(y, BoundaryData):
         y = BoundaryData(tuple(y))
+    if y.y == (1.0 if kind == "zeta" else -1.0,) + (0.0,) * (y.n - 1):
+        return 0.0
     p = solve_zeta(y) if kind == "zeta" else solve_eta(y)
-    pot, low, high = _PolynomialKernel(y.n, 2 * y.n - 1).terms(p.coefficients, w)
+    c = bernstein_matrix(2 * y.n - 1) @ np.array(p.exact_coefficients)
+    pot, low, high = _window_kernel(y.n).terms(c.astype(float), w)
     return pot - lam * low + high

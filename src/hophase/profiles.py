@@ -89,9 +89,10 @@ class ProfileResult:
     """Minimizer sampled on the problem's grid, its exact spline energy,
     and convergence diagnostics: converged means the Newton decrement
     newton_decrement = -g . d of the undamped Newton step d at the
-    minimizer is at most PROFILE_DECREMENT_RTOL max(1, |energy|), and the
-    run did not stop on a failed line search or on no descent direction
-    (`energy._SplineKernel.minimize`); diagnosis says why a run is not
+    minimizer is at most PROFILE_DECREMENT_RTOL max(1, |energy|), the run
+    did not stop on a failed line search or on no descent direction
+    (`energy._SplineKernel.minimize`), and the minimizer is one layer, its
+    coefficients changing sign once; diagnosis says why a run is not
     converged.  gradient_norm_final is the gradient's sup-norm over the
     free spline coefficients.  factorizations counts the LAPACK
     factorizations of the Newton steps, tau retries that change the
@@ -107,17 +108,28 @@ class ProfileResult:
     factorizations: int = 0
 
 
+def _profile_kernel(n: int, T: float, h: float) -> _SplineKernel:
+    """The profile space on (-T, T): B-splines of degree n + 3 on
+    ceil(2T/h) elements, whose first and last n coefficients are held at
+    the wells."""
+    return _SplineKernel(n, (-T, T), int(np.ceil(2.0 * T / h)), n + 3, n)
+
+
 def minimize_profile(
     problem: ProfileProblem,
     init: Optional[Union[Field, np.ndarray]] = None,
 ) -> ProfileResult:
     """Minimize the truncated profile energy over the splines of
-    `energy._SplineKernel` at knot spacing `PROFILE_H`, by damped Newton
-    from one start: tanh, or init (a Field, or samples on the problem's
-    grid), at the Greville abscissae.  The minimizer is the spline sampled
-    on the problem's grid.
+    `_profile_kernel` at knot spacing `PROFILE_H`, by damped Newton from
+    one start: tanh, or init (a Field, or samples on the problem's grid),
+    at the Greville abscissae.  The minimizer is the spline sampled on the
+    problem's grid.
+
+    A converged profile is one layer: its coefficients change sign once,
+    so the spline does too (variation diminishing; de Boor, A Practical
+    Guide to Splines, ch. XI).
     """
-    kernel = _SplineKernel(problem.n, problem.truncation_T, PROFILE_H)
+    kernel = _profile_kernel(problem.n, problem.truncation_T, PROFILE_H)
     grid = problem.grid
     if init is None:
         start = np.tanh(kernel.greville)
@@ -133,11 +145,14 @@ def minimize_profile(
         kernel.coefficients(start), problem.potential, (1.0, -problem.lam, 1.0),
         PROFILE_GTOL, PROFILE_MAXITER, PROFILE_DECREMENT_RTOL,
     )
-    diagnosis = ""
-    if not converged:
-        diagnosis = "; ".join(
-            filter(None, (info.message, f"Newton decrement {decrement:.1e}"))
-        )
+    signs = np.sign(c)
+    layers = int(np.count_nonzero(np.diff(signs[signs != 0])))
+    converged = converged and layers <= 1
+    diagnosis = "" if converged else "; ".join(filter(None, (
+        info.message,
+        f"Newton decrement {decrement:.1e}",
+        f"{layers} layers" if layers > 1 else "",
+    )))
     return ProfileResult(
         minimizer=Field(grid, kernel.sample(c, grid.nodes())),
         energy_estimate=float(info.energy),

@@ -16,6 +16,7 @@ from hophase import (
     verify_subcritical,
 )
 from hophase import critical
+from hophase.energy import _SplineKernel
 from hophase.ensembles import make_ensemble
 
 
@@ -138,8 +139,9 @@ class TestLambdaEstimate:
     ):
         opts = LambdaOptions(seed=seed, maxiter=300)
         grid = Grid(0.0, 1.0, opts.num_points)
-        c, _ = critical._poly_stage(n, quartic, opts)
-        u = np.polynomial.polynomial.polyval(grid.nodes(), c)
+        kernel = _SplineKernel(n, (0.0, 1.0), 1, critical.POLY_DEGREE, 0)
+        c, _ = critical._poly_stage(kernel, quartic, opts)
+        u = kernel.sample(c, grid.nodes())
 
         sizes = []
         newton = critical.damped_newton
@@ -211,7 +213,7 @@ class TestLambdaEstimate:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_polynomial_stage_value_is_seed_independent(self, quartic, n):
-        # the polynomial stage runs the quotient Newton over the monomial
+        # the polynomial stage runs the quotient Newton over the Bernstein
         # coefficients, so every seed reaches the same minimum
         values = [
             estimate_lambda_n(
@@ -223,6 +225,16 @@ class TestLambdaEstimate:
         assert max(values) - min(values) <= 1e-12 * min(values)
         if n == 2:
             assert max(values) <= 0.0569362484466
+
+    def test_no_start_runs_to_the_iteration_limit(self, quartic):
+        # at n = 5 every start stops on its own in the Bernstein basis; in
+        # the monomial basis one start ran its 3000 steps to Q = 1.44e-7,
+        # against the winner's 2.18e-8
+        d = estimate_lambda_n(5, quartic).diagnostics
+        assert "iteration limit" not in d["messages"]
+        solved = [s for s, m in zip(d["steps"], d["messages"]) if m != "degenerate start"]
+        assert solved and max(solved) < 100
+        assert d["poly_stage_value"] == pytest.approx(2.18415819932512e-08, rel=1e-12)
 
     def test_polynomial_stage_without_second_derivative(self, quartic, monkeypatch):
         # without W'' the polynomial stage runs Newton on a derived W''
@@ -310,9 +322,8 @@ class TestVerifySubcritical:
 class TestQuotientNewton:
     def kernel_and_functions(self, quartic):
         from hophase.critical import _quotient_functions
-        from hophase.energy import _PolynomialKernel
 
-        kernel = _PolynomialKernel(2, critical.POLY_DEGREE)
+        kernel = _SplineKernel(2, (0.0, 1.0), 1, critical.POLY_DEGREE, 0)
         return kernel, _quotient_functions(kernel, quartic)
 
     def coefficients(self):

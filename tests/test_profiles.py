@@ -18,7 +18,9 @@ from hophase import (
 )
 from hophase import energy, hermite, profiles
 from hophase.energy import _SplineKernel
-from hophase.profiles import PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H
+from hophase.profiles import (
+    PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H, _profile_kernel,
+)
 
 #: lambda_hat_n of the quartic, the Galerkin values of degree 14
 LAMBDA_HAT = {2: 0.0569362, 3: 8.06882e-4, 4: 5.57671e-6, 5: 2.18416e-8, 6: 5.47825e-11}
@@ -26,7 +28,7 @@ LAMBDA_HAT = {2: 0.0569362, 3: 8.06882e-4, 4: 5.57671e-6, 5: 2.18416e-8, 6: 5.47
 
 def spline_of(problem):
     """The kernel of `minimize_profile` for the problem."""
-    return _SplineKernel(problem.n, problem.truncation_T, PROFILE_H)
+    return _profile_kernel(problem.n, problem.truncation_T, PROFILE_H)
 
 
 def recorded_solves(monkeypatch):
@@ -94,12 +96,27 @@ class TestProfileMinimization:
         # tau = 1 and the tau ladder down from it; climbing the ladder
         # tau = 0, 1e-8, ..., 1 on each of them took 78 banded solves,
         # while starting each step at a tenth of the last accepted tau
-        # takes 38, the Newton decrement's solve included
+        # takes 38, the Newton decrement's solve included; the run ends
+        # stationary, on a state of three layers
         prob = ProfileProblem(3, 2e-4, 10.0, 2001, quartic)
         res = minimize_profile(prob, init=0.3 * np.tanh(prob.grid.nodes()))
-        assert res.converged
+        assert 0.0 <= res.newton_decrement <= PROFILE_DECREMENT_RTOL
         assert res.iterations <= 25
         assert res.factorizations <= 45
+
+    def test_several_layers_are_no_converged_profile(self, quartic):
+        # from 0.3 tanh the Newton run is stationary at three layers,
+        # -1 -> +1 -> -1 -> +1, about 2.76 times the one-layer energy: no
+        # profile, whatever its Newton decrement
+        prob = ProfileProblem(3, 2e-4, 10.0, 2001, quartic)
+        res = minimize_profile(prob, init=0.3 * np.tanh(prob.grid.nodes()))
+        assert res.energy_estimate == pytest.approx(5.7409152, rel=1e-7)
+        assert 0.0 <= res.newton_decrement <= PROFILE_DECREMENT_RTOL
+        assert not res.converged
+        assert "3 layers" in res.diagnosis
+        one = minimize_profile(prob)
+        assert one.converged and one.diagnosis == ""
+        assert one.energy_estimate == pytest.approx(2.0805547890, rel=1e-10)
 
     def test_verdict_uses_the_newton_decrement(self, quartic):
         # the n = 3 run stops on energy stagnation with a gradient above
@@ -319,14 +336,14 @@ class TestSplineKernel:
     def test_gradient_and_hessian_are_the_derivatives(self, quartic, n):
         # central differences of the energy along a random direction, and
         # of the gradient for the Hessian's band
-        kernel = _SplineKernel(n, 3.0, 0.5)
+        kernel = _profile_kernel(n, 3.0, 0.5)
         rng = np.random.default_rng(n)
         c = kernel.coefficients(
             np.tanh(kernel.greville) + 0.1 * rng.standard_normal(kernel.size)
         )
         coef = (1.0, -0.3, 1.0)
         v = np.zeros(kernel.size)
-        v[kernel.free] = rng.standard_normal(kernel.size - 2 * kernel.n)
+        v[kernel.free] = rng.standard_normal(kernel.size - 2 * kernel.fixed)
         t = 1e-5
         g = kernel.grad(c, quartic, coef)
         de = kernel.energy(c + t * v, quartic, coef) - kernel.energy(
@@ -344,10 +361,60 @@ class TestSplineKernel:
         assert np.abs(hv - dg[kernel.free] / (2 * t)).max() <= 1e-6 * np.abs(hv).max()
 
     @pytest.mark.parametrize("n", (1, 3, 6))
+    def test_gradient_adds_in_the_order_of_slice_adds(self, quartic, n):
+        # reference: each element's p + 1 entries added by p + 1 slice adds
+        # onto zeros; grad takes the same bits, and the rows of grads for
+        # two triples, summed by another matrix product, the same values
+        kernel = _profile_kernel(n, 3.0, 0.5)
+        rng = np.random.default_rng(20 + n)
+        c = np.tanh(kernel.greville) + 0.1 * rng.standard_normal(kernel.size)
+        coefs = ((1.0, -0.3, 1.0), (0.0, 1.0, 0.0))
+        E, p = kernel.num_elements, kernel.p
+        v = kernel._values(c)
+        for i, (c_pot, c_low, c_high) in enumerate(coefs):
+            s = np.empty_like(v)
+            s[:, 0] = c_pot * quartic.eval_derivative(v[:, 0])
+            s[:, 1] = 2.0 * c_low * v[:, 1]
+            s[:, 2] = 2.0 * c_high * v[:, 2]
+            s *= kernel.wts[:, None]
+            r = (s.reshape(E, 1, -1) @ kernel.tables.reshape(E, -1, p + 1))[:, 0]
+            ref = np.zeros(kernel.size)
+            for a in range(p + 1):
+                ref[a:a + E] += r[:, a]
+            np.testing.assert_array_equal(kernel.grad(c, quartic, coefs[i]), ref)
+            np.testing.assert_allclose(
+                kernel.grads(c, quartic, coefs)[i], ref, rtol=0.0,
+                atol=64 * np.finfo(float).eps * np.abs(r).sum(),
+            )
+
+    @pytest.mark.parametrize("p", (1, 4, 10))
+    def test_basis_recursion_matches_the_loop(self, p):
+        # reference: the Cox-de Boor recursion of Piegl & Tiller A2.2,
+        # one B-spline at a time
+        kernel = _SplineKernel(2, (-1.0, 2.0), 5, p, 0)
+        x = np.linspace(-1.0, 2.0, 37)
+        knots = kernel.knots
+        spans = np.clip(np.searchsorted(knots, x, side="right") - 1, p, kernel.size - 1)
+        left, right = np.empty((p + 1, len(x))), np.empty((p + 1, len(x)))
+        N = np.ones((1, len(x)))
+        for j in range(1, p + 1):
+            left[j] = x - knots[spans + 1 - j]
+            right[j] = knots[spans + j] - x
+            prev, N = N, np.empty((j + 1, len(x)))
+            saved = 0.0
+            for r in range(j):
+                temp = prev[r] / (right[r + 1] + left[j - r])
+                N[r] = saved + right[r + 1] * temp
+                saved = left[j - r] * temp
+            N[j] = saved
+        got = energy._bspline_derivatives(knots, p, spans, x, 0)[0]
+        np.testing.assert_array_equal(got, N)
+
+    @pytest.mark.parametrize("n", (1, 3, 6))
     def test_quadrature_is_exact_for_the_quartic(self, quartic, n):
         # 2p + 1 Gauss nodes per element integrate W(f), of degree 4p, as
         # exactly as 4p nodes do
-        kernel = _SplineKernel(n, 3.0, 0.5)
+        kernel = _profile_kernel(n, 3.0, 0.5)
         rng = np.random.default_rng(10 + n)
         c = kernel.coefficients(
             np.tanh(kernel.greville) + 0.2 * rng.standard_normal(kernel.size)

@@ -8,10 +8,10 @@ from scipy.linalg.lapack import dgbsv
 
 from hophase import DiscreteEnergy, EnergyParams, Grid, _solvers, energy
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import _gram_diagonals, _SplineKernel
+from hophase.energy import _gram_diagonals
 from hophase.grids import ACCURACY_ORDER, _unit_rows, diff_operator, quadrature_weights
 from hophase.profiles import (
-    PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER,
+    PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER, _profile_kernel,
 )
 
 from conftest import differenced, stencil_csr, to_band
@@ -548,7 +548,7 @@ def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatc
     # diagonal; a driver fed the whole `hess` at every step takes the same
     # steps, bit for bit
     if case == "profile n = 3":
-        kernel = _SplineKernel(3, 5.0, PROFILE_H)
+        kernel = _profile_kernel(3, 5.0, PROFILE_H)
         c, free = (1.0, -0.01, 1.0), kernel.free
         u0 = kernel.coefficients(np.tanh(kernel.greville))
 
