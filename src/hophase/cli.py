@@ -49,7 +49,7 @@ from .potentials import get_potential
 from .profiles import (
     JumpFunction, ProfileProblem, build_recovery, estimate_constants, minimize_profile,
 )
-from .ensembles import random_field
+from .ensembles import _generator, random_field
 
 __all__ = ["main"]
 
@@ -367,7 +367,7 @@ def _cmd_minimize(args) -> int:
         ppe = (num_points - 1) * eps / (b - a)
         init = build_recovery(jump_fn, prof.minimizer, eps, ppe)
     elif init_spec == "random":
-        rng = np.random.default_rng(seed or 0)
+        rng = _generator(seed or 0)
         init = random_field(Grid(a, b, num_points), rng, "fourier")
     else:
         init = field_from_csv(_read_text(init_spec, "init"))

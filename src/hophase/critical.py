@@ -26,7 +26,7 @@ import numpy as np
 
 from ._solvers import BandedSystem, damped_newton
 from .energy import DiscreteEnergy, _SplineKernel, bernstein_matrix
-from .ensembles import DEFAULT_KINDS, random_field
+from .ensembles import DEFAULT_KINDS, _draw, _generator, _row_blocks, _stack
 from .grids import Field, Grid
 from .potentials import DoubleWell
 
@@ -68,6 +68,18 @@ class DegenerateQuotient(ValueError):
     """The field's int (u^(n-1))^2 is at or below DENOMINATOR_FLOOR."""
 
 
+def _weigh(pot, den, high, n: int, length: float) -> Tuple[float, float, float]:
+    """(potential, denominator, high) of Q with the |I|-weights of an
+    interval of the given length, from the three integrals; raises
+    `DegenerateQuotient` if the denominator is at or below the floor."""
+    if den <= DENOMINATOR_FLOOR:
+        raise DegenerateQuotient(
+            "quotient undefined: int (u^(n-1))^2 = "
+            f"{den:.3e} <= {DENOMINATOR_FLOOR:.0e}"
+        )
+    return length ** (-(2 * n - 2)) * pot, den, length**2 * high
+
+
 def _quotient_terms(
     u: Field, n: int, w: DoubleWell, length: float
 ) -> Tuple[float, float, float]:
@@ -75,13 +87,7 @@ def _quotient_terms(
     interval of the given length."""
     if n < 2:
         raise ValueError("quotient requires n >= 2")
-    pot, den, high = DiscreteEnergy(u.grid, n).terms(u.values, w)
-    if den <= DENOMINATOR_FLOOR:
-        raise DegenerateQuotient(
-            "quotient undefined: int (u^(n-1))^2 = "
-            f"{den:.3e} <= {DENOMINATOR_FLOOR:.0e}"
-        )
-    return length ** (-(2 * n - 2)) * pot, den, length**2 * high
+    return _weigh(*DiscreteEnergy(u.grid, n).terms(u.values, w), n, length)
 
 
 def quotient(u: Field, n: int, w: DoubleWell) -> QuotientResult:
@@ -142,7 +148,7 @@ def _poly_stage(kernel: _SplineKernel, w: DoubleWell, opts: LambdaOptions):
     functions = _quotient_functions(kernel, w)
     value = functions[0]
     ncoef = kernel.size
-    rng = np.random.default_rng(opts.seed)
+    rng = _generator(opts.seed)
     ramp, quad = np.zeros((2, ncoef))
     ramp[:2], quad[:3] = (-1.0, 2.0), (1.0, -8.0, 8.0)
     starts = [ramp, quad] if kernel.n >= 3 else [ramp]
@@ -318,7 +324,9 @@ def verify_subcritical(
     from `estimate_lambda_n`) can be appended via extra_fields; with
     lam > lambda_hat_n the witness violates by construction.  An empty
     check would pass vacuously, so ensemble_size must be >= 0 and at least
-    one field (random or extra) is required.
+    one field (random or extra) is required.  The random fields are drawn
+    first, in order, and evaluated as row stacks per grid, each with the
+    bits of one `quotient` or `subdivided_quotient` call.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
@@ -326,42 +334,63 @@ def verify_subcritical(
         raise ValueError(f"ensemble_size must be >= 0, got {ensemble_size}")
     if ensemble_size == 0 and not extra_fields:
         raise ValueError("nothing to check: ensemble_size is 0 and no extra_fields")
-    rng = np.random.default_rng(seed)
+    if n < 2:
+        raise ValueError("quotient requires n >= 2")
+    rng = _generator(seed)
     unit = Grid(0.0, 1.0, SUBCRITICAL_POINTS)
-    # one grid object per interval, so each computes its unit_nodes once
+    # one grid object per interval: each computes its unit_nodes once, and
+    # its fields are found by identity
     long_grids = {
         K: Grid(0.0, float(K), (SUBCRITICAL_POINTS - 1) * K + 1) for K in (2, 3)
     }
-    fields: List[Tuple[Field, bool]] = []
+    draws = []
     for i in range(ensemble_size):
-        if i % 4 == 3:
-            g = long_grids[int(rng.integers(2, 4))]
-            fields.append((random_field(g, rng, DEFAULT_KINDS[i % 3]), True))
-        else:
-            fields.append((random_field(unit, rng, DEFAULT_KINDS[i % 3]), False))
+        g = long_grids[int(rng.integers(2, 4))] if i % 4 == 3 else unit
+        kind = DEFAULT_KINDS[i % 3]
+        draws.append((g, kind, _draw(rng, kind)))
+
+    # Q of each field in index order, None where it is degenerate; the
+    # fields on one grid are drawn and evaluated as stacks of rows, in
+    # blocks of bounded size
+    values: List[Optional[float]] = [None] * ensemble_size
+    for g in dict.fromkeys(d[0] for d in draws):
+        kernel = DiscreteEnergy(g, n)
+        # the unit grid's fields take Q on their own interval, the long
+        # ones its subdivided form
+        length = g.length if g is unit else 1.0
+        idx = [i for i, d in enumerate(draws) if d[0] is g]
+        for block in _row_blocks(idx, g.num_points):
+            stack = _stack([draws[i][1] for i in block], [draws[i][2] for i in block],
+                           g.unit_nodes)
+            if not np.isfinite(stack).all():
+                raise ValueError("field values must be finite")
+            for i, terms in zip(block, zip(*kernel.terms(stack, w))):
+                try:
+                    pot, den, high = _weigh(*terms, n, length)
+                except DegenerateQuotient:
+                    continue
+                values[i] = float((pot + high) / den)
     for f in extra_fields:
-        fields.append((f, False))
+        try:
+            values.append(quotient(f, n, w).value)
+        except DegenerateQuotient:
+            values.append(None)
 
     min_q, worst = np.inf, -1
-    skipped = 0
     violations: List[dict] = []
-    for idx, (f, sub) in enumerate(fields):
-        try:
-            if sub:
-                qv = subdivided_quotient(f, n, w)
-            else:
-                qv = quotient(f, n, w).value
-        except DegenerateQuotient:
-            skipped += 1
+    for idx, qv in enumerate(values):
+        if qv is None:
             continue
         if qv < min_q:
             min_q, worst = qv, idx
         if qv < lam:
+            sub = idx < ensemble_size and idx % 4 == 3
             violations.append({"index": idx, "quotient": qv, "subdivided": sub})
+    skipped = values.count(None)
     return SubcriticalReport(
         n=n,
         lam=lam,
-        num_checked=len(fields) - skipped,
+        num_checked=len(values) - skipped,
         num_skipped=skipped,
         min_quotient=float(min_q),
         worst_index=worst,

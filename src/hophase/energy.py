@@ -111,11 +111,20 @@ class DiscreteEnergy:
         reach m - 1 of the m-point D_n stencil window."""
         return len(self._windows[1]) - 1
 
-    def _potential(self, u, w: DoubleWell) -> float:
-        return float(self.q @ np.asarray(w.eval(u), dtype=float))
+    def _integral(self, v):
+        """q @ v, or for a (rows, N) stack q @ row for each row: the same
+        dot product as on that row alone."""
+        if v.ndim == 1:
+            return float(self.q @ v)
+        return np.array([self.q @ row for row in v])
 
-    def _square(self, windows, u) -> float:
-        return float(self.q @ apply_stencil(windows, u) ** 2)
+    def _potential(self, u, w: DoubleWell):
+        # W sees one 1-D array, whatever the shape of u
+        values = np.asarray(w.eval(u.ravel()), dtype=float)
+        return self._integral(values.reshape(u.shape))
+
+    def _square(self, windows, u):
+        return self._integral(apply_stencil(windows, u) ** 2)
 
     def _gram(self, windows, v) -> np.ndarray:
         """D^T (q o D v) for the stencil operator D of the (m, m) windows,
@@ -125,7 +134,9 @@ class DiscreteEnergy:
     def terms(self, u: np.ndarray, w: DoubleWell):
         """(int W(u), int (u^(n-1))^2, int (u^(n))^2) by quadrature; the
         squares are summed directly, so they never go negative by roundoff
-        the way a quadratic form u^T K u can near u ~ const."""
+        the way a quadratic form u^T K u can near u ~ const.  For a
+        (rows, N) stack u, one field per row, each is an array with one
+        entry per row, bit for bit the term of a call on that row."""
         low, high = self._windows
         return (
             self._potential(u, w),

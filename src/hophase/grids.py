@@ -13,6 +13,7 @@ from math import factorial, prod
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_banded
 
 __all__ = [
@@ -90,7 +91,7 @@ class Field:
                 f"values shape {vals.shape} does not match grid with "
                 f"{self.grid.num_points} points"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
 
     @classmethod
@@ -158,14 +159,37 @@ def apply_stencil(windows: np.ndarray, u: np.ndarray) -> np.ndarray:
     clamped end rows with the first and the last m samples.  An entry is
     an inner product of m terms, within m eps (|D| |u|) of the exact D u
     (Higham, *Accuracy and Stability of Numerical Algorithms*, sec. 3.1).
+
+    u may also be a (rows, n) stack, one field per row, for D applied to
+    each row with the bits of a call on that row alone: one `np.correlate`
+    over the raveled stack, whose m - 1 outputs after each row's own
+    straddle two rows and are dropped, and the end rows by `_end_products`.
     """
-    n, m = len(u), len(windows)
+    n, m = u.shape[-1], len(windows)
     lo = (m - 1) // 2
-    return np.concatenate((
-        windows[m - lo:][::-1] @ u[:m],
-        np.correlate(u, windows[m - 1 - lo], "valid"),
-        windows[:m - 1 - lo][::-1] @ u[n - m:],
-    ))
+    top, bottom = windows[m - lo:][::-1], windows[:m - 1 - lo][::-1]
+    centre = windows[m - 1 - lo]
+    if u.ndim == 1:
+        return np.concatenate((
+            top @ u[:m], np.correlate(u, centre, "valid"), bottom @ u[n - m:],
+        ))
+    # row r's n - m + 1 outputs start at r n
+    inner = sliding_window_view(np.correlate(u.ravel(), centre, "valid"), n - m + 1)[::n]
+    return np.concatenate(
+        (_end_products(top, u[:, :m]), inner, _end_products(bottom, u[:, n - m:])),
+        axis=1,
+    )
+
+
+def _end_products(ends: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """ends @ v for each row v of u, as one (len(u), len(ends)) array, with
+    the bits of the 1-D product: the end rows of `apply_stencil` are
+    reversed views, which numpy's matmul takes without BLAS, adding the
+    products in column order from 0.0, and so does this sum."""
+    out = np.zeros((len(u), len(ends)))
+    for j in range(ends.shape[1]):
+        out += u[:, j, None] * ends[:, j]
+    return out
 
 
 def apply_stencil_transpose(windows: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -18,8 +18,10 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .energy import EnergyParams, evaluate
-from .ensembles import DEFAULT_KINDS, random_field
-from .grids import MAX_DERIVATIVE_ORDER, Field, Grid, derivative, quadrature_weights
+from .ensembles import DEFAULT_KINDS, _draw, _generator, _row_blocks, _stack
+from .grids import (
+    MAX_DERIVATIVE_ORDER, Field, Grid, apply_stencil, diff_operator, quadrature_weights,
+)
 from .potentials import DoubleWell
 
 __all__ = [
@@ -96,15 +98,24 @@ def _report(lhs: float, rhs: float, witness: str, **extra) -> CheckReport:
     )
 
 
+def _norm(q: np.ndarray, v: np.ndarray, p: float) -> float:
+    """L^p norm of the samples v under the quadrature weights q (`lp_norm`)."""
+    if p == np.inf:
+        return float(np.abs(v).max())
+    if not p >= 1:
+        raise ValueError(f"norm exponent p must be >= 1, got {p}")
+    return float((q @ np.abs(v) ** p) ** (1.0 / p))
+
+
+def _samples(u: Field, k: int) -> np.ndarray:
+    """The samples of the discrete k-th derivative of u, u's own for k = 0."""
+    return u.values if k == 0 else apply_stencil(diff_operator(u.grid, k), u.values)
+
+
 def lp_norm(f: Field, p: float) -> float:
     """L^p norm by |.|^p quadrature; p = inf gives the max norm.  Any other
     p that is not >= 1, NaN and -inf included, is a ValueError."""
-    if p == np.inf:
-        return float(np.abs(f.values).max())
-    if not p >= 1:
-        raise ValueError(f"norm exponent p must be >= 1, got {p}")
-    q = quadrature_weights(f.grid)
-    return float((q @ np.abs(f.values) ** p) ** (1.0 / p))
+    return _norm(quadrature_weights(f.grid), f.values, p)
 
 
 def intlem_constant(q: float) -> float:
@@ -112,20 +123,36 @@ def intlem_constant(q: float) -> float:
     return 8.0 * (q + 1.0) ** (1.0 / q)
 
 
+def _smallest_constant(lhs: float, bracket: float) -> float:
+    """lhs / bracket, the smallest C of lhs <= C bracket: 0 for a zero
+    bracket under a zero lhs, inf under any other."""
+    return lhs / bracket if bracket > 0 else (0.0 if lhs == 0 else np.inf)
+
+
 def check_intlem(u: Field, p: float, q: float, r: float) -> CheckReport:
     """First-derivative interpolation with the explicit constant:
 
         ||u'||_p <= C (|I|^(1+1/p-1/r) ||u''||_r + |I|^(-1+1/p-1/q) ||u||_q),
         C = 8 (q+1)^(1/q).
+
+    The smallest constant the field passes with, lhs over the bracket, is
+    reported as extra["empirical_constant"].
     """
     L = u.grid.length
     C = intlem_constant(q)
-    lhs = lp_norm(derivative(u, 1), p)
-    rhs = C * (
-        L ** (1.0 + 1.0 / p - 1.0 / r) * lp_norm(derivative(u, 2), r)
-        + L ** (-1.0 + 1.0 / p - 1.0 / q) * lp_norm(u, q)
+    qw = quadrature_weights(u.grid)
+    lhs = _norm(qw, _samples(u, 1), p)
+    bracket = (
+        L ** (1.0 + 1.0 / p - 1.0 / r) * _norm(qw, _samples(u, 2), r)
+        + L ** (-1.0 + 1.0 / p - 1.0 / q) * _norm(qw, u.values, q)
     )
-    return _report(lhs, rhs, f"field on ({u.grid.a:.3g},{u.grid.b:.3g})", C=C)
+    return _report(
+        lhs,
+        C * bracket,
+        f"field on ({u.grid.a:.3g},{u.grid.b:.3g})",
+        C=C,
+        empirical_constant=float(_smallest_constant(lhs, bracket)),
+    )
 
 
 def check_nirineq(u: Field, n: int, sigma: float, c_probe: float) -> CheckReport:
@@ -142,10 +169,10 @@ def check_nirineq(u: Field, n: int, sigma: float, c_probe: float) -> CheckReport
     if not 0 < sigma <= L:
         raise ValueError(f"sigma must satisfy 0 < sigma <= |I| = {L:.4g}")
     qw = quadrature_weights(u.grid)
-    lo = float(qw @ derivative(u, n - 1).values ** 2)
+    lo = float(qw @ _samples(u, n - 1) ** 2)
     lhs = c_probe * lo
     rhs = sigma ** (-(2 * n - 2)) * float(qw @ u.values**2) + sigma**2 * float(
-        qw @ derivative(u, n).values ** 2
+        qw @ _samples(u, n) ** 2
     )
     empirical = rhs / lo if lo > 0 else np.inf
     return _report(
@@ -167,11 +194,12 @@ def check_gagnir_interval(
     reported; with C_probe = None the check passes whenever the required
     constant is finite.
     """
-    lhs = lp_norm(derivative(u, gp.j), gp.p) if gp.j >= 1 else lp_norm(u, gp.p)
-    high = lp_norm(derivative(u, gp.m), gp.r)
-    low = lp_norm(u, gp.q)
+    qw = quadrature_weights(u.grid)
+    lhs = _norm(qw, _samples(u, gp.j), gp.p)
+    high = _norm(qw, _samples(u, gp.m), gp.r)
+    low = _norm(qw, u.values, gp.q)
     bracket = high**gp.theta * low ** (1.0 - gp.theta) + low
-    required = lhs / bracket if bracket > 0 else (0.0 if lhs == 0 else np.inf)
+    required = _smallest_constant(lhs, bracket)
     if C_probe is None:
         return CheckReport(
             lhs=float(lhs),
@@ -193,9 +221,10 @@ def check_abstr(
     minimal passing constant (lhs - ||u^(m)||_r)/||u||_q is reported."""
     if not 0 <= j < m:
         raise ValueError("need 0 <= j < m")
-    lhs = lp_norm(derivative(u, j), r) if j >= 1 else lp_norm(u, r)
-    high = lp_norm(derivative(u, m), r)
-    low = lp_norm(u, q)
+    qw = quadrature_weights(u.grid)
+    lhs = _norm(qw, _samples(u, j), r)
+    high = _norm(qw, _samples(u, m), r)
+    low = _norm(qw, u.values, q)
     rhs = high + C_probe * low
     minimal = max(0.0, (lhs - high) / low) if low > 0 else 0.0
     return _report(lhs, rhs, f"j={j}, m={m}", minimal_C=float(minimal))
@@ -255,31 +284,44 @@ def ensemble_check(
     """Run a per-field checker over `count` random fields, each sampled on
     ENSEMBLE_POINTS nodes of (0, L) with L uniform in ENSEMBLE_LENGTHS, and
     reduce to the worst case (by lhs/rhs ratio).  An empty ensemble would
-    pass vacuously, so count must be >= 1."""
+    pass vacuously, so count must be >= 1.  Every length and field is
+    drawn first, in order, and the fields are filled as row stacks; each
+    reaches the checker, in index order, as its own Field with the bits
+    of `random_field` on Grid(0, L, ENSEMBLE_POINTS)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
+    lengths, kinds, params = [], [], []
+    for i in range(count):
+        lengths.append(float(rng.uniform(*ENSEMBLE_LENGTHS)))
+        kinds.append(DEFAULT_KINDS[i % len(DEFAULT_KINDS)])
+        params.append(_draw(rng, kinds[-1]))
     worst_ratio, worst_idx, worst_field = -np.inf, -1, None
     num_failed = 0
     reports: List[CheckReport] = []
     empirical = np.nan
-    for i in range(count):
-        L = float(rng.uniform(*ENSEMBLE_LENGTHS))
-        grid = Grid(0.0, L, ENSEMBLE_POINTS)
-        f = random_field(grid, rng, DEFAULT_KINDS[i % len(DEFAULT_KINDS)])
-        rep = checker(f)
-        if keep_reports:
-            reports.append(rep)
-        if not rep.passed:
-            num_failed += 1
-        if np.isfinite(rep.ratio) and rep.ratio > worst_ratio:
-            worst_ratio, worst_idx, worst_field = rep.ratio, i, f
-            if "empirical_constant" in rep.extra:
-                empirical = rep.extra["empirical_constant"]
-            elif "required_C" in rep.extra:
-                empirical = rep.extra["required_C"]
-            elif "minimal_C" in rep.extra:
-                empirical = rep.extra["minimal_C"]
+    for block in _row_blocks(range(count), ENSEMBLE_POINTS):
+        L = np.array([lengths[i] for i in block])
+        # row i of t is the unit_nodes of Grid(0, L[i], ENSEMBLE_POINTS),
+        # bit for bit: the same linspace, divided by the length
+        t = np.linspace(0.0, L, ENSEMBLE_POINTS)
+        t /= L
+        stack = _stack([kinds[i] for i in block], [params[i] for i in block], t.T)
+        for i, values in zip(block, stack):
+            f = Field(Grid(0.0, lengths[i], ENSEMBLE_POINTS), values)
+            rep = checker(f)
+            if keep_reports:
+                reports.append(rep)
+            if not rep.passed:
+                num_failed += 1
+            if np.isfinite(rep.ratio) and rep.ratio > worst_ratio:
+                worst_ratio, worst_idx, worst_field = rep.ratio, i, f
+                if "empirical_constant" in rep.extra:
+                    empirical = rep.extra["empirical_constant"]
+                elif "required_C" in rep.extra:
+                    empirical = rep.extra["required_C"]
+                elif "minimal_C" in rep.extra:
+                    empirical = rep.extra["minimal_C"]
     return EnsembleCheckReport(
         which=which,
         count=count,

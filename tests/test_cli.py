@@ -241,6 +241,27 @@ class TestCheckIneq:
         assert captured.out == ""
         assert captured.err == f"hophase: error: count must be >= 1, got {count}\n"
 
+    def test_intlem_reports_a_finite_empirical_constant(self, capsys):
+        # the smallest constant the worst field passes with, C times its ratio
+        rc, payload = run(capsys, ["check-ineq", "--which", "intlem", "--count", "50"])
+        assert rc == 0
+        assert np.isfinite(payload["empirical_constant"])
+        assert payload["empirical_constant"] == pytest.approx(
+            8.0 * np.sqrt(3.0) * payload["worst_ratio"], rel=1e-14
+        )
+
+    @pytest.mark.parametrize("command", (
+        ["check-ineq", "--which", "intlem"],
+        ["lambda-n", "--n", "2", "--points", "101"],
+    ))
+    def test_negative_seed_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--seed", "-1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hophase: error: seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.parametrize("option", ["--p", "--q", "--r"])
     def test_nan_exponent_is_a_usage_error(self, option, capsys):
         # a NaN exponent once ran every check to a verdict on checks never

@@ -16,8 +16,50 @@ from hophase import (
     verify_subcritical,
 )
 from hophase import critical
+from hophase.critical import DegenerateQuotient, SubcriticalReport
 from hophase.energy import _SplineKernel
-from hophase.ensembles import make_ensemble
+from hophase.ensembles import DEFAULT_KINDS, make_ensemble, random_field
+from hophase.grids import apply_stencil, diff_operator, quadrature_weights
+
+
+def oracle_subcritical(n, lam, ensemble_size, w, seed, extra_fields=()):
+    """`verify_subcritical` one field at a time: each field drawn by
+    `random_field` on its grid and checked by `quotient` (unit interval)
+    or `subdivided_quotient` (every fourth field, on (0, 2) or (0, 3))."""
+    rng = np.random.default_rng(seed)
+    unit = Grid(0.0, 1.0, 401)
+    fields = []
+    for i in range(ensemble_size):
+        if i % 4 == 3:
+            K = int(rng.integers(2, 4))
+            g = Grid(0.0, float(K), 400 * K + 1)
+            fields.append((random_field(g, rng, DEFAULT_KINDS[i % 3]), True))
+        else:
+            fields.append((random_field(unit, rng, DEFAULT_KINDS[i % 3]), False))
+    fields += [(f, False) for f in extra_fields]
+    min_q, worst, skipped, violations = np.inf, -1, 0, []
+    for idx, (f, sub) in enumerate(fields):
+        try:
+            qv = subdivided_quotient(f, n, w) if sub else quotient(f, n, w).value
+        except DegenerateQuotient:
+            skipped += 1
+            continue
+        if qv < min_q:
+            min_q, worst = qv, idx
+        if qv < lam:
+            violations.append({"index": idx, "quotient": qv, "subdivided": sub})
+    return SubcriticalReport(
+        n, lam, len(fields) - skipped, skipped, float(min_q), worst, violations
+    )
+
+
+def bits(rep: SubcriticalReport):
+    """Every number of a report, floats as their exact hex strings."""
+    return (
+        rep.num_checked, rep.num_skipped, rep.min_quotient.hex(), rep.worst_index,
+        [(v["index"], float(v["quotient"]).hex(), v["subdivided"])
+         for v in rep.violations],
+    )
 
 
 class TestQuotient:
@@ -65,6 +107,64 @@ class TestQuotient:
             assert r.numerator_parts[0] >= 0.0
             assert r.numerator_parts[1] >= 0.0
             assert r.denominator > 0.0
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sign_flip_leaves_the_quotient_unchanged_bit_for_bit(self, quartic, n):
+        # the quartic is even and its formula symmetric in t - 1 and t + 1,
+        # so W(-u) has the bits of W(u), and the stencils' inner products
+        # of -u are those of u negated: every part of Q is the same float
+        fields = make_ensemble(Grid(0.0, 1.0, 401), 6, seed=60 + n)
+        fields += make_ensemble(Grid(-0.5, 2.0, 501), 3, seed=n)
+        for u in fields:
+            r = quotient(u, n, quartic)
+            s = quotient(Field(u.grid, -u.values), n, quartic)
+            got = (s.value, *s.numerator_parts, s.denominator)
+            want = (r.value, *r.numerator_parts, r.denominator)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_reflection_leaves_the_quotient_within_the_inner_product_bound(
+        self, quartic, n
+    ):
+        # x -> 1 - x reverses the samples.  The float windows are mirror
+        # images up to the sign (-1)^k, so the exact D_k of the reversed
+        # samples is the reversed exact D_k u times (-1)^k, and each
+        # computed entry is within m eps (|D| |u|) of its exact one, the
+        # bound of test_grids.py's stencil tests: the two computed entries
+        # differ by at most delta = 2 m eps (|D| |u|).  Each quadrature sum
+        # of N terms is within N eps of its exact value; the quartic's
+        # samples are the same, only summed in reverse order.
+        eps = np.finfo(float).eps
+        fields = make_ensemble(Grid(0.0, 1.0, 401), 6, seed=70 + n)
+        fields += make_ensemble(Grid(0.0, 2.5, 501), 3, seed=n)
+        for u in fields:
+            g, x = u.grid, u.values
+            N, L, q = g.num_points, g.length, quadrature_weights(g)
+            r = quotient(u, n, quartic)
+            s = quotient(Field(g, x[::-1].copy()), n, quartic)
+            bounds = [2 * N * eps * (q @ np.abs(quartic.eval(x)))]
+            for k in (n - 1, n):
+                windows = diff_operator(g, k)
+                a = apply_stencil(windows, x)
+                mirrored = (-1) ** k * apply_stencil(windows, x[::-1].copy())[::-1]
+                delta = 2 * len(windows) * eps * apply_stencil(np.abs(windows), np.abs(x))
+                assert np.all(np.abs(a - mirrored) <= delta)
+                bounds.append(
+                    q @ (delta * (2 * np.abs(a) + delta))
+                    + 2 * N * eps * (q @ a**2 + q @ mirrored**2)
+                )
+            b_pot, b_den, b_high = bounds
+            b_pot *= L ** (-(2 * n - 2))
+            b_high *= L**2
+            assert abs(s.numerator_parts[0] - r.numerator_parts[0]) <= b_pot
+            assert abs(s.numerator_parts[1] - r.numerator_parts[1]) <= b_high
+            assert abs(s.denominator - r.denominator) <= b_den
+            num = sum(r.numerator_parts)
+            assert abs(s.value - r.value) <= (
+                (b_pot + b_high) / s.denominator
+                + num * b_den / (r.denominator * s.denominator)
+                + 2 * eps * (r.value + s.value)
+            )
 
     def test_subdivided_matches_quotient_on_unit_interval(self, quartic):
         g = Grid(0.0, 1.0, 161)
@@ -311,6 +411,23 @@ class TestVerifySubcritical:
         assert rep.num_checked == 0 and rep.num_skipped == 1
         assert rep.violations == []
         assert not rep.passed
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("seed", (0, 5, 32001))
+    def test_equals_the_per_field_oracle_bit_for_bit(self, quartic, n, seed):
+        # the stacked path draws, evaluates and reduces the ensemble with
+        # the bits of one random_field and one quotient per field; lam is
+        # the median quotient, so about half the fields are violations,
+        # and the zero extra field, whose derivatives are exactly 0 at
+        # every n, is skipped
+        constant = Field(Grid(0.0, 1.0, 101), np.zeros(101))
+        extra = (constant, make_ensemble(Grid(0.0, 1.5, 301), 1, seed)[0])
+        probe = oracle_subcritical(n, np.inf, 43, quartic, seed, extra)
+        lam = float(np.median([v["quotient"] for v in probe.violations]))
+        want = oracle_subcritical(n, lam, 43, quartic, seed, extra)
+        got = verify_subcritical(n, lam, 43, quartic, seed=seed, extra_fields=extra)
+        assert got.num_skipped == 1 and len(got.violations) >= 20
+        assert bits(got) == bits(want)
 
     def test_empty_ensemble_rejected(self, quartic):
         with pytest.raises(ValueError, match="ensemble_size must be >= 0"):

@@ -254,6 +254,26 @@ class TestDiscreteEnergy:
             make(n, quartic)
         make(np.int64(3), quartic)
 
+    @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
+    def test_stacked_terms_equal_the_one_dimensional_calls(self, quartic, n):
+        # terms of a (rows, N) stack are one entry per row, with the bits of
+        # the call on that row alone; W sees one 1-D array
+        def one_dimensional(t):
+            assert np.ndim(t) == 1
+            return quartic.eval(t)
+
+        w = DoubleWell(one_dimensional, quartic.eval_derivative, quartic.coercivity_L)
+        m = n + ACCURACY_ORDER
+        rng = np.random.default_rng(n)
+        for num_points in (*range(m, 4 * m + 3), 401, 16385):
+            k = DiscreteEnergy(Grid(-0.4, 1.3, num_points), n)
+            for rows in (1, 2, 3, 97):
+                u = rng.uniform(-1.5, 1.5, (rows, num_points))
+                got = np.array(k.terms(u, w))
+                want = np.array([k.terms(row, w) for row in u]).T
+                assert got.shape == (3, rows)
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n", range(2, MAX_DERIVATIVE_ORDER + 1))
     def test_matches_energy_module(self, quartic, n):
         u = Field(self.GRID, self.field(n))

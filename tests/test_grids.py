@@ -248,6 +248,23 @@ class TestDiffOperator:
                 DTv = apply_stencil_transpose(windows, v)
                 assert_within_inner_product_bound(DTv, A.T.tocsr(), v, (2 * m - 1) * eps)
 
+    @pytest.mark.parametrize("k", range(1, grids.MAX_DERIVATIVE_ORDER + 1))
+    def test_stacked_rows_equal_the_one_dimensional_calls(self, k):
+        # a (rows, n) stack is D applied to each row with the bits of the
+        # call on that row alone: on every grid from one window to where
+        # the clamped end rows lie far apart, with samples spanning 20
+        # decades, for one row, a few, and many
+        m = k + grids.ACCURACY_ORDER
+        rng = np.random.default_rng(7 * k)
+        for num_points in (*range(m, 4 * m + 3), 401, 16385):
+            windows = diff_operator(Grid(-0.4, 1.3, num_points), k)
+            for rows in (1, 2, 3, 97):
+                u = rng.standard_normal((rows, num_points)) * 10.0 ** rng.uniform(
+                    -10.0, 10.0, (rows, num_points)
+                )
+                want = np.array([apply_stencil(windows, row) for row in u])
+                assert apply_stencil(windows, u).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("num_points", (2, 3, 4, 401))
     def test_one_tap_stencil_is_the_identity(self, num_points):
         u = np.random.default_rng(num_points).standard_normal(num_points)

@@ -17,6 +17,28 @@ from hophase import (
     intlem_constant,
     lp_norm,
 )
+from hophase.ensembles import DEFAULT_KINDS, random_field
+
+_GN = GNParams(2.0, 2.0, 2.0, 1, 2, 0.5)
+
+#: one checker of each kind that `ensemble_check` reduces
+CHECKERS = {
+    "intlem": lambda f: check_intlem(f, 2.0, 2.0, 2.0),
+    "intlem_inf": lambda f: check_intlem(f, 1.0, 3.0, np.inf),
+    "nirineq": lambda f: check_nirineq(f, 3, f.grid.length, 0.25),
+    "gagnir": lambda f: check_gagnir_interval(f, _GN),
+    "gagnir_probe": lambda f: check_gagnir_interval(f, _GN, 1.0),
+    "abstr": lambda f: check_abstr(f, 0, 3, 2.0, 2.0, 0.25),
+}
+
+
+def report_bits(rep):
+    """Every entry of a CheckReport, floats as their exact hex strings."""
+    hexed = lambda x: float(x).hex()
+    return (
+        hexed(rep.lhs), hexed(rep.rhs), hexed(rep.ratio), rep.passed, rep.witness,
+        {k: hexed(v) for k, v in rep.extra.items()},
+    )
 
 
 @pytest.fixture()
@@ -82,6 +104,21 @@ class TestIntLem:
         assert rep.lhs == pytest.approx(1.0, rel=1e-6)
         assert rep.rhs == pytest.approx(8.0 * np.sqrt(3.0) / np.sqrt(3.0), rel=1e-4)
         assert rep.ratio == pytest.approx(1.0 / 8.0, rel=1e-4)
+
+    def test_reports_the_smallest_passing_constant(self, linear_unit):
+        # lhs over the bracket, C times the ratio: sqrt(3) for u = x on
+        # (0, 1); 0 for the zero field, whose bracket is 0; and the
+        # ensemble's empirical constant is that of its worst field
+        rep = check_intlem(linear_unit, 2.0, 2.0, 2.0)
+        constant = rep.extra["empirical_constant"]
+        assert constant == pytest.approx(np.sqrt(3.0), rel=1e-4)
+        assert constant == pytest.approx(intlem_constant(2.0) * rep.ratio, rel=1e-15)
+        zero = check_intlem(Field(Grid(0.0, 1.0, 101), np.zeros(101)), 2.0, 2.0, 2.0)
+        assert zero.passed and zero.extra["empirical_constant"] == 0.0
+        ens = ensemble_check(CHECKERS["intlem"], "intlem", 30, seed=4, keep_reports=True)
+        assert np.isfinite(ens.empirical_constant)
+        worst = ens.reports[ens.worst_index]
+        assert ens.empirical_constant == worst.extra["empirical_constant"]
 
     def test_ensembles_hold_with_margin(self, quartic):
         for (p, q, r) in ((2.0, 2.0, 2.0), (2.0, 1.0, 2.0), (3.0, 2.0, 2.0)):
@@ -234,6 +271,29 @@ class TestEnsembleCheck:
         )
         assert "10/10" in rep.summary()
         assert rep.passed
+
+    @pytest.mark.parametrize("which", CHECKERS)
+    @pytest.mark.parametrize("seed", (0, 9, 32001))
+    def test_equals_the_per_field_oracle_bit_for_bit(self, which, seed):
+        # the fields drawn as one stack are those of one random_field per
+        # field on Grid(0, L, 401), bit for bit, so every report, the worst
+        # index and the witness are the oracle's
+        checker, count = CHECKERS[which], 61
+        rng = np.random.default_rng(seed)
+        fields = []
+        for i in range(count):
+            grid = Grid(0.0, float(rng.uniform(0.3, 4.0)), 401)
+            fields.append(random_field(grid, rng, DEFAULT_KINDS[i % 3]))
+        reports = [checker(f) for f in fields]
+        worst, worst_ratio = -1, -np.inf
+        for i, r in enumerate(reports):
+            if np.isfinite(r.ratio) and r.ratio > worst_ratio:
+                worst, worst_ratio = i, r.ratio
+        rep = ensemble_check(checker, which, count, seed, keep_reports=True)
+        assert [report_bits(r) for r in rep.reports] == [report_bits(r) for r in reports]
+        assert rep.worst_index == worst and rep.worst_ratio.hex() == worst_ratio.hex()
+        assert rep.witness.grid == fields[worst].grid
+        assert rep.witness.values.tobytes() == fields[worst].values.tobytes()
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_empty_ensemble_rejected(self, count):
