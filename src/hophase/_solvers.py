@@ -202,10 +202,11 @@ def damped_newton(
     dE(t) = E(x + t d) - E(x) along the step d from line(x, d), which
     returns the function dE of t; a kernel that knows the energy's
     structure can compute it without differencing two whole energies
-    (`DiscreteEnergy.energy_change`).  fun is called only for the first
-    energy and for the reported info.energy at the returned iterate; the
-    energy E carried between steps, and each info.history energy, is the
-    first energy plus the accepted changes dE.
+    (`energy._Quadrature.energy_change`, which both energy kernels share).
+    fun is called only for the first energy and for the reported
+    info.energy at the returned iterate; the energy E carried between
+    steps, and each info.history energy, is the first energy plus the
+    accepted changes dE.
 
     Stops on the gradient sup-norm; on energy stagnation (FD-roundoff
     floor), either after a full step or two stagnant steps in a row that

@@ -11,11 +11,13 @@ the exact gradient of the discrete energy.
 Every functional of the package (this energy, the unscaled profile energy,
 the interpolation quotient and the coupling bound) is a weighted sum of the
 same three integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2.
-`DiscreteEnergy` is their one discretization on a grid, with gradient,
-Hessian, energy change along a step, roundoff floor and the damped-Newton
-front end of `minimize_energy`; `_SplineKernel` is their one exactly
-integrated kernel, in a B-spline space whose one-element case is the
-polynomials in the Bernstein basis.
+`_Quadrature` writes them, the weighted sum and its change along a step
+once, on the node values and the quadrature rule of a kernel.  Its two
+kernels are `DiscreteEnergy`, the one discretization on a grid, with
+gradient, Hessian, roundoff floor and the damped-Newton front end of
+`minimize_energy`, and `_SplineKernel`, the one exactly integrated kernel,
+in a B-spline space whose one-element case is the polynomials in the
+Bernstein basis.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,6 @@ from functools import cache, cached_property
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError
 
@@ -57,22 +58,81 @@ def _require_integer_order(n) -> None:
         raise ValueError(f"n must be an integer; got n = {n}")
 
 
-class DiscreteEnergy:
+class _Quadrature:
+    """The three integrals `terms` of the function f with the unknowns x,
+    for coefficients c = (c_pot, c_low, c_high) their weighted sum
+    `energy`, and its change along a step `energy_change`, which the line
+    search of each kernel's `minimize` reads.  A kernel supplies
+    `_node_values(x)`, the values (f, f^(n-1), f^(n)) at its quadrature
+    nodes, and `_integral(v)`, the quadrature of node values v."""
+
+    def _well(self, w: DoubleWell, f) -> np.ndarray:
+        # W sees one 1-D array, whatever the shape of f
+        return np.asarray(w.eval(f.ravel()), dtype=float).reshape(f.shape)
+
+    def terms(self, x: np.ndarray, w: DoubleWell):
+        """(int W(f), int (f^(n-1))^2, int (f^(n))^2) by quadrature; the
+        squares are summed directly, so they never go negative by roundoff
+        the way a quadratic form x^T K x can near f ~ const."""
+        f, low, high = self._node_values(x)
+        return (
+            self._integral(self._well(w, f)),
+            self._integral(low**2),
+            self._integral(high**2),
+        )
+
+    def energy(self, x: np.ndarray, w: DoubleWell, c) -> float:
+        """c_pot int W + c_high int (f^(n))^2 + c_low int (f^(n-1))^2."""
+        c_pot, c_low, c_high = c
+        pot, low, high = self.terms(x, w)
+        return c_pot * pot + c_high * high + c_low * low
+
+    def energy_change(self, x: np.ndarray, d: np.ndarray, w: DoubleWell, c):
+        """The change phi(t) = energy(x + t d) - energy(x) along a step d,
+        as a function of t, summed as
+
+            phi(t) = c_pot int (W(f + t g) - W(f))
+                     + sum_k c_k t int g^(k) (2 f^(k) + t g^(k))
+
+        over the two quadratic terms k, for g the function of d, without
+        differencing two energies.  The direct difference cancels to about
+        eps int |f^(k)| (|D| |x|), 1e-9 to 1e-8 for an n = 3 layer on 2001
+        grid points.  Here the roundoff of the quadratic part scales with t;
+        the potential part is still a pointwise difference and keeps a
+        floor of about eps |c_pot| int (|W(f)| + |f W'(f)|).  The node
+        values of x and d and W(f) are computed once here; a call of phi
+        costs one W evaluation and one quadrature.  W is evaluated, never
+        expanded, so any `DoubleWell` works."""
+        c_pot, c_low, c_high = c
+        f, low, high = self._node_values(x)
+        df, dlow, dhigh = self._node_values(d)
+        w0 = self._well(w, f)
+        # phi's quadratic part is t (slope + t curvature)
+        slope = curvature = 0.0
+        for ck, v, dv in ((c_high, high, dhigh), (c_low, low, dlow)):
+            slope += 2.0 * ck * self._integral(dv * v)
+            curvature += ck * self._integral(dv**2)
+
+        def phi(t: float) -> float:
+            dw = self._well(w, f + t * df) - w0
+            return c_pot * self._integral(dw) + t * (slope + t * curvature)
+
+        return phi
+
+
+class DiscreteEnergy(_Quadrature):
     """Quadrature of finite-difference stencils of accuracy
-    `grids.ACCURACY_ORDER` for the three integrals
-
-        terms(u) = (int W(u), int (u^(n-1))^2, int (u^(n))^2)
-
-    on one grid, and for coefficients c = (c_pot, c_low, c_high) the
-    functional c_pot int W + c_low int (u^(n-1))^2 + c_high int (u^(n))^2
-    with its exact gradient and Hessian, and its change along a step
-    (`energy_change`), which the line search of `minimize` reads.  D_{n-1}
-    and D_n are held as their (m, m) stencil windows (`grids.diff_operator`)
-    and applied with `grids.apply_stencil`; D_0 is the identity, the 1-tap
-    window of weight 1, so n = 1 is allowed.  The quadratic forms
-    K = 2 D^T diag(q) D are assembled from the windows on first use, as
-    bands that K_low and K_high view as DIA matrices, and kept for the
-    life of the instance: a solver holds one kernel for its whole run.
+    `grids.ACCURACY_ORDER` for the three integrals of `_Quadrature` on one
+    grid, the unknowns being the samples u, with the exact gradient and
+    Hessian.  D_{n-1} and D_n are held as their (m, m) stencil windows
+    (`grids.diff_operator`) and applied with `grids.apply_stencil` and its
+    transpose; D_0 is the identity, the 1-tap window of weight 1, so n = 1
+    is allowed.  For a (rows, N) stack u, one field per row, each of
+    `terms` is an array with one entry per row, bit for bit the term of a
+    call on that row.  The quadratic forms K = 2 D^T diag(q) D of the
+    Hessian are assembled from the windows on first use, as bands, and
+    kept for the life of the instance: a solver holds one kernel for its
+    whole run.
     """
 
     def __init__(self, grid: Grid, n: int):
@@ -85,19 +145,11 @@ class DiscreteEnergy:
         self._windows = (low, diff_operator(grid, n))
 
     @cached_property
-    def K_low(self) -> sp.dia_matrix:
-        return _dia_view(self._bands[0])
-
-    @cached_property
-    def K_high(self) -> sp.dia_matrix:
-        return _dia_view(self._bands[1])
-
-    @cached_property
     def _bands(self):
-        """K_low and K_high in band storage, each with lo = up = r, the
+        """K_{n-1} and K_n in band storage, each with lo = up = r, the
         reach of its stencil window (`BandedSystem`'s layout
-        ab[r + i - j, j] = K[i, j]; r = `bandwidth` for K_high, one less for
-        K_low, 0 for the identity at n = 1): the row-reversed diagonals of
+        ab[r + i - j, j] = K[i, j]; r = `bandwidth` for K_n, one less for
+        K_{n-1}, 0 for the identity at n = 1): the row-reversed diagonals of
         `_gram_diagonals`, bit for bit the bands of the CSR triple product
         2 (D^T diag(q)) D that the tests build from the exact stencil
         weights (no code here forms that product)."""
@@ -111,6 +163,11 @@ class DiscreteEnergy:
         reach m - 1 of the m-point D_n stencil window."""
         return len(self._windows[1]) - 1
 
+    def _node_values(self, u):
+        """(u, D_{n-1} u, D_n u) at the grid points."""
+        low, high = self._windows
+        return u, apply_stencil(low, u), apply_stencil(high, u)
+
     def _integral(self, v):
         """q @ v, or for a (rows, N) stack q @ row for each row: the same
         dot product as on that row alone."""
@@ -118,77 +175,24 @@ class DiscreteEnergy:
             return float(self.q @ v)
         return np.array([self.q @ row for row in v])
 
-    def _potential(self, u, w: DoubleWell):
-        # W sees one 1-D array, whatever the shape of u
-        values = np.asarray(w.eval(u.ravel()), dtype=float)
-        return self._integral(values.reshape(u.shape))
-
-    def _square(self, windows, u):
-        return self._integral(apply_stencil(windows, u) ** 2)
-
     def _gram(self, windows, v) -> np.ndarray:
         """D^T (q o D v) for the stencil operator D of the (m, m) windows,
         by D's own kernel pair (`grids.apply_stencil` and its transpose)."""
         return apply_stencil_transpose(windows, self.q * apply_stencil(windows, v))
 
-    def terms(self, u: np.ndarray, w: DoubleWell):
-        """(int W(u), int (u^(n-1))^2, int (u^(n))^2) by quadrature; the
-        squares are summed directly, so they never go negative by roundoff
-        the way a quadratic form u^T K u can near u ~ const.  For a
-        (rows, N) stack u, one field per row, each is an array with one
-        entry per row, bit for bit the term of a call on that row."""
-        low, high = self._windows
-        return (
-            self._potential(u, w),
-            self._square(low, u),
-            self._square(high, u),
-        )
-
-    def energy(self, u: np.ndarray, w: DoubleWell, c) -> float:
-        """c_pot int W + c_high int (u^(n))^2 + c_low int (u^(n-1))^2."""
-        c_pot, c_low, c_high = c
-        pot, low, high = self.terms(u, w)
-        return c_pot * pot + c_high * high + c_low * low
-
-    def energy_change(self, u: np.ndarray, d: np.ndarray, w: DoubleWell, c):
-        """The change phi(t) = energy(u + t d) - energy(u) along a step d,
-        as a function of t, summed as
-
-            phi(t) = c_pot sum q (W(u + t d) - W(u))
-                     + sum_k c_k t sum q (D_k d) (2 D_k u + t D_k d)
-
-        over the two quadratic terms k, without differencing two energies.
-        The direct difference cancels to about eps sum q |D u| (|D| |u|),
-        1e-9 to 1e-8 for an n = 3 layer on 2001 points.  Here the
-        roundoff of the quadratic part scales with t; the potential part
-        is still a pointwise difference and keeps a floor of about
-        eps |c_pot| sum q (|W(u)| + |u W'(u)|).  D_k u, D_k d and W(u) are
-        computed once here; a call of phi costs one W evaluation and one
-        dot product.  W is evaluated, never expanded, so any `DoubleWell`
-        works."""
-        c_pot, c_low, c_high = c
-        w0 = np.asarray(w.eval(u), dtype=float)
-        low, high = self._windows
-        # phi's quadratic part is t (slope + t curvature)
-        slope = curvature = 0.0
-        for ck, windows in ((c_high, high), (c_low, low)):
-            Dd = apply_stencil(windows, d)
-            slope += 2.0 * ck * float(self.q @ (Dd * apply_stencil(windows, u)))
-            curvature += ck * float(self.q @ Dd**2)
-
-        def phi(t: float) -> float:
-            dw = np.asarray(w.eval(u + t * d), dtype=float) - w0
-            return c_pot * float(self.q @ dw) + t * (slope + t * curvature)
-
-        return phi
-
     def grad(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
-        """Exact gradient of `energy` with respect to the samples."""
+        """Exact gradient of `energy` with respect to the samples,
+
+            c_pot W'(u) o q  +  2 c_low D_{n-1}^T (q o D_{n-1} u)
+                             +  2 c_high D_n^T (q o D_n u),
+
+        the adjoint of the quadrature-of-stencils composition."""
         c_pot, c_low, c_high = c
-        return (
-            c_pot * np.asarray(w.eval_derivative(u), dtype=float) * self.q
-            + c_high * (self.K_high @ u) + c_low * (self.K_low @ u)
-        )
+        low, high = self._windows
+        g = c_pot * np.asarray(w.eval_derivative(u), dtype=float) * self.q
+        g += 2.0 * c_low * self._gram(low, u)
+        g += 2.0 * c_high * self._gram(high, u)
+        return g
 
     def hess(self, u: np.ndarray, w: DoubleWell, c):
         """The Hessian in band storage ab[b + i - j, j] = H[i, j] with
@@ -200,10 +204,10 @@ class DiscreteEnergy:
         return ab
 
     def _constant_band(self, c) -> np.ndarray:
-        """c_high K_high + c_low K_low in band storage, the part of the
+        """c_high K_n + c_low K_{n-1} in band storage, the part of the
         Hessian that does not depend on u; its diagonal row is replaced by
-        `_diagonal` in every Newton matrix.  The K_low/K_high bands are
-        built once per kernel."""
+        `_diagonal` in every Newton matrix.  The two K bands are built once
+        per kernel."""
         band_low, band_high = self._bands
         _, c_low, c_high = c
         b, r = self.bandwidth, len(band_low) // 2
@@ -213,7 +217,7 @@ class DiscreteEnergy:
 
     def _diagonal(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
         """The Hessian's diagonal at the samples u, summed as
-        (c_high K_high + c_pot W''(u) q) + c_low K_low: the one entry per
+        (c_high K_n + c_pot W''(u) q) + c_low K_{n-1}: the one entry per
         point that changes with u (`DoubleWell.second_derivative`)."""
         band_low, band_high = self._bands
         c_pot, c_low, c_high = c
@@ -286,8 +290,8 @@ class DiscreteEnergy:
         return u, info, floor, bool(converged)
 
 
-class _SplineKernel:
-    """The three integrals of `DiscreteEnergy` for a B-spline f of degree p
+class _SplineKernel(_Quadrature):
+    """The three integrals of `_Quadrature` for a B-spline f of degree p
     on (a, b), integrated exactly by Gauss-Legendre quadrature: an open
     knot vector (p + 1 copies of each end) with E uniform elements, whose
     first and last `fixed` coefficients are held at -1 and +1 and the rest
@@ -301,8 +305,8 @@ class _SplineKernel:
     nested: the minimum cannot rise.
 
     The B-spline values and derivatives of orders n - 1 and n at the nodes
-    are tabulated once per kernel (`_element_tables`), and so are K_low
-    and K_high on the free coefficients (`_bands`).  The gradient adds its
+    are tabulated once per kernel (`_element_tables`), and so are K_{n-1}
+    and K_n on the free coefficients (`_bands`).  The gradient adds its
     element entries with one bincount; the Hessian has half-bandwidth p,
     the whole matrix at E = 1, and each Newton step adds only the W''
     element matrices (de Boor, A Practical Guide to Splines, ch. IX-X).
@@ -361,39 +365,13 @@ class _SplineKernel:
         basis = _bspline_derivatives(self.knots, p, spans, x, 0)[0]
         return np.einsum("ai,ai->i", basis, c[spans - p + np.arange(p + 1)[:, None]])
 
-    def terms(self, c: np.ndarray, w: DoubleWell):
-        """(int W(f), int (f^(n-1))^2, int (f^(n))^2)."""
-        f, low, high = self._values(c).transpose(1, 0, 2)
-        return (
-            float(np.vdot(self.wts, np.asarray(w.eval(f), dtype=float))),
-            float(np.vdot(self.wts, low**2)),
-            float(np.vdot(self.wts, high**2)),
-        )
+    def _node_values(self, c: np.ndarray):
+        """(f, f^(n-1), f^(n)) at the nodes, each an (E, G) array."""
+        return self._values(c).transpose(1, 0, 2)
 
-    def energy(self, c: np.ndarray, w: DoubleWell, coef) -> float:
-        """c_pot int W + c_high int (f^(n))^2 + c_low int (f^(n-1))^2."""
-        c_pot, c_low, c_high = coef
-        pot, low, high = self.terms(c, w)
-        return c_pot * pot + c_high * high + c_low * low
-
-    def energy_change(self, c: np.ndarray, d: np.ndarray, w: DoubleWell, coef):
-        """phi(t) = energy(c + t d) - energy(c), summed as in
-        `DiscreteEnergy.energy_change`: the quadratic part exactly as
-        t (slope + t curvature), the potential part pointwise."""
-        c_pot, c_low, c_high = coef
-        f, low, high = self._values(c).transpose(1, 0, 2)
-        df, dlow, dhigh = self._values(d).transpose(1, 0, 2)
-        w0 = np.asarray(w.eval(f), dtype=float)
-        slope = curvature = 0.0
-        for ck, v, dv in ((c_high, high, dhigh), (c_low, low, dlow)):
-            slope += 2.0 * ck * float(np.vdot(self.wts, dv * v))
-            curvature += ck * float(np.vdot(self.wts, dv**2))
-
-        def phi(t: float) -> float:
-            dw = np.asarray(w.eval(f + t * df), dtype=float) - w0
-            return c_pot * float(np.vdot(self.wts, dw)) + t * (slope + t * curvature)
-
-        return phi
+    def _integral(self, v: np.ndarray) -> float:
+        """The Gauss-Legendre sum of the (E, G) node values v."""
+        return float(np.vdot(self.wts, v))
 
     def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         """The gradient of `energy` with respect to all coefficients."""
@@ -425,11 +403,11 @@ class _SplineKernel:
 
     @cached_property
     def _bands(self):
-        """K_low and K_high, int 2 B_a^(k) B_b^(k), on the free block."""
+        """K_{n-1} and K_n, int 2 B_a^(k) B_b^(k), on the free block."""
         return tuple(self._band(k, 2.0 * self.wts) for k in (1, 2))
 
     def _constant_band(self, coef) -> np.ndarray:
-        """c_low K_low + c_high K_high, the part of the Hessian that does
+        """c_low K_{n-1} + c_high K_n, the part of the Hessian that does
         not depend on the coefficients."""
         _, c_low, c_high = coef
         band_low, band_high = self._bands
@@ -651,14 +629,6 @@ def _gram_diagonals(windows, q, b) -> np.ndarray:
     return dia
 
 
-def _dia_view(band: np.ndarray) -> sp.dia_matrix:
-    """The square matrix held in band storage with lo = up = b, as a DIA
-    matrix on the same memory.  Its diagonals run from offset -b to b, so a
-    product sums each row in ascending column order."""
-    b, n = band.shape[0] // 2, band.shape[1]
-    return sp.dia_matrix((band[::-1], np.arange(-b, b + 1)), shape=(n, n))
-
-
 @dataclass(frozen=True)
 class EnergyParams:
     """The triple (n, eps, lam): n >= 2, eps positive and finite, lam
@@ -729,19 +699,7 @@ def evaluate_rescaled(u: Field, p: EnergyParams, w: DoubleWell) -> float:
 
 
 def gradient(u: Field, p: EnergyParams, w: DoubleWell) -> Field:
-    """Exact gradient of the discrete energy with respect to the samples:
-
-        c_pot W'(u) o q  +  2 c_low D_{n-1}^T Q D_{n-1} u  +  2 c_high D_n^T Q D_n u
-
-    with (c_pot, c_low, c_high) = `p.weights`, the adjoint of the
-    quadrature-of-stencils composition, so directional derivatives match
-    central differences of `evaluate` to roundoff.
-    """
-    k = DiscreteEnergy(u.grid, p.n)
-    c_pot, c_low, c_high = p.weights
-    v = u.values
-    low, high = k._windows
-    g = c_pot * np.asarray(w.eval_derivative(v), dtype=float) * k.q
-    g += 2.0 * c_low * k._gram(low, v)
-    g += 2.0 * c_high * k._gram(high, v)
-    return Field(u.grid, g)
+    """Exact gradient of the discrete energy with respect to the samples,
+    `DiscreteEnergy.grad` with the weights c = `p.weights`, so directional
+    derivatives match central differences of `evaluate` to roundoff."""
+    return Field(u.grid, DiscreteEnergy(u.grid, p.n).grad(u.values, w, p.weights))

@@ -86,6 +86,9 @@ class SweepConfig:
             -length < self.mass_constraint < length
         ):
             raise ValueError("mass constraint must lie in (-|I|, |I|)")
+        # a NaN would pass the lam <= lambda_hat / 2 guard of the sweep
+        if self.lambda_hat is not None and np.isnan(self.lambda_hat):
+            raise ValueError(f"lambda_hat must not be NaN, got {self.lambda_hat}")
 
     def jump_function(self) -> JumpFunction:
         return JumpFunction(

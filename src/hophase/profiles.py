@@ -194,12 +194,15 @@ def estimate_constants(
 
     lam must be finite, >= 0 and strictly below lambda_hat (subcritical);
     lambda_hat is estimated on demand when not supplied and lam > 0.  A
-    negative or non-finite slack, under which the sandwich verdict means
-    nothing, is a ValueError, and so is a problem that `ProfileProblem`
-    rejects; both are checked before any solve.
+    NaN lambda_hat, which no comparison with lam can reject, and a negative
+    or non-finite slack, under which the sandwich verdict means nothing,
+    are each a ValueError, and so is a problem that `ProfileProblem`
+    rejects; all are checked before any solve.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if lambda_hat is not None and np.isnan(lambda_hat):
+        raise ValueError(f"lambda_hat must not be NaN, got {lambda_hat}")
     if not (np.isfinite(slack) and slack >= 0):
         raise ValueError(f"slack must be finite and >= 0, got {slack}")
     prob0 = ProfileProblem(n, 0.0, truncation_T, num_points, w)

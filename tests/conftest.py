@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import hophase as hp
-from hophase.grids import stencil_weights, window_starts
+from hophase.grids import ACCURACY_ORDER, stencil_weights, window_starts
 
 
 def to_band(A, lo: int, up: int) -> np.ndarray:
@@ -43,6 +43,23 @@ def stencil_csr(grid, k: int, m: int) -> sp.csr_matrix:
     data = np.array([rows[s] for s in shifts.tolist()])
     cols = (starts[:, None] + np.arange(m)).ravel()
     return sp.csr_matrix((data.ravel(), cols, np.arange(0, n * m + 1, m)), shape=(n, n))
+
+
+def operators(grid, n):
+    """D_{n-1} and D_n of the order-n `DiscreteEnergy` on the grid, as
+    reference CSR matrices built from the rational stencils (the identity
+    at n = 1)."""
+    m = n + ACCURACY_ORDER
+    low = stencil_csr(grid, 0, 1) if n == 1 else stencil_csr(grid, n - 1, m - 1)
+    return low, stencil_csr(grid, n, m)
+
+
+def quadratic_forms(grid, n):
+    """K_{n-1} and K_n, the reference CSR triple products 2 D^T diag(q) D of
+    `operators` with the trapezoid weights q of the grid: what the K bands
+    of the order-n `DiscreteEnergy` must equal bit for bit."""
+    q = sp.diags(hp.quadrature_weights(grid))
+    return tuple(2.0 * (d.T @ q @ d) for d in operators(grid, n))
 
 
 def differenced(fun):

@@ -136,6 +136,16 @@ class TestProfile:
         assert captured.out == ""
         assert captured.err == f"hophase: error: {message}\n"
 
+    def test_nan_lambda_hat_is_a_usage_error(self, capsys):
+        # a NaN bound once printed "lambda_hat": null and "sandwich_ok":
+        # true with exit 0, lam < lambda_hat never checked
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["profile", "--n", "2", "--lambda", "0.01", "--lambda-hat", "nan"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hophase: error: lambda_hat must not be NaN, got nan\n"
+
     def test_derivative_order_beyond_stencils_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli.main(["profile", "--n", "7"])
@@ -188,13 +198,14 @@ class TestLambdaN:
         assert proc.stderr == "hophase: error: n must be in [1, 6]; got n = 7\n"
 
 
-def test_import_loads_neither_scipy_interpolate_nor_optimize():
+def test_import_loads_no_scipy_interpolate_optimize_or_sparse():
     # every CLI command starts a fresh interpreter and pays for what
-    # `import hophase` loads; no computation needs these two at import
+    # `import hophase` loads; no computation needs these three at import
     proc = run_fresh([
         "-c",
         "import sys, hophase; "
-        "print(sorted({'scipy.interpolate', 'scipy.optimize'} & set(sys.modules)))",
+        "print(sorted({'scipy.interpolate', 'scipy.optimize', 'scipy.sparse'}"
+        " & set(sys.modules)))",
     ])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -228,6 +228,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="eps schedule must be positive and finite"):
             SweepConfig(eps_schedule=(bad, 0.125))
 
+    def test_nan_lambda_hat_is_rejected(self):
+        # a NaN passed the lam <= lambda_hat / 2 guard of the sweep and was
+        # written to the record as bare NaN, which is no JSON
+        with pytest.raises(ValueError, match="^lambda_hat must not be NaN, got nan$"):
+            SweepConfig(lam=0.01, lambda_hat=float("nan"))
+        assert SweepConfig(lam=0.01, lambda_hat=np.inf).lambda_hat == np.inf
+
     def test_mass_must_be_attainable(self):
         with pytest.raises(ValueError, match="mass"):
             SweepConfig(interval=(0.0, 1.0), jumps=(0.5,), mass_constraint=1.5)

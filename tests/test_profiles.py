@@ -475,6 +475,19 @@ class TestConstantsEstimate:
         with pytest.raises(ValueError):
             estimate_constants(2, -0.01, quartic)
 
+    def test_nan_lambda_hat_rejected_before_any_solve(self, quartic, monkeypatch):
+        # no comparison rejects lam against a NaN bound, so the sandwich
+        # once passed unchecked; inf, the bound at lam = 0, stays legal
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before rejecting lambda_hat")
+
+        monkeypatch.setattr(profiles, "minimize_profile", refuse)
+        monkeypatch.setattr(profiles, "estimate_lambda_n", refuse)
+        with pytest.raises(ValueError, match="^lambda_hat must not be NaN, got nan$"):
+            estimate_constants(2, 0.01, quartic, lambda_hat=float("nan"))
+        with pytest.raises(AssertionError, match="solved before"):
+            estimate_constants(2, 0.0, quartic, lambda_hat=np.inf)
+
     @pytest.mark.parametrize("slack", [-0.01, np.nan, np.inf])
     def test_negative_or_non_finite_slack_rejected(self, quartic, slack):
         # under such a slack the sandwich verdict says nothing

@@ -14,7 +14,7 @@ from hophase.profiles import (
     PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER, _profile_kernel,
 )
 
-from conftest import differenced, stencil_csr, to_band
+from conftest import differenced, quadratic_forms, stencil_csr, to_band
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -275,9 +275,10 @@ def test_energy_hessian_band(n, quartic):
     b = kernel.bandwidth
     assert b <= n + 3
     assert ab.shape == (2 * b + 1, grid.num_points)
+    K_low, K_high = quadratic_forms(grid, n)
     H = (
         sp.diags(np.asarray(quartic.eval_second_derivative(u)) * kernel.q)
-        + c[1] * kernel.K_low + c[2] * kernel.K_high
+        + c[1] * K_low + c[2] * K_high
     ).toarray()
     # a shift well above the W'' entries keeps the shifted matrix well
     # conditioned, so the dense solve is an accurate reference
@@ -317,10 +318,10 @@ def dense_band(dense, lo, up):
 
 @pytest.mark.parametrize("upper_only", (False, True))
 def test_to_band_matches_the_dense_band_in_every_format(upper_only):
-    kernel = DiscreteEnergy(Grid(-2.0, 2.0, 60), 3)
-    b = kernel.bandwidth
+    grid = Grid(-2.0, 2.0, 60)
+    b = DiscreteEnergy(grid, 3).bandwidth
     lo = 0 if upper_only else b
-    K = sp.triu(kernel.K_high, -lo, format="csr")
+    K = sp.triu(quadratic_forms(grid, 3)[1], -lo, format="csr")
     expected = dense_band(K.toarray(), lo, b)
     # CSR, CSC, and COO with every entry stored twice at half its value
     coo = K.tocoo()
