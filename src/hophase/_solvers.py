@@ -44,12 +44,12 @@ class BandedSystem:
     shifted solves.
 
     The constructor takes A in band storage, ab[up + i - j, j] = A[i, j],
-    with lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (the
-    layout of scipy.linalg.solve_banded, and of gbsv's input below its lo
-    fill-in rows).  It keeps that array as band and A's diagonal apart as
-    diag: systems that differ only in their diagonal share one band
-    (`with_diagonal`), whose diagonal row is not read.  `ab` reads A back
-    in band storage.  c is a dense m-vector, the one constraint row.
+    with lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (LAPACK's
+    band layout, that of gbsv's input below its lo fill-in rows).  It keeps
+    that array as band and A's diagonal apart as diag: systems that differ
+    only in their diagonal share one band (`with_diagonal`), whose diagonal
+    row is not read.  `ab` reads A back in band storage.  c is a dense
+    m-vector, the one constraint row.
     """
 
     def __init__(self, ab: np.ndarray, lo: int, c: Optional[np.ndarray] = None):

@@ -47,7 +47,8 @@ from .inequalities import (
 )
 from .potentials import get_potential
 from .profiles import (
-    JumpFunction, ProfileProblem, build_recovery, estimate_constants, minimize_profile,
+    PROFILE_POINTS, JumpFunction, ProfileProblem, build_recovery, estimate_constants,
+    minimize_profile,
 )
 from .ensembles import _generator, random_field
 
@@ -113,7 +114,7 @@ _CONFIG_TYPES = {
     "interval": "pair", "num_points": "integer", "init": "string",
     "jumps": "array", "left_value": "number", "mass": "number?",
     "gtol": "number", "maxiter": "integer", "divergence_floor": "number?",
-    "profile_T": "number", "profile_points": "integer", "seed": "integer",
+    "profile_T": "number", "seed": "integer",
     "eps_schedule": "array", "points_per_eps_width": "integer",
     "mass_constraint": "number?", "output_dir": "string?",
     "lambda_hat": "number?", "lambda_grid": "array", "k_max": "integer",
@@ -333,11 +334,11 @@ def _cmd_check_ineq(args) -> int:
 _MINIMIZE_KEYS = {
     "n", "epsilon", "lam", "potential", "interval", "num_points", "init",
     "jumps", "left_value", "mass", "gtol", "maxiter", "divergence_floor",
-    "profile_T", "profile_points", "seed",
+    "profile_T", "seed",
 }
 #: minimize keys that only the recovery init reads, and the grid keys that
 #: a CSV init (which carries its own grid) does not read
-_RECOVERY_KEYS = {"jumps", "left_value", "profile_T", "profile_points"}
+_RECOVERY_KEYS = {"jumps", "left_value", "profile_T"}
 _GRID_KEYS = {"interval", "num_points"}
 
 
@@ -361,11 +362,11 @@ def _cmd_minimize(args) -> int:
     if init_spec == "recovery":
         jumps, left = cfg.get("jumps", (0.0,)), cfg.get("left_value", -1.0)
         jump_fn = JumpFunction(a, b, jumps, left)
-        T, points = cfg.get("profile_T", 5.0), cfg.get("profile_points", 2001)
-        prof = minimize_profile(ProfileProblem(n, lam, T, points, w))
+        T = cfg.get("profile_T", 5.0)
+        prof = minimize_profile(ProfileProblem(n, lam, T, PROFILE_POINTS, w))
         # the recovery's grid is the configured one: num_points over the interval
         ppe = (num_points - 1) * eps / (b - a)
-        init = build_recovery(jump_fn, prof.minimizer, eps, ppe)
+        init = build_recovery(jump_fn, prof.spline, eps, ppe)
     elif init_spec == "random":
         rng = _generator(seed or 0)
         init = random_field(Grid(a, b, num_points), rng, "fourier")

@@ -17,7 +17,9 @@ kernels are `DiscreteEnergy`, the one discretization on a grid, with
 gradient, Hessian, roundoff floor and the damped-Newton front end of
 `minimize_energy`, and `_SplineKernel`, the one exactly integrated kernel,
 in a B-spline space whose one-element case is the polynomials in the
-Bernstein basis.
+Bernstein basis.  `BSpline` is the one B-spline evaluator, of a kernel's
+spline (the profile that `profiles.build_recovery` pastes) and of the
+not-a-knot interpolant of samples that `evaluate_rescaled` resamples.
 """
 
 from dataclasses import dataclass
@@ -26,17 +28,18 @@ from functools import cache, cached_property
 from math import comb
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import LinAlgError
 
 from ._solvers import BandedSystem, damped_newton
 from .grids import (
-    MAX_DERIVATIVE_ORDER, Field, Grid, NotAKnotSpline, apply_stencil,
-    apply_stencil_transpose, diff_operator, quadrature_weights, window_starts,
+    MAX_DERIVATIVE_ORDER, Field, Grid, apply_stencil, apply_stencil_transpose,
+    diff_operator, quadrature_weights, window_starts,
 )
 from .potentials import DoubleWell
 
 __all__ = [
+    "BSpline",
     "DiscreteEnergy",
     "EnergyParams",
     "EnergyBreakdown",
@@ -358,12 +361,7 @@ class _SplineKernel(_Quadrature):
 
     def sample(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         """f at the points x in [a, b]."""
-        p = self.p
-        spans = np.clip(
-            np.searchsorted(self.knots, x, side="right") - 1, p, self.size - 1
-        )
-        basis = _bspline_derivatives(self.knots, p, spans, x, 0)[0]
-        return np.einsum("ai,ai->i", basis, c[spans - p + np.arange(p + 1)[:, None]])
+        return BSpline(self.knots, self.p, c)(x)
 
     def _node_values(self, c: np.ndarray):
         """(f, f^(n-1), f^(n)) at the nodes, each an (E, G) array."""
@@ -521,6 +519,54 @@ def _element_tables(n: int, E: int, p: int):
     ders = _bspline_derivatives(knots, p, np.repeat(reps + p, len(nodes)), x.ravel(), n)
     tables = ders[[0, n - 1, n]].reshape(3, p + 1, len(reps), len(nodes))
     return np.ascontiguousarray(tables.transpose(2, 0, 3, 1)[which]), wts
+
+
+@dataclass(frozen=True, eq=False)
+class BSpline:
+    """sum_i c_i B_i for the B-splines B_i of degree p on the knots, each end
+    knot of multiplicity p + 1: a callable on 1-D arrays of points of its
+    interval [knots[0], knots[-1]]; a point outside it is a `ValueError`."""
+
+    knots: np.ndarray
+    degree: int
+    coefficients: np.ndarray
+
+    @property
+    def interval(self):
+        return float(self.knots[0]), float(self.knots[-1])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        a, b = self.interval
+        if np.any(x < a) or np.any(x > b):
+            raise ValueError(f"spline evaluated outside its interval [{a!r}, {b!r}]")
+        index, basis = _nonzero_basis(self.knots, self.degree, x)
+        return np.einsum("ai,ai->i", basis, self.coefficients[index])
+
+    @classmethod
+    def not_a_knot(cls, f: Field) -> "BSpline":
+        """The not-a-knot interpolant of f's samples (de Boor, *A Practical
+        Guide to Splines*, ch. IV), that of `scipy.interpolate.CubicSpline(x,
+        y, bc_type="not-a-knot")`: degree k = min(3, N - 1), knots at the
+        nodes but the second and the last-but-one.  The coefficients solve
+        the collocation system B_j(x_i) c_j = y_i, k bands on each side of
+        the diagonal, by one `BandedSystem` solve."""
+        x, n = f.grid.nodes(), f.grid.num_points
+        k = min(3, n - 1)
+        knots = np.concatenate((np.full(k + 1, x[0]), x[2:-2], np.full(k + 1, x[-1])))
+        index, basis = _nonzero_basis(knots, k, x)
+        ab = np.zeros((2 * k + 1, n))
+        ab[k + np.arange(n) - index, index] = basis
+        return cls(knots, k, BandedSystem(ab, k).solve(f.values))
+
+
+def _nonzero_basis(knots, p, x):
+    """index[a, i], the index of the a-th of the p + 1 B-splines of degree
+    p on the knots nonzero at x[i], and basis[a, i], its value there; a
+    point on the last knot takes the last span of positive length."""
+    spans = np.clip(np.searchsorted(knots, x, side="right") - 1, p, len(knots) - p - 2)
+    basis = _bspline_derivatives(knots, p, spans, x, 0)[0]
+    return spans - p + np.arange(p + 1)[:, None], basis
 
 
 def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
@@ -685,15 +731,15 @@ def evaluate_rescaled(u: Field, p: EnergyParams, w: DoubleWell) -> float:
         int_{I/eps}  W(v) - lam (v^(n-1))^2 + (v^(n))^2  dx.
 
     v is sampled on a stretched grid with twice u's intervals
-    (2 (N-1) + 1 points) from the not-a-knot cubic spline of u
-    (`grids.NotAKnotSpline`), so agreement with `evaluate` is a genuine
+    (2 (N-1) + 1 points) from the not-a-knot spline interpolant of u
+    (`BSpline.not_a_knot`), so agreement with `evaluate` is a genuine
     two-discretization cross-check rather than an identical computation;
     the gap shrinks at the quadrature/interpolation order.
     """
     eps = p.epsilon
     g = u.grid
     stretched = Grid(g.a / eps, g.b / eps, 2 * (g.num_points - 1) + 1)
-    v = NotAKnotSpline(u)(np.clip(eps * stretched.nodes(), g.a, g.b))
+    v = BSpline.not_a_knot(u)(np.clip(eps * stretched.nodes(), g.a, g.b))
     pot, low, high = DiscreteEnergy(stretched, p.n).terms(v, w)
     return pot - p.lam * low + high
 

@@ -27,6 +27,7 @@ from .energy import (
 from .grids import Field, Grid
 from .potentials import DoubleWell, get_potential
 from .profiles import (
+    PROFILE_POINTS,
     JumpFunction,
     ProfileProblem,
     build_recovery,
@@ -61,7 +62,6 @@ class SweepConfig:
     mass_constraint: Optional[float] = None
     output_dir: Optional[str] = None
     profile_T: float = 5.0
-    profile_points: int = 2001
     lambda_hat: Optional[float] = None
 
     def __post_init__(self):
@@ -86,9 +86,10 @@ class SweepConfig:
             -length < self.mass_constraint < length
         ):
             raise ValueError("mass constraint must lie in (-|I|, |I|)")
-        # a NaN would pass the lam <= lambda_hat / 2 guard of the sweep
-        if self.lambda_hat is not None and np.isnan(self.lambda_hat):
-            raise ValueError(f"lambda_hat must not be NaN, got {self.lambda_hat}")
+        # no coupling is below 0, and NaN passes the lam <= lambda_hat / 2 guard
+        if self.lambda_hat is not None and not self.lambda_hat > 0:
+            why = "must not be NaN" if np.isnan(self.lambda_hat) else "must be positive"
+            raise ValueError(f"lambda_hat {why}, got {self.lambda_hat}")
 
     def jump_function(self) -> JumpFunction:
         return JumpFunction(
@@ -260,7 +261,7 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
             f"sweep requires lam <= 0.5 * lambda_hat = {0.5 * cfg.lambda_hat:.4g}"
         )
     jump_fn = cfg.jump_function()
-    prob = ProfileProblem(cfg.n, cfg.lam, cfg.profile_T, cfg.profile_points, w)
+    prob = ProfileProblem(cfg.n, cfg.lam, cfg.profile_T, PROFILE_POINTS, w)
     prof = minimize_profile(prob)
     c_hat = prof.energy_estimate
     notes = []
@@ -276,7 +277,7 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     for i, eps in enumerate(cfg.eps_schedule):
         try:
             rec = build_recovery(
-                jump_fn, prof.minimizer, eps, points_per_eps=cfg.points_per_eps_width
+                jump_fn, prof.spline, eps, points_per_eps=cfg.points_per_eps_width
             )
         except ValueError as exc:
             note = f"recovery failed: {exc}"

@@ -1,8 +1,9 @@
 """
 Uniform-grid discretization of functions on an interval: grids, sampled
 fields, finite-difference derivative operators with one-sided boundary
-stencils held as their stencil windows, trapezoid quadrature, the
-not-a-knot cubic spline, and CSV serialization.
+stencils held as their stencil windows, trapezoid quadrature, and CSV
+serialization.  The spline through a field's samples is
+`energy.BSpline.not_a_knot`, on the one B-spline evaluator of the package.
 """
 
 import io
@@ -14,7 +15,6 @@ from typing import Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 
 __all__ = [
     "Grid",
@@ -27,7 +27,6 @@ __all__ = [
     "diff_operator",
     "derivative",
     "quadrature_weights",
-    "NotAKnotSpline",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -246,63 +245,6 @@ def quadrature_weights(grid: Grid) -> np.ndarray:
     q = np.full(grid.num_points, grid.h)
     q[0] = q[-1] = grid.h / 2
     return q
-
-
-class NotAKnotSpline:
-    """Not-a-knot cubic spline through a field's samples on its uniform grid
-    (de Boor, *A Practical Guide to Splines*, ch. IV): the C^2 piecewise
-    cubic through the samples whose third derivative is also continuous at
-    the second and the last-but-one node.  It is a line at N = 2, a parabola
-    at N = 3 and one cubic at N = 4, the interpolant of
-    `scipy.interpolate.CubicSpline(x, y, bc_type="not-a-knot")`.
-
-    The second-derivative moments M solve M_{i-1} + 4 M_i + M_{i+1} = r_i,
-    r_i = 6 (y_{i-1} - 2 y_i + y_{i+1}) / h^2, at the interior nodes.  On a
-    uniform grid the not-a-knot rows M_0 - 2 M_1 + M_2 = 0 and
-    M_{N-3} - 2 M_{N-2} + M_{N-1} = 0 turn the first and last of those rows
-    into 6 M_1 = r_1 and 6 M_{N-2} = r_{N-2}, so the interior moments come
-    from one tridiagonal `solve_banded` and the end moments by linear
-    extrapolation (at N = 3 all three equal M_1).  A call evaluates each
-    interval's cubic in Horner form in x - x_j; a point outside [a, b] is a
-    `ValueError`.
-    """
-
-    def __init__(self, f: Field):
-        grid, y = f.grid, f.values
-        n, h = grid.num_points, grid.h
-        moments = np.zeros(n)
-        if n >= 3:
-            ab = np.ones((3, n - 2))
-            ab[1] = 4.0
-            ab[1, [0, -1]] = 6.0
-            # the two not-a-knot rows have no off-diagonal entry
-            ab[0, 1:2] = ab[2, -2:-1] = 0.0
-            moments[1:-1] = solve_banded((1, 1), ab, 6.0 * np.diff(y, 2) / h**2)
-            if n == 3:
-                moments[[0, 2]] = moments[1]
-            else:
-                moments[0] = 2.0 * moments[1] - moments[2]
-                moments[-1] = 2.0 * moments[-2] - moments[-3]
-        m0, m1 = moments[:-1], moments[1:]
-        # one row of Horner coefficients, highest power first, per interval
-        self._coefficients = np.column_stack([
-            (m1 - m0) / (6.0 * h),
-            m0 / 2.0,
-            np.diff(y) / h - h * (2.0 * m0 + m1) / 6.0,
-            y[:-1],
-        ])
-        self._nodes = grid.nodes()
-        self.grid = grid
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = self.grid
-        if np.any(x < g.a) or np.any(x > g.b):
-            raise ValueError(f"spline evaluated outside its interval [{g.a!r}, {g.b!r}]")
-        j = np.minimum(((x - g.a) / g.h).astype(np.intp), g.num_points - 2)
-        s = x - self._nodes[j]
-        c3, c2, c1, c0 = self._coefficients[j].T
-        return c0 + s * (c1 + s * (c2 + s * c3))
 
 
 def field_to_csv(f: Field) -> str:

@@ -14,8 +14,9 @@ doubling T probes truncation error only.
 
 Recovery sequences paste the rescaled profile f((x - s_i)/eps), with
 alternating orientation, into an eps-neighborhood of each jump of a
-piecewise +-1 function; their energy approaches (number of jumps) times
-the profile constant.
+piecewise +-1 function, evaluating the profile's own spline
+(`ProfileResult.spline`, an `energy.BSpline`) at each window's points;
+their energy approaches (number of jumps) times the profile constant.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .critical import estimate_lambda_n
-from .energy import _SplineKernel, _require_integer_order
-from .grids import MAX_DERIVATIVE_ORDER, Field, Grid, NotAKnotSpline
+from .energy import BSpline, _SplineKernel, _require_integer_order
+from .grids import MAX_DERIVATIVE_ORDER, Field, Grid
 from .potentials import DoubleWell
 
 __all__ = [
@@ -82,11 +83,14 @@ PROFILE_MAXITER = 100
 PROFILE_DECREMENT_RTOL = 1e-12
 #: largest knot spacing of the profile splines
 PROFILE_H = 0.25
+#: samples of a profile on its grid, where a caller names none
+PROFILE_POINTS = 2001
 
 
 @dataclass
 class ProfileResult:
-    """Minimizer sampled on the problem's grid, its exact spline energy,
+    """The minimizing spline on (-T, T), which `build_recovery` pastes,
+    the minimizer sampled from it on the problem's grid, its exact energy,
     and convergence diagnostics: converged means the Newton decrement
     newton_decrement = -g . d of the undamped Newton step d at the
     minimizer is at most PROFILE_DECREMENT_RTOL max(1, |energy|), the run
@@ -98,6 +102,7 @@ class ProfileResult:
     factorizations of the Newton steps, tau retries that change the
     shifted matrix and the decrement's included."""
 
+    spline: BSpline
     minimizer: Field
     energy_estimate: float
     converged: bool
@@ -122,8 +127,8 @@ def minimize_profile(
     """Minimize the truncated profile energy over the splines of
     `_profile_kernel` at knot spacing `PROFILE_H`, by damped Newton from
     one start: tanh, or init (a Field, or samples on the problem's grid),
-    at the Greville abscissae.  The minimizer is the spline sampled on the
-    problem's grid.
+    at the Greville abscissae.  The result holds the spline and the
+    minimizer, the spline sampled on the problem's grid.
 
     A converged profile is one layer: its coefficients change sign once,
     so the spline does too (variation diminishing; de Boor, A Practical
@@ -153,8 +158,10 @@ def minimize_profile(
         f"Newton decrement {decrement:.1e}",
         f"{layers} layers" if layers > 1 else "",
     )))
+    spline = BSpline(kernel.knots, kernel.p, c)
     return ProfileResult(
-        minimizer=Field(grid, kernel.sample(c, grid.nodes())),
+        spline=spline,
+        minimizer=Field(grid, spline(grid.nodes())),
         energy_estimate=float(info.energy),
         converged=converged,
         iterations=int(info.iterations),
@@ -185,7 +192,7 @@ def estimate_constants(
     lam: float,
     w: DoubleWell,
     truncation_T: float = 10.0,
-    num_points: int = 2001,
+    num_points: int = PROFILE_POINTS,
     lambda_hat: Optional[float] = None,
     slack: float = 0.02,
 ) -> ConstantsEstimate:
@@ -194,15 +201,17 @@ def estimate_constants(
 
     lam must be finite, >= 0 and strictly below lambda_hat (subcritical);
     lambda_hat is estimated on demand when not supplied and lam > 0.  A
-    NaN lambda_hat, which no comparison with lam can reject, and a negative
-    or non-finite slack, under which the sandwich verdict means nothing,
-    are each a ValueError, and so is a problem that `ProfileProblem`
-    rejects; all are checked before any solve.
+    NaN lambda_hat, which no comparison with lam can reject, a lambda_hat
+    <= 0, which no coupling is below (inf is allowed), and a negative or
+    non-finite slack, under which the sandwich verdict means nothing, are
+    each a ValueError, and so is a problem that `ProfileProblem` rejects;
+    all are checked before any solve.
     """
     if not (np.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if lambda_hat is not None and np.isnan(lambda_hat):
-        raise ValueError(f"lambda_hat must not be NaN, got {lambda_hat}")
+    if lambda_hat is not None and not lambda_hat > 0:
+        why = "must not be NaN" if np.isnan(lambda_hat) else "must be positive"
+        raise ValueError(f"lambda_hat {why}, got {lambda_hat}")
     if not (np.isfinite(slack) and slack >= 0):
         raise ValueError(f"slack must be finite and >= 0, got {slack}")
     prob0 = ProfileProblem(n, 0.0, truncation_T, num_points, w)
@@ -275,7 +284,7 @@ class JumpFunction:
 
 def build_recovery(
     u: JumpFunction,
-    profile: Field,
+    profile: BSpline,
     eps: float,
     points_per_eps: float = 32,
 ) -> Field:
@@ -283,18 +292,19 @@ def build_recovery(
 
     Around an up-jump (-1 to +1 at s_i) the field is f((x - s_i)/eps);
     around a down-jump it is f(-(x - s_i)/eps); elsewhere it equals u.
-    f is the not-a-knot cubic spline of the profile samples
-    (`grids.NotAKnotSpline`), evaluated on each window's points only.
-    With left_value = -1 the up-jumps are exactly the odd-indexed ones.
-    Requires eps * T < delta0 / 2 so the pasted windows neither overlap
-    each other nor stick out of the interval.
+    f is the spline profile on its interval (-T, T), evaluated on each
+    window's points only: a profile's own spline (`ProfileResult.spline`),
+    which is exactly -1 and +1 at -T and T, or the interpolant of samples
+    (`energy.BSpline.not_a_knot`).  With left_value = -1 the up-jumps are
+    exactly the odd-indexed ones.  Requires eps * T < delta0 / 2 so the
+    pasted windows neither overlap each other nor stick out of the
+    interval.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    g = profile.grid
-    if abs(g.a + g.b) > 1e-9 * g.length:
-        raise ValueError("profile grid must be symmetric around 0")
-    T = g.b
+    a, T = profile.interval
+    if abs(a + T) > 1e-9 * (T - a):
+        raise ValueError("profile spline's interval must be symmetric around 0")
     if eps * T >= u.delta0 / 2:
         raise ValueError(
             f"eps too large for the jump spacing: eps*T = {eps * T:.4g} "
@@ -305,12 +315,11 @@ def build_recovery(
     grid = Grid(u.a, u.b, num_points)
     x = grid.nodes()
     vals = u.evaluate(x)
-    spline = NotAKnotSpline(profile)
     sign_before = u.left_value
     for s in u.jumps:
         z = (x - s) / eps
         window = np.abs(z) <= T
         arg = z[window] if sign_before < 0 else -z[window]
-        vals[window] = spline(np.clip(arg, g.a, g.b))
+        vals[window] = profile(np.clip(arg, a, T))
         sign_before = -sign_before
     return Field(grid, vals)

@@ -4,6 +4,7 @@ Each subcommand is driven through ``hophase.cli.main`` with an artifact
 directory; stdout must be valid JSON and the promised files must appear.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -136,6 +137,19 @@ class TestProfile:
         assert captured.out == ""
         assert captured.err == f"hophase: error: {message}\n"
 
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_non_positive_lambda_hat_is_a_usage_error(self, capsys, bad):
+        # 0 once died on a ZeroDivisionError traceback, and -1 printed
+        # "sandwich_ok": true
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["profile", "--n", "2", "--lambda", "0", "--lambda-hat", bad])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"hophase: error: lambda_hat must be positive, got {float(bad)}\n"
+        )
+
     def test_nan_lambda_hat_is_a_usage_error(self, capsys):
         # a NaN bound once printed "lambda_hat": null and "sandwich_ok":
         # true with exit 0, lam < lambda_hat never checked
@@ -209,6 +223,30 @@ def test_import_loads_no_scipy_interpolate_optimize_or_sparse():
     ])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_solvers_imports_scipy():
+    # one module to move off scipy: its two scipy.linalg imports at module
+    # level, and scipy.optimize inside lbfgs, which no minimizer calls
+    found = []
+    for path in sorted(Path(hophase.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scope = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                found += [
+                    (path.name, scope, m) for m in modules if m.split(".")[0] == "scipy"
+                ]
+    assert found == [
+        ("_solvers.py", None, "scipy.linalg"),
+        ("_solvers.py", None, "scipy.linalg.lapack"),
+        ("_solvers.py", "lbfgs", "scipy.optimize"),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -439,7 +477,6 @@ class TestMinimize:
             "interval": [-4.0, 4.0],
             "jumps": [0.0],
             "profile_T": 4.0,
-            "profile_points": 801,
             "num_points": 513,
         }
         path = tmp_path / "cfg.json"
@@ -484,7 +521,6 @@ class TestMinimize:
             "epsilon": 0.25,
             "jumps": [0.0],
             "profile_T": 4.0,
-            "profile_points": 801,
             "num_points": 513,
         }
         path = tmp_path / "cfg.json"
@@ -496,8 +532,7 @@ class TestMinimize:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("jumps", [0.5]), ("left_value", 1.0), ("profile_T", 9.0),
-         ("profile_points", 801)],
+        [("jumps", [0.5]), ("left_value", 1.0), ("profile_T", 9.0)],
     )
     def test_recovery_keys_with_random_init_are_a_usage_error(
         self, tmp_path, capsys, key, value
@@ -608,6 +643,23 @@ def test_accuracy_order_is_an_unknown_key(tmp_path, capsys, command, cfg):
 
 
 @pytest.mark.parametrize(
+    "command, cfg",
+    [("minimize", {"epsilon": 0.25}), ("gamma-sweep", {"eps_schedule": [0.25]})],
+    ids=["minimize", "gamma-sweep"],
+)
+def test_profile_points_is_an_unknown_key(tmp_path, capsys, command, cfg):
+    # the recovery pastes the profile's spline and reads none of its samples
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "profile_points": 801}))
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([command, "--config", str(path)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "hophase: error: unknown config keys: ['profile_points']\n"
+
+
+@pytest.mark.parametrize(
     "command, cfg, missing",
     [
         ("minimize", {"n": 2}, ["epsilon"]),
@@ -667,7 +719,6 @@ class TestGammaSweep:
             "eps_schedule": [0.25],
             "points_per_eps_width": 16,
             "profile_T": 4.0,
-            "profile_points": 801,
         }
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
@@ -831,7 +882,7 @@ _INT, _NUM = "must be a JSON integer", "must be a JSON number"
          f"points_per_eps_width {_INT}, got '16'"),
         ("gamma-sweep", {"output_dir": 3},
          "output_dir must be a JSON string or null, got 3"),
-        ("gamma-sweep", {"profile_points": True}, f"profile_points {_INT}, got True"),
+        ("gamma-sweep", {"profile_T": True}, f"profile_T {_NUM}, got True"),
         ("supercritical", {"k_max": 2.5}, f"k_max {_INT}, got 2.5"),
         ("supercritical", {"free_minimization": "no"},
          "free_minimization must be a JSON boolean, got 'no'"),

@@ -42,7 +42,7 @@ def two_jump_profile(quartic):
 
 def two_jump_recovery(profile, eps):
     jf = JumpFunction(-4.0, 4.0, (-4.0 / 3.0, 4.0 / 3.0), -1.0)
-    return build_recovery(jf, profile.minimizer, eps)
+    return build_recovery(jf, profile.spline, eps)
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,6 @@ def sweep_cfg(tmp_path_factory):
         eps_schedule=(0.25, 0.125),
         points_per_eps_width=16,
         profile_T=4.0,
-        profile_points=801,
         output_dir=str(out),
     )
 
@@ -69,7 +68,7 @@ def sweep_record(sweep_cfg):
 class TestMinimizeEnergy:
     def test_descent_from_recovery(self, quartic, short_profile):
         jf = JumpFunction(-4.0, 4.0, (0.0,), -1.0)
-        rec = build_recovery(jf, short_profile.minimizer, 0.25, points_per_eps=16)
+        rec = build_recovery(jf, short_profile.spline, 0.25, points_per_eps=16)
         e_rec = evaluate(rec, EnergyParams(2, 0.25, 0.0), quartic).total
         res = minimize_energy(2, 0.25, 0.0, rec, quartic)
         assert res.converged
@@ -204,7 +203,7 @@ class TestSweepConfig:
         # the same sweep written to two places has one name, the name a run
         # that writes nothing prints
         h = SweepConfig(eps_schedule=(0.25,)).config_hash()
-        assert h == "475de14d27aa94b9"
+        assert h == "e82ebee5a1acb014"
         for out in ("a", "b"):
             assert SweepConfig(eps_schedule=(0.25,), output_dir=out).config_hash() == h
 
@@ -234,6 +233,17 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="^lambda_hat must not be NaN, got nan$"):
             SweepConfig(lam=0.01, lambda_hat=float("nan"))
         assert SweepConfig(lam=0.01, lambda_hat=np.inf).lambda_hat == np.inf
+
+    @pytest.mark.parametrize("bad", (0.0, -1.0))
+    def test_non_positive_lambda_hat_is_rejected(self, bad):
+        # lambda_hat = 0 at lam = 0 passed the lam <= lambda_hat / 2 guard
+        with pytest.raises(ValueError, match=f"^lambda_hat must be positive, got {bad}$"):
+            SweepConfig(lambda_hat=bad)
+
+    def test_profile_points_is_no_field(self):
+        # the sweep pastes the profile's spline and reads none of its samples
+        with pytest.raises(TypeError, match="profile_points"):
+            SweepConfig(profile_points=801)
 
     def test_mass_must_be_attainable(self):
         with pytest.raises(ValueError, match="mass"):
@@ -322,7 +332,6 @@ class TestGammaSweep:
             eps_schedule=(0.25,),
             points_per_eps_width=sweep_cfg.points_per_eps_width,
             profile_T=sweep_cfg.profile_T,
-            profile_points=sweep_cfg.profile_points,
         )
         again = gamma_sweep(cfg)
         assert again.rows[0].e_min == sweep_record.rows[0].e_min
@@ -365,7 +374,6 @@ class TestGammaSweep:
             eps_schedule=(0.25, 0.05),
             points_per_eps_width=16,
             profile_T=4.0,
-            profile_points=801,
         )
         first, second = gamma_sweep(cfg).rows
         assert first.notes.startswith("recovery failed")
@@ -380,7 +388,6 @@ class TestGammaSweep:
             eps_schedule=(0.25,),
             points_per_eps_width=16,
             profile_T=4.0,
-            profile_points=801,
         )
         rec = gamma_sweep(cfg)
         row = rec.rows[0]
@@ -397,7 +404,6 @@ class TestGammaSweep:
             eps_schedule=(0.25,),
             points_per_eps_width=16,
             profile_T=4.0,
-            profile_points=801,
         )
         rec = gamma_sweep(cfg)
         assert rec.c_hat_lam < 0.0

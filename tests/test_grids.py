@@ -18,7 +18,8 @@ from hophase import (
     stencil_weights,
 )
 from hophase import grids
-from hophase.grids import NotAKnotSpline, apply_stencil, apply_stencil_transpose
+from hophase.energy import BSpline
+from hophase.grids import apply_stencil, apply_stencil_transpose
 
 from conftest import stencil_csr
 
@@ -334,7 +335,7 @@ class TestNotAKnotSpline:
         smooth = 2.0 + np.tanh((t - 0.4) / 0.15) + 0.3 * np.sin(5 * np.pi * t)
         noise = np.random.default_rng(num_points).standard_normal(num_points)
         for y, scale in ((smooth, None), (noise, np.abs(noise).max())):
-            got = NotAKnotSpline(Field(g, y))(pts)
+            got = BSpline.not_a_knot(Field(g, y))(pts)
             want = CubicSpline(x, y, bc_type="not-a-knot")(pts)
             if scale is None:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -348,13 +349,13 @@ class TestNotAKnotSpline:
     def test_reproduces_polynomials_of_the_grid_degree(self, num_points, degree):
         g = Grid(-1.0, 2.0, num_points)
         coeffs = np.arange(1.0, degree + 2.0)
-        spline = NotAKnotSpline(Field.from_callable(g, lambda x: np.polyval(coeffs, x)))
+        spline = BSpline.not_a_knot(Field.from_callable(g, lambda x: np.polyval(coeffs, x)))
         pts = self._points(g)
         np.testing.assert_allclose(spline(pts), np.polyval(coeffs, pts), rtol=1e-13)
 
     def test_point_outside_interval_rejected(self):
         g = Grid(-1.0, 2.0, 11)
-        spline = NotAKnotSpline(Field.from_callable(g, np.cos))
+        spline = BSpline.not_a_knot(Field.from_callable(g, np.cos))
         for x in (np.nextafter(-1.0, -2.0), np.nextafter(2.0, 3.0)):
             with pytest.raises(ValueError, match="outside its interval"):
                 spline(np.array([0.0, x]))

@@ -17,7 +17,7 @@ from hophase import (
     minimize_profile,
 )
 from hophase import energy, hermite, profiles
-from hophase.energy import _SplineKernel
+from hophase.energy import BSpline, _SplineKernel
 from hophase.profiles import (
     PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H, _profile_kernel,
 )
@@ -488,6 +488,19 @@ class TestConstantsEstimate:
         with pytest.raises(AssertionError, match="solved before"):
             estimate_constants(2, 0.0, quartic, lambda_hat=np.inf)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_lambda_hat_rejected_before_any_solve(
+        self, quartic, monkeypatch, bad
+    ):
+        # at lam = 0, lambda_hat = 0 once divided by zero and -1 passed the
+        # sandwich
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before rejecting lambda_hat")
+
+        monkeypatch.setattr(profiles, "minimize_profile", refuse)
+        with pytest.raises(ValueError, match=f"^lambda_hat must be positive, got {bad}$"):
+            estimate_constants(2, 0.0, quartic, lambda_hat=bad)
+
     @pytest.mark.parametrize("slack", [-0.01, np.nan, np.inf])
     def test_negative_or_non_finite_slack_rejected(self, quartic, slack):
         # under such a slack the sandwich verdict says nothing
@@ -531,7 +544,7 @@ def profile5(quartic):
 class TestRecovery:
     def test_matches_jump_function_away_from_layers(self, profile5):
         u = JumpFunction(-4.0, 4.0, (0.0,))
-        rec = build_recovery(u, profile5.minimizer, eps=0.25)
+        rec = build_recovery(u, profile5.spline, eps=0.25)
         x = rec.grid.nodes()
         outside = np.abs(x) > 0.25 * 5.0
         np.testing.assert_array_equal(rec.values[outside], u.evaluate(x[outside]))
@@ -540,7 +553,7 @@ class TestRecovery:
         # |rec - u| <= 2 on N windows of width 2 eps T each
         u = JumpFunction(-4.0, 4.0, (-4 / 3, 4 / 3))
         for eps in (0.25, 0.125):
-            rec = build_recovery(u, profile5.minimizer, eps)
+            rec = build_recovery(u, profile5.spline, eps)
             diff = np.abs(rec.values - u.evaluate(rec.grid.nodes()))
             l1 = float(np.trapezoid(diff, rec.grid.nodes()))
             assert l1 <= 2 * u.jump_count * (2 * eps * 5.0)
@@ -549,22 +562,40 @@ class TestRecovery:
         one = JumpFunction(-4.0, 4.0, (0.0,))
         two = JumpFunction(-4.0, 4.0, (-4 / 3, 4 / 3))
         p = EnergyParams(2, 0.125, 0.0)
-        e1 = evaluate(build_recovery(one, profile5.minimizer, 0.125), p, quartic)
-        e2 = evaluate(build_recovery(two, profile5.minimizer, 0.125), p, quartic)
+        e1 = evaluate(build_recovery(one, profile5.spline, 0.125), p, quartic)
+        e2 = evaluate(build_recovery(two, profile5.spline, 0.125), p, quartic)
         assert e2.total / e1.total == pytest.approx(2.0, rel=1e-4)
+
+    @pytest.mark.parametrize("left_value", [-1.0, 1.0])
+    def test_windows_are_the_profile_spline_bit_for_bit(self, profile5, left_value):
+        # the recovery pastes the profile's own spline, resampling nothing:
+        # f(+-(x - s)/eps) on each window, u outside
+        u = JumpFunction(-4.0, 4.0, (-2.5, 0.0, 2.5), left_value)
+        eps = 0.125
+        rec = build_recovery(u, profile5.spline, eps)
+        x = rec.grid.nodes()
+        want = u.evaluate(x)
+        sign = -left_value
+        for s in u.jumps:
+            z = (x - s) / eps
+            window = np.abs(z) <= 5.0
+            assert window.sum() >= 2 * 5.0 * 32
+            want[window] = profile5.spline(sign * z[window])
+            sign = -sign
+        np.testing.assert_array_equal(rec.values, want)
 
     def test_eps_too_large_rejected(self, profile5):
         u = JumpFunction(-1.0, 1.0, (0.0,))
         with pytest.raises(ValueError, match="delta0"):
-            build_recovery(u, profile5.minimizer, eps=0.25)
+            build_recovery(u, profile5.spline, eps=0.25)
 
     def test_asymmetric_profile_grid_rejected(self, quartic):
         u = JumpFunction(-4.0, 4.0, (0.0,))
-        lopsided = Field.from_callable(Grid(-2.0, 3.0, 501), np.tanh)
+        lopsided = BSpline.not_a_knot(Field.from_callable(Grid(-2.0, 3.0, 501), np.tanh))
         with pytest.raises(ValueError, match="symmetric"):
             build_recovery(u, lopsided, eps=0.1)
 
     def test_grid_resolution_tracks_eps(self, profile5):
         u = JumpFunction(-4.0, 4.0, (0.0,))
-        rec = build_recovery(u, profile5.minimizer, 0.25, points_per_eps=32)
+        rec = build_recovery(u, profile5.spline, 0.25, points_per_eps=32)
         assert rec.grid.num_points == round(8.0 / (0.25 / 32)) + 1
