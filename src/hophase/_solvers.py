@@ -201,8 +201,9 @@ def damped_newton(
     The Armijo test dE(t) <= 1e-4 t g.d reads the energy change
     dE(t) = E(x + t d) - E(x) along the step d from line(x, d), which
     returns the function dE of t; a kernel that knows the energy's
-    structure can compute it without differencing two whole energies
-    (`energy._Quadrature.energy_change`, which both energy kernels share).
+    structure computes it without differencing two whole energies, as
+    `energy._Quadrature.minimize`, the front end of both energy kernels,
+    passes `_Quadrature.energy_change`.
     fun is called only for the first energy and for the reported
     info.energy at the returned iterate; the energy E carried between
     steps, and each info.history energy, is the first energy plus the

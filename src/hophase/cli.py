@@ -205,7 +205,13 @@ def _cmd_profile(args) -> int:
         args.n, args.lam, w,
         **_given(vars(args), ("truncation_T", "num_points", "lambda_hat", "slack")),
     )
-    grid = est.result_0.minimizer.grid  # (-truncation_T, truncation_T)
+    grid = est.result_0.grid  # (-truncation_T, truncation_T)
+    # the minimizers are sampled only to be written
+    csv_lam, csv_lam0 = (
+        None if args.out is None
+        else _write_field(r.minimizer, args.out, f"profile_n{args.n}_{stem}")
+        for r, stem in ((est.result_lam, "lam"), (est.result_0, "lam0"))
+    )
     payload = {
         "n": args.n,
         "lambda": args.lam,
@@ -224,12 +230,8 @@ def _cmd_profile(args) -> int:
             "truncation_T": grid.b,
             "num_points": grid.num_points,
         },
-        "minimizer_csv_path": _write_field(
-            est.result_lam.minimizer, args.out, f"profile_n{args.n}_lam"
-        ),
-        "minimizer_lam0_csv_path": _write_field(
-            est.result_0.minimizer, args.out, f"profile_n{args.n}_lam0"
-        ),
+        "minimizer_csv_path": csv_lam,
+        "minimizer_lam0_csv_path": csv_lam0,
     }
     _emit(payload, args.out, f"profile_n{args.n}")
     return 0

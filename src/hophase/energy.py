@@ -11,12 +11,12 @@ the exact gradient of the discrete energy.
 Every functional of the package (this energy, the unscaled profile energy,
 the interpolation quotient and the coupling bound) is a weighted sum of the
 same three integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2.
-`_Quadrature` writes them, the weighted sum and its change along a step
-once, on the node values and the quadrature rule of a kernel.  Its two
-kernels are `DiscreteEnergy`, the one discretization on a grid, with
-gradient, Hessian, roundoff floor and the damped-Newton front end of
-`minimize_energy`, and `_SplineKernel`, the one exactly integrated kernel,
-in a B-spline space whose one-element case is the polynomials in the
+`_Quadrature` writes them, the weighted sum, its change along a step and
+the one damped-Newton front end `minimize` once, on the node values and
+the quadrature rule of a kernel.  Its two kernels are `DiscreteEnergy`,
+the one discretization on a grid, with gradient, Hessian and roundoff
+floor, and `_SplineKernel`, the one exactly integrated kernel, in a
+B-spline space whose one-element case is the polynomials in the
 Bernstein basis.  `BSpline` is the one B-spline evaluator, of a kernel's
 spline (the profile that `profiles.build_recovery` pastes) and of the
 not-a-knot interpolant of samples that `evaluate_rescaled` resamples.
@@ -52,6 +52,9 @@ __all__ = [
 #: the stops of `_solvers.damped_newton` short of a minimizer, whatever the
 #: gradient
 _FAILED_STOPS = ("line search failed", "no descent direction found")
+#: the spline kernel's verdict: a Newton decrement at most this times
+#: max(1, |energy|)
+DECREMENT_RTOL = 1e-12
 
 
 def _require_integer_order(n) -> None:
@@ -64,10 +67,12 @@ def _require_integer_order(n) -> None:
 class _Quadrature:
     """The three integrals `terms` of the function f with the unknowns x,
     for coefficients c = (c_pot, c_low, c_high) their weighted sum
-    `energy`, and its change along a step `energy_change`, which the line
-    search of each kernel's `minimize` reads.  A kernel supplies
+    `energy`, its change along a step `energy_change`, and `minimize`, the
+    damped-Newton front end of both kernels.  A kernel supplies
     `_node_values(x)`, the values (f, f^(n-1), f^(n)) at its quadrature
-    nodes, and `_integral(v)`, the quadrature of node values v."""
+    nodes, `_integral(v)`, the quadrature of node values v, and for
+    `minimize` its `free` unknowns, `grad`, the K bands `_bands` of the
+    Hessian's half-bandwidth `bandwidth`, `_step_system` and `_verdict`."""
 
     def _well(self, w: DoubleWell, f) -> np.ndarray:
         # W sees one 1-D array, whatever the shape of f
@@ -122,6 +127,62 @@ class _Quadrature:
 
         return phi
 
+    def _constant_band(self, c) -> np.ndarray:
+        """c_high K_n + c_low K_{n-1} on the free unknowns in band
+        storage, the part of the Hessian that does not depend on x, K_{n-1}
+        on its own reach.  The two K bands are built once per kernel."""
+        band_low, band_high = self._bands
+        _, c_low, c_high = c
+        b, r = self.bandwidth, len(band_low) // 2
+        ab = c_high * band_high
+        ab[b - r:b + r + 1] += c_low * band_low
+        return ab
+
+    def minimize(self, x0: np.ndarray, w: DoubleWell, c, gtol: float,
+                 maxiter: int, constraint=None, divergence_floor=None):
+        """Minimize `energy` over the `free` unknowns from x0, the others
+        held at x0's values, by damped Newton (`_solvers.damped_newton`), at
+        most maxiter steps.  The constant band is built once per solve, and
+        each step's system adds the part that changes with x
+        (`_step_system`).  The Armijo test reads `energy_change`, so
+        `energy` is evaluated only at the first and the returned iterate.
+        A constraint row q holds q . x at its value in x0: the gradient is
+        projected onto q . d = 0 and each step solves [[H, q], [q^T, 0]].
+        An energy below divergence_floor stops the run, flagged diverged.
+
+        Returns the minimizer, the solver's `SolveInfo`, the measure of
+        the kernel's `_verdict` and converged: the kernel's verdict, no
+        divergence and no stop on a failed line search or on no descent
+        direction, which end short of a minimizer whatever the gradient."""
+        x, free = np.array(x0, dtype=float), self.free
+
+        def full(z, fixed=x):
+            v = fixed.copy()
+            v[free] = z
+            return v
+
+        def grad(z):
+            g = self.grad(full(z), w, c)[free]
+            q = constraint
+            return g if q is None else g - (float(q @ g) / float(q @ q)) * q
+
+        base = BandedSystem(self._constant_band(c), self.bandwidth, constraint)
+
+        def system(z):
+            return self._step_system(base, full(z), w, c)
+
+        def line(z, dz):
+            return self.energy_change(full(z), full(dz, np.zeros_like(x)), w, c)
+
+        z, info = damped_newton(
+            lambda z: self.energy(full(z), w, c), grad, system, x[free],
+            maxiter=maxiter, gtol=gtol, divergence_floor=divergence_floor, line=line,
+        )
+        x[free] = z
+        measure, converged = self._verdict(x, info, w, c, gtol, grad, system)
+        failed = info.diverged or info.message in _FAILED_STOPS
+        return x, info, measure, bool(converged and not failed)
+
 
 class DiscreteEnergy(_Quadrature):
     """Quadrature of finite-difference stencils of accuracy
@@ -137,6 +198,9 @@ class DiscreteEnergy(_Quadrature):
     kept for the life of the instance: a solver holds one kernel for its
     whole run.
     """
+
+    #: every sample is an unknown of `minimize`
+    free = slice(None)
 
     def __init__(self, grid: Grid, n: int):
         _require_integer_order(n)
@@ -206,17 +270,11 @@ class DiscreteEnergy(_Quadrature):
         ab[self.bandwidth] = self._diagonal(u, w, c)
         return ab
 
-    def _constant_band(self, c) -> np.ndarray:
-        """c_high K_n + c_low K_{n-1} in band storage, the part of the
-        Hessian that does not depend on u; its diagonal row is replaced by
-        `_diagonal` in every Newton matrix.  The two K bands are built once
-        per kernel."""
-        band_low, band_high = self._bands
-        _, c_low, c_high = c
-        b, r = self.bandwidth, len(band_low) // 2
-        ab = c_high * band_high
-        ab[b - r:b + r + 1] += c_low * band_low
-        return ab
+    def _step_system(self, base: BandedSystem, u, w: DoubleWell, c) -> BandedSystem:
+        """The Newton system at u: the constant band base with the
+        Hessian's diagonal `_diagonal` in place of its own, the band
+        shared (`BandedSystem.with_diagonal`)."""
+        return base.with_diagonal(self._diagonal(u, w, c))
 
     def _diagonal(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
         """The Hessian's diagonal at the samples u, summed as
@@ -247,50 +305,11 @@ class DiscreteEnergy(_Quadrature):
         scale += abs(c_pot) * float(np.max(wprime * self.q))
         return 8.0 * np.finfo(float).eps * scale
 
-    def minimize(self, u0: np.ndarray, w: DoubleWell, c, gtol: float,
-                 maxiter: int, hold_mass: bool = False, divergence_floor=None):
-        """Minimize `energy` over the samples from u0 by damped Newton
-        (`_solvers.damped_newton`) on `hess`, at most maxiter steps.  The
-        constant band `_constant_band` is built once per solve, and each
-        step's system shares it and differs only in its diagonal
-        (`_diagonal`, `BandedSystem.with_diagonal`).  The Armijo test reads
-        `energy_change` along each step, so `energy` is evaluated only at
-        the first and the returned iterate, and info.energy is the direct
-        quadrature of the minimizer.  With hold_mass the mass q . u stays
-        at its value in u0: the gradient is projected onto q . d = 0 and
-        each step solves the bordered system [[H, q], [q^T, 0]].  An
-        energy below divergence_floor stops the run, flagged diverged.
-
-        Returns the minimizer, the solver's `SolveInfo`, the roundoff floor
-        `gradient_floor` at the minimizer, and the verdict converged: a
-        final gradient sup-norm below max(gtol, floor), no divergence, and
-        no stop on a failed line search or on no descent direction, which
-        end short of a minimizer whatever the gradient."""
-        q = self.q
-
-        def grad(u):
-            g = self.grad(u, w, c)
-            if hold_mass:
-                g = g - (float(q @ g) / float(q @ q)) * q
-            return g
-
-        base = BandedSystem(
-            self._constant_band(c), self.bandwidth, q if hold_mass else None
-        )
-
-        def system(u):
-            return base.with_diagonal(self._diagonal(u, w, c))
-
-        u, info = damped_newton(
-            lambda u: self.energy(u, w, c), grad, system, u0,
-            maxiter=maxiter, gtol=gtol, divergence_floor=divergence_floor,
-            line=lambda u, d: self.energy_change(u, d, w, c),
-        )
+    def _verdict(self, u, info, w: DoubleWell, c, gtol, grad, system):
+        """The roundoff floor `gradient_floor` at the minimizer u, and
+        whether the final gradient sup-norm is below max(gtol, floor)."""
         floor = self.gradient_floor(u, w, c)
-        converged = info.gradient_norm < max(gtol, floor) and not (
-            info.diverged or info.message in _FAILED_STOPS
-        )
-        return u, info, floor, bool(converged)
+        return floor, info.gradient_norm < max(gtol, floor)
 
 
 class _SplineKernel(_Quadrature):
@@ -318,6 +337,8 @@ class _SplineKernel(_Quadrature):
     def __init__(self, n: int, interval, elements: int, degree: int, fixed: int):
         (left, right), E, p = interval, elements, degree
         self.n, self.p, self.num_elements, self.fixed = n, p, E, fixed
+        #: half-bandwidth of the Hessian
+        self.bandwidth = p
         edges = np.linspace(left, right, E + 1)
         self.knots = np.concatenate((np.full(p, left), edges, np.full(p, right)))
         self.size = E + p
@@ -404,13 +425,6 @@ class _SplineKernel(_Quadrature):
         """K_{n-1} and K_n, int 2 B_a^(k) B_b^(k), on the free block."""
         return tuple(self._band(k, 2.0 * self.wts) for k in (1, 2))
 
-    def _constant_band(self, coef) -> np.ndarray:
-        """c_low K_{n-1} + c_high K_n, the part of the Hessian that does
-        not depend on the coefficients."""
-        _, c_low, c_high = coef
-        band_low, band_high = self._bands
-        return c_low * band_low + c_high * band_high
-
     def _curved_band(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         """c_pot int W''(f) B_a B_b, the part of the Hessian that changes
         with the coefficients c."""
@@ -428,49 +442,20 @@ class _SplineKernel(_Quadrature):
             self._band_index, M.ravel(), (2 * p + 1) * m + 1
         )[:-1].reshape(2 * p + 1, m)
 
-    def minimize(self, c0: np.ndarray, w: DoubleWell, coef, gtol: float,
-                 maxiter: int, decrement_rtol: float):
-        """Minimize `energy` over the free coefficients from c0 by damped
-        Newton (`_solvers.damped_newton`), at most maxiter steps, the line
-        search reading `energy_change`.
+    def _step_system(self, base: BandedSystem, c, w: DoubleWell, coef) -> BandedSystem:
+        """The Newton system at the coefficients c: the constant band base
+        plus the W'' band `_curved_band`."""
+        return BandedSystem(base.band + self._curved_band(c, w, coef), base.lo, base.c)
 
-        Returns the minimizer, the solver's `SolveInfo` (factorizations
-        counts the decrement's too), the Newton decrement
-        delta^2 = -g . d of the tau = 0 step d at the minimizer (Boyd &
-        Vandenberghe, Convex Optimization, sec. 9.5.1; inf when that step
-        cannot be solved) and the verdict converged: |delta^2| at most
-        decrement_rtol max(1, |energy|), and no stop on a failed line
-        search or on no descent direction.  The verdict does not read the
-        gradient's sup-norm, which stalls on roundoff above gtol at
-        n >= 3 while delta^2 is far below its tolerance."""
-        c = np.array(c0, dtype=float)
-        free = self.free
-
-        def full(z):
-            v = c.copy()
-            v[free] = z
-            return v
-
-        def grad(z):
-            return self.grad(full(z), w, coef)[free]
-
-        constant = self._constant_band(coef)
-
-        def system(z):
-            curved = self._curved_band(full(z), w, coef)
-            return BandedSystem(constant + curved, self.p)
-
-        def line(z, dz):
-            d = np.zeros_like(c)
-            d[free] = dz
-            return self.energy_change(full(z), d, w, coef)
-
-        z, info = damped_newton(
-            lambda z: self.energy(full(z), w, coef), grad, system, c[free],
-            maxiter=maxiter, gtol=gtol, line=line,
-        )
-        c[free] = z
-        g, last = grad(z), system(z)
+    def _verdict(self, c, info, w: DoubleWell, coef, gtol, grad, system):
+        """The Newton decrement delta^2 = -g . d of the tau = 0 step d at
+        the minimizer c (Boyd & Vandenberghe, Convex Optimization,
+        sec. 9.5.1; inf when that step cannot be solved), its factorization
+        counted in info, and whether |delta^2| is at most `DECREMENT_RTOL`
+        max(1, |energy|).  The verdict does not read the gradient's
+        sup-norm, which stalls on roundoff above gtol at n >= 3 while
+        delta^2 is far below its tolerance."""
+        g, last = grad(c[self.free]), system(c[self.free])
         try:
             decrement = -float(g @ last.solve(-g))
         except LinAlgError:
@@ -478,9 +463,7 @@ class _SplineKernel(_Quadrature):
         if not np.isfinite(decrement):
             decrement = np.inf
         info.factorizations += last.factorizations
-        tol = decrement_rtol * max(1.0, abs(info.energy))
-        converged = info.message not in _FAILED_STOPS and abs(decrement) <= tol
-        return c, info, decrement, bool(converged)
+        return decrement, abs(decrement) <= DECREMENT_RTOL * max(1.0, abs(info.energy))
 
 
 @cache

@@ -152,12 +152,13 @@ class RunRecord:
 
 @dataclass
 class MinimizeEnergyResult:
-    """Minimizer field, its energy breakdown, and run diagnostics:
-    converged means gradient_norm < max(gtol, gradient_floor), the
-    roundoff floor of the assembled gradient at the minimizer, no
-    divergence and no stop on a failed line search.  factorizations
-    counts the LAPACK factorizations of the Newton steps, tau retries
-    that change the shifted matrix included."""
+    """Minimizer field, its energy breakdown, and run diagnostics of
+    `energy._Quadrature.minimize`: converged means gradient_norm <
+    max(gtol, gradient_floor), the roundoff floor of the assembled
+    gradient at the minimizer, no divergence and no stop on a failed line
+    search or on no descent direction.  factorizations counts the LAPACK
+    factorizations of the Newton steps, tau retries that change the
+    shifted matrix included."""
 
     field: Field
     breakdown: EnergyBreakdown
@@ -182,26 +183,27 @@ def minimize_energy(
     divergence_floor: Optional[float] = None,
 ) -> MinimizeEnergyResult:
     """Minimize the energy from a given initialization by damped Newton
-    (`DiscreteEnergy.minimize`: Levenberg shift, Armijo backtracking on the
-    exact energy change along the step) on the banded Hessian; maxiter
-    caps the Newton steps.
+    (`energy._Quadrature.minimize` on the grid's `DiscreteEnergy`:
+    Levenberg shift, Armijo backtracking on the exact energy change along
+    the step) on the banded Hessian; maxiter caps the Newton steps.
 
     The optional mass constraint fixes int_I u = mass: the initialization
-    is shifted to the prescribed value, gradients are projected onto the
-    zero-weighted-mean subspace and Newton solves the bordered saddle
-    system, so every step preserves the constraint.  Energies falling
+    is shifted to the prescribed value, and with the quadrature weights as
+    the constraint row gradients are projected onto the zero-weighted-mean
+    subspace and Newton solves the bordered saddle system, so every step
+    preserves the constraint.  Energies falling
     below the divergence floor abort the run with the "supercritical
     divergence" record; in the supercritical regime that is the expected
     outcome, not an error.
     """
     params = EnergyParams(n, eps, lam)
     kernel = DiscreteEnergy(init.grid, n)
-    u0 = init.values
+    u0, q = init.values, None
     if mass is not None:
         q = kernel.q
         u0 = u0 + (mass - float(q @ u0)) / float(q.sum())
     z, info, floor, converged = kernel.minimize(
-        u0, w, params.weights, gtol, maxiter, hold_mass=mass is not None,
+        u0, w, params.weights, gtol, maxiter, constraint=q,
         divergence_floor=divergence_floor,
     )
     return MinimizeEnergyResult(

@@ -20,12 +20,13 @@ their energy approaches (number of jumps) times the profile constant.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .critical import estimate_lambda_n
-from .energy import BSpline, _SplineKernel, _require_integer_order
+from .energy import DECREMENT_RTOL, BSpline, _SplineKernel, _require_integer_order
 from .grids import MAX_DERIVATIVE_ORDER, Field, Grid
 from .potentials import DoubleWell
 
@@ -80,7 +81,7 @@ class ProfileProblem:
 PROFILE_GTOL = 1e-8
 PROFILE_MAXITER = 100
 #: converged needs a Newton decrement at most this times max(1, |energy|)
-PROFILE_DECREMENT_RTOL = 1e-12
+PROFILE_DECREMENT_RTOL = DECREMENT_RTOL
 #: largest knot spacing of the profile splines
 PROFILE_H = 0.25
 #: samples of a profile on its grid, where a caller names none
@@ -90,20 +91,20 @@ PROFILE_POINTS = 2001
 @dataclass
 class ProfileResult:
     """The minimizing spline on (-T, T), which `build_recovery` pastes,
-    the minimizer sampled from it on the problem's grid, its exact energy,
-    and convergence diagnostics: converged means the Newton decrement
-    newton_decrement = -g . d of the undamped Newton step d at the
-    minimizer is at most PROFILE_DECREMENT_RTOL max(1, |energy|), the run
-    did not stop on a failed line search or on no descent direction
-    (`energy._SplineKernel.minimize`), and the minimizer is one layer, its
-    coefficients changing sign once; diagnosis says why a run is not
-    converged.  gradient_norm_final is the gradient's sup-norm over the
-    free spline coefficients.  factorizations counts the LAPACK
+    the problem's grid, which `minimizer` samples it on at first read, its
+    exact energy, and the diagnostics of `energy._Quadrature.minimize`:
+    converged means the Newton decrement newton_decrement = -g . d of the
+    undamped Newton step d at the minimizer is at most
+    PROFILE_DECREMENT_RTOL max(1, |energy|), the run did not stop on a
+    failed line search or on no descent direction, and the minimizer is
+    one layer, its coefficients changing sign once; diagnosis says why a
+    run is not converged.  gradient_norm_final is the gradient's sup-norm
+    over the free spline coefficients.  factorizations counts the LAPACK
     factorizations of the Newton steps, tau retries that change the
     shifted matrix and the decrement's included."""
 
     spline: BSpline
-    minimizer: Field
+    grid: Grid
     energy_estimate: float
     converged: bool
     iterations: int
@@ -111,6 +112,11 @@ class ProfileResult:
     newton_decrement: float
     diagnosis: str = ""
     factorizations: int = 0
+
+    @cached_property
+    def minimizer(self) -> Field:
+        """The spline sampled on the grid."""
+        return Field(self.grid, self.spline(self.grid.nodes()))
 
 
 def _profile_kernel(n: int, T: float, h: float) -> _SplineKernel:
@@ -127,8 +133,8 @@ def minimize_profile(
     """Minimize the truncated profile energy over the splines of
     `_profile_kernel` at knot spacing `PROFILE_H`, by damped Newton from
     one start: tanh, or init (a Field, or samples on the problem's grid),
-    at the Greville abscissae.  The result holds the spline and the
-    minimizer, the spline sampled on the problem's grid.
+    at the Greville abscissae (`energy._Quadrature.minimize`).  The result
+    holds the spline and the problem's grid, which `minimizer` samples.
 
     A converged profile is one layer: its coefficients change sign once,
     so the spline does too (variation diminishing; de Boor, A Practical
@@ -148,7 +154,7 @@ def minimize_profile(
         start = np.interp(kernel.greville, x, vals)
     c, info, decrement, converged = kernel.minimize(
         kernel.coefficients(start), problem.potential, (1.0, -problem.lam, 1.0),
-        PROFILE_GTOL, PROFILE_MAXITER, PROFILE_DECREMENT_RTOL,
+        PROFILE_GTOL, PROFILE_MAXITER,
     )
     signs = np.sign(c)
     layers = int(np.count_nonzero(np.diff(signs[signs != 0])))
@@ -158,10 +164,9 @@ def minimize_profile(
         f"Newton decrement {decrement:.1e}",
         f"{layers} layers" if layers > 1 else "",
     )))
-    spline = BSpline(kernel.knots, kernel.p, c)
     return ProfileResult(
-        spline=spline,
-        minimizer=Field(grid, spline(grid.nodes())),
+        spline=BSpline(kernel.knots, kernel.p, c),
+        grid=grid,
         energy_estimate=float(info.energy),
         converged=converged,
         iterations=int(info.iterations),
@@ -298,10 +303,15 @@ def build_recovery(
     (`energy.BSpline.not_a_knot`).  With left_value = -1 the up-jumps are
     exactly the odd-indexed ones.  Requires eps * T < delta0 / 2 so the
     pasted windows neither overlap each other nor stick out of the
-    interval.
+    interval.  points_per_eps, the grid points per length eps, must be
+    positive and finite.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if not (np.isfinite(points_per_eps) and points_per_eps > 0):
+        raise ValueError(
+            f"points_per_eps must be positive and finite, got {points_per_eps}"
+        )
     a, T = profile.interval
     if abs(a + T) > 1e-9 * (T - a):
         raise ValueError("profile spline's interval must be symmetric around 0")

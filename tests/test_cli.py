@@ -516,6 +516,18 @@ class TestMinimize:
             "hophase: error: unknown config keys: ['epsilonn']\n"
         )
 
+    def test_one_point_recovery_grid_is_a_usage_error(self, tmp_path, capsys):
+        # one point gives the recovery 0 points per eps, which once ended in
+        # a ZeroDivisionError traceback
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epsilon": 0.25, "num_points": 1}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["minimize", "--config", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "hophase: error: points_per_eps must be positive and finite, got 0.0\n"
+        )
+
     def test_recovery_init_is_built_on_the_configured_grid(self, tmp_path, capsys):
         cfg = {
             "epsilon": 0.25,

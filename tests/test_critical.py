@@ -488,9 +488,10 @@ class TestQuotientNewton:
         calls.clear()
         grid, eps = Grid(-2.0, 2.0, 257), 0.25
         x = grid.nodes()
-        _, info, _, converged = DiscreteEnergy(grid, 2).minimize(
+        kernel = DiscreteEnergy(grid, 2)
+        _, info, _, converged = kernel.minimize(
             np.tanh(x / eps) + 0.1 * np.sin(3.0 * x), quartic,
-            (1.0 / eps, -0.01 * eps, eps**3), 1e-7, 50, hold_mass=True,
+            (1.0 / eps, -0.01 * eps, eps**3), 1e-7, 50, constraint=kernel.q,
         )
         assert converged and info.newton_iterations > 0
         assert calls and set(calls) == {2}

@@ -445,11 +445,11 @@ class TestEnergyChange:
         inside, mass_free = np.zeros_like(step), np.zeros_like(step)
         inside[clamped] = step[clamped]
         q = k.q[clamped]
-        # a step of the hold_mass border keeps q . d = 0
+        # a step of the mass-constraint border keeps q . d = 0
         mass_free[clamped] = step[clamped] - (q @ step[clamped]) / (q @ q) * q
         assert abs(k.q @ mass_free) < 1e-15
         # the steps of the whole range, one that is zero near both ends
-        # and one of the hold_mass border
+        # and one of the mass-constraint border
         steps = (step, inside, mass_free)
         for c in ((0.7, -0.3, 1.1), (2.0, 0.0, -1.1)):
             for d in steps:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hophase import (
+    DiscreteEnergy,
     EnergyParams,
     Field,
     Grid,
@@ -103,6 +104,20 @@ class TestMinimizeEnergy:
             )
         # at gtol = 1e-12 only the roundoff floor certifies the minimizer
         assert res.converged and res.gradient_norm >= 1e-12
+
+    def test_failed_line_search_is_never_converged(self, quartic, monkeypatch):
+        # a line search that finds no decrease ends the run short of a
+        # minimizer, even under a gradient floor that passes every gradient
+        monkeypatch.setattr(
+            DiscreteEnergy, "energy_change", lambda *args: lambda t: 1.0
+        )
+        monkeypatch.setattr(DiscreteEnergy, "gradient_floor", lambda *args: np.inf)
+        g = Grid(-2.0, 2.0, 257)
+        init = Field.from_callable(g, lambda x: np.tanh(4.0 * x))
+        res = minimize_energy(2, 0.25, 0.0, init, quartic)
+        assert res.iterations == 0
+        assert res.message == "line search failed"
+        assert not res.converged
 
     def test_newton_first_from_recovery(self, quartic, two_jump_profile):
         # Newton from the recovery needs a few steps, not a quasi-Newton phase

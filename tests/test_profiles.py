@@ -599,3 +599,11 @@ class TestRecovery:
         u = JumpFunction(-4.0, 4.0, (0.0,))
         rec = build_recovery(u, profile5.spline, 0.25, points_per_eps=32)
         assert rec.grid.num_points == round(8.0 / (0.25 / 32)) + 1
+
+    @pytest.mark.parametrize("points_per_eps", [0.0, -1.0, np.nan, np.inf])
+    def test_points_per_eps_must_be_positive_and_finite(self, profile5, points_per_eps):
+        # 0 and inf once raised ZeroDivisionError, and nan failed to convert
+        # the point count to an integer
+        u = JumpFunction(-4.0, 4.0, (0.0,))
+        with pytest.raises(ValueError, match="points_per_eps must be positive and finite"):
+            build_recovery(u, profile5.spline, 0.25, points_per_eps=points_per_eps)

@@ -11,7 +11,7 @@ from hophase._solvers import BandedSystem, damped_newton, lbfgs
 from hophase.energy import _gram_diagonals
 from hophase.grids import ACCURACY_ORDER, _unit_rows, diff_operator, quadrature_weights
 from hophase.profiles import (
-    PROFILE_DECREMENT_RTOL, PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER, _profile_kernel,
+    PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER, _profile_kernel,
 )
 
 from conftest import differenced, quadratic_forms, stencil_csr, to_band
@@ -462,7 +462,7 @@ def step_systems(monkeypatch, kernel, u, w, c, hold_mass, points):
         return x0, _solvers.SolveInfo()
 
     monkeypatch.setattr(energy, "damped_newton", driver)
-    kernel.minimize(u, w, c, 1e-8, 1, hold_mass=hold_mass)
+    kernel.minimize(u, w, c, 1e-8, 1, constraint=kernel.q if hold_mass else None)
     return systems
 
 
@@ -554,9 +554,7 @@ def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatc
         u0 = kernel.coefficients(np.tanh(kernel.greville))
 
         def minimize():
-            return kernel.minimize(
-                u0, quartic, c, PROFILE_GTOL, PROFILE_MAXITER, PROFILE_DECREMENT_RTOL
-            )
+            return kernel.minimize(u0, quartic, c, PROFILE_GTOL, PROFILE_MAXITER)
 
         def rebuilt(z):
             u = u0.copy()
@@ -570,7 +568,7 @@ def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatc
 
         def minimize():
             return kernel.minimize(
-                u0, quartic, c, PROFILE_GTOL, PROFILE_MAXITER, hold_mass=True
+                u0, quartic, c, PROFILE_GTOL, PROFILE_MAXITER, constraint=kernel.q
             )
 
         def rebuilt(z):
