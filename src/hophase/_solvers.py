@@ -9,7 +9,6 @@ bordered by one constraint row; BandedSystem factors the band with LAPACK
 gbsv and eliminates the constraint by a scalar Schur step.
 """
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -45,18 +44,22 @@ class BandedSystem:
 
     The constructor takes A in band storage, ab[up + i - j, j] = A[i, j],
     with lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (LAPACK's
-    band layout, that of gbsv's input below its lo fill-in rows).  It keeps
-    that array as band and A's diagonal apart as diag: systems that differ
-    only in their diagonal share one band (`with_diagonal`), whose diagonal
-    row is not read.  `ab` reads A back in band storage.  c is a dense
-    m-vector, the one constraint row.
+    band layout, that of gbsv's input below its lo fill-in rows), kept as
+    band and never written.  Given curved, 2r + 1 rows, A is the band with
+    curved added into its rows up - r .. up + r, as the band is copied for
+    LAPACK: systems that differ only in their curved part share one band.
+    diag is A's diagonal, and `ab` reads A back in band storage.  c is a
+    dense m-vector, the one constraint row.
     """
 
-    def __init__(self, ab: np.ndarray, lo: int, c: Optional[np.ndarray] = None):
+    def __init__(self, ab: np.ndarray, lo: int, c: Optional[np.ndarray] = None,
+                 curved: Optional[np.ndarray] = None):
         self.lo, self.c = lo, c
         self.up = ab.shape[0] - lo - 1
-        self.band = ab
+        self.band, self.curved = ab, curved
         self.diag = ab[self.up]
+        if curved is not None:
+            self.diag = self.diag + curved[len(curved) // 2]
         # LAPACK factorizations done, and the (shifted diagonal, rhs,
         # solution or LinAlgError) of the last one
         self.factorizations = 0
@@ -65,16 +68,17 @@ class BandedSystem:
     @property
     def ab(self) -> np.ndarray:
         """A in the constructor's band storage, as a new array."""
-        ab = self.band.copy()
-        ab[self.up] = self.diag
+        ab = np.empty_like(self.band)
+        self._write(ab)
         return ab
 
-    def with_diagonal(self, diag: np.ndarray) -> "BandedSystem":
-        """The system with diag in place of A's diagonal: it shares this
-        system's band and constraint row, and has done no factorization."""
-        system = copy.copy(self)
-        system.diag, system.factorizations, system._last = diag, 0, None
-        return system
+    def _write(self, out: np.ndarray) -> None:
+        """A's band storage into out: the band, and curved added into its
+        middle rows."""
+        out[:] = self.band
+        if self.curved is not None:
+            r = len(self.curved) // 2
+            out[self.up - r:self.up + r + 1] += self.curved
 
     def solve(self, rhs: np.ndarray, tau: float = 0.0) -> np.ndarray:
         """The first m entries of the solution of the system with A + tau I
@@ -108,7 +112,7 @@ class BandedSystem:
         m = self.band.shape[1]
         ab = np.empty((2 * lo + up + 1, m), order="F")
         ab[:lo] = 0.0
-        ab[lo:] = self.band
+        self._write(ab[lo:])
         ab[lo + up] = diag
         cols = np.empty((m, 1 if c is None else 2), order="F")
         cols[:, 0] = rhs

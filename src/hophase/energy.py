@@ -11,21 +11,23 @@ the exact gradient of the discrete energy.
 Every functional of the package (this energy, the unscaled profile energy,
 the interpolation quotient and the coupling bound) is a weighted sum of the
 same three integrals int W(u), int (u^(n-1))^2 and int (u^(n))^2.
-`_Quadrature` writes them, the weighted sum, its change along a step and
-the one damped-Newton front end `minimize` once, on the node values and
-the quadrature rule of a kernel.  Its two kernels are `DiscreteEnergy`,
-the one discretization on a grid, with gradient, Hessian and roundoff
-floor, and `_SplineKernel`, the one exactly integrated kernel, in a
-B-spline space whose one-element case is the polynomials in the
-Bernstein basis.  `BSpline` is the one B-spline evaluator, of a kernel's
-spline (the profile that `profiles.build_recovery` pastes) and of the
-not-a-knot interpolant of samples that `evaluate_rescaled` resamples.
+`_Quadrature` writes them, the weighted sum, its change along a step,
+the Hessian and the one damped-Newton front end `minimize` once, on the
+node values, the quadrature rule and the element matrices of a kernel:
+the Hessian is the constant K bands, scattered once per kernel, plus a
+curved W'' part per step.  Its two kernels are `DiscreteEnergy`, the one
+discretization on a grid, with gradient and roundoff floor, and
+`_SplineKernel`, the one exactly integrated kernel, in a B-spline space
+whose one-element case is the polynomials in the Bernstein basis.
+`BSpline` is the one B-spline evaluator, of a kernel's spline (the
+profile that `profiles.build_recovery` pastes) and of the not-a-knot
+interpolant of samples that `evaluate_rescaled` resamples.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb
+from math import comb, prod
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -51,7 +53,7 @@ __all__ = [
 
 #: the stops of `_solvers.damped_newton` short of a minimizer, whatever the
 #: gradient
-_FAILED_STOPS = ("line search failed", "no descent direction found")
+_FAILED_STOPS = ("line search failed", "no descent direction found", "iteration limit")
 #: the spline kernel's verdict: a Newton decrement at most this times
 #: max(1, |energy|)
 DECREMENT_RTOL = 1e-12
@@ -67,12 +69,14 @@ def _require_integer_order(n) -> None:
 class _Quadrature:
     """The three integrals `terms` of the function f with the unknowns x,
     for coefficients c = (c_pot, c_low, c_high) their weighted sum
-    `energy`, its change along a step `energy_change`, and `minimize`, the
-    damped-Newton front end of both kernels.  A kernel supplies
-    `_node_values(x)`, the values (f, f^(n-1), f^(n)) at its quadrature
-    nodes, `_integral(v)`, the quadrature of node values v, and for
-    `minimize` its `free` unknowns, `grad`, the K bands `_bands` of the
-    Hessian's half-bandwidth `bandwidth`, `_step_system` and `_verdict`."""
+    `energy`, its change along a step `energy_change`, its Hessian `hess`
+    and `minimize`, the damped-Newton front end of both kernels.  A kernel
+    supplies `_node_values(x)`, the values (f, f^(n-1), f^(n)) at its
+    quadrature nodes, and `_integral(v)`, the quadrature of node values v;
+    for the Hessian, its `num_elements` elements over windows of
+    `bandwidth` + 1 of its `num_free` free unknowns (`_elements`) and the
+    part of the Hessian that changes with x (`_curved_band`); and for
+    `minimize`, its `free` unknowns, `grad` and `_verdict`."""
 
     def _well(self, w: DoubleWell, f) -> np.ndarray:
         # W sees one 1-D array, whatever the shape of f
@@ -127,15 +131,61 @@ class _Quadrature:
 
         return phi
 
+    @cached_property
+    def _bands(self) -> np.ndarray:
+        """K_{n-1} and K_n on the free unknowns as one (2, 2b + 1, m)
+        array, b = `bandwidth`, m = `num_free`, each form in band storage
+        ab[b + i - j, j] = K[i, j] (`BandedSystem`'s layout; K_{n-1}'s rows
+        past its reach are 0): the element matrices 2 sum_g w_g B_a B_b of
+        `_elements`, added by one bincount (`_element_band`), in ascending
+        element order from 0.0.  On the grid that is the order of the CSR
+        triple product 2 (D^T diag(q)) D (Bank & Douglas, SMMP), which the
+        tests build from the exact stencil weights: the bands equal it bit
+        for bit.  The order matters: Newton runs at n >= 3 that stop on
+        their gradient noise follow its last bits.
+
+        Every element at least L = 2b + 4 from both ends has the same
+        weights and tables, and its window starts one column after its
+        predecessor's, so every column at least L from both ends sums the
+        same products in the same order.  Past 2L elements the scatter runs
+        on the first and last L elements only, as if they were adjacent;
+        their columns give the first and last columns of the bands, and
+        the columns between are copies of the proxy's column L."""
+        E, b, m = self.num_elements, self.bandwidth, self.num_free
+        L = 2 * b + 4
+        cut = E - 2 * L if E > 2 * L else 0
+        e = np.arange(E - cut)
+        e[L:] += cut
+        starts, weights, tables = self._elements(e)
+        starts[L:] -= cut
+        index = _band_index(starts, b, m - cut, forms=2)
+        proxy = _element_band(index, tables, 2.0 * weights, (2, 2 * b + 1, m - cut))
+        if not cut:
+            return proxy
+        bands = np.empty((2, 2 * b + 1, m))
+        bands[..., :L] = proxy[..., :L]
+        bands[..., L:L + cut] = proxy[..., L, None]
+        bands[..., L + cut:] = proxy[..., L:]
+        return bands
+
     def _constant_band(self, c) -> np.ndarray:
         """c_high K_n + c_low K_{n-1} on the free unknowns in band
-        storage, the part of the Hessian that does not depend on x, K_{n-1}
-        on its own reach.  The two K bands are built once per kernel."""
-        band_low, band_high = self._bands
+        storage, the part of the Hessian that does not depend on x."""
         _, c_low, c_high = c
-        b, r = self.bandwidth, len(band_low) // 2
-        ab = c_high * band_high
-        ab[b - r:b + r + 1] += c_low * band_low
+        low, high = self._bands
+        ab = c_high * high
+        ab += c_low * low
+        return ab
+
+    def hess(self, x: np.ndarray, w: DoubleWell, c) -> np.ndarray:
+        """The Hessian of `energy` on the free unknowns in band storage
+        ab[b + i - j, j] = H[i, j], b = `bandwidth`: the constant band
+        `_constant_band` with the rows of `_curved_band` added into its
+        middle rows, the matrix that each step of `minimize` factors, bit
+        for bit (`BandedSystem.ab`)."""
+        ab, curved = self._constant_band(c), self._curved_band(x, w, c)
+        b, r = self.bandwidth, len(curved) // 2
+        ab[b - r:b + r + 1] += curved
         return ab
 
     def minimize(self, x0: np.ndarray, w: DoubleWell, c, gtol: float,
@@ -144,7 +194,8 @@ class _Quadrature:
         held at x0's values, by damped Newton (`_solvers.damped_newton`), at
         most maxiter steps.  The constant band is built once per solve, and
         each step's system adds the part that changes with x
-        (`_step_system`).  The Armijo test reads `energy_change`, so
+        (`_curved_band`) as it is factored.  The Armijo test reads
+        `energy_change`, so
         `energy` is evaluated only at the first and the returned iterate.
         A constraint row q holds q . x at its value in x0: the gradient is
         projected onto q . d = 0 and each step solves [[H, q], [q^T, 0]].
@@ -152,8 +203,9 @@ class _Quadrature:
 
         Returns the minimizer, the solver's `SolveInfo`, the measure of
         the kernel's `_verdict` and converged: the kernel's verdict, no
-        divergence and no stop on a failed line search or on no descent
-        direction, which end short of a minimizer whatever the gradient."""
+        divergence and no stop on a failed line search, on no descent
+        direction or on the iteration limit, which end short of a
+        minimizer whatever the gradient."""
         x, free = np.array(x0, dtype=float), self.free
 
         def full(z, fixed=x):
@@ -166,10 +218,11 @@ class _Quadrature:
             q = constraint
             return g if q is None else g - (float(q @ g) / float(q @ q)) * q
 
-        base = BandedSystem(self._constant_band(c), self.bandwidth, constraint)
+        base, b = self._constant_band(c), self.bandwidth
 
         def system(z):
-            return self._step_system(base, full(z), w, c)
+            curved = self._curved_band(full(z), w, c)
+            return BandedSystem(base, b, constraint, curved=curved)
 
         def line(z, dz):
             return self.energy_change(full(z), full(dz, np.zeros_like(x)), w, c)
@@ -194,9 +247,9 @@ class DiscreteEnergy(_Quadrature):
     is allowed.  For a (rows, N) stack u, one field per row, each of
     `terms` is an array with one entry per row, bit for bit the term of a
     call on that row.  The quadratic forms K = 2 D^T diag(q) D of the
-    Hessian are assembled from the windows on first use, as bands, and
-    kept for the life of the instance: a solver holds one kernel for its
-    whole run.
+    Hessian are assembled on first use (`_Quadrature._bands`), row r of
+    D_n an element of one node of weight q_r, and kept for the life of the
+    instance: a solver holds one kernel for its whole run.
     """
 
     #: every sample is an unknown of `minimize`
@@ -207,28 +260,29 @@ class DiscreteEnergy(_Quadrature):
         if not 1 <= n <= MAX_DERIVATIVE_ORDER:
             raise ValueError(f"n must be in [1, {MAX_DERIVATIVE_ORDER}]; got n = {n}")
         self.q = quadrature_weights(grid)
+        #: one element per row of D_n; every sample is a free unknown
+        self.num_elements = self.num_free = grid.num_points
         low = np.ones((1, 1)) if n == 1 else diff_operator(grid, n - 1)
         # the stencil windows of D_{n-1} and D_n
         self._windows = (low, diff_operator(grid, n))
+        #: half-bandwidth of the Hessian, its lower and upper bandwidth: the
+        #: reach m - 1 of the m-point D_n stencil window
+        self.bandwidth = len(self._windows[1]) - 1
 
-    @cached_property
-    def _bands(self):
-        """K_{n-1} and K_n in band storage, each with lo = up = r, the
-        reach of its stencil window (`BandedSystem`'s layout
-        ab[r + i - j, j] = K[i, j]; r = `bandwidth` for K_n, one less for
-        K_{n-1}, 0 for the identity at n = 1): the row-reversed diagonals of
-        `_gram_diagonals`, bit for bit the bands of the CSR triple product
-        2 (D^T diag(q)) D that the tests build from the exact stencil
-        weights (no code here forms that product)."""
-        return tuple(
-            _gram_diagonals(W, self.q, len(W) - 1)[::-1] for W in self._windows
-        )
-
-    @property
-    def bandwidth(self) -> int:
-        """Half-bandwidth of the Hessian, its lower and upper bandwidth: the
-        reach m - 1 of the m-point D_n stencil window."""
-        return len(self._windows[1]) - 1
+    def _elements(self, e: np.ndarray):
+        """Rows e of D_n as elements of `_Quadrature._bands`: row r is one
+        node of weight q_r over the window of D_n's row r, from column
+        starts[r], whose tables are the row's weights in D_{n-1}, padded
+        into that window, and in D_n.  Returns starts[e], the (len(e), 1)
+        weights and the (2, len(e), 1, m) tables."""
+        (low, high), N = self._windows, len(self.q)
+        m, k = len(high), len(low)
+        starts, s = window_starts(N, m, e), window_starts(N, k, e)
+        tables = np.zeros((2, len(e), 1, m))
+        cols = (s - starts)[:, None] + np.arange(k)
+        tables[0, np.arange(len(e))[:, None], 0, cols] = low[s - e + k - 1]
+        tables[1, :, 0] = high[starts - e + m - 1]
+        return starts, self.q[e, None], tables
 
     def _node_values(self, u):
         """(u, D_{n-1} u, D_n u) at the grid points."""
@@ -261,31 +315,11 @@ class DiscreteEnergy(_Quadrature):
         g += 2.0 * c_high * self._gram(high, u)
         return g
 
-    def hess(self, u: np.ndarray, w: DoubleWell, c):
-        """The Hessian in band storage ab[b + i - j, j] = H[i, j] with
-        b = `bandwidth`: the constant band `_constant_band` with the
-        diagonal `_diagonal` in its row b.  `minimize` factors the same
-        matrix, bit for bit, from one constant band per solve."""
-        ab = self._constant_band(c)
-        ab[self.bandwidth] = self._diagonal(u, w, c)
-        return ab
-
-    def _step_system(self, base: BandedSystem, u, w: DoubleWell, c) -> BandedSystem:
-        """The Newton system at u: the constant band base with the
-        Hessian's diagonal `_diagonal` in place of its own, the band
-        shared (`BandedSystem.with_diagonal`)."""
-        return base.with_diagonal(self._diagonal(u, w, c))
-
-    def _diagonal(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
-        """The Hessian's diagonal at the samples u, summed as
-        (c_high K_n + c_pot W''(u) q) + c_low K_{n-1}: the one entry per
-        point that changes with u (`DoubleWell.second_derivative`)."""
-        band_low, band_high = self._bands
-        c_pot, c_low, c_high = c
-        return (
-            c_high * band_high[self.bandwidth]
-            + c_pot * np.asarray(w.second_derivative(u), dtype=float) * self.q
-        ) + c_low * band_low[len(band_low) // 2]
+    def _curved_band(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
+        """The part of the Hessian that changes with the samples u, its
+        diagonal c_pot W''(u) q (`DoubleWell.second_derivative`), as a band
+        of one row."""
+        return (c[0] * np.asarray(w.second_derivative(u), dtype=float) * self.q)[None]
 
     def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
         """Roundoff scale of the assembled gradient: the largest row of sums
@@ -328,10 +362,11 @@ class _SplineKernel(_Quadrature):
 
     The B-spline values and derivatives of orders n - 1 and n at the nodes
     are tabulated once per kernel (`_element_tables`), and so are K_{n-1}
-    and K_n on the free coefficients (`_bands`).  The gradient adds its
-    element entries with one bincount; the Hessian has half-bandwidth p,
-    the whole matrix at E = 1, and each Newton step adds only the W''
-    element matrices (de Boor, A Practical Guide to Splines, ch. IX-X).
+    and K_n on the free coefficients (`_Quadrature._bands`).  The gradient
+    adds its element entries with one bincount; the Hessian has
+    half-bandwidth p, the whole matrix at E = 1, and each Newton step adds
+    only the W'' element matrices (`_curved_band`; de Boor, A Practical
+    Guide to Splines, ch. IX-X).
     """
 
     def __init__(self, n: int, interval, elements: int, degree: int, fixed: int):
@@ -343,6 +378,7 @@ class _SplineKernel(_Quadrature):
         self.knots = np.concatenate((np.full(p, left), edges, np.full(p, right)))
         self.size = E + p
         self.free = slice(fixed, self.size - fixed)
+        self.num_free = self.size - 2 * fixed
         #: the Greville abscissae, where coefficient i sits
         self.greville = sliding_window_view(self.knots[1:-1], p).mean(axis=1)
         # tables[e, k, g, a]: B-spline e + a of element e at its node g,
@@ -357,15 +393,8 @@ class _SplineKernel(_Quadrature):
         # (a, e) adds to, in that order, so that a bincount adds each
         # coefficient's entries in descending e from 0.0
         self._scatter = self.size * np.arange(3)[:, None] + self._window.T.ravel()
-        # the free-block band storage index ab[p + i - j, j] of each element
-        # matrix entry (a, b), i = e + a - fixed, j = e + b - fixed; entries
-        # of fixed rows or columns go to one dump slot
-        m = self.size - 2 * fixed
-        e, a, b = np.ogrid[:E, :p + 1, :p + 1]
-        i, j = e + a - fixed, e + b - fixed
-        inside = (i >= 0) & (i < m) & (j >= 0) & (j < m)
-        dump = (2 * p + 1) * m
-        self._band_index = np.where(inside, (p + a - b) * m + j, dump).ravel()
+        # the free-block band place of each W'' element matrix entry
+        self._band_index = _band_index(np.arange(E) - fixed, p, self.num_free)
 
     def coefficients(self, values: np.ndarray) -> np.ndarray:
         """The coefficients with the given values at the Greville abscissae
@@ -413,39 +442,19 @@ class _SplineKernel(_Quadrature):
             self._scatter[:k].ravel(), r.transpose(1, 2, 0).ravel(), k * self.size
         ).reshape(k, self.size)
 
-    def hess(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
-        """The Hessian of `energy` on the free coefficients in band storage
-        ab[p + i - j, j] = H[i, j] (`BandedSystem`'s layout): the constant
-        band `_constant_band` plus the W'' band `_curved_band`, as each
-        step of `minimize` adds them."""
-        return self._constant_band(coef) + self._curved_band(c, w, coef)
-
-    @cached_property
-    def _bands(self):
-        """K_{n-1} and K_n, int 2 B_a^(k) B_b^(k), on the free block."""
-        return tuple(self._band(k, 2.0 * self.wts) for k in (1, 2))
+    def _elements(self, e: np.ndarray):
+        """Elements e for `_Quadrature._bands`: element e is over the free
+        columns e - fixed .. e - fixed + p, with its Gauss weights and its
+        tables of the derivatives of orders n - 1 and n."""
+        return e - self.fixed, self.wts[e], self.tables[e, 1:].swapaxes(0, 1)
 
     def _curved_band(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
         """c_pot int W''(f) B_a B_b, the part of the Hessian that changes
-        with the coefficients c."""
+        with the coefficients c, in the free block's band storage."""
         w2 = np.asarray(w.second_derivative(self._values(c)[:, 0]), dtype=float)
-        return self._band(0, coef[0] * self.wts * w2)
-
-    def _band(self, k: int, s: np.ndarray) -> np.ndarray:
-        """The element matrices sum_g s B_a B_b over each element's nodes g
-        of the tables B = tables[:, k] with the (E, G) weights s, added
-        into the free block's band storage by one bincount."""
-        p, B = self.p, self.tables[:, k]
-        M = (B * s[:, :, None]).transpose(0, 2, 1) @ B
-        m = self.size - 2 * self.fixed
-        return np.bincount(
-            self._band_index, M.ravel(), (2 * p + 1) * m + 1
-        )[:-1].reshape(2 * p + 1, m)
-
-    def _step_system(self, base: BandedSystem, c, w: DoubleWell, coef) -> BandedSystem:
-        """The Newton system at the coefficients c: the constant band base
-        plus the W'' band `_curved_band`."""
-        return BandedSystem(base.band + self._curved_band(c, w, coef), base.lo, base.c)
+        shape = (2 * self.p + 1, self.num_free)
+        s = coef[0] * self.wts * w2
+        return _element_band(self._band_index, self.tables[:, 0], s, shape)
 
     def _verdict(self, c, info, w: DoubleWell, coef, gtol, grad, system):
         """The Newton decrement delta^2 = -g . d of the tau = 0 step d at
@@ -613,49 +622,30 @@ def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
     return ders
 
 
-def _gram_diagonals(windows, q, b) -> np.ndarray:
-    """The diagonals dia[b + j - i, j] = K[i, j] of K = 2 D^T diag(q) D for
-    the stencil operator D with the (m, m) `windows` of `grids.diff_operator`
-    on the N = len(q) points, for b at least the reach m - 1.  Row r of D
-    takes the window row starts[r] - r + m - 1 at the columns
-    starts[r] .. starts[r] + m - 1, starts = `window_starts(N, m)`; the
-    identity is the case m = 1.
+def _band_index(starts: np.ndarray, b: int, width: int, forms: int = 1) -> np.ndarray:
+    """The flat place of each entry (k, e, a, c) of `forms` stacks of
+    element matrices over windows of b + 1 columns in band storage
+    ab[k, b + i - j, j] of shape (forms, 2b + 1, width), i = starts[e] + a
+    and j = starts[e] + c; an entry whose row or column falls outside
+    0 .. width - 1 goes to the one slot past the end, which
+    `_element_band` drops."""
+    a = np.arange(b + 1)
+    i = starts[:, None] + a
+    ok = (i >= 0) & (i < width)
+    size = (2 * b + 1) * width
+    place = (b + a[:, None] - a) * width + i[:, None, :]
+    place = size * np.arange(forms)[:, None, None, None] + place
+    return np.where(ok[:, :, None] & ok[:, None, :], place, forms * size).ravel()
 
-    One unbuffered `np.add.at` adds the products (q_r w_a) w_c in index
-    order, so every entry sums its rows in ascending r from 0.0, the order
-    of the CSR product (D^T diag(q)) D (Bank & Douglas, SMMP), and equals
-    that product, which the tests build from the exact stencil weights,
-    bit for bit.  The order matters: Newton runs at n >= 3 that stop on
-    their gradient noise follow its last bits.  The final factor 2 is exact.
 
-    For q constant but for its first and last entries (the trapezoid
-    `grids.quadrature_weights`), every column at least L = 2m + 2 points
-    from both ends sums the same products in the same order, so past
-    N = 2L the accumulation runs only on the proxy of q's first and last L
-    entries, whose columns give the first and last L columns of dia, and
-    the columns between are copies of the proxy's column L.
-    """
-    n, m = len(q), len(windows)
-    L = 2 * m + 2
-    if n > 2 * L:
-        proxy = _gram_diagonals(windows, np.concatenate((q[:L], q[-L:])), b)
-        dia = np.empty((2 * b + 1, n))
-        dia[:, :L] = proxy[:, :L]
-        dia[:, L:n - L] = proxy[:, L, None]
-        dia[:, n - L:] = proxy[:, L:]
-        return dia
-    starts = window_starts(n, m)
-    w = windows[starts - np.arange(n) + m - 1]
-    cols = starts[:, None] + np.arange(m)
-    # q on the row side, as in D^T diag(q); product (r, a, c) adds to
-    # K[i, j] at i = cols[r, a], j = cols[r, c]
-    products = (q[:, None] * w)[:, :, None] * w[:, None, :]
-    dia = np.zeros((2 * b + 1, n))
-    np.add.at(
-        dia, (b + cols[:, None, :] - cols[:, :, None], cols[:, None, :]), products
-    )
-    dia *= 2.0
-    return dia
+def _element_band(index: np.ndarray, tables: np.ndarray, weights: np.ndarray, shape):
+    """The element matrices sum_g weights[e, g] B[e, g, a] B[e, g, c] of the
+    (..., E, G, P) tables B with the (E, G) node weights, added into band
+    storage of the given shape at the places `index` of `_band_index` by
+    one bincount: each entry sums its elements' products in ascending e
+    from 0.0."""
+    M = (tables * weights[:, :, None]).swapaxes(-1, -2) @ tables
+    return np.bincount(index, M.ravel(), prod(shape) + 1)[:-1].reshape(shape)
 
 
 @dataclass(frozen=True)

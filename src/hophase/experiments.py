@@ -156,9 +156,9 @@ class MinimizeEnergyResult:
     `energy._Quadrature.minimize`: converged means gradient_norm <
     max(gtol, gradient_floor), the roundoff floor of the assembled
     gradient at the minimizer, no divergence and no stop on a failed line
-    search or on no descent direction.  factorizations counts the LAPACK
-    factorizations of the Newton steps, tau retries that change the
-    shifted matrix included."""
+    search, on no descent direction or on the iteration limit.
+    factorizations counts the LAPACK factorizations of the Newton steps,
+    tau retries that change the shifted matrix included."""
 
     field: Field
     breakdown: EnergyBreakdown

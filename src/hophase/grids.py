@@ -143,11 +143,13 @@ def _unit_rows(k: int, m: int) -> np.ndarray:
     return rows
 
 
-def window_starts(n: int, m: int) -> np.ndarray:
-    """First columns of the m-point stencil windows of rows 0..n-1,
+def window_starts(n: int, m: int, rows=None) -> np.ndarray:
+    """First columns of the m-point stencil windows of the rows i of an
+    n-point grid (all of them, 0..n-1, by default),
     clip(i - (m - 1) // 2, 0, n - m): centred on the row, clamped to the
     grid."""
-    return np.clip(np.arange(n) - (m - 1) // 2, 0, n - m)
+    i = np.arange(n) if rows is None else rows
+    return np.minimum(np.maximum(i - (m - 1) // 2, 0), n - m)
 
 
 def apply_stencil(windows: np.ndarray, u: np.ndarray) -> np.ndarray:

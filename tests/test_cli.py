@@ -506,6 +506,17 @@ class TestMinimize:
         assert rc == 0
         assert payload["energy"]["total"] >= 0.0
 
+    def test_iteration_limit_reads_unconverged(self, tmp_path, capsys):
+        # at n = 6 the gradient floor passes any gradient; a run stopped
+        # by its step cap still reads unconverged
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 6, "epsilon": 0.25, "maxiter": 2}))
+        rc, payload = run(capsys, ["minimize", "--config", str(path)])
+        assert rc == 0
+        assert payload["message"] == "iteration limit"
+        assert payload["gradient_norm"] < payload["gradient_floor"]
+        assert payload["converged"] is False
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"epsilon": 0.25, "epsilonn": 1}))

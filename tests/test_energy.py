@@ -339,27 +339,23 @@ class TestDiscreteEnergy:
     @pytest.mark.parametrize("n", range(1, MAX_DERIVATIVE_ORDER + 1))
     def test_low_form_keeps_to_the_reach_of_its_stencil(self, quartic, n):
         # D_{n-1} reaches one point less far than D_n (not at all for the
-        # identity at n = 1), so K_low's band has 2 r + 1 rows, and the
-        # Hessian adds it into the rows b - r .. b + r of K_high's with the
-        # same bits as a band padded to K_high's width
+        # identity at n = 1), so K_low's band, held at K_high's width, is
+        # exactly 0 past that reach r; the Hessian sums
+        # c_high K_high + c_low K_low, then adds c_pot W''(u) q on the
+        # diagonal
         k = DiscreteEnergy(self.GRID, n)
         band_low, band_high = k._bands
         b = k.bandwidth
         r = b - 1 if n > 1 else 0
-        assert band_low.shape == (2 * r + 1, len(k.q))
-        assert band_high.shape == (2 * b + 1, len(k.q))
-        padded = np.zeros_like(band_high)
-        padded[b - r:b + r + 1] = band_low
-        # the form of D_{n-1} has no entry past the reach r, and padded is
-        # its band at K_high's width
+        assert band_low.shape == band_high.shape == (2 * b + 1, len(k.q))
+        assert np.all(band_low[:b - r] == 0.0) and np.all(band_low[b + r + 1:] == 0.0)
+        # the form of D_{n-1} has no entry past the reach r
         K_low = quadratic_forms(self.GRID, n)[0]
-        np.testing.assert_array_equal(band_low, to_band(K_low, r, r))
-        np.testing.assert_array_equal(padded, to_band(K_low, b, b))
+        np.testing.assert_array_equal(band_low[b - r:b + r + 1], to_band(K_low, r, r))
         u = self.field(n)
         c = (0.7, -0.3, 1.1)
-        ab = c[2] * band_high
+        ab = c[2] * band_high + c[1] * band_low
         ab[b] += c[0] * quartic.eval_second_derivative(u) * k.q
-        ab += c[1] * padded
         np.testing.assert_array_equal(k.hess(u, quartic, c), ab)
 
     def test_order_one_uses_the_identity_below(self, quartic):

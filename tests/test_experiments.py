@@ -119,6 +119,17 @@ class TestMinimizeEnergy:
         assert res.message == "line search failed"
         assert not res.converged
 
+    def test_iteration_limit_is_never_converged(self, quartic, monkeypatch):
+        # a run stopped by the step cap ends short of a minimizer, even
+        # under a gradient floor that passes every gradient
+        monkeypatch.setattr(DiscreteEnergy, "gradient_floor", lambda *args: np.inf)
+        g = Grid(-2.0, 2.0, 257)
+        init = Field.from_callable(g, lambda x: np.tanh(4.0 * x))
+        res = minimize_energy(2, 0.25, 0.0, init, quartic, maxiter=1)
+        assert res.iterations == 1
+        assert res.message == "iteration limit"
+        assert not res.converged
+
     def test_newton_first_from_recovery(self, quartic, two_jump_profile):
         # Newton from the recovery needs a few steps, not a quasi-Newton phase
         rec = two_jump_recovery(two_jump_profile, 1.0 / 16.0)

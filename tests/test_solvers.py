@@ -8,13 +8,13 @@ from scipy.linalg.lapack import dgbsv
 
 from hophase import DiscreteEnergy, EnergyParams, Grid, _solvers, energy
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import _gram_diagonals
-from hophase.grids import ACCURACY_ORDER, _unit_rows, diff_operator, quadrature_weights
+from hophase.energy import _band_index, _element_band
+from hophase.grids import ACCURACY_ORDER, _unit_rows, quadrature_weights, window_starts
 from hophase.profiles import (
     PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER, _profile_kernel,
 )
 
-from conftest import differenced, quadratic_forms, stencil_csr, to_band
+from conftest import differenced, quadratic_forms, to_band
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -295,15 +295,23 @@ def test_energy_hessian_band(n, quartic):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_energy_bandwidth_is_the_stencil_reach(n, order):
     # K = 2 D_n^T diag(q) D_n couples the two ends of an (n + order)-point
-    # stencil window, and no farther: assembled one diagonal wider, its
-    # outermost diagonals are 0 and the next ones are not.  The energy's
-    # band is that reach at the one accuracy it uses.
+    # stencil window, and no farther: scattered as one-node elements over
+    # windows one column wider, its outermost diagonals are 0 and the next
+    # ones are not.  The energy's band is that reach at the one accuracy it
+    # uses.
     grid = Grid(-10.0, 10.0, 2001)
-    reach = n + order - 1
-    dia = _gram_diagonals(
-        _unit_rows(n, n + order) / grid.h**n, quadrature_weights(grid), reach + 1
+    N, m = grid.num_points, n + order
+    reach = m - 1
+    b = reach + 1
+    windows = _unit_rows(n, m) / grid.h**n
+    starts = window_starts(N, m)
+    tables = np.zeros((N, 1, b + 1))
+    tables[:, 0, :m] = windows[starts - np.arange(N) + m - 1]
+    q = quadrature_weights(grid)
+    band = _element_band(
+        _band_index(starts, b, N), tables, 2.0 * q[:, None], (2 * b + 1, N)
     )
-    offsets = np.flatnonzero(np.any(dia != 0.0, axis=1)) - (reach + 1)
+    offsets = np.flatnonzero(np.any(band != 0.0, axis=1)) - b
     assert (offsets.min(), offsets.max()) == (-reach, reach)
     assert DiscreteEnergy(grid, n).bandwidth == n + ACCURACY_ORDER - 1
 
@@ -406,6 +414,35 @@ def test_a_tau_that_changes_no_diagonal_entry_is_not_factored(monkeypatch):
     assert len(calls) == system.factorizations == 3
 
 
+@pytest.mark.parametrize("hold_mass", (False, True))
+@pytest.mark.parametrize("r", (0, 3))
+def test_curved_rows_solve_as_the_summed_band(r, hold_mass, monkeypatch):
+    # a system given as a band of half-bandwidth p = 3 plus 2r + 1 curved
+    # rows is the system of their sum: the same matrix and solves, bit for
+    # bit, with the band never written; a shift that changes no diagonal
+    # entry reuses the last solve, as for any system
+    p = 3
+    band = to_band(1e12 * (LAP + sp.identity(M)), p, p)
+    curved = np.random.default_rng(r).normal(size=(2 * r + 1, M))
+    summed = band.copy()
+    summed[p - r:p + r + 1] += curved
+    border = np.full(M, 1.0 / M) if hold_mass else None
+    kept = band.copy()
+    system = BandedSystem(band, p, border, curved=curved)
+    reference = BandedSystem(summed, p, border)
+    assert system.ab.tobytes() == summed.tobytes()
+    assert system.diag.tobytes() == reference.diag.tobytes()
+    calls = counted_gbsv(monkeypatch)
+    rhs = np.cos(np.arange(M))
+    d = system.solve(rhs)
+    assert system.solve(rhs, 1e-8) is d
+    assert len(calls) == system.factorizations == 1
+    for tau in (0.0, 1e3):
+        assert system.solve(rhs, tau).tobytes() == reference.solve(rhs, tau).tobytes()
+    assert system.factorizations == 2
+    assert band.tobytes() == kept.tobytes()
+
+
 def test_a_singular_block_raises_again_without_factoring(monkeypatch):
     calls = counted_gbsv(monkeypatch)
     # the Neumann Laplacian annihilates constants; 1e-8 is far below half an
@@ -469,7 +506,7 @@ def step_systems(monkeypatch, kernel, u, w, c, hold_mass, points):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
     # the step's system shares one constant band per solve and carries
-    # its own diagonal; its matrix is hess's, entry for entry, and it
+    # its own curved row; its matrix is hess's, entry for entry, and it
     # solves as the system built from hess's band, bit for bit
     grid = Grid(-5.0, 5.0, 401)
     kernel = DiscreteEnergy(grid, n)
@@ -500,25 +537,47 @@ def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gram_diagonals_fill_the_interior_with_the_same_bits(n):
-    # the diagonals, accumulated on every row up to N = 2L and with the
-    # interior columns copied from the proxy's past it, equal those of the
-    # CSR triple product 2 D^T diag(q) D of the reference stencils bit for
-    # bit, at every size up to past 4L and at the largest grid of the sweep
+    # the K bands (the diagonals of the Gram matrices K), scattered from
+    # every element up to N = 2L and with the interior columns copied from
+    # the proxy's past it, equal those of the CSR triple product
+    # 2 D^T diag(q) D of the reference stencils bit for bit, at every size
+    # up to past 4L and at the largest grid of the sweep
     m = n + ACCURACY_ORDER
     L = 2 * m + 2
     for num_points in [*range(m, 4 * L + 3), 16385]:
         grid = Grid(-1.3, 2.1, num_points)
-        q = quadrature_weights(grid)
-        low = (
-            (np.ones((1, 1)), stencil_csr(grid, 0, 1)) if n == 1
-            else (diff_operator(grid, n - 1), stencil_csr(grid, n - 1, m - 1))
-        )
-        for windows, d in (low, (diff_operator(grid, n), stencil_csr(grid, n, m))):
-            r = len(windows) - 1
-            product = 2.0 * (d.T @ sp.diags(q) @ d)
-            np.testing.assert_array_equal(
-                _gram_diagonals(windows, q, r)[::-1], to_band(product, r, r)
-            )
+        kernel = DiscreteEnergy(grid, n)
+        b = kernel.bandwidth
+        for band, product in zip(kernel._bands, quadratic_forms(grid, n)):
+            np.testing.assert_array_equal(band, to_band(product, b, b))
+
+
+def full_scatter(kernel):
+    """The K bands of a kernel with no proxy: every element matrix of
+    `_elements`, added onto zeros in ascending element order."""
+    E, b, m = kernel.num_elements, kernel.bandwidth, kernel.num_free
+    starts, weights, tables = kernel._elements(np.arange(E))
+    M = (tables * (2.0 * weights)[:, :, None]).swapaxes(-1, -2) @ tables
+    bands = np.zeros((2, 2 * b + 1, m))
+    a = np.arange(b + 1)
+    for e, s in enumerate(starts):
+        i, j = np.broadcast_arrays(s + a[:, None], s + a)
+        inside = (i >= 0) & (i < m) & (j >= 0) & (j < m)
+        bands[:, b + i[inside] - j[inside], j[inside]] += M[:, e][:, inside]
+    return bands
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spline_bands_fill_the_interior_with_the_same_bits(n):
+    # past 2L elements the spline's K bands copy their interior columns
+    # from the proxy's, with the bits of scattering every element
+    for kernel in (
+        _profile_kernel(n, 10.0, 0.25),
+        energy._SplineKernel(n, (-4.0, 4.0), 2048, n + 3, n),
+    ):
+        assert kernel.num_elements > 2 * (2 * kernel.bandwidth + 4)
+        expected = full_scatter(kernel)
+        assert kernel._bands.tobytes() == expected.tobytes()
 
 
 def minimize_recording(monkeypatch, minimize, rebuilt):
