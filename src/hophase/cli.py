@@ -116,9 +116,9 @@ _CONFIG_TYPES = {
     "gtol": "number", "maxiter": "integer", "divergence_floor": "number?",
     "profile_T": "number", "seed": "integer",
     "eps_schedule": "array", "points_per_eps_width": "integer",
-    "mass_constraint": "number?", "output_dir": "string?",
-    "lambda_hat": "number?", "lambda_grid": "array", "k_max": "integer",
-    "amplitudes": "array", "free_minimization": "boolean",
+    "mass_constraint": "number?", "lambda_hat": "number?",
+    "lambda_grid": "array", "k_max": "integer", "amplitudes": "array",
+    "free_minimization": "boolean",
 }
 
 
@@ -401,11 +401,11 @@ _SWEEP_KEYS = {f.name for f in fields(SweepConfig)}
 
 
 def _cmd_gamma_sweep(args) -> int:
-    cfg = _load_config(args.config, _SWEEP_KEYS)
+    record = gamma_sweep(SweepConfig(**_load_config(args.config, _SWEEP_KEYS)))
+    stem = f"sweep_{record.config_hash}"
+    _emit(asdict(record), args.out, stem)
     if args.out is not None:
-        cfg["output_dir"] = args.out
-    record = gamma_sweep(SweepConfig(**cfg))
-    print(record.to_json())
+        (Path(args.out) / f"{stem}.csv").write_text(record.rows_csv())
     return 0
 
 

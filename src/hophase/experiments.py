@@ -6,7 +6,8 @@ energy minimization with an optional mass constraint.
 Each sweep builds the recovery sequence of a piecewise +-1 jump function,
 minimizes the energy from it, and records per-epsilon rows; the recovery
 energies should approach (number of jumps) times the profile constant.
-Runs persist as one JSON record plus a flat CSV for plotting.
+A sweep returns one record, whose rows also give a flat CSV for plotting;
+the CLI writes both.
 """
 
 import csv
@@ -15,7 +16,6 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass, field as dc_field
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,7 +60,6 @@ class SweepConfig:
     eps_schedule: Tuple[float, ...] = (0.25, 0.125, 0.0625, 0.03125, 0.015625)
     points_per_eps_width: int = 32
     mass_constraint: Optional[float] = None
-    output_dir: Optional[str] = None
     profile_T: float = 5.0
     lambda_hat: Optional[float] = None
 
@@ -97,10 +96,8 @@ class SweepConfig:
         )
 
     def config_hash(self) -> str:
-        """The sweep's name: a hash of every field but output_dir, so the
-        same sweep written to two places has one name."""
-        fields = {**asdict(self), "output_dir": None}
-        payload = json.dumps(fields, sort_keys=True, default=str)
+        """The sweep's name: a hash of every field."""
+        payload = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -118,7 +115,7 @@ class EpsRow:
 
 @dataclass
 class RunRecord:
-    """Persisted outcome of one sweep."""
+    """Outcome of one sweep."""
 
     config_hash: str
     rows: List[EpsRow]
@@ -127,9 +124,6 @@ class RunRecord:
     started_at: str
     finished_at: str
     notes: List[str] = dc_field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
 
     def rows_csv(self) -> str:
         buf = io.StringIO()
@@ -250,9 +244,9 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     Per-epsilon failures are recorded in the row notes and the
     sweep continues.  The divergence floor of every minimization is -10^3
     in units of the first (largest-eps) recovery energy, or -10^3 when that
-    recovery fails.  When cfg.output_dir is set the record is persisted as
-    JSON + CSV.  The rows always run serially; threads is kept only for
-    callers that pass threads=1, and any other value is a ValueError.
+    recovery fails.  The record is returned and nothing is written.  The
+    rows always run serially; threads is kept only for callers that pass
+    threads=1, and any other value is a ValueError.
     """
     if threads != 1:
         raise ValueError(f"sweep rows run serially: threads must be 1, got {threads}")
@@ -317,7 +311,7 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
     if inversions > 1:
         notes.append(f"recovery deviation not monotone ({inversions} inversions)")
 
-    record = RunRecord(
+    return RunRecord(
         config_hash=cfg.config_hash(),
         rows=rows,
         lambda_hat=cfg.lambda_hat,
@@ -326,13 +320,6 @@ def gamma_sweep(cfg: SweepConfig, threads: int = 1) -> RunRecord:
         finished_at=time.strftime("%Y-%m-%dT%H:%M:%S"),
         notes=notes,
     )
-    if cfg.output_dir is not None:
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"sweep_{record.config_hash}"
-        (out / f"{stem}.json").write_text(record.to_json())
-        (out / f"{stem}.csv").write_text(record.rows_csv())
-    return record
 
 
 @dataclass

@@ -21,7 +21,7 @@ their energy approaches (number of jumps) times the profile constant.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,9 @@ __all__ = [
 @dataclass(frozen=True)
 class ProfileProblem:
     """Truncated profile problem on (-T, T), its minimizer reported on
-    `grid`, num_points samples of (-T, T).
+    `grid`, num_points samples of (-T, T).  The solve never reads the
+    grid, so num_points sets only how finely `ProfileResult.minimizer` is
+    sampled; it must be at least 2, as for any `Grid`.
 
     n = 1 is accepted here (only here) as a calibration mode: with lam = 0
     the minimum is the classical sharp-interface constant
@@ -69,8 +71,7 @@ class ProfileProblem:
         T = self.truncation_T
         if not (np.isfinite(T) and T > 0):
             raise ValueError(f"truncation_T must be positive and finite, got {T}")
-        if self.num_points < 400:
-            raise ValueError("profile grid needs at least 400 points")
+        Grid(-T, T, self.num_points)  # rejects num_points < 2 before any solve
 
     @property
     def grid(self) -> Grid:
@@ -127,31 +128,24 @@ def _profile_kernel(n: int, T: float, h: float) -> _SplineKernel:
 
 
 def minimize_profile(
-    problem: ProfileProblem,
-    init: Optional[Union[Field, np.ndarray]] = None,
+    problem: ProfileProblem, init: Optional[Field] = None
 ) -> ProfileResult:
     """Minimize the truncated profile energy over the splines of
     `_profile_kernel` at knot spacing `PROFILE_H`, by damped Newton from
-    one start: tanh, or init (a Field, or samples on the problem's grid),
-    at the Greville abscissae (`energy._Quadrature.minimize`).  The result
-    holds the spline and the problem's grid, which `minimizer` samples.
+    one start: tanh, or init (a Field on any grid, read by linear
+    interpolation), at the Greville abscissae
+    (`energy._Quadrature.minimize`).  The result holds the spline and the
+    problem's grid, which `minimizer` samples.
 
     A converged profile is one layer: its coefficients change sign once,
     so the spline does too (variation diminishing; de Boor, A Practical
     Guide to Splines, ch. XI).
     """
     kernel = _profile_kernel(problem.n, problem.truncation_T, PROFILE_H)
-    grid = problem.grid
     if init is None:
         start = np.tanh(kernel.greville)
     else:
-        if isinstance(init, Field):
-            x, vals = init.grid.nodes(), init.values
-        else:
-            x, vals = grid.nodes(), np.asarray(init, dtype=float)
-            if len(vals) != problem.num_points:
-                raise ValueError("init length does not match the profile grid")
-        start = np.interp(kernel.greville, x, vals)
+        start = np.interp(kernel.greville, init.grid.nodes(), init.values)
     c, info, decrement, converged = kernel.minimize(
         kernel.coefficients(start), problem.potential, (1.0, -problem.lam, 1.0),
         PROFILE_GTOL, PROFILE_MAXITER,
@@ -166,7 +160,7 @@ def minimize_profile(
     )))
     return ProfileResult(
         spline=BSpline(kernel.knots, kernel.p, c),
-        grid=grid,
+        grid=problem.grid,
         energy_estimate=float(info.energy),
         converged=converged,
         iterations=int(info.iterations),

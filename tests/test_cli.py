@@ -20,9 +20,11 @@ import hophase
 from hophase import (
     Field,
     Grid,
+    SweepConfig,
     cli,
     field_from_csv,
     field_to_csv,
+    gamma_sweep,
     LambdaOptions,
     make_quartic,
     quotient,
@@ -97,11 +99,11 @@ class TestProfile:
 
     def test_too_few_points_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            cli.main(["profile", "--n", "2", "--points", "101"])
+            cli.main(["profile", "--n", "2", "--points", "1"])
         assert exit_info.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "hophase: error: profile grid needs at least 400 points\n"
+        assert captured.err == "hophase: error: grid requires num_points >= 2\n"
 
     @pytest.mark.parametrize("slack", ["-1", "nan"])
     def test_negative_or_non_finite_slack_is_a_usage_error(self, capsys, slack):
@@ -733,21 +735,26 @@ def test_unreadable_csv_init_is_a_usage_error(tmp_path, capsys):
 
 
 class TestGammaSweep:
-    def test_sweep_writes_artifacts(self, tmp_path, capsys):
-        cfg = {
-            "n": 2,
-            "lambda": 0.0,
-            "interval": [-4.0, 4.0],
-            "jumps": [0.0],
-            "eps_schedule": [0.25],
-            "points_per_eps_width": 16,
-            "profile_T": 4.0,
-        }
+    #: the one-row sweep of the CI smoke test
+    CONFIG = {
+        "n": 2,
+        "lambda": 0.0,
+        "interval": [-4.0, 4.0],
+        "jumps": [0.0],
+        "eps_schedule": [0.25],
+        "points_per_eps_width": 16,
+        "profile_T": 4.0,
+    }
+
+    @staticmethod
+    def config(tmp_path, cfg):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
-        rc, payload = run(
-            capsys, ["gamma-sweep", "--config", str(path), "--out", str(tmp_path)]
-        )
+        return str(path)
+
+    def test_sweep_writes_artifacts(self, tmp_path, capsys):
+        path = self.config(tmp_path, self.CONFIG)
+        rc, payload = run(capsys, ["gamma-sweep", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         assert len(payload["rows"]) == 1
         row = payload["rows"][0]
@@ -757,6 +764,58 @@ class TestGammaSweep:
         assert (tmp_path / f"{stem}.json").exists()
         csv_text = (tmp_path / f"{stem}.csv").read_text()
         assert csv_text.startswith("epsilon,E_min,E_recovery")
+
+    def test_persistence_roundtrip(self, tmp_path, capsys, monkeypatch):
+        # the JSON written is the JSON printed, and the CSV is the table of
+        # the record that gamma_sweep returned
+        records = []
+
+        def recording_sweep(cfg):
+            records.append(gamma_sweep(cfg))
+            return records[-1]
+
+        monkeypatch.setattr(cli, "gamma_sweep", recording_sweep)
+        path = self.config(tmp_path, {**self.CONFIG, "eps_schedule": [0.25, 0.125]})
+        assert cli.main(["gamma-sweep", "--config", path, "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        (record,) = records
+        stem = f"sweep_{record.config_hash}"
+        assert (tmp_path / f"{stem}.json").read_text() == printed
+        payload = json.loads(printed)
+        assert payload["config_hash"] == record.config_hash
+        assert [row["e_min"] for row in payload["rows"]] == [r.e_min for r in record.rows]
+        assert (tmp_path / f"{stem}.csv").read_bytes() == record.rows_csv().encode()
+
+    def test_hash_does_not_depend_on_where_the_record_goes(self, tmp_path, capsys):
+        # the same sweep written to two places has one name
+        path = self.config(tmp_path, self.CONFIG)
+        hashes = []
+        for where in ("a", "b"):
+            out = tmp_path / where
+            rc, payload = run(capsys, ["gamma-sweep", "--config", path, "--out", str(out)])
+            hashes.append(payload["config_hash"])
+            assert (out / f"sweep_{hashes[-1]}.csv").exists()
+        assert hashes == [SweepConfig(eps_schedule=(0.25,), profile_T=4.0,
+                                      points_per_eps_width=16).config_hash()] * 2
+
+    def test_failed_row_prints_strict_json(self, tmp_path, capsys):
+        # a row whose recovery does not fit the interval has no energies:
+        # null, where the record once printed NaN, which is no JSON
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        path = self.config(tmp_path, {
+            "n": 2, "interval": [-1, 1], "jumps": [0], "eps_schedule": [0.25, 0.05],
+            "points_per_eps_width": 16, "profile_T": 4.0,
+        })
+        assert cli.main(["gamma-sweep", "--config", path, "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out
+        (written,) = tmp_path.glob("sweep_*.json")
+        for text in (printed, written.read_text()):
+            rows = json.loads(text, parse_constant=no_constant)["rows"]
+            assert "recovery failed" in rows[0]["notes"]
+            assert rows[0]["e_min"] is None and rows[0]["e_recovery"] is None
+            assert rows[1]["converged"] is True
 
     @pytest.mark.parametrize(
         "setting, message",
@@ -903,8 +962,8 @@ _INT, _NUM = "must be a JSON integer", "must be a JSON number"
         ("gamma-sweep", {"n": "2"}, f"n {_INT}, got '2'"),
         ("gamma-sweep", {"points_per_eps_width": "16"},
          f"points_per_eps_width {_INT}, got '16'"),
-        ("gamma-sweep", {"output_dir": 3},
-         "output_dir must be a JSON string or null, got 3"),
+        # where a sweep's record goes is --out alone
+        ("gamma-sweep", {"output_dir": 3}, "unknown config keys: ['output_dir']"),
         ("gamma-sweep", {"profile_T": True}, f"profile_T {_NUM}, got True"),
         ("supercritical", {"k_max": 2.5}, f"k_max {_INT}, got 2.5"),
         ("supercritical", {"free_minimization": "no"},

@@ -1,8 +1,5 @@
 """Tests for energy minimization, sweep bookkeeping and the oscillation probe."""
 
-import dataclasses
-import json
-
 import numpy as np
 import pytest
 
@@ -47,8 +44,7 @@ def two_jump_recovery(profile, eps):
 
 
 @pytest.fixture(scope="module")
-def sweep_cfg(tmp_path_factory):
-    out = tmp_path_factory.mktemp("sweeps")
+def sweep_cfg():
     return SweepConfig(
         n=2,
         lam=0.0,
@@ -57,7 +53,6 @@ def sweep_cfg(tmp_path_factory):
         eps_schedule=(0.25, 0.125),
         points_per_eps_width=16,
         profile_T=4.0,
-        output_dir=str(out),
     )
 
 
@@ -225,14 +220,6 @@ class TestSweepConfig:
         )
         assert other.config_hash() != h
 
-    def test_hash_does_not_depend_on_where_the_record_goes(self):
-        # the same sweep written to two places has one name, the name a run
-        # that writes nothing prints
-        h = SweepConfig(eps_schedule=(0.25,)).config_hash()
-        assert h == "e82ebee5a1acb014"
-        for out in ("a", "b"):
-            assert SweepConfig(eps_schedule=(0.25,), output_dir=out).config_hash() == h
-
     def test_seed_is_not_a_setting(self):
         # a sweep draws no random number
         with pytest.raises(TypeError):
@@ -335,20 +322,6 @@ class TestGammaSweep:
         rec = self.two_jump_sweep(self.LAMBDA_HAT_2 * (1.0 + k * 6e-14))
         assert not [note for note in rec.notes if "not monotone" in note]
 
-    def test_persistence_roundtrip(self, sweep_record, sweep_cfg):
-        import pathlib
-
-        stem = f"sweep_{sweep_record.config_hash}"
-        out = pathlib.Path(sweep_cfg.output_dir)
-        payload = json.loads((out / f"{stem}.json").read_text())
-        assert payload["config_hash"] == sweep_record.config_hash
-        assert len(payload["rows"]) == len(sweep_record.rows)
-        assert payload["rows"][0]["e_min"] == sweep_record.rows[0].e_min
-        lines = (out / f"{stem}.csv").read_text().strip().splitlines()
-        assert lines[0] == "epsilon,E_min,E_recovery,jumps_detected,converged"
-        assert len(lines) == 1 + len(sweep_record.rows)
-        assert float(lines[1].split(",")[1]) == sweep_record.rows[0].e_min
-
     def test_deterministic_rerun(self, sweep_cfg, sweep_record):
         cfg = SweepConfig(
             n=sweep_cfg.n,
@@ -380,7 +353,7 @@ class TestGammaSweep:
 
         monkeypatch.setattr(experiments, "build_recovery", counting_build)
         monkeypatch.setattr(experiments, "minimize_energy", recording_minimize)
-        rec = gamma_sweep(dataclasses.replace(sweep_cfg, output_dir=None))
+        rec = gamma_sweep(sweep_cfg)
         assert built == list(sweep_cfg.eps_schedule)
         # -10^3 in units of the first (largest-eps) recovery energy
         assert floors == [-1e3 * abs(rec.rows[0].e_recovery)] * len(rec.rows)

@@ -99,7 +99,8 @@ class TestProfileMinimization:
         # takes 38, the Newton decrement's solve included; the run ends
         # stationary, on a state of three layers
         prob = ProfileProblem(3, 2e-4, 10.0, 2001, quartic)
-        res = minimize_profile(prob, init=0.3 * np.tanh(prob.grid.nodes()))
+        init = Field.from_callable(prob.grid, lambda x: 0.3 * np.tanh(x))
+        res = minimize_profile(prob, init=init)
         assert 0.0 <= res.newton_decrement <= PROFILE_DECREMENT_RTOL
         assert res.iterations <= 25
         assert res.factorizations <= 45
@@ -109,7 +110,8 @@ class TestProfileMinimization:
         # -1 -> +1 -> -1 -> +1, about 2.76 times the one-layer energy: no
         # profile, whatever its Newton decrement
         prob = ProfileProblem(3, 2e-4, 10.0, 2001, quartic)
-        res = minimize_profile(prob, init=0.3 * np.tanh(prob.grid.nodes()))
+        init = Field.from_callable(prob.grid, lambda x: 0.3 * np.tanh(x))
+        res = minimize_profile(prob, init=init)
         assert res.energy_estimate == pytest.approx(5.7409152, rel=1e-7)
         assert 0.0 <= res.newton_decrement <= PROFILE_DECREMENT_RTOL
         assert not res.converged
@@ -251,8 +253,7 @@ class TestProfileMinimization:
 
     def test_custom_init_descends(self, quartic):
         prob = ProfileProblem(2, 0.0, 4.0, 601, quartic)
-        init = np.sign(prob.grid.nodes())
-        res = minimize_profile(prob, init=init)
+        res = minimize_profile(prob, init=Field.from_callable(prob.grid, np.sign))
         assert res.converged
         assert res.energy_estimate < 2.2
         # a Field on another grid is read at the Greville abscissae too
@@ -261,7 +262,18 @@ class TestProfileMinimization:
             res.energy_estimate, rel=1e-12
         )
         with pytest.raises(ValueError):
-            minimize_profile(prob, init=np.zeros(17))
+            minimize_profile(prob, init=Field(prob.grid, np.zeros(17)))
+
+    def test_grid_only_samples_the_minimizer(self, quartic):
+        # the solve never reads the grid: ten samples give the bits of 2001
+        coarse = minimize_profile(ProfileProblem(2, 0.0, 4.0, 10, quartic))
+        fine = minimize_profile(ProfileProblem(2, 0.0, 4.0, 2001, quartic))
+        for key in ("energy_estimate", "iterations", "newton_decrement"):
+            assert getattr(coarse, key) == getattr(fine, key)
+        assert coarse.minimizer.grid == Grid(-4.0, 4.0, 10)
+        np.testing.assert_array_equal(
+            coarse.minimizer.values, fine.spline(Grid(-4.0, 4.0, 10).nodes())
+        )
 
     def test_problem_validation(self, quartic):
         with pytest.raises(ValueError):
@@ -270,8 +282,8 @@ class TestProfileMinimization:
             ProfileProblem(7, 0.0, 5.0, 801, quartic)
         with pytest.raises(ValueError):
             ProfileProblem(2, 0.0, -1.0, 801, quartic)
-        with pytest.raises(ValueError):
-            ProfileProblem(2, 0.0, 5.0, 200, quartic)
+        with pytest.raises(ValueError, match="grid requires num_points >= 2"):
+            ProfileProblem(2, 0.0, 5.0, 1, quartic)
         for lam in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"lam must be finite, got {lam}"):
                 ProfileProblem(2, lam, 5.0, 801, quartic)
