@@ -11,7 +11,7 @@ gbsv and eliminates the constraint by a scalar Schur step.
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
@@ -45,19 +45,24 @@ class BandedSystem:
     The constructor takes A in band storage, ab[up + i - j, j] = A[i, j],
     with lo = lower and up = ab.shape[0] - lo - 1 upper bandwidth (LAPACK's
     band layout, that of gbsv's input below its lo fill-in rows), kept as
-    band and never written.  Given curved, 2r + 1 rows, A is the band with
-    curved added into its rows up - r .. up + r, as the band is copied for
+    band and never written.  Given repeat = (L, cut), the band holds
+    m - cut columns, its column L standing for A's columns L .. L + cut,
+    as in a kernel's K bands (`energy._Quadrature._bands`).  Given curved,
+    2r + 1 rows, A is the band with curved added into its rows
+    up - r .. up + r.  Both are written out as the band is copied for
     LAPACK: systems that differ only in their curved part share one band.
     diag is A's diagonal, and `ab` reads A back in band storage.  c is a
     dense m-vector, the one constraint row.
     """
 
     def __init__(self, ab: np.ndarray, lo: int, c: Optional[np.ndarray] = None,
-                 curved: Optional[np.ndarray] = None):
+                 curved: Optional[np.ndarray] = None, repeat: Tuple[int, int] = (0, 0)):
         self.lo, self.c = lo, c
         self.up = ab.shape[0] - lo - 1
-        self.band, self.curved = ab, curved
+        self.band, self.curved, self.repeat = ab, curved, repeat
         self.diag = ab[self.up]
+        if repeat[1]:
+            self.diag = self._expand(self.diag, np.empty(ab.shape[1] + repeat[1]))
         if curved is not None:
             self.diag = self.diag + curved[len(curved) // 2]
         # LAPACK factorizations done, and the (shifted diagonal, rhs,
@@ -68,14 +73,22 @@ class BandedSystem:
     @property
     def ab(self) -> np.ndarray:
         """A in the constructor's band storage, as a new array."""
-        ab = np.empty_like(self.band)
+        ab = np.empty((len(self.band), len(self.diag)))
         self._write(ab)
         return ab
 
+    def _expand(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rows, of m - cut columns, into out, column L repeated."""
+        L, cut = self.repeat
+        out[..., :L] = rows[..., :L]
+        out[..., L:L + cut] = rows[..., L, None]
+        out[..., L + cut:] = rows[..., L:]
+        return out
+
     def _write(self, out: np.ndarray) -> None:
-        """A's band storage into out: the band, and curved added into its
-        middle rows."""
-        out[:] = self.band
+        """A's band storage into out: the band, its repeated columns
+        written out, and curved added into its middle rows."""
+        self._expand(self.band, out)
         if self.curved is not None:
             r = len(self.curved) // 2
             out[self.up - r:self.up + r + 1] += self.curved
@@ -109,7 +122,7 @@ class BandedSystem:
         solutions y and z.  The work arrays are column-major, LAPACK's
         order, so f2py copies neither."""
         lo, up, c = self.lo, self.up, self.c
-        m = self.band.shape[1]
+        m = len(diag)
         ab = np.empty((2 * lo + up + 1, m), order="F")
         ab[:lo] = 0.0
         self._write(ab[lo:])
@@ -299,8 +312,8 @@ def damped_newton(
                 break
         else:
             stagnant = 0
-    else:
-        info.message = "iteration limit"
+    else:  # a last allowed step that reaches gtol has converged
+        info.message = "iteration limit" if np.abs(g).max() >= gtol else ""
     info.gradient_norm = float(np.abs(g).max())
     info.energy = float(fun(x))
     info.converged = info.gradient_norm < gtol and not info.diverged

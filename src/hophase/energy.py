@@ -131,46 +131,46 @@ class _Quadrature:
 
         return phi
 
+    @property
+    def _repeat(self):
+        """(L, cut) of the K bands (`_bands`): L = 2b + 4, cut = E - 2L
+        past 2L elements, else (0, 0)."""
+        E, L = self.num_elements, 2 * self.bandwidth + 4
+        return (L, E - 2 * L) if E > 2 * L else (0, 0)
+
     @cached_property
     def _bands(self) -> np.ndarray:
-        """K_{n-1} and K_n on the free unknowns as one (2, 2b + 1, m)
-        array, b = `bandwidth`, m = `num_free`, each form in band storage
-        ab[b + i - j, j] = K[i, j] (`BandedSystem`'s layout; K_{n-1}'s rows
-        past its reach are 0): the element matrices 2 sum_g w_g B_a B_b of
-        `_elements`, added by one bincount (`_element_band`), in ascending
-        element order from 0.0.  On the grid that is the order of the CSR
-        triple product 2 (D^T diag(q)) D (Bank & Douglas, SMMP), which the
-        tests build from the exact stencil weights: the bands equal it bit
-        for bit.  The order matters: Newton runs at n >= 3 that stop on
+        """K_{n-1} and K_n on the free unknowns as one (2, 2b + 1, m - cut)
+        array, b = `bandwidth`, m = `num_free`, (L, cut) = `_repeat`, each
+        form in band storage ab[b + i - j, j] = K[i, j] (`BandedSystem`'s
+        layout; K_{n-1}'s rows past its reach are 0) with its column L
+        standing for the cut columns from L on: the element matrices
+        2 sum_g w_g B_a B_b of `_elements`, added by one bincount
+        (`_element_band`), in ascending element order from 0.0.  On the
+        grid that is the order of the CSR triple product 2 (D^T diag(q)) D
+        (Bank & Douglas, SMMP), which the tests build from the exact
+        stencil weights: the bands, written out by `BandedSystem`, equal it
+        bit for bit.  The order matters: Newton runs at n >= 3 that stop on
         their gradient noise follow its last bits.
 
-        Every element at least L = 2b + 4 from both ends has the same
-        weights and tables, and its window starts one column after its
-        predecessor's, so every column at least L from both ends sums the
-        same products in the same order.  Past 2L elements the scatter runs
-        on the first and last L elements only, as if they were adjacent;
-        their columns give the first and last columns of the bands, and
-        the columns between are copies of the proxy's column L."""
+        Every element at least L from both ends has the same weights and
+        tables, and its window starts one column after its predecessor's,
+        so every column at least L from both ends sums the same products in
+        the same order.  Past 2L elements the scatter runs on the first and
+        last L elements only, as if they were adjacent; only the copy that
+        LAPACK factors writes the repeated columns out."""
         E, b, m = self.num_elements, self.bandwidth, self.num_free
-        L = 2 * b + 4
-        cut = E - 2 * L if E > 2 * L else 0
+        L, cut = self._repeat
         e = np.arange(E - cut)
         e[L:] += cut
         starts, weights, tables = self._elements(e)
         starts[L:] -= cut
         index = _band_index(starts, b, m - cut, forms=2)
-        proxy = _element_band(index, tables, 2.0 * weights, (2, 2 * b + 1, m - cut))
-        if not cut:
-            return proxy
-        bands = np.empty((2, 2 * b + 1, m))
-        bands[..., :L] = proxy[..., :L]
-        bands[..., L:L + cut] = proxy[..., L, None]
-        bands[..., L + cut:] = proxy[..., L:]
-        return bands
+        return _element_band(index, tables, 2.0 * weights, (2, 2 * b + 1, m - cut))
 
     def _constant_band(self, c) -> np.ndarray:
-        """c_high K_n + c_low K_{n-1} on the free unknowns in band
-        storage, the part of the Hessian that does not depend on x."""
+        """c_high K_n + c_low K_{n-1} in the band storage of `_bands`, the
+        part of the Hessian that does not depend on x."""
         _, c_low, c_high = c
         low, high = self._bands
         ab = c_high * high
@@ -179,12 +179,14 @@ class _Quadrature:
 
     def hess(self, x: np.ndarray, w: DoubleWell, c) -> np.ndarray:
         """The Hessian of `energy` on the free unknowns in band storage
-        ab[b + i - j, j] = H[i, j], b = `bandwidth`: the constant band
-        `_constant_band` with the rows of `_curved_band` added into its
-        middle rows, the matrix that each step of `minimize` factors, bit
-        for bit (`BandedSystem.ab`)."""
+        ab[b + i - j, j] = H[i, j], b = `bandwidth`, every column written
+        out: the constant band `_constant_band` with the rows of
+        `_curved_band` added into its middle rows, the matrix that each
+        step of `minimize` factors, bit for bit (`BandedSystem.ab`)."""
         ab, curved = self._constant_band(c), self._curved_band(x, w, c)
         b, r = self.bandwidth, len(curved) // 2
+        if self._repeat[1]:
+            return BandedSystem(ab, b, curved=curved, repeat=self._repeat).ab
         ab[b - r:b + r + 1] += curved
         return ab
 
@@ -222,7 +224,7 @@ class _Quadrature:
 
         def system(z):
             curved = self._curved_band(full(z), w, c)
-            return BandedSystem(base, b, constraint, curved=curved)
+            return BandedSystem(base, b, constraint, curved, self._repeat)
 
         def line(z, dz):
             return self.energy_change(full(z), full(dz, np.zeros_like(x)), w, c)

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 import hophase as hp
+from hophase._solvers import BandedSystem
 from hophase.grids import ACCURACY_ORDER, stencil_weights, window_starts
 
 
@@ -60,6 +61,14 @@ def quadratic_forms(grid, n):
     of the order-n `DiscreteEnergy` must equal bit for bit."""
     q = sp.diags(hp.quadrature_weights(grid))
     return tuple(2.0 * (d.T @ q @ d) for d in operators(grid, n))
+
+
+def written_bands(kernel) -> np.ndarray:
+    """The K bands of a kernel (`_Quadrature._bands`) with their repeated
+    columns written out by `BandedSystem`, as the copy that LAPACK factors
+    holds them: one (2, 2b + 1, m) array."""
+    b, repeat = kernel.bandwidth, kernel._repeat
+    return np.array([BandedSystem(band, b, repeat=repeat).ab for band in kernel._bands])
 
 
 def differenced(fun):

@@ -519,6 +519,21 @@ class TestMinimize:
         assert payload["gradient_norm"] < payload["gradient_floor"]
         assert payload["converged"] is False
 
+    def test_a_last_allowed_step_that_converges_reads_converged(self, tmp_path, capsys):
+        # the uncapped n = 2 run converges in 2 steps; capped at 2 steps it
+        # ends at the same iterate and reads converged, not its step cap
+        path = tmp_path / "cfg.json"
+        payloads = []
+        for cap in ({}, {"maxiter": 2}):
+            path.write_text(json.dumps({"n": 2, "epsilon": 0.25, **cap}))
+            rc, payload = run(capsys, ["minimize", "--config", str(path)])
+            assert rc == 0
+            payloads.append(payload)
+        free, capped = payloads
+        assert free["iterations"] == capped["iterations"] == 2
+        assert free["energy"] == capped["energy"]
+        assert capped["message"] == "" and capped["converged"] is True
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"epsilon": 0.25, "epsilonn": 1}))

@@ -23,7 +23,7 @@ from hophase import (
 from hophase.grids import ACCURACY_ORDER, MAX_DERIVATIVE_ORDER
 from hophase.profiles import _profile_kernel
 
-from conftest import operators, quadratic_forms, to_band
+from conftest import operators, quadratic_forms, to_band, written_bands
 
 
 def band_to_dense(ab, lo):
@@ -329,7 +329,7 @@ class TestDiscreteEnergy:
             k = DiscreteEnergy(grid, n)
             u = np.random.default_rng(num_points).standard_normal(num_points)
             for d, band, product, windows in zip(
-                operators(grid, n), k._bands, quadratic_forms(grid, n), k._windows
+                operators(grid, n), written_bands(k), quadratic_forms(grid, n), k._windows
             ):
                 r = len(band) // 2
                 np.testing.assert_array_equal(band, to_band(product, r, r))
@@ -344,7 +344,7 @@ class TestDiscreteEnergy:
         # c_high K_high + c_low K_low, then adds c_pot W''(u) q on the
         # diagonal
         k = DiscreteEnergy(self.GRID, n)
-        band_low, band_high = k._bands
+        band_low, band_high = written_bands(k)
         b = k.bandwidth
         r = b - 1 if n > 1 else 0
         assert band_low.shape == band_high.shape == (2 * b + 1, len(k.q))

@@ -125,6 +125,17 @@ class TestMinimizeEnergy:
         assert res.message == "iteration limit"
         assert not res.converged
 
+    def test_a_last_allowed_step_that_converges_is_converged(self, quartic):
+        # a cap at the step count of the converged run is no stop short of
+        # a minimizer: the same iterate, converged
+        g = Grid(-2.0, 2.0, 257)
+        init = Field.from_callable(g, lambda x: np.tanh(2.0 * x))
+        free = minimize_energy(2, 0.25, 0.0, init, quartic)
+        capped = minimize_energy(2, 0.25, 0.0, init, quartic, maxiter=free.iterations)
+        assert free.converged and capped.iterations == free.iterations
+        assert capped.field.values.tobytes() == free.field.values.tobytes()
+        assert capped.message == "" and capped.converged
+
     def test_newton_first_from_recovery(self, quartic, two_jump_profile):
         # Newton from the recovery needs a few steps, not a quasi-Newton phase
         rec = two_jump_recovery(two_jump_profile, 1.0 / 16.0)

@@ -144,6 +144,17 @@ class TestProfileMinimization:
         assert not res.converged
         assert res.diagnosis.startswith("iteration limit; Newton decrement")
 
+    def test_a_last_allowed_step_that_converges_is_converged(self, quartic, monkeypatch):
+        # the uncapped n = 2 profile converges in 3 steps; capped at 3 it is
+        # the same spline and converged, not stopped by its cap
+        problem = ProfileProblem(2, 0.0, 10.0, 2001, quartic)
+        free = minimize_profile(problem)
+        assert free.iterations == 3 and free.converged
+        monkeypatch.setattr(profiles, "PROFILE_MAXITER", 3)
+        capped = minimize_profile(problem)
+        assert capped.spline.coefficients.tobytes() == free.spline.coefficients.tobytes()
+        assert capped.converged and capped.diagnosis == ""
+
     def test_failed_line_search_is_never_converged(self, quartic, monkeypatch):
         # a line search that finds no decrease ends the run short of a
         # minimizer, whatever the decrement

@@ -14,7 +14,7 @@ from hophase.profiles import (
     PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER, _profile_kernel,
 )
 
-from conftest import differenced, quadratic_forms, to_band
+from conftest import differenced, quadratic_forms, to_band, written_bands
 
 M = 40
 # discrete Laplacian (positive semidefinite) plus a double-well term: a small
@@ -419,28 +419,62 @@ def test_a_tau_that_changes_no_diagonal_entry_is_not_factored(monkeypatch):
 def test_curved_rows_solve_as_the_summed_band(r, hold_mass, monkeypatch):
     # a system given as a band of half-bandwidth p = 3 plus 2r + 1 curved
     # rows is the system of their sum: the same matrix and solves, bit for
-    # bit, with the band never written; a shift that changes no diagonal
-    # entry reuses the last solve, as for any system
-    p = 3
-    band = to_band(1e12 * (LAP + sp.identity(M)), p, p)
+    # bit, with the band never written; so is one whose band keeps the run
+    # of equal columns L .. L + cut as its column L alone; a shift that
+    # changes no diagonal entry reuses the last solve, as for any system
+    p, L, cut = 3, 5, 20
+    full = to_band(1e12 * (LAP + sp.identity(M)), p, p)
     curved = np.random.default_rng(r).normal(size=(2 * r + 1, M))
-    summed = band.copy()
+    summed = full.copy()
     summed[p - r:p + r + 1] += curved
     border = np.full(M, 1.0 / M) if hold_mass else None
-    kept = band.copy()
-    system = BandedSystem(band, p, border, curved=curved)
     reference = BandedSystem(summed, p, border)
-    assert system.ab.tobytes() == summed.tobytes()
-    assert system.diag.tobytes() == reference.diag.tobytes()
-    calls = counted_gbsv(monkeypatch)
     rhs = np.cos(np.arange(M))
-    d = system.solve(rhs)
-    assert system.solve(rhs, 1e-8) is d
-    assert len(calls) == system.factorizations == 1
-    for tau in (0.0, 1e3):
-        assert system.solve(rhs, tau).tobytes() == reference.solve(rhs, tau).tobytes()
-    assert system.factorizations == 2
-    assert band.tobytes() == kept.tobytes()
+    interior = np.arange(L + 1, L + cut + 1)
+    assert np.all(full[:, interior] == full[:, L, None])
+    for band, repeat in (
+        (full.copy(), (0, 0)),
+        (np.delete(full, interior, axis=1), (L, cut)),
+    ):
+        kept = band.copy()
+        system = BandedSystem(band, p, border, curved, repeat)
+        assert system.ab.tobytes() == summed.tobytes()
+        assert system.diag.tobytes() == reference.diag.tobytes()
+        calls = counted_gbsv(monkeypatch)
+        d = system.solve(rhs)
+        assert system.solve(rhs, 1e-8) is d
+        assert len(calls) == system.factorizations == 1
+        for tau in (0.0, 1e3):
+            assert system.solve(rhs, tau).tobytes() == reference.solve(rhs, tau).tobytes()
+        assert system.factorizations == 2
+        assert band.tobytes() == kept.tobytes()
+
+
+def test_a_last_allowed_step_below_gtol_is_no_iteration_limit():
+    # the step cap labels only a run whose final gradient is still at or
+    # above gtol; a cap at the converged run's step count ends at its
+    # iterate, converged
+    args = (fun, grad, hess, X0)
+    kwargs = dict(line=differenced(fun), gtol=1e-10)
+    x, info = damped_newton(*args, **kwargs)
+    assert info.converged and info.message == ""
+    steps = info.iterations
+    x_cap, capped = damped_newton(*args, maxiter=steps, **kwargs)
+    assert x_cap.tobytes() == x.tobytes()
+    assert capped.converged and capped.message == ""
+    _, short = damped_newton(*args, maxiter=steps - 1, **kwargs)
+    assert not short.converged and short.message == "iteration limit"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_stored_k_bands_hold_at_most_2l_columns(n):
+    # past 2L elements a kernel stores its K bands as the first and last L
+    # columns, its column L standing for the run of repeated ones between
+    kernel = DiscreteEnergy(Grid(-4.0, 4.0, 16385), n)
+    b = kernel.bandwidth
+    L = 2 * b + 4
+    shape = kernel._bands.shape
+    assert shape[:2] == (2, 2 * b + 1) and shape[2] <= 2 * L
 
 
 def test_a_singular_block_raises_again_without_factoring(monkeypatch):
@@ -538,8 +572,8 @@ def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gram_diagonals_fill_the_interior_with_the_same_bits(n):
     # the K bands (the diagonals of the Gram matrices K), scattered from
-    # every element up to N = 2L and with the interior columns copied from
-    # the proxy's past it, equal those of the CSR triple product
+    # every element up to N = 2L and past it kept with one interior column
+    # that `BandedSystem` writes out, equal those of the CSR triple product
     # 2 D^T diag(q) D of the reference stencils bit for bit, at every size
     # up to past 4L and at the largest grid of the sweep
     m = n + ACCURACY_ORDER
@@ -548,7 +582,7 @@ def test_gram_diagonals_fill_the_interior_with_the_same_bits(n):
         grid = Grid(-1.3, 2.1, num_points)
         kernel = DiscreteEnergy(grid, n)
         b = kernel.bandwidth
-        for band, product in zip(kernel._bands, quadratic_forms(grid, n)):
+        for band, product in zip(written_bands(kernel), quadratic_forms(grid, n)):
             np.testing.assert_array_equal(band, to_band(product, b, b))
 
 
@@ -569,15 +603,16 @@ def full_scatter(kernel):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_spline_bands_fill_the_interior_with_the_same_bits(n):
-    # past 2L elements the spline's K bands copy their interior columns
-    # from the proxy's, with the bits of scattering every element
+    # past 2L elements the spline's K bands keep one interior column, and
+    # written out by `BandedSystem` they have the bits of scattering every
+    # element
     for kernel in (
         _profile_kernel(n, 10.0, 0.25),
         energy._SplineKernel(n, (-4.0, 4.0), 2048, n + 3, n),
     ):
         assert kernel.num_elements > 2 * (2 * kernel.bandwidth + 4)
         expected = full_scatter(kernel)
-        assert kernel._bands.tobytes() == expected.tobytes()
+        assert written_bands(kernel).tobytes() == expected.tobytes()
 
 
 def minimize_recording(monkeypatch, minimize, rebuilt):
