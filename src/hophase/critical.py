@@ -20,12 +20,13 @@ it may lie on either side of lambda_n.
 """
 
 from dataclasses import dataclass, field as dc_field
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ._solvers import BandedSystem, damped_newton
-from .energy import DiscreteEnergy, _SplineKernel, bernstein_matrix
+from .energy import DiscreteEnergy, _SplineKernel
 from .ensembles import DEFAULT_KINDS, _draw, _generator, _row_blocks, _stack
 from .grids import Field, Grid
 from .potentials import DoubleWell
@@ -155,7 +156,11 @@ def _poly_stage(kernel: _SplineKernel, w: DoubleWell, opts: LambdaOptions):
     starts += [rng.normal(0.0, 1.0, ncoef) / (1.0 + np.arange(ncoef))
                for _ in range(POLY_STARTS)]
 
-    to_bernstein = bernstein_matrix(kernel.p).astype(float)
+    # `energy.bernstein_matrix` in floats: each int quotient is its
+    # Fraction rounded once
+    p = kernel.p
+    to_bernstein = np.array([[comb(k, j) / comb(p, j) for j in range(p + 1)]
+                             for k in range(p + 1)])
     runs, best_val, best_c = [], np.inf, None
     for c0 in starts @ to_bernstein.T:
         if not np.isfinite(value(c0)):

@@ -76,30 +76,33 @@ class _Quadrature:
     for the Hessian, its `num_elements` elements over windows of
     `bandwidth` + 1 of its `num_free` free unknowns (`_elements`) and the
     part of the Hessian that changes with x (`_curved_band`); and for
-    `minimize`, its `free` unknowns, `grad` and `_verdict`."""
+    `minimize`, its `free` unknowns, `grad` and `_verdict`.  `terms`,
+    `energy`, `energy_change`, `grad` and `_curved_band` take the node
+    values of x as their last argument when the caller has them, and
+    compute them from x otherwise."""
 
     def _well(self, w: DoubleWell, f) -> np.ndarray:
         # W sees one 1-D array, whatever the shape of f
         return np.asarray(w.eval(f.ravel()), dtype=float).reshape(f.shape)
 
-    def terms(self, x: np.ndarray, w: DoubleWell):
+    def terms(self, x: np.ndarray, w: DoubleWell, values=None):
         """(int W(f), int (f^(n-1))^2, int (f^(n))^2) by quadrature; the
         squares are summed directly, so they never go negative by roundoff
         the way a quadratic form x^T K x can near f ~ const."""
-        f, low, high = self._node_values(x)
+        f, low, high = self._node_values(x) if values is None else values
         return (
             self._integral(self._well(w, f)),
             self._integral(low**2),
             self._integral(high**2),
         )
 
-    def energy(self, x: np.ndarray, w: DoubleWell, c) -> float:
+    def energy(self, x: np.ndarray, w: DoubleWell, c, values=None) -> float:
         """c_pot int W + c_high int (f^(n))^2 + c_low int (f^(n-1))^2."""
         c_pot, c_low, c_high = c
-        pot, low, high = self.terms(x, w)
+        pot, low, high = self.terms(x, w, values)
         return c_pot * pot + c_high * high + c_low * low
 
-    def energy_change(self, x: np.ndarray, d: np.ndarray, w: DoubleWell, c):
+    def energy_change(self, x: np.ndarray, d: np.ndarray, w: DoubleWell, c, values=None):
         """The change phi(t) = energy(x + t d) - energy(x) along a step d,
         as a function of t, summed as
 
@@ -112,11 +115,11 @@ class _Quadrature:
         grid points.  Here the roundoff of the quadratic part scales with t;
         the potential part is still a pointwise difference and keeps a
         floor of about eps |c_pot| int (|W(f)| + |f W'(f)|).  The node
-        values of x and d and W(f) are computed once here; a call of phi
-        costs one W evaluation and one quadrature.  W is evaluated, never
-        expanded, so any `DoubleWell` works."""
+        values of d and W(f) are computed once here, and those of x unless
+        given; a call of phi costs one W evaluation and one quadrature.  W
+        is evaluated, never expanded, so any `DoubleWell` works."""
         c_pot, c_low, c_high = c
-        f, low, high = self._node_values(x)
+        f, low, high = self._node_values(x) if values is None else values
         df, dlow, dhigh = self._node_values(d)
         w0 = self._well(w, f)
         # phi's quadratic part is t (slope + t curvature)
@@ -199,6 +202,12 @@ class _Quadrature:
         (`_curved_band`) as it is factored.  The Armijo test reads
         `energy_change`, so
         `energy` is evaluated only at the first and the returned iterate.
+        The node values of an iterate are computed once and shared by its
+        energy, gradient, curved band and the x side of its
+        `energy_change`: the solve holds those of one iterate, with its own
+        copy of the unknowns, and reuses them for a call whose free unknowns
+        have the same bits, so a call at any other bits, an array changed in
+        place included, computes its own, and none outlive the solve.
         A constraint row q holds q . x at its value in x0: the gradient is
         projected onto q . d = 0 and each step solves [[H, q], [q^T, 0]].
         An energy below divergence_floor stops the run, flagged diverged.
@@ -215,22 +224,40 @@ class _Quadrature:
             v[free] = z
             return v
 
+        held = ()
+
+        def at(z):
+            # full(z) and its node values, kept for the one iterate whose free
+            # unknowns have z's bits (compared as integers, so -0.0 is not 0.0)
+            nonlocal held
+            if not held or not np.array_equal(held[0][free].view(np.uint64), z.view(np.uint64)):
+                u = full(z)
+                held = (u, self._node_values(u))
+            return held
+
+        def energy(z):
+            u, v = at(z)
+            return self.energy(u, w, c, v)
+
         def grad(z):
-            g = self.grad(full(z), w, c)[free]
+            u, v = at(z)
+            g = self.grad(u, w, c, v)[free]
             q = constraint
             return g if q is None else g - (float(q @ g) / float(q @ q)) * q
 
         base, b = self._constant_band(c), self.bandwidth
 
         def system(z):
-            curved = self._curved_band(full(z), w, c)
+            u, v = at(z)
+            curved = self._curved_band(u, w, c, v)
             return BandedSystem(base, b, constraint, curved, self._repeat)
 
         def line(z, dz):
-            return self.energy_change(full(z), full(dz, np.zeros_like(x)), w, c)
+            u, v = at(z)
+            return self.energy_change(u, full(dz, np.zeros_like(x)), w, c, v)
 
         z, info = damped_newton(
-            lambda z: self.energy(full(z), w, c), grad, system, x[free],
+            energy, grad, system, x[free],
             maxiter=maxiter, gtol=gtol, divergence_floor=divergence_floor, line=line,
         )
         x[free] = z
@@ -298,29 +325,38 @@ class DiscreteEnergy(_Quadrature):
             return float(self.q @ v)
         return np.array([self.q @ row for row in v])
 
-    def _gram(self, windows, v) -> np.ndarray:
+    def _gram(self, windows, v, dv=None) -> np.ndarray:
         """D^T (q o D v) for the stencil operator D of the (m, m) windows,
-        by D's own kernel pair (`grids.apply_stencil` and its transpose)."""
-        return apply_stencil_transpose(windows, self.q * apply_stencil(windows, v))
+        by D's own kernel pair (`grids.apply_stencil` and its transpose),
+        D v read from dv when the caller has it."""
+        if dv is None:
+            dv = apply_stencil(windows, v)
+        return apply_stencil_transpose(windows, self.q * dv)
 
-    def grad(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
+    def grad(self, u: np.ndarray, w: DoubleWell, c, values=None) -> np.ndarray:
         """Exact gradient of `energy` with respect to the samples,
 
             c_pot W'(u) o q  +  2 c_low D_{n-1}^T (q o D_{n-1} u)
                              +  2 c_high D_n^T (q o D_n u),
 
-        the adjoint of the quadrature-of-stencils composition."""
+        the adjoint of the quadrature-of-stencils composition, D_k u read
+        from the node values when the caller has them.  Without them each
+        D_k u is formed and dropped in turn: holding both at once made every
+        call at 16385 points fault in fresh pages."""
         c_pot, c_low, c_high = c
         low, high = self._windows
+        low_u = high_u = None
+        if values is not None:
+            _, low_u, high_u = values
         g = c_pot * np.asarray(w.eval_derivative(u), dtype=float) * self.q
-        g += 2.0 * c_low * self._gram(low, u)
-        g += 2.0 * c_high * self._gram(high, u)
+        g += 2.0 * c_low * self._gram(low, u, low_u)
+        g += 2.0 * c_high * self._gram(high, u, high_u)
         return g
 
-    def _curved_band(self, u: np.ndarray, w: DoubleWell, c) -> np.ndarray:
+    def _curved_band(self, u: np.ndarray, w: DoubleWell, c, values=None) -> np.ndarray:
         """The part of the Hessian that changes with the samples u, its
         diagonal c_pot W''(u) q (`DoubleWell.second_derivative`), as a band
-        of one row."""
+        of one row; it reads no node values but u."""
         return (c[0] * np.asarray(w.second_derivative(u), dtype=float) * self.q)[None]
 
     def gradient_floor(self, u: np.ndarray, w: DoubleWell, c) -> float:
@@ -423,15 +459,15 @@ class _SplineKernel(_Quadrature):
         """The Gauss-Legendre sum of the (E, G) node values v."""
         return float(np.vdot(self.wts, v))
 
-    def grad(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+    def grad(self, c: np.ndarray, w: DoubleWell, coef, values=None) -> np.ndarray:
         """The gradient of `energy` with respect to all coefficients."""
-        return self.grads(c, w, (coef,))[0]
+        return self.grads(c, w, (coef,), values)[0]
 
-    def grads(self, c: np.ndarray, w: DoubleWell, coefs) -> np.ndarray:
+    def grads(self, c: np.ndarray, w: DoubleWell, coefs, values=None) -> np.ndarray:
         """Row k is `grad` for the coefficient triple coefs[k], for up to
         three triples: every row from one pass over the nodes, and their
         element entries added by one bincount."""
-        v = self._values(c)
+        v = self._values(c) if values is None else values.transpose(1, 0, 2)
         s = np.empty_like(v)
         s[:, 0] = w.eval_derivative(v[:, 0])
         np.multiply(v[:, 1:], 2.0, out=s[:, 1:])
@@ -450,10 +486,11 @@ class _SplineKernel(_Quadrature):
         tables of the derivatives of orders n - 1 and n."""
         return e - self.fixed, self.wts[e], self.tables[e, 1:].swapaxes(0, 1)
 
-    def _curved_band(self, c: np.ndarray, w: DoubleWell, coef) -> np.ndarray:
+    def _curved_band(self, c: np.ndarray, w: DoubleWell, coef, values=None) -> np.ndarray:
         """c_pot int W''(f) B_a B_b, the part of the Hessian that changes
         with the coefficients c, in the free block's band storage."""
-        w2 = np.asarray(w.second_derivative(self._values(c)[:, 0]), dtype=float)
+        f = self._values(c)[:, 0] if values is None else values[0]
+        w2 = np.asarray(w.second_derivative(f), dtype=float)
         shape = (2 * self.p + 1, self.num_free)
         s = coef[0] * self.wts * w2
         return _element_band(self._band_index, self.tables[:, 0], s, shape)
@@ -565,21 +602,25 @@ def _nonzero_basis(knots, p, x):
 
 def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
     """ders[k, a, i]: the k-th derivative, k = 0 .. nd, of the B-spline
-    spans[i] - p + a of degree p on the knots at x[i], for the p + 1
-    B-splines nonzero on the span knots[s] <= x < knots[s + 1], s =
+    spans[i] - p + a of degree p on the knots at x[i], 0 past order p, for
+    the p + 1 B-splines nonzero on the span knots[s] <= x < knots[s + 1], s =
     spans[i], which must have positive length.  The Cox-de Boor recursion
     with its derivatives (Piegl & Tiller, The NURBS Book, algorithm A2.3),
     run over all the points at once.  Of A2.3's table ndu, the B-splines
     of degree below p - nd are dropped as the recursion passes them, and
     the knot differences are recomputed from left and right, so sampling
-    (nd = 0) holds four (p + 1)-row arrays."""
+    (nd = 0) holds four (p + 1)-row arrays.
+
+    The derivative recursion runs for all p + 1 B-splines r at once.  Its
+    coefficient a[j] of order k multiplies the B-spline i = r - k + j of
+    degree p - k, and the rows r that have term j are the run
+    k - j .. p - j, on which i runs over 0 .. p - k, each with the knot
+    difference of A2.3's ndu[p - k + 1, i].  Each row sums its terms in
+    A2.3's ascending j, from its j = 0 term or, for r < k, from 0.0, so the
+    derivatives are bit for bit those of the loop over the rows, zero
+    signs included."""
     m = len(x)
     left, right = np.empty((p + 1, m)), np.empty((p + 1, m))
-
-    def gap(j, r):
-        # ndu[j, r] of A2.3: knots[s + r + 1] - knots[s + 1 - j + r]
-        return right[r + 1] + left[j - r]
-
     # basis[j][r]: B-spline s - j + r of degree j, for the degrees the
     # derivatives read
     N = np.ones((1, m))
@@ -587,8 +628,9 @@ def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
     for j in range(1, p + 1):
         left[j] = x - knots[spans + 1 - j]
         right[j] = knots[spans + j] - x
-        # all r < j at once: temp[r] = N[r] / gap(j, r) of degree j - 1
-        # goes to N[r] through right[r + 1], to N[r + 1] through left[j - r]
+        # all r < j at once: temp[r] = N[r] / ndu[j, r] of degree j - 1,
+        # ndu[j, r] = right[r + 1] + left[j - r], goes to N[r] through
+        # right[r + 1], to N[r + 1] through left[j - r]
         temp = N / (right[1:j + 1] + left[j:0:-1])
         N = np.zeros((j + 1, m))
         N[:j] = right[1:j + 1] * temp
@@ -597,26 +639,30 @@ def _bspline_derivatives(knots, p, spans, x, nd) -> np.ndarray:
             basis[j] = N
     ders = np.empty((nd + 1, p + 1, m))
     ders[0] = N
-    a = np.empty((2, p + 1, m))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, nd + 1):
-            d = np.zeros(m)
-            rk, pk = r - k, p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / gap(pk + 1, rk)
-                d = a[s2, 0] * basis[pk][rk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / gap(pk + 1, rk + j)
-                d = d + a[s2, j] * basis[pk][rk + j]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / gap(pk + 1, r)
-                d = d + a[s2, k] * basis[pk][r]
-            ders[k, r] = d
-            s1, s2 = s2, s1
+    ders[p + 1:] = 0.0
+    # a[j, r]: the coefficients of order k - 1, each on its run of rows
+    a = np.ones((1, p + 1, m))
+    for k in range(1, min(nd, p) + 1):
+        pk = p - k
+        gaps = right[1:pk + 2] + left[pk + 1:0:-1]  # ndu[pk + 1, i]
+        new = np.empty((k + 1, p + 1, m))
+        d = ders[k]
+        for j in range(k + 1):
+            run = slice(k - j, p - j + 1)
+            if j == 0:
+                new[j, run] = a[0, run] / gaps
+            elif j == k:
+                new[j, run] = -a[k - 1, run] / gaps
+            else:
+                new[j, run] = (a[j, run] - a[j - 1, run]) / gaps
+            term = new[j, run] * basis[pk]
+            if j == 0:
+                d[k:] = term
+            else:
+                # row k - j has no j = 0 term: its sum starts from 0.0
+                d[k - j] = 0.0 + term[0]
+                d[k - j + 1:p - j + 1] += term[1:]
+        a = new
     scale = p
     for k in range(1, nd + 1):
         ders[k] *= scale

@@ -99,19 +99,18 @@ class Field:
 
 
 @lru_cache(maxsize=None)
-def stencil_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
-    """Finite-difference weights for the k-th derivative on integer offsets.
-
-    Weight j is the k-th derivative at 0 of the Lagrange basis polynomial
-    of offset j (Fornberg, Math. Comp. 51, 1988),
+def _integer_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Tuple[int, int], ...]:
+    """The finite-difference weights of the k-th derivative on integer
+    offsets as integer pairs (numerator, denominator): weight j is the k-th
+    derivative at 0 of the Lagrange basis polynomial of offset j (Fornberg,
+    Math. Comp. 51, 1988),
 
         w_j = k! [x^k] prod_{i != j} (x - o_i) / prod_{i != j} (o_j - o_i),
 
-    built in integers and returned as exact rationals: the unique solution
-    of the Vandermonde moment system, so the weights annihilate polynomials
-    of degree < k and are exact on degree <= len(offsets) - 1.  Divide by
-    h**k for a physical grid.
-    """
+    the unique solution of the Vandermonde moment system, so the weights
+    annihilate polynomials of degree < k and are exact on degree
+    <= len(offsets) - 1.  The one derivation of `stencil_weights` and
+    `_unit_rows`."""
     m = len(offsets)
     if k >= m:
         raise ValueError("need at least k+1 stencil points")
@@ -127,16 +126,28 @@ def stencil_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
             poly = [0] + poly
             for d in range(len(poly) - 1):
                 poly[d] -= o * poly[d + 1]
-        weights.append(Fraction(factorial(k) * poly[k], den))
+        weights.append((factorial(k) * poly[k], den))
     return tuple(weights)
+
+
+@lru_cache(maxsize=None)
+def stencil_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Fraction, ...]:
+    """Finite-difference weights for the k-th derivative on integer offsets,
+    as exact rationals: the integer quotients of `_integer_weights`.
+    Divide by h**k for a physical grid."""
+    return tuple(Fraction(a, b) for a, b in _integer_weights(offsets, k))
 
 
 @lru_cache(maxsize=None)
 def _unit_rows(k: int, m: int) -> np.ndarray:
     """Unit-spacing float weights of the k-th derivative on the m-point
-    windows of shift -(m-1)..0, one row per shift (read-only)."""
+    windows of shift -(m-1)..0, one row per shift (read-only).  Each is
+    the int quotient a / b of `_integer_weights`, which Python rounds
+    correctly, as float(Fraction(a, b)) does, so it is the rational
+    weight rounded once; adding 0.0 turns the -0.0 of a zero numerator
+    over a negative denominator into the 0.0 of the Fraction."""
     rows = np.array([
-        [float(c) for c in stencil_weights(tuple(range(s, s + m)), k)]
+        [a / b + 0.0 for a, b in _integer_weights(tuple(range(s, s + m)), k)]
         for s in range(1 - m, 1)
     ])
     rows.flags.writeable = False
@@ -222,8 +233,8 @@ def diff_operator(grid: Grid, k: int) -> np.ndarray:
     interior, clamped at each end.  `apply_stencil` applies D and
     `apply_stencil_transpose` its transpose.
 
-    The weights of each window shift are built in exact rationals once per
-    k; a new grid costs one division of the m x m unit windows by h**k."""
+    The weights of each window shift are built in integers once per k; a
+    new grid costs one division of the m x m unit windows by h**k."""
     if not 1 <= k <= MAX_DERIVATIVE_ORDER:
         raise ValueError(f"derivative order must be in [1, {MAX_DERIVATIVE_ORDER}]")
     m = k + ACCURACY_ORDER

@@ -285,15 +285,27 @@ class TestDiffOperator:
             with pytest.raises(ValueError):
                 op[0, 0] = 1.0
 
-    def test_new_spacing_reuses_the_rational_solve(self):
+    def test_new_spacing_reuses_the_integer_solve(self):
         # 50 grids that differ only in spacing each need a new operator, but
-        # the exact weights are solved for the first one only
-        grids = [Grid(0.0, 1.0 + j / 64, 301) for j in range(50)]
-        diff_operator(grids[0], 5)
-        calls = stencil_weights.cache_info()
-        for g in grids[1:]:
+        # the exact integer weights are solved for the first one only
+        spaced = [Grid(0.0, 1.0 + j / 64, 301) for j in range(50)]
+        diff_operator(spaced[0], 5)
+        calls = grids._integer_weights.cache_info()
+        for g in spaced[1:]:
             diff_operator(g, 5)
-        assert stencil_weights.cache_info() == calls
+        assert grids._integer_weights.cache_info() == calls
+
+    @pytest.mark.parametrize("acc", [2, 4, 6])
+    def test_unit_windows_are_the_rounded_rationals(self, acc):
+        # each float weight is the exact rational rounded once, +0.0 where
+        # it is 0, and stencil_weights returns that same derivation
+        for k in range(1, grids.MAX_DERIVATIVE_ORDER + 1):
+            m = k + acc
+            want = np.array([
+                [float(c) for c in stencil_weights(tuple(range(s, s + m)), k)]
+                for s in range(1 - m, 1)
+            ])
+            assert grids._unit_rows(k, m).tobytes() == want.tobytes()
 
     def test_invalid_requests_rejected(self):
         g = Grid(0.0, 1.0, 33)

@@ -56,6 +56,58 @@ def scaled(w, a):
     )
 
 
+def a23_loop(knots, p, spans, x, nd):
+    """Reference for `energy._bspline_derivatives`: the Cox-de Boor
+    recursion with its derivatives (Piegl & Tiller, The NURBS Book, A2.3),
+    its derivative part one B-spline r at a time, each row's sum started
+    at 0.0 unless its j = 0 term exists."""
+    m = len(x)
+    left, right = np.empty((p + 1, m)), np.empty((p + 1, m))
+
+    def gap(j, r):
+        # ndu[j, r] of A2.3: knots[s + r + 1] - knots[s + 1 - j + r]
+        return right[r + 1] + left[j - r]
+
+    N = np.ones((1, m))
+    basis = {0: N}
+    for j in range(1, p + 1):
+        left[j] = x - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - x
+        temp = N / (right[1:j + 1] + left[j:0:-1])
+        N = np.zeros((j + 1, m))
+        N[:j] = right[1:j + 1] * temp
+        N[1:] += left[j:0:-1] * temp
+        if j >= p - nd:
+            basis[j] = N
+    ders = np.empty((nd + 1, p + 1, m))
+    ders[0] = N
+    a = np.empty((2, p + 1, m))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, nd + 1):
+            d = np.zeros(m)
+            rk, pk = r - k, p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / gap(pk + 1, rk)
+                d = a[s2, 0] * basis[pk][rk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / gap(pk + 1, rk + j)
+                d = d + a[s2, j] * basis[pk][rk + j]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / gap(pk + 1, r)
+                d = d + a[s2, k] * basis[pk][r]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    scale = p
+    for k in range(1, nd + 1):
+        ders[k] *= scale
+        scale *= p - k
+    return ders
+
+
 class TestProfileMinimization:
     @pytest.mark.parametrize("n", [2, 3])
     def test_derived_second_derivative_matches_the_quartic(
@@ -432,6 +484,92 @@ class TestSplineKernel:
             N[j] = saved
         got = energy._bspline_derivatives(knots, p, spans, x, 0)[0]
         np.testing.assert_array_equal(got, N)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_element_tables_match_the_loop_over_rows(self, monkeypatch, n):
+        # the all-rows derivative recursion gives the tables of the loop
+        # over the B-splines byte for byte, zero signs included
+        for p in (n + 1, n + 3, 10):
+            for E in (1, 2, 2 * p - 2, 2 * p - 1, 80, 2048):
+                got = energy._element_tables(n, E, p)
+                with monkeypatch.context() as patched:
+                    patched.setattr(energy, "_bspline_derivatives", a23_loop)
+                    want = energy._element_tables(n, E, p)
+                assert got[0].tobytes() == want[0].tobytes(), (p, E)
+                assert got[1].tobytes() == want[1].tobytes(), (p, E)
+
+    @pytest.mark.parametrize("nd", (0, 1, 3, 12))
+    def test_derivatives_match_the_loop_over_rows_at_knots(self, nd):
+        # on unequal spans, at points on the knots too, and past order p,
+        # where every derivative is 0.0
+        p = 10
+        knots = np.concatenate((np.zeros(p), np.cumsum([0.0, 0.5, 2.0, 0.25, 1.0]),
+                                np.full(p, 3.75)))
+        x = np.concatenate((knots[p:-p], np.linspace(0.0, 3.75, 41)))
+        spans = np.clip(np.searchsorted(knots, x, side="right") - 1, p, len(knots) - p - 2)
+        got = energy._bspline_derivatives(knots, p, spans, x, nd)
+        assert got.tobytes() == a23_loop(knots, p, spans, x, nd).tobytes()
+
+    def test_one_node_value_pass_per_iterate(self, quartic, monkeypatch):
+        # an iterate's energy, gradient, curved band and the x side of its
+        # line search share one pass over the nodes; each step's direction
+        # takes one more
+        passes = []
+        values = _SplineKernel._values
+
+        def counted(self, c):
+            passes.append(c)
+            return values(self, c)
+
+        monkeypatch.setattr(_SplineKernel, "_values", counted)
+        res = minimize_profile(ProfileProblem(3, 1e-4, 10.0, 2001, quartic))
+        assert res.converged and res.iterations > 0
+        assert len(passes) <= 2 * res.iterations + 4
+
+    @pytest.mark.parametrize("kind", ["spline", "grid"])
+    def test_a_call_after_an_in_place_change_reads_the_new_values(
+        self, quartic, monkeypatch, kind
+    ):
+        # the node values held by a solve are those of the bits of the
+        # array, not of the array object: a kernel call, or a call of the
+        # solve's energy and gradient, after an in-place change of the same
+        # array reads the new values
+        if kind == "spline":
+            kernel = _profile_kernel(2, 3.0, 0.5)
+            x = kernel.coefficients(np.tanh(kernel.greville))
+        else:
+            kernel = energy.DiscreteEnergy(Grid(-3.0, 3.0, 121), 2)
+            x = np.tanh(np.linspace(-3.0, 3.0, 121))
+        c = (1.0, -0.01, 1.0)
+        bump = 0.1 * np.sin(np.arange(len(x)))
+        bump[:2] = bump[-2:] = 0.0
+        before = kernel.energy(x, quartic, c), kernel.grad(x, quartic, c)
+        x += bump
+        fresh = x.copy()
+        assert kernel.energy(x, quartic, c) == kernel.energy(fresh, quartic, c)
+        assert kernel.energy(x, quartic, c) != before[0]
+        np.testing.assert_array_equal(
+            kernel.grad(x, quartic, c), kernel.grad(fresh, quartic, c)
+        )
+        seen = []
+
+        def probe(fun, grad, hess, x0, **kwargs):
+            z = np.array(x0)
+            first = fun(z), grad(z)
+            z += bump[kernel.free]
+            changed = fun(z), grad(z)
+            # another iterate takes the place of the one held
+            grad(np.zeros_like(z))
+            seen.append((first, changed, (fun(z.copy()), grad(z.copy()))))
+            return newton(fun, grad, hess, x0, **kwargs)
+
+        newton = energy.damped_newton
+        monkeypatch.setattr(energy, "damped_newton", probe)
+        kernel.minimize(x, quartic, c, 1e-8, 3)
+        (first, changed, recomputed), = seen
+        assert changed[0] != first[0]
+        assert changed[0] == recomputed[0]
+        np.testing.assert_array_equal(changed[1], recomputed[1])
 
     @pytest.mark.parametrize("n", (1, 3, 6))
     def test_quadrature_is_exact_for_the_quartic(self, quartic, n):
