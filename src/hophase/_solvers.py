@@ -1,12 +1,14 @@
 """
-Shared minimization drivers.  Damped Newton with banded LU solves is the
+Shared minimization drivers.  Damped Newton with banded solves is the
 solver of every minimizer (W'' from `DoubleWell.second_derivative`): on
 the stiff high-derivative problems (quartic-operator conditioning ~ h^-2n)
 it reaches the 1e-8..1e-9 floor set by finite-difference roundoff in a
 handful of steps, where plain quasi-Newton plateaus near 1e-2; no
 minimizer calls `lbfgs`.  Every Newton system here is a band, possibly
-bordered by one constraint row; BandedSystem factors the band with LAPACK
-gbsv and eliminates the constraint by a scalar Schur step.
+bordered by one constraint row; BandedSystem factors the band of a
+symmetric system by Cholesky (LAPACK pbsv), falling back to LU (gbsv) when
+the band is not positive definite, factors any other band by LU, and
+eliminates the constraint by a scalar Schur step.
 """
 
 import time
@@ -15,7 +17,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dpbsv
 
 __all__ = ["SolveInfo", "BandedSystem", "lbfgs", "damped_newton"]
 
@@ -23,8 +25,9 @@ __all__ = ["SolveInfo", "BandedSystem", "lbfgs", "damped_newton"]
 @dataclass
 class SolveInfo:
     """What a solve did and why it stopped.  factorizations counts the
-    LAPACK factorizations of the Newton steps actually done: a tau retry
-    that changes no diagonal entry reuses the last solve and adds none."""
+    shifted Newton systems actually factored, one each whether Cholesky,
+    LU, or Cholesky and then LU ran (`BandedSystem`): a tau retry that
+    changes no diagonal entry reuses the last solve and adds none."""
 
     iterations: int = 0
     newton_iterations: int = 0
@@ -53,11 +56,17 @@ class BandedSystem:
     LAPACK: systems that differ only in their curved part share one band.
     diag is A's diagonal, and `ab` reads A back in band storage.  c is a
     dense m-vector, the one constraint row.
+
+    A system declared symmetric (lo = up, as an energy's Hessian) is
+    factored by Cholesky on the rows up .. up + lo of its band storage,
+    A's lower band, and by LU only when its shifted leading block is not
+    positive definite (`_factor_and_solve`); any other system by LU.
     """
 
     def __init__(self, ab: np.ndarray, lo: int, c: Optional[np.ndarray] = None,
-                 curved: Optional[np.ndarray] = None, repeat: Tuple[int, int] = (0, 0)):
-        self.lo, self.c = lo, c
+                 curved: Optional[np.ndarray] = None, repeat: Tuple[int, int] = (0, 0),
+                 symmetric: bool = False):
+        self.lo, self.c, self.symmetric = lo, c, symmetric
         self.up = ab.shape[0] - lo - 1
         self.band, self.curved, self.repeat = ab, curved, repeat
         self.diag = ab[self.up]
@@ -65,7 +74,7 @@ class BandedSystem:
             self.diag = self._expand(self.diag, np.empty(ab.shape[1] + repeat[1]))
         if curved is not None:
             self.diag = self.diag + curved[len(curved) // 2]
-        # LAPACK factorizations done, and the (shifted diagonal, rhs,
+        # shifted systems factored, and the (shifted diagonal, rhs,
         # solution or LinAlgError) of the last one
         self.factorizations = 0
         self._last = None
@@ -85,13 +94,15 @@ class BandedSystem:
         out[..., L + cut:] = rows[..., L:]
         return out
 
-    def _write(self, out: np.ndarray) -> None:
-        """A's band storage into out: the band, its repeated columns
-        written out, and curved added into its middle rows."""
-        self._expand(self.band, out)
+    def _write(self, out: np.ndarray, first: int = 0) -> None:
+        """A's band storage from its row first on into out: the band, its
+        repeated columns written out, and curved added into its middle
+        rows."""
+        self._expand(self.band[first:], out)
         if self.curved is not None:
             r = len(self.curved) // 2
-            out[self.up - r:self.up + r + 1] += self.curved
+            top = self.up - r - first
+            out[max(top, 0):top + 2 * r + 1] += self.curved[max(-top, 0):]
 
     def solve(self, rhs: np.ndarray, tau: float = 0.0) -> np.ndarray:
         """The first m entries of the solution of the system with A + tau I
@@ -100,7 +111,8 @@ class BandedSystem:
         c^T (A + tau I)^-1 c is 0.  A call whose shifted diagonal and rhs
         equal the last call's, as for a tau below half an ulp of every
         diagonal entry, returns that call's solution (the same array) or
-        raises its error again without factoring."""
+        raises its error again without factoring; every other call counts
+        one factorization, whichever routines it ran."""
         diag = self.diag + tau
         last = self._last
         if last is None or not (
@@ -117,23 +129,39 @@ class BandedSystem:
         return last[2]
 
     def _factor_and_solve(self, diag: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """One gbsv on A with diag on its diagonal for rhs, and c under a
+        """A with diag on its diagonal solved for rhs, and for c under a
         constraint, then the Schur step y - z (c^T y) / (c^T z) for the
-        solutions y and z.  The work arrays are column-major, LAPACK's
-        order, so f2py copies neither."""
+        solutions y and z.  A symmetric system's lower band is written into
+        the front of the work array and solved by pbsv (Golub & Van Loan,
+        Matrix Computations, sec. 4.3); when pbsv finds the leading block
+        not positive definite, as W'' < 0 in a layer or a bordered
+        Hessian indefinite off the constraint can make it, the whole band
+        is written over it and solved by gbsv (sec. 4.2), with the bits of
+        a system not declared symmetric, in the memory already allocated.
+        The work arrays are column-major, LAPACK's order, so f2py copies
+        neither."""
         lo, up, c = self.lo, self.up, self.c
         m = len(diag)
-        ab = np.empty((2 * lo + up + 1, m), order="F")
-        ab[:lo] = 0.0
-        self._write(ab[lo:])
-        ab[lo + up] = diag
+        work = np.empty((2 * lo + up + 1) * m)
         cols = np.empty((m, 1 if c is None else 2), order="F")
-        cols[:, 0] = rhs
-        if c is not None:
-            cols[:, 1] = c
-        _, _, sol, info = dgbsv(lo, up, ab, cols, overwrite_ab=True, overwrite_b=True)
+        info = 1  # gbsv runs unless pbsv solves
+        if self.symmetric:
+            ab = work[:(lo + 1) * m].reshape(lo + 1, m, order="F")
+            self._write(ab, up)
+            ab[0] = diag
+            _, sol, info = dpbsv(
+                ab, self._columns(cols, rhs), lower=1, overwrite_ab=True, overwrite_b=True
+            )
         if info > 0:
-            raise LinAlgError("singular leading block")
+            ab = work.reshape(2 * lo + up + 1, m, order="F")
+            ab[:lo] = 0.0
+            self._write(ab[lo:])
+            ab[lo + up] = diag
+            _, _, sol, info = dgbsv(
+                lo, up, ab, self._columns(cols, rhs), overwrite_ab=True, overwrite_b=True
+            )
+            if info > 0:
+                raise LinAlgError("singular leading block")
         y = sol[:, 0]
         if c is None:
             return y
@@ -142,6 +170,14 @@ class BandedSystem:
         if cz == 0.0:
             raise LinAlgError("singular Schur complement")
         return y - z * ((c @ y) / cz)
+
+    def _columns(self, cols: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """cols filled with the right-hand sides: rhs, and c under a
+        constraint."""
+        cols[:, 0] = rhs
+        if self.c is not None:
+            cols[:, 1] = self.c
+        return cols
 
 
 def lbfgs(
@@ -195,7 +231,7 @@ def damped_newton(
     stagnation_rtol: float = 1e-14,
     divergence_floor: Optional[float] = None,
 ):
-    """Damped Newton with banded LU solves and Armijo backtracking.
+    """Damped Newton with banded solves and Armijo backtracking.
 
     hess(x) returns the Newton system as a BandedSystem whose leading
     m x m block is the Hessian H.  The step solves it with the right-hand
@@ -207,13 +243,15 @@ def damped_newton(
     direction; a singular leading block or Schur complement also raises
     tau.  Each step starts that ladder at a tenth of the last accepted tau,
     or at 0 once that is below 1e-7, so a run through a nonconvex region
-    does not climb the whole ladder on every step.  The factorization is LU, not Cholesky,
-    because the leading block of a bordered system may be indefinite at a
-    valid step.  A retry whose tau changes no diagonal entry (one below
-    half an ulp of each, as the first rungs are on stiff Hessians) reuses
-    the last solve of the step (`BandedSystem.solve`), so
-    info.factorizations counts the LAPACK factorizations actually done,
-    tau retries included.
+    does not climb the whole ladder on every step.  A system declared
+    symmetric is factored by Cholesky, and by LU when its shifted leading
+    block is not positive definite, as that of a bordered system may be at
+    a valid step (`BandedSystem`); any other system by LU.  A retry whose
+    tau changes no diagonal entry (one below half an ulp of each, as the
+    first rungs are on stiff Hessians) reuses the last solve of the step
+    (`BandedSystem.solve`), so info.factorizations counts the shifted
+    systems actually factored, tau retries included, one each whether one
+    routine ran or two.
 
     The Armijo test dE(t) <= 1e-4 t g.d reads the energy change
     dE(t) = E(x + t d) - E(x) along the step d from line(x, d), which

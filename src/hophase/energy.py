@@ -199,7 +199,10 @@ class _Quadrature:
         held at x0's values, by damped Newton (`_solvers.damped_newton`), at
         most maxiter steps.  The constant band is built once per solve, and
         each step's system adds the part that changes with x
-        (`_curved_band`) as it is factored.  The Armijo test reads
+        (`_curved_band`) as it is factored.  The Hessian is symmetric, so
+        each step's system, the one `_verdict` solves included, is declared
+        so and factored by Cholesky unless its leading block is not
+        positive definite (`BandedSystem`).  The Armijo test reads
         `energy_change`, so
         `energy` is evaluated only at the first and the returned iterate.
         The node values of an iterate are computed once and shared by its
@@ -250,7 +253,7 @@ class _Quadrature:
         def system(z):
             u, v = at(z)
             curved = self._curved_band(u, w, c, v)
-            return BandedSystem(base, b, constraint, curved, self._repeat)
+            return BandedSystem(base, b, constraint, curved, self._repeat, symmetric=True)
 
         def line(z, dz):
             u, v = at(z)

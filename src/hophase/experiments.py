@@ -151,8 +151,9 @@ class MinimizeEnergyResult:
     max(gtol, gradient_floor), the roundoff floor of the assembled
     gradient at the minimizer, no divergence and no stop on a failed line
     search, on no descent direction or on the iteration limit.
-    factorizations counts the LAPACK factorizations of the Newton steps,
-    tau retries that change the shifted matrix included."""
+    factorizations counts the shifted Newton systems factored, one each
+    whether Cholesky alone or Cholesky and then LU ran, tau retries that
+    change the shifted matrix included."""
 
     field: Field
     breakdown: EnergyBreakdown

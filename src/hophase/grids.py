@@ -10,7 +10,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, prod
+from math import factorial
 from typing import Tuple
 
 import numpy as np
@@ -109,24 +109,33 @@ def _integer_weights(offsets: Tuple[int, ...], k: int) -> Tuple[Tuple[int, int],
 
     the unique solution of the Vandermonde moment system, so the weights
     annihilate polynomials of degree < k and are exact on degree
-    <= len(offsets) - 1.  The one derivation of `stencil_weights` and
-    `_unit_rows`."""
+    <= len(offsets) - 1.  The node polynomial P(x) = prod_i (x - o_i) is
+    built once; weight j's numerator polynomial is the quotient
+    Q_j = P / (x - o_j), by exact integer synthetic division, and its
+    denominator is Q_j(o_j), by Horner's rule: O(m) operations per weight.
+    The one derivation of `stencil_weights` and `_unit_rows`."""
     m = len(offsets)
     if k >= m:
         raise ValueError("need at least k+1 stencil points")
+    # coefficients of P, lowest first
+    poly = [1]
+    for o in offsets:
+        poly = [0] + poly
+        for d in range(len(poly) - 1):
+            poly[d] -= o * poly[d + 1]
     weights = []
-    for j, o_j in enumerate(offsets):
-        others = offsets[:j] + offsets[j + 1:]
-        den = prod(o_j - o for o in others)
+    for o_j in offsets:
+        # Q_j's coefficients, highest first: q_{d-1} = p_d + o_j q_d
+        quotient, q = [], 0
+        for p in reversed(poly[1:]):
+            q = p + o_j * q
+            quotient.append(q)
+        den = 0
+        for q in quotient:
+            den = den * o_j + q
         if den == 0:
             raise ValueError("degenerate stencil offsets")
-        # coefficients of prod (x - o) over the other offsets, lowest first
-        poly = [1]
-        for o in others:
-            poly = [0] + poly
-            for d in range(len(poly) - 1):
-                poly[d] -= o * poly[d + 1]
-        weights.append((factorial(k) * poly[k], den))
+        weights.append((factorial(k) * quotient[m - 1 - k], den))
     return tuple(weights)
 
 

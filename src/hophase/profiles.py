@@ -100,9 +100,10 @@ class ProfileResult:
     failed line search or on no descent direction, and the minimizer is
     one layer, its coefficients changing sign once; diagnosis says why a
     run is not converged.  gradient_norm_final is the gradient's sup-norm
-    over the free spline coefficients.  factorizations counts the LAPACK
-    factorizations of the Newton steps, tau retries that change the
-    shifted matrix and the decrement's included."""
+    over the free spline coefficients.  factorizations counts the shifted
+    Newton systems factored, one each whether Cholesky alone or Cholesky
+    and then LU ran, tau retries that change the shifted matrix and the
+    decrement's included."""
 
     spline: BSpline
     grid: Grid

@@ -467,22 +467,32 @@ class TestQuotientNewton:
             np.testing.assert_allclose(H, fd, rtol=1e-6)
 
     def test_one_gbsv_per_factorization(self, quartic, monkeypatch):
-        # the quotient's dense Hessian is solved for the right-hand side
-        # alone, the mass-bordered Hessian for it and the constraint row
+        # the quotient's dense Hessian is not declared symmetric (it is
+        # singular along v): one gbsv per factorization, for the right-hand
+        # side alone.  The mass-bordered energy Hessian is: one pbsv per
+        # factorization, for the right-hand side and the constraint row,
+        # and a gbsv for both only right after a pbsv that found the
+        # leading block not positive definite
         from hophase import _solvers
         from hophase.critical import _minimize_quotient
 
-        dgbsv, calls = _solvers.dgbsv, []
+        dgbsv, dpbsv, calls = _solvers.dgbsv, _solvers.dpbsv, []
 
         def gbsv(lo, up, ab, b, **kwargs):
-            calls.append(b.shape[1])
+            calls.append(("gbsv", b.shape[1], 0))
             return dgbsv(lo, up, ab, b, **kwargs)
 
+        def pbsv(ab, b, **kwargs):
+            out = dpbsv(ab, b, **kwargs)
+            calls.append(("pbsv", b.shape[1], out[-1]))
+            return out
+
         monkeypatch.setattr(_solvers, "dgbsv", gbsv)
+        monkeypatch.setattr(_solvers, "dpbsv", pbsv)
         kernel, functions = self.kernel_and_functions(quartic)
         _, info = _minimize_quotient(functions, self.coefficients(), 50, gtol=1e-12)
         assert info.newton_iterations > 0
-        assert calls and set(calls) == {1}
+        assert calls and set(calls) == {("gbsv", 1, 0)}
         assert info.factorizations == len(calls)
 
         calls.clear()
@@ -494,8 +504,12 @@ class TestQuotientNewton:
             (1.0 / eps, -0.01 * eps, eps**3), 1e-7, 50, constraint=kernel.q,
         )
         assert converged and info.newton_iterations > 0
-        assert calls and set(calls) == {2}
-        assert info.factorizations == len(calls)
+        assert calls and {nrhs for _, nrhs, _ in calls} == {2}
+        cholesky = [call for call in calls if call[0] == "pbsv"]
+        assert info.factorizations == len(cholesky)
+        for before, call in zip([None, *calls], calls):
+            if call[0] == "gbsv":
+                assert before[0] == "pbsv" and before[2] > 0
 
     def test_grad_reuses_the_terms_of_value_at_the_same_array(self, quartic):
         kernel, (value, grad, _) = self.kernel_and_functions(quartic)

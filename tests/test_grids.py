@@ -2,7 +2,7 @@
 field IO."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -306,6 +306,32 @@ class TestDiffOperator:
                 for s in range(1 - m, 1)
             ])
             assert grids._unit_rows(k, m).tobytes() == want.tobytes()
+
+    def test_integer_weights_match_the_product_loop(self):
+        # the quotients of the node polynomial by each factor give the
+        # integer pairs of rebuilding the product of the other offsets for
+        # every weight, on every window shift of every accuracy and order
+        def product_loop(offsets, k):
+            weights = []
+            for j, o_j in enumerate(offsets):
+                others = offsets[:j] + offsets[j + 1:]
+                den = prod(o_j - o for o in others)
+                poly = [1]
+                for o in others:
+                    poly = [0] + poly
+                    for d in range(len(poly) - 1):
+                        poly[d] -= o * poly[d + 1]
+                weights.append((factorial(k) * poly[k], den))
+            return tuple(weights)
+
+        for k in range(1, grids.MAX_DERIVATIVE_ORDER + 1):
+            for acc in (2, 4, 6):
+                m = k + acc
+                for s in range(1 - m, 1):
+                    offsets = tuple(range(s, s + m))
+                    assert grids._integer_weights(offsets, k) == product_loop(offsets, k)
+        with pytest.raises(ValueError, match="degenerate"):
+            grids._integer_weights((0, 1, 1), 1)
 
     def test_invalid_requests_rejected(self):
         g = Grid(0.0, 1.0, 33)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgbsv
+from scipy.linalg.lapack import dgbsv, dpbsv
 
-from hophase import DiscreteEnergy, EnergyParams, Grid, _solvers, energy
+from hophase import DiscreteEnergy, EnergyParams, Field, Grid, _solvers, critical, energy
 from hophase._solvers import BandedSystem, damped_newton, lbfgs
-from hophase.energy import _band_index, _element_band
+from hophase.energy import BSpline, _band_index, _element_band
 from hophase.grids import ACCURACY_ORDER, _unit_rows, quadrature_weights, window_starts
 from hophase.profiles import (
     PROFILE_GTOL, PROFILE_H, PROFILE_MAXITER, _profile_kernel,
@@ -34,14 +34,14 @@ def hess_matrix(x, lam=0.0):
     return sp.diags(3.0 * x**2 - 1.0 - 2.0 * lam) + LAP
 
 
-def as_system(H, c=None):
+def as_system(H, c=None, symmetric=False):
     """The sparse matrix H as the BandedSystem of damped_newton: H in band
     storage (through the kernel's scatter), with the constraint row c if
-    given."""
+    given, declared symmetric if so."""
     coo = H.tocoo()
     offset = coo.col - coo.row
     lo, up = -int(offset.min(initial=0)), int(offset.max(initial=0))
-    return BandedSystem(to_band(H, lo, up), lo, c)
+    return BandedSystem(to_band(H, lo, up), lo, c, symmetric=symmetric)
 
 
 def hess(x, lam=0.0):
@@ -523,9 +523,10 @@ def test_factorizations_count_the_gbsv_calls_and_skip_no_op_shifts(monkeypatch):
     assert info.factorizations < info_all.factorizations
 
 
-def step_systems(monkeypatch, kernel, u, w, c, hold_mass, points):
-    """The systems that the Newton steps of `kernel.minimize` factor at the
-    given samples: the driver is replaced by one that builds them."""
+def step_systems(monkeypatch, kernel, u, w, c, border, points):
+    """The systems that the Newton steps of `kernel.minimize` from u, held
+    to the constraint row border if given, factor at the given free
+    unknowns: the driver is replaced by one that builds them."""
     systems = []
 
     def driver(fun, grad, hess, x0, **kwargs):
@@ -533,7 +534,7 @@ def step_systems(monkeypatch, kernel, u, w, c, hold_mass, points):
         return x0, _solvers.SolveInfo()
 
     monkeypatch.setattr(energy, "damped_newton", driver)
-    kernel.minimize(u, w, c, 1e-8, 1, constraint=kernel.q if hold_mass else None)
+    kernel.minimize(u, w, c, 1e-8, 1, constraint=border)
     return systems
 
 
@@ -541,7 +542,8 @@ def step_systems(monkeypatch, kernel, u, w, c, hold_mass, points):
 def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
     # the step's system shares one constant band per solve and carries
     # its own curved row; its matrix is hess's, entry for entry, and it
-    # solves as the system built from hess's band, bit for bit
+    # solves as the system built from hess's band and declared symmetric
+    # as it is, bit for bit
     grid = Grid(-5.0, 5.0, 401)
     kernel = DiscreteEnergy(grid, n)
     b = kernel.bandwidth
@@ -551,9 +553,7 @@ def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
     rhs = np.cos(x)
     for hold_mass in (False, True):  # without and with the mass border
         border = kernel.q if hold_mass else None
-        systems = step_systems(
-            monkeypatch, kernel, points[0], quartic, c, hold_mass, points
-        )
+        systems = step_systems(monkeypatch, kernel, points[0], quartic, c, border, points)
         assert systems[0].band is systems[1].band
         for u, system in zip(points, systems):
             ab = kernel.hess(u, quartic, c)
@@ -562,11 +562,191 @@ def test_a_step_factors_the_hessian(n, quartic, monkeypatch):
                 np.testing.assert_array_equal(system.c, border)
             else:
                 assert system.c is None
-            reference = BandedSystem(ab, b, border)
+            assert system.symmetric
+            reference = BandedSystem(ab, b, border, symmetric=True)
             for tau in (0.0, 1e-3, 10.0):
                 np.testing.assert_array_equal(
                     system.solve(rhs, tau), reference.solve(rhs, tau)
                 )
+
+
+def counted_lapack(monkeypatch):
+    """Record (routine, number of right-hand sides, info) for every pbsv
+    and gbsv call of `BandedSystem`, in call order."""
+    calls = []
+
+    def gbsv(lo, up, ab, b, **kwargs):
+        out = dgbsv(lo, up, ab, b, **kwargs)
+        calls.append(("gbsv", b.shape[1], out[-1]))
+        return out
+
+    def pbsv(ab, b, **kwargs):
+        out = dpbsv(ab, b, **kwargs)
+        calls.append(("pbsv", b.shape[1], out[-1]))
+        return out
+
+    monkeypatch.setattr(_solvers, "dgbsv", gbsv)
+    monkeypatch.setattr(_solvers, "dpbsv", pbsv)
+    return calls
+
+
+ENERGY_KERNELS = [("grid", n) for n in range(1, 7)] + [("spline", n) for n in range(2, 7)]
+
+
+def symmetric_systems(monkeypatch, kind, n, quartic, well):
+    """The symmetric systems of an order-n energy kernel, grid or spline,
+    at a state near the well +1 (well true, where W'' > 0) or near 0: at
+    2L elements and past them, where the K bands keep one interior column
+    (`_Quadrature._repeat`), each step system of
+    `minimize`, with its curved band, and the system of its whole `hess`
+    band, each without and with a mass border.  The spacing is 1/4 on the
+    grid and 1/2 on the splines: coarse enough that the K bands, growing
+    like h^(-2n), leave the near-well Hessian positive definite in
+    floating point, and that W'' < 0 near 0 makes the other one
+    indefinite."""
+    c = (100.0, -0.01, 1.0)
+    systems = []
+    # L = 2b + 4, b = n + 3 on the grid and n + 3 on the splines
+    L = 2 * (n + 3) + 4
+    for size in (2 * L, 2 * L + 40):
+        if kind == "grid":
+            grid = Grid(-0.125 * (size - 1), 0.125 * (size - 1), size)
+            kernel, x = DiscreteEnergy(grid, n), grid.nodes()
+            u = (1.0 if well else 0.0) + 0.05 * np.sin(x)
+            mass = kernel.q
+        else:
+            kernel = energy._SplineKernel(n, (-size / 4, size / 4), size, n + 3, n)
+            x = kernel.greville
+            u = kernel.coefficients((1.0 if well else 0.0) + 0.05 * np.sin(x))
+            t, p = kernel.knots, kernel.p
+            # the integrals of the free B-splines
+            mass = ((t[p + 1:] - t[:-p - 1]) / (p + 1))[kernel.free]
+        assert kernel._repeat == ((0, 0) if size == 2 * L else (L, size - 2 * L))
+        for border in (None, mass):
+            (step,) = step_systems(
+                monkeypatch, kernel, u, quartic, c, border, [u[kernel.free]]
+            )
+            whole = BandedSystem(
+                kernel.hess(u, quartic, c), kernel.bandwidth, border, symmetric=True
+            )
+            assert step.symmetric and step.curved is not None
+            assert whole.curved is None and whole.repeat == (0, 0)
+            systems += [step, whole]
+    return systems
+
+
+def as_lu(system):
+    """The same system, not declared symmetric: factored by gbsv alone."""
+    return BandedSystem(system.band, system.lo, system.c, system.curved, system.repeat)
+
+
+EPS = np.finfo(float).eps
+
+
+def backward_errors(system, rhs, tau, x):
+    """The normwise backward error of x as a solution of the system shifted
+    by tau, in units of machine epsilon (Rigal & Gaches, J. ACM 14, 1967):
+    ||r - A x|| / (||A|| ||x|| + ||r||) in the sup-norm, the residual taken
+    after the best multiplier of the constraint row c if there is one, and
+    |c^T x| / (||c||_1 ||x||)."""
+    ab, b = system.ab, system.lo
+    m = ab.shape[1]
+    i, j = np.indices((m, m))
+    inside = np.abs(i - j) <= b
+    A = np.zeros((m, m))
+    A[inside] = ab[(b + i - j)[inside], j[inside]]
+    A += tau * np.eye(m)
+    scale = np.abs(A).sum(axis=1).max() * np.abs(x).max()
+    residual, c = rhs - A @ x, system.c
+    if c is None:
+        return np.abs(residual).max() / (scale + np.abs(rhs).max()) / EPS, 0.0
+    residual -= (c @ residual) / (c @ c) * c
+    return (
+        np.abs(residual).max() / (scale + np.abs(rhs).max()) / EPS,
+        abs(c @ x) / (np.abs(c).sum() * np.abs(x).max()) / EPS,
+    )
+
+
+@pytest.mark.parametrize("kind, n", ENERGY_KERNELS)
+def test_cholesky_solves_positive_definite_bands_as_gbsv_does(kind, n, quartic, monkeypatch):
+    # near a well every shifted Hessian is positive definite: the
+    # symmetric system runs pbsv alone, and its solution, like gbsv's for
+    # the same system, has a normwise backward error of at most 2 (b + 1)
+    # machine epsilons, about three times the largest measured on these
+    # systems (Cholesky's bound grows with the b + 1 terms of each inner
+    # product of a band factor: Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., thm 10.4)
+    for system in symmetric_systems(monkeypatch, kind, n, quartic, well=True):
+        rhs = np.cos(np.arange(len(system.diag)))
+        bound = 2.0 * (system.lo + 1)
+        reference = as_lu(system)
+        for tau in (0.0, 10.0):
+            calls = counted_lapack(monkeypatch)
+            x = system.solve(rhs, tau)
+            assert calls == [("pbsv", 1 if system.c is None else 2, 0)]
+            assert max(backward_errors(system, rhs, tau, x)) <= bound
+            x_lu = reference.solve(rhs, tau)
+            assert max(backward_errors(reference, rhs, tau, x_lu)) <= bound
+        assert system.factorizations == reference.factorizations == 2
+
+
+@pytest.mark.parametrize("kind, n", ENERGY_KERNELS)
+def test_an_indefinite_leading_block_solves_with_the_bits_of_gbsv(
+    kind, n, quartic, monkeypatch
+):
+    # between the wells W'' < 0 and the leading block is not positive
+    # definite: pbsv says so, and the one gbsv after it on the same work
+    # array solves with the bits of the system not declared symmetric;
+    # the pair counts one factorization
+    for system in symmetric_systems(monkeypatch, kind, n, quartic, well=False):
+        rhs = np.cos(np.arange(len(system.diag)))
+        calls = counted_lapack(monkeypatch)
+        x = system.solve(rhs)
+        k = 1 if system.c is None else 2
+        assert [call[:2] for call in calls] == [("pbsv", k), ("gbsv", k)]
+        assert calls[0][2] > 0 and calls[1][2] == 0
+        assert system.factorizations == 1
+        assert x.tobytes() == as_lu(system).solve(rhs).tobytes()
+
+
+def test_factorizations_count_each_system_once_whichever_routines_ran(monkeypatch):
+    # the stiff nonconvex run of the gbsv count test, its systems declared
+    # symmetric: the low rungs of the tau ladder are indefinite, so pbsv
+    # fails there and gbsv follows, and the high rungs and the steps near
+    # the minimizer are positive definite; every shifted system factored
+    # counts once, with one pbsv, whether a gbsv followed or not
+    scale = 1e12
+    args = (
+        lambda x: scale * fun(x),
+        lambda x: scale * grad(x),
+        lambda x: as_system(scale * hess_matrix(x), symmetric=True),
+        X0,
+    )
+    calls = counted_lapack(monkeypatch)
+    x, info = damped_newton(*args, line=differenced(args[0]), gtol=1e-2)
+    cholesky = [call for call in calls if call[0] == "pbsv"]
+    assert info.factorizations == len(cholesky)
+    assert any(call[2] > 0 for call in cholesky)
+    assert any(call[2] == 0 for call in cholesky)
+    for before, call in zip([None, *calls], calls):
+        if call[0] == "gbsv":
+            assert before[0] == "pbsv" and before[2] > 0
+    assert len(calls) == len(cholesky) + sum(call[2] > 0 for call in cholesky)
+
+
+def test_the_quotient_and_not_a_knot_factor_by_lu_only(quartic, monkeypatch):
+    # neither declares its system symmetric: the quotient's Hessian is
+    # singular along v (the quotient is scale invariant), and the
+    # not-a-knot collocation matrix is not symmetric
+    calls = counted_lapack(monkeypatch)
+    kernel = energy._SplineKernel(2, (0.0, 1.0), 1, critical.POLY_DEGREE, 0)
+    _, grad_q, system_q = critical._quotient_functions(kernel, quartic)
+    v = np.cos(3.0 * np.arange(critical.POLY_DEGREE + 1))
+    system = system_q(v)
+    assert not system.symmetric
+    system.solve(-grad_q(v))
+    BSpline.not_a_knot(Field.from_callable(Grid(-2.0, 3.0, 501), np.tanh))
+    assert calls == [("gbsv", 1, 0), ("gbsv", 1, 0)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -640,8 +820,9 @@ def minimize_recording(monkeypatch, minimize, rebuilt):
 def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatch):
     # the constant part of each Newton matrix is built once per solve: the
     # profile spline adds each step's W'' band to it, the grid kernel its
-    # diagonal; a driver fed the whole `hess` at every step takes the same
-    # steps, bit for bit
+    # diagonal; a driver fed the whole `hess` at every step, declared
+    # symmetric as the kernel's systems are, takes the same steps, bit for
+    # bit
     if case == "profile n = 3":
         kernel = _profile_kernel(3, 5.0, PROFILE_H)
         c, free = (1.0, -0.01, 1.0), kernel.free
@@ -653,7 +834,7 @@ def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatc
         def rebuilt(z):
             u = u0.copy()
             u[free] = z
-            return BandedSystem(kernel.hess(u, quartic, c), kernel.p)
+            return BandedSystem(kernel.hess(u, quartic, c), kernel.p, symmetric=True)
     else:
         grid = Grid(-4.0, 4.0, 513)
         kernel = DiscreteEnergy(grid, 2)
@@ -666,7 +847,9 @@ def test_minimize_takes_the_steps_of_a_rebuilt_hessian(case, quartic, monkeypatc
             )
 
         def rebuilt(z):
-            return BandedSystem(kernel.hess(z, quartic, c), kernel.bandwidth, kernel.q)
+            return BandedSystem(
+                kernel.hess(z, quartic, c), kernel.bandwidth, kernel.q, symmetric=True
+            )
 
     u, info, iterates = minimize_recording(monkeypatch, minimize, None)
     u_ref, info_ref, iterates_ref = minimize_recording(monkeypatch, minimize, rebuilt)
